@@ -32,7 +32,7 @@ from .experiments import (
     run_duration_simulation,
     run_severity_loocv,
 )
-from .features import full_window
+from .features import extract, full_window
 from .learn import MlpConfig
 from .pipeline import collect_extraction_failures, extract_features, load_dataset
 from .synth import CohortSpec, generate_cohort, load_cohort_spec
@@ -173,8 +173,6 @@ def features(manifest, mode, out):
         for vid in dataset.video_order:
             at = dataset.aligned[(p.participant_id, vid)]
             w = full_window(at)
-            from .features import extract  # local to avoid cycle at import time
-
             fv = extract(at, dataset.aoi.get(vid), w, fmode)
             vals = list(fv.values) + [""] * (5 - len(fv.values))
             rows.append([p.participant_id, vid, fmode.value, w.start_s, w.duration_s, *vals])

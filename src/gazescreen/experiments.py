@@ -8,6 +8,7 @@ pool in any order and still assemble into a bit-identical report.
 """
 from __future__ import annotations
 
+import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ import numpy as np
 from .core import FeatureMode, Group
 from .errors import (
     AoiNeverInAnyWindow,
+    ConfigError,
     DurationTooLong,
     GazeScreenError,
     MissingFeatures,
@@ -307,6 +309,8 @@ def run_duration_simulation(
     )
     min_duration = min(dataset.manifest.video_meta(v).duration_s for v in video_ids)
     for d in durations:
+        if not (math.isfinite(d) and d > 0):
+            raise ConfigError(f"durations must be finite and > 0, got {d}")
         if d > min_duration:
             raise DurationTooLong(f"{d}s exceeds shortest video ({min_duration}s)")
 

@@ -10,10 +10,16 @@ Feature summary (per window):
   F4  RMS Euclidean distance from gaze to the nearest AOI center
   F5  mean first-look delay per AOI occurrence, right-censored at the
       occurrence's (window-clipped) duration
+
+F3-F5 read an ``AoiIndex``: a video's AOI track laid out as per-frame,
+per-object arrays. ``pipeline.load_dataset`` builds one per video and keeps
+it on the ``Dataset``; nothing here caches indexes between calls.
+``extract`` maps the window to frames once and shares one gaze-to-centre
+distance pass between F3 and F4; the ``feature_*`` functions compute a
+single feature on their own.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -61,13 +67,17 @@ def frame_range(w: Window, fps: float, n_frames: int) -> tuple[int, int]:
     return max(lo, 0), min(hi, n_frames)
 
 
-class _AoiIndex:
-    """Per-frame, per-object arrays for fast geometry queries."""
+class AoiIndex:
+    """One video's AOI track as per-frame, per-object arrays, plus its
+    occurrences. Row k of every array belongs to ``object_ids[k]``; frames
+    at or beyond ``n_frames`` are dropped. Everything is computed here and
+    the arrays are read-only, so one index can be shared by threads."""
 
     def __init__(self, track: AoiTrack, n_frames: int):
+        self.n_frames = n_frames
         self.object_ids = track.object_ids
+        self.row = {oid: k for k, oid in enumerate(self.object_ids)}
         n_obj = len(self.object_ids)
-        obj_pos = {oid: k for k, oid in enumerate(self.object_ids)}
         self.ann = np.zeros((n_obj, n_frames), dtype=bool)
         self.cx = np.full((n_obj, n_frames), np.nan)
         self.cy = np.full((n_obj, n_frames), np.nan)
@@ -78,7 +88,7 @@ class _AoiIndex:
         for b in track.boxes:
             if b.frame_index >= n_frames:
                 continue
-            k = obj_pos[b.object_id]
+            k = self.row[b.object_id]
             f = b.frame_index
             self.ann[k, f] = True
             self.cx[k, f], self.cy[k, f] = b.center
@@ -86,43 +96,40 @@ class _AoiIndex:
             self.x_max[k, f] = b.x_max
             self.y_min[k, f] = b.y_min
             self.y_max[k, f] = b.y_max
-        self.any_ann = self.ann.any(axis=0) if n_obj else np.zeros(n_frames, dtype=bool)
+        self.any_ann = self.ann.any(axis=0)
+        for a in (self.ann, self.cx, self.cy, self.x_min, self.x_max,
+                  self.y_min, self.y_max, self.any_ann):
+            a.flags.writeable = False
+        self.occurrences = self._occurrences()
 
-    @functools.cached_property
-    def occurrences(self) -> tuple[AoiOccurrence, ...]:
+    def _occurrences(self) -> tuple[AoiOccurrence, ...]:
+        """Maximal contiguous annotated spans, per object, in frame order."""
         occs = []
         for k, oid in enumerate(self.object_ids):
-            row = self.ann[k]
-            f = 0
-            n = len(row)
-            while f < n:
-                if row[f]:
-                    start = f
-                    while f + 1 < n and row[f + 1]:
-                        f += 1
-                    occs.append(AoiOccurrence(oid, start, f))
-                f += 1
+            padded = np.concatenate(([False], self.ann[k], [False]))
+            edges = np.flatnonzero(padded[1:] != padded[:-1])
+            for enter, after in zip(edges[0::2], edges[1::2]):
+                occs.append(AoiOccurrence(oid, int(enter), int(after) - 1))
         occs.sort(key=lambda o: (o.enter_frame, o.object_id))
         return tuple(occs)
-
-
-@functools.lru_cache(maxsize=256)
-def _aoi_index(track: AoiTrack, n_frames: int) -> _AoiIndex:
-    return _AoiIndex(track, n_frames)
-
-
-def aoi_occurrences(track: AoiTrack, n_frames: int) -> tuple[AoiOccurrence, ...]:
-    """Maximal contiguous annotated spans, per object, in frame order."""
-    return _aoi_index(track, n_frames).occurrences
 
 
 def _std_pop(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean((values - values.mean()) ** 2)))
 
 
-def feature_std_gaze(aligned: AlignedTrace, w: Window) -> float:
-    """F1: sqrt of summed per-axis population variances of gaze points."""
-    lo, hi = frame_range(w, aligned.fps, aligned.n_frames)
+def _frames(aligned: AlignedTrace, w: Window) -> tuple[int, int]:
+    return frame_range(w, aligned.fps, aligned.n_frames)
+
+
+def _check_index(aligned: AlignedTrace, aoi: AoiIndex) -> None:
+    if aoi.n_frames != aligned.n_frames:
+        raise ValueError(
+            f"AOI index has {aoi.n_frames} frames, trace has {aligned.n_frames}"
+        )
+
+
+def _std_gaze(aligned, lo, hi, w) -> float:
     mask = aligned.present[lo:hi]
     if int(mask.sum()) < 2:
         raise InsufficientData(f"F1 needs >= 2 present frames in {w}")
@@ -131,10 +138,7 @@ def feature_std_gaze(aligned: AlignedTrace, w: Window) -> float:
     return float(np.sqrt(np.var(xs) + np.var(ys)))
 
 
-def feature_std_diff(aligned: AlignedTrace, w: Window) -> float:
-    """F2: population std of Euclidean displacement between consecutive
-    frames. Pairs spanning a gap flag are excluded."""
-    lo, hi = frame_range(w, aligned.fps, aligned.n_frames)
+def _std_diff(aligned, lo, hi, w) -> float:
     if hi - lo < 2:
         raise InsufficientData(f"F2 needs >= 2 frames in {w}")
     p = aligned.present[lo:hi]
@@ -146,71 +150,52 @@ def feature_std_diff(aligned: AlignedTrace, w: Window) -> float:
     return _std_pop(np.hypot(dx, dy))
 
 
-def _gaze_to_center_distances(aligned, aoi, w, metric):
-    idx = _aoi_index(aoi, aligned.n_frames)
-    lo, hi = frame_range(w, aligned.fps, aligned.n_frames)
-    if not idx.any_ann[lo:hi].any():
+def _center_distances(aligned, aoi: AoiIndex, lo, hi, w):
+    """Manhattan and Euclidean distance from gaze to the nearest annotated
+    box center (nearest under each metric), over frames in [lo, hi) that
+    are both present and annotated."""
+    if not aoi.any_ann[lo:hi].any():
         raise NoAoiInWindow(f"no annotated frame in {w}")
-    both = aligned.present[lo:hi] & idx.any_ann[lo:hi]
+    both = aligned.present[lo:hi] & aoi.any_ann[lo:hi]
     cols = np.nonzero(both)[0] + lo
     if len(cols) == 0:
-        return np.empty(0)
-    gx = aligned.x[cols]
-    gy = aligned.y[cols]
-    if metric == "manhattan":
-        d = np.abs(gx - idx.cx[:, cols]) + np.abs(gy - idx.cy[:, cols])
-    else:
-        d = np.hypot(gx - idx.cx[:, cols], gy - idx.cy[:, cols])
+        return np.empty(0), np.empty(0)
+    dx = aligned.x[cols] - aoi.cx[:, cols]
+    dy = aligned.y[cols] - aoi.cy[:, cols]
     # min over annotated objects only; NaN rows are unannotated objects
-    return np.nanmin(np.where(idx.ann[:, cols], d, np.nan), axis=0)
+    ann = aoi.ann[:, cols]
+    manhattan = np.nanmin(np.where(ann, np.abs(dx) + np.abs(dy), np.nan), axis=0)
+    euclidean = np.nanmin(np.where(ann, np.hypot(dx, dy), np.nan), axis=0)
+    return manhattan, euclidean
 
 
-def feature_std_manhattan(aligned: AlignedTrace, aoi: AoiTrack, w: Window) -> float:
-    """F3: population std of the Manhattan distance from gaze to the
-    nearest annotated box center, over frames that are both present and
-    annotated."""
-    d = _gaze_to_center_distances(aligned, aoi, w, "manhattan")
-    if len(d) < 2:
+def _std_manhattan(manhattan, w) -> float:
+    if len(manhattan) < 2:
         raise InsufficientData(f"F3 needs >= 2 present+annotated frames in {w}")
-    return _std_pop(d)
+    return _std_pop(manhattan)
 
 
-def feature_rmse_aoi(aligned: AlignedTrace, aoi: AoiTrack, w: Window) -> float:
-    """F4: RMS Euclidean distance from gaze to the nearest annotated box
-    center, paired frame by frame."""
-    d = _gaze_to_center_distances(aligned, aoi, w, "euclidean")
-    if len(d) < 1:
+def _rmse(euclidean, w) -> float:
+    if len(euclidean) < 1:
         raise NoAoiInWindow(f"no frame both present and annotated in {w}")
-    return float(np.sqrt(np.mean(d**2)))
+    return float(np.sqrt(np.mean(euclidean**2)))
 
 
-def feature_delay(aligned: AlignedTrace, aoi: AoiTrack, w: Window) -> float:
-    """F5: mean first-look delay in seconds, averaged over all AOI
-    occurrences overlapping the window.
-
-    Each occurrence is clipped to the window (enter frame clamped to the
-    window start). The delay is the time from the clipped enter frame to
-    the first frame whose present gaze point lies inside that object's
-    box; if the gaze never enters during the clipped span, the delay is
-    right-censored at the clipped span duration.
-    """
-    idx = _aoi_index(aoi, aligned.n_frames)
-    lo, hi = frame_range(w, aligned.fps, aligned.n_frames)
-    obj_pos = {oid: k for k, oid in enumerate(idx.object_ids)}
+def _delay(aligned, aoi: AoiIndex, lo, hi, w) -> float:
     delays = []
-    for occ in idx.occurrences:
+    for occ in aoi.occurrences:
         enter = max(occ.enter_frame, lo)
         exit_ = min(occ.exit_frame, hi - 1)
         if enter > exit_:
             continue
-        k = obj_pos[occ.object_id]
+        k = aoi.row[occ.object_id]
         span = slice(enter, exit_ + 1)
         inside = (
             aligned.present[span]
-            & (aligned.x[span] >= idx.x_min[k, span])
-            & (aligned.x[span] <= idx.x_max[k, span])
-            & (aligned.y[span] >= idx.y_min[k, span])
-            & (aligned.y[span] <= idx.y_max[k, span])
+            & (aligned.x[span] >= aoi.x_min[k, span])
+            & (aligned.x[span] <= aoi.x_max[k, span])
+            & (aligned.y[span] >= aoi.y_min[k, span])
+            & (aligned.y[span] <= aoi.y_max[k, span])
         )
         hits = np.nonzero(inside)[0]
         if len(hits):
@@ -222,20 +207,65 @@ def feature_delay(aligned: AlignedTrace, aoi: AoiTrack, w: Window) -> float:
     return float(np.mean(delays))
 
 
+def feature_std_gaze(aligned: AlignedTrace, w: Window) -> float:
+    """F1: sqrt of summed per-axis population variances of gaze points."""
+    return _std_gaze(aligned, *_frames(aligned, w), w)
+
+
+def feature_std_diff(aligned: AlignedTrace, w: Window) -> float:
+    """F2: population std of Euclidean displacement between consecutive
+    frames. Pairs spanning a gap flag are excluded."""
+    return _std_diff(aligned, *_frames(aligned, w), w)
+
+
+def feature_std_manhattan(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
+    """F3: population std of the Manhattan distance from gaze to the
+    nearest annotated box center, over frames that are both present and
+    annotated."""
+    _check_index(aligned, aoi)
+    manhattan, _ = _center_distances(aligned, aoi, *_frames(aligned, w), w)
+    return _std_manhattan(manhattan, w)
+
+
+def feature_rmse_aoi(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
+    """F4: RMS Euclidean distance from gaze to the nearest annotated box
+    center, paired frame by frame."""
+    _check_index(aligned, aoi)
+    _, euclidean = _center_distances(aligned, aoi, *_frames(aligned, w), w)
+    return _rmse(euclidean, w)
+
+
+def feature_delay(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
+    """F5: mean first-look delay in seconds, averaged over all AOI
+    occurrences overlapping the window.
+
+    Each occurrence is clipped to the window (enter frame clamped to the
+    window start). The delay is the time from the clipped enter frame to
+    the first frame whose present gaze point lies inside that object's
+    box; if the gaze never enters during the clipped span, the delay is
+    right-censored at the clipped span duration.
+    """
+    _check_index(aligned, aoi)
+    return _delay(aligned, aoi, *_frames(aligned, w), w)
+
+
 def extract(
     aligned: AlignedTrace,
-    aoi: AoiTrack | None,
+    aoi: AoiIndex | None,
     w: Window,
     mode: FeatureMode,
 ) -> FeatureVector:
     """Single-video feature vector: [F1..F5] with AOI, [F1, F2] without."""
-    values = [feature_std_gaze(aligned, w), feature_std_diff(aligned, w)]
+    lo, hi = _frames(aligned, w)
+    values = [_std_gaze(aligned, lo, hi, w), _std_diff(aligned, lo, hi, w)]
     if mode is FeatureMode.WITH_AOI:
         if aoi is None:
             raise NoAoiInWindow(f"no AOI track for video {aligned.video_id!r}")
-        values.append(feature_std_manhattan(aligned, aoi, w))
-        values.append(feature_rmse_aoi(aligned, aoi, w))
-        values.append(feature_delay(aligned, aoi, w))
+        _check_index(aligned, aoi)
+        manhattan, euclidean = _center_distances(aligned, aoi, lo, hi, w)
+        values.append(_std_manhattan(manhattan, w))
+        values.append(_rmse(euclidean, w))
+        values.append(_delay(aligned, aoi, lo, hi, w))
     return FeatureVector(
         participant_id=aligned.participant_id,
         video_ids=(aligned.video_id,),

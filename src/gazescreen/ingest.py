@@ -235,11 +235,8 @@ def align(trace: GazeTrace, meta: VideoMeta) -> AlignedTrace:
 
     gap = np.zeros(n_frames, dtype=bool)
     max_spread = 2.0 / fps + 0.5
-    for f in range(1, n_frames):
-        if not present[f - 1]:
-            gap[f] = True
-        elif present[f] and (wall_s[f] - wall_s[f - 1]) > max_spread:
-            gap[f] = True
+    with np.errstate(invalid="ignore"):  # wall_s is NaN on absent frames
+        gap[1:] = ~present[:-1] | (present[1:] & (wall_s[1:] - wall_s[:-1] > max_spread))
     return AlignedTrace(
         participant_id=trace.participant_id,
         video_id=trace.video_id,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .core import FeatureMode, FeatureVector, Group
 from .errors import GazeScreenError, MissingVideo
-from .features import Window, concat_videos, extract, full_window
+from .features import AoiIndex, Window, concat_videos, extract, full_window
 from .ingest import (
     WARN_VALID_FRAME_FRACTION,
     AlignedTrace,
@@ -24,7 +24,7 @@ class Dataset:
 
     manifest: DatasetManifest
     aligned: dict  # (participant_id, video_id) -> AlignedTrace
-    aoi: dict  # video_id -> AoiTrack
+    aoi: dict  # video_id -> AoiIndex, built once here and shared by every window
     quality_warnings: list = field(default_factory=list)
 
     @property
@@ -33,13 +33,14 @@ class Dataset:
 
 
 def load_dataset(manifest_path) -> Dataset:
-    """Parse and align every declared file. Raises on the first hard
-    failure; low-coverage traces (below the soft threshold) are recorded
-    as warnings."""
+    """Parse and align every declared file, and index each video's AOI
+    track. Raises on the first hard failure; low-coverage traces (below
+    the soft threshold) are recorded as warnings."""
     manifest = load_manifest(manifest_path)
     aoi = {}
     for vid, path in manifest.aoi_paths.items():
-        aoi[vid] = parse_aoi_track(path, manifest.video_meta(vid))
+        meta = manifest.video_meta(vid)
+        aoi[vid] = AoiIndex(parse_aoi_track(path, meta), meta.n_frames)
     aligned = {}
     warnings = []
     for (pid, vid), path in manifest.gaze_log_paths.items():

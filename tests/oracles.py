@@ -142,6 +142,20 @@ def oracle_f5(aligned, aoi, w):
     return sum(delays) / len(delays)
 
 
+def oracle_gap(present, wall_s, fps):
+    """Gap flags of ``ingest.align``, frame by frame: a frame begins a gap
+    when its predecessor is absent, or when both are present and their
+    wall-clock times are more than 2/fps + 0.5 s apart."""
+    max_spread = 2.0 / fps + 0.5
+    gap = [False] * len(present)
+    for f in range(1, len(present)):
+        if not present[f - 1]:
+            gap[f] = True
+        elif present[f] and (wall_s[f] - wall_s[f - 1]) > max_spread:
+            gap[f] = True
+    return gap
+
+
 def projected_gradient_qp(K, y, C, steps=20000, lr=None):
     """Slow projected-gradient ascent on the SVM dual.
 

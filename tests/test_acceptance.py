@@ -31,6 +31,7 @@ from gazescreen.experiments import (
     run_severity_loocv,
 )
 from gazescreen.features import (
+    AoiIndex,
     Window,
     concat_videos,
     extract,
@@ -61,13 +62,14 @@ from .conftest import record_acceptance, random_aligned, random_aoi
 
 def all_features(at, aoi, w):
     """(implementation, oracle) value pairs; None where undefined."""
+    idx = AoiIndex(aoi, at.n_frames)
     out = []
     for impl, oracle in (
         (lambda: feature_std_gaze(at, w), lambda: oracles.oracle_f1(at, w)),
         (lambda: feature_std_diff(at, w), lambda: oracles.oracle_f2(at, w)),
-        (lambda: feature_std_manhattan(at, aoi, w), lambda: oracles.oracle_f3(at, aoi, w)),
-        (lambda: feature_rmse_aoi(at, aoi, w), lambda: oracles.oracle_f4(at, aoi, w)),
-        (lambda: feature_delay(at, aoi, w), lambda: oracles.oracle_f5(at, aoi, w)),
+        (lambda: feature_std_manhattan(at, idx, w), lambda: oracles.oracle_f3(at, aoi, w)),
+        (lambda: feature_rmse_aoi(at, idx, w), lambda: oracles.oracle_f4(at, aoi, w)),
+        (lambda: feature_delay(at, idx, w), lambda: oracles.oracle_f5(at, aoi, w)),
     ):
         try:
             got = impl()
@@ -110,15 +112,16 @@ def test_criterion_2_feature_symmetry_suite():
     while checked < 50:
         at = random_aligned(rng, n_frames=16, fps=8.0)
         aoi = random_aoi(rng, n_frames=16)
+        idx = AoiIndex(aoi, at.n_frames)
         w = full_window(at)
         s = float(rng.uniform(0.2, 0.95))
         try:
             base = [
                 feature_std_gaze(at, w),
                 feature_std_diff(at, w),
-                feature_std_manhattan(at, aoi, w),
-                feature_rmse_aoi(at, aoi, w),
-                feature_delay(at, aoi, w),
+                feature_std_manhattan(at, idx, w),
+                feature_rmse_aoi(at, idx, w),
+                feature_delay(at, idx, w),
             ]
         except (InsufficientData, NoAoiInWindow):
             continue
@@ -136,12 +139,13 @@ def test_criterion_2_feature_symmetry_suite():
                    b.x_max * s, b.y_max * s)
             for b in aoi.boxes
         ))
+        scaled_idx = AoiIndex(scaled_aoi, at.n_frames)
         got = [
             feature_std_gaze(scaled, w),
             feature_std_diff(scaled, w),
-            feature_std_manhattan(scaled, scaled_aoi, w),
-            feature_rmse_aoi(scaled, scaled_aoi, w),
-            feature_delay(scaled, scaled_aoi, w),
+            feature_std_manhattan(scaled, scaled_idx, w),
+            feature_rmse_aoi(scaled, scaled_idx, w),
+            feature_delay(scaled, scaled_idx, w),
         ]
         for k in range(4):
             worst = max(worst, abs(got[k] - base[k] * s))

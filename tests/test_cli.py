@@ -138,6 +138,16 @@ class TestDurationCurve:
                 "--reps", 1, "--out", tmp_path)
         assert r.exit_code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("durations", ["0", "-3", "nan", "inf"])
+    def test_non_positive_or_non_finite_duration_exits_config(
+        self, runner, small_cohort_manifest, tmp_path, durations
+    ):
+        r = run(runner, "duration-curve", "--manifest", small_cohort_manifest,
+                "--mode", "aoi", "--durations", durations, "--seed", 2,
+                "--reps", 1, "--out", tmp_path)
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert "Traceback" not in r.output
+
 
 class TestSeverity:
     def test_runs_on_small_cohort(self, runner, small_cohort_manifest, tmp_path):

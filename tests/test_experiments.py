@@ -7,6 +7,7 @@ from gazescreen.experiments import (
     CvConfig,
     derive_rng,
     run_classification_cv,
+    run_duration_simulation,
     run_severity_loocv,
     stratified_folds,
 )
@@ -170,3 +171,29 @@ class TestSeverityLoocv:
         }
         with pytest.raises(TooFewParticipants):
             run_severity_loocv(features, cars, CvConfig(seed=0))
+
+
+class TestDurationSimulation:
+    # (duration_s, mean_acc, std_acc) on the 6 + 6 cohort (seed 11), root
+    # seed 13, 3 repetitions, recorded before the AOI index moved onto the
+    # Dataset; the refactor must reproduce them bit for bit.
+    GOLDEN = {
+        FeatureMode.WITH_AOI: [
+            (3.0, 0.8888888888888888, 0.17123372230469378),
+            (6.0, 0.8333333333333334, 0.16666666666666666),
+            (12.0, 0.8611111111111112, 0.17123372230469378),
+        ],
+        FeatureMode.NO_AOI: [
+            (3.0, 0.7222222222222222, 0.18425693279752223),
+            (6.0, 0.5833333333333334, 0.2041241452319315),
+            (12.0, 0.6944444444444444, 0.15713484026367724),
+        ],
+    }
+
+    @pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
+    def test_same_seed_same_rows(self, small_cohort, mode):
+        report = run_duration_simulation(
+            small_cohort, [3.0, 6.0, 12.0], CvConfig(seed=13, repetitions=3, mode=mode)
+        )
+        got = [(r["duration_s"], r["mean_acc"], r["std_acc"]) for r in report.rows]
+        assert got == self.GOLDEN[mode]

@@ -6,8 +6,8 @@ import pytest
 from gazescreen.core import AoiBox, AoiTrack, FeatureMode
 from gazescreen.errors import InsufficientData, MissingVideo, NoAoiInWindow
 from gazescreen.features import (
+    AoiIndex,
     Window,
-    aoi_occurrences,
     concat_videos,
     extract,
     feature_delay,
@@ -104,7 +104,7 @@ class TestF3F4:
     def test_gaze_pinned_to_center(self):
         centers = [(0.5, 0.5), (0.6, 0.4), (0.3, 0.7)]
         at = trace_from_points(centers)
-        aoi = box_track(centers)
+        aoi = AoiIndex(box_track(centers), at.n_frames)
         w = full_window(at)
         assert feature_std_manhattan(at, aoi, w) == pytest.approx(0.0, abs=1e-15)
         assert feature_rmse_aoi(at, aoi, w) == pytest.approx(0.0, abs=1e-15)
@@ -115,7 +115,7 @@ class TestF3F4:
         for f in range(2):
             boxes.append(AoiBox("near", f, 0.5, 0.5, 0.7, 0.7))  # center (0.6, 0.6)
             boxes.append(AoiBox("far", f, 0.2, 0.2, 0.4, 0.4))  # center (0.3, 0.3)
-        aoi = AoiTrack("v", tuple(boxes))
+        aoi = AoiIndex(AoiTrack("v", tuple(boxes)), at.n_frames)
         # per-frame Manhattan distance = min(0.4, 0.2) = 0.2 on both frames
         assert feature_std_manhattan(at, aoi, full_window(at)) == pytest.approx(0.0, abs=1e-15)
         d = math.hypot(0.1, 0.1)
@@ -123,14 +123,14 @@ class TestF3F4:
 
     def test_rmse_two_frame_example(self):
         at = trace_from_points([(0.5, 0.5), (0.5, 0.5)])
-        aoi = box_track([(0.5, 0.8), (0.5, 0.9)], half=0.1)  # distances 0.3, 0.4
+        aoi = AoiIndex(box_track([(0.5, 0.8), (0.5, 0.9)], half=0.1), at.n_frames)  # 0.3, 0.4
         got = feature_rmse_aoi(at, aoi, full_window(at))
         assert got == pytest.approx(math.sqrt((0.09 + 0.16) / 2), rel=1e-12)
         assert got == pytest.approx(0.35355, abs=1e-5)
 
     def test_empty_track(self):
         at = trace_from_points([(0.5, 0.5), (0.5, 0.5)])
-        aoi = AoiTrack("v", ())
+        aoi = AoiIndex(AoiTrack("v", ()), at.n_frames)
         with pytest.raises(NoAoiInWindow):
             feature_std_manhattan(at, aoi, full_window(at))
         with pytest.raises(NoAoiInWindow):
@@ -141,7 +141,7 @@ class TestF5:
     def test_immediate_look_is_zero(self):
         centers = [(0.5, 0.5)] * 4
         at = trace_from_points(centers)
-        aoi = box_track(centers)
+        aoi = AoiIndex(box_track(centers), at.n_frames)
         assert feature_delay(at, aoi, full_window(at)) == 0.0
 
     def test_late_first_hit(self):
@@ -154,7 +154,7 @@ class TestF5:
         centers = [None] * n
         for f in range(60, n):
             centers[f] = (0.5, 0.5)
-        aoi = box_track(centers)
+        aoi = AoiIndex(box_track(centers), at.n_frames)
         # occurrence enters at frame 60, first hit at frame 105
         assert feature_delay(at, aoi, full_window(at)) == pytest.approx(45 / fps)
         assert feature_delay(at, aoi, full_window(at)) == pytest.approx(1.5)
@@ -163,7 +163,7 @@ class TestF5:
         pts = [(0.1, 0.1)] * 10
         at = trace_from_points(pts)
         centers = [None, (0.7, 0.7), (0.7, 0.7), None, None, (0.8, 0.8), None, None, None, None]
-        aoi = box_track(centers)
+        aoi = AoiIndex(box_track(centers), at.n_frames)
         # spans: frames 1-2 (0.2 s) and frame 5 (0.1 s), never looked at
         got = feature_delay(at, aoi, full_window(at))
         assert got == pytest.approx((0.2 + 0.1) / 2, rel=1e-12)
@@ -172,7 +172,7 @@ class TestF5:
         rng = np.random.default_rng(1)
         for _ in range(50):
             at = random_aligned(rng, n_frames=18, fps=6.0)
-            aoi = random_aoi(rng, n_frames=18)
+            aoi = AoiIndex(random_aoi(rng, n_frames=18), at.n_frames)
             w = full_window(at)
             try:
                 f5 = feature_delay(at, aoi, w)
@@ -180,10 +180,31 @@ class TestF5:
                 continue
             occs = [
                 (max(o.enter_frame, 0), min(o.exit_frame, 17))
-                for o in aoi_occurrences(aoi, 18)
+                for o in aoi.occurrences
             ]
             mean_dur = np.mean([(x - e + 1) / at.fps for e, x in occs])
             assert 0.0 <= f5 <= mean_dur + 1e-12
+
+
+class TestAoiIndex:
+    def test_occurrences_match_oracle(self):
+        rng = np.random.default_rng(21)
+        for p_ann in (0.0, 0.3, 0.7, 1.0):
+            for _ in range(20):
+                track = random_aoi(rng, n_frames=24, n_objects=3, p_ann=p_ann)
+                n_frames = int(rng.integers(1, 25))  # boxes past n_frames are dropped
+                got = [(o.object_id, o.enter_frame, o.exit_frame)
+                       for o in AoiIndex(track, n_frames).occurrences]
+                assert got == oracles.oracle_occurrences(track, n_frames)
+                assert all(type(o[1]) is int and type(o[2]) is int for o in got)
+
+    def test_frame_count_must_match_trace(self):
+        at = trace_from_points([(0.5, 0.5)] * 4)
+        aoi = AoiIndex(box_track([(0.5, 0.5)] * 4), at.n_frames + 1)
+        with pytest.raises(ValueError):
+            extract(at, aoi, full_window(at), FeatureMode.WITH_AOI)
+        with pytest.raises(ValueError):
+            feature_delay(at, aoi, full_window(at))
 
 
 class TestScaleSymmetries:
@@ -207,15 +228,17 @@ class TestScaleSymmetries:
             aoi = random_aoi(rng, n_frames=16)
             s = float(rng.uniform(0.2, 1.0))
             w = full_window(at)
+            idx = AoiIndex(aoi, at.n_frames)
             try:
                 f1 = feature_std_gaze(at, w)
                 f2 = feature_std_diff(at, w)
-                f3 = feature_std_manhattan(at, aoi, w)
-                f4 = feature_rmse_aoi(at, aoi, w)
-                f5 = feature_delay(at, aoi, w)
+                f3 = feature_std_manhattan(at, idx, w)
+                f4 = feature_rmse_aoi(at, idx, w)
+                f5 = feature_delay(at, idx, w)
             except (InsufficientData, NoAoiInWindow):
                 continue
             at2, aoi2 = self.scaled(at, aoi, s)
+            aoi2 = AoiIndex(aoi2, at2.n_frames)
             assert feature_std_gaze(at2, w) == pytest.approx(f1 * s, abs=1e-12)
             assert feature_std_diff(at2, w) == pytest.approx(f2 * s, abs=1e-12)
             assert feature_std_manhattan(at2, aoi2, w) == pytest.approx(f3 * s, abs=1e-12)
@@ -237,7 +260,7 @@ class TestWindows:
         rng = np.random.default_rng(9)
         for _ in range(30):
             at = random_aligned(rng, n_frames=20, fps=10.0, p_present=0.5)
-            aoi = random_aoi(rng, n_frames=20, p_ann=0.4)
+            aoi = AoiIndex(random_aoi(rng, n_frames=20, p_ann=0.4), at.n_frames)
             w_small = Window(0.5, 0.8)
             w_big = Window(0.0, 2.0)
             for fn in (
@@ -272,12 +295,13 @@ class TestOracleEquivalence:
             start = float(rng.uniform(0, n / fps * 0.3))
             dur = float(rng.uniform(n / fps * 0.3, n / fps - start))
             w = Window(start, dur)
+            idx = AoiIndex(aoi, at.n_frames)
             pairs = [
                 (lambda: feature_std_gaze(at, w), lambda: oracles.oracle_f1(at, w)),
                 (lambda: feature_std_diff(at, w), lambda: oracles.oracle_f2(at, w)),
-                (lambda: feature_std_manhattan(at, aoi, w), lambda: oracles.oracle_f3(at, aoi, w)),
-                (lambda: feature_rmse_aoi(at, aoi, w), lambda: oracles.oracle_f4(at, aoi, w)),
-                (lambda: feature_delay(at, aoi, w), lambda: oracles.oracle_f5(at, aoi, w)),
+                (lambda: feature_std_manhattan(at, idx, w), lambda: oracles.oracle_f3(at, aoi, w)),
+                (lambda: feature_rmse_aoi(at, idx, w), lambda: oracles.oracle_f4(at, aoi, w)),
+                (lambda: feature_delay(at, idx, w), lambda: oracles.oracle_f5(at, aoi, w)),
             ]
             for impl, oracle in pairs:
                 expected = oracle()
@@ -303,7 +327,7 @@ class TestExtractConcat:
         at = random_aligned(rng, n_frames=20, fps=10.0)
         aoi = random_aoi(rng, n_frames=20)
         w = full_window(at)
-        fv = extract(at, aoi, w, FeatureMode.WITH_AOI)
+        fv = extract(at, AoiIndex(aoi, at.n_frames), w, FeatureMode.WITH_AOI)
         expected = [
             oracles.oracle_f1(at, w), oracles.oracle_f2(at, w),
             oracles.oracle_f3(at, aoi, w), oracles.oracle_f4(at, aoi, w),
@@ -314,7 +338,8 @@ class TestExtractConcat:
     def test_with_aoi_empty_track(self):
         at = trace_from_points([(0.1 * k, 0.3) for k in range(8)])
         with pytest.raises(NoAoiInWindow):
-            extract(at, AoiTrack("v", ()), full_window(at), FeatureMode.WITH_AOI)
+            extract(at, AoiIndex(AoiTrack("v", ()), at.n_frames), full_window(at),
+                    FeatureMode.WITH_AOI)
 
     def make_fv(self, vid):
         at = trace_from_points([(0.1 * k, 0.3) for k in range(8)], vid=vid)

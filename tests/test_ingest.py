@@ -20,6 +20,8 @@ from gazescreen.ingest import (
     parse_gaze_log,
 )
 
+from . import oracles
+
 META = VideoMeta("v", 3.0, 30.0, 1000, 1000)
 
 
@@ -202,6 +204,33 @@ class TestAlign:
             samples = tuple(s for s, k in zip(base.samples, keep) if k)
             at_sub = align(GazeTrace("p", "v", samples), META)
             assert np.all(at_sub.gap | ~at_full.gap)  # gap set only grows
+
+    def test_gap_flags_match_loop_oracle(self):
+        # 60 Hz traces with invalid runs and wall-clock stalls of 0.1-2 s,
+        # on both sides of the 2/fps + 0.5 s spread threshold
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(40):
+            samples = []
+            wall = video = 0.0
+            valid = True
+            while video < META.duration_s:
+                if rng.random() < 0.05:
+                    valid = not valid
+                samples.append(GazeSample(wall * 1000, video * 1000, 0.5, 0.5, valid))
+                wall += 1.0 / 60.0
+                if rng.random() < 0.03:
+                    wall += float(rng.uniform(0.1, 2.0))  # pause: video does not advance
+                else:
+                    video += 1.0 / 60.0
+            try:
+                at = align(GazeTrace("p", "v", tuple(samples)), META)
+            except RateMismatch:
+                continue
+            expected = oracles.oracle_gap(at.present, at.wall_s, at.fps)
+            assert at.gap.tolist() == expected
+            checked += 1
+        assert checked >= 20
 
 
 class TestManifest:

@@ -6,7 +6,7 @@ import pytest
 
 from gazescreen.core import FeatureMode, GazeSample, GazeTrace, Group
 from gazescreen.experiments import CvConfig, run_classification_cv
-from gazescreen.features import aoi_occurrences, extract, full_window
+from gazescreen.features import AoiIndex, extract, full_window
 from gazescreen.ingest import align
 from gazescreen.pipeline import extract_features, load_dataset
 from gazescreen.synth import (
@@ -43,7 +43,7 @@ class TestAoiPath:
                 assert 0.0 <= b.x_min < b.x_max <= 1.0
                 assert 0.0 <= b.y_min < b.y_max <= 1.0
                 assert 0 <= b.frame_index < META.n_frames
-            occs = aoi_occurrences(aoi, META.n_frames)
+            occs = AoiIndex(aoi, META.n_frames).occurrences
             assert 2 <= len(occs) <= 4
             covered = len({b.frame_index for b in aoi.boxes})
             assert 0.6 <= covered / META.n_frames <= 0.9
@@ -100,8 +100,9 @@ class TestTraceRows:
         averse = dataclasses.replace(pinned, p_attend=0.0)
         at_p, aoi, _ = simulate(pinned)
         at_a, _, _ = simulate(averse, aoi=aoi)
-        fv_p = extract(at_p, aoi, full_window(at_p), FeatureMode.WITH_AOI)
-        fv_a = extract(at_a, aoi, full_window(at_a), FeatureMode.WITH_AOI)
+        idx = AoiIndex(aoi, META.n_frames)
+        fv_p = extract(at_p, idx, full_window(at_p), FeatureMode.WITH_AOI)
+        fv_a = extract(at_a, idx, full_window(at_a), FeatureMode.WITH_AOI)
         # f4 (aoi distance) and f5 (first-look delay) respond to attention
         assert fv_p.values[3] < fv_a.values[3] / 2
         assert fv_p.values[4] < fv_a.values[4] / 2
