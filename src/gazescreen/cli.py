@@ -32,7 +32,6 @@ from .experiments import (
     run_duration_simulation,
     run_severity_loocv,
 )
-from .features import extract, full_window
 from .learn import MlpConfig
 from .pipeline import collect_extraction_failures, extract_features, load_dataset
 from .synth import CohortSpec, generate_cohort, load_cohort_spec
@@ -163,19 +162,16 @@ def features(manifest, mode, out):
     out_path = _ensure_out(out)
     fmode = _parse_mode(mode)
     dataset = load_dataset(manifest)
-    failures = collect_extraction_failures(dataset, fmode)
+    failures, vectors = collect_extraction_failures(dataset, fmode)
     if failures:
         for pid, vid, reason in failures:
             click.echo(f"failed: {pid}/{vid}: {reason}", err=True)
         sys.exit(EXIT_PIPELINE)
     rows = []
-    for p in dataset.manifest.participants:
-        for vid in dataset.video_order:
-            at = dataset.aligned[(p.participant_id, vid)]
-            w = full_window(at)
-            fv = extract(at, dataset.aoi.get(vid), w, fmode)
-            vals = list(fv.values) + [""] * (5 - len(fv.values))
-            rows.append([p.participant_id, vid, fmode.value, w.start_s, w.duration_s, *vals])
+    for (pid, vid), fv in vectors.items():
+        ((start_s, duration_s),) = fv.windows
+        vals = list(fv.values) + [""] * (5 - len(fv.values))
+        rows.append([pid, vid, fmode.value, start_s, duration_s, *vals])
     _write_csv(
         out_path / "features.csv",
         ["participant_id", "video_id", "mode", "window_start_s", "window_dur_s",

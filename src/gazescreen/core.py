@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 
 class Group(enum.Enum):
@@ -28,45 +28,6 @@ class FeatureMode(enum.Enum):
 
 CARS_MIN = 15
 CARS_MAX = 60
-
-
-@dataclass(frozen=True)
-class GazeSample:
-    """One tracker sample. Timestamps in milliseconds; coordinates normalized."""
-
-    wall_ts: float
-    video_ts: float
-    x: float
-    y: float
-    valid: bool
-
-    def __post_init__(self):
-        if self.wall_ts < 0 or self.video_ts < 0:
-            raise ValueError("timestamps must be non-negative")
-        if self.valid and not (0.0 <= self.x <= 1.0 and 0.0 <= self.y <= 1.0):
-            raise ValueError("valid sample must lie in [0,1]^2")
-
-
-@dataclass(frozen=True)
-class GazeTrace:
-    """One participant's samples for one video, ordered by wall clock."""
-
-    participant_id: str
-    video_id: str
-    samples: tuple[GazeSample, ...]
-    nominal_rate_hz: float = 60.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        prev_wall = -math.inf
-        prev_video = -math.inf
-        for i, s in enumerate(self.samples):
-            if s.wall_ts <= prev_wall:
-                raise ValueError(f"wall_ts not strictly increasing at sample {i}")
-            if s.video_ts < prev_video:
-                raise ValueError(f"video_ts decreases at sample {i}")
-            prev_wall = s.wall_ts
-            prev_video = s.video_ts
 
 
 @dataclass(frozen=True)
@@ -176,14 +137,15 @@ class FeatureVector:
             raise ValueError("feature values must be finite")
 
 
-def normalize_coordinates(raw_x: float, raw_y: float, meta: VideoMeta) -> tuple[float, float, bool]:
+def normalize_coordinates(raw_x, raw_y, meta: VideoMeta):
     """Map pixel coordinates into [0,1]^2.
 
-    Returns (x, y, on_screen). Off-screen samples are flagged, not rejected.
+    Works elementwise on floats or numpy arrays alike. Returns
+    (x, y, on_screen). Off-screen samples are flagged, not rejected.
     """
     x = raw_x / meta.width_px
     y = raw_y / meta.height_px
-    on_screen = 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
+    on_screen = (0.0 <= x) & (x <= 1.0) & (0.0 <= y) & (y <= 1.0)
     return x, y, on_screen
 
 

@@ -78,6 +78,20 @@ class CvConfig:
     svm_tol: float = 1e-3
     jobs: int = 1
 
+    def __post_init__(self):
+        if self.repetitions < 1:
+            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.folds < 2:
+            raise ConfigError(f"folds must be >= 2, got {self.folds}")
+        if not (math.isfinite(self.C) and self.C > 0):
+            raise ConfigError(f"C must be finite and > 0, got {self.C}")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not math.isfinite(self.coef0):
+            raise ConfigError(f"coef0 must be finite, got {self.coef0}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,

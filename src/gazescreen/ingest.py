@@ -6,11 +6,17 @@ File formats (all UTF-8 CSV with a header row):
   gaze log:  participant_id,video_id,wall_ts_ms,video_ts_ms,x_px,y_px,valid
   AOI track: video_id,frame_index,object_id,x_min_px,y_min_px,x_max_px,y_max_px
 
+A gaze log is parsed straight into numpy columns (``GazeTrace``): every
+per-row rule is one vectorized mask, and the first row that fails any of
+them is reported with its ``path:line``. ``align`` maps the columns onto
+video frames (``AlignedTrace``).
+
 The manifest is a YAML tree; see ``load_manifest`` for the schema.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +28,6 @@ import yaml
 from .core import (
     AoiBox,
     AoiTrack,
-    GazeSample,
-    GazeTrace,
     Group,
     Participant,
     VideoMeta,
@@ -72,6 +76,25 @@ class DatasetManifest:
 
 
 @dataclass(frozen=True)
+class GazeTrace:
+    """One participant's gaze log for one video, as columns in file order.
+
+    Timestamps are in milliseconds and coordinates normalized. ``valid`` is
+    False where the tracker flagged the row or the gaze fell off screen.
+    ``parse_gaze_log`` guarantees non-negative timestamps, strictly
+    increasing ``wall_ts`` and non-decreasing ``video_ts``.
+    """
+
+    participant_id: str
+    video_id: str
+    wall_ts: np.ndarray  # float (n_samples,)
+    video_ts: np.ndarray  # float (n_samples,)
+    x: np.ndarray  # float (n_samples,)
+    y: np.ndarray  # float (n_samples,)
+    valid: np.ndarray  # bool (n_samples,)
+
+
+@dataclass(frozen=True)
 class AlignedTrace:
     """Frame-indexed gaze for one (participant, video).
 
@@ -105,50 +128,107 @@ def _parse_float(row_val: str, path, line_no, what) -> float:
     return v
 
 
+def _number_column(path, line, what: str, raw: tuple) -> tuple[np.ndarray, list]:
+    """``float`` of every entry of one gaze-log column (NaN where it cannot
+    parse), and the column's two checks: parsable, then finite."""
+    unparsed = np.zeros(len(raw), dtype=bool)
+    try:
+        values = np.array(list(map(float, raw)))
+    except ValueError:
+        values = np.full(len(raw), math.nan)
+        for i, text in enumerate(raw):
+            try:
+                values[i] = float(text)
+            except ValueError:
+                unparsed[i] = True
+    return values, [
+        (unparsed, lambda k: MalformedRow(path, line(k), f"bad {what}: {raw[k]!r}")),
+        (~unparsed & ~np.isfinite(values), lambda k: MalformedRow(
+            path, line(k), f"non-finite {what}")),
+    ]
+
+
 def parse_gaze_log(path, meta: VideoMeta) -> GazeTrace:
-    """Parse one gaze CSV into a GazeTrace with normalized coordinates.
+    """Parse one gaze CSV into a columnar GazeTrace with normalized
+    coordinates.
 
     Rows flagged invalid by the tracker, or whose coordinates fall off
-    screen, are kept with valid=False.
+    screen, are kept with valid=False. Blank rows are skipped but still
+    count towards line numbers. Each row must pass, in this order: field
+    count, video id, the four numbers (parsable and finite, column by
+    column), a 0/1 valid flag, strictly increasing wall time,
+    non-decreasing video time, non-negative wall and video time. The error
+    names the first failing row and the first rule it fails.
     """
     path = Path(path)
-    samples = []
-    participant_id = None
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != GAZE_HEADER:
             raise MalformedRow(path, 1, f"expected header {','.join(GAZE_HEADER)}")
-        prev_wall = -math.inf
-        prev_video = -math.inf
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(GAZE_HEADER):
-                raise MalformedRow(path, line_no, f"expected {len(GAZE_HEADER)} fields, got {len(row)}")
-            pid, vid, wall_raw, video_raw, x_raw, y_raw, valid_raw = row
-            if participant_id is None:
-                participant_id = pid
-            if vid != meta.video_id:
-                raise MalformedRow(path, line_no, f"video id {vid!r} does not match {meta.video_id!r}")
-            wall_ts = _parse_float(wall_raw, path, line_no, "wall_ts_ms")
-            video_ts = _parse_float(video_raw, path, line_no, "video_ts_ms")
-            x_px = _parse_float(x_raw, path, line_no, "x_px")
-            y_px = _parse_float(y_raw, path, line_no, "y_px")
-            if valid_raw.strip() not in ("0", "1"):
-                raise MalformedRow(path, line_no, f"valid must be 0 or 1, got {valid_raw!r}")
-            tracker_valid = valid_raw.strip() == "1"
-            if wall_ts <= prev_wall:
-                raise NonMonotonicTimestamp(path, line_no)
-            if video_ts < prev_video:
-                raise MalformedRow(path, line_no, "video_ts_ms decreases")
-            prev_wall = wall_ts
-            prev_video = video_ts
-            x, y, on_screen = normalize_coordinates(x_px, y_px, meta)
-            samples.append(GazeSample(wall_ts, video_ts, x, y, tracker_valid and on_screen))
-    if not samples:
+        rows = list(reader)
+    n_fields = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    kept = n_fields > 0
+    if not kept.all():
+        rows = list(itertools.compress(rows, kept))
+        n_fields = n_fields[kept]
+    if not rows:
         raise EmptyLog(path)
-    return GazeTrace(participant_id=participant_id, video_id=meta.video_id, samples=tuple(samples))
+    row_index = np.flatnonzero(kept)
+
+    def line(k):
+        return int(row_index[k]) + 2  # the header is line 1
+
+    width_bad = n_fields != len(GAZE_HEADER)
+    if width_bad.any():
+        # the columns must line up; a filled-in row has failed its first check
+        filler = [""] * len(GAZE_HEADER)
+        rows = [filler if bad else row for row, bad in zip(rows, width_bad)]
+    pids, vids, *numeric_raw, flags_raw = zip(*rows, strict=True)
+    n = len(rows)
+    checks = [
+        (width_bad, lambda k: MalformedRow(
+            path, line(k), f"expected {len(GAZE_HEADER)} fields, got {n_fields[k]}")),
+        (np.fromiter(map(meta.video_id.__ne__, vids), dtype=bool, count=n),
+         lambda k: MalformedRow(
+             path, line(k), f"video id {vids[k]!r} does not match {meta.video_id!r}")),
+    ]
+    numeric = []
+    for what, raw in zip(GAZE_HEADER[2:6], numeric_raw):
+        values, column_checks = _number_column(path, line, what, raw)
+        numeric.append(values)
+        checks += column_checks
+    wall, video, x_px, y_px = numeric
+    flags = list(map(str.strip, flags_raw))
+    tracker_valid = np.fromiter(map("1".__eq__, flags), dtype=bool, count=n)
+    flag_zero = np.fromiter(map("0".__eq__, flags), dtype=bool, count=n)
+    wall_back = np.zeros(n, dtype=bool)
+    video_back = np.zeros(n, dtype=bool)
+    wall_back[1:] = wall[1:] <= wall[:-1]
+    video_back[1:] = video[1:] < video[:-1]
+    checks += [
+        (~(tracker_valid | flag_zero), lambda k: MalformedRow(
+            path, line(k), f"valid must be 0 or 1, got {flags_raw[k]!r}")),
+        (wall_back, lambda k: NonMonotonicTimestamp(path, line(k))),
+        (video_back, lambda k: MalformedRow(path, line(k), "video_ts_ms decreases")),
+        (wall < 0, lambda k: MalformedRow(path, line(k), "negative wall_ts_ms")),
+        (video < 0, lambda k: MalformedRow(path, line(k), "negative video_ts_ms")),
+    ]
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        k = int(failed.argmax())
+        raise next(error(k) for mask, error in checks if mask[k])
+
+    x, y, on_screen = normalize_coordinates(x_px, y_px, meta)
+    return GazeTrace(
+        participant_id=pids[0],
+        video_id=meta.video_id,
+        wall_ts=wall,
+        video_ts=video,
+        x=x,
+        y=y,
+        valid=tracker_valid & on_screen,
+    )
 
 
 def parse_aoi_track(path, meta: VideoMeta) -> AoiTrack:
@@ -156,6 +236,7 @@ def parse_aoi_track(path, meta: VideoMeta) -> AoiTrack:
     legal track with zero boxes."""
     path = Path(path)
     boxes = []
+    seen = set()  # (frame_index, object_id)
     n_frames = meta.n_frames
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -184,6 +265,11 @@ def parse_aoi_track(path, meta: VideoMeta) -> AoiTrack:
                 raise DegenerateBox(path, line_no)
             if not (0.0 <= x0 and x1 <= 1.0 and 0.0 <= y0 and y1 <= 1.0):
                 raise MalformedRow(path, line_no, "box extends outside the screen")
+            if (frame_index, object_id) in seen:
+                raise MalformedRow(
+                    path, line_no, f"duplicate box for frame {frame_index}, object {object_id!r}"
+                )
+            seen.add((frame_index, object_id))
             boxes.append(AoiBox(object_id, frame_index, x0, y0, x1, y1))
     return AoiTrack(video_id=meta.video_id, boxes=tuple(boxes))
 
@@ -207,18 +293,19 @@ def align(trace: GazeTrace, meta: VideoMeta) -> AlignedTrace:
     y = np.full(n_frames, np.nan)
     wall_s = np.full(n_frames, np.nan)
 
-    valid = [s for s in trace.samples if s.valid]
-    if valid:
-        video_s = np.array([s.video_ts for s in valid]) / 1000.0
-        wall = np.array([s.wall_ts for s in valid]) / 1000.0
-        xs = np.array([s.x for s in valid])
-        ys = np.array([s.y for s in valid])
+    valid = trace.valid
+    n_valid = int(np.count_nonzero(valid))
+    if n_valid:
+        video_s = trace.video_ts[valid] / 1000.0
+        wall = trace.wall_ts[valid] / 1000.0
+        xs = trace.x[valid]
+        ys = trace.y[valid]
         half_period = 1.0 / (2.0 * fps)
         t_f = np.arange(n_frames) / fps
         # nearest sample by video time; ties resolve to the earlier sample
         idx = np.searchsorted(video_s, t_f)
-        idx_lo = np.clip(idx - 1, 0, len(valid) - 1)
-        idx_hi = np.clip(idx, 0, len(valid) - 1)
+        idx_lo = np.clip(idx - 1, 0, n_valid - 1)
+        idx_hi = np.clip(idx, 0, n_valid - 1)
         d_lo = np.abs(video_s[idx_lo] - t_f)
         d_hi = np.abs(video_s[idx_hi] - t_f)
         best = np.where(d_lo <= d_hi, idx_lo, idx_hi)

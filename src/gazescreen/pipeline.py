@@ -86,10 +86,17 @@ def extract_features(
 
 def collect_extraction_failures(
     dataset: Dataset, mode: FeatureMode
-) -> list[tuple[str, str, str]]:
-    """Try every (participant, video) and report all failures instead of
-    stopping at the first; used by the CLI to list every broken pair."""
+) -> tuple[list[tuple[str, str, str]], dict]:
+    """Extract every (participant, video) on its full window, reporting
+    all failures instead of stopping at the first; used by the CLI to list
+    every broken pair.
+
+    Returns ``(failures, vectors)``: ``failures`` holds
+    (participant_id, video_id, reason) triples and ``vectors`` maps each
+    pair that succeeded to its FeatureVector.
+    """
     failures = []
+    vectors = {}
     for p in dataset.manifest.participants:
         for vid in dataset.video_order:
             key = (p.participant_id, vid)
@@ -98,7 +105,7 @@ def collect_extraction_failures(
                 continue
             at = dataset.aligned[key]
             try:
-                extract(at, dataset.aoi.get(vid), full_window(at), mode)
+                vectors[key] = extract(at, dataset.aoi.get(vid), full_window(at), mode)
             except GazeScreenError as e:
                 failures.append((p.participant_id, vid, str(e)))
-    return failures
+    return failures, vectors

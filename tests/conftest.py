@@ -19,9 +19,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 from gazescreen.core import AoiBox, AoiTrack
-from gazescreen.ingest import AlignedTrace
+from gazescreen.ingest import AlignedTrace, GazeTrace
 from gazescreen.pipeline import load_dataset
 from gazescreen.synth import CohortSpec, generate_cohort
+
+
+def gaze_trace(samples, participant_id="p", video_id="v"):
+    """A columnar GazeTrace from (wall_ms, video_ms, x, y, valid) tuples."""
+    wall, video, x, y, valid = zip(*samples) if samples else ((),) * 5
+    return GazeTrace(
+        participant_id=participant_id,
+        video_id=video_id,
+        wall_ts=np.array(wall, dtype=float),
+        video_ts=np.array(video, dtype=float),
+        x=np.array(x, dtype=float),
+        y=np.array(y, dtype=float),
+        valid=np.array(valid, dtype=bool),
+    )
 
 
 def random_aligned(rng, n_frames=20, fps=10.0, p_present=0.85, pid="p0", vid="v0"):

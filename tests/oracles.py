@@ -6,9 +6,12 @@ code with the implementations they check.
 """
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
+
+from gazescreen.errors import EmptyLog, MalformedRow, NonMonotonicTimestamp
 
 
 def frames_in_window(start_s, duration_s, fps, n_frames):
@@ -154,6 +157,61 @@ def oracle_gap(present, wall_s, fps):
         elif present[f] and (wall_s[f] - wall_s[f - 1]) > max_spread:
             gap[f] = True
     return gap
+
+
+def oracle_parse_gaze_log(path, meta):
+    """``ingest.parse_gaze_log`` as a row-by-row loop: returns
+    (participant_id, wall_ts, video_ts, x, y, valid) as lists, or raises
+    the error for the first bad row, checking each row's rules in order."""
+    header_names = ["participant_id", "video_id", "wall_ts_ms", "video_ts_ms",
+                    "x_px", "y_px", "valid"]
+    cols = ([], [], [], [], [])
+    participant_id = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != header_names:
+            raise MalformedRow(path, 1, f"expected header {','.join(header_names)}")
+        prev_wall = prev_video = -math.inf
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 7:
+                raise MalformedRow(path, line_no, f"expected 7 fields, got {len(row)}")
+            pid, vid, *numbers, flag = row
+            if participant_id is None:
+                participant_id = pid
+            if vid != meta.video_id:
+                raise MalformedRow(path, line_no, f"video id {vid!r} does not match {meta.video_id!r}")
+            values = []
+            for what, text in zip(header_names[2:6], numbers):
+                try:
+                    v = float(text)
+                except ValueError:
+                    raise MalformedRow(path, line_no, f"bad {what}: {text!r}") from None
+                if not math.isfinite(v):
+                    raise MalformedRow(path, line_no, f"non-finite {what}")
+                values.append(v)
+            wall, video, x_px, y_px = values
+            if flag.strip() not in ("0", "1"):
+                raise MalformedRow(path, line_no, f"valid must be 0 or 1, got {flag!r}")
+            if wall <= prev_wall:
+                raise NonMonotonicTimestamp(path, line_no)
+            if video < prev_video:
+                raise MalformedRow(path, line_no, "video_ts_ms decreases")
+            if wall < 0:
+                raise MalformedRow(path, line_no, "negative wall_ts_ms")
+            if video < 0:
+                raise MalformedRow(path, line_no, "negative video_ts_ms")
+            prev_wall, prev_video = wall, video
+            x = x_px / meta.width_px
+            y = y_px / meta.height_px
+            on_screen = 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
+            for col, v in zip(cols, (wall, video, x, y, flag.strip() == "1" and on_screen)):
+                col.append(v)
+    if participant_id is None:
+        raise EmptyLog(path)
+    return (participant_id, *cols)
 
 
 def projected_gradient_qp(K, y, C, steps=20000, lr=None):

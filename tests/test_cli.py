@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from gazescreen import pipeline
 from gazescreen.cli import EXIT_CONFIG, EXIT_IO, EXIT_PIPELINE, main
 
 
@@ -14,6 +15,11 @@ def runner():
 
 def run(runner, *args):
     return runner.invoke(main, [str(a) for a in args])
+
+
+def copy_cohort(manifest, dst):
+    shutil.copytree(Path(manifest).parent, dst)
+    return dst / "manifest.yaml"
 
 
 def dir_bytes(root):
@@ -72,6 +78,44 @@ class TestFeatures:
         r = run(runner, "features", "--manifest", dst / "manifest.yaml",
                 "--mode", "aoi", "--out", tmp_path / "out")
         assert r.exit_code == EXIT_PIPELINE
+
+    def test_negative_timestamp_exits_pipeline(self, runner, small_cohort_manifest, tmp_path):
+        manifest = copy_cohort(small_cohort_manifest, tmp_path / "broken")
+        victim = sorted((tmp_path / "broken" / "logs").glob("*.csv"))[0]
+        header, first, *rest = victim.read_text(encoding="utf-8").splitlines()
+        fields = first.split(",")
+        fields[2] = "-5.000"
+        victim.write_text("\n".join([header, ",".join(fields), *rest]) + "\n", encoding="utf-8")
+        r = run(runner, "features", "--manifest", manifest, "--mode", "aoi",
+                "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        assert f"{victim.name}:2: negative wall_ts_ms" in r.output
+        assert "Traceback" not in r.output
+
+    def test_duplicate_aoi_box_exits_pipeline(self, runner, small_cohort_manifest, tmp_path):
+        manifest = copy_cohort(small_cohort_manifest, tmp_path / "broken")
+        victim = sorted((tmp_path / "broken" / "aoi").glob("*.csv"))[0]
+        lines = victim.read_text(encoding="utf-8").splitlines()
+        victim.write_text("\n".join([*lines, lines[1]]) + "\n", encoding="utf-8")
+        r = run(runner, "features", "--manifest", manifest, "--mode", "aoi",
+                "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        assert f"{victim.name}:{len(lines) + 1}: duplicate box" in r.output
+        assert "Traceback" not in r.output
+
+    def test_extracts_each_pair_once(self, runner, small_cohort_manifest, tmp_path, monkeypatch):
+        calls = []
+        real_extract = pipeline.extract
+
+        def counting_extract(*args, **kwargs):
+            calls.append(args[0].participant_id)
+            return real_extract(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "extract", counting_extract)
+        r = run(runner, "features", "--manifest", small_cohort_manifest,
+                "--mode", "aoi", "--out", tmp_path)
+        assert r.exit_code == 0, r.output
+        assert len(calls) == 12 * 4  # participants x videos, one extraction each
 
     def test_missing_manifest_exits_io(self, runner, tmp_path):
         r = run(runner, "features", "--manifest", tmp_path / "nope.yaml",
@@ -147,6 +191,37 @@ class TestDurationCurve:
                 "--reps", 1, "--out", tmp_path)
         assert r.exit_code == EXIT_CONFIG, r.output
         assert "Traceback" not in r.output
+
+
+BAD_ARGUMENTS = [
+    ("evaluate", "--reps", "0"),
+    ("evaluate", "--reps", "-2"),
+    ("evaluate", "--svm-c", "-1"),
+    ("evaluate", "--svm-c", "0"),
+    ("evaluate", "--svm-c", "nan"),
+    ("evaluate", "--svm-c", "inf"),
+    ("evaluate", "--gamma", "nan"),
+    ("evaluate", "--gamma", "0"),
+    ("evaluate", "--gamma", "-0.5"),
+    ("evaluate", "--gamma", "inf"),
+    ("evaluate", "--coef0", "nan"),
+    ("evaluate", "--coef0", "-inf"),
+    ("evaluate", "--jobs", "0"),
+    ("evaluate", "--jobs", "-1"),
+    ("duration-curve", "--reps", "0"),
+    ("duration-curve", "--svm-c", "nan"),
+    ("duration-curve", "--jobs", "0"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_ARGUMENTS)
+def test_bad_argument_exits_config(runner, small_cohort_manifest, tmp_path, command, flag, value):
+    extra = ["--durations", "3"] if command == "duration-curve" else []
+    r = run(runner, command, "--manifest", small_cohort_manifest, "--mode", "noaoi",
+            "--seed", 1, "--reps", 1, *extra, flag, value, "--out", tmp_path)
+    assert r.exit_code == EXIT_CONFIG, r.output
+    assert "Traceback" not in r.output
+    assert not (tmp_path / "report.json").exists()
 
 
 class TestSeverity:

@@ -7,8 +7,6 @@ from gazescreen.core import (
     AoiTrack,
     FeatureMode,
     FeatureVector,
-    GazeSample,
-    GazeTrace,
     Group,
     Participant,
     VideoMeta,
@@ -50,25 +48,15 @@ def test_normalize_round_trip():
         assert abs(by - ry) <= 1e-9 * max(1.0, abs(ry))
 
 
-def test_trace_rejects_out_of_order_wall_ts():
-    s1 = GazeSample(0.0, 0.0, 0.5, 0.5, True)
-    s2 = GazeSample(10.0, 10.0, 0.5, 0.5, True)
-    s3 = GazeSample(5.0, 20.0, 0.5, 0.5, True)
-    with pytest.raises(ValueError):
-        GazeTrace("p", "v", (s1, s2, s3))
+def test_normalize_arrays_match_scalars():
+    import numpy as np
 
-
-def test_trace_rejects_decreasing_video_ts():
-    s1 = GazeSample(0.0, 10.0, 0.5, 0.5, True)
-    s2 = GazeSample(10.0, 5.0, 0.5, 0.5, True)
-    with pytest.raises(ValueError):
-        GazeTrace("p", "v", (s1, s2))
-
-
-def test_valid_sample_must_be_on_screen():
-    with pytest.raises(ValueError):
-        GazeSample(0.0, 0.0, 1.5, 0.5, True)
-    GazeSample(0.0, 0.0, 1.5, 0.5, False)  # off-screen invalid is fine
+    raw_x = np.array([0.0, 960.0, 1920.0, 2000.0, -1.0, 500.0])
+    raw_y = np.array([0.0, 540.0, 1080.0, 540.0, 540.0, 1081.0])
+    x, y, on = normalize_coordinates(raw_x, raw_y, META)
+    for i in range(len(raw_x)):
+        assert (x[i], y[i], bool(on[i])) == normalize_coordinates(raw_x[i], raw_y[i], META)
+    assert on.tolist() == [True, True, True, False, False, False]
 
 
 def test_aoi_box_invariants():

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gazescreen.core import GazeSample, GazeTrace, VideoMeta
+from gazescreen.core import VideoMeta
 from gazescreen.errors import (
     ConfigError,
     DegenerateBox,
@@ -21,6 +23,7 @@ from gazescreen.ingest import (
 )
 
 from . import oracles
+from .conftest import gaze_trace
 
 META = VideoMeta("v", 3.0, 30.0, 1000, 1000)
 
@@ -47,8 +50,8 @@ class TestParseGazeLog:
         ])
         trace = parse_gaze_log(p, META)
         assert trace.participant_id == "p1"
-        assert len(trace.samples) == 3
-        assert trace.samples[0].x == 0.5
+        assert len(trace.wall_ts) == 3
+        assert trace.x[0] == 0.5
 
     def test_offscreen_row_kept_invalid(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -57,13 +60,12 @@ class TestParseGazeLog:
             ("p1", "v", 16.7, 16.7, 510, 505, 1),
         ])
         trace = parse_gaze_log(p, META)
-        assert not trace.samples[0].valid
-        assert trace.samples[1].valid
+        assert trace.valid.tolist() == [False, True]
 
     def test_tracker_invalid_flag(self, tmp_path):
         p = tmp_path / "g.csv"
         write_gaze(p, [("p1", "v", 0.0, 0.0, 500, 500, 0)])
-        assert not parse_gaze_log(p, META).samples[0].valid
+        assert parse_gaze_log(p, META).valid.tolist() == [False]
 
     def test_non_monotonic_reports_line(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -73,6 +75,49 @@ class TestParseGazeLog:
         with pytest.raises(NonMonotonicTimestamp) as exc:
             parse_gaze_log(p, META)
         assert exc.value.line_no == 8
+
+    def test_video_ts_decrease_reports_line(self, tmp_path):
+        p = tmp_path / "g.csv"
+        write_gaze(p, [
+            ("p1", "v", 0.0, 10.0, 500, 500, 1),
+            ("p1", "v", 10.0, 5.0, 500, 500, 1),
+        ])
+        with pytest.raises(MalformedRow, match="video_ts_ms decreases") as exc:
+            parse_gaze_log(p, META)
+        assert exc.value.line_no == 3
+
+    @pytest.mark.parametrize("column, row", [
+        ("wall_ts_ms", ("p1", "v", -5.0, 0.0, 500, 500, 1)),
+        ("video_ts_ms", ("p1", "v", 0.0, -5.0, 500, 500, 1)),
+    ])
+    def test_negative_timestamp_reports_line(self, tmp_path, column, row):
+        p = tmp_path / "g.csv"
+        write_gaze(p, [row, ("p1", "v", 16.7, 16.7, 500, 500, 1)])
+        with pytest.raises(MalformedRow, match=f"negative {column}") as exc:
+            parse_gaze_log(p, META)
+        assert exc.value.line_no == 2
+
+    def test_blank_rows_count_towards_line_numbers(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text(
+            ",".join(GAZE_HEADER) + "\n\np1,v,0.0,0.0,500,500,1\n\n\np1,v,5.0,5.0,500,500,x\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow, match="valid must be 0 or 1") as exc:
+            parse_gaze_log(p, META)
+        assert exc.value.line_no == 6
+
+    def test_first_failing_row_and_rule_win(self, tmp_path):
+        # line 3 fails two rules (video id first), line 4 fails an earlier one
+        p = tmp_path / "g.csv"
+        write_gaze(p, [
+            ("p1", "v", 0.0, 0.0, 500, 500, 1),
+            ("p1", "w", 0.0, 0.0, "oops", 500, 1),
+            ("p1", "v", 20.0, 20.0, 500, 500),
+        ])
+        with pytest.raises(MalformedRow, match="video id 'w'") as exc:
+            parse_gaze_log(p, META)
+        assert exc.value.line_no == 3
 
     def test_malformed_row(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -113,11 +158,142 @@ class TestParseAoi:
         with pytest.raises(DegenerateBox):
             parse_aoi_track(p, META)
 
+    def test_duplicate_box_reports_second_line(self, tmp_path):
+        p = tmp_path / "a.csv"
+        write_aoi(p, [
+            ("v", 0, "obj", 100, 100, 200, 200),
+            ("v", 1, "obj", 100, 100, 200, 200),
+            ("v", 0, "obj", 150, 150, 250, 250),
+        ])
+        with pytest.raises(MalformedRow, match="duplicate box") as exc:
+            parse_aoi_track(p, META)
+        assert exc.value.line_no == 4
+
     def test_frame_out_of_range(self, tmp_path):
         p = tmp_path / "a.csv"
         write_aoi(p, [("v", 90, "obj", 100, 100, 200, 200)])  # 3 s * 30 fps = 90 frames
         with pytest.raises(FrameOutOfRange):
             parse_aoi_track(p, META)
+
+
+def _spell(rng, v, style=None):
+    style = int(rng.integers(4)) if style is None else style
+    return (f"{v:.3f}", repr(v), f" {v:.6e} ", f"{round(v)}")[style]
+
+
+def random_gaze_lines(rng, n_rows):
+    """Data lines of a well-formed gaze log for META with blank lines,
+    off-screen rows, tracker-invalid rows, wall-clock stalls, video-time
+    freezes and several number spellings. Each file spells its time
+    columns one way, so rounding keeps them in order."""
+    wall_style, video_style = (int(s) for s in rng.integers(4, size=2))
+    lines = []
+    wall = float(rng.uniform(0.0, 50.0))
+    video = 0.0
+    for _ in range(n_rows):
+        while rng.random() < 0.1:
+            lines.append("")
+        wall += float(rng.choice([16.7, 16.6667, 2.5, 900.0]))
+        video += float(rng.choice([0.0, 16.7, 33.3, 1e-3]))
+        x = float(rng.uniform(-150.0, 1150.0))
+        y = float(rng.uniform(-150.0, 1150.0))
+        flag = str(rng.choice(["1", "1", "1", "0", " 1", "0 "]))
+        lines.append(",".join([
+            "p7", "v", _spell(rng, wall, wall_style), _spell(rng, video, video_style),
+            _spell(rng, x), _spell(rng, y), flag,
+        ]))
+    return lines
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def corrupt(rng, lines):
+    """One corruption of a random data row; returns the new lines."""
+    rows = [i for i, line in enumerate(lines) if line]
+    i = int(rng.choice(rows))
+    fields = lines[i].split(",")
+    before = lines[max((j for j in rows if j < i), default=i)].split(",")
+    kind = int(rng.integers(9))
+    if kind == 0:
+        fields = fields[:-1] if rng.random() < 0.5 else fields + ["extra"]
+    elif kind == 1:
+        fields[1] = "other"
+    elif kind == 2:
+        fields[int(rng.integers(2, 6))] = str(rng.choice(["abc", "", "1.2.3", "0x10"]))
+    elif kind == 3:
+        fields[int(rng.integers(2, 6))] = str(rng.choice(["nan", "inf", "-inf", "NaN"]))
+    elif kind == 4:
+        fields[6] = str(rng.choice(["2", "yes", "", "-1"]))
+    elif kind == 5 and _number(before[2]) is not None:
+        fields[2] = repr(_number(before[2]) - float(rng.choice([0.0, 1.0, 100.0])))
+    elif kind == 6 and _number(before[3]) is not None:
+        fields[3] = repr(_number(before[3]) - float(rng.choice([1e-3, 5.0])))
+    elif kind == 7:
+        fields[2] = "-5.000"
+    else:
+        fields[3] = "-0.5"
+    return lines[:i] + [",".join(fields)] + lines[i + 1:]
+
+
+def parse_or_error(parse, path):
+    try:
+        return parse(path, META), None
+    except Exception as e:  # compared field by field below
+        return None, e
+
+
+class TestParseGazeOracle:
+    def test_valid_logs_match_oracle_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(23)
+        for trial in range(60):
+            p = tmp_path / f"g{trial}.csv"
+            lines = random_gaze_lines(rng, int(rng.integers(1, 80)))
+            p.write_text("\n".join([",".join(GAZE_HEADER), *lines]) + "\n", encoding="utf-8")
+            trace = parse_gaze_log(p, META)
+            pid, *expected = oracles.oracle_parse_gaze_log(p, META)
+            assert trace.participant_id == pid
+            assert trace.video_id == META.video_id
+            got = (trace.wall_ts, trace.video_ts, trace.x, trace.y, trace.valid)
+            for column, want in zip(got, expected):
+                want = np.array(want, dtype=column.dtype)
+                assert column.shape == want.shape
+                assert column.tobytes() == want.tobytes()
+
+    def test_corrupt_logs_raise_as_oracle(self, tmp_path):
+        rng = np.random.default_rng(29)
+        reasons = set()
+        for trial in range(300):
+            p = tmp_path / f"g{trial}.csv"
+            lines = random_gaze_lines(rng, int(rng.integers(1, 30)))
+            for _ in range(int(rng.integers(1, 4))):
+                lines = corrupt(rng, lines)
+            p.write_text("\n".join([",".join(GAZE_HEADER), *lines]) + "\n", encoding="utf-8")
+            _, want = parse_or_error(oracles.oracle_parse_gaze_log, p)
+            _, got = parse_or_error(parse_gaze_log, p)
+            if want is None:
+                assert got is None
+                continue
+            assert type(got) is type(want)
+            assert got.line_no == want.line_no
+            assert str(got) == str(want)
+            reasons.add(str(want).split(": ", 1)[1])
+        # every rule fired at least once
+        for needle in ("expected 7 fields", "video id", "bad ", "non-finite", "valid must",
+                       "wall timestamp", "video_ts_ms decreases", "negative wall_ts_ms",
+                       "negative video_ts_ms"):
+            assert any(r.startswith(needle) for r in reasons), needle
+
+    def test_header_and_blank_lines_only_is_empty(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text(",".join(GAZE_HEADER) + "\n\n\n", encoding="utf-8")
+        for parse in (parse_gaze_log, oracles.oracle_parse_gaze_log):
+            with pytest.raises(EmptyLog):
+                parse(p, META)
 
 
 def make_trace(valid_fn, duration_s=3.0, rate=60.0, pause=None):
@@ -132,13 +308,11 @@ def make_trace(valid_fn, duration_s=3.0, rate=60.0, pause=None):
     while video < duration_s - 1e-9:
         t = video
         valid = bool(valid_fn(t))
-        samples.append(
-            GazeSample(wall * 1000, video * 1000, 0.5 if valid else -0.1, 0.5, valid)
-        )
+        samples.append((wall * 1000, video * 1000, 0.5 if valid else -0.1, 0.5, valid))
         wall += dt
         video += dt
         k += 1
-    return GazeTrace("p", "v", tuple(samples))
+    return gaze_trace(samples)
 
 
 class TestAlign:
@@ -172,12 +346,11 @@ class TestAlign:
         wall = 0.0
         for k in range(180):
             video = k / 60.0
-            samples.append(GazeSample(wall * 1000, video * 1000, 0.5, 0.5, True))
+            samples.append((wall * 1000, video * 1000, 0.5, 0.5, True))
             wall += 1.0 / 60.0
             if k == 89:
                 wall += 2.0  # pause: wall advances, video does not
-        trace = GazeTrace("p", "v", tuple(samples))
-        at = align(trace, META)
+        at = align(gaze_trace(samples), META)
         assert at.present.all()
         assert at.gap.sum() == 1
         assert at.gap[45]  # frame at the sample following the stall
@@ -200,9 +373,16 @@ class TestAlign:
         base = make_trace(lambda t: True)
         at_full = align(base, META)
         for _ in range(10):
-            keep = rng.random(len(base.samples)) > 0.2
-            samples = tuple(s for s, k in zip(base.samples, keep) if k)
-            at_sub = align(GazeTrace("p", "v", samples), META)
+            keep = rng.random(len(base.wall_ts)) > 0.2
+            sub = dataclasses.replace(
+                base,
+                wall_ts=base.wall_ts[keep],
+                video_ts=base.video_ts[keep],
+                x=base.x[keep],
+                y=base.y[keep],
+                valid=base.valid[keep],
+            )
+            at_sub = align(sub, META)
             assert np.all(at_sub.gap | ~at_full.gap)  # gap set only grows
 
     def test_gap_flags_match_loop_oracle(self):
@@ -217,14 +397,14 @@ class TestAlign:
             while video < META.duration_s:
                 if rng.random() < 0.05:
                     valid = not valid
-                samples.append(GazeSample(wall * 1000, video * 1000, 0.5, 0.5, valid))
+                samples.append((wall * 1000, video * 1000, 0.5, 0.5, valid))
                 wall += 1.0 / 60.0
                 if rng.random() < 0.03:
                     wall += float(rng.uniform(0.1, 2.0))  # pause: video does not advance
                 else:
                     video += 1.0 / 60.0
             try:
-                at = align(GazeTrace("p", "v", tuple(samples)), META)
+                at = align(gaze_trace(samples), META)
             except RateMismatch:
                 continue
             expected = oracles.oracle_gap(at.present, at.wall_s, at.fps)

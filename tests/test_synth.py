@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gazescreen.core import FeatureMode, GazeSample, GazeTrace, Group
+from gazescreen.core import FeatureMode, Group
 from gazescreen.experiments import CvConfig, run_classification_cv
 from gazescreen.features import AoiIndex, extract, full_window
 from gazescreen.ingest import align
@@ -20,6 +20,8 @@ from gazescreen.synth import (
     generate_trace_rows,
 )
 
+from .conftest import gaze_trace
+
 META = DEFAULT_VIDEOS[0]
 
 
@@ -27,10 +29,10 @@ def simulate(params, rng_seed=1, meta=META, aoi=None):
     if aoi is None:
         aoi = generate_aoi_path(meta, np.random.default_rng(0))
     rows = generate_trace_rows(params, meta, aoi, np.random.default_rng(rng_seed), 60.0)
-    samples = tuple(
-        GazeSample(r[0] * 1000, r[1] * 1000, r[2], r[3], bool(r[4])) for r in rows
+    trace = gaze_trace(
+        [(r[0] * 1000, r[1] * 1000, r[2], r[3], bool(r[4])) for r in rows],
+        video_id=meta.video_id,
     )
-    trace = GazeTrace("p", meta.video_id, samples)
     return align(trace, meta), aoi, rows
 
 
