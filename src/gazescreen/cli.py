@@ -264,6 +264,7 @@ def severity(manifest, mode, seed, mlp_max_epochs, mlp_lr, out):
     """Leave-one-out CARS severity regression over scored participants."""
     out_path = _ensure_out(out)
     config = CvConfig(seed=seed, mode=_parse_mode(mode))
+    mlp_cfg = MlpConfig(max_epochs=mlp_max_epochs, lr=mlp_lr)
     dataset = load_dataset(manifest)
     scored = [
         p for p in dataset.manifest.participants
@@ -276,7 +277,6 @@ def severity(manifest, mode, seed, mlp_max_epochs, mlp_lr, out):
     feats = extract_features(dataset, config.mode)
     cars = {p.participant_id: p.cars for p in scored}
     feats = {pid: fv for pid, fv in feats.items() if pid in cars}
-    mlp_cfg = MlpConfig(max_epochs=mlp_max_epochs, lr=mlp_lr)
     report = run_severity_loocv(feats, cars, config, mlp_config=mlp_cfg)
     _write_csv(
         out_path / "severity_loocv.csv",

@@ -337,6 +337,16 @@ def align(trace: GazeTrace, meta: VideoMeta) -> AlignedTrace:
     )
 
 
+def _unique_ids(path, what: str, ids: list[str]) -> set[str]:
+    """The set of ``ids``; a repeated id is a ConfigError naming it."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise ConfigError(f"{path}: duplicate {what} id {i!r}")
+        seen.add(i)
+    return seen
+
+
 def load_manifest(path) -> DatasetManifest:
     """Load the dataset manifest.
 
@@ -401,8 +411,8 @@ def load_manifest(path) -> DatasetManifest:
     if not participants:
         raise ConfigError(f"{path}: manifest declares no participants")
 
-    video_ids = {v.video_id for v in videos}
-    participant_ids = {p.participant_id for p in participants}
+    video_ids = _unique_ids(path, "video", [v.video_id for v in videos])
+    participant_ids = _unique_ids(path, "participant", [p.participant_id for p in participants])
 
     gaze_log_paths = {}
     for pid, per_video in (data.get("gaze_logs") or {}).items():

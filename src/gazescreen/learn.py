@@ -10,12 +10,14 @@ Everything is deterministic given a seed.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     DivergenceDetected,
     NonFiniteFeature,
@@ -271,6 +273,23 @@ class MlpConfig:
     batch_size: int = 200
     early_stop_tol: float = 1e-4
     patience: int = 10
+
+    def __post_init__(self):
+        for name in ("hidden", "max_epochs", "batch_size", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        for name in ("l2", "early_stop_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not (0.0 <= value < 1.0):
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
 
 
 @dataclass

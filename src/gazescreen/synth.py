@@ -21,6 +21,7 @@ import yaml
 from .core import AoiBox, AoiTrack, Group, Participant, VideoMeta
 from .errors import ConfigError, IoFailure
 from .experiments import derive_rng
+from .features import AoiIndex
 
 # CARS histogram of the 35-participant reference cohort (scores 30..39).
 CARS_HISTOGRAM = {30: 3, 31: 5, 32: 6, 33: 4, 34: 5, 35: 7, 36: 3, 37: 0, 38: 1, 39: 1}
@@ -196,117 +197,124 @@ def generate_aoi_path(meta: VideoMeta, rng: np.random.Generator) -> AoiTrack:
     return AoiTrack(video_id=meta.video_id, boxes=tuple(boxes))
 
 
-class _AoiLookup:
-    """Per-frame center/occurrence info for the generator."""
-
-    def __init__(self, track: AoiTrack, meta: VideoMeta):
-        n = meta.n_frames
-        self.present = np.zeros(n, dtype=bool)
-        self.cx = np.zeros(n)
-        self.cy = np.zeros(n)
-        self.occ_start = np.full(n, -1, dtype=int)  # enter frame of the covering occurrence
-        for b in track.boxes:
-            self.present[b.frame_index] = True
-            self.cx[b.frame_index], self.cy[b.frame_index] = b.center
-        start = -1
-        for f in range(n):
-            if self.present[f]:
-                if start < 0:
-                    start = f
-                self.occ_start[f] = start
-            else:
-                start = -1
+FIX_DUR_MIN_S = 0.08  # fixation durations are clamped to this range
+FIX_DUR_MAX_S = 2.0
 
 
 def generate_trace_rows(
     params: GroupParams,
     meta: VideoMeta,
-    aoi: AoiTrack,
+    aoi: AoiIndex,
     rng: np.random.Generator,
     sample_rate_hz: float,
-) -> list[tuple[float, float, float, float, int]]:
+) -> np.ndarray:
     """Simulate one viewing session.
 
-    Returns rows (wall_s, video_s, x, y, valid) in normalized coordinates.
-    Alternates fixations and saccades; look-away runs produce invalid
-    samples, and the video pauses once the gaze has been off screen for
-    more than 500 ms (video time freezes until the gaze returns).
-    """
-    dt = 1.0 / sample_rate_hz
-    lookup = _AoiLookup(aoi, meta)
-    # one first-look latency per occurrence
-    latencies = {}
-    for f in range(meta.n_frames):
-        s = lookup.occ_start[f]
-        if s >= 0 and s not in latencies:
-            latencies[s] = max(0.0, float(rng.normal(params.latency_mean_s, params.latency_sd_s)))
+    Returns an (n_samples, 5) array of rows (wall_s, video_s, x, y, valid)
+    in normalized coordinates, ``valid`` being 1.0 or 0.0. Alternates
+    fixations and saccades; look-away runs produce invalid samples, and the
+    video pauses once the gaze has been off screen for more than 500 ms
+    (video time freezes until the gaze returns). The simulated viewer
+    follows the single object of ``aoi``.
 
-    rows = []
+    Each fixation is one array step. Time advances by repeated ``+ dt``
+    (``np.cumsum`` adds in order) and the RNG is drawn in the order of a
+    sample-by-sample loop, so the rows are bit-identical to that loop's
+    (``tests/oracles.py`` keeps it as the reference).
+    """
+    if len(aoi.object_ids) != 1:
+        raise ValueError(f"the simulator follows one AOI object, got {len(aoi.object_ids)}")
+    dt = 1.0 / sample_rate_hz
+    end = meta.duration_s - 1e-9
+    last_frame = meta.n_frames - 1
+    present, cx, cy = aoi.ann[0], aoi.cx[0], aoi.cy[0]
+    # video time from which each frame's occurrence can draw a look: one
+    # first-look latency per occurrence (inf where no object is shown)
+    ready = np.full(meta.n_frames, np.inf)
+    for occ in aoi.occurrences:
+        latency = max(0.0, float(rng.normal(params.latency_mean_s, params.latency_sd_s)))
+        ready[occ.enter_frame : occ.exit_frame + 1] = occ.enter_frame / meta.fps + latency
+    ready_at = ready.tolist()
+    # elapsed[j]: time into a fixation after j samples
+    elapsed = np.concatenate(([0.0], np.cumsum(np.full(int(FIX_DUR_MAX_S * sample_rate_hz) + 3, dt))))
+    n_sac = max(1, int(round(params.saccade_dur_s / dt)))
+
+    wall_col, video_col, x_col, y_col, valid_col = cols = ([], [], [], [], [])
     wall = 0.0
     video = 0.0
-    pos = np.array([0.5, 0.5])
+    px, py = 0.5, 0.5
     if params.offscreen_rate_hz > 0:
         next_off = float(rng.exponential(1.0 / params.offscreen_rate_hz))
     else:
         next_off = np.inf
 
-    def frame_at(v):
-        return min(int(v * meta.fps), meta.n_frames - 1)
-
-    while video < meta.duration_s - 1e-9:
+    while video < end:
         if wall >= next_off:
             # look-away run: samples invalid; video freezes after 500 ms
             off_dur = float(rng.uniform(0.6, 1.5))
-            elapsed = 0.0
-            while elapsed < off_dur and video < meta.duration_s - 1e-9:
-                rows.append((wall, video, -0.1, -0.1, 0))
+            off_s = 0.0
+            while off_s < off_dur and video < end:
+                for col, v in zip(cols, (wall, video, -0.1, -0.1, 0.0)):
+                    col.append(v)
                 wall += dt
-                elapsed += dt
-                if elapsed <= 0.5:
+                off_s += dt
+                if off_s <= 0.5:
                     video = min(video + dt, meta.duration_s)
             next_off = wall + float(rng.exponential(1.0 / params.offscreen_rate_hz))
             continue
 
         # choose the next fixation target
-        f = frame_at(video)
-        attend = False
-        if lookup.present[f]:
-            enter = lookup.occ_start[f]
-            if video >= enter / meta.fps + latencies[enter]:
-                attend = rng.random() < params.p_attend
+        f = min(int(video * meta.fps), last_frame)
+        attend = video >= ready_at[f] and rng.random() < params.p_attend
         if attend:
-            target = np.array([lookup.cx[f], lookup.cy[f]])
+            tx, ty = float(cx[f]), float(cy[f])
             fix_dur = float(rng.exponential(params.fix_dur_aoi_mean_s))
         else:
-            target = rng.uniform(0.05, 0.95, size=2)
+            tx, ty = rng.uniform(0.05, 0.95, size=2).tolist()
             fix_dur = float(rng.exponential(params.fix_dur_bg_mean_s))
-        fix_dur = min(max(fix_dur, 0.08), 2.0)
+        fix_dur = min(max(fix_dur, FIX_DUR_MIN_S), FIX_DUR_MAX_S)
 
         # saccade: linear sweep from the previous position
-        n_sac = max(1, int(round(params.saccade_dur_s / dt)))
         for k in range(1, n_sac + 1):
-            if video >= meta.duration_s - 1e-9:
+            if video >= end:
                 break
-            p = pos + (target - pos) * (k / n_sac)
-            rows.append((wall, video, float(np.clip(p[0], 0, 1)), float(np.clip(p[1], 0, 1)), 1))
+            frac = k / n_sac
+            for col, v in zip(cols, (wall, video, px + (tx - px) * frac, py + (ty - py) * frac, 1.0)):
+                col.append(v)
             wall += dt
             video = min(video + dt, meta.duration_s)
-        pos = target
+        px, py = tx, ty
 
-        # fixation: follow the (possibly moving) target with jitter
-        elapsed = 0.0
-        while elapsed < fix_dur and video < meta.duration_s - 1e-9:
-            f = frame_at(video)
-            if attend and lookup.present[f]:
-                center = np.array([lookup.cx[f], lookup.cy[f]])
+        # fixation: follow the (possibly moving) target with jitter, until
+        # its duration has elapsed or the video ends
+        n_fix = int(np.searchsorted(elapsed, fix_dur))
+        times = np.empty((2, n_fix + 1))
+        times[:, 0] = wall, video
+        times[:, 1:] = dt
+        np.cumsum(times, axis=1, out=times)
+        n = min(n_fix, int(np.searchsorted(times[1], end)))
+        if n:
+            noise = rng.normal(0.0, params.jitter_sd, size=(n, 2))
+            if attend:
+                frames = np.minimum((times[1, :n] * meta.fps).astype(int), last_frame)
+                on = present[frames]
+                xs = np.where(on, cx[frames], tx) + noise[:, 0]
+                ys = np.where(on, cy[frames], ty) + noise[:, 1]
             else:
-                center = target
-            p = center + rng.normal(0.0, params.jitter_sd, size=2)
-            rows.append((wall, video, float(np.clip(p[0], 0, 1)), float(np.clip(p[1], 0, 1)), 1))
-            wall += dt
-            video = min(video + dt, meta.duration_s)
-            elapsed += dt
-            pos = p
+                xs = tx + noise[:, 0]
+                ys = ty + noise[:, 1]
+            wall_col += times[0, :n].tolist()
+            video_col += times[1, :n].tolist()
+            x_col += xs.tolist()
+            y_col += ys.tolist()
+            valid_col += [1.0] * n
+            px, py = x_col[-1], y_col[-1]
+        wall = float(times[0, n])
+        video = min(float(times[1, n]), meta.duration_s)
+
+    rows = np.array(cols).T
+    valid = rows[:, 4] == 1.0
+    rows[valid, 2:4] = np.clip(rows[valid, 2:4], 0, 1)
     return rows
 
 
@@ -344,8 +352,10 @@ def generate_cohort(spec: CohortSpec, out_dir) -> Path:
 
     participants = build_participants(spec)
     tracks = {}
+    indexes = {}
     for meta in spec.videos:
         tracks[meta.video_id] = generate_aoi_path(meta, derive_rng(spec.seed, "aoi", meta.video_id))
+        indexes[meta.video_id] = AoiIndex(tracks[meta.video_id], meta.n_frames)
 
     manifest = {
         "videos": [
@@ -388,15 +398,14 @@ def generate_cohort(spec: CohortSpec, out_dir) -> Path:
                 rel = f"logs/{p.participant_id}__{meta.video_id}.csv"
                 manifest["gaze_logs"][p.participant_id][meta.video_id] = rel
                 rng = derive_rng(spec.seed, "trace", p.participant_id, meta.video_id)
-                rows = generate_trace_rows(params, meta, tracks[meta.video_id], rng, spec.sample_rate_hz)
+                rows = generate_trace_rows(params, meta, indexes[meta.video_id], rng, spec.sample_rate_hz)
+                scaled = rows * (1000.0, 1000.0, meta.width_px, meta.height_px, 1.0)
+                # one %-format for the whole log gives the same strings as
+                # an f-string per row
+                fmt = f"{p.participant_id},{meta.video_id},".replace("%", "%%") + "%.3f,%.3f,%.2f,%.2f,%d\n"
                 with (out / rel).open("w", encoding="utf-8", newline="\n") as fh:
                     fh.write("participant_id,video_id,wall_ts_ms,video_ts_ms,x_px,y_px,valid\n")
-                    for wall, video, x, y, valid in rows:
-                        fh.write(
-                            f"{p.participant_id},{meta.video_id},"
-                            f"{wall * 1000.0:.3f},{video * 1000.0:.3f},"
-                            f"{x * meta.width_px:.2f},{y * meta.height_px:.2f},{valid}\n"
-                        )
+                    fh.write((fmt * len(rows)) % tuple(scaled.ravel().tolist()))
 
         manifest_path = out / "manifest.yaml"
         manifest_path.write_text(

@@ -214,6 +214,105 @@ def oracle_parse_gaze_log(path, meta):
     return (participant_id, *cols)
 
 
+def oracle_trace_rows(params, meta, aoi, rng, sample_rate_hz):
+    """``synth.generate_trace_rows`` as a sample-by-sample loop, with its
+    own per-frame AOI lookup built from the ``AoiTrack``.
+    Returns a list of (wall_s, video_s, x, y, valid) tuples; the RNG is
+    drawn in the generator's order, so the rows and the final RNG state
+    must match bit for bit."""
+    dt = 1.0 / sample_rate_hz
+    n = meta.n_frames
+    present = np.zeros(n, dtype=bool)
+    cx = np.zeros(n)
+    cy = np.zeros(n)
+    occ_start = np.full(n, -1, dtype=int)  # enter frame of the covering occurrence
+    for b in aoi.boxes:
+        present[b.frame_index] = True
+        cx[b.frame_index], cy[b.frame_index] = b.center
+    start = -1
+    for f in range(n):
+        if present[f]:
+            if start < 0:
+                start = f
+            occ_start[f] = start
+        else:
+            start = -1
+    # one first-look latency per occurrence
+    latencies = {}
+    for f in range(meta.n_frames):
+        s = occ_start[f]
+        if s >= 0 and s not in latencies:
+            latencies[s] = max(0.0, float(rng.normal(params.latency_mean_s, params.latency_sd_s)))
+
+    rows = []
+    wall = 0.0
+    video = 0.0
+    pos = np.array([0.5, 0.5])
+    if params.offscreen_rate_hz > 0:
+        next_off = float(rng.exponential(1.0 / params.offscreen_rate_hz))
+    else:
+        next_off = np.inf
+
+    def frame_at(v):
+        return min(int(v * meta.fps), meta.n_frames - 1)
+
+    while video < meta.duration_s - 1e-9:
+        if wall >= next_off:
+            # look-away run: samples invalid; video freezes after 500 ms
+            off_dur = float(rng.uniform(0.6, 1.5))
+            elapsed = 0.0
+            while elapsed < off_dur and video < meta.duration_s - 1e-9:
+                rows.append((wall, video, -0.1, -0.1, 0))
+                wall += dt
+                elapsed += dt
+                if elapsed <= 0.5:
+                    video = min(video + dt, meta.duration_s)
+            next_off = wall + float(rng.exponential(1.0 / params.offscreen_rate_hz))
+            continue
+
+        # choose the next fixation target
+        f = frame_at(video)
+        attend = False
+        if present[f]:
+            enter = occ_start[f]
+            if video >= enter / meta.fps + latencies[enter]:
+                attend = rng.random() < params.p_attend
+        if attend:
+            target = np.array([cx[f], cy[f]])
+            fix_dur = float(rng.exponential(params.fix_dur_aoi_mean_s))
+        else:
+            target = rng.uniform(0.05, 0.95, size=2)
+            fix_dur = float(rng.exponential(params.fix_dur_bg_mean_s))
+        fix_dur = min(max(fix_dur, 0.08), 2.0)
+
+        # saccade: linear sweep from the previous position
+        n_sac = max(1, int(round(params.saccade_dur_s / dt)))
+        for k in range(1, n_sac + 1):
+            if video >= meta.duration_s - 1e-9:
+                break
+            p = pos + (target - pos) * (k / n_sac)
+            rows.append((wall, video, float(np.clip(p[0], 0, 1)), float(np.clip(p[1], 0, 1)), 1))
+            wall += dt
+            video = min(video + dt, meta.duration_s)
+        pos = target
+
+        # fixation: follow the (possibly moving) target with jitter
+        elapsed = 0.0
+        while elapsed < fix_dur and video < meta.duration_s - 1e-9:
+            f = frame_at(video)
+            if attend and present[f]:
+                center = np.array([cx[f], cy[f]])
+            else:
+                center = target
+            p = center + rng.normal(0.0, params.jitter_sd, size=2)
+            rows.append((wall, video, float(np.clip(p[0], 0, 1)), float(np.clip(p[1], 0, 1)), 1))
+            wall += dt
+            video = min(video + dt, meta.duration_s)
+            elapsed += dt
+            pos = p
+    return rows
+
+
 def projected_gradient_qp(K, y, C, steps=20000, lr=None):
     """Slow projected-gradient ascent on the SVM dual.
 

@@ -2,6 +2,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from gazescreen import pipeline
@@ -116,6 +117,20 @@ class TestFeatures:
                 "--mode", "aoi", "--out", tmp_path)
         assert r.exit_code == 0, r.output
         assert len(calls) == 12 * 4  # participants x videos, one extraction each
+
+    @pytest.mark.parametrize("section, what", [("videos", "video"), ("participants", "participant")])
+    def test_duplicate_manifest_id_exits_config(
+        self, runner, small_cohort_manifest, tmp_path, section, what
+    ):
+        manifest = copy_cohort(small_cohort_manifest, tmp_path / "broken")
+        data = yaml.safe_load(manifest.read_text(encoding="utf-8"))
+        data[section].append(dict(data[section][0]))
+        manifest.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
+        r = run(runner, "features", "--manifest", manifest, "--mode", "aoi",
+                "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert f"duplicate {what} id {data[section][0]['id']!r}" in r.output
+        assert "Traceback" not in r.output
 
     def test_missing_manifest_exits_io(self, runner, tmp_path):
         r = run(runner, "features", "--manifest", tmp_path / "nope.yaml",
@@ -232,6 +247,21 @@ class TestSeverity:
         lines = (tmp_path / "severity_loocv.csv").read_text().splitlines()
         assert lines[0] == "participant_id,true_cars,predicted_cars,abs_err"
         assert len(lines) == 1 + 6  # six scored participants
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mlp-max-epochs", "0"),
+        ("--mlp-max-epochs", "-3"),
+        ("--mlp-lr", "0"),
+        ("--mlp-lr", "-1"),
+        ("--mlp-lr", "nan"),
+        ("--mlp-lr", "inf"),
+    ])
+    def test_bad_mlp_argument_exits_config(self, runner, small_cohort_manifest, tmp_path, flag, value):
+        r = run(runner, "severity", "--manifest", small_cohort_manifest,
+                "--mode", "aoi", "--seed", 4, flag, value, "--out", tmp_path)
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "severity_loocv.csv").exists()
 
     def test_too_few_scored_exits_config(self, runner, tmp_path):
         spec = tmp_path / "spec.yaml"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gazescreen.errors import DimensionMismatch, DivergenceDetected, SingleClass
+from gazescreen.errors import ConfigError, DimensionMismatch, DivergenceDetected, SingleClass
 from gazescreen.learn import (
     LABEL_ASD,
     LABEL_CONTROL,
@@ -238,6 +238,32 @@ class TestMlp:
         y = rng.normal(size=10) * 1e150
         with pytest.raises(DivergenceDetected):
             mlp_train(X, y, MlpConfig(hidden=5, lr=1e100), seed=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hidden", 0),
+    ("max_epochs", 0),
+    ("max_epochs", -3),
+    ("batch_size", 0),
+    ("patience", 0),
+    ("lr", 0.0),
+    ("lr", -1.0),
+    ("lr", float("nan")),
+    ("lr", float("inf")),
+    ("eps", 0.0),
+    ("eps", float("inf")),
+    ("l2", -1e-4),
+    ("l2", float("nan")),
+    ("early_stop_tol", -1.0),
+    ("early_stop_tol", float("inf")),
+    ("beta1", 1.0),
+    ("beta1", -0.1),
+    ("beta2", float("nan")),
+    ("beta2", 1.5),
+])
+def test_mlp_config_rejects_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=field):
+        MlpConfig(**{field: value})
 
 
 class TestSerialization:

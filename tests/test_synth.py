@@ -1,16 +1,18 @@
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gazescreen.core import FeatureMode, Group
+from gazescreen.core import FeatureMode, Group, VideoMeta
 from gazescreen.experiments import CvConfig, run_classification_cv
 from gazescreen.features import AoiIndex, extract, full_window
 from gazescreen.ingest import align
 from gazescreen.pipeline import extract_features, load_dataset
 from gazescreen.synth import (
     CARS_HISTOGRAM,
+    DEFAULT_ASD_PARAMS,
     DEFAULT_CONTROL_PARAMS,
     DEFAULT_VIDEOS,
     CohortSpec,
@@ -21,6 +23,7 @@ from gazescreen.synth import (
 )
 
 from .conftest import gaze_trace
+from .oracles import oracle_trace_rows
 
 META = DEFAULT_VIDEOS[0]
 
@@ -28,12 +31,23 @@ META = DEFAULT_VIDEOS[0]
 def simulate(params, rng_seed=1, meta=META, aoi=None):
     if aoi is None:
         aoi = generate_aoi_path(meta, np.random.default_rng(0))
-    rows = generate_trace_rows(params, meta, aoi, np.random.default_rng(rng_seed), 60.0)
+    rows = generate_trace_rows(
+        params, meta, AoiIndex(aoi, meta.n_frames), np.random.default_rng(rng_seed), 60.0
+    )
     trace = gaze_trace(
-        [(r[0] * 1000, r[1] * 1000, r[2], r[3], bool(r[4])) for r in rows],
+        [(r[0] * 1000, r[1] * 1000, r[2], r[3], bool(r[4])) for r in rows.tolist()],
         video_id=meta.video_id,
     )
     return align(trace, meta), aoi, rows
+
+
+def tree_digest(root):
+    """sha256 over every file under ``root``: relative path, then bytes."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in Path(root).rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes() + b"\0")
+    return h.hexdigest()
 
 
 class TestAoiPath:
@@ -111,6 +125,76 @@ class TestTraceRows:
         assert fv_p.values[4] < 0.5
 
 
+def _oracle_cases():
+    """(params, meta, sample_rate_hz) for the per-sample oracle comparison:
+    both default groups, CARS-coupled ASD viewers, look-away rates 0 and
+    0.5 (and 3 Hz on short clips, so a look-away meets the clip's end),
+    zero jitter, p_attend 0 and 1, and clips of 1-3 s that cut the last
+    fixation or look-away short."""
+    variants = [
+        DEFAULT_CONTROL_PARAMS,
+        DEFAULT_ASD_PARAMS,
+        DEFAULT_ASD_PARAMS.for_cars(30),
+        DEFAULT_ASD_PARAMS.for_cars(34),
+        DEFAULT_ASD_PARAMS.for_cars(39),
+        dataclasses.replace(DEFAULT_CONTROL_PARAMS, offscreen_rate_hz=0.0),
+        dataclasses.replace(DEFAULT_ASD_PARAMS, offscreen_rate_hz=0.5),
+        dataclasses.replace(DEFAULT_CONTROL_PARAMS, jitter_sd=0.0),
+        dataclasses.replace(DEFAULT_CONTROL_PARAMS, p_attend=0.0),
+        dataclasses.replace(
+            DEFAULT_CONTROL_PARAMS, p_attend=1.0, latency_mean_s=0.0, latency_sd_s=0.0
+        ),
+    ]
+    # at 64 Hz the summed sample steps hit the 500 ms video-freeze edge exactly
+    rates = (30.0, 60.0, 64.0, 120.0, 250.0)
+    long_clip = VideoMeta("long", 8.0, 30.0, 1920, 1080)
+    short_clips = (
+        VideoMeta("short_a", 1.0, 30.0, 640, 480),
+        VideoMeta("short_b", 2.3, 25.0, 1280, 720),
+        VideoMeta("short_c", 3.1, 24.0, 1920, 1080),
+    )
+    cases = []
+    for i, params in enumerate(variants):
+        for j, rate in enumerate(rates):
+            cases.append((params, long_clip, rate))
+            short = short_clips[(i + j) % len(short_clips)]
+            cases.append((params, short, rate))
+            # look away often, so some look-away runs into the clip's end
+            cases.append((dataclasses.replace(params, offscreen_rate_hz=3.0), short, rate))
+    return cases
+
+
+class TestTraceRowsOracle:
+    def test_matches_per_sample_loop_bit_for_bit(self):
+        cases = _oracle_cases()
+        assert len(cases) >= 60
+        ends_invalid = ends_valid = 0
+        for seed, (params, meta, rate) in enumerate(cases):
+            track = generate_aoi_path(meta, np.random.default_rng(1000 + seed))
+            rng_new = np.random.default_rng(seed)
+            rng_old = np.random.default_rng(seed)
+            rows = generate_trace_rows(params, meta, AoiIndex(track, meta.n_frames), rng_new, rate)
+            expected = np.array(oracle_trace_rows(params, meta, track, rng_old, rate), dtype=float)
+            assert rows.shape == expected.shape, (seed, params, meta, rate)
+            assert rows.tobytes() == expected.tobytes(), (seed, params, meta, rate)
+            # every RNG draw happened, in the same order
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+            ends_invalid += rows[-1, 4] == 0.0
+            ends_valid += rows[-1, 4] == 1.0
+        # the clip's end cut both a look-away run and a fixation short
+        assert ends_invalid > 0 and ends_valid > 0
+
+    def test_rejects_multi_object_index(self):
+        aoi = generate_aoi_path(META, np.random.default_rng(0))
+        second = tuple(dataclasses.replace(b, object_id="object_1") for b in aoi.boxes[:5])
+        two = dataclasses.replace(aoi, boxes=aoi.boxes + second)
+        with pytest.raises(ValueError, match="one AOI object"):
+            generate_trace_rows(
+                DEFAULT_CONTROL_PARAMS, META, AoiIndex(two, META.n_frames),
+                np.random.default_rng(0), 60.0,
+            )
+
+
 class TestCars:
     def test_histogram_exact_at_study_size(self):
         parts = build_participants(CohortSpec(seed=5))
@@ -147,6 +231,13 @@ class TestCohortGeneration:
         assert files1 == files2
         for rel in files1:
             assert (r1 / rel).read_bytes() == (r2 / rel).read_bytes()
+
+    def test_golden_tree_digest(self, tmp_path):
+        # recorded from the sample-by-sample generator: same seed, same bytes
+        manifest = generate_cohort(CohortSpec(n_asd=3, n_control=3, seed=11), tmp_path / "g")
+        assert tree_digest(Path(manifest).parent) == (
+            "bea378c1db671170518d25c76f0a4aeaa164da739ea2ba61c2f2e55475ef5fc1"
+        )
 
     def test_loads_without_errors(self, small_cohort):
         ds = small_cohort
