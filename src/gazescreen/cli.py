@@ -137,11 +137,11 @@ def _cv_config(seed, mode, video, reps, svm_c, gamma, coef0, jobs) -> CvConfig:
 @handles_errors
 def synth(spec, seed, out):
     """Generate a synthetic cohort dataset."""
-    out_path = _ensure_out(out)
     if spec == "default":
         cohort = CohortSpec(seed=seed)
     else:
         cohort = load_cohort_spec(spec, seed)
+    out_path = _ensure_out(out)
     manifest_path = generate_cohort(cohort, out_path)
     n_logs = (cohort.n_asd + cohort.n_control) * len(cohort.videos)
     click.echo(f"wrote {manifest_path}")

@@ -148,14 +148,24 @@ def _number_column(path, line, what: str, raw: tuple) -> tuple[np.ndarray, list]
     ]
 
 
-def parse_gaze_log(path, meta: VideoMeta) -> GazeTrace:
+def _differs(values: tuple, expected: str) -> np.ndarray:
+    """Mask of the entries of ``values`` that are not ``expected``; one
+    C-level count settles the usual case where none differ."""
+    n = len(values)
+    if values.count(expected) == n:
+        return np.zeros(n, dtype=bool)
+    return np.fromiter(map(expected.__ne__, values), dtype=bool, count=n)
+
+
+def parse_gaze_log(path, meta: VideoMeta, participant_id: Optional[str] = None) -> GazeTrace:
     """Parse one gaze CSV into a columnar GazeTrace with normalized
     coordinates.
 
     Rows flagged invalid by the tracker, or whose coordinates fall off
     screen, are kept with valid=False. Blank rows are skipped but still
     count towards line numbers. Each row must pass, in this order: field
-    count, video id, the four numbers (parsable and finite, column by
+    count, video id, participant id (``participant_id`` if given, else the
+    first row's), the four numbers (parsable and finite, column by
     column), a 0/1 valid flag, strictly increasing wall time,
     non-decreasing video time, non-negative wall and video time. The error
     names the first failing row and the first rule it fails.
@@ -186,12 +196,16 @@ def parse_gaze_log(path, meta: VideoMeta) -> GazeTrace:
         rows = [filler if bad else row for row, bad in zip(rows, width_bad)]
     pids, vids, *numeric_raw, flags_raw = zip(*rows, strict=True)
     n = len(rows)
+    expected_pid = pids[0] if participant_id is None else participant_id
     checks = [
         (width_bad, lambda k: MalformedRow(
             path, line(k), f"expected {len(GAZE_HEADER)} fields, got {n_fields[k]}")),
-        (np.fromiter(map(meta.video_id.__ne__, vids), dtype=bool, count=n),
+        (_differs(vids, meta.video_id),
          lambda k: MalformedRow(
              path, line(k), f"video id {vids[k]!r} does not match {meta.video_id!r}")),
+        (_differs(pids, expected_pid),
+         lambda k: MalformedRow(
+             path, line(k), f"participant id {pids[k]!r} does not match {expected_pid!r}")),
     ]
     numeric = []
     for what, raw in zip(GAZE_HEADER[2:6], numeric_raw):
@@ -221,7 +235,7 @@ def parse_gaze_log(path, meta: VideoMeta) -> GazeTrace:
 
     x, y, on_screen = normalize_coordinates(x_px, y_px, meta)
     return GazeTrace(
-        participant_id=pids[0],
+        participant_id=expected_pid,
         video_id=meta.video_id,
         wall_ts=wall,
         video_ts=video,

@@ -27,6 +27,9 @@ from .errors import (
 LABEL_ASD = 1
 LABEL_CONTROL = -1
 
+# the SVM kernel is the cubic (gamma * <u, v> + coef0) ** KERNEL_DEGREE
+KERNEL_DEGREE = 3
+
 
 @dataclass
 class Standardizer:
@@ -57,11 +60,11 @@ def kernel_poly3(u: np.ndarray, v: np.ndarray, gamma: float, coef0: float) -> fl
     v = np.asarray(v, dtype=float)
     if u.shape[-1] != v.shape[-1]:
         raise DimensionMismatch(f"dim {u.shape[-1]} vs {v.shape[-1]}")
-    return float((gamma * np.dot(u, v) + coef0) ** 3)
+    return float((gamma * np.dot(u, v) + coef0) ** KERNEL_DEGREE)
 
 
 def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float, coef0: float) -> np.ndarray:
-    return (gamma * (A @ B.T) + coef0) ** 3
+    return (gamma * (A @ B.T) + coef0) ** KERNEL_DEGREE
 
 
 def gamma_scale(X: np.ndarray) -> float:
@@ -80,7 +83,6 @@ class SvmModel:
     bias: float
     gamma: float
     coef0: float
-    degree: int = 3
     C: float = 1.0
     converged: bool = True
     final_kkt_violation: float = 0.0
@@ -93,7 +95,7 @@ class SvmModel:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"expected dim {self.dim}, got {x.shape[-1]}")
-        k = (self.gamma * (self.support_vectors @ x) + self.coef0) ** self.degree
+        k = (self.gamma * (self.support_vectors @ x) + self.coef0) ** KERNEL_DEGREE
         return float(self.dual_coef @ k + self.bias)
 
 
@@ -107,26 +109,6 @@ def svm_predict(model: SvmModel, x: np.ndarray) -> tuple[int, float]:
 def svm_dual_objective(K: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
     ay = alpha * y
     return float(alpha.sum() - 0.5 * ay @ K @ ay)
-
-
-def _up_low_masks(alpha, y, C):
-    # directions in which each alpha may still move under the box and
-    # equality constraints
-    up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-    low = ((y < 0) & (alpha < C - 1e-12)) | ((y > 0) & (alpha > 1e-12))
-    return up, low
-
-
-def _kkt_gap(alpha, y, G, C):
-    """Bias-free optimality gap m - M; <= 0 at the exact optimum.
-
-    G is the bias-free error cache, G_i = sum_j alpha_j y_j K_ij - y_i.
-    Also returns the bias midpoint consistent with the gap."""
-    up, low = _up_low_masks(alpha, y, C)
-    m = float((-G[up]).max()) if up.any() else -np.inf
-    M = float((-G[low]).min()) if low.any() else np.inf
-    bias = (m + M) / 2.0 if np.isfinite(m) and np.isfinite(M) else 0.0
-    return m - M, bias
 
 
 def svm_train(
@@ -147,6 +129,14 @@ def svm_train(
     that partner makes no progress. Terminates when the gap drops below
     ``tol`` or after ``max_passes`` sweeps (then warns and returns the
     model anyway).
+
+    The error cache G_i = sum_j alpha_j y_j K_ij - y_i is a numpy vector.
+    The ``up``/``low`` masks (the directions in which each alpha may still
+    move under the box and equality constraints) are boolean arrays kept
+    up to date for the two alphas a step moves, so each iteration makes one
+    ``nonzero`` pass per mask, which gives the gap, the bias midpoint and
+    the maximal violating pair together. The pair arithmetic runs on
+    Python floats.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -158,37 +148,56 @@ def svm_train(
         gamma = gamma_scale(X)
     n = len(y)
     rng = np.random.default_rng(seed)
-    K = _kernel_matrix(X, X, gamma, coef0)
-    alpha = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        K = _kernel_matrix(X, X, gamma, coef0)
+    if not np.all(np.isfinite(K)):
+        raise NonFiniteFeature(f"kernel matrix is not finite at gamma={gamma!r}, coef0={coef0!r}")
+    K_rows = K.tolist()
+    K_cols = np.ascontiguousarray(K.T)  # K_cols[i] is K[:, i]
+    labels = y.tolist()
+    alpha = [0.0] * n
     G = -y.astype(float)  # bias-free errors: sum_j a_j y_j K_ij - y_i
+    at_most = C - 1e-12
+    up = np.zeros(n, dtype=bool)
+    low = np.zeros(n, dtype=bool)
+
+    def set_masks(k):
+        yk, ak = labels[k], alpha[k]
+        up[k] = (yk > 0 and ak < at_most) or (yk < 0 and ak > 1e-12)
+        low[k] = (yk < 0 and ak < at_most) or (yk > 0 and ak > 1e-12)
+
+    for k in range(n):
+        set_masks(k)
 
     def delta_objective(i, j, aj_new):
+        yi, yj = labels[i], labels[j]
         d_aj = aj_new - alpha[j]
-        d_ai = -y[i] * y[j] * d_aj
-        gi = G[i] + y[i]
-        gj = G[j] + y[j]
+        d_ai = -yi * yj * d_aj
+        gi = G.item(i) + yi
+        gj = G.item(j) + yj
         return (
             d_ai + d_aj
-            - y[i] * d_ai * gi
-            - y[j] * d_aj * gj
-            - 0.5 * (d_ai**2 * K[i, i] + d_aj**2 * K[j, j])
-            - d_ai * d_aj * y[i] * y[j] * K[i, j]
+            - yi * d_ai * gi
+            - yj * d_aj * gj
+            - 0.5 * (d_ai**2 * K_rows[i][i] + d_aj**2 * K_rows[j][j])
+            - d_ai * d_aj * yi * yj * K_rows[i][j]
         )
 
     def take_step(i, j):
         if i == j:
             return False
-        if y[i] != y[j]:
-            L = max(0.0, alpha[j] - alpha[i])
-            H = min(C, C + alpha[j] - alpha[i])
+        ai, aj, yi, yj = alpha[i], alpha[j], labels[i], labels[j]
+        if yi != yj:
+            L = max(0.0, aj - ai)
+            H = min(C, C + aj - ai)
         else:
-            L = max(0.0, alpha[i] + alpha[j] - C)
-            H = min(C, alpha[i] + alpha[j])
+            L = max(0.0, ai + aj - C)
+            H = min(C, ai + aj)
         if H - L < 1e-12:
             return False
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        eta = K_rows[i][i] + K_rows[j][j] - 2.0 * K_rows[i][j]
         if eta > 1e-12:
-            aj_new = alpha[j] + y[j] * (G[i] - G[j]) / eta
+            aj_new = aj + yj * (G.item(i) - G.item(j)) / eta
             aj_new = min(max(aj_new, L), H)
         else:
             # flat or concave direction: the dual is maximized at a bound
@@ -200,37 +209,45 @@ def svm_train(
                 aj_new = H
             else:
                 return False
-        d_aj = aj_new - alpha[j]
+        d_aj = aj_new - aj
         if abs(d_aj) < 1e-12:
             return False
-        d_ai = -y[i] * y[j] * d_aj
-        G[:] += y[i] * d_ai * K[:, i] + y[j] * d_aj * K[:, j]
-        alpha[i] += d_ai
+        d_ai = -yi * yj * d_aj
+        G[:] += yi * d_ai * K_cols[i] + yj * d_aj * K_cols[j]
+        alpha[i] = ai + d_ai
         alpha[j] = aj_new
+        set_masks(i)
+        set_masks(j)
         return True
 
     def try_violator(i, partners):
         # prefer the largest error difference, then a seeded-random sweep
         order = partners[np.argsort(-np.abs(G[i] - G[partners]))]
-        for j in order[: min(len(order), 8)]:
-            if take_step(i, int(j)):
+        for j in order[:8].tolist():
+            if take_step(i, j):
                 return True
-        for j in rng.permutation(n):
-            if take_step(i, int(j)):
+        for j in rng.permutation(n).tolist():
+            if take_step(i, j):
                 return True
         return False
 
     max_iter = max_passes * n
     it = 0
-    while it < max_iter:
-        gap, _ = _kkt_gap(alpha, y, G, C)
-        if gap <= tol:
+    while True:
+        # gap m - M of the bias-free optimality conditions, <= 0 at the
+        # exact optimum: m = max(-G[up]) at i_up, M = min(-G[low]) at i_low
+        up_idx = up.nonzero()[0]
+        low_idx = low.nonzero()[0]
+        m, M = -math.inf, math.inf
+        if up_idx.size:
+            i_up = int(up_idx[G[up_idx].argmin()])
+            m = -G.item(i_up)
+        if low_idx.size:
+            i_low = int(low_idx[G[low_idx].argmax()])
+            M = -G.item(i_low)
+        gap = m - M
+        if it >= max_iter or gap <= tol:
             break
-        up, low = _up_low_masks(alpha, y, C)
-        up_idx = np.nonzero(up)[0]
-        low_idx = np.nonzero(low)[0]
-        i_up = int(up_idx[np.argmax(-G[up_idx])])
-        i_low = int(low_idx[np.argmin(-G[low_idx])])
         if not (
             take_step(i_up, i_low)
             or try_violator(i_up, low_idx)
@@ -239,7 +256,7 @@ def svm_train(
             break  # no violating pair can move; stationary point
         it += 1
 
-    gap, b = _kkt_gap(alpha, y, G, C)
+    b = (m + M) / 2.0 if math.isfinite(m) and math.isfinite(M) else 0.0
     worst = max(0.0, gap)
     converged = gap <= tol
     if not converged:
@@ -248,6 +265,7 @@ def svm_train(
             RuntimeWarning,
             stacklevel=2,
         )
+    alpha = np.array(alpha)
     sv = alpha > 1e-12
     return SvmModel(
         support_vectors=X[sv].copy(),

@@ -34,8 +34,9 @@ class Dataset:
 
 def load_dataset(manifest_path) -> Dataset:
     """Parse and align every declared file, and index each video's AOI
-    track. Raises on the first hard failure; low-coverage traces (below
-    the soft threshold) are recorded as warnings."""
+    track. Raises on the first hard failure, including a gaze-log row whose
+    participant id is not the log's manifest key; low-coverage traces
+    (below the soft threshold) are recorded as warnings."""
     manifest = load_manifest(manifest_path)
     aoi = {}
     for vid, path in manifest.aoi_paths.items():
@@ -45,7 +46,7 @@ def load_dataset(manifest_path) -> Dataset:
     warnings = []
     for (pid, vid), path in manifest.gaze_log_paths.items():
         meta = manifest.video_meta(vid)
-        trace = parse_gaze_log(path, meta)
+        trace = parse_gaze_log(path, meta, participant_id=pid)
         at = align(trace, meta)
         if at.valid_fraction < WARN_VALID_FRAME_FRACTION:
             warnings.append(

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .learn import MlpConfig, MlpModel, SvmModel
+from .learn import KERNEL_DEGREE, MlpConfig, MlpModel, SvmModel
 
 MAGIC = "gazescreen-model v1"
 
@@ -29,7 +29,7 @@ def save_model(model, path) -> None:
     if isinstance(model, SvmModel):
         lines += [
             "kind: svm",
-            f"degree: {model.degree}",
+            f"degree: {KERNEL_DEGREE}",
             f"gamma: {model.gamma!r}",
             f"coef0: {model.coef0!r}",
             f"C: {model.C!r}",
@@ -88,13 +88,16 @@ def load_model(path):
     fields, arrays = _parse(path)
     kind = fields.get("kind")
     if kind == "svm":
+        if fields.get("degree", "").strip() != str(KERNEL_DEGREE):
+            raise ConfigError(
+                f"{path}: kernel degree {fields.get('degree')!r} is not {KERNEL_DEGREE}"
+            )
         return SvmModel(
             support_vectors=arrays["support_vectors"],
             dual_coef=arrays["dual_coef"].ravel(),
             bias=float(fields["bias"]),
             gamma=float(fields["gamma"]),
             coef0=float(fields["coef0"]),
-            degree=int(fields["degree"]),
             C=float(fields["C"]),
             converged=bool(int(fields.get("converged", 1))),
             final_kkt_violation=float(fields.get("final_kkt_violation", 0.0)),

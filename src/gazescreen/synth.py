@@ -12,6 +12,8 @@ Generation is deterministic: (spec, seed) -> byte-identical dataset.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,8 +54,17 @@ class GroupParams:
     severity_coupling: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in _NUMERIC_PARAMS:
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if not (0.0 <= self.p_attend <= 1.0):
             raise ValueError("p_attend must be in [0,1]")
+        for name, coeff in self.severity_coupling.items():
+            if name not in _NUMERIC_PARAMS:
+                raise ValueError(f"severity_coupling names unknown parameter {name!r}")
+            if not (_is_real(coeff) and math.isfinite(coeff)):
+                raise ValueError(f"severity_coupling[{name!r}] must be a finite number, got {coeff!r}")
 
     def for_cars(self, cars: int | None) -> "GroupParams":
         if cars is None or not self.severity_coupling:
@@ -64,6 +75,15 @@ class GroupParams:
             values[name] = max(0.0, values[name] * (1.0 + coeff * shift))
         values["p_attend"] = min(1.0, values["p_attend"])
         return GroupParams(**values)
+
+
+_NUMERIC_PARAMS = tuple(
+    f.name for f in dataclasses.fields(GroupParams) if f.name != "severity_coupling"
+)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 DEFAULT_CONTROL_PARAMS = GroupParams(
@@ -106,10 +126,13 @@ class CohortSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_asd < 1 or self.n_control < 1:
-            raise ValueError("participant counts must be >= 1")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample rate must be positive")
+        for name in ("n_asd", "n_control"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and _is_real(value) and value >= 1):
+                raise ValueError(f"participant counts must be integers >= 1, got {name}={value!r}")
+        rate = self.sample_rate_hz
+        if not (_is_real(rate) and math.isfinite(rate) and rate > 0):
+            raise ValueError(f"sample rate must be finite and positive, got {rate!r}")
 
 
 def load_cohort_spec(path, seed: int) -> CohortSpec:
@@ -125,22 +148,22 @@ def load_cohort_spec(path, seed: int) -> CohortSpec:
     for key in ("n_asd", "n_control", "sample_rate_hz"):
         if key in data:
             kwargs[key] = data[key]
-    if "videos" in data:
-        kwargs["videos"] = tuple(
-            VideoMeta(
-                str(v["id"]), float(v["duration_s"]), float(v["fps"]),
-                int(v["width_px"]), int(v["height_px"]),
-            )
-            for v in data["videos"]
-        )
-    for key, default in (("asd_params", DEFAULT_ASD_PARAMS), ("control_params", DEFAULT_CONTROL_PARAMS)):
-        if key in data:
-            merged = dataclasses.asdict(default)
-            merged.update(data[key])
-            kwargs[key] = GroupParams(**merged)
     try:
+        if "videos" in data:
+            kwargs["videos"] = tuple(
+                VideoMeta(
+                    str(v["id"]), float(v["duration_s"]), float(v["fps"]),
+                    int(v["width_px"]), int(v["height_px"]),
+                )
+                for v in data["videos"]
+            )
+        for key, default in (("asd_params", DEFAULT_ASD_PARAMS), ("control_params", DEFAULT_CONTROL_PARAMS)):
+            if key in data:
+                merged = dataclasses.asdict(default)
+                merged.update(data[key])
+                kwargs[key] = GroupParams(**merged)
         return CohortSpec(**kwargs)
-    except (TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"{path}: bad cohort spec: {e}") from e
 
 

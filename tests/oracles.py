@@ -1,17 +1,26 @@
 """Independent oracles for the test suite.
 
-Everything here is deliberately naive: plain Python loops over frames and
-a slow projected-gradient ascent for the SVM dual. These must never share
-code with the implementations they check.
+Everything here is deliberately naive: plain Python loops over frames, a
+slow projected-gradient ascent for the SVM dual, and the SMO loop as it
+was before its rewrite. These must never share code with the
+implementations they check.
 """
 from __future__ import annotations
 
 import csv
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 
-from gazescreen.errors import EmptyLog, MalformedRow, NonMonotonicTimestamp
+from gazescreen.errors import (
+    EmptyLog,
+    MalformedRow,
+    NonFiniteFeature,
+    NonMonotonicTimestamp,
+    SingleClass,
+)
 
 
 def frames_in_window(start_s, duration_s, fps, n_frames):
@@ -159,14 +168,16 @@ def oracle_gap(present, wall_s, fps):
     return gap
 
 
-def oracle_parse_gaze_log(path, meta):
+def oracle_parse_gaze_log(path, meta, participant_id=None):
     """``ingest.parse_gaze_log`` as a row-by-row loop: returns
     (participant_id, wall_ts, video_ts, x, y, valid) as lists, or raises
-    the error for the first bad row, checking each row's rules in order."""
+    the error for the first bad row, checking each row's rules in order.
+    Every row's participant id must be ``participant_id``, or the first
+    row's when it is None."""
     header_names = ["participant_id", "video_id", "wall_ts_ms", "video_ts_ms",
                     "x_px", "y_px", "valid"]
     cols = ([], [], [], [], [])
-    participant_id = None
+    seen_rows = False
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -181,8 +192,12 @@ def oracle_parse_gaze_log(path, meta):
             pid, vid, *numbers, flag = row
             if participant_id is None:
                 participant_id = pid
+            seen_rows = True
             if vid != meta.video_id:
                 raise MalformedRow(path, line_no, f"video id {vid!r} does not match {meta.video_id!r}")
+            if pid != participant_id:
+                raise MalformedRow(
+                    path, line_no, f"participant id {pid!r} does not match {participant_id!r}")
             values = []
             for what, text in zip(header_names[2:6], numbers):
                 try:
@@ -209,7 +224,7 @@ def oracle_parse_gaze_log(path, meta):
             on_screen = 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
             for col, v in zip(cols, (wall, video, x, y, flag.strip() == "1" and on_screen)):
                 col.append(v)
-    if participant_id is None:
+    if not seen_rows:
         raise EmptyLog(path)
     return (participant_id, *cols)
 
@@ -347,3 +362,140 @@ def projected_gradient_qp(K, y, C, steps=20000, lr=None):
 def dual_objective(K, y, a):
     ay = a * y
     return float(a.sum() - 0.5 * ay @ K @ ay)
+
+
+def oracle_svm_train(X, y, C=1.0, gamma=None, coef0=0.0, tol=1e-3,
+                     max_passes=1000, seed=0, branches=None):
+    """``learn.svm_train`` as it was before its incremental-mask rewrite:
+    every iteration rebuilds the up/low masks with numpy and the pair
+    arithmetic reads numpy scalars. The kernel and the default gamma are
+    inlined here.
+
+    Returns (support_vectors, dual_coef, bias, converged,
+    final_kkt_violation) and warns exactly as ``svm_train`` does.
+    ``branches``, a Counter if given, counts the steps taken by each route
+    of the solver ("pair", "partner", "sweep", "flat"), the fallback
+    sweeps entered ("sweep_entered"), the fits that stopped with no pair
+    able to move ("stalled") and the fits that did not converge
+    ("nonconverged").
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteFeature("training matrix contains non-finite values")
+    if len(np.unique(y)) < 2:
+        raise SingleClass("need at least one example of each class")
+    if gamma is None:
+        mean_var = float(X.var(axis=0).mean())
+        gamma = 1.0 if mean_var <= 0 else 1.0 / (X.shape[1] * mean_var)
+    if branches is None:
+        branches = Counter()
+    n = len(y)
+    rng = np.random.default_rng(seed)
+    K = (gamma * (X @ X.T) + coef0) ** 3
+    alpha = np.zeros(n)
+    G = -y.astype(float)  # bias-free errors: sum_j a_j y_j K_ij - y_i
+
+    def up_low_masks():
+        up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
+        low = ((y < 0) & (alpha < C - 1e-12)) | ((y > 0) & (alpha > 1e-12))
+        return up, low
+
+    def kkt_gap():
+        up, low = up_low_masks()
+        m = float((-G[up]).max()) if up.any() else -np.inf
+        M = float((-G[low]).min()) if low.any() else np.inf
+        bias = (m + M) / 2.0 if np.isfinite(m) and np.isfinite(M) else 0.0
+        return m - M, bias
+
+    def delta_objective(i, j, aj_new):
+        d_aj = aj_new - alpha[j]
+        d_ai = -y[i] * y[j] * d_aj
+        gi = G[i] + y[i]
+        gj = G[j] + y[j]
+        return (
+            d_ai + d_aj
+            - y[i] * d_ai * gi
+            - y[j] * d_aj * gj
+            - 0.5 * (d_ai**2 * K[i, i] + d_aj**2 * K[j, j])
+            - d_ai * d_aj * y[i] * y[j] * K[i, j]
+        )
+
+    def take_step(i, j):
+        if i == j:
+            return False
+        if y[i] != y[j]:
+            L = max(0.0, alpha[j] - alpha[i])
+            H = min(C, C + alpha[j] - alpha[i])
+        else:
+            L = max(0.0, alpha[i] + alpha[j] - C)
+            H = min(C, alpha[i] + alpha[j])
+        if H - L < 1e-12:
+            return False
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if eta > 1e-12:
+            aj_new = alpha[j] + y[j] * (G[i] - G[j]) / eta
+            aj_new = min(max(aj_new, L), H)
+        else:
+            dW_L = delta_objective(i, j, L)
+            dW_H = delta_objective(i, j, H)
+            if dW_L > dW_H and dW_L > 1e-12:
+                aj_new = L
+            elif dW_H >= dW_L and dW_H > 1e-12:
+                aj_new = H
+            else:
+                return False
+        d_aj = aj_new - alpha[j]
+        if abs(d_aj) < 1e-12:
+            return False
+        if eta <= 1e-12:
+            branches["flat"] += 1
+        d_ai = -y[i] * y[j] * d_aj
+        G[:] += y[i] * d_ai * K[:, i] + y[j] * d_aj * K[:, j]
+        alpha[i] += d_ai
+        alpha[j] = aj_new
+        return True
+
+    def try_violator(i, partners):
+        order = partners[np.argsort(-np.abs(G[i] - G[partners]))]
+        for j in order[: min(len(order), 8)]:
+            if take_step(i, int(j)):
+                branches["partner"] += 1
+                return True
+        branches["sweep_entered"] += 1
+        for j in rng.permutation(n):
+            if take_step(i, int(j)):
+                branches["sweep"] += 1
+                return True
+        return False
+
+    max_iter = max_passes * n
+    it = 0
+    while it < max_iter:
+        gap, _ = kkt_gap()
+        if gap <= tol:
+            break
+        up, low = up_low_masks()
+        up_idx = np.nonzero(up)[0]
+        low_idx = np.nonzero(low)[0]
+        i_up = int(up_idx[np.argmax(-G[up_idx])])
+        i_low = int(low_idx[np.argmin(-G[low_idx])])
+        if take_step(i_up, i_low):
+            branches["pair"] += 1
+        elif not (try_violator(i_up, low_idx) or try_violator(i_low, up_idx)):
+            branches["stalled"] += 1
+            break
+        it += 1
+
+    gap, b = kkt_gap()
+    worst = max(0.0, gap)
+    converged = gap <= tol
+    if not converged:
+        branches["nonconverged"] += 1
+        warnings.warn(
+            f"SMO did not reach tol={tol}: max KKT violation {worst:.3e}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    sv = alpha > 1e-12
+    return X[sv].copy(), (alpha * y)[sv].copy(), b, converged, worst

@@ -1,3 +1,4 @@
+import hashlib
 import shutil
 from pathlib import Path
 
@@ -52,6 +53,27 @@ class TestSynth:
         r = run(runner, "synth", "--spec", spec, "--seed", 1, "--out", tmp_path / "x")
         assert r.exit_code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("params", [
+        "control_params: {jitter_sd: -0.1}",
+        "control_params: {fix_dur_bg_mean_s: nan}",
+        "asd_params: {latency_sd_s: .nan}",
+        "asd_params: {saccade_dur_s: .inf}",
+        "asd_params: {p_attend: true}",
+        "asd_params: {severity_coupling: {bogus: 0.1}}",
+        "videos: [{id: clip}]",
+        "sample_rate_hz: .nan",
+        "sample_rate_hz: .inf",
+        "n_asd: 1.5",
+    ])
+    def test_bad_spec_value_exits_config(self, runner, tmp_path, params):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(f"n_asd: 2\nn_control: 2\n{params}\n", encoding="utf-8")
+        r = run(runner, "synth", "--spec", spec, "--seed", 1, "--out", tmp_path / "x")
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert "bad cohort spec" in r.output
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "x").exists()
+
 
 class TestFeatures:
     def test_with_aoi_row_count(self, runner, small_cohort_manifest, tmp_path):
@@ -104,6 +126,35 @@ class TestFeatures:
         assert f"{victim.name}:{len(lines) + 1}: duplicate box" in r.output
         assert "Traceback" not in r.output
 
+    def test_participant_id_change_exits_pipeline(self, runner, small_cohort_manifest, tmp_path):
+        manifest = copy_cohort(small_cohort_manifest, tmp_path / "broken")
+        victim = sorted((tmp_path / "broken" / "logs").glob("*.csv"))[0]
+        lines = victim.read_text(encoding="utf-8").splitlines()
+        pid = lines[1].split(",")[0]
+        lines[5] = "intruder" + lines[5][len(pid):]
+        victim.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        r = run(runner, "features", "--manifest", manifest, "--mode", "aoi",
+                "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        assert f"{victim.name}:6: participant id 'intruder' does not match {pid!r}" in r.output
+        assert "Traceback" not in r.output
+
+    def test_log_of_another_participant_exits_pipeline(
+        self, runner, small_cohort_manifest, tmp_path
+    ):
+        # every row agrees, but the log is filed under another participant
+        manifest = copy_cohort(small_cohort_manifest, tmp_path / "broken")
+        victim = sorted((tmp_path / "broken" / "logs").glob("*.csv"))[0]
+        header, *rows = victim.read_text(encoding="utf-8").splitlines()
+        pid = rows[0].split(",")[0]
+        rows = ["stranger" + row[len(pid):] for row in rows]
+        victim.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        r = run(runner, "features", "--manifest", manifest, "--mode", "aoi",
+                "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        assert f"{victim.name}:2: participant id 'stranger' does not match {pid!r}" in r.output
+        assert "Traceback" not in r.output
+
     def test_extracts_each_pair_once(self, runner, small_cohort_manifest, tmp_path, monkeypatch):
         calls = []
         real_extract = pipeline.extract
@@ -152,6 +203,23 @@ class TestEvaluate:
         assert len(lines) == 1 + 2 * 3  # header + reps x folds
         assert (tmp_path / "a" / "report.json").exists()
 
+    # sha256 of report.json from `evaluate --reps 20 --seed 11` on the 6 + 6
+    # test cohort, recorded before the SMO loop was rewritten
+    GOLDEN_REPORT_SHA256 = {
+        "aoi": "53e6903d336025d4aa8a05470cbd6e7e2a6e44610eb5b77b79023e29f93a4e2e",
+        "noaoi": "8ada7f873b89ee4913bb4af00f5cff505e72a6308873903a13eebcf7e69e1e2d",
+    }
+
+    @pytest.mark.parametrize("mode", ["aoi", "noaoi"])
+    def test_golden_report(self, runner, small_cohort_manifest, tmp_path, monkeypatch, mode):
+        # a relative manifest path, because the report echoes it
+        monkeypatch.chdir(Path(small_cohort_manifest).parent)
+        r = run(runner, "evaluate", "--manifest", "manifest.yaml", "--mode", mode,
+                "--reps", 20, "--seed", 11, "--out", tmp_path)
+        assert r.exit_code == 0, r.output
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_REPORT_SHA256[mode]
+
     def test_jobs_do_not_change_bytes(self, runner, small_cohort_manifest, tmp_path):
         for d, jobs in (("a", 1), ("b", 3)):
             r = run(runner, "evaluate", "--manifest", small_cohort_manifest,
@@ -159,6 +227,15 @@ class TestEvaluate:
                     "--jobs", jobs, "--out", tmp_path / d)
             assert r.exit_code == 0, r.output
         assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+
+    def test_overflowing_kernel_exits_pipeline(self, runner, small_cohort_manifest, tmp_path):
+        # a finite gamma whose cubic kernel overflows would train on inf
+        r = run(runner, "evaluate", "--manifest", small_cohort_manifest, "--mode", "aoi",
+                "--seed", 1, "--reps", 1, "--gamma", "1e300", "--out", tmp_path)
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        assert "kernel matrix is not finite" in r.output
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_video_exits_config(self, runner, small_cohort_manifest, tmp_path):
         r = run(runner, "evaluate", "--manifest", small_cohort_manifest,

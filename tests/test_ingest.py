@@ -218,7 +218,8 @@ def corrupt(rng, lines):
     i = int(rng.choice(rows))
     fields = lines[i].split(",")
     before = lines[max((j for j in rows if j < i), default=i)].split(",")
-    kind = int(rng.integers(9))
+    # a row already cut or padded by an earlier corruption only changes width
+    kind = int(rng.integers(10)) if len(fields) == len(GAZE_HEADER) else 0
     if kind == 0:
         fields = fields[:-1] if rng.random() < 0.5 else fields + ["extra"]
     elif kind == 1:
@@ -235,14 +236,16 @@ def corrupt(rng, lines):
         fields[3] = repr(_number(before[3]) - float(rng.choice([1e-3, 5.0])))
     elif kind == 7:
         fields[2] = "-5.000"
+    elif kind == 8:
+        fields[0] = "q9"
     else:
         fields[3] = "-0.5"
     return lines[:i] + [",".join(fields)] + lines[i + 1:]
 
 
-def parse_or_error(parse, path):
+def parse_or_error(parse, path, participant_id=None):
     try:
-        return parse(path, META), None
+        return parse(path, META, participant_id), None
     except Exception as e:  # compared field by field below
         return None, e
 
@@ -273,8 +276,10 @@ class TestParseGazeOracle:
             for _ in range(int(rng.integers(1, 4))):
                 lines = corrupt(rng, lines)
             p.write_text("\n".join([",".join(GAZE_HEADER), *lines]) + "\n", encoding="utf-8")
-            _, want = parse_or_error(oracles.oracle_parse_gaze_log, p)
-            _, got = parse_or_error(parse_gaze_log, p)
+            # the expected participant: the first row's, the manifest's, or another
+            pid = [None, None, None, "p7", "q9"][trial % 5]
+            _, want = parse_or_error(oracles.oracle_parse_gaze_log, p, pid)
+            _, got = parse_or_error(parse_gaze_log, p, pid)
             if want is None:
                 assert got is None
                 continue
@@ -283,7 +288,8 @@ class TestParseGazeOracle:
             assert str(got) == str(want)
             reasons.add(str(want).split(": ", 1)[1])
         # every rule fired at least once
-        for needle in ("expected 7 fields", "video id", "bad ", "non-finite", "valid must",
+        for needle in ("expected 7 fields", "video id", "participant id", "bad ", "non-finite",
+                       "valid must",
                        "wall timestamp", "video_ts_ms decreases", "negative wall_ts_ms",
                        "negative video_ts_ms"):
             assert any(r.startswith(needle) for r in reasons), needle

@@ -1,8 +1,18 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from gazescreen.errors import ConfigError, DimensionMismatch, DivergenceDetected, SingleClass
+from gazescreen.errors import (
+    ConfigError,
+    DimensionMismatch,
+    DivergenceDetected,
+    NonFiniteFeature,
+    SingleClass,
+)
 from gazescreen.learn import (
+    KERNEL_DEGREE,
     LABEL_ASD,
     LABEL_CONTROL,
     MlpConfig,
@@ -99,6 +109,11 @@ class TestSvm:
         with pytest.raises(SingleClass):
             svm_train(np.random.default_rng(0).normal(size=(6, 2)), np.ones(6))
 
+    def test_overflowing_kernel_rejected(self):
+        X, y = blobs(np.random.default_rng(0))
+        with pytest.raises(NonFiniteFeature, match="kernel matrix is not finite"):
+            svm_train(X, y, gamma=1e300)
+
     def test_contradictory_duplicate_hits_box(self):
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         y = np.array([1.0, -1.0, 1.0])
@@ -179,6 +194,69 @@ class TestSvm:
         assert f == 0.0
         assert label == LABEL_CONTROL
         assert LABEL_ASD == 1
+
+
+def oracle_problem(rng, kind):
+    """One seeded SVM problem: (X, y, svm_train keyword arguments).
+
+    kind 0 is a plain noisy linear split; 1 copies rows, some with the
+    opposite label, so pairs with a flat direction (eta = 0) occur; 2
+    scales the features by 30 under gamma = 1, so the kernel is ~1e12 and
+    steps are too small to move, which sends the solver to its partner
+    list, its seeded sweep and a stall; 3 caps the solver at 0 or 1 pass
+    with a tight tol, so the fit does not converge. Kinds 1 and 2 are
+    capped at a few passes to keep the slow oracle's run short."""
+    n = int(rng.integers(3, 61))
+    d = int(rng.integers(2, 21))
+    X = rng.normal(size=(n, d))
+    y = np.where(X @ rng.normal(size=d) + rng.normal(0.0, 0.5, n) > 0, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    kwargs = {
+        "C": float(rng.choice([0.1, 1.0, 10.0])),
+        "coef0": float(rng.choice([0.0, 1.0])),
+        "gamma": None if rng.random() < 0.5 else float(rng.uniform(0.02, 1.0)),
+        "seed": int(rng.integers(2**31)),
+    }
+    if kind == 1:
+        k = n // 2
+        X[k : 2 * k] = X[:k]
+        y[k : 2 * k] = np.where(rng.random(k) < 0.5, y[:k], -y[:k])
+        y[:2] = (1.0, -1.0)
+        kwargs["max_passes"] = 10
+    elif kind == 2:
+        X *= 30.0
+        kwargs["gamma"] = 1.0
+        kwargs["max_passes"] = 3
+    elif kind == 3:
+        kwargs["max_passes"] = int(rng.integers(0, 2))
+        kwargs["tol"] = 1e-8
+    return X, y, kwargs
+
+
+class TestSvmOracle:
+    def test_matches_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        branches = Counter()
+        for trial in range(320):
+            X, y, kwargs = oracle_problem(rng, trial % 4)
+            with warnings.catch_warnings(record=True) as want_warnings:
+                warnings.simplefilter("always")
+                sv, dual_coef, bias, converged, worst = oracles.oracle_svm_train(
+                    X, y, branches=branches, **kwargs)
+            with warnings.catch_warnings(record=True) as got_warnings:
+                warnings.simplefilter("always")
+                model = svm_train(X, y, **kwargs)
+            assert model.support_vectors.tobytes() == sv.tobytes(), trial
+            assert model.dual_coef.tobytes() == dual_coef.tobytes(), trial
+            assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes(), trial
+            assert model.converged == converged, trial
+            assert model.final_kkt_violation == worst, trial
+            assert [(w.category, str(w.message)) for w in got_warnings] == [
+                (w.category, str(w.message)) for w in want_warnings], trial
+        # every route of the solver was taken at least once
+        for route in ("pair", "partner", "sweep_entered", "sweep", "flat", "stalled",
+                      "nonconverged"):
+            assert branches[route] > 0, route
 
 
 class TestMlp:
@@ -277,6 +355,21 @@ class TestSerialization:
         for x in X:
             assert loaded.decision_value(x) == model.decision_value(x)
         assert loaded.converged == model.converged
+
+    @pytest.mark.parametrize("line", ["degree: 2", "degree: 3.0", "degree: x", None])
+    def test_svm_other_degree_rejected(self, tmp_path, line):
+        rng = np.random.default_rng(16)
+        X, y = blobs(rng)
+        path = tmp_path / "svm.model"
+        save_model(svm_train(X, y, seed=0), path)
+        text = path.read_text(encoding="utf-8")
+        assert f"degree: {KERNEL_DEGREE}\n" in text
+        kept = [ln for ln in text.splitlines() if not ln.startswith("degree: ")]
+        if line is not None:
+            kept.insert(2, line)
+        path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="kernel degree"):
+            load_model(path)
 
     def test_mlp_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
