@@ -20,12 +20,13 @@ from .errors import (
     AoiNeverInAnyWindow,
     ConfigError,
     DurationTooLong,
-    GazeScreenError,
     MissingFeatures,
+    MissingVideo,
+    NoAoiInWindow,
     TooFewParticipants,
     TooFewPerClass,
 )
-from .features import Window
+from .features import Window, extract_batch
 from .learn import (
     LABEL_ASD,
     LABEL_CONTROL,
@@ -34,10 +35,9 @@ from .learn import (
     gamma_scale,
     mlp_predict,
     mlp_train,
-    svm_predict,
     svm_train,
 )
-from .pipeline import Dataset, extract_features
+from .pipeline import Dataset
 
 # Accuracies and MAE reported by the original 60-participant human study.
 # They are NOT reproducible from synthetic cohorts and are carried in
@@ -206,37 +206,36 @@ def _evaluate_folds(X, y, assignment, config: CvConfig, rng):
             tol=config.svm_tol,
             seed=int(rng.integers(2**31)),
         )
-        tp = tn = fp = fn = 0
-        for xi, yi in zip(Xte, y[test]):
-            pred, _ = svm_predict(model, xi)
-            if yi == LABEL_ASD:
-                tp += pred == LABEL_ASD
-                fn += pred != LABEL_ASD
-            else:
-                tn += pred == LABEL_CONTROL
-                fp += pred != LABEL_CONTROL
+        # a decision value of exactly 0 is CONTROL, as in svm_predict
+        flagged = model.decision_value(Xte) > 0
+        asd = y[test] == LABEL_ASD
+        tp = int(np.sum(flagged & asd))
+        fn = int(np.sum(~flagged & asd))
+        tn = int(np.sum(~flagged & ~asd))
+        fp = int(np.sum(flagged & ~asd))
         n_test = int(test.sum())
         rows.append(
             {
                 "fold": fold,
                 "accuracy": (tp + tn) / n_test,
                 "n_test": n_test,
-                "tp": int(tp),
-                "tn": int(tn),
-                "fp": int(fp),
-                "fn": int(fn),
+                "tp": tp,
+                "tn": tn,
+                "fp": fp,
+                "fn": fn,
             }
         )
     return rows
 
 
+def _labels(pids, groups: dict) -> np.ndarray:
+    return np.array([LABEL_ASD if groups[p] is Group.ASD else LABEL_CONTROL for p in pids])
+
+
 def _feature_matrix(features: dict, groups: dict):
     pids = sorted(features)
     X = np.array([features[p].values for p in pids], dtype=float)
-    y = np.array(
-        [LABEL_ASD if groups[p] is Group.ASD else LABEL_CONTROL for p in pids]
-    )
-    return pids, X, y
+    return pids, X, _labels(pids, groups)
 
 
 def _map_reps(fn, reps: int, jobs: int):
@@ -291,21 +290,38 @@ def run_classification_cv(features: dict, groups: dict, config: CvConfig) -> Cla
     )
 
 
+def _check_structure(dataset: Dataset, mode: FeatureMode, video_ids) -> None:
+    """Fail once, before any window is drawn, on what no window can fix: a
+    participant without a gaze log of a video, or (with AOI) a video
+    without an AOI track."""
+    for p in dataset.manifest.participants:
+        for vid in video_ids:
+            if (p.participant_id, vid) not in dataset.aligned:
+                raise MissingVideo(p.participant_id, vid)
+    if mode is FeatureMode.WITH_AOI:
+        for vid in video_ids:
+            if vid not in dataset.aoi:
+                raise NoAoiInWindow(f"no AOI track for video {vid!r}")
+
+
 def _draw_windows(dataset: Dataset, duration: float, mode: FeatureMode, rng, video_ids):
     """One shared window per video, redrawn (up to 100 times) until every
-    participant's features are computable on it."""
-    groups = {p.participant_id: p.group for p in dataset.manifest.participants}
+    participant's features are usable on it. Returns the feature matrix in
+    sorted-participant order, videos concatenated in ``video_ids`` order;
+    each video's block is one ``extract_batch`` over its stack."""
     for _attempt in range(100):
-        windows = {}
+        windows = []  # every start is drawn before any video is checked
         for vid in video_ids:
             meta = dataset.manifest.video_meta(vid)
-            start = float(rng.uniform(0.0, meta.duration_s - duration))
-            windows[vid] = Window(start, duration)
-        try:
-            features = extract_features(dataset, mode, windows=windows, video_ids=video_ids)
-        except GazeScreenError:
-            continue
-        return windows, features, groups
+            windows.append(Window(float(rng.uniform(0.0, meta.duration_s - duration)), duration))
+        blocks = []
+        for vid, w in zip(video_ids, windows):
+            values, usable = extract_batch(dataset.stacks[vid], dataset.aoi.get(vid), w, mode)
+            if not usable.all():
+                break
+            blocks.append(values)
+        else:
+            return np.hstack(blocks)
     raise AoiNeverInAnyWindow(
         f"no usable window of {duration}s found in 100 attempts"
     )
@@ -327,6 +343,9 @@ def run_duration_simulation(
             raise ConfigError(f"durations must be finite and > 0, got {d}")
         if d > min_duration:
             raise DurationTooLong(f"{d}s exceeds shortest video ({min_duration}s)")
+    _check_structure(dataset, config.mode, video_ids)
+    groups = {p.participant_id: p.group for p in dataset.manifest.participants}
+    y = _labels(sorted(groups), groups)
 
     all_fold_rows = []
     curve = []
@@ -334,10 +353,7 @@ def run_duration_simulation(
 
         def one_rep(rep, _d=d, _d_idx=d_idx):
             rng = derive_rng(config.seed, "duration", _d_idx, rep)
-            windows, features, groups = _draw_windows(
-                dataset, _d, config.mode, rng, video_ids
-            )
-            pids, X, y = _feature_matrix(features, groups)
+            X = _draw_windows(dataset, _d, config.mode, rng, video_ids)
             assignment = stratified_folds(y, config.folds, rng)
             rows = _evaluate_folds(X, y, assignment, config, rng)
             for row in rows:

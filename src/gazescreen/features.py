@@ -17,6 +17,14 @@ it on the ``Dataset``; nothing here caches indexes between calls.
 ``extract`` maps the window to frames once and shares one gaze-to-centre
 distance pass between F3 and F4; the ``feature_*`` functions compute a
 single feature on their own.
+
+``extract`` is the definition of the features, one trace at a time, and it
+signals an unusable window by raising. ``extract_batch`` is the duration
+protocol's fast path: every participant of a video on one shared window,
+read from the video's ``TraceStack``. F1-F4 are masked row reductions of
+the (participants x window) slice, with the same two-pass population
+variance as ``extract``; F5 loops over the few occurrences, vectorised over
+participants. The same pass returns which rows ``extract`` would reject.
 """
 from __future__ import annotations
 
@@ -26,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AoiTrack, FeatureMode, FeatureVector
-from .errors import InsufficientData, MissingVideo, NoAoiInWindow
-from .ingest import AlignedTrace
+from .errors import ConfigError, InsufficientData, MissingVideo, NoAoiInWindow, NonFiniteFeature
+from .ingest import AlignedTrace, TraceStack
 
 
 @dataclass(frozen=True)
@@ -38,8 +46,12 @@ class Window:
     duration_s: float
 
     def __post_init__(self):
-        if self.start_s < 0 or self.duration_s <= 0:
-            raise ValueError("need start_s >= 0 and duration_s > 0")
+        if not (math.isfinite(self.start_s) and self.start_s >= 0
+                and math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ConfigError(
+                f"need finite start_s >= 0 and duration_s > 0, got {self.start_s!r}, "
+                f"{self.duration_s!r}"
+            )
 
     @property
     def end_s(self) -> float:
@@ -70,8 +82,8 @@ def frame_range(w: Window, fps: float, n_frames: int) -> tuple[int, int]:
 class AoiIndex:
     """One video's AOI track as per-frame, per-object arrays, plus its
     occurrences. Row k of every array belongs to ``object_ids[k]``; frames
-    at or beyond ``n_frames`` are dropped. Everything is computed here and
-    the arrays are read-only, so one index can be shared by threads."""
+    at or beyond ``n_frames`` are dropped. Everything is computed here, and
+    the arrays are read-only."""
 
     def __init__(self, track: AoiTrack, n_frames: int):
         self.n_frames = n_frames
@@ -273,6 +285,110 @@ def extract(
         values=tuple(values),
         windows=((w.start_s, w.duration_s),),
     )
+
+
+def _masked_var(values: np.ndarray, mask: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Per-row population variance of ``values`` over ``mask``, two-pass
+    like ``np.var``; rows with n = 0 give NaN."""
+    mean = np.where(mask, values, 0.0).sum(axis=1) / n
+    dev = np.where(mask, values - mean[:, None], 0.0)
+    return (dev * dev).sum(axis=1) / n
+
+
+def _nearest_center_distances(x, y, aoi: AoiIndex, lo, hi):
+    """(participants x window) Manhattan and Euclidean distances from gaze
+    to the nearest annotated box centre; inf where no object is annotated."""
+    manhattan = euclidean = np.inf
+    for k in range(len(aoi.object_ids)):
+        ann = aoi.ann[k, lo:hi]
+        dx = x - aoi.cx[k, lo:hi]
+        dy = y - aoi.cy[k, lo:hi]
+        manhattan = np.minimum(manhattan, np.where(ann, np.abs(dx) + np.abs(dy), np.inf))
+        euclidean = np.minimum(euclidean, np.where(ann, np.hypot(dx, dy), np.inf))
+    return manhattan, euclidean
+
+
+def _batch_delay(stack: TraceStack, aoi: AoiIndex, lo, hi):
+    """F5 of every row, or None when no occurrence overlaps [lo, hi)."""
+    delays = []
+    for occ in aoi.occurrences:
+        enter = max(occ.enter_frame, lo)
+        exit_ = min(occ.exit_frame, hi - 1)
+        if enter > exit_:
+            continue
+        k = aoi.row[occ.object_id]
+        span = slice(enter, exit_ + 1)
+        xs = stack.x[:, span]
+        ys = stack.y[:, span]
+        inside = (
+            stack.present[:, span]
+            & (xs >= aoi.x_min[k, span])
+            & (xs <= aoi.x_max[k, span])
+            & (ys >= aoi.y_min[k, span])
+            & (ys <= aoi.y_max[k, span])
+        )
+        first = np.where(inside.any(axis=1), inside.argmax(axis=1), exit_ - enter + 1)
+        delays.append(first / stack.fps)
+    if not delays:
+        return None
+    return np.column_stack(delays).mean(axis=1)
+
+
+def extract_batch(
+    stack: TraceStack, aoi: AoiIndex | None, w: Window, mode: FeatureMode
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of a video's stack on one window: ``(values, usable)``.
+
+    Row i of ``values`` (participants x ``mode.n_features``) is what
+    ``extract`` gives for ``stack.participant_ids[i]``, up to rounding;
+    ``usable[i]`` is False exactly where ``extract`` raises a
+    ``GazeScreenError``, and such rows hold NaN. The rules: F1 needs >= 2
+    present frames; F2 >= 2 frames and >= 2 eligible pairs; F3-F4 an
+    annotated frame and >= 2 frames both present and annotated; F5 an
+    occurrence overlapping the window. A usable row that is not finite
+    raises ``NonFiniteFeature``: it is an error, not a reason to redraw.
+    """
+    if mode is FeatureMode.WITH_AOI:
+        if aoi is None:
+            raise NoAoiInWindow(f"no AOI track for video {stack.video_id!r}")
+        if aoi.n_frames != stack.n_frames:
+            raise ValueError(f"AOI index has {aoi.n_frames} frames, stack has {stack.n_frames}")
+    lo, hi = frame_range(w, stack.fps, stack.n_frames)
+    n_rows = len(stack.participant_ids)
+    values = np.full((n_rows, mode.n_features), np.nan)
+    usable = np.zeros(n_rows, dtype=bool)
+    if hi - lo < 2:
+        return values, usable
+    present = stack.present[:, lo:hi]
+    x = stack.x[:, lo:hi]
+    y = stack.y[:, lo:hi]
+    eligible = present[:, :-1] & present[:, 1:] & ~stack.gap[:, lo + 1 : hi]
+    n_present = present.sum(axis=1)
+    n_pairs = eligible.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        columns = [
+            np.sqrt(_masked_var(x, present, n_present) + _masked_var(y, present, n_present)),
+            np.sqrt(_masked_var(np.hypot(np.diff(x), np.diff(y)), eligible, n_pairs)),
+        ]
+        usable = (n_present >= 2) & (n_pairs >= 2)
+        if mode is FeatureMode.WITH_AOI:
+            annotated = aoi.any_ann[lo:hi]
+            delay = _batch_delay(stack, aoi, lo, hi) if annotated.any() else None
+            if delay is None:
+                return values, np.zeros(n_rows, dtype=bool)
+            both = present & annotated
+            n_both = both.sum(axis=1)
+            manhattan, euclidean = _nearest_center_distances(x, y, aoi, lo, hi)
+            columns.append(np.sqrt(_masked_var(manhattan, both, n_both)))
+            columns.append(np.sqrt(np.where(both, euclidean * euclidean, 0.0).sum(axis=1) / n_both))
+            columns.append(delay)
+            usable &= n_both >= 2
+    values[usable] = np.column_stack(columns)[usable]
+    bad = usable & ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        pid = stack.participant_ids[int(np.argmax(bad))]
+        raise NonFiniteFeature(f"non-finite feature for {pid}/{stack.video_id} in {w}")
+    return values, usable
 
 
 def concat_videos(per_video: list[FeatureVector], video_order: list[str]) -> FeatureVector:

@@ -9,7 +9,8 @@ File formats (all UTF-8 CSV with a header row):
 A gaze log is parsed straight into numpy columns (``GazeTrace``): every
 per-row rule is one vectorized mask, and the first row that fails any of
 them is reported with its ``path:line``. ``align`` maps the columns onto
-video frames (``AlignedTrace``).
+video frames (``AlignedTrace``), and a ``TraceStack`` holds every aligned
+trace of one video as the rows of (participants x frames) arrays.
 
 The manifest is a YAML tree; see ``load_manifest`` for the schema.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -116,6 +117,50 @@ class AlignedTrace:
     @property
     def n_frames(self) -> int:
         return len(self.present)
+
+
+class TraceStack:
+    """Every aligned trace of one video, one row per participant in sorted
+    id order: (participants x n_frames) ``present``, ``x``, ``y`` and
+    ``gap`` arrays. ``adopt`` copies a trace into its row and hands back
+    the trace with row views in place of its own columns; ``freeze`` makes
+    the arrays read-only once every row is in."""
+
+    _COLUMNS = ("present", "x", "y", "gap")
+
+    def __init__(self, video_id: str, fps: float, participant_ids, n_frames: int):
+        self.video_id = video_id
+        self.fps = fps
+        self.participant_ids = tuple(sorted(participant_ids))
+        self.row = {pid: i for i, pid in enumerate(self.participant_ids)}
+        shape = (len(self.participant_ids), n_frames)
+        self.present = np.zeros(shape, dtype=bool)
+        self.x = np.full(shape, np.nan)
+        self.y = np.full(shape, np.nan)
+        self.gap = np.zeros(shape, dtype=bool)
+
+    @property
+    def n_frames(self) -> int:
+        return self.present.shape[1]
+
+    def adopt(self, trace: AlignedTrace) -> AlignedTrace:
+        if (trace.video_id, trace.fps, trace.n_frames) != (self.video_id, self.fps, self.n_frames):
+            raise ValueError(
+                f"trace of {trace.video_id!r} at {trace.fps} fps with {trace.n_frames} "
+                f"frames does not fit the stack of {self.video_id!r}"
+            )
+        i = self.row[trace.participant_id]
+        views = {}
+        for name in self._COLUMNS:
+            view = getattr(self, name)[i]
+            view[:] = getattr(trace, name)
+            view.flags.writeable = False
+            views[name] = view
+        return replace(trace, **views)
+
+    def freeze(self) -> None:
+        for name in self._COLUMNS:
+            getattr(self, name).flags.writeable = False
 
 
 def _parse_float(row_val: str, path, line_no, what) -> float:

@@ -91,12 +91,15 @@ class SvmModel:
     def dim(self) -> int:
         return self.support_vectors.shape[1]
 
-    def decision_value(self, x: np.ndarray) -> float:
+    def decision_value(self, x: np.ndarray):
+        """Decision value of one row (a float), or of every row of a matrix
+        (an array), from one kernel product."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"expected dim {self.dim}, got {x.shape[-1]}")
-        k = (self.gamma * (self.support_vectors @ x) + self.coef0) ** KERNEL_DEGREE
-        return float(self.dual_coef @ k + self.bias)
+        k = (self.gamma * (x @ self.support_vectors.T) + self.coef0) ** KERNEL_DEGREE
+        f = k @ self.dual_coef + self.bias
+        return float(f) if x.ndim == 1 else f
 
 
 def svm_predict(model: SvmModel, x: np.ndarray) -> tuple[int, float]:

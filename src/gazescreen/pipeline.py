@@ -6,11 +6,12 @@ from dataclasses import dataclass, field
 
 from .core import FeatureMode, FeatureVector, Group
 from .errors import GazeScreenError, MissingVideo
-from .features import AoiIndex, Window, concat_videos, extract, full_window
+from .features import AoiIndex, concat_videos, extract, full_window
 from .ingest import (
     WARN_VALID_FRAME_FRACTION,
     AlignedTrace,
     DatasetManifest,
+    TraceStack,
     align,
     load_manifest,
     parse_aoi_track,
@@ -23,8 +24,9 @@ class Dataset:
     """Everything parsed and frame-aligned, ready for feature extraction."""
 
     manifest: DatasetManifest
-    aligned: dict  # (participant_id, video_id) -> AlignedTrace
+    aligned: dict  # (participant_id, video_id) -> AlignedTrace, columns are stack rows
     aoi: dict  # video_id -> AoiIndex, built once here and shared by every window
+    stacks: dict  # video_id -> TraceStack of every participant with a log of it
     quality_warnings: list = field(default_factory=list)
 
     @property
@@ -33,15 +35,22 @@ class Dataset:
 
 
 def load_dataset(manifest_path) -> Dataset:
-    """Parse and align every declared file, and index each video's AOI
-    track. Raises on the first hard failure, including a gaze-log row whose
-    participant id is not the log's manifest key; low-coverage traces
-    (below the soft threshold) are recorded as warnings."""
+    """Parse and align every declared file, stack each video's traces and
+    index its AOI track. Each ``AlignedTrace`` reads its columns from its
+    row of the video's read-only ``TraceStack``. Raises on the first hard
+    failure, including a gaze-log row whose participant id is not the log's
+    manifest key; low-coverage traces (below the soft threshold) are
+    recorded as warnings."""
     manifest = load_manifest(manifest_path)
     aoi = {}
     for vid, path in manifest.aoi_paths.items():
         meta = manifest.video_meta(vid)
         aoi[vid] = AoiIndex(parse_aoi_track(path, meta), meta.n_frames)
+    stacks = {}
+    for vid in manifest.video_order:
+        meta = manifest.video_meta(vid)
+        pids = [pid for pid, v in manifest.gaze_log_paths if v == vid]
+        stacks[vid] = TraceStack(vid, meta.fps, pids, meta.n_frames)
     aligned = {}
     warnings = []
     for (pid, vid), path in manifest.gaze_log_paths.items():
@@ -52,19 +61,21 @@ def load_dataset(manifest_path) -> Dataset:
             warnings.append(
                 f"{pid}/{vid}: only {at.valid_fraction:.1%} of frames have gaze"
             )
-        aligned[(pid, vid)] = at
-    return Dataset(manifest=manifest, aligned=aligned, aoi=aoi, quality_warnings=warnings)
+        aligned[(pid, vid)] = stacks[vid].adopt(at)
+    for stack in stacks.values():
+        stack.freeze()
+    return Dataset(
+        manifest=manifest, aligned=aligned, aoi=aoi, stacks=stacks, quality_warnings=warnings
+    )
 
 
 def extract_features(
     dataset: Dataset,
     mode: FeatureMode,
-    windows: dict | None = None,
     video_ids: list | None = None,
 ) -> dict:
-    """Concatenated per-participant feature vectors.
+    """Concatenated per-participant feature vectors on full-video windows.
 
-    ``windows`` maps video_id -> Window (default: the full video).
     ``video_ids`` restricts and orders the contributing videos (default:
     manifest order). Raises the first extraction error encountered.
     """
@@ -77,10 +88,7 @@ def extract_features(
             if key not in dataset.aligned:
                 raise MissingVideo(p.participant_id, vid)
             at = dataset.aligned[key]
-            w = windows.get(vid) if windows else None
-            if w is None:
-                w = full_window(at)
-            per_video.append(extract(at, dataset.aoi.get(vid), w, mode))
+            per_video.append(extract(at, dataset.aoi.get(vid), full_window(at), mode))
         out[p.participant_id] = concat_videos(per_video, order)
     return out
 

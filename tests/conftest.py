@@ -19,7 +19,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 from gazescreen.core import AoiBox, AoiTrack
-from gazescreen.ingest import AlignedTrace, GazeTrace
+from gazescreen.ingest import AlignedTrace, GazeTrace, TraceStack
 from gazescreen.pipeline import load_dataset
 from gazescreen.synth import CohortSpec, generate_cohort
 
@@ -60,6 +60,17 @@ def random_aligned(rng, n_frames=20, fps=10.0, p_present=0.85, pid="p0", vid="v0
         gap=gap,
         wall_s=wall,
     )
+
+
+def stack_traces(traces):
+    """A frozen TraceStack of one video's traces, and the traces re-read
+    from their stack rows, in row (sorted id) order."""
+    first = traces[0]
+    stack = TraceStack(first.video_id, first.fps, [t.participant_id for t in traces],
+                       first.n_frames)
+    rows = sorted((stack.adopt(t) for t in traces), key=lambda t: t.participant_id)
+    stack.freeze()
+    return stack, rows
 
 
 def random_aoi(rng, n_frames=20, n_objects=2, vid="v0", p_ann=0.7):

@@ -6,7 +6,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from gazescreen import pipeline
+from gazescreen import experiments, pipeline
 from gazescreen.cli import EXIT_CONFIG, EXIT_IO, EXIT_PIPELINE, main
 
 
@@ -253,6 +253,65 @@ class TestEvaluate:
 
 
 class TestDurationCurve:
+    # sha256 of report.json from `duration-curve --durations 1.5,3,6,12
+    # --reps 5 --seed 11` on the 6 + 6 test cohort, recorded before window
+    # features were computed in one batch per video; it must not move.
+    GOLDEN_REPORT_SHA256 = {
+        "aoi": "3c11a1d8cf24945d8b006a2f8647c454cfde45c96b995fb1bd44219016ed7e2d",
+        "noaoi": "cea9c82460c6697585c6a0c9dc064075001697cc52227ea7949b9647fd071530",
+    }
+
+    @pytest.mark.parametrize("mode", ["aoi", "noaoi"])
+    def test_golden_report(self, runner, small_cohort_manifest, tmp_path, monkeypatch, mode):
+        # a relative manifest path, because the report echoes it
+        monkeypatch.chdir(Path(small_cohort_manifest).parent)
+        r = run(runner, "duration-curve", "--manifest", "manifest.yaml", "--mode", mode,
+                "--durations", "1.5,3,6,12", "--reps", 5, "--seed", 11, "--out", tmp_path)
+        assert r.exit_code == 0, r.output
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_REPORT_SHA256[mode]
+
+    def drop_from_manifest(self, small_cohort_manifest, tmp_path, edit):
+        manifest = copy_cohort(small_cohort_manifest, tmp_path / "broken")
+        data = yaml.safe_load(manifest.read_text(encoding="utf-8"))
+        edit(data)
+        manifest.write_text(yaml.safe_dump(data), encoding="utf-8")
+        return manifest
+
+    @pytest.mark.parametrize("mode", ["aoi", "noaoi"])
+    def test_missing_gaze_log_fails_before_any_draw(
+        self, runner, small_cohort_manifest, tmp_path, monkeypatch, mode
+    ):
+        manifest = self.drop_from_manifest(
+            small_cohort_manifest, tmp_path,
+            lambda data: data["gaze_logs"]["asd_000"].pop("car_pursuit"),
+        )
+        draws = []
+        monkeypatch.setattr(experiments, "extract_batch", lambda *a: draws.append(a))
+        r = run(runner, "duration-curve", "--manifest", manifest, "--mode", mode,
+                "--durations", "3", "--seed", 2, "--reps", 1, "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        assert "participant asd_000 lacks video car_pursuit" in r.output
+        assert "Traceback" not in r.output
+        assert not draws
+
+    def test_video_without_aoi_track_fails_before_any_draw(
+        self, runner, small_cohort_manifest, tmp_path
+    ):
+        manifest = self.drop_from_manifest(
+            small_cohort_manifest, tmp_path, lambda data: data["aoi_tracks"].pop("dialog"),
+        )
+        r = run(runner, "duration-curve", "--manifest", manifest, "--mode", "aoi",
+                "--durations", "3", "--seed", 2, "--reps", 1, "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        assert "no AOI track for video 'dialog'" in r.output
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "out" / "report.json").exists()
+        # without AOI features the track is not needed
+        r = run(runner, "duration-curve", "--manifest", manifest, "--mode", "noaoi",
+                "--durations", "3", "--seed", 2, "--reps", 1, "--out", tmp_path / "out")
+        assert r.exit_code == 0, r.output
+
     def test_short_run(self, runner, small_cohort_manifest, tmp_path):
         r = run(runner, "duration-curve", "--manifest", small_cohort_manifest,
                 "--mode", "aoi", "--durations", "3,6", "--seed", 2,

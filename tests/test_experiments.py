@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gazescreen import experiments
 from gazescreen.core import FeatureMode, FeatureVector, Group
 from gazescreen.errors import MissingFeatures, TooFewParticipants, TooFewPerClass
 from gazescreen.experiments import (
@@ -11,6 +12,7 @@ from gazescreen.experiments import (
     run_severity_loocv,
     stratified_folds,
 )
+from gazescreen.learn import SvmModel
 
 
 def fake_cohort(rng, n_asd=10, n_control=10, sep=10.0, noise=1.0):
@@ -83,6 +85,18 @@ class TestStratifiedFolds:
 
 
 class TestClassificationCv:
+    def test_zero_decision_value_counts_as_control(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        features, groups = fake_cohort(rng, n_asd=6, n_control=4)
+        silent = SvmModel(support_vectors=np.zeros((1, 2)), dual_coef=np.zeros(1),
+                          bias=0.0, gamma=1.0, coef0=0.0)
+        monkeypatch.setattr(experiments, "svm_train", lambda *a, **k: silent)
+        report = run_classification_cv(features, groups, CvConfig(seed=1, repetitions=2))
+        for row in report.fold_rows:
+            assert row["tp"] == row["fp"] == 0
+        assert sum(r["fn"] for r in report.fold_rows) == 2 * 6
+        assert sum(r["tn"] for r in report.fold_rows) == 2 * 4
+
     def test_separable_cohort_is_perfect(self):
         rng = np.random.default_rng(3)
         features, groups = fake_cohort(rng)

@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from gazescreen.core import AoiBox, AoiTrack, FeatureMode
-from gazescreen.errors import InsufficientData, MissingVideo, NoAoiInWindow
+from gazescreen.errors import (
+    ConfigError,
+    GazeScreenError,
+    InsufficientData,
+    MissingVideo,
+    NoAoiInWindow,
+    NonFiniteFeature,
+)
 from gazescreen.features import (
     AoiIndex,
     Window,
     concat_videos,
     extract,
+    extract_batch,
     feature_delay,
     feature_rmse_aoi,
     feature_std_diff,
@@ -19,7 +27,7 @@ from gazescreen.features import (
 )
 from gazescreen.ingest import AlignedTrace
 
-from .conftest import random_aligned, random_aoi
+from .conftest import random_aligned, random_aoi, stack_traces
 from . import oracles
 
 
@@ -277,9 +285,9 @@ class TestWindows:
                 fn(w_big)  # must not raise
 
     def test_invalid_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Window(-1.0, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Window(0.0, 0.0)
 
 
@@ -356,3 +364,187 @@ class TestExtractConcat:
         fvs = [self.make_fv(v) for v in ("v1", "v2")]
         with pytest.raises(MissingVideo):
             concat_videos(fvs, ["v1", "v2", "v3"])
+
+
+class TestWindowErrors:
+    @pytest.mark.parametrize("start, duration", [
+        (-1.0, 2.0), (0.0, 0.0), (0.0, -1.0), (math.nan, 1.0), (0.0, math.nan),
+        (math.inf, 1.0), (0.0, math.inf),
+    ])
+    def test_bad_window_is_config_error(self, start, duration):
+        with pytest.raises(ConfigError) as info:
+            Window(start, duration)
+        assert isinstance(info.value, GazeScreenError)
+        assert not isinstance(info.value, ValueError)
+
+
+def batch_vs_extract(stack, rows, aoi, w, mode):
+    """Compare ``extract_batch`` with ``extract`` on every row of one
+    window. Returns the per-row verdicts and the worst relative error."""
+    values, usable = extract_batch(stack, aoi, w, mode)
+    assert values.shape == (len(rows), mode.n_features)
+    worst = 0.0
+    for i, at in enumerate(rows):
+        assert at.participant_id == stack.participant_ids[i]
+        try:
+            expected = extract(at, aoi, w, mode).values
+        except GazeScreenError:
+            assert not usable[i], (at.participant_id, w)
+            assert np.isnan(values[i]).all()
+            continue
+        assert usable[i], (at.participant_id, w)
+        for got, want in zip(values[i], expected):
+            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    return usable, worst
+
+
+class TestExtractBatch:
+    """``extract_batch`` against ``extract``, the definition."""
+
+    MODES = [FeatureMode.WITH_AOI, FeatureMode.NO_AOI]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_extract_on_cohort_windows(self, small_cohort, mode):
+        rng = np.random.default_rng(606)
+        durations = (0.04, 0.1, 0.25, 0.5, 0.9, 1.5, 3.0, 6.0, 12.0)
+        n_redraw = worst = 0
+        for _ in range(300):
+            vid = small_cohort.video_order[int(rng.integers(len(small_cohort.video_order)))]
+            stack = small_cohort.stacks[vid]
+            rows = [small_cohort.aligned[(pid, vid)] for pid in stack.participant_ids]
+            duration = float(rng.choice(durations))
+            meta = small_cohort.manifest.video_meta(vid)
+            w = Window(float(rng.uniform(0.0, meta.duration_s - duration)), duration)
+            usable, err = batch_vs_extract(stack, rows, small_cohort.aoi[vid], w, mode)
+            n_redraw += not usable.all()
+            worst = max(worst, err)
+        assert worst <= 1e-9
+        assert n_redraw >= 10  # sub-second windows that the protocol redraws
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_extract_on_random_stacks(self, mode):
+        rng = np.random.default_rng(707)
+        n_windows = n_redraw = n_mixed = worst = 0
+        for _ in range(50):
+            n = int(rng.integers(4, 41))
+            fps = float(rng.choice([5.0, 10.0, 30.0]))
+            p_present = float(rng.uniform(0.2, 1.0))
+            traces = [random_aligned(rng, n_frames=n, fps=fps, p_present=p_present,
+                                     pid=f"p{k:02d}") for k in rng.permutation(6)]
+            stack, rows = stack_traces(traces)
+            track = random_aoi(rng, n_frames=n, n_objects=int(rng.integers(1, 4)),
+                               p_ann=float(rng.uniform(0.05, 0.8)))
+            aoi = AoiIndex(track, n)
+            for _ in range(6):
+                duration = float(rng.uniform(0.5, n)) / fps
+                w = Window(float(rng.uniform(0.0, n / fps - duration)), duration)
+                usable, err = batch_vs_extract(stack, rows, aoi, w, mode)
+                n_windows += 1
+                n_redraw += not usable.all()
+                n_mixed += 0 < usable.sum() < len(usable)
+                worst = max(worst, err)
+        assert n_windows == 300
+        assert worst <= 1e-9
+        assert n_redraw >= 30 and n_mixed >= 10
+
+    def test_stack_rows_are_sorted_read_only_views(self):
+        rng = np.random.default_rng(3)
+        traces = [random_aligned(rng, pid=pid) for pid in ("b", "c", "a")]
+        stack, rows = stack_traces(traces)
+        assert stack.participant_ids == ("a", "b", "c")
+        originals = {t.participant_id: t for t in traces}
+        for i, at in enumerate(rows):
+            original = originals[at.participant_id]
+            for name in ("present", "x", "y", "gap"):
+                view = getattr(at, name)
+                assert np.shares_memory(view, getattr(stack, name)[i])
+                assert not view.flags.writeable
+                np.testing.assert_array_equal(view, getattr(original, name))
+            assert not stack.x.flags.writeable
+
+    # One hand-built trace per validity rule: the rejecting row next to a
+    # row that passes, so each verdict is per row and not per window.
+    GOOD = [(0.1 * k, 0.2 + 0.03 * k) for k in range(10)]
+    CENTERS = [(0.5, 0.5)] * 10
+
+    def verdicts(self, bad_points, w, centers=CENTERS, gaps=(), mode=FeatureMode.WITH_AOI):
+        traces = [
+            trace_from_points(self.GOOD, pid="good"),
+            trace_from_points(bad_points, pid="bad", gaps=gaps),
+        ]
+        stack, rows = stack_traces(traces)
+        aoi = AoiIndex(box_track(centers), stack.n_frames)
+        usable, _ = batch_vs_extract(stack, rows, aoi, w, mode)
+        return dict(zip(stack.participant_ids, usable.tolist()))
+
+    def test_f1_needs_two_present_frames(self):
+        bad = [None] * 10
+        bad[4] = (0.5, 0.5)
+        assert self.verdicts(bad, Window(0.0, 1.0)) == {"good": True, "bad": False}
+
+    def test_f2_needs_two_frames(self):
+        # one frame in the window: every row is rejected
+        assert self.verdicts(self.GOOD, Window(0.3, 0.1)) == {"good": False, "bad": False}
+
+    def test_f2_needs_two_eligible_pairs(self):
+        alternating = [p if k % 2 == 0 else None for k, p in enumerate(self.GOOD)]
+        assert self.verdicts(alternating, Window(0.0, 1.0)) == {"good": True, "bad": False}
+        # present throughout, but gap flags leave one eligible pair
+        got = self.verdicts(self.GOOD, Window(0.0, 0.4), gaps=(2, 3))
+        assert got == {"good": True, "bad": False}
+
+    def test_f3_f4_need_an_annotated_frame(self):
+        centers = [(0.5, 0.5)] * 3 + [None] * 7
+        got = self.verdicts(self.GOOD, Window(0.5, 0.5), centers=centers)
+        assert got == {"good": False, "bad": False}
+        got = self.verdicts(self.GOOD, Window(0.5, 0.5), centers=centers,
+                            mode=FeatureMode.NO_AOI)
+        assert got == {"good": True, "bad": True}
+
+    def test_f3_f4_need_two_present_annotated_frames(self):
+        centers = [None] * 5 + [(0.5, 0.5)] * 5
+        bad = self.GOOD[:6] + [None] * 4  # frame 5 is the only present annotated one
+        assert self.verdicts(bad, Window(0.0, 1.0), centers=centers) == {
+            "good": True, "bad": False}
+
+    def test_f5_needs_an_overlapping_occurrence(self):
+        # an occurrence overlaps exactly when a frame is annotated, so the
+        # only way to lose F5 is a window without annotation
+        centers = [None] * 6 + [(0.5, 0.5)] * 4
+        assert self.verdicts(self.GOOD, Window(0.0, 0.6), centers=centers) == {
+            "good": False, "bad": False}
+        assert self.verdicts(self.GOOD, Window(0.0, 0.8), centers=centers) == {
+            "good": True, "bad": True}
+
+    def test_f5_counts_gaze_on_the_box_edge_as_inside(self):
+        # box [0.4, 0.6] x [0.4, 0.6]; each row first touches one edge at frame k + 1
+        edges = [(0.4, 0.5), (0.6, 0.5), (0.5, 0.4), (0.5, 0.6)]
+        traces = []
+        for k, edge in enumerate(edges):
+            points = [(0.9, 0.9)] * 10
+            points[k + 1] = edge
+            traces.append(trace_from_points(points, pid=f"p{k}"))
+        stack, rows = stack_traces(traces)
+        aoi = AoiIndex(box_track(self.CENTERS), stack.n_frames)
+        w = Window(0.0, 1.0)
+        batch_vs_extract(stack, rows, aoi, w, FeatureMode.WITH_AOI)
+        values, _ = extract_batch(stack, aoi, w, FeatureMode.WITH_AOI)
+        assert values[:, 4].tolist() == pytest.approx([0.1, 0.2, 0.3, 0.4], abs=1e-12)
+
+    def test_no_aoi_track_raises_like_extract(self):
+        stack, rows = stack_traces([trace_from_points(self.GOOD)])
+        w = Window(0.0, 1.0)
+        with pytest.raises(NoAoiInWindow):
+            extract(rows[0], None, w, FeatureMode.WITH_AOI)
+        with pytest.raises(NoAoiInWindow):
+            extract_batch(stack, None, w, FeatureMode.WITH_AOI)
+
+    def test_non_finite_row_raises(self):
+        huge = [(1e200 * k, 0.5) for k in range(10)]  # variance overflows
+        stack, rows = stack_traces([trace_from_points(self.GOOD, pid="a"),
+                                    trace_from_points(huge, pid="b")])
+        w = Window(0.0, 1.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            extract(rows[1], None, w, FeatureMode.NO_AOI)
+        with pytest.raises(NonFiniteFeature, match="b/v"):
+            extract_batch(stack, None, w, FeatureMode.NO_AOI)

@@ -196,6 +196,23 @@ class TestSvm:
         assert LABEL_ASD == 1
 
 
+    @pytest.mark.parametrize("d", [2, 5, 20])
+    def test_matrix_decision_values_match_rows(self, d):
+        rng = np.random.default_rng(d)
+        X, y = blobs(rng, n_per_class=15, center=0.6, radius=1.0, d=d)
+        model = svm_train(X, y, seed=1)
+        Xte = rng.normal(size=(40, d))
+        got = model.decision_value(Xte)
+        assert got.shape == (40,)
+        rows = [model.decision_value(x) for x in Xte]
+        assert all(isinstance(f, float) for f in rows)
+        np.testing.assert_allclose(got, rows, rtol=1e-12, atol=1e-12)
+        assert [svm_predict(model, x)[0] for x in Xte] == [
+            LABEL_ASD if f > 0 else LABEL_CONTROL for f in got]
+        with pytest.raises(DimensionMismatch):
+            model.decision_value(Xte[:, :-1])
+
+
 def oracle_problem(rng, kind):
     """One seeded SVM problem: (X, y, svm_train keyword arguments).
 

@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
+from gazescreen import experiments
 from gazescreen.core import AoiTrack, FeatureMode
+from gazescreen.errors import NonFiniteFeature
 from gazescreen.experiments import CvConfig, run_duration_simulation
-from gazescreen.features import AoiIndex, Window
+from gazescreen.features import AoiIndex, Window, extract_batch
 from gazescreen.pipeline import extract_features, load_dataset
 
 
@@ -29,14 +32,49 @@ def test_second_load_gives_equal_features_and_new_indexes(small_cohort_manifest)
     second = load_dataset(small_cohort_manifest)
     for vid in first.video_order:
         assert first.aoi[vid] is not second.aoi[vid]
-    windows = {vid: Window(2.0, 5.0) for vid in first.video_order}
-    for w in (None, windows):
-        assert extract_features(first, FeatureMode.WITH_AOI, windows=w) == extract_features(
-            second, FeatureMode.WITH_AOI, windows=w
-        )
+    assert extract_features(first, FeatureMode.WITH_AOI) == extract_features(
+        second, FeatureMode.WITH_AOI
+    )
+    w = Window(2.0, 5.0)
+    for vid in first.video_order:
+        got = extract_batch(first.stacks[vid], first.aoi[vid], w, FeatureMode.WITH_AOI)
+        want = extract_batch(second.stacks[vid], second.aoi[vid], w, FeatureMode.WITH_AOI)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def test_index_is_read_only(small_cohort):
     idx = next(iter(small_cohort.aoi.values()))
     with pytest.raises(ValueError):
         idx.cx[0, 0] = 0.5
+
+
+def test_traces_are_read_only_rows_of_their_video_stack(small_cohort):
+    pids = sorted(p.participant_id for p in small_cohort.manifest.participants)
+    assert set(small_cohort.stacks) == set(small_cohort.video_order)
+    for vid, stack in small_cohort.stacks.items():
+        assert stack.participant_ids == tuple(pids)
+        assert stack.n_frames == small_cohort.manifest.video_meta(vid).n_frames
+        for i, pid in enumerate(pids):
+            at = small_cohort.aligned[(pid, vid)]
+            for name in ("present", "x", "y", "gap"):
+                column = getattr(at, name)
+                assert column.base is getattr(stack, name)
+                assert np.array_equal(column, getattr(stack, name)[i], equal_nan=True)
+                with pytest.raises(ValueError):
+                    column[0] = column[1]
+        with pytest.raises(ValueError):
+            stack.x[0, 0] = 0.5
+
+
+def test_non_finite_window_feature_fails_without_redraw(small_cohort, monkeypatch):
+    calls = []
+
+    def overflowing(*args):
+        calls.append(args)
+        raise NonFiniteFeature("non-finite feature")
+
+    monkeypatch.setattr(experiments, "extract_batch", overflowing)
+    with pytest.raises(NonFiniteFeature):
+        run_duration_simulation(small_cohort, [3.0], CvConfig(seed=3, repetitions=1))
+    assert len(calls) == 1
