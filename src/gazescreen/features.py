@@ -295,6 +295,13 @@ def _masked_var(values: np.ndarray, mask: np.ndarray, n: np.ndarray) -> np.ndarr
     return (dev * dev).sum(axis=1) / n
 
 
+def _length(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Euclidean length, as ``np.hypot`` up to the last bit and several
+    times faster on arrays. Gaze coordinates are normalised to [0, 1], so
+    the squares do not overflow; a row where they do is non-finite."""
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def _nearest_center_distances(x, y, aoi: AoiIndex, lo, hi):
     """(participants x window) Manhattan and Euclidean distances from gaze
     to the nearest annotated box centre; inf where no object is annotated."""
@@ -304,7 +311,7 @@ def _nearest_center_distances(x, y, aoi: AoiIndex, lo, hi):
         dx = x - aoi.cx[k, lo:hi]
         dy = y - aoi.cy[k, lo:hi]
         manhattan = np.minimum(manhattan, np.where(ann, np.abs(dx) + np.abs(dy), np.inf))
-        euclidean = np.minimum(euclidean, np.where(ann, np.hypot(dx, dy), np.inf))
+        euclidean = np.minimum(euclidean, np.where(ann, _length(dx, dy), np.inf))
     return manhattan, euclidean
 
 
@@ -368,7 +375,7 @@ def extract_batch(
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         columns = [
             np.sqrt(_masked_var(x, present, n_present) + _masked_var(y, present, n_present)),
-            np.sqrt(_masked_var(np.hypot(np.diff(x), np.diff(y)), eligible, n_pairs)),
+            np.sqrt(_masked_var(_length(np.diff(x), np.diff(y)), eligible, n_pairs)),
         ]
         usable = (n_present >= 2) & (n_pairs >= 2)
         if mode is FeatureMode.WITH_AOI:
