@@ -382,11 +382,10 @@ def extract_batch(
         ]
         usable = (n_present >= 2) & (n_pairs >= 2)
         if mode is FeatureMode.WITH_AOI:
-            annotated = aoi.any_ann[lo:hi]
-            delay = _batch_delay(stack, aoi, lo, hi) if annotated.any() else None
-            if delay is None:
+            delay = _batch_delay(stack, aoi, lo, hi)
+            if delay is None:  # no annotated frame in the window either
                 return values, np.zeros(n_rows, dtype=bool)
-            both = present & annotated
+            both = present & aoi.any_ann[lo:hi]
             n_both = both.sum(axis=1)
             manhattan, euclidean = _nearest_center_distances(x, y, aoi, lo, hi)
             columns.append(np.sqrt(_masked_var(manhattan, both, n_both)))
