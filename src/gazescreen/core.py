@@ -72,9 +72,6 @@ class AoiBox:
     def center(self) -> tuple[float, float]:
         return ((self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0)
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
-
 
 @dataclass(frozen=True)
 class AoiTrack:
@@ -147,7 +144,3 @@ def normalize_coordinates(raw_x, raw_y, meta: VideoMeta):
     y = raw_y / meta.height_px
     on_screen = (0.0 <= x) & (x <= 1.0) & (0.0 <= y) & (y <= 1.0)
     return x, y, on_screen
-
-
-def denormalize_coordinates(x: float, y: float, meta: VideoMeta) -> tuple[float, float]:
-    return x * meta.width_px, y * meta.height_px

@@ -6,17 +6,26 @@ File formats (all UTF-8 CSV with a header row):
   gaze log:  participant_id,video_id,wall_ts_ms,video_ts_ms,x_px,y_px,valid
   AOI track: video_id,frame_index,object_id,x_min_px,y_min_px,x_max_px,y_max_px
 
-A gaze log is parsed straight into numpy columns (``GazeTrace``): every
-per-row rule is one vectorized mask, and the first row that fails any of
-them is reported with its ``path:line``. ``align`` maps the columns onto
-video frames (``AlignedTrace``), and a ``TraceStack`` holds every aligned
-trace of one video as the rows of (participants x frames) arrays.
+A gaze log is parsed straight into numpy columns (``GazeTrace``) by one
+of two readers. A file in the plain subset (the exact header, printable
+ASCII lines ended by LF, no quotes, 7 fields on every non-blank line, one
+participant and one video id, one-byte 0/1 flags) has its numbers read by
+``np.loadtxt``'s C parser. Every other file, and every file ``loadtxt``
+rejects, falls back to the ``csv`` row-rule reader; both readers give the
+same columns bit for bit. Every per-row rule is one vectorized mask, the
+checks on the numbers run once on either reader's columns, and the first
+row that fails any rule is reported with its ``path:line``. A byte that
+is not UTF-8 is a ``MalformedRow`` at its line. ``align`` maps the
+columns onto video frames (``AlignedTrace``), and a ``TraceStack`` holds
+every aligned trace of one video as the rows of (participants x frames)
+arrays.
 
 The manifest is a YAML tree; see ``load_manifest`` for the schema.
 """
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -173,24 +182,14 @@ def _parse_float(row_val: str, path, line_no, what) -> float:
     return v
 
 
-def _number_column(path, line, what: str, raw: tuple) -> tuple[np.ndarray, list]:
-    """``float`` of every entry of one gaze-log column (NaN where it cannot
-    parse), and the column's two checks: parsable, then finite."""
-    unparsed = np.zeros(len(raw), dtype=bool)
+def _decode(path, data: bytes) -> str:
+    """``data`` as UTF-8 text; an undecodable byte is a MalformedRow at the
+    line that holds it."""
     try:
-        values = np.array(list(map(float, raw)))
-    except ValueError:
-        values = np.full(len(raw), math.nan)
-        for i, text in enumerate(raw):
-            try:
-                values[i] = float(text)
-            except ValueError:
-                unparsed[i] = True
-    return values, [
-        (unparsed, lambda k: MalformedRow(path, line(k), f"bad {what}: {raw[k]!r}")),
-        (~unparsed & ~np.isfinite(values), lambda k: MalformedRow(
-            path, line(k), f"non-finite {what}")),
-    ]
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_no = len(data[: e.start + 1].splitlines())
+        raise MalformedRow(path, line_no, f"invalid UTF-8 byte 0x{data[e.start]:02x}") from None
 
 
 def _differs(values: tuple, expected: str) -> np.ndarray:
@@ -200,6 +199,139 @@ def _differs(values: tuple, expected: str) -> np.ndarray:
     if values.count(expected) == n:
         return np.zeros(n, dtype=bool)
     return np.fromiter(map(expected.__ne__, values), dtype=bool, count=n)
+
+
+_NUMBER_COLUMNS = GAZE_HEADER[2:6]
+# Every rule a gaze-log row must pass, in the order it is checked.
+_GAZE_RULES = (
+    "fields", "video id", "participant id",
+    *(f"{kind} {what}" for what in _NUMBER_COLUMNS for kind in ("bad", "non-finite")),
+    "valid", "wall order", "video order", "negative wall", "negative video",
+)
+
+
+@dataclass(frozen=True)
+class _GazeColumns:
+    """A gaze log's data rows as columns, before the checks on their
+    numbers. ``checks`` maps each rule its reader tested to (mask of the
+    rows failing it, error for the row at line ln and index k)."""
+
+    participant_id: str
+    numbers: np.ndarray  # float (4, n_rows): wall, video, x_px, y_px; NaN where unparsable
+    tracker_valid: np.ndarray  # bool (n_rows,)
+    line_no: np.ndarray  # int (n_rows,), the file line of each row
+    checks: dict
+
+
+_PLAIN_HEADER = (",".join(GAZE_HEADER) + "\n").encode()
+
+
+def _plain_columns(data: bytes, video_id: str, participant_id: Optional[str]):
+    """The columns of a gaze log in the plain subset, read by numpy's C
+    parser; None for any other file.
+
+    Plain: the exact header line; printable ASCII lines ended by LF, with
+    no ``"``; at least one data row; every non-blank line has 7 fields (6
+    commas) and starts with ``<participant id>,<video id>,`` (the given
+    id, else the first row's); a one-byte 0/1 flag; four numbers that
+    ``np.loadtxt`` reads. ``loadtxt`` and ``float`` both convert with
+    ``PyOS_string_to_double``, and in this subset ``loadtxt`` accepts no
+    text that ``float`` rejects, so the values are the row-rule path's bit
+    for bit. Such a file passes every rule up to the flag.
+    """
+    if not (data.startswith(_PLAIN_HEADER) and data.isascii()) or b'"' in data:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    if np.count_nonzero(buf < ord(" ")) != len(newlines):
+        return None
+    # line i after the header spans [starts[i], ends[i]); a final newline
+    # leaves an empty one, and a line's commas are those before the next start
+    starts = newlines + 1
+    ends = np.append(newlines[1:], len(data))
+    commas = np.flatnonzero(buf == ord(","))
+    first = np.searchsorted(commas, starts)
+    rows = np.flatnonzero(ends > starts)
+    if not len(rows) or np.any(np.diff(first, append=len(commas))[rows] != 6):
+        return None
+    starts, ends, first = starts[rows], ends[rows], first[rows]
+    pid = participant_id
+    if pid is None:
+        pid = data[starts[0]: commas[first[0]]].decode("ascii")
+    prefix = f"{pid},{video_id},"
+    if not prefix.isascii() or prefix.count(",") != 2:
+        return None
+    if data.count(b"\n" + prefix.encode("ascii")) != len(rows):
+        return None
+    flags = buf[ends - 1]
+    tracker_valid = flags == ord("1")
+    one_byte_flag = np.array_equal(commas[first + 5], ends - 2)
+    if not (one_byte_flag and (tracker_valid | (flags == ord("0"))).all()):
+        return None
+    try:
+        numbers = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1, usecols=(2, 3, 4, 5),
+                             dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if numbers.shape != (len(rows), 4):
+        return None
+    return _GazeColumns(pid, numbers.T.copy(), tracker_valid, rows + 2, {})
+
+
+def _row_rule_columns(path, data: bytes, video_id: str,
+                      participant_id: Optional[str]) -> _GazeColumns:
+    """The columns of any gaze log, read row by row with ``csv``; raises
+    for a bad header or a log without rows, and returns the masks of the
+    rows failing each rule up to the flag."""
+    reader = csv.reader(io.StringIO(_decode(path, data), newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != GAZE_HEADER:
+        raise MalformedRow(path, 1, f"expected header {','.join(GAZE_HEADER)}")
+    rows = list(reader)
+    n_fields = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    kept = n_fields > 0
+    if not kept.all():
+        rows = list(itertools.compress(rows, kept))
+        n_fields = n_fields[kept]
+    if not rows:
+        raise EmptyLog(path)
+    line = np.flatnonzero(kept) + 2  # the header is line 1
+
+    width_bad = n_fields != len(GAZE_HEADER)
+    if width_bad.any():
+        # the columns must line up; a filled-in row has failed its first check
+        filler = [""] * len(GAZE_HEADER)
+        rows = [filler if bad else row for row, bad in zip(rows, width_bad)]
+    pids, vids, *numeric_raw, flags_raw = zip(*rows, strict=True)
+    n = len(rows)
+    expected_pid = pids[0] if participant_id is None else participant_id
+    checks = {
+        "fields": (width_bad, lambda ln, k: MalformedRow(
+            path, ln, f"expected {len(GAZE_HEADER)} fields, got {n_fields[k]}")),
+        "video id": (_differs(vids, video_id), lambda ln, k: MalformedRow(
+            path, ln, f"video id {vids[k]!r} does not match {video_id!r}")),
+        "participant id": (_differs(pids, expected_pid), lambda ln, k: MalformedRow(
+            path, ln, f"participant id {pids[k]!r} does not match {expected_pid!r}")),
+    }
+    numbers = np.full((4, n), math.nan)
+    for what, raw, values in zip(_NUMBER_COLUMNS, numeric_raw, numbers):
+        unparsed = np.zeros(n, dtype=bool)
+        try:
+            values[:] = list(map(float, raw))
+        except ValueError:
+            for i, text in enumerate(raw):
+                try:
+                    values[i] = float(text)
+                except ValueError:
+                    unparsed[i] = True
+        checks[f"bad {what}"] = (unparsed, lambda ln, k, what=what, raw=raw: MalformedRow(
+            path, ln, f"bad {what}: {raw[k]!r}"))
+    flags = list(map(str.strip, flags_raw))
+    tracker_valid = np.fromiter(map("1".__eq__, flags), dtype=bool, count=n)
+    flag_zero = np.fromiter(map("0".__eq__, flags), dtype=bool, count=n)
+    checks["valid"] = (~(tracker_valid | flag_zero), lambda ln, k: MalformedRow(
+        path, ln, f"valid must be 0 or 1, got {flags_raw[k]!r}"))
+    return _GazeColumns(expected_pid, numbers, tracker_valid, line, checks)
 
 
 def parse_gaze_log(path, meta: VideoMeta, participant_id: Optional[str] = None) -> GazeTrace:
@@ -214,79 +346,49 @@ def parse_gaze_log(path, meta: VideoMeta, participant_id: Optional[str] = None) 
     column), a 0/1 valid flag, strictly increasing wall time,
     non-decreasing video time, non-negative wall and video time. The error
     names the first failing row and the first rule it fails.
+
+    A file in the plain subset (``_plain_columns``) is read by numpy's C
+    parser, any other file by the ``csv`` row-rule path. The checks on the
+    numbers run once, on the columns either path gives.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != GAZE_HEADER:
-            raise MalformedRow(path, 1, f"expected header {','.join(GAZE_HEADER)}")
-        rows = list(reader)
-    n_fields = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    kept = n_fields > 0
-    if not kept.all():
-        rows = list(itertools.compress(rows, kept))
-        n_fields = n_fields[kept]
-    if not rows:
-        raise EmptyLog(path)
-    row_index = np.flatnonzero(kept)
-
-    def line(k):
-        return int(row_index[k]) + 2  # the header is line 1
-
-    width_bad = n_fields != len(GAZE_HEADER)
-    if width_bad.any():
-        # the columns must line up; a filled-in row has failed its first check
-        filler = [""] * len(GAZE_HEADER)
-        rows = [filler if bad else row for row, bad in zip(rows, width_bad)]
-    pids, vids, *numeric_raw, flags_raw = zip(*rows, strict=True)
-    n = len(rows)
-    expected_pid = pids[0] if participant_id is None else participant_id
-    checks = [
-        (width_bad, lambda k: MalformedRow(
-            path, line(k), f"expected {len(GAZE_HEADER)} fields, got {n_fields[k]}")),
-        (_differs(vids, meta.video_id),
-         lambda k: MalformedRow(
-             path, line(k), f"video id {vids[k]!r} does not match {meta.video_id!r}")),
-        (_differs(pids, expected_pid),
-         lambda k: MalformedRow(
-             path, line(k), f"participant id {pids[k]!r} does not match {expected_pid!r}")),
-    ]
-    numeric = []
-    for what, raw in zip(GAZE_HEADER[2:6], numeric_raw):
-        values, column_checks = _number_column(path, line, what, raw)
-        numeric.append(values)
-        checks += column_checks
-    wall, video, x_px, y_px = numeric
-    flags = list(map(str.strip, flags_raw))
-    tracker_valid = np.fromiter(map("1".__eq__, flags), dtype=bool, count=n)
-    flag_zero = np.fromiter(map("0".__eq__, flags), dtype=bool, count=n)
+    data = path.read_bytes()
+    columns = _plain_columns(data, meta.video_id, participant_id)
+    if columns is None:
+        columns = _row_rule_columns(path, data, meta.video_id, participant_id)
+    wall, video, x_px, y_px = columns.numbers
+    line = columns.line_no
+    checks = dict(columns.checks)
+    for what, values in zip(_NUMBER_COLUMNS, columns.numbers):
+        checks[f"non-finite {what}"] = (~np.isfinite(values), lambda ln, k, what=what:
+                                        MalformedRow(path, ln, f"non-finite {what}"))
+    n = len(line)
     wall_back = np.zeros(n, dtype=bool)
     video_back = np.zeros(n, dtype=bool)
     wall_back[1:] = wall[1:] <= wall[:-1]
     video_back[1:] = video[1:] < video[:-1]
-    checks += [
-        (~(tracker_valid | flag_zero), lambda k: MalformedRow(
-            path, line(k), f"valid must be 0 or 1, got {flags_raw[k]!r}")),
-        (wall_back, lambda k: NonMonotonicTimestamp(path, line(k))),
-        (video_back, lambda k: MalformedRow(path, line(k), "video_ts_ms decreases")),
-        (wall < 0, lambda k: MalformedRow(path, line(k), "negative wall_ts_ms")),
-        (video < 0, lambda k: MalformedRow(path, line(k), "negative video_ts_ms")),
-    ]
-    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    checks["wall order"] = (wall_back, lambda ln, k: NonMonotonicTimestamp(path, ln))
+    checks["video order"] = (video_back, lambda ln, k: MalformedRow(
+        path, ln, "video_ts_ms decreases"))
+    checks["negative wall"] = (wall < 0, lambda ln, k: MalformedRow(
+        path, ln, "negative wall_ts_ms"))
+    checks["negative video"] = (video < 0, lambda ln, k: MalformedRow(
+        path, ln, "negative video_ts_ms"))
+    failed = np.logical_or.reduce([mask for mask, _ in checks.values()])
     if failed.any():
         k = int(failed.argmax())
-        raise next(error(k) for mask, error in checks if mask[k])
+        raise next(checks[rule][1](int(line[k]), k) for rule in _GAZE_RULES
+                   if rule in checks and checks[rule][0][k])
 
     x, y, on_screen = normalize_coordinates(x_px, y_px, meta)
     return GazeTrace(
-        participant_id=expected_pid,
+        participant_id=columns.participant_id,
         video_id=meta.video_id,
         wall_ts=wall,
         video_ts=video,
         x=x,
         y=y,
-        valid=tracker_valid & on_screen,
+        valid=columns.tracker_valid & on_screen,
     )
 
 
@@ -297,39 +399,38 @@ def parse_aoi_track(path, meta: VideoMeta) -> AoiTrack:
     boxes = []
     seen = set()  # (frame_index, object_id)
     n_frames = meta.n_frames
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != AOI_HEADER:
-            raise MalformedRow(path, 1, f"expected header {','.join(AOI_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(AOI_HEADER):
-                raise MalformedRow(path, line_no, f"expected {len(AOI_HEADER)} fields, got {len(row)}")
-            vid, frame_raw, object_id, x0_raw, y0_raw, x1_raw, y1_raw = row
-            if vid != meta.video_id:
-                raise MalformedRow(path, line_no, f"video id {vid!r} does not match {meta.video_id!r}")
-            try:
-                frame_index = int(frame_raw)
-            except ValueError:
-                raise MalformedRow(path, line_no, f"bad frame_index: {frame_raw!r}") from None
-            if not (0 <= frame_index < n_frames):
-                raise FrameOutOfRange(path, line_no, frame_index, n_frames)
-            x0 = _parse_float(x0_raw, path, line_no, "x_min_px") / meta.width_px
-            y0 = _parse_float(y0_raw, path, line_no, "y_min_px") / meta.height_px
-            x1 = _parse_float(x1_raw, path, line_no, "x_max_px") / meta.width_px
-            y1 = _parse_float(y1_raw, path, line_no, "y_max_px") / meta.height_px
-            if x0 >= x1 or y0 >= y1:
-                raise DegenerateBox(path, line_no)
-            if not (0.0 <= x0 and x1 <= 1.0 and 0.0 <= y0 and y1 <= 1.0):
-                raise MalformedRow(path, line_no, "box extends outside the screen")
-            if (frame_index, object_id) in seen:
-                raise MalformedRow(
-                    path, line_no, f"duplicate box for frame {frame_index}, object {object_id!r}"
-                )
-            seen.add((frame_index, object_id))
-            boxes.append(AoiBox(object_id, frame_index, x0, y0, x1, y1))
+    reader = csv.reader(io.StringIO(_decode(path, path.read_bytes()), newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != AOI_HEADER:
+        raise MalformedRow(path, 1, f"expected header {','.join(AOI_HEADER)}")
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(AOI_HEADER):
+            raise MalformedRow(path, line_no, f"expected {len(AOI_HEADER)} fields, got {len(row)}")
+        vid, frame_raw, object_id, x0_raw, y0_raw, x1_raw, y1_raw = row
+        if vid != meta.video_id:
+            raise MalformedRow(path, line_no, f"video id {vid!r} does not match {meta.video_id!r}")
+        try:
+            frame_index = int(frame_raw)
+        except ValueError:
+            raise MalformedRow(path, line_no, f"bad frame_index: {frame_raw!r}") from None
+        if not (0 <= frame_index < n_frames):
+            raise FrameOutOfRange(path, line_no, frame_index, n_frames)
+        x0 = _parse_float(x0_raw, path, line_no, "x_min_px") / meta.width_px
+        y0 = _parse_float(y0_raw, path, line_no, "y_min_px") / meta.height_px
+        x1 = _parse_float(x1_raw, path, line_no, "x_max_px") / meta.width_px
+        y1 = _parse_float(y1_raw, path, line_no, "y_max_px") / meta.height_px
+        if x0 >= x1 or y0 >= y1:
+            raise DegenerateBox(path, line_no)
+        if not (0.0 <= x0 and x1 <= 1.0 and 0.0 <= y0 and y1 <= 1.0):
+            raise MalformedRow(path, line_no, "box extends outside the screen")
+        if (frame_index, object_id) in seen:
+            raise MalformedRow(
+                path, line_no, f"duplicate box for frame {frame_index}, object {object_id!r}"
+            )
+        seen.add((frame_index, object_id))
+        boxes.append(AoiBox(object_id, frame_index, x0, y0, x1, y1))
     return AoiTrack(video_id=meta.video_id, boxes=tuple(boxes))
 
 
@@ -406,6 +507,21 @@ def _unique_ids(path, what: str, ids: list[str]) -> set[str]:
     return seen
 
 
+# libyaml's parser where PyYAML was built with it; it builds the same objects
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(path):
+    """The YAML document in ``path``. Text that is not UTF-8 and invalid
+    YAML are a ConfigError; an unreadable file raises OSError."""
+    try:
+        return yaml.load(Path(path).read_text(encoding="utf-8"), Loader=YAML_LOADER)
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
+    except yaml.YAMLError as e:
+        raise ConfigError(f"{path}: invalid YAML: {e}") from e
+
+
 def load_manifest(path) -> DatasetManifest:
     """Load the dataset manifest.
 
@@ -428,10 +544,7 @@ def load_manifest(path) -> DatasetManifest:
           car_pursuit: aoi/car_pursuit.csv
     """
     path = Path(path)
-    try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as e:
-        raise ConfigError(f"{path}: invalid YAML: {e}") from e
+    data = load_yaml(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: manifest must be a mapping")
     base = path.parent

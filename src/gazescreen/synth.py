@@ -24,6 +24,7 @@ from .core import AoiBox, AoiTrack, Group, Participant, VideoMeta
 from .errors import ConfigError, IoFailure
 from .experiments import derive_rng
 from .features import AoiIndex
+from .ingest import load_yaml
 
 # CARS histogram of the 35-participant reference cohort (scores 30..39).
 CARS_HISTOGRAM = {30: 3, 31: 5, 32: 6, 33: 4, 34: 5, 35: 7, 36: 3, 37: 0, 38: 1, 39: 1}
@@ -138,10 +139,7 @@ class CohortSpec:
 def load_cohort_spec(path, seed: int) -> CohortSpec:
     """Build a CohortSpec from a YAML override file; any omitted key keeps
     its default."""
-    try:
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-    except yaml.YAMLError as e:
-        raise ConfigError(f"{path}: invalid YAML: {e}") from e
+    data = load_yaml(path) or {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: spec must be a mapping")
     kwargs = {"seed": seed}

@@ -53,6 +53,15 @@ class TestSynth:
         r = run(runner, "synth", "--spec", spec, "--seed", 1, "--out", tmp_path / "x")
         assert r.exit_code == EXIT_CONFIG
 
+    def test_undecodable_spec_exits_config(self, runner, tmp_path):
+        spec = tmp_path / "spec.yaml"
+        spec.write_bytes(b"n_asd: 2\n# caf\xe9\nn_control: 2\n")
+        r = run(runner, "synth", "--spec", spec, "--seed", 1, "--out", tmp_path / "x")
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert f"{spec}: not UTF-8 text" in r.output
+        assert "Traceback" not in r.output
+        assert isinstance(r.exception, SystemExit)
+
     @pytest.mark.parametrize("params", [
         "control_params: {jitter_sd: -0.1}",
         "control_params: {fix_dur_bg_mean_s: nan}",
@@ -76,6 +85,30 @@ class TestSynth:
 
 
 class TestFeatures:
+    @pytest.mark.parametrize("kind, exit_code", [
+        ("logs", EXIT_PIPELINE), ("aoi", EXIT_PIPELINE), ("manifest", EXIT_CONFIG),
+    ])
+    def test_undecodable_byte_exits_cleanly(
+        self, runner, small_cohort_manifest, tmp_path, kind, exit_code
+    ):
+        manifest = copy_cohort(small_cohort_manifest, tmp_path / "broken")
+        if kind == "manifest":
+            victim = manifest
+        else:
+            victim = sorted((tmp_path / "broken" / kind).glob("*.csv"))[0]
+        lines = victim.read_bytes().split(b"\n")
+        lines[3] = lines[3][:4] + b"\xff" + lines[3][4:]
+        victim.write_bytes(b"\n".join(lines))
+        r = run(runner, "features", "--manifest", manifest, "--mode", "aoi",
+                "--out", tmp_path / "out")
+        assert r.exit_code == exit_code, r.output
+        if kind == "manifest":
+            assert f"{victim}: not UTF-8 text" in r.output
+        else:
+            assert f"{victim.name}:4: invalid UTF-8 byte 0xff" in r.output
+        assert "Traceback" not in r.output
+        assert isinstance(r.exception, SystemExit)
+
     def test_with_aoi_row_count(self, runner, small_cohort_manifest, tmp_path):
         r = run(runner, "features", "--manifest", small_cohort_manifest,
                 "--mode", "aoi", "--out", tmp_path)

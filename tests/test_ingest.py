@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import yaml
 
+from gazescreen import ingest
 from gazescreen.core import VideoMeta
 from gazescreen.errors import (
     ConfigError,
@@ -181,11 +183,12 @@ def _spell(rng, v, style=None):
     return (f"{v:.3f}", repr(v), f" {v:.6e} ", f"{round(v)}")[style]
 
 
-def random_gaze_lines(rng, n_rows):
+def random_gaze_lines(rng, n_rows, flags=("1", "1", "1", "0", " 1", "0 ")):
     """Data lines of a well-formed gaze log for META with blank lines,
     off-screen rows, tracker-invalid rows, wall-clock stalls, video-time
     freezes and several number spellings. Each file spells its time
-    columns one way, so rounding keeps them in order."""
+    columns one way, so rounding keeps them in order; each flag is drawn
+    from ``flags``."""
     wall_style, video_style = (int(s) for s in rng.integers(4, size=2))
     lines = []
     wall = float(rng.uniform(0.0, 50.0))
@@ -197,7 +200,7 @@ def random_gaze_lines(rng, n_rows):
         video += float(rng.choice([0.0, 16.7, 33.3, 1e-3]))
         x = float(rng.uniform(-150.0, 1150.0))
         y = float(rng.uniform(-150.0, 1150.0))
-        flag = str(rng.choice(["1", "1", "1", "0", " 1", "0 "]))
+        flag = str(rng.choice(list(flags)))
         lines.append(",".join([
             "p7", "v", _spell(rng, wall, wall_style), _spell(rng, video, video_style),
             _spell(rng, x), _spell(rng, y), flag,
@@ -294,12 +297,163 @@ class TestParseGazeOracle:
                        "negative video_ts_ms"):
             assert any(r.startswith(needle) for r in reasons), needle
 
+    def test_plain_path_matches_row_rule_path_bit_for_bit(self, tmp_path, monkeypatch):
+        # the oracle test's logs, plus as many whose one-byte flags keep
+        # them in the plain subset
+        rng = np.random.default_rng(23)
+        plain = 0
+        for trial in range(120):
+            p = tmp_path / f"g{trial}.csv"
+            flags = ("1", "1", "1", "0", " 1", "0 ") if trial % 2 else ("1", "0")
+            lines = random_gaze_lines(rng, int(rng.integers(1, 80)), flags)
+            p.write_text("\n".join([",".join(GAZE_HEADER), *lines]) + "\n", encoding="utf-8")
+            plain += ingest._plain_columns(p.read_bytes(), META.video_id, None) is not None
+            fast = parse_gaze_log(p, META)
+            with monkeypatch.context() as m:
+                m.setattr(ingest, "_plain_columns", lambda *args: None)
+                slow = parse_gaze_log(p, META)
+            assert_same_trace(fast, slow)
+        assert plain >= 50
+
     def test_header_and_blank_lines_only_is_empty(self, tmp_path):
         p = tmp_path / "g.csv"
         p.write_text(",".join(GAZE_HEADER) + "\n\n\n", encoding="utf-8")
         for parse in (parse_gaze_log, oracles.oracle_parse_gaze_log):
             with pytest.raises(EmptyLog):
                 parse(p, META)
+
+
+def assert_same_trace(got, want):
+    assert (got.participant_id, got.video_id) == (want.participant_id, want.video_id)
+    for name in ("wall_ts", "video_ts", "x", "y", "valid"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def assert_parses_as_oracle(path, participant_id=None):
+    """``parse_gaze_log`` gives the oracle's columns bit for bit, or its
+    error type, line and message."""
+    want, want_error = parse_or_error(oracles.oracle_parse_gaze_log, path, participant_id)
+    got, got_error = parse_or_error(parse_gaze_log, path, participant_id)
+    if want_error is not None:
+        assert type(got_error) is type(want_error)
+        assert (got_error.line_no, str(got_error)) == (want_error.line_no, str(want_error))
+        return
+    assert got_error is None, got_error
+    pid, *columns = want
+    assert got.participant_id == pid
+    for column, expected in zip((got.wall_ts, got.video_ts, got.x, got.y, got.valid), columns):
+        assert column.tobytes() == np.array(expected, dtype=column.dtype).tobytes()
+
+
+PLAIN_LOG = ",".join(GAZE_HEADER) + """
+p7,v,0.000,0.000,500.00,500.00,1
+p7,v,16.700,16.700,510.00,505.00,0
+
+p7,v,33.300,33.300,520.00,510.00,1
+"""
+
+
+def _replace_field(line_index, field, text):
+    def edit(log):
+        lines = log.split("\n")
+        fields = lines[line_index].split(",")
+        fields[field] = text
+        lines[line_index] = ",".join(fields)
+        return "\n".join(lines)
+    return edit
+
+
+class TestPlainSubset:
+    """Files just outside the plain subset parse, or fail, exactly as the
+    row-by-row oracle says; only the ones inside it skip ``csv``."""
+
+    @pytest.mark.parametrize("name, edit, plain", [
+        ("as written", lambda log: log, True),
+        ("no final newline", lambda log: log.rstrip("\n"), True),
+        ("quoted participant ids", lambda log: log.replace("p7,", '"p7",'), False),
+        ("quoted number", lambda log: log.replace("510.00,505.00", '"510.00",505.00'), False),
+        ("CRLF", lambda log: log.replace("\n", "\r\n"), False),
+        ("BOM", lambda log: "\ufeff" + log, False),
+        ("header with spaces", lambda log: log.replace(",", ", ", 6), False),
+        ("underscore digits", _replace_field(1, 4, "1_000"), False),
+        ("Arabic-Indic digits", _replace_field(2, 4, "\u0665\u0661\u0660"), False),
+        ("1e999", _replace_field(2, 5, "1e999"), True),
+        ("empty number field", _replace_field(1, 3, ""), False),
+        ("# in a number field", _replace_field(4, 2, "40#"), False),
+        ("# in the participant id", lambda log: log.replace("p7,", "p#7,"), True),
+        ("6 fields balanced by 8", lambda log: log.replace(",0\n", "\n", 1).replace(
+            "510.00,1", "510.00,1,1"), False),
+        ("flag ' 1'", _replace_field(1, 6, " 1"), False),
+        ("tab before a number", _replace_field(2, 4, "\t510.00"), False),
+        ("control byte 0x1c before a number", _replace_field(2, 4, "\x1c510.00"), False),
+    ])
+    def test_near_miss_parses_as_oracle(self, tmp_path, name, edit, plain):
+        p = tmp_path / "g.csv"
+        p.write_bytes(edit(PLAIN_LOG).encode("utf-8"))
+        assert (ingest._plain_columns(p.read_bytes(), META.video_id, None) is not None) is plain
+        assert_parses_as_oracle(p)
+
+    def test_corrupt_plain_logs_raise_as_oracle(self, tmp_path):
+        # one-byte flags keep the logs with a bad number, order or sign
+        # in the plain subset, so their errors come from the shared checks
+        rng = np.random.default_rng(31)
+        plain = 0
+        for trial in range(200):
+            p = tmp_path / f"g{trial}.csv"
+            lines = corrupt(rng, random_gaze_lines(rng, int(rng.integers(1, 30)), ("1", "0")))
+            p.write_text("\n".join([",".join(GAZE_HEADER), *lines]) + "\n", encoding="utf-8")
+            pid = [None, "p7", "q9"][trial % 3]
+            plain += ingest._plain_columns(p.read_bytes(), META.video_id, pid) is not None
+            assert_parses_as_oracle(p, pid)
+        assert plain >= 50
+
+    def test_synth_logs_take_the_plain_path(self, small_cohort_manifest, monkeypatch):
+        manifest = load_manifest(small_cohort_manifest)
+        parsed = {
+            key: parse_gaze_log(path, manifest.video_meta(key[1]), key[0])
+            for key, path in manifest.gaze_log_paths.items()
+        }
+        with monkeypatch.context() as m:
+            m.setattr(ingest, "_plain_columns", lambda *args: None)
+            for (pid, vid), path in manifest.gaze_log_paths.items():
+                slow = parse_gaze_log(path, manifest.video_meta(vid), pid)
+                assert_same_trace(parsed[pid, vid], slow)
+
+        def no_csv(*args, **kwargs):
+            raise AssertionError("a synth log left the plain path")
+
+        with monkeypatch.context() as m:
+            m.setattr(ingest.csv, "reader", no_csv)
+            for (pid, vid), path in manifest.gaze_log_paths.items():
+                parse_gaze_log(path, manifest.video_meta(vid), pid)
+
+    def test_video_id_with_a_comma_is_checked_by_the_row_rules(self, tmp_path):
+        # "p7,v,5," starts every line, but the rows' video id is "v"
+        meta = dataclasses.replace(META, video_id="v,5")
+        p = tmp_path / "g.csv"
+        p.write_text(",".join(GAZE_HEADER) + "\np7,v,5,0,1,2,1\np7,v,5,1,1,2,1\n",
+                     encoding="utf-8")
+        with pytest.raises(MalformedRow, match="video id 'v' does not match 'v,5'") as exc:
+            parse_gaze_log(p, meta)
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("edits, line_no, byte", [
+        ([(b"510.00,505.00", b"510.00,5\xff05.00")], 3, "0xff"),  # mid-line
+        ([(b"\n\np7", b"\n\xff\np7")], 4, "0xff"),  # alone on a blank line
+        ([(b"\np7,v,33", b"\n\xffp7,v,33")], 5, "0xff"),  # first byte of its line
+        ([(b"\n", b"\r\n"), (b"520.00", b"\xc3\x28")], 5, "0xc3"),  # CRLF line ends
+    ])
+    def test_undecodable_byte_reports_its_line(self, tmp_path, edits, line_no, byte):
+        log = PLAIN_LOG.encode("ascii")
+        for old, new in edits:
+            log = log.replace(old, new)
+        p = tmp_path / "g.csv"
+        p.write_bytes(log)
+        with pytest.raises(MalformedRow, match=f"invalid UTF-8 byte {byte}") as exc:
+            parse_gaze_log(p, META)
+        assert exc.value.line_no == line_no
 
 
 def make_trace(valid_fn, duration_s=3.0, rate=60.0, pause=None):
@@ -455,6 +609,11 @@ gaze_logs:
         )
         with pytest.raises(ConfigError):
             load_manifest(tmp_path / "m.yaml")
+
+    def test_libyaml_and_python_loaders_agree(self, small_cohort_manifest, monkeypatch):
+        fast = load_manifest(small_cohort_manifest)
+        monkeypatch.setattr(ingest, "YAML_LOADER", yaml.SafeLoader)
+        assert load_manifest(small_cohort_manifest) == fast
 
     def test_no_videos(self, tmp_path):
         (tmp_path / "m.yaml").write_text("participants: []\n", encoding="utf-8")
