@@ -273,7 +273,7 @@ def _plain_columns(data: bytes, video_id: str, participant_id: Optional[str]):
                              dtype=float, comments=None, ndmin=2)
     except ValueError:
         return None
-    if numbers.shape != (len(rows), 4):
+    if numbers.shape != (len(rows), 4):  # a blank line loadtxt kept would misalign the flags
         return None
     return _GazeColumns(pid, numbers.T.copy(), tracker_valid, rows + 2, {})
 
