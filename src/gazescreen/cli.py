@@ -164,8 +164,8 @@ def features(manifest, mode, out):
     dataset = load_dataset(manifest)
     failures, vectors = collect_extraction_failures(dataset, fmode)
     if failures:
-        for pid, vid, reason in failures:
-            click.echo(f"failed: {pid}/{vid}: {reason}", err=True)
+        for pid, vid, error in failures:
+            click.echo(f"failed: {pid}/{vid}: {error}", err=True)
         sys.exit(EXIT_PIPELINE)
     rows = []
     for (pid, vid), fv in vectors.items():

@@ -39,8 +39,8 @@ class VideoMeta:
     height_px: int
 
     def __post_init__(self):
-        if self.duration_s <= 0 or self.fps <= 0:
-            raise ValueError("duration_s and fps must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.duration_s, self.fps)):
+            raise ValueError("duration_s and fps must be finite and positive")
         if self.width_px <= 0 or self.height_px <= 0:
             raise ValueError("pixel dimensions must be positive")
 

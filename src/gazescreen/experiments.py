@@ -22,11 +22,10 @@ from .errors import (
     DurationTooLong,
     MissingFeatures,
     MissingVideo,
-    NoAoiInWindow,
     TooFewParticipants,
     TooFewPerClass,
 )
-from .features import Window, extract_batch
+from .features import Window, extract_batch, require_aoi
 from .learn import (
     LABEL_ASD,
     LABEL_CONTROL,
@@ -300,8 +299,7 @@ def _check_structure(dataset: Dataset, mode: FeatureMode, video_ids) -> None:
                 raise MissingVideo(p.participant_id, vid)
     if mode is FeatureMode.WITH_AOI:
         for vid in video_ids:
-            if vid not in dataset.aoi:
-                raise NoAoiInWindow(f"no AOI track for video {vid!r}")
+            require_aoi(dataset.stacks[vid], dataset.aoi.get(vid))
 
 
 def _draw_windows(dataset: Dataset, duration: float, mode: FeatureMode, rng, video_ids):

@@ -134,10 +134,15 @@ def _frames(aligned: AlignedTrace, w: Window) -> tuple[int, int]:
     return frame_range(w, aligned.fps, aligned.n_frames)
 
 
-def _check_index(aligned: AlignedTrace, aoi: AoiIndex) -> None:
-    if aoi.n_frames != aligned.n_frames:
+def require_aoi(video: AlignedTrace | TraceStack, aoi: AoiIndex | None) -> None:
+    """Check that ``aoi`` indexes the video of a trace or a stack: a
+    missing track is a ``NoAoiInWindow``, a frame count that differs from
+    the video's a ``ValueError``."""
+    if aoi is None:
+        raise NoAoiInWindow(f"no AOI track for video {video.video_id!r}")
+    if aoi.n_frames != video.n_frames:
         raise ValueError(
-            f"AOI index has {aoi.n_frames} frames, trace has {aligned.n_frames}"
+            f"AOI index has {aoi.n_frames} frames, {type(video).__name__} has {video.n_frames}"
         )
 
 
@@ -234,7 +239,7 @@ def feature_std_manhattan(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> fl
     """F3: population std of the Manhattan distance from gaze to the
     nearest annotated box center, over frames that are both present and
     annotated."""
-    _check_index(aligned, aoi)
+    require_aoi(aligned, aoi)
     manhattan, _ = _center_distances(aligned, aoi, *_frames(aligned, w), w)
     return _std_manhattan(manhattan, w)
 
@@ -242,7 +247,7 @@ def feature_std_manhattan(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> fl
 def feature_rmse_aoi(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
     """F4: RMS Euclidean distance from gaze to the nearest annotated box
     center, paired frame by frame."""
-    _check_index(aligned, aoi)
+    require_aoi(aligned, aoi)
     _, euclidean = _center_distances(aligned, aoi, *_frames(aligned, w), w)
     return _rmse(euclidean, w)
 
@@ -257,7 +262,7 @@ def feature_delay(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
     box; if the gaze never enters during the clipped span, the delay is
     right-censored at the clipped span duration.
     """
-    _check_index(aligned, aoi)
+    require_aoi(aligned, aoi)
     return _delay(aligned, aoi, *_frames(aligned, w), w)
 
 
@@ -271,9 +276,7 @@ def extract(
     lo, hi = _frames(aligned, w)
     values = [_std_gaze(aligned, lo, hi, w), _std_diff(aligned, lo, hi, w)]
     if mode is FeatureMode.WITH_AOI:
-        if aoi is None:
-            raise NoAoiInWindow(f"no AOI track for video {aligned.video_id!r}")
-        _check_index(aligned, aoi)
+        require_aoi(aligned, aoi)
         manhattan, euclidean = _center_distances(aligned, aoi, lo, hi, w)
         values.append(_std_manhattan(manhattan, w))
         values.append(_rmse(euclidean, w))
@@ -359,10 +362,7 @@ def extract_batch(
     raises ``NonFiniteFeature``: it is an error, not a reason to redraw.
     """
     if mode is FeatureMode.WITH_AOI:
-        if aoi is None:
-            raise NoAoiInWindow(f"no AOI track for video {stack.video_id!r}")
-        if aoi.n_frames != stack.n_frames:
-            raise ValueError(f"AOI index has {aoi.n_frames} frames, stack has {stack.n_frames}")
+        require_aoi(stack, aoi)
     lo, hi = frame_range(w, stack.fps, stack.n_frames)
     n_rows = len(stack.participant_ids)
     values = np.full((n_rows, mode.n_features), np.nan)

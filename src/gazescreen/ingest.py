@@ -219,7 +219,7 @@ class _GazeColumns:
     participant_id: str
     numbers: np.ndarray  # float (4, n_rows): wall, video, x_px, y_px; NaN where unparsable
     tracker_valid: np.ndarray  # bool (n_rows,)
-    line_no: np.ndarray  # int (n_rows,), the file line of each row
+    line_no: np.ndarray  # int (n_rows,), the first file line of each row
     checks: dict
 
 
@@ -287,15 +287,19 @@ def _row_rule_columns(path, data: bytes, video_id: str,
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != GAZE_HEADER:
         raise MalformedRow(path, 1, f"expected header {','.join(GAZE_HEADER)}")
-    rows = list(reader)
+    rows = []
+    line_ends = [reader.line_num]  # a quoted field may span lines
+    for row in reader:
+        rows.append(row)
+        line_ends.append(reader.line_num)
     n_fields = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     kept = n_fields > 0
+    line = np.array(line_ends[:-1])[kept] + 1  # the first file line of each row
     if not kept.all():
         rows = list(itertools.compress(rows, kept))
         n_fields = n_fields[kept]
     if not rows:
         raise EmptyLog(path)
-    line = np.flatnonzero(kept) + 2  # the header is line 1
 
     width_bad = n_fields != len(GAZE_HEADER)
     if width_bad.any():
@@ -340,7 +344,8 @@ def parse_gaze_log(path, meta: VideoMeta, participant_id: Optional[str] = None) 
 
     Rows flagged invalid by the tracker, or whose coordinates fall off
     screen, are kept with valid=False. Blank rows are skipped but still
-    count towards line numbers. Each row must pass, in this order: field
+    count towards line numbers, and a row whose quoted field spans lines is
+    numbered by its first line. Each row must pass, in this order: field
     count, video id, participant id (``participant_id`` if given, else the
     first row's), the four numbers (parsable and finite, column by
     column), a 0/1 valid flag, strictly increasing wall time,
@@ -403,7 +408,10 @@ def parse_aoi_track(path, meta: VideoMeta) -> AoiTrack:
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != AOI_HEADER:
         raise MalformedRow(path, 1, f"expected header {','.join(AOI_HEADER)}")
-    for line_no, row in enumerate(reader, start=2):
+    line_end = reader.line_num
+    for row in reader:
+        # a row is numbered by its first file line; a quoted field may span lines
+        line_no, line_end = line_end + 1, reader.line_num
         if not row:
             continue
         if len(row) != len(AOI_HEADER):

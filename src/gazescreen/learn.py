@@ -27,7 +27,7 @@ from .errors import (
 LABEL_ASD = 1
 LABEL_CONTROL = -1
 
-# the SVM kernel is the cubic (gamma * <u, v> + coef0) ** KERNEL_DEGREE
+# degree of the SVM's polynomial kernel, defined once in _kernel_matrix
 KERNEL_DEGREE = 3
 
 
@@ -50,20 +50,10 @@ class Standardizer:
         Z[..., self.std <= 1e-12] = 0.0
         return Z
 
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-
-def kernel_poly3(u: np.ndarray, v: np.ndarray, gamma: float, coef0: float) -> float:
-    """Third-degree polynomial kernel (gamma * <u, v> + coef0)^3."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape[-1] != v.shape[-1]:
-        raise DimensionMismatch(f"dim {u.shape[-1]} vs {v.shape[-1]}")
-    return float((gamma * np.dot(u, v) + coef0) ** KERNEL_DEGREE)
-
 
 def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float, coef0: float) -> np.ndarray:
+    """The cubic kernel between the rows of ``A`` (a matrix, or one row)
+    and the rows of ``B``."""
     return (gamma * (A @ B.T) + coef0) ** KERNEL_DEGREE
 
 
@@ -97,7 +87,7 @@ class SvmModel:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"expected dim {self.dim}, got {x.shape[-1]}")
-        k = (self.gamma * (x @ self.support_vectors.T) + self.coef0) ** KERNEL_DEGREE
+        k = _kernel_matrix(x, self.support_vectors, self.gamma, self.coef0)
         f = k @ self.dual_coef + self.bias
         return float(f) if x.ndim == 1 else f
 

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FeatureMode, FeatureVector, Group
+from .core import FeatureMode
 from .errors import GazeScreenError, MissingVideo
 from .features import AoiIndex, concat_videos, extract, full_window
 from .ingest import (
     WARN_VALID_FRAME_FRACTION,
-    AlignedTrace,
     DatasetManifest,
     TraceStack,
     align,
@@ -77,44 +76,45 @@ def extract_features(
     """Concatenated per-participant feature vectors on full-video windows.
 
     ``video_ids`` restricts and orders the contributing videos (default:
-    manifest order). Raises the first extraction error encountered.
+    manifest order). Raises the first failure that
+    ``collect_extraction_failures`` lists.
     """
+    failures, vectors = collect_extraction_failures(dataset, mode, video_ids)
+    if failures:
+        raise failures[0][2]
     order = list(video_ids) if video_ids is not None else list(dataset.video_order)
-    out = {}
-    for p in dataset.manifest.participants:
-        per_video = []
-        for vid in order:
-            key = (p.participant_id, vid)
-            if key not in dataset.aligned:
-                raise MissingVideo(p.participant_id, vid)
-            at = dataset.aligned[key]
-            per_video.append(extract(at, dataset.aoi.get(vid), full_window(at), mode))
-        out[p.participant_id] = concat_videos(per_video, order)
-    return out
+    return {
+        p.participant_id: concat_videos(
+            [vectors[(p.participant_id, vid)] for vid in order], order
+        )
+        for p in dataset.manifest.participants
+    }
 
 
 def collect_extraction_failures(
-    dataset: Dataset, mode: FeatureMode
-) -> tuple[list[tuple[str, str, str]], dict]:
-    """Extract every (participant, video) on its full window, reporting
-    all failures instead of stopping at the first; used by the CLI to list
-    every broken pair.
+    dataset: Dataset, mode: FeatureMode, video_ids: list | None = None
+) -> tuple[list[tuple[str, str, GazeScreenError]], dict]:
+    """Extract every (participant, video) on its full window, in
+    participant then video order, collecting every failure instead of
+    stopping at the first. ``video_ids`` is as for ``extract_features``.
 
     Returns ``(failures, vectors)``: ``failures`` holds
-    (participant_id, video_id, reason) triples and ``vectors`` maps each
-    pair that succeeded to its FeatureVector.
+    (participant_id, video_id, error) triples, with ``MissingVideo`` for a
+    pair without a gaze log, and ``vectors`` maps each pair that succeeded
+    to its FeatureVector.
     """
+    order = list(video_ids) if video_ids is not None else list(dataset.video_order)
     failures = []
     vectors = {}
     for p in dataset.manifest.participants:
-        for vid in dataset.video_order:
+        for vid in order:
             key = (p.participant_id, vid)
             if key not in dataset.aligned:
-                failures.append((p.participant_id, vid, "missing gaze log"))
+                failures.append((*key, MissingVideo(*key)))
                 continue
             at = dataset.aligned[key]
             try:
                 vectors[key] = extract(at, dataset.aoi.get(vid), full_window(at), mode)
             except GazeScreenError as e:
-                failures.append((p.participant_id, vid, str(e)))
+                failures.append((*key, e))
     return failures, vectors

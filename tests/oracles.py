@@ -173,7 +173,7 @@ def oracle_parse_gaze_log(path, meta, participant_id=None):
     (participant_id, wall_ts, video_ts, x, y, valid) as lists, or raises
     the error for the first bad row, checking each row's rules in order.
     Every row's participant id must be ``participant_id``, or the first
-    row's when it is None."""
+    row's when it is None. An error names the first file line of its row."""
     header_names = ["participant_id", "video_id", "wall_ts_ms", "video_ts_ms",
                     "x_px", "y_px", "valid"]
     cols = ([], [], [], [], [])
@@ -184,7 +184,9 @@ def oracle_parse_gaze_log(path, meta, participant_id=None):
         if header is None or [h.strip() for h in header] != header_names:
             raise MalformedRow(path, 1, f"expected header {','.join(header_names)}")
         prev_wall = prev_video = -math.inf
-        for line_no, row in enumerate(reader, start=2):
+        line_end = reader.line_num
+        for row in reader:
+            line_no, line_end = line_end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != 7:

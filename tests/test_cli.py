@@ -1,13 +1,21 @@
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import gazescreen
 from gazescreen import experiments, pipeline
 from gazescreen.cli import EXIT_CONFIG, EXIT_IO, EXIT_PIPELINE, main
+
+
+# the participants of the 6 + 6 test cohort, in manifest order
+SMALL_COHORT_IDS = [f"asd_{i:03d}" for i in range(6)] + [f"ctl_{i:03d}" for i in range(6)]
 
 
 @pytest.fixture
@@ -22,6 +30,16 @@ def run(runner, *args):
 def copy_cohort(manifest, dst):
     shutil.copytree(Path(manifest).parent, dst)
     return dst / "manifest.yaml"
+
+
+def edit_manifest(manifest, tmp_path, edit):
+    """Copy the cohort of ``manifest`` and apply ``edit`` to the copy's
+    parsed manifest; returns the copy's manifest path."""
+    manifest = copy_cohort(manifest, tmp_path / "broken")
+    data = yaml.safe_load(manifest.read_text(encoding="utf-8"))
+    edit(data)
+    manifest.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return manifest
 
 
 def dir_bytes(root):
@@ -73,6 +91,7 @@ class TestSynth:
         "sample_rate_hz: .nan",
         "sample_rate_hz: .inf",
         "n_asd: 1.5",
+        "videos: [{id: clip, duration_s: .inf, fps: 30, width_px: 640, height_px: 480}]",
     ])
     def test_bad_spec_value_exits_config(self, runner, tmp_path, params):
         spec = tmp_path / "spec.yaml"
@@ -202,6 +221,40 @@ class TestFeatures:
         assert r.exit_code == 0, r.output
         assert len(calls) == 12 * 4  # participants x videos, one extraction each
 
+    def test_lists_every_broken_pair(self, runner, small_cohort_manifest, tmp_path):
+        def edit(data):
+            data["gaze_logs"]["asd_000"].pop("car_pursuit")
+            data["aoi_tracks"].pop("dialog")
+
+        manifest = edit_manifest(small_cohort_manifest, tmp_path, edit)
+        r = run(runner, "features", "--manifest", manifest, "--mode", "aoi",
+                "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        failed = [line for line in r.output.splitlines() if line.startswith("failed: ")]
+        assert failed[0] == (
+            "failed: asd_000/car_pursuit: participant asd_000 lacks video car_pursuit"
+        )
+        assert failed[1:] == [f"failed: {pid}/dialog: no AOI track for video 'dialog'"
+                              for pid in SMALL_COHORT_IDS]
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "out" / "features.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration_s", ".nan"), ("duration_s", ".inf"), ("fps", ".nan"), ("fps", ".inf"),
+    ])
+    def test_non_finite_video_meta_exits_config(
+        self, runner, small_cohort_manifest, tmp_path, field, value
+    ):
+        manifest = edit_manifest(
+            small_cohort_manifest, tmp_path,
+            lambda data: data["videos"][0].update({field: yaml.safe_load(value)}),
+        )
+        r = run(runner, "features", "--manifest", manifest, "--mode", "aoi",
+                "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert "duration_s and fps must be finite and positive" in r.output
+        assert "Traceback" not in r.output
+
     @pytest.mark.parametrize("section, what", [("videos", "video"), ("participants", "participant")])
     def test_duplicate_manifest_id_exits_config(
         self, runner, small_cohort_manifest, tmp_path, section, what
@@ -261,6 +314,22 @@ class TestEvaluate:
             assert r.exit_code == 0, r.output
         assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
+    def test_one_video_extracts_it_once_per_participant(
+        self, runner, small_cohort_manifest, tmp_path, monkeypatch
+    ):
+        calls = []
+        real_extract = pipeline.extract
+
+        def counting_extract(*args, **kwargs):
+            calls.append((args[0].participant_id, args[0].video_id))
+            return real_extract(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "extract", counting_extract)
+        r = run(runner, "evaluate", "--manifest", small_cohort_manifest, "--mode", "aoi",
+                "--video", "dialog", "--seed", 1, "--reps", 1, "--out", tmp_path)
+        assert r.exit_code == 0, r.output
+        assert calls == [(pid, "dialog") for pid in SMALL_COHORT_IDS]
+
     def test_overflowing_kernel_exits_pipeline(self, runner, small_cohort_manifest, tmp_path):
         # a finite gamma whose cubic kernel overflows would train on inf
         r = run(runner, "evaluate", "--manifest", small_cohort_manifest, "--mode", "aoi",
@@ -304,18 +373,11 @@ class TestDurationCurve:
         digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == self.GOLDEN_REPORT_SHA256[mode]
 
-    def drop_from_manifest(self, small_cohort_manifest, tmp_path, edit):
-        manifest = copy_cohort(small_cohort_manifest, tmp_path / "broken")
-        data = yaml.safe_load(manifest.read_text(encoding="utf-8"))
-        edit(data)
-        manifest.write_text(yaml.safe_dump(data), encoding="utf-8")
-        return manifest
-
     @pytest.mark.parametrize("mode", ["aoi", "noaoi"])
     def test_missing_gaze_log_fails_before_any_draw(
         self, runner, small_cohort_manifest, tmp_path, monkeypatch, mode
     ):
-        manifest = self.drop_from_manifest(
+        manifest = edit_manifest(
             small_cohort_manifest, tmp_path,
             lambda data: data["gaze_logs"]["asd_000"].pop("car_pursuit"),
         )
@@ -331,7 +393,7 @@ class TestDurationCurve:
     def test_video_without_aoi_track_fails_before_any_draw(
         self, runner, small_cohort_manifest, tmp_path
     ):
-        manifest = self.drop_from_manifest(
+        manifest = edit_manifest(
             small_cohort_manifest, tmp_path, lambda data: data["aoi_tracks"].pop("dialog"),
         )
         r = run(runner, "duration-curve", "--manifest", manifest, "--mode", "aoi",
@@ -440,3 +502,18 @@ class TestSeverity:
         r = run(runner, "severity", "--manifest", tmp_path / "c" / "manifest.yaml",
                 "--mode", "aoi", "--seed", 1, "--out", tmp_path / "o")
         assert r.exit_code == EXIT_CONFIG
+
+
+def test_cli_import_loads_every_module():
+    # a module that the CLI does not import is code no command can reach
+    code = (
+        "import pkgutil, sys, gazescreen, gazescreen.cli\n"
+        "print(' '.join(m.name for m in pkgutil.iter_modules(gazescreen.__path__)\n"
+        "               if 'gazescreen.' + m.name not in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(gazescreen.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       text=True, timeout=60, check=True)
+    assert r.stdout.split() == []

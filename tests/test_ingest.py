@@ -109,6 +109,18 @@ class TestParseGazeLog:
             parse_gaze_log(p, META)
         assert exc.value.line_no == 6
 
+    @pytest.mark.parametrize("parse", [parse_gaze_log, oracles.oracle_parse_gaze_log])
+    def test_row_is_numbered_by_its_first_line(self, tmp_path, parse):
+        # the first row's quoted flag spans lines 2-3, and line 4 is blank
+        p = tmp_path / "g.csv"
+        p.write_text(
+            ",".join(GAZE_HEADER) + '\np1,v,0.0,0.0,500,500,"1\n"\n\np1,v,5.0,5.0,500,500,x\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedRow, match="valid must be 0 or 1") as exc:
+            parse(p, META)
+        assert exc.value.line_no == 5
+
     def test_first_failing_row_and_rule_win(self, tmp_path):
         # line 3 fails two rules (video id first), line 4 fails an earlier one
         p = tmp_path / "g.csv"
@@ -170,6 +182,17 @@ class TestParseAoi:
         with pytest.raises(MalformedRow, match="duplicate box") as exc:
             parse_aoi_track(p, META)
         assert exc.value.line_no == 4
+
+    def test_row_is_numbered_by_its_first_line(self, tmp_path):
+        # the first row's quoted object id spans lines 2-3, and line 4 is blank
+        p = tmp_path / "a.csv"
+        p.write_text(
+            ",".join(AOI_HEADER) + '\nv,0,"obj\nA",100,100,200,200\n\nv,1,obj,100,100,100,200\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(DegenerateBox) as exc:
+            parse_aoi_track(p, META)
+        assert exc.value.line_no == 5
 
     def test_frame_out_of_range(self, tmp_path):
         p = tmp_path / "a.csv"

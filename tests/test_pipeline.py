@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gazescreen import experiments
 from gazescreen.core import AoiTrack, FeatureMode
-from gazescreen.errors import NonFiniteFeature
+from gazescreen.errors import InsufficientData, MissingVideo, NonFiniteFeature
 from gazescreen.experiments import CvConfig, run_duration_simulation
 from gazescreen.features import AoiIndex, Window, extract_batch
-from gazescreen.pipeline import extract_features, load_dataset
+from gazescreen.pipeline import collect_extraction_failures, extract_features, load_dataset
 
 
 def test_dataset_holds_one_index_per_video(small_cohort):
@@ -78,3 +80,34 @@ def test_non_finite_window_feature_fails_without_redraw(small_cohort, monkeypatc
     with pytest.raises(NonFiniteFeature):
         run_duration_simulation(small_cohort, [3.0], CvConfig(seed=3, repetitions=1))
     assert len(calls) == 1
+
+
+def broken_cohort(dataset, missing, unusable):
+    """``dataset`` without the gaze log of the pair ``missing``, and with
+    the trace of the pair ``unusable`` present on alternate frames only, so
+    that F2 has no consecutive pair on its full window."""
+    aligned = dict(dataset.aligned)
+    del aligned[missing]
+    at = aligned[unusable]
+    present = at.present & (np.arange(at.n_frames) % 2 == 0)
+    aligned[unusable] = dataclasses.replace(at, present=present)
+    return dataclasses.replace(dataset, aligned=aligned)
+
+
+@pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
+@pytest.mark.parametrize("missing_first", [True, False])
+def test_extract_features_raises_the_first_listed_failure(small_cohort, mode, missing_first):
+    pids = [p.participant_id for p in small_cohort.manifest.participants]
+    first, second = small_cohort.video_order[:2]
+    # participant then video order: (pids[1], second) comes before (pids[2], first)
+    expected = [((pids[1], second), MissingVideo), ((pids[2], first), InsufficientData)]
+    if not missing_first:
+        expected = [(expected[0][0], InsufficientData), (expected[1][0], MissingVideo)]
+    by_error = {error: pair for pair, error in expected}
+    dataset = broken_cohort(small_cohort, by_error[MissingVideo], by_error[InsufficientData])
+    failures, vectors = collect_extraction_failures(dataset, mode)
+    assert [((pid, vid), type(e)) for pid, vid, e in failures] == expected
+    assert len(vectors) == len(pids) * len(small_cohort.video_order) - 2
+    with pytest.raises(type(failures[0][2])) as exc:
+        extract_features(dataset, mode)
+    assert str(exc.value) == str(failures[0][2])
