@@ -32,6 +32,7 @@ from .experiments import (
     run_duration_simulation,
     run_severity_loocv,
 )
+from .features import full_window
 from .learn import MlpConfig
 from .pipeline import collect_extraction_failures, extract_features, load_dataset
 from .synth import CohortSpec, generate_cohort, load_cohort_spec
@@ -162,16 +163,16 @@ def features(manifest, mode, out):
     out_path = _ensure_out(out)
     fmode = _parse_mode(mode)
     dataset = load_dataset(manifest)
-    failures, vectors = collect_extraction_failures(dataset, fmode)
+    failures, values = collect_extraction_failures(dataset, fmode)
     if failures:
         for pid, vid, error in failures:
             click.echo(f"failed: {pid}/{vid}: {error}", err=True)
         sys.exit(EXIT_PIPELINE)
     rows = []
-    for (pid, vid), fv in vectors.items():
-        ((start_s, duration_s),) = fv.windows
-        vals = list(fv.values) + [""] * (5 - len(fv.values))
-        rows.append([pid, vid, fmode.value, start_s, duration_s, *vals])
+    for (pid, vid), row in values.items():
+        w = full_window(dataset.aligned[(pid, vid)])
+        vals = row.tolist() + [""] * (5 - len(row))
+        rows.append([pid, vid, fmode.value, w.start_s, w.duration_s, *vals])
     _write_csv(
         out_path / "features.csv",
         ["participant_id", "video_id", "mode", "window_start_s", "window_dur_s",

@@ -233,7 +233,7 @@ def _labels(pids, groups: dict) -> np.ndarray:
 
 def _feature_matrix(features: dict, groups: dict):
     pids = sorted(features)
-    X = np.array([features[p].values for p in pids], dtype=float)
+    X = np.array([features[p] for p in pids], dtype=float)
     return pids, X, _labels(pids, groups)
 
 
@@ -261,8 +261,9 @@ def _summarize(fold_rows):
 def run_classification_cv(features: dict, groups: dict, config: CvConfig) -> ClassificationReport:
     """Repeated stratified k-fold CV of the SVM screening classifier.
 
-    ``features`` maps participant_id -> FeatureVector (already matching
-    config.video_selection); ``groups`` maps participant_id -> Group.
+    ``features`` maps participant_id -> feature row, a float array (already
+    matching config.video_selection); ``groups`` maps participant_id ->
+    Group.
     """
     for pid in groups:
         if pid not in features:
@@ -387,7 +388,7 @@ def run_severity_loocv(
     for pid in pids:
         if pid not in features:
             raise MissingFeatures(f"participant {pid} lacks a feature vector")
-    X = np.array([features[p].values for p in pids], dtype=float)
+    X = np.array([features[p] for p in pids], dtype=float)
     y = np.array([cars[p] for p in pids], dtype=float)
     rows = []
     for i, pid in enumerate(pids):

@@ -11,20 +11,22 @@ Feature summary (per window):
   F5  mean first-look delay per AOI occurrence, right-censored at the
       occurrence's (window-clipped) duration
 
-F3-F5 read an ``AoiIndex``: a video's AOI track laid out as per-frame,
-per-object arrays. ``pipeline.load_dataset`` builds one per video and keeps
-it on the ``Dataset``; nothing here caches indexes between calls.
+F3-F5 read an ``ingest.AoiIndex``: a video's AOI track laid out as
+per-frame, per-object arrays. ``pipeline.load_dataset`` builds one per
+video and keeps it on the ``Dataset``; nothing here caches indexes between
+calls.
 ``extract`` maps the window to frames once and shares one gaze-to-centre
 distance pass between F3 and F4; the ``feature_*`` functions compute a
 single feature on their own.
 
-``extract`` is the definition of the features, one trace at a time, and it
-signals an unusable window by raising. ``extract_batch`` is the duration
-protocol's fast path: every participant of a video on one shared window,
-read from the video's ``TraceStack``. F1-F4 are masked row reductions of
-the (participants x window) slice, with the same two-pass population
-variance as ``extract``; F5 loops over the few occurrences, vectorised over
-participants. The same pass returns which rows ``extract`` would reject.
+``extract`` is the definition of the features, one trace at a time: it
+returns a float array and signals an unusable window by raising.
+``extract_batch`` is the duration protocol's fast path: every participant
+of a video on one shared window, read from the video's ``TraceStack``.
+F1-F4 are masked row reductions of the (participants x window) slice, with
+the same two-pass population variance as ``extract``; F5 loops over the
+few occurrences, vectorised over participants. The same pass returns which
+rows ``extract`` would reject.
 """
 from __future__ import annotations
 
@@ -33,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AoiTrack, FeatureMode, FeatureVector
-from .errors import ConfigError, InsufficientData, MissingVideo, NoAoiInWindow, NonFiniteFeature
-from .ingest import AlignedTrace, TraceStack
+from .core import FeatureMode
+from .errors import ConfigError, InsufficientData, NoAoiInWindow, NonFiniteFeature
+from .ingest import AlignedTrace, AoiIndex, TraceStack
 
 
 @dataclass(frozen=True)
@@ -58,15 +60,6 @@ class Window:
         return self.start_s + self.duration_s
 
 
-@dataclass(frozen=True)
-class AoiOccurrence:
-    """A maximal contiguous span of frames where one object is annotated."""
-
-    object_id: str
-    enter_frame: int
-    exit_frame: int  # inclusive
-
-
 def full_window(aligned: AlignedTrace) -> Window:
     return Window(0.0, aligned.n_frames / aligned.fps)
 
@@ -77,53 +70,6 @@ def frame_range(w: Window, fps: float, n_frames: int) -> tuple[int, int]:
     lo = int(math.ceil(w.start_s * fps - 1e-9))
     hi = int(math.ceil(w.end_s * fps - 1e-9))
     return max(lo, 0), min(hi, n_frames)
-
-
-class AoiIndex:
-    """One video's AOI track as per-frame, per-object arrays, plus its
-    occurrences. Row k of every array belongs to ``object_ids[k]``; frames
-    at or beyond ``n_frames`` are dropped. Everything is computed here, and
-    the arrays are read-only."""
-
-    def __init__(self, track: AoiTrack, n_frames: int):
-        self.n_frames = n_frames
-        self.object_ids = track.object_ids
-        self.row = {oid: k for k, oid in enumerate(self.object_ids)}
-        n_obj = len(self.object_ids)
-        self.ann = np.zeros((n_obj, n_frames), dtype=bool)
-        self.cx = np.full((n_obj, n_frames), np.nan)
-        self.cy = np.full((n_obj, n_frames), np.nan)
-        self.x_min = np.full((n_obj, n_frames), np.nan)
-        self.x_max = np.full((n_obj, n_frames), np.nan)
-        self.y_min = np.full((n_obj, n_frames), np.nan)
-        self.y_max = np.full((n_obj, n_frames), np.nan)
-        for b in track.boxes:
-            if b.frame_index >= n_frames:
-                continue
-            k = self.row[b.object_id]
-            f = b.frame_index
-            self.ann[k, f] = True
-            self.cx[k, f], self.cy[k, f] = b.center
-            self.x_min[k, f] = b.x_min
-            self.x_max[k, f] = b.x_max
-            self.y_min[k, f] = b.y_min
-            self.y_max[k, f] = b.y_max
-        self.any_ann = self.ann.any(axis=0)
-        for a in (self.ann, self.cx, self.cy, self.x_min, self.x_max,
-                  self.y_min, self.y_max, self.any_ann):
-            a.flags.writeable = False
-        self.occurrences = self._occurrences()
-
-    def _occurrences(self) -> tuple[AoiOccurrence, ...]:
-        """Maximal contiguous annotated spans, per object, in frame order."""
-        occs = []
-        for k, oid in enumerate(self.object_ids):
-            padded = np.concatenate(([False], self.ann[k], [False]))
-            edges = np.flatnonzero(padded[1:] != padded[:-1])
-            for enter, after in zip(edges[0::2], edges[1::2]):
-                occs.append(AoiOccurrence(oid, int(enter), int(after) - 1))
-        occs.sort(key=lambda o: (o.enter_frame, o.object_id))
-        return tuple(occs)
 
 
 def _std_pop(values: np.ndarray) -> float:
@@ -271,8 +217,10 @@ def extract(
     aoi: AoiIndex | None,
     w: Window,
     mode: FeatureMode,
-) -> FeatureVector:
-    """Single-video feature vector: [F1..F5] with AOI, [F1, F2] without."""
+) -> np.ndarray:
+    """Single-video feature row, a float array of ``mode.n_features``
+    values: [F1..F5] with AOI, [F1, F2] without. A value that is not
+    finite raises ``NonFiniteFeature``, as in ``extract_batch``."""
     lo, hi = _frames(aligned, w)
     values = [_std_gaze(aligned, lo, hi, w), _std_diff(aligned, lo, hi, w)]
     if mode is FeatureMode.WITH_AOI:
@@ -281,13 +229,12 @@ def extract(
         values.append(_std_manhattan(manhattan, w))
         values.append(_rmse(euclidean, w))
         values.append(_delay(aligned, aoi, lo, hi, w))
-    return FeatureVector(
-        participant_id=aligned.participant_id,
-        video_ids=(aligned.video_id,),
-        mode=mode,
-        values=tuple(values),
-        windows=((w.start_s, w.duration_s),),
-    )
+    row = np.array(values)
+    if not np.isfinite(row).all():
+        raise NonFiniteFeature(
+            f"non-finite feature for {aligned.participant_id}/{aligned.video_id} in {w}"
+        )
+    return row
 
 
 def _masked_var(values: np.ndarray, mask: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -398,35 +345,3 @@ def extract_batch(
         pid = stack.participant_ids[int(np.argmax(bad))]
         raise NonFiniteFeature(f"non-finite feature for {pid}/{stack.video_id} in {w}")
     return values, usable
-
-
-def concat_videos(per_video: list[FeatureVector], video_order: list[str]) -> FeatureVector:
-    """Concatenate single-video vectors in manifest video order."""
-    if not per_video:
-        raise ValueError("nothing to concatenate")
-    pid = per_video[0].participant_id
-    mode = per_video[0].mode
-    by_video = {}
-    for fv in per_video:
-        if fv.participant_id != pid:
-            raise ValueError("mixed participants in concat")
-        if fv.mode is not mode:
-            raise ValueError("mixed modes in concat")
-        if len(fv.video_ids) != 1:
-            raise ValueError("concat expects single-video vectors")
-        by_video[fv.video_ids[0]] = fv
-    values = []
-    windows = []
-    for vid in video_order:
-        if vid not in by_video:
-            raise MissingVideo(pid, vid)
-        fv = by_video[vid]
-        values.extend(fv.values)
-        windows.extend(fv.windows or ((math.nan, math.nan),))
-    return FeatureVector(
-        participant_id=pid,
-        video_ids=tuple(video_order),
-        mode=mode,
-        values=tuple(values),
-        windows=tuple(windows),
-    )

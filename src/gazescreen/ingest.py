@@ -20,6 +20,10 @@ columns onto video frames (``AlignedTrace``), and a ``TraceStack`` holds
 every aligned trace of one video as the rows of (participants x frames)
 arrays.
 
+An AOI track is read row by row; ``parse_aoi_track`` is the one place that
+checks its rules, and it returns the track as an ``AoiIndex``: per-object,
+per-frame arrays of the normalized boxes, plus their occurrences.
+
 The manifest is a YAML tree; see ``load_manifest`` for the schema.
 """
 from __future__ import annotations
@@ -35,14 +39,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .core import (
-    AoiBox,
-    AoiTrack,
-    Group,
-    Participant,
-    VideoMeta,
-    normalize_coordinates,
-)
+from .core import Group, Participant, VideoMeta, normalize_coordinates
 from .errors import (
     ConfigError,
     DegenerateBox,
@@ -170,6 +167,60 @@ class TraceStack:
     def freeze(self) -> None:
         for name in self._COLUMNS:
             getattr(self, name).flags.writeable = False
+
+
+@dataclass(frozen=True)
+class AoiOccurrence:
+    """A maximal contiguous span of frames where one object is annotated."""
+
+    object_id: str
+    enter_frame: int
+    exit_frame: int  # inclusive
+
+
+class AoiIndex:
+    """One video's AOI track as per-frame, per-object arrays, plus its
+    occurrences. It is built from columns with one entry per box: object
+    id, frame in [0, n_frames) and the normalized box, at most one box per
+    (frame, object). Row k of every array belongs to ``object_ids[k]``, in
+    sorted id order. Everything is computed here, and the arrays are
+    read-only."""
+
+    def __init__(self, object_id, frame, x_min, y_min, x_max, y_max, n_frames: int):
+        self.n_frames = n_frames
+        self.object_ids = tuple(sorted(set(object_id)))
+        self.row = {oid: k for k, oid in enumerate(self.object_ids)}
+        k = np.fromiter(map(self.row.__getitem__, object_id), dtype=np.intp, count=len(object_id))
+        f = np.asarray(frame, dtype=np.intp)
+        shape = (len(self.object_ids), n_frames)
+        self.ann = np.zeros(shape, dtype=bool)
+        self.ann[k, f] = True
+
+        def per_frame(values):
+            out = np.full(shape, np.nan)
+            out[k, f] = values
+            return out
+
+        self.x_min, self.y_min = per_frame(x_min), per_frame(y_min)
+        self.x_max, self.y_max = per_frame(x_max), per_frame(y_max)
+        self.cx = (self.x_min + self.x_max) / 2.0
+        self.cy = (self.y_min + self.y_max) / 2.0
+        self.any_ann = self.ann.any(axis=0)
+        for a in (self.ann, self.cx, self.cy, self.x_min, self.x_max,
+                  self.y_min, self.y_max, self.any_ann):
+            a.flags.writeable = False
+        self.occurrences = self._occurrences()
+
+    def _occurrences(self) -> tuple[AoiOccurrence, ...]:
+        """Maximal contiguous annotated spans, per object, in frame order."""
+        occs = []
+        for k, oid in enumerate(self.object_ids):
+            padded = np.concatenate(([False], self.ann[k], [False]))
+            edges = np.flatnonzero(padded[1:] != padded[:-1])
+            for enter, after in zip(edges[0::2], edges[1::2]):
+                occs.append(AoiOccurrence(oid, int(enter), int(after) - 1))
+        occs.sort(key=lambda o: (o.enter_frame, o.object_id))
+        return tuple(occs)
 
 
 def _parse_float(row_val: str, path, line_no, what) -> float:
@@ -397,11 +448,17 @@ def parse_gaze_log(path, meta: VideoMeta, participant_id: Optional[str] = None) 
     )
 
 
-def parse_aoi_track(path, meta: VideoMeta) -> AoiTrack:
-    """Parse one AOI CSV, normalizing boxes to [0,1]^2. An empty file is a
-    legal track with zero boxes."""
+def parse_aoi_track(path, meta: VideoMeta) -> AoiIndex:
+    """Parse one AOI CSV into the video's AoiIndex, normalizing boxes to
+    [0,1]^2. An empty file is a legal track with zero boxes.
+
+    Each row must pass, in this order: field count, video id, an integer
+    frame in [0, n_frames), four finite coordinates, positive width and
+    height, a box on the screen, and no earlier box for its (frame,
+    object). The error names the row's first file line; these are the
+    only checks an AOI track gets."""
     path = Path(path)
-    boxes = []
+    columns = ([], [], [], [], [], [])  # object id, frame, x_min, y_min, x_max, y_max
     seen = set()  # (frame_index, object_id)
     n_frames = meta.n_frames
     reader = csv.reader(io.StringIO(_decode(path, path.read_bytes()), newline=""))
@@ -438,8 +495,9 @@ def parse_aoi_track(path, meta: VideoMeta) -> AoiTrack:
                 path, line_no, f"duplicate box for frame {frame_index}, object {object_id!r}"
             )
         seen.add((frame_index, object_id))
-        boxes.append(AoiBox(object_id, frame_index, x0, y0, x1, y1))
-    return AoiTrack(video_id=meta.video_id, boxes=tuple(boxes))
+        for column, value in zip(columns, (object_id, frame_index, x0, y0, x1, y1)):
+            column.append(value)
+    return AoiIndex(*columns, n_frames)
 
 
 def align(trace: GazeTrace, meta: VideoMeta) -> AlignedTrace:

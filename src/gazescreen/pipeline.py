@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import FeatureMode
 from .errors import GazeScreenError, MissingVideo
-from .features import AoiIndex, concat_videos, extract, full_window
+from .features import extract, full_window
 from .ingest import (
     WARN_VALID_FRAME_FRACTION,
     DatasetManifest,
@@ -41,10 +43,8 @@ def load_dataset(manifest_path) -> Dataset:
     manifest key; low-coverage traces (below the soft threshold) are
     recorded as warnings."""
     manifest = load_manifest(manifest_path)
-    aoi = {}
-    for vid, path in manifest.aoi_paths.items():
-        meta = manifest.video_meta(vid)
-        aoi[vid] = AoiIndex(parse_aoi_track(path, meta), meta.n_frames)
+    aoi = {vid: parse_aoi_track(path, manifest.video_meta(vid))
+           for vid, path in manifest.aoi_paths.items()}
     stacks = {}
     for vid in manifest.video_order:
         meta = manifest.video_meta(vid)
@@ -73,20 +73,19 @@ def extract_features(
     mode: FeatureMode,
     video_ids: list | None = None,
 ) -> dict:
-    """Concatenated per-participant feature vectors on full-video windows.
+    """Each participant's full-video feature rows, concatenated into one
+    float array.
 
     ``video_ids`` restricts and orders the contributing videos (default:
     manifest order). Raises the first failure that
     ``collect_extraction_failures`` lists.
     """
-    failures, vectors = collect_extraction_failures(dataset, mode, video_ids)
+    failures, rows = collect_extraction_failures(dataset, mode, video_ids)
     if failures:
         raise failures[0][2]
     order = list(video_ids) if video_ids is not None else list(dataset.video_order)
     return {
-        p.participant_id: concat_videos(
-            [vectors[(p.participant_id, vid)] for vid in order], order
-        )
+        p.participant_id: np.concatenate([rows[(p.participant_id, vid)] for vid in order])
         for p in dataset.manifest.participants
     }
 
@@ -98,14 +97,14 @@ def collect_extraction_failures(
     participant then video order, collecting every failure instead of
     stopping at the first. ``video_ids`` is as for ``extract_features``.
 
-    Returns ``(failures, vectors)``: ``failures`` holds
+    Returns ``(failures, rows)``: ``failures`` holds
     (participant_id, video_id, error) triples, with ``MissingVideo`` for a
-    pair without a gaze log, and ``vectors`` maps each pair that succeeded
-    to its FeatureVector.
+    pair without a gaze log, and ``rows`` maps each pair that succeeded to
+    its feature row from ``extract``.
     """
     order = list(video_ids) if video_ids is not None else list(dataset.video_order)
     failures = []
-    vectors = {}
+    rows = {}
     for p in dataset.manifest.participants:
         for vid in order:
             key = (p.participant_id, vid)
@@ -114,7 +113,7 @@ def collect_extraction_failures(
                 continue
             at = dataset.aligned[key]
             try:
-                vectors[key] = extract(at, dataset.aoi.get(vid), full_window(at), mode)
+                rows[key] = extract(at, dataset.aoi.get(vid), full_window(at), mode)
             except GazeScreenError as e:
                 failures.append((*key, e))
-    return failures, vectors
+    return failures, rows

@@ -20,11 +20,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .core import AoiBox, AoiTrack, Group, Participant, VideoMeta
+from .core import Group, Participant, VideoMeta
 from .errors import ConfigError, IoFailure
 from .experiments import derive_rng
-from .features import AoiIndex
-from .ingest import load_yaml
+from .ingest import AoiIndex, load_yaml
 
 # CARS histogram of the 35-participant reference cohort (scores 30..39).
 CARS_HISTOGRAM = {30: 3, 31: 5, 32: 6, 33: 4, 34: 5, 35: 7, 36: 3, 37: 0, 38: 1, 39: 1}
@@ -165,7 +164,7 @@ def load_cohort_spec(path, seed: int) -> CohortSpec:
         raise ConfigError(f"{path}: bad cohort spec: {e}") from e
 
 
-def generate_aoi_path(meta: VideoMeta, rng: np.random.Generator) -> AoiTrack:
+def generate_aoi_path(meta: VideoMeta, rng: np.random.Generator) -> AoiIndex:
     """One object moving along a piecewise-linear path, present in 2-4
     contiguous occurrences that together cover >= 60% of frames."""
     n = meta.n_frames
@@ -189,7 +188,7 @@ def generate_aoi_path(meta: VideoMeta, rng: np.random.Generator) -> AoiTrack:
     gap_lens[0] += uncovered - gap_lens.sum()
 
     lo, hi = AOI_BOX_HALF + 0.02, 1.0 - AOI_BOX_HALF - 0.02
-    boxes = []
+    frames, x_min, y_min, x_max, y_max = [], [], [], [], []
     frame = int(gap_lens[0])
     for k in range(n_occ):
         length = int(span_lens[k])
@@ -198,24 +197,16 @@ def generate_aoi_path(meta: VideoMeta, rng: np.random.Generator) -> AoiTrack:
         way_x = rng.uniform(lo, hi, size=n_way)
         way_y = rng.uniform(lo, hi, size=n_way)
         t = np.linspace(0.0, n_way - 1.0, length)
-        cx = np.interp(t, np.arange(n_way), way_x)
-        cy = np.interp(t, np.arange(n_way), way_y)
-        for j in range(length):
-            f = frame + j
-            if f >= n:
-                break
-            boxes.append(
-                AoiBox(
-                    "object_0",
-                    f,
-                    round(cx[j] - AOI_BOX_HALF, 6),
-                    round(cy[j] - AOI_BOX_HALF, 6),
-                    round(cx[j] + AOI_BOX_HALF, 6),
-                    round(cy[j] + AOI_BOX_HALF, 6),
-                )
-            )
+        shown = max(0, min(length, n - frame))  # the last span may run past the video
+        cx = np.interp(t, np.arange(n_way), way_x)[:shown]
+        cy = np.interp(t, np.arange(n_way), way_y)[:shown]
+        frames.extend(range(frame, frame + shown))
+        x_min.extend(round(v - AOI_BOX_HALF, 6) for v in cx)
+        y_min.extend(round(v - AOI_BOX_HALF, 6) for v in cy)
+        x_max.extend(round(v + AOI_BOX_HALF, 6) for v in cx)
+        y_max.extend(round(v + AOI_BOX_HALF, 6) for v in cy)
         frame += length + int(gap_lens[k + 1])
-    return AoiTrack(video_id=meta.video_id, boxes=tuple(boxes))
+    return AoiIndex(["object_0"] * len(frames), frames, x_min, y_min, x_max, y_max, n)
 
 
 FIX_DUR_MIN_S = 0.08  # fixation durations are clamped to this range
@@ -372,11 +363,10 @@ def generate_cohort(spec: CohortSpec, out_dir) -> Path:
         raise IoFailure(f"cannot create output directory {out}: {e}") from e
 
     participants = build_participants(spec)
-    tracks = {}
-    indexes = {}
-    for meta in spec.videos:
-        tracks[meta.video_id] = generate_aoi_path(meta, derive_rng(spec.seed, "aoi", meta.video_id))
-        indexes[meta.video_id] = AoiIndex(tracks[meta.video_id], meta.n_frames)
+    indexes = {
+        meta.video_id: generate_aoi_path(meta, derive_rng(spec.seed, "aoi", meta.video_id))
+        for meta in spec.videos
+    }
 
     manifest = {
         "videos": [
@@ -400,11 +390,14 @@ def generate_cohort(spec: CohortSpec, out_dir) -> Path:
             manifest["aoi_tracks"][meta.video_id] = rel
             with (out / rel).open("w", encoding="utf-8", newline="\n") as fh:
                 fh.write("video_id,frame_index,object_id,x_min_px,y_min_px,x_max_px,y_max_px\n")
-                for b in tracks[meta.video_id].boxes:
+                aoi = indexes[meta.video_id]
+                for f, k in np.argwhere(aoi.ann.T).tolist():  # (frame, object) order
                     fh.write(
-                        f"{meta.video_id},{b.frame_index},{b.object_id},"
-                        f"{b.x_min * meta.width_px:.3f},{b.y_min * meta.height_px:.3f},"
-                        f"{b.x_max * meta.width_px:.3f},{b.y_max * meta.height_px:.3f}\n"
+                        f"{meta.video_id},{f},{aoi.object_ids[k]},"
+                        f"{aoi.x_min[k, f] * meta.width_px:.3f},"
+                        f"{aoi.y_min[k, f] * meta.height_px:.3f},"
+                        f"{aoi.x_max[k, f] * meta.width_px:.3f},"
+                        f"{aoi.y_max[k, f] * meta.height_px:.3f}\n"
                     )
 
         for p in participants:

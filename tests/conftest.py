@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_RESULTS:
             terminalreporter.write_line(line)
 
-from gazescreen.core import AoiBox, AoiTrack
-from gazescreen.ingest import AlignedTrace, GazeTrace, TraceStack
+from gazescreen.ingest import AlignedTrace, AoiIndex, GazeTrace, TraceStack
 from gazescreen.pipeline import load_dataset
 from gazescreen.synth import CohortSpec, generate_cohort
 
@@ -73,7 +74,39 @@ def stack_traces(traces):
     return stack, rows
 
 
-def random_aoi(rng, n_frames=20, n_objects=2, vid="v0", p_ann=0.7):
+class Box(NamedTuple):
+    """One annotated box in normalized coordinates, as the oracles read it."""
+
+    object_id: str
+    frame_index: int
+    x_min: float
+    y_min: float
+    x_max: float
+    y_max: float
+
+    @property
+    def center(self) -> tuple[float, float]:
+        return ((self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0)
+
+
+def aoi_index(boxes, n_frames):
+    """The AoiIndex of ``boxes``, a sequence of ``Box``."""
+    columns = list(zip(*boxes)) or [()] * len(Box._fields)
+    return AoiIndex(*columns, n_frames)
+
+
+def index_boxes(aoi):
+    """The boxes of an AoiIndex in (frame, object) order."""
+    return [
+        Box(aoi.object_ids[k], f, aoi.x_min[k, f], aoi.y_min[k, f], aoi.x_max[k, f],
+            aoi.y_max[k, f])
+        for f, k in np.argwhere(aoi.ann.T).tolist()
+    ]
+
+
+def random_aoi(rng, n_frames=20, n_objects=2, p_ann=0.7):
+    """Random boxes for ``n_objects`` objects, each annotated on a frame
+    with probability ``p_ann``."""
     boxes = []
     for k in range(n_objects):
         for f in range(n_frames):
@@ -81,10 +114,8 @@ def random_aoi(rng, n_frames=20, n_objects=2, vid="v0", p_ann=0.7):
                 cx = rng.uniform(0.15, 0.85)
                 cy = rng.uniform(0.15, 0.85)
                 half = rng.uniform(0.05, 0.12)
-                boxes.append(
-                    AoiBox(f"obj{k}", f, cx - half, cy - half, cx + half, cy + half)
-                )
-    return AoiTrack(video_id=vid, boxes=tuple(boxes))
+                boxes.append(Box(f"obj{k}", f, cx - half, cy - half, cx + half, cy + half))
+    return boxes
 
 
 @pytest.fixture(scope="session")

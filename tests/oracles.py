@@ -3,7 +3,8 @@
 Everything here is deliberately naive: plain Python loops over frames, a
 slow projected-gradient ascent for the SVM dual, and the SMO loop as it
 was before its rewrite. These must never share code with the
-implementations they check.
+implementations they check. The AOI oracles take a sequence of boxes,
+each with the fields of ``conftest.Box``.
 """
 from __future__ import annotations
 
@@ -64,16 +65,16 @@ def oracle_f2(aligned, w):
     return _pop_std(mags)
 
 
-def _boxes_by_frame(aoi):
+def _boxes_by_frame(boxes):
     by_frame = {}
-    for b in aoi.boxes:
+    for b in boxes:
         by_frame.setdefault(b.frame_index, []).append(b)
     return by_frame
 
 
-def oracle_f3(aligned, aoi, w):
+def oracle_f3(aligned, boxes, w):
     frames = frames_in_window(w.start_s, w.duration_s, aligned.fps, aligned.n_frames)
-    by_frame = _boxes_by_frame(aoi)
+    by_frame = _boxes_by_frame(boxes)
     dists = []
     for f in frames:
         if not aligned.present[f] or f not in by_frame:
@@ -89,9 +90,9 @@ def oracle_f3(aligned, aoi, w):
     return _pop_std(dists)
 
 
-def oracle_f4(aligned, aoi, w):
+def oracle_f4(aligned, boxes, w):
     frames = frames_in_window(w.start_s, w.duration_s, aligned.fps, aligned.n_frames)
-    by_frame = _boxes_by_frame(aoi)
+    by_frame = _boxes_by_frame(boxes)
     sq = []
     for f in frames:
         if not aligned.present[f] or f not in by_frame:
@@ -107,10 +108,10 @@ def oracle_f4(aligned, aoi, w):
     return math.sqrt(sum(sq) / len(sq))
 
 
-def oracle_occurrences(aoi, n_frames):
+def oracle_occurrences(boxes, n_frames):
     """(object_id, enter, exit) triples by scanning frame by frame."""
     by_obj = {}
-    for b in aoi.boxes:
+    for b in boxes:
         if b.frame_index < n_frames:
             by_obj.setdefault(b.object_id, set()).add(b.frame_index)
     occs = []
@@ -124,16 +125,16 @@ def oracle_occurrences(aoi, n_frames):
     return sorted(occs, key=lambda o: (o[1], o[0]))
 
 
-def oracle_f5(aligned, aoi, w):
+def oracle_f5(aligned, boxes, w):
     frames = frames_in_window(w.start_s, w.duration_s, aligned.fps, aligned.n_frames)
     if not frames:
         return None
     lo, hi = frames[0], frames[-1]
     by_frame_obj = {}
-    for b in aoi.boxes:
+    for b in boxes:
         by_frame_obj[(b.frame_index, b.object_id)] = b
     delays = []
-    for oid, enter, exit_ in oracle_occurrences(aoi, aligned.n_frames):
+    for oid, enter, exit_ in oracle_occurrences(boxes, aligned.n_frames):
         e = max(enter, lo)
         x = min(exit_, hi)
         if e > x:
@@ -231,9 +232,9 @@ def oracle_parse_gaze_log(path, meta, participant_id=None):
     return (participant_id, *cols)
 
 
-def oracle_trace_rows(params, meta, aoi, rng, sample_rate_hz):
+def oracle_trace_rows(params, meta, boxes, rng, sample_rate_hz):
     """``synth.generate_trace_rows`` as a sample-by-sample loop, with its
-    own per-frame AOI lookup built from the ``AoiTrack``.
+    own per-frame AOI lookup built from the boxes.
     Returns a list of (wall_s, video_s, x, y, valid) tuples; the RNG is
     drawn in the generator's order, so the rows and the final RNG state
     must match bit for bit."""
@@ -243,7 +244,7 @@ def oracle_trace_rows(params, meta, aoi, rng, sample_rate_hz):
     cx = np.zeros(n)
     cy = np.zeros(n)
     occ_start = np.full(n, -1, dtype=int)  # enter frame of the covering occurrence
-    for b in aoi.boxes:
+    for b in boxes:
         present[b.frame_index] = True
         cx[b.frame_index], cy[b.frame_index] = b.center
     start = -1

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from gazescreen.cli import main as cli_main
-from gazescreen.core import AoiBox, AoiTrack, FeatureMode, Group, VideoMeta
+from gazescreen.core import FeatureMode, Group, VideoMeta
 from gazescreen.errors import (
     DegenerateBox,
     InsufficientData,
@@ -31,10 +32,7 @@ from gazescreen.experiments import (
     run_severity_loocv,
 )
 from gazescreen.features import (
-    AoiIndex,
     Window,
-    concat_videos,
-    extract,
     feature_delay,
     feature_rmse_aoi,
     feature_std_diff,
@@ -57,12 +55,12 @@ from gazescreen.pipeline import extract_features, load_dataset
 from gazescreen.synth import DEFAULT_ASD_PARAMS, CohortSpec, generate_cohort
 
 from . import oracles
-from .conftest import record_acceptance, random_aligned, random_aoi
+from .conftest import Box, aoi_index, record_acceptance, random_aligned, random_aoi
 
 
 def all_features(at, aoi, w):
     """(implementation, oracle) value pairs; None where undefined."""
-    idx = AoiIndex(aoi, at.n_frames)
+    idx = aoi_index(aoi, at.n_frames)
     out = []
     for impl, oracle in (
         (lambda: feature_std_gaze(at, w), lambda: oracles.oracle_f1(at, w)),
@@ -112,7 +110,7 @@ def test_criterion_2_feature_symmetry_suite():
     while checked < 50:
         at = random_aligned(rng, n_frames=16, fps=8.0)
         aoi = random_aoi(rng, n_frames=16)
-        idx = AoiIndex(aoi, at.n_frames)
+        idx = aoi_index(aoi, at.n_frames)
         w = full_window(at)
         s = float(rng.uniform(0.2, 0.95))
         try:
@@ -134,12 +132,12 @@ def test_criterion_2_feature_symmetry_suite():
             at.participant_id, at.video_id, at.fps, at.present,
             at.x * s, at.y * s, at.gap, at.wall_s,
         )
-        scaled_aoi = AoiTrack(aoi.video_id, tuple(
-            AoiBox(b.object_id, b.frame_index, b.x_min * s, b.y_min * s,
-                   b.x_max * s, b.y_max * s)
-            for b in aoi.boxes
-        ))
-        scaled_idx = AoiIndex(scaled_aoi, at.n_frames)
+        scaled_aoi = [
+            Box(b.object_id, b.frame_index, b.x_min * s, b.y_min * s,
+                b.x_max * s, b.y_max * s)
+            for b in aoi
+        ]
+        scaled_idx = aoi_index(scaled_aoi, at.n_frames)
         got = [
             feature_std_gaze(scaled, w),
             feature_std_diff(scaled, w),
@@ -404,7 +402,7 @@ def test_criterion_9_cli_determinism(tmp_path, small_cohort_manifest):
     )
 
 
-def test_criterion_10_ingest_error_taxonomy(tmp_path):
+def test_criterion_10_ingest_error_taxonomy(tmp_path, small_cohort_manifest):
     meta = VideoMeta("v", 3.0, 30.0, 1000, 1000)
     gaze_header = "participant_id,video_id,wall_ts_ms,video_ts_ms,x_px,y_px,valid\n"
     aoi_header = "video_id,frame_index,object_id,x_min_px,y_min_px,x_max_px,y_max_px\n"
@@ -442,13 +440,21 @@ def test_criterion_10_ingest_error_taxonomy(tmp_path):
         align(trace, meta)
     hits["RateMismatch"] = exc.value.fraction < 0.10
 
-    fv = extract(
-        random_aligned(np.random.default_rng(0), vid="v1"), None,
-        Window(0.0, 2.0), FeatureMode.NO_AOI,
-    )
-    with pytest.raises(MissingVideo):
-        concat_videos([fv], ["v1", "v2"])
-    hits["MissingVideo"] = True
+    manifest = yaml.safe_load(small_cohort_manifest.read_text(encoding="utf-8"))
+    logs = manifest["gaze_logs"]
+    pid = next(iter(logs))
+    vid = next(iter(logs[pid]))
+    del logs[pid][vid]
+    for per_video in logs.values():  # the files stay where the cohort wrote them
+        for v, rel in per_video.items():
+            per_video[v] = str(small_cohort_manifest.parent / rel)
+    for v, rel in manifest["aoi_tracks"].items():
+        manifest["aoi_tracks"][v] = str(small_cohort_manifest.parent / rel)
+    p = tmp_path / "manifest.yaml"
+    p.write_text(yaml.safe_dump(manifest), encoding="utf-8")
+    with pytest.raises(MissingVideo) as exc:
+        extract_features(load_dataset(p), FeatureMode.NO_AOI)
+    hits["MissingVideo"] = (exc.value.participant_id, exc.value.video_id) == (pid, vid)
 
     ok = all(hits.values())
     record_acceptance(

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ import yaml
 from click.testing import CliRunner
 
 import gazescreen
-from gazescreen import experiments, pipeline
+from gazescreen import experiments, features, pipeline
 from gazescreen.cli import EXIT_CONFIG, EXIT_IO, EXIT_PIPELINE, main
 
 
@@ -92,6 +93,8 @@ class TestSynth:
         "sample_rate_hz: .inf",
         "n_asd: 1.5",
         "videos: [{id: clip, duration_s: .inf, fps: 30, width_px: 640, height_px: 480}]",
+        # a finite duration and rate whose product, the frame count, overflows
+        "videos: [{id: clip, duration_s: 1.0e+200, fps: 1.0e+200, width_px: 640, height_px: 480}]",
     ])
     def test_bad_spec_value_exits_config(self, runner, tmp_path, params):
         spec = tmp_path / "spec.yaml"
@@ -254,6 +257,28 @@ class TestFeatures:
         assert r.exit_code == EXIT_CONFIG, r.output
         assert "duration_s and fps must be finite and positive" in r.output
         assert "Traceback" not in r.output
+
+    def test_overflowing_frame_count_exits_config(self, runner, small_cohort_manifest, tmp_path):
+        manifest = edit_manifest(
+            small_cohort_manifest, tmp_path,
+            lambda data: data["videos"][0].update({"duration_s": 1e200, "fps": 1e200}),
+        )
+        r = run(runner, "features", "--manifest", manifest, "--mode", "aoi",
+                "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert "duration_s * fps, the frame count, must be finite" in r.output
+        assert "Traceback" not in r.output
+
+    def test_non_finite_feature_exits_pipeline(
+        self, runner, small_cohort_manifest, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(features, "_delay", lambda *args: math.inf)
+        r = run(runner, "features", "--manifest", small_cohort_manifest, "--mode", "aoi",
+                "--out", tmp_path)
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        assert "failed: asd_000/car_pursuit: non-finite feature for asd_000/car_pursuit" in r.output
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "features.csv").exists()
 
     @pytest.mark.parametrize("section, what", [("videos", "video"), ("participants", "participant")])
     def test_duplicate_manifest_id_exits_config(

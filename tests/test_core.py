@@ -1,12 +1,6 @@
-import math
-
 import pytest
 
 from gazescreen.core import (
-    AoiBox,
-    AoiTrack,
-    FeatureMode,
-    FeatureVector,
     Group,
     Participant,
     VideoMeta,
@@ -58,35 +52,9 @@ def test_normalize_arrays_match_scalars():
     assert on.tolist() == [True, True, True, False, False, False]
 
 
-def test_aoi_box_invariants():
-    with pytest.raises(ValueError):
-        AoiBox("o", 0, 0.5, 0.1, 0.5, 0.2)  # x_min == x_max
-    with pytest.raises(ValueError):
-        AoiBox("o", -1, 0.1, 0.1, 0.2, 0.2)
-    b = AoiBox("o", 0, 0.1, 0.1, 0.3, 0.5)
-    assert b.center == (pytest.approx(0.2), pytest.approx(0.3))
-
-
-def test_aoi_track_rejects_duplicates_and_sorts():
-    b1 = AoiBox("o", 1, 0.1, 0.1, 0.2, 0.2)
-    b2 = AoiBox("o", 0, 0.1, 0.1, 0.2, 0.2)
-    track = AoiTrack("v", (b1, b2))
-    assert [b.frame_index for b in track.boxes] == [0, 1]
-    with pytest.raises(ValueError):
-        AoiTrack("v", (b1, b1))
-
-
 def test_participant_invariants():
     with pytest.raises(ValueError):
         Participant("c", Group.CONTROL, cars=30)
     with pytest.raises(ValueError):
         Participant("a", Group.ASD, cars=70)
     Participant("a", Group.ASD, cars=35)
-
-
-def test_feature_vector_shape():
-    FeatureVector("p", ("v1", "v2"), FeatureMode.NO_AOI, (1.0, 2.0, 3.0, 4.0))
-    with pytest.raises(ValueError):
-        FeatureVector("p", ("v1",), FeatureMode.WITH_AOI, (1.0, 2.0))
-    with pytest.raises(ValueError):
-        FeatureVector("p", ("v1",), FeatureMode.NO_AOI, (1.0, math.inf))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gazescreen import experiments
-from gazescreen.core import FeatureMode, FeatureVector, Group
+from gazescreen.core import FeatureMode, Group
 from gazescreen.errors import MissingFeatures, TooFewParticipants, TooFewPerClass
 from gazescreen.experiments import (
     CvConfig,
@@ -22,12 +22,12 @@ def fake_cohort(rng, n_asd=10, n_control=10, sep=10.0, noise=1.0):
     for k in range(n_asd):
         pid = f"a{k:02d}"
         v = rng.normal(sep, noise, 2)
-        features[pid] = FeatureVector(pid, ("v",), FeatureMode.NO_AOI, tuple(v))
+        features[pid] = v
         groups[pid] = Group.ASD
     for k in range(n_control):
         pid = f"c{k:02d}"
         v = rng.normal(-sep, noise, 2)
-        features[pid] = FeatureVector(pid, ("v",), FeatureMode.NO_AOI, tuple(v))
+        features[pid] = v
         groups[pid] = Group.CONTROL
     return features, groups
 
@@ -161,7 +161,7 @@ class TestSeverityLoocv:
             score = float(rng.integers(30, 40))
             cars[pid] = score
             v = (score / 10.0 + rng.normal(0, 0.05), rng.normal())
-            features[pid] = FeatureVector(pid, ("v",), FeatureMode.NO_AOI, v)
+            features[pid] = np.array(v)
         report = run_severity_loocv(features, cars, CvConfig(seed=5))
         y = np.array(list(cars.values()))
         constant_mae = np.abs(y - np.median(y)).mean()
@@ -171,18 +171,13 @@ class TestSeverityLoocv:
     def test_unscored_participants_excluded(self):
         rng = np.random.default_rng(10)
         cars = {"a0": 31.0, "a1": 34.0, "a2": 38.0, "c0": None}
-        features = {
-            p: FeatureVector(p, ("v",), FeatureMode.NO_AOI, tuple(rng.random(2)))
-            for p in cars
-        }
+        features = {p: rng.random(2) for p in cars}
         report = run_severity_loocv(features, cars, CvConfig(seed=6))
         assert [r["participant_id"] for r in report.rows] == ["a0", "a1", "a2"]
 
     def test_too_few_scored(self):
         cars = {"a0": 31.0, "a1": 34.0}
-        features = {
-            p: FeatureVector(p, ("v",), FeatureMode.NO_AOI, (0.1, 0.2)) for p in cars
-        }
+        features = {p: np.array([0.1, 0.2]) for p in cars}
         with pytest.raises(TooFewParticipants):
             run_severity_loocv(features, cars, CvConfig(seed=0))
 

@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from gazescreen.core import AoiBox, AoiTrack, FeatureMode
+from gazescreen.core import FeatureMode
 from gazescreen.errors import (
     ConfigError,
     GazeScreenError,
     InsufficientData,
-    MissingVideo,
     NoAoiInWindow,
     NonFiniteFeature,
 )
 from gazescreen.features import (
-    AoiIndex,
     Window,
-    concat_videos,
     extract,
     extract_batch,
     feature_delay,
@@ -26,8 +23,9 @@ from gazescreen.features import (
     full_window,
 )
 from gazescreen.ingest import AlignedTrace
+from gazescreen.pipeline import extract_features
 
-from .conftest import random_aligned, random_aoi, stack_traces
+from .conftest import Box, aoi_index, random_aligned, random_aoi, stack_traces
 from . import oracles
 
 
@@ -45,14 +43,14 @@ def trace_from_points(points, fps=10.0, pid="p", vid="v", gaps=()):
     return AlignedTrace(pid, vid, fps, present, x, y, gap, wall)
 
 
-def box_track(centers, half=0.1, vid="v", oid="o"):
+def box_track(centers, half=0.1, oid="o"):
     """One box per entry; centers may contain None for unannotated frames."""
     boxes = []
     for f, c in enumerate(centers):
         if c is None:
             continue
-        boxes.append(AoiBox(oid, f, c[0] - half, c[1] - half, c[0] + half, c[1] + half))
-    return AoiTrack(vid, tuple(boxes))
+        boxes.append(Box(oid, f, c[0] - half, c[1] - half, c[0] + half, c[1] + half))
+    return boxes
 
 
 class TestF1:
@@ -112,7 +110,7 @@ class TestF3F4:
     def test_gaze_pinned_to_center(self):
         centers = [(0.5, 0.5), (0.6, 0.4), (0.3, 0.7)]
         at = trace_from_points(centers)
-        aoi = AoiIndex(box_track(centers), at.n_frames)
+        aoi = aoi_index(box_track(centers), at.n_frames)
         w = full_window(at)
         assert feature_std_manhattan(at, aoi, w) == pytest.approx(0.0, abs=1e-15)
         assert feature_rmse_aoi(at, aoi, w) == pytest.approx(0.0, abs=1e-15)
@@ -121,9 +119,9 @@ class TestF3F4:
         at = trace_from_points([(0.5, 0.5), (0.5, 0.5)])
         boxes = []
         for f in range(2):
-            boxes.append(AoiBox("near", f, 0.5, 0.5, 0.7, 0.7))  # center (0.6, 0.6)
-            boxes.append(AoiBox("far", f, 0.2, 0.2, 0.4, 0.4))  # center (0.3, 0.3)
-        aoi = AoiIndex(AoiTrack("v", tuple(boxes)), at.n_frames)
+            boxes.append(Box("near", f, 0.5, 0.5, 0.7, 0.7))  # center (0.6, 0.6)
+            boxes.append(Box("far", f, 0.2, 0.2, 0.4, 0.4))  # center (0.3, 0.3)
+        aoi = aoi_index(boxes, at.n_frames)
         # per-frame Manhattan distance = min(0.4, 0.2) = 0.2 on both frames
         assert feature_std_manhattan(at, aoi, full_window(at)) == pytest.approx(0.0, abs=1e-15)
         d = math.hypot(0.1, 0.1)
@@ -131,14 +129,14 @@ class TestF3F4:
 
     def test_rmse_two_frame_example(self):
         at = trace_from_points([(0.5, 0.5), (0.5, 0.5)])
-        aoi = AoiIndex(box_track([(0.5, 0.8), (0.5, 0.9)], half=0.1), at.n_frames)  # 0.3, 0.4
+        aoi = aoi_index(box_track([(0.5, 0.8), (0.5, 0.9)], half=0.1), at.n_frames)  # 0.3, 0.4
         got = feature_rmse_aoi(at, aoi, full_window(at))
         assert got == pytest.approx(math.sqrt((0.09 + 0.16) / 2), rel=1e-12)
         assert got == pytest.approx(0.35355, abs=1e-5)
 
     def test_empty_track(self):
         at = trace_from_points([(0.5, 0.5), (0.5, 0.5)])
-        aoi = AoiIndex(AoiTrack("v", ()), at.n_frames)
+        aoi = aoi_index([], at.n_frames)
         with pytest.raises(NoAoiInWindow):
             feature_std_manhattan(at, aoi, full_window(at))
         with pytest.raises(NoAoiInWindow):
@@ -149,7 +147,7 @@ class TestF5:
     def test_immediate_look_is_zero(self):
         centers = [(0.5, 0.5)] * 4
         at = trace_from_points(centers)
-        aoi = AoiIndex(box_track(centers), at.n_frames)
+        aoi = aoi_index(box_track(centers), at.n_frames)
         assert feature_delay(at, aoi, full_window(at)) == 0.0
 
     def test_late_first_hit(self):
@@ -162,7 +160,7 @@ class TestF5:
         centers = [None] * n
         for f in range(60, n):
             centers[f] = (0.5, 0.5)
-        aoi = AoiIndex(box_track(centers), at.n_frames)
+        aoi = aoi_index(box_track(centers), at.n_frames)
         # occurrence enters at frame 60, first hit at frame 105
         assert feature_delay(at, aoi, full_window(at)) == pytest.approx(45 / fps)
         assert feature_delay(at, aoi, full_window(at)) == pytest.approx(1.5)
@@ -171,7 +169,7 @@ class TestF5:
         pts = [(0.1, 0.1)] * 10
         at = trace_from_points(pts)
         centers = [None, (0.7, 0.7), (0.7, 0.7), None, None, (0.8, 0.8), None, None, None, None]
-        aoi = AoiIndex(box_track(centers), at.n_frames)
+        aoi = aoi_index(box_track(centers), at.n_frames)
         # spans: frames 1-2 (0.2 s) and frame 5 (0.1 s), never looked at
         got = feature_delay(at, aoi, full_window(at))
         assert got == pytest.approx((0.2 + 0.1) / 2, rel=1e-12)
@@ -180,7 +178,7 @@ class TestF5:
         rng = np.random.default_rng(1)
         for _ in range(50):
             at = random_aligned(rng, n_frames=18, fps=6.0)
-            aoi = AoiIndex(random_aoi(rng, n_frames=18), at.n_frames)
+            aoi = aoi_index(random_aoi(rng, n_frames=18), at.n_frames)
             w = full_window(at)
             try:
                 f5 = feature_delay(at, aoi, w)
@@ -199,16 +197,17 @@ class TestAoiIndex:
         rng = np.random.default_rng(21)
         for p_ann in (0.0, 0.3, 0.7, 1.0):
             for _ in range(20):
-                track = random_aoi(rng, n_frames=24, n_objects=3, p_ann=p_ann)
-                n_frames = int(rng.integers(1, 25))  # boxes past n_frames are dropped
+                boxes = random_aoi(rng, n_frames=24, n_objects=3, p_ann=p_ann)
+                n_frames = int(rng.integers(1, 25))  # the oracle skips boxes past n_frames
+                shown = [b for b in boxes if b.frame_index < n_frames]
                 got = [(o.object_id, o.enter_frame, o.exit_frame)
-                       for o in AoiIndex(track, n_frames).occurrences]
-                assert got == oracles.oracle_occurrences(track, n_frames)
+                       for o in aoi_index(shown, n_frames).occurrences]
+                assert got == oracles.oracle_occurrences(boxes, n_frames)
                 assert all(type(o[1]) is int and type(o[2]) is int for o in got)
 
     def test_frame_count_must_match_trace(self):
         at = trace_from_points([(0.5, 0.5)] * 4)
-        aoi = AoiIndex(box_track([(0.5, 0.5)] * 4), at.n_frames + 1)
+        aoi = aoi_index(box_track([(0.5, 0.5)] * 4), at.n_frames + 1)
         with pytest.raises(ValueError):
             extract(at, aoi, full_window(at), FeatureMode.WITH_AOI)
         with pytest.raises(ValueError):
@@ -221,12 +220,12 @@ class TestScaleSymmetries:
             at.participant_id, at.video_id, at.fps, at.present,
             at.x * s, at.y * s, at.gap, at.wall_s,
         )
-        boxes = tuple(
-            AoiBox(b.object_id, b.frame_index, b.x_min * s, b.y_min * s,
-                   b.x_max * s, b.y_max * s)
-            for b in aoi.boxes
-        )
-        return at2, AoiTrack(aoi.video_id, boxes)
+        boxes = [
+            Box(b.object_id, b.frame_index, b.x_min * s, b.y_min * s,
+                b.x_max * s, b.y_max * s)
+            for b in aoi
+        ]
+        return at2, boxes
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(7)
@@ -236,7 +235,7 @@ class TestScaleSymmetries:
             aoi = random_aoi(rng, n_frames=16)
             s = float(rng.uniform(0.2, 1.0))
             w = full_window(at)
-            idx = AoiIndex(aoi, at.n_frames)
+            idx = aoi_index(aoi, at.n_frames)
             try:
                 f1 = feature_std_gaze(at, w)
                 f2 = feature_std_diff(at, w)
@@ -246,7 +245,7 @@ class TestScaleSymmetries:
             except (InsufficientData, NoAoiInWindow):
                 continue
             at2, aoi2 = self.scaled(at, aoi, s)
-            aoi2 = AoiIndex(aoi2, at2.n_frames)
+            aoi2 = aoi_index(aoi2, at2.n_frames)
             assert feature_std_gaze(at2, w) == pytest.approx(f1 * s, abs=1e-12)
             assert feature_std_diff(at2, w) == pytest.approx(f2 * s, abs=1e-12)
             assert feature_std_manhattan(at2, aoi2, w) == pytest.approx(f3 * s, abs=1e-12)
@@ -268,7 +267,7 @@ class TestWindows:
         rng = np.random.default_rng(9)
         for _ in range(30):
             at = random_aligned(rng, n_frames=20, fps=10.0, p_present=0.5)
-            aoi = AoiIndex(random_aoi(rng, n_frames=20, p_ann=0.4), at.n_frames)
+            aoi = aoi_index(random_aoi(rng, n_frames=20, p_ann=0.4), at.n_frames)
             w_small = Window(0.5, 0.8)
             w_big = Window(0.0, 2.0)
             for fn in (
@@ -303,7 +302,7 @@ class TestOracleEquivalence:
             start = float(rng.uniform(0, n / fps * 0.3))
             dur = float(rng.uniform(n / fps * 0.3, n / fps - start))
             w = Window(start, dur)
-            idx = AoiIndex(aoi, at.n_frames)
+            idx = aoi_index(aoi, at.n_frames)
             pairs = [
                 (lambda: feature_std_gaze(at, w), lambda: oracles.oracle_f1(at, w)),
                 (lambda: feature_std_diff(at, w), lambda: oracles.oracle_f2(at, w)),
@@ -327,43 +326,37 @@ class TestOracleEquivalence:
 class TestExtractConcat:
     def test_no_aoi_shape(self):
         at = trace_from_points([(0.1 * k, 0.3) for k in range(8)])
-        fv = extract(at, None, full_window(at), FeatureMode.NO_AOI)
-        assert len(fv.values) == 2
+        row = extract(at, None, full_window(at), FeatureMode.NO_AOI)
+        assert row.shape == (2,) and row.dtype == np.float64
 
     def test_with_aoi_matches_oracle(self):
         rng = np.random.default_rng(55)
         at = random_aligned(rng, n_frames=20, fps=10.0)
         aoi = random_aoi(rng, n_frames=20)
         w = full_window(at)
-        fv = extract(at, AoiIndex(aoi, at.n_frames), w, FeatureMode.WITH_AOI)
+        row = extract(at, aoi_index(aoi, at.n_frames), w, FeatureMode.WITH_AOI)
         expected = [
             oracles.oracle_f1(at, w), oracles.oracle_f2(at, w),
             oracles.oracle_f3(at, aoi, w), oracles.oracle_f4(at, aoi, w),
             oracles.oracle_f5(at, aoi, w),
         ]
-        assert fv.values == pytest.approx(expected, rel=1e-9)
+        assert row.tolist() == pytest.approx(expected, rel=1e-9)
 
     def test_with_aoi_empty_track(self):
         at = trace_from_points([(0.1 * k, 0.3) for k in range(8)])
         with pytest.raises(NoAoiInWindow):
-            extract(at, AoiIndex(AoiTrack("v", ()), at.n_frames), full_window(at),
+            extract(at, aoi_index([], at.n_frames), full_window(at),
                     FeatureMode.WITH_AOI)
 
-    def make_fv(self, vid):
-        at = trace_from_points([(0.1 * k, 0.3) for k in range(8)], vid=vid)
-        return extract(at, None, full_window(at), FeatureMode.NO_AOI)
-
-    def test_concat_order_and_shape(self):
-        fvs = [self.make_fv(v) for v in ("v1", "v2", "v3", "v4")]
-        out = concat_videos(fvs, ["v4", "v3", "v2", "v1"])
-        assert len(out.values) == 8
-        assert out.video_ids == ("v4", "v3", "v2", "v1")
-        assert out.values[:2] == fvs[3].values
-
-    def test_concat_missing_video(self):
-        fvs = [self.make_fv(v) for v in ("v1", "v2")]
-        with pytest.raises(MissingVideo):
-            concat_videos(fvs, ["v1", "v2", "v3"])
+    def test_concat_order_and_shape(self, small_cohort):
+        order = list(reversed(small_cohort.video_order))
+        rows = extract_features(small_cohort, FeatureMode.NO_AOI, video_ids=order)
+        for pid, row in rows.items():
+            assert row.shape == (2 * len(order),)
+            for k, vid in enumerate(order):
+                at = small_cohort.aligned[(pid, vid)]
+                expected = extract(at, None, full_window(at), FeatureMode.NO_AOI)
+                assert row[2 * k: 2 * k + 2].tolist() == expected.tolist()
 
 
 class TestWindowErrors:
@@ -387,7 +380,7 @@ def batch_vs_extract(stack, rows, aoi, w, mode):
     for i, at in enumerate(rows):
         assert at.participant_id == stack.participant_ids[i]
         try:
-            expected = extract(at, aoi, w, mode).values
+            expected = extract(at, aoi, w, mode)
         except GazeScreenError:
             assert not usable[i], (at.participant_id, w)
             assert np.isnan(values[i]).all()
@@ -434,7 +427,7 @@ class TestExtractBatch:
             stack, rows = stack_traces(traces)
             track = random_aoi(rng, n_frames=n, n_objects=int(rng.integers(1, 4)),
                                p_ann=float(rng.uniform(0.05, 0.8)))
-            aoi = AoiIndex(track, n)
+            aoi = aoi_index(track, n)
             for _ in range(6):
                 duration = float(rng.uniform(0.5, n)) / fps
                 w = Window(float(rng.uniform(0.0, n / fps - duration)), duration)
@@ -473,7 +466,7 @@ class TestExtractBatch:
             trace_from_points(bad_points, pid="bad", gaps=gaps),
         ]
         stack, rows = stack_traces(traces)
-        aoi = AoiIndex(box_track(centers), stack.n_frames)
+        aoi = aoi_index(box_track(centers), stack.n_frames)
         usable, _ = batch_vs_extract(stack, rows, aoi, w, mode)
         return dict(zip(stack.participant_ids, usable.tolist()))
 
@@ -525,7 +518,7 @@ class TestExtractBatch:
             points[k + 1] = edge
             traces.append(trace_from_points(points, pid=f"p{k}"))
         stack, rows = stack_traces(traces)
-        aoi = AoiIndex(box_track(self.CENTERS), stack.n_frames)
+        aoi = aoi_index(box_track(self.CENTERS), stack.n_frames)
         w = Window(0.0, 1.0)
         batch_vs_extract(stack, rows, aoi, w, FeatureMode.WITH_AOI)
         values, _ = extract_batch(stack, aoi, w, FeatureMode.WITH_AOI)
@@ -544,7 +537,7 @@ class TestExtractBatch:
         stack, rows = stack_traces([trace_from_points(self.GOOD, pid="a"),
                                     trace_from_points(huge, pid="b")])
         w = Window(0.0, 1.0)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteFeature, match="b/v"):
             extract(rows[1], None, w, FeatureMode.NO_AOI)
         with pytest.raises(NonFiniteFeature, match="b/v"):
             extract_batch(stack, None, w, FeatureMode.NO_AOI)

@@ -153,18 +153,71 @@ class TestParseGazeLog:
             parse_gaze_log(p, META)
 
 
+def _aoi_rule_cases():
+    """(file text, error, line, reason), one case per rule of an AOI track
+    and named after it; each bad row follows a good one, on line 3."""
+    header = ",".join(AOI_HEADER) + "\n"
+    good = "v,0,obj,100,100,200,200\n"
+
+    def after_good(row):
+        return header + good + row + "\n"
+
+    def coordinate(k, text):
+        fields = ["100", "100", "200", "200"]
+        fields[k] = text
+        return after_good("v,1,obj," + ",".join(fields))
+
+    coords = ["x_min_px", "y_min_px", "x_max_px", "y_max_px"]
+    degenerate = "box has non-positive width or height"
+    off_screen = "box extends outside the screen"
+    cases = [
+        ("header", "a,b\n" + good, MalformedRow, 1, f"expected header {','.join(AOI_HEADER)}"),
+        ("fields", after_good("v,1,obj,100,100,200"), MalformedRow, 3,
+         "expected 7 fields, got 6"),
+        ("video id", after_good("w,1,obj,100,100,200,200"), MalformedRow, 3,
+         "video id 'w' does not match 'v'"),
+        ("bad frame", after_good("v,1.5,obj,100,100,200,200"), MalformedRow, 3,
+         "bad frame_index: '1.5'"),
+        ("negative frame", after_good("v,-1,obj,100,100,200,200"), FrameOutOfRange, 3,
+         "frame -1 outside [0, 90)"),
+        # 3 s at 30 fps: frames 0-89
+        ("frame past the video", after_good("v,90,obj,100,100,200,200"), FrameOutOfRange, 3,
+         "frame 90 outside [0, 90)"),
+        *((f"bad {what}", coordinate(k, "abc"), MalformedRow, 3, f"bad {what}: 'abc'")
+          for k, what in enumerate(coords)),
+        *((f"{text} {what}", coordinate(k, text), MalformedRow, 3, f"non-finite {what}")
+          for k, what in enumerate(coords) for text in ("nan", "inf")),
+        ("degenerate", after_good("v,1,obj,100,100,100,200"), DegenerateBox, 3, degenerate),
+        ("left of the screen", after_good("v,1,obj,-10,100,200,200"), MalformedRow, 3,
+         off_screen),
+        ("below the screen", after_good("v,1,obj,100,900,200,1001"), MalformedRow, 3,
+         off_screen),
+        ("duplicate", after_good("v,1,obj,100,100,200,200") + good, MalformedRow, 4,
+         "duplicate box for frame 0, object 'obj'"),
+        # a quoted object id spans lines 2-3 and line 4 is blank: the bad row is line 5
+        ("first line", header + 'v,0,"obj\nA",100,100,200,200\n\nv,1,obj,100,100,100,200\n',
+         DegenerateBox, 5, degenerate),
+    ]
+    return [pytest.param(*case, id=name) for name, *case in cases]
+
+
 class TestParseAoi:
     def test_scaling(self, tmp_path):
         p = tmp_path / "a.csv"
         write_aoi(p, [("v", 0, "obj", 100, 100, 200, 200)])
-        track = parse_aoi_track(p, META)
-        b = track.boxes[0]
-        assert (b.x_min, b.y_min, b.x_max, b.y_max) == (0.1, 0.1, 0.2, 0.2)
+        aoi = parse_aoi_track(p, META)
+        assert aoi.object_ids == ("obj",) and aoi.n_frames == META.n_frames
+        box = [aoi.x_min[0, 0], aoi.y_min[0, 0], aoi.x_max[0, 0], aoi.y_max[0, 0]]
+        assert box == [0.1, 0.1, 0.2, 0.2]
+        assert (aoi.cx[0, 0], aoi.cy[0, 0]) == ((0.1 + 0.2) / 2.0, (0.1 + 0.2) / 2.0)
+        assert aoi.ann.sum() == 1
 
     def test_empty_track_is_legal(self, tmp_path):
         p = tmp_path / "a.csv"
         write_aoi(p, [])
-        assert parse_aoi_track(p, META).boxes == ()
+        aoi = parse_aoi_track(p, META)
+        assert aoi.object_ids == () and aoi.occurrences == ()
+        assert aoi.ann.shape == (0, META.n_frames)
 
     def test_degenerate_box(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -199,6 +252,17 @@ class TestParseAoi:
         write_aoi(p, [("v", 90, "obj", 100, 100, 200, 200)])  # 3 s * 30 fps = 90 frames
         with pytest.raises(FrameOutOfRange):
             parse_aoi_track(p, META)
+
+
+    @pytest.mark.parametrize("text, error, line_no, reason", _aoi_rule_cases())
+    def test_every_rule_names_its_row(self, tmp_path, text, error, line_no, reason):
+        p = tmp_path / "a.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(error) as exc:
+            parse_aoi_track(p, META)
+        assert type(exc.value) is error
+        assert exc.value.line_no == line_no
+        assert str(exc.value) == f"{p}:{line_no}: {reason}"
 
 
 def _spell(rng, v, style=None):

@@ -7,7 +7,7 @@ import pytest
 
 from gazescreen.core import FeatureMode, Group, VideoMeta
 from gazescreen.experiments import CvConfig, run_classification_cv
-from gazescreen.features import AoiIndex, extract, full_window
+from gazescreen.features import extract, full_window
 from gazescreen.ingest import align
 from gazescreen.pipeline import extract_features, load_dataset
 from gazescreen.synth import (
@@ -22,7 +22,7 @@ from gazescreen.synth import (
     generate_trace_rows,
 )
 
-from .conftest import gaze_trace
+from .conftest import aoi_index, gaze_trace, index_boxes
 from .oracles import oracle_trace_rows
 
 META = DEFAULT_VIDEOS[0]
@@ -32,7 +32,7 @@ def simulate(params, rng_seed=1, meta=META, aoi=None):
     if aoi is None:
         aoi = generate_aoi_path(meta, np.random.default_rng(0))
     rows = generate_trace_rows(
-        params, meta, AoiIndex(aoi, meta.n_frames), np.random.default_rng(rng_seed), 60.0
+        params, meta, aoi, np.random.default_rng(rng_seed), 60.0
     )
     trace = gaze_trace(
         [(r[0] * 1000, r[1] * 1000, r[2], r[3], bool(r[4])) for r in rows.tolist()],
@@ -54,14 +54,14 @@ class TestAoiPath:
     def test_invariants(self):
         for seed in range(10):
             aoi = generate_aoi_path(META, np.random.default_rng(seed))
-            assert aoi.video_id == META.video_id
-            for b in aoi.boxes:
+            assert aoi.n_frames == META.n_frames
+            boxes = index_boxes(aoi)
+            for b in boxes:
                 assert 0.0 <= b.x_min < b.x_max <= 1.0
                 assert 0.0 <= b.y_min < b.y_max <= 1.0
-                assert 0 <= b.frame_index < META.n_frames
-            occs = AoiIndex(aoi, META.n_frames).occurrences
+            occs = aoi.occurrences
             assert 2 <= len(occs) <= 4
-            covered = len({b.frame_index for b in aoi.boxes})
+            covered = len({b.frame_index for b in boxes})
             assert 0.6 <= covered / META.n_frames <= 0.9
             # occurrences are separated by at least one unannotated frame
             for a, b in zip(occs, occs[1:]):
@@ -70,7 +70,7 @@ class TestAoiPath:
     def test_deterministic(self):
         a1 = generate_aoi_path(META, np.random.default_rng(3))
         a2 = generate_aoi_path(META, np.random.default_rng(3))
-        assert a1 == a2
+        assert index_boxes(a1) == index_boxes(a2)
 
 
 class TestTraceRows:
@@ -116,13 +116,12 @@ class TestTraceRows:
         averse = dataclasses.replace(pinned, p_attend=0.0)
         at_p, aoi, _ = simulate(pinned)
         at_a, _, _ = simulate(averse, aoi=aoi)
-        idx = AoiIndex(aoi, META.n_frames)
-        fv_p = extract(at_p, idx, full_window(at_p), FeatureMode.WITH_AOI)
-        fv_a = extract(at_a, idx, full_window(at_a), FeatureMode.WITH_AOI)
+        fv_p = extract(at_p, aoi, full_window(at_p), FeatureMode.WITH_AOI)
+        fv_a = extract(at_a, aoi, full_window(at_a), FeatureMode.WITH_AOI)
         # f4 (aoi distance) and f5 (first-look delay) respond to attention
-        assert fv_p.values[3] < fv_a.values[3] / 2
-        assert fv_p.values[4] < fv_a.values[4] / 2
-        assert fv_p.values[4] < 0.5
+        assert fv_p[3] < fv_a[3] / 2
+        assert fv_p[4] < fv_a[4] / 2
+        assert fv_p[4] < 0.5
 
 
 def _oracle_cases():
@@ -173,8 +172,9 @@ class TestTraceRowsOracle:
             track = generate_aoi_path(meta, np.random.default_rng(1000 + seed))
             rng_new = np.random.default_rng(seed)
             rng_old = np.random.default_rng(seed)
-            rows = generate_trace_rows(params, meta, AoiIndex(track, meta.n_frames), rng_new, rate)
-            expected = np.array(oracle_trace_rows(params, meta, track, rng_old, rate), dtype=float)
+            rows = generate_trace_rows(params, meta, track, rng_new, rate)
+            expected = np.array(oracle_trace_rows(params, meta, index_boxes(track), rng_old, rate),
+                                dtype=float)
             assert rows.shape == expected.shape, (seed, params, meta, rate)
             assert rows.tobytes() == expected.tobytes(), (seed, params, meta, rate)
             # every RNG draw happened, in the same order
@@ -185,12 +185,11 @@ class TestTraceRowsOracle:
         assert ends_invalid > 0 and ends_valid > 0
 
     def test_rejects_multi_object_index(self):
-        aoi = generate_aoi_path(META, np.random.default_rng(0))
-        second = tuple(dataclasses.replace(b, object_id="object_1") for b in aoi.boxes[:5])
-        two = dataclasses.replace(aoi, boxes=aoi.boxes + second)
+        boxes = index_boxes(generate_aoi_path(META, np.random.default_rng(0)))
+        second = [b._replace(object_id="object_1") for b in boxes[:5]]
         with pytest.raises(ValueError, match="one AOI object"):
             generate_trace_rows(
-                DEFAULT_CONTROL_PARAMS, META, AoiIndex(two, META.n_frames),
+                DEFAULT_CONTROL_PARAMS, META, aoi_index(boxes + second, META.n_frames),
                 np.random.default_rng(0), 60.0,
             )
 
@@ -265,7 +264,7 @@ class TestGroupSeparation:
 
         def mean_feature(group, offset):
             vals = [
-                np.mean([features[p].values[k * 5 + offset] for k in range(n_videos)])
+                np.mean([features[p][k * 5 + offset] for k in range(n_videos)])
                 for p in features
                 if groups[p] is group
             ]
