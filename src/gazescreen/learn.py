@@ -4,7 +4,9 @@
 - SvmModel: soft-margin SVM with a third-degree polynomial kernel, trained
   by sequential minimal optimization (SMO) on the dual.
 - MlpModel: one-hidden-layer (width 100, ReLU) regressor trained with
-  adaptive-moment SGD on mean squared error plus an L2 penalty.
+  adaptive-moment SGD on mean squared error plus an L2 penalty. A trained
+  model's W1, b1, W2 and b2 are views of one flat parameter vector, and
+  training updates that vector, its gradient and its Adam moments whole.
 
 Everything is deterministic given a seed.
 """
@@ -316,6 +318,19 @@ class MlpModel:
         return self.W1.shape[0]
 
 
+def _mlp_size(d: int, hidden: int) -> int:
+    return d * hidden + 2 * hidden + 1
+
+
+def _mlp_views(flat: np.ndarray, d: int, hidden: int):
+    """W1 (d, hidden), b1 (hidden,), W2 (hidden, 1) and b2 (1,) as views of
+    one flat vector of ``_mlp_size(d, hidden)`` values, in that order."""
+    i1 = d * hidden
+    i2 = i1 + hidden
+    i3 = i2 + hidden
+    return flat[:i1].reshape(d, hidden), flat[i1:i2], flat[i2:i3].reshape(hidden, 1), flat[i3:]
+
+
 def mlp_forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.maximum(X @ model.W1 + model.b1, 0.0)
     out = h @ model.W2 + model.b2
@@ -330,24 +345,39 @@ def mlp_predict(model: MlpModel, x: np.ndarray) -> float:
     return float(out[0])
 
 
-def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, y: np.ndarray):
-    """Half-MSE plus L2/(2n) penalty on the weight matrices, with analytic
-    gradients for every parameter."""
+def _mlp_loss(model: MlpModel, X: np.ndarray, y: np.ndarray):
+    """Half-MSE plus L2/(2n) penalty on the weight matrices; returns the
+    loss, the hidden activations and the residuals."""
     n = len(y)
-    h = np.maximum(X @ model.W1 + model.b1, 0.0)
-    pred = (h @ model.W2 + model.b2)[:, 0]
+    h, pred = mlp_forward(model, X)
     resid = pred - y
-    l2 = model.config.l2
-    loss = 0.5 * float(np.mean(resid**2))
-    loss += l2 / (2.0 * n) * (float(np.sum(model.W1**2)) + float(np.sum(model.W2**2)))
+    add = np.add.reduce
+    loss = 0.5 * float(add(resid**2) / n)
+    loss += model.config.l2 / (2.0 * n) * (
+        float(add(model.W1**2, axis=None)) + float(add(model.W2**2, axis=None)))
+    return loss, h, resid
 
+
+def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, y: np.ndarray, out=None):
+    """The loss of ``_mlp_loss`` with analytic gradients for every
+    parameter. The gradients are written into views of ``out``, a flat
+    float64 buffer laid out as ``_mlp_views`` reads it (a new one if None),
+    and returned as (gW1, gb1, gW2, gb2)."""
+    n = len(y)
+    loss, h, resid = _mlp_loss(model, X, y)
+    if out is None:
+        out = np.empty(_mlp_size(*model.W1.shape))
+    gW1, gb1, gW2, gb2 = _mlp_views(out, *model.W1.shape)
+    l2 = model.config.l2
     d_out = (resid / n)[:, None]  # (n, 1)
-    gW2 = h.T @ d_out + (l2 / n) * model.W2
-    gb2 = d_out.sum(axis=0)
+    np.matmul(h.T, d_out, out=gW2)
+    gW2 += (l2 / n) * model.W2
+    np.add.reduce(d_out, axis=0, out=gb2)
     d_h = d_out @ model.W2.T
     d_h[h <= 0.0] = 0.0
-    gW1 = X.T @ d_h + (l2 / n) * model.W1
-    gb1 = d_h.sum(axis=0)
+    np.matmul(X.T, d_h, out=gW1)
+    gW1 += (l2 / n) * model.W1
+    np.add.reduce(d_h, axis=0, out=gb1)
     return loss, (gW1, gb1, gW2, gb2)
 
 
@@ -362,7 +392,16 @@ def mlp_train(
     config: MlpConfig | None = None,
     seed: int = 0,
 ) -> MlpModel:
-    """Train the regressor with adaptive-moment SGD and early stopping."""
+    """Train the regressor with adaptive-moment SGD and early stopping.
+
+    All parameters live in one flat float64 vector, of which the model's
+    W1, b1, W2 and b2 are views; the gradients and both Adam moments are
+    flat vectors of the same layout, so each step is one Adam update of
+    in-place ufuncs over the whole vector (element for element the same
+    arithmetic as one update per array). The epoch-end early-stop check
+    computes the loss only. Overflow is not warned about: a loss that is
+    not finite raises ``DivergenceDetected``.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
@@ -372,42 +411,54 @@ def mlp_train(
     cfg = config or MlpConfig()
     n, d = X.shape
     rng = np.random.default_rng(seed)
-    model = MlpModel(
-        W1=_glorot_uniform(rng, d, cfg.hidden, (d, cfg.hidden)),
-        b1=np.zeros(cfg.hidden),
-        W2=_glorot_uniform(rng, cfg.hidden, 1, (cfg.hidden, 1)),
-        b2=np.zeros(1),
-        config=cfg,
-    )
-    params = [model.W1, model.b1, model.W2, model.b2]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    theta = np.zeros(_mlp_size(d, cfg.hidden))
+    W1, b1, W2, b2 = _mlp_views(theta, d, cfg.hidden)
+    W1[...] = _glorot_uniform(rng, d, cfg.hidden, (d, cfg.hidden))
+    W2[...] = _glorot_uniform(rng, cfg.hidden, 1, (cfg.hidden, 1))
+    model = MlpModel(W1=W1, b1=b1, W2=W2, b2=b2, config=cfg)
+    grad = np.empty_like(theta)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    tmp = np.empty_like(theta)
+    step = np.empty_like(theta)
+    beta1, beta2, lr, eps = cfg.beta1, cfg.beta2, cfg.lr, cfg.eps
     t = 0
     batch = min(cfg.batch_size, n)
     best_loss = np.inf
     stall = 0
-    for _epoch in range(cfg.max_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            loss, grads = mlp_loss_and_grads(model, X[idx], y[idx])
-            if not np.isfinite(loss):
-                raise DivergenceDetected(f"loss became {loss}")
-            t += 1
-            for k, (p, g) in enumerate(zip(params, grads)):
-                m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g
-                v[k] = cfg.beta2 * v[k] + (1 - cfg.beta2) * g * g
-                m_hat = m[k] / (1 - cfg.beta1**t)
-                v_hat = v[k] / (1 - cfg.beta2**t)
-                p -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        epoch_loss, _ = mlp_loss_and_grads(model, X, y)
-        if not np.isfinite(epoch_loss):
-            raise DivergenceDetected(f"loss became {epoch_loss}")
-        if best_loss - epoch_loss > cfg.early_stop_tol:
-            best_loss = epoch_loss
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cfg.patience:
-                break
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as divergence
+        for _epoch in range(cfg.max_epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch):
+                idx = order[start : start + batch]
+                loss, _ = mlp_loss_and_grads(model, X[idx], y[idx], out=grad)
+                if not np.isfinite(loss):
+                    raise DivergenceDetected(f"loss became {loss}")
+                t += 1
+                # m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g*g
+                m *= beta1
+                np.multiply(grad, 1 - beta1, out=tmp)
+                m += tmp
+                v *= beta2
+                np.multiply(grad, 1 - beta2, out=tmp)
+                tmp *= grad
+                v += tmp
+                # theta -= lr * m_hat / (sqrt(v_hat) + eps)
+                np.divide(v, 1 - beta2**t, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += eps
+                np.divide(m, 1 - beta1**t, out=step)
+                step *= lr
+                step /= tmp
+                theta -= step
+            epoch_loss, _, _ = _mlp_loss(model, X, y)
+            if not np.isfinite(epoch_loss):
+                raise DivergenceDetected(f"loss became {epoch_loss}")
+            if best_loss - epoch_loss > cfg.early_stop_tol:
+                best_loss = epoch_loss
+                stall = 0
+            else:
+                stall += 1
+                if stall >= cfg.patience:
+                    break
     return model

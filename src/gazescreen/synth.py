@@ -188,7 +188,7 @@ def generate_aoi_path(meta: VideoMeta, rng: np.random.Generator) -> AoiIndex:
     gap_lens[0] += uncovered - gap_lens.sum()
 
     lo, hi = AOI_BOX_HALF + 0.02, 1.0 - AOI_BOX_HALF - 0.02
-    frames, x_min, y_min, x_max, y_max = [], [], [], [], []
+    frames, cxs, cys = [], [], []
     frame = int(gap_lens[0])
     for k in range(n_occ):
         length = int(span_lens[k])
@@ -198,15 +198,17 @@ def generate_aoi_path(meta: VideoMeta, rng: np.random.Generator) -> AoiIndex:
         way_y = rng.uniform(lo, hi, size=n_way)
         t = np.linspace(0.0, n_way - 1.0, length)
         shown = max(0, min(length, n - frame))  # the last span may run past the video
-        cx = np.interp(t, np.arange(n_way), way_x)[:shown]
-        cy = np.interp(t, np.arange(n_way), way_y)[:shown]
-        frames.extend(range(frame, frame + shown))
-        x_min.extend(round(v - AOI_BOX_HALF, 6) for v in cx)
-        y_min.extend(round(v - AOI_BOX_HALF, 6) for v in cy)
-        x_max.extend(round(v + AOI_BOX_HALF, 6) for v in cx)
-        y_max.extend(round(v + AOI_BOX_HALF, 6) for v in cy)
+        cxs.append(np.interp(t, np.arange(n_way), way_x)[:shown])
+        cys.append(np.interp(t, np.arange(n_way), way_y)[:shown])
+        frames.append(np.arange(frame, frame + shown))
         frame += length + int(gap_lens[k + 1])
-    return AoiIndex(["object_0"] * len(frames), frames, x_min, y_min, x_max, y_max, n)
+    frames = np.concatenate(frames)
+    cx, cy = np.concatenate(cxs), np.concatenate(cys)
+    return AoiIndex(
+        ["object_0"] * len(frames), frames,
+        np.round(cx - AOI_BOX_HALF, 6), np.round(cy - AOI_BOX_HALF, 6),
+        np.round(cx + AOI_BOX_HALF, 6), np.round(cy + AOI_BOX_HALF, 6), n,
+    )
 
 
 FIX_DUR_MIN_S = 0.08  # fixation durations are clamped to this range

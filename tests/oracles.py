@@ -1,8 +1,8 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately naive: plain Python loops over frames, a
-slow projected-gradient ascent for the SVM dual, and the SMO loop as it
-was before its rewrite. These must never share code with the
+slow projected-gradient ascent for the SVM dual, and the SMO and MLP
+training loops as they were before their rewrites. These must never share code with the
 implementations they check. The AOI oracles take a sequence of boxes,
 each with the fields of ``conftest.Box``.
 """
@@ -16,6 +16,7 @@ from collections import Counter
 import numpy as np
 
 from gazescreen.errors import (
+    DivergenceDetected,
     EmptyLog,
     MalformedRow,
     NonFiniteFeature,
@@ -502,3 +503,89 @@ def oracle_svm_train(X, y, C=1.0, gamma=None, coef0=0.0, tol=1e-3,
         )
     sv = alpha > 1e-12
     return X[sv].copy(), (alpha * y)[sv].copy(), b, converged, worst
+
+
+def oracle_mlp_train(X, y, cfg, seed=0, branches=None):
+    """``learn.mlp_train`` as it was before its flat-vector rewrite: one
+    Adam update per parameter array, and the full loss and gradients at
+    every epoch-end check. The loss and gradients and the Glorot draws are
+    inlined here; ``cfg`` is a ``learn.MlpConfig``.
+
+    Returns (W1, b1, W2, b2) and raises ``DivergenceDetected`` exactly as
+    ``mlp_train`` does. ``branches``, a Counter if given, counts the fits
+    with several minibatches per epoch ("minibatches") or one
+    ("one_batch"), those that stopped by patience ("patience") or at the
+    epoch cap ("max_epochs"), and those that diverged on a minibatch
+    ("diverged_step") or at an epoch-end check ("diverged_epoch").
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if branches is None:
+        branches = Counter()
+    n, d = X.shape
+    rng = np.random.default_rng(seed)
+
+    def glorot(fan_in, fan_out, shape):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=shape)
+
+    W1 = glorot(d, cfg.hidden, (d, cfg.hidden))
+    b1 = np.zeros(cfg.hidden)
+    W2 = glorot(cfg.hidden, 1, (cfg.hidden, 1))
+    b2 = np.zeros(1)
+
+    def loss_and_grads(X, y):
+        n = len(y)
+        h = np.maximum(X @ W1 + b1, 0.0)
+        pred = (h @ W2 + b2)[:, 0]
+        resid = pred - y
+        l2 = cfg.l2
+        loss = 0.5 * float(np.mean(resid**2))
+        loss += l2 / (2.0 * n) * (float(np.sum(W1**2)) + float(np.sum(W2**2)))
+        d_out = (resid / n)[:, None]
+        gW2 = h.T @ d_out + (l2 / n) * W2
+        gb2 = d_out.sum(axis=0)
+        d_h = d_out @ W2.T
+        d_h[h <= 0.0] = 0.0
+        gW1 = X.T @ d_h + (l2 / n) * W1
+        gb1 = d_h.sum(axis=0)
+        return loss, (gW1, gb1, gW2, gb2)
+
+    params = [W1, b1, W2, b2]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    t = 0
+    batch = min(cfg.batch_size, n)
+    branches["minibatches" if batch < n else "one_batch"] += 1
+    best_loss = np.inf
+    stall = 0
+    for _epoch in range(cfg.max_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            loss, grads = loss_and_grads(X[idx], y[idx])
+            if not np.isfinite(loss):
+                branches["diverged_step"] += 1
+                raise DivergenceDetected(f"loss became {loss}")
+            t += 1
+            for k, (p, g) in enumerate(zip(params, grads)):
+                m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g
+                v[k] = cfg.beta2 * v[k] + (1 - cfg.beta2) * g * g
+                m_hat = m[k] / (1 - cfg.beta1**t)
+                v_hat = v[k] / (1 - cfg.beta2**t)
+                p -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        epoch_loss, _ = loss_and_grads(X, y)
+        if not np.isfinite(epoch_loss):
+            branches["diverged_epoch"] += 1
+            raise DivergenceDetected(f"loss became {epoch_loss}")
+        if best_loss - epoch_loss > cfg.early_stop_tol:
+            best_loss = epoch_loss
+            stall = 0
+        else:
+            stall += 1
+            if stall >= cfg.patience:
+                branches["patience"] += 1
+                break
+    else:
+        branches["max_epochs"] += 1
+    return W1, b1, W2, b2

@@ -519,6 +519,48 @@ class TestSeverity:
         assert "Traceback" not in r.output
         assert not (tmp_path / "severity_loocv.csv").exists()
 
+    # sha256 of report.json and severity_loocv.csv from `severity --seed 11`
+    # on the 6 + 6 test cohort, recorded before MLP training kept its
+    # parameters in one flat vector; they must not move.
+    GOLDEN_SHA256 = {
+        "aoi": {
+            "report.json": "a48af45b89c3a106e20fadb945a0de6b8c2997ca2f61a8a80eba6cc410167a31",
+            "severity_loocv.csv": "f0070dc93f102d59ce890a388b05ff88e5d5b9ab77fd9ebd3d4f8eff9c65e08e",
+        },
+        "noaoi": {
+            "report.json": "c3bd7074b2d73125426a5db605537a797f11520a0ba916ce4db7bf5bd1b9ba76",
+            "severity_loocv.csv": "9ecefebad15bb9cfee40c4030362a037654ce25ec912cee33e9b3665dc309d93",
+        },
+    }
+
+    @pytest.mark.parametrize("mode", ["aoi", "noaoi"])
+    def test_golden_report(self, runner, small_cohort_manifest, tmp_path, monkeypatch, mode):
+        # a relative manifest path, because the report echoes it
+        monkeypatch.chdir(Path(small_cohort_manifest).parent)
+        r = run(runner, "severity", "--manifest", "manifest.yaml", "--mode", mode,
+                "--seed", 11, "--out", tmp_path)
+        assert r.exit_code == 0, r.output
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.GOLDEN_SHA256[mode]}
+        assert digests == self.GOLDEN_SHA256[mode]
+
+    def test_divergence_exits_pipeline_quietly(self, small_cohort_manifest, tmp_path):
+        # a fresh interpreter, so numpy's warnings reach stderr as a user sees them
+        env = dict(os.environ)
+        src = str(Path(gazescreen.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        r = subprocess.run(
+            [sys.executable, "-m", "gazescreen.cli", "severity", "--manifest",
+             str(small_cohort_manifest), "--mode", "aoi", "--seed", "4",
+             "--mlp-lr", "1e300", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        output = r.stdout + r.stderr
+        assert r.returncode == EXIT_PIPELINE, output
+        assert "error: loss became" in output
+        assert "RuntimeWarning" not in output
+        assert "Traceback" not in output
+        assert not (tmp_path / "severity_loocv.csv").exists()
+
     def test_too_few_scored_exits_config(self, runner, tmp_path):
         spec = tmp_path / "spec.yaml"
         spec.write_text("n_asd: 1\nn_control: 3\n", encoding="utf-8")

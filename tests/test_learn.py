@@ -336,6 +336,88 @@ class TestMlp:
             mlp_train(X, y, MlpConfig(hidden=5, lr=1e100), seed=0)
 
 
+def mlp_problem(rng, kind):
+    """One seeded MLP problem: (X, y, MlpConfig, seed).
+
+    kind 0 is a noisy linear target with random width (1, 5 or 100), L2
+    weight (0 included), minibatch size (3 and 16 split most problems into
+    several minibatches, 200 never does), epoch cap and learning rate;
+    kind 1 sets lr = 1e300, so a step overflows the parameters and a later
+    loss is not finite; kind 2 scales the inputs to 1e150, so the first
+    loss already overflows."""
+    n = int(rng.integers(2, 41))
+    d = int(rng.integers(1, 26))
+    X = rng.normal(size=(n, d))
+    y = X @ rng.normal(size=d) + rng.normal(0.0, 0.3, n)
+    kwargs = {
+        "hidden": int(rng.choice([1, 5, 100])),
+        "l2": float(rng.choice([0.0, 1e-4, 0.1])),
+        "batch_size": int(rng.choice([3, 16, 200])),
+        "max_epochs": int(rng.choice([1, 20, 60])),
+        "lr": float(rng.choice([1e-3, 1e-2])),
+        "patience": int(rng.choice([3, 10])),
+    }
+    if kind == 1:
+        kwargs["lr"] = 1e300
+    elif kind == 2:
+        X *= 1e150
+    return X, y, MlpConfig(**kwargs), int(rng.integers(2**31))
+
+
+class TestMlpOracle:
+    def test_matches_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        branches = Counter()
+        configs = []
+        for trial in range(120):
+            X, y, cfg, seed = mlp_problem(rng, (0, 0, 0, 0, 1, 2)[trial % 6])
+            configs.append(cfg)
+            try:
+                with np.errstate(all="ignore"):
+                    want = oracles.oracle_mlp_train(X, y, cfg, seed, branches=branches)
+            except DivergenceDetected as e:
+                want = str(e)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # divergence is raised, not warned
+                try:
+                    model = mlp_train(X, y, cfg, seed)
+                    got = (model.W1, model.b1, model.W2, model.b2)
+                except DivergenceDetected as e:
+                    got = str(e)
+            if isinstance(want, str) or isinstance(got, str):
+                assert got == want, trial
+                continue
+            for g, w in zip(got, want):
+                assert g.shape == w.shape, trial
+                assert g.tobytes() == w.tobytes(), trial
+        # every route of the training loop was taken at least once
+        for route in ("minibatches", "one_batch", "patience", "max_epochs",
+                      "diverged_step", "diverged_epoch"):
+            assert branches[route] > 0, route
+        assert any(c.l2 == 0.0 for c in configs)
+        assert any(c.hidden == 1 for c in configs)
+
+    def test_parameters_are_views_of_one_vector(self):
+        rng = np.random.default_rng(42)
+        model = mlp_train(rng.normal(size=(6, 3)), rng.normal(size=6), MlpConfig(hidden=4), seed=0)
+        params = (model.W1, model.b1, model.W2, model.b2)
+        assert [p.shape for p in params] == [(3, 4), (4,), (4, 1), (1,)]
+        base = model.W1.base
+        assert base is not None and base.size == 3 * 4 + 4 + 4 + 1
+        assert all(np.shares_memory(p, base) for p in params)
+
+    def test_gradients_fill_the_given_buffer(self):
+        rng = np.random.default_rng(43)
+        X, y = rng.normal(size=(7, 3)), rng.normal(size=7)
+        model = mlp_train(X, y, MlpConfig(hidden=4, max_epochs=5), seed=0)
+        loss, grads = mlp_loss_and_grads(model, X, y)
+        buf = np.full(3 * 4 + 4 + 4 + 1, np.nan)
+        loss_buf, grads_buf = mlp_loss_and_grads(model, X, y, out=buf)
+        assert loss_buf == loss
+        assert np.array_equal(np.concatenate([g.ravel() for g in grads]), buf)
+        assert all(np.shares_memory(g, buf) for g in grads_buf)
+
+
 @pytest.mark.parametrize("field, value", [
     ("hidden", 0),
     ("max_epochs", 0),
