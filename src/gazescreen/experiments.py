@@ -31,7 +31,6 @@ from .learn import (
     LABEL_CONTROL,
     MlpConfig,
     Standardizer,
-    gamma_scale,
     mlp_predict,
     mlp_train,
     svm_train,
@@ -64,24 +63,25 @@ def derive_rng(root_seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(parts)
 
 
+# The paper's protocol: 3-fold CV, and the SMO stopping gap of every fit.
+FOLDS = 3
+SVM_TOL = 1e-3
+
+
 @dataclass
 class CvConfig:
     seed: int
-    folds: int = 3
     repetitions: int = 100
     mode: FeatureMode = FeatureMode.WITH_AOI
     video_selection: str = "all"  # a video id, or "all" for concatenation
     C: float = 1.0
     gamma: float | None = None  # None -> scale heuristic on the training fold
     coef0: float = 0.0
-    svm_tol: float = 1e-3
     jobs: int = 1
 
     def __post_init__(self):
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.folds < 2:
-            raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if not (math.isfinite(self.C) and self.C > 0):
             raise ConfigError(f"C must be finite and > 0, got {self.C}")
         if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
@@ -94,14 +94,14 @@ class CvConfig:
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "folds": self.folds,
+            "folds": FOLDS,
             "repetitions": self.repetitions,
             "mode": self.mode.value,
             "video_selection": self.video_selection,
             "C": self.C,
             "gamma": self.gamma,
             "coef0": self.coef0,
-            "svm_tol": self.svm_tol,
+            "svm_tol": SVM_TOL,
         }
 
 
@@ -133,7 +133,6 @@ class ClassificationReport:
 class DurationReport:
     config: dict
     rows: list  # dicts: duration_s, mean_acc, std_acc, n_runs
-    fold_rows: list
     reference: dict = field(default_factory=lambda: dict(HUMAN_STUDY_REFERENCE))
 
     def to_dict(self) -> dict:
@@ -186,47 +185,6 @@ def stratified_folds(labels: list[int], folds: int, rng: np.random.Generator) ->
     return assignment
 
 
-def _evaluate_folds(X, y, assignment, config: CvConfig, rng):
-    """Fit and score each fold; returns one row per fold."""
-    rows = []
-    for fold in range(config.folds):
-        test = assignment == fold
-        train = ~test
-        scaler = Standardizer().fit(X[train])
-        Xtr = scaler.transform(X[train])
-        Xte = scaler.transform(X[test])
-        gamma = config.gamma if config.gamma is not None else gamma_scale(Xtr)
-        model = svm_train(
-            Xtr,
-            y[train],
-            C=config.C,
-            gamma=gamma,
-            coef0=config.coef0,
-            tol=config.svm_tol,
-            seed=int(rng.integers(2**31)),
-        )
-        # a decision value of exactly 0 is CONTROL, as in svm_predict
-        flagged = model.decision_value(Xte) > 0
-        asd = y[test] == LABEL_ASD
-        tp = int(np.sum(flagged & asd))
-        fn = int(np.sum(~flagged & asd))
-        tn = int(np.sum(~flagged & ~asd))
-        fp = int(np.sum(flagged & ~asd))
-        n_test = int(test.sum())
-        rows.append(
-            {
-                "fold": fold,
-                "accuracy": (tp + tn) / n_test,
-                "n_test": n_test,
-                "tp": tp,
-                "tn": tn,
-                "fp": fp,
-                "fn": fn,
-            }
-        )
-    return rows
-
-
 def _labels(pids, groups: dict) -> np.ndarray:
     return np.array([LABEL_ASD if groups[p] is Group.ASD else LABEL_CONTROL for p in pids])
 
@@ -242,6 +200,45 @@ def _map_reps(fn, reps: int, jobs: int):
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, range(reps)))
     return [fn(r) for r in range(reps)]
+
+
+def _repeat_cv(config: CvConfig, y, tag: tuple, draw_X) -> list:
+    """One row per fold (rep, fold, accuracy, n_test, tp, tn, fp, fn) of
+    ``config.repetitions`` repetitions of stratified k-fold CV. Repetition
+    r draws from ``derive_rng(config.seed, *tag, r)``: first its feature
+    matrix, ``draw_X(rng)``, then the folds, then one SVM seed per fold."""
+
+    def one_rep(rep):
+        rng = derive_rng(config.seed, *tag, rep)
+        X = draw_X(rng)
+        assignment = stratified_folds(y, FOLDS, rng)
+        rows = []
+        for fold in range(FOLDS):
+            test = assignment == fold
+            train = ~test
+            scaler = Standardizer().fit(X[train])
+            model = svm_train(
+                scaler.transform(X[train]),
+                y[train],
+                C=config.C,
+                gamma=config.gamma,
+                coef0=config.coef0,
+                tol=SVM_TOL,
+                seed=int(rng.integers(2**31)),
+            )
+            # a decision value of exactly 0 is CONTROL, as in svm_predict
+            flagged = model.decision_value(scaler.transform(X[test])) > 0
+            asd = y[test] == LABEL_ASD
+            tp = int(np.sum(flagged & asd))
+            fn = int(np.sum(~flagged & asd))
+            tn = int(np.sum(~flagged & ~asd))
+            fp = int(np.sum(flagged & ~asd))
+            n_test = int(test.sum())
+            rows.append({"rep": rep, "fold": fold, "accuracy": (tp + tn) / n_test,
+                         "n_test": n_test, "tp": tp, "tn": tn, "fp": fp, "fn": fn})
+        return rows
+
+    return [row for rows in _map_reps(one_rep, config.repetitions, config.jobs) for row in rows]
 
 
 def _summarize(fold_rows):
@@ -269,16 +266,7 @@ def run_classification_cv(features: dict, groups: dict, config: CvConfig) -> Cla
         if pid not in features:
             raise MissingFeatures(f"participant {pid} lacks a feature vector")
     pids, X, y = _feature_matrix(features, groups)
-
-    def one_rep(rep):
-        rng = derive_rng(config.seed, "cv", rep)
-        assignment = stratified_folds(y, config.folds, rng)
-        rows = _evaluate_folds(X, y, assignment, config, rng)
-        for row in rows:
-            row["rep"] = rep
-        return rows
-
-    fold_rows = [row for rows in _map_reps(one_rep, config.repetitions, config.jobs) for row in rows]
+    fold_rows = _repeat_cv(config, y, ("cv",), lambda rng: X)
     s = _summarize(fold_rows)
     return ClassificationReport(
         config=config.to_dict(),
@@ -346,36 +334,24 @@ def run_duration_simulation(
     groups = {p.participant_id: p.group for p in dataset.manifest.participants}
     y = _labels(sorted(groups), groups)
 
-    all_fold_rows = []
     curve = []
     for d_idx, d in enumerate(durations):
-
-        def one_rep(rep, _d=d, _d_idx=d_idx):
-            rng = derive_rng(config.seed, "duration", _d_idx, rep)
-            X = _draw_windows(dataset, _d, config.mode, rng, video_ids)
-            assignment = stratified_folds(y, config.folds, rng)
-            rows = _evaluate_folds(X, y, assignment, config, rng)
-            for row in rows:
-                row["rep"] = rep
-                row["duration_s"] = _d
-            return rows
-
-        fold_rows = [
-            row for rows in _map_reps(one_rep, config.repetitions, config.jobs) for row in rows
-        ]
-        accs = np.array([r["accuracy"] for r in fold_rows])
+        fold_rows = _repeat_cv(
+            config, y, ("duration", d_idx),
+            lambda rng, d=d: _draw_windows(dataset, d, config.mode, rng, video_ids),
+        )
+        s = _summarize(fold_rows)
         curve.append(
             {
                 "duration_s": d,
-                "mean_acc": float(accs.mean()),
-                "std_acc": float(accs.std()),
+                "mean_acc": s["mean"],
+                "std_acc": s["std"],
                 "n_runs": config.repetitions,
             }
         )
-        all_fold_rows.extend(fold_rows)
     cfg = config.to_dict()
     cfg["durations"] = list(durations)
-    return DurationReport(config=cfg, rows=curve, fold_rows=all_fold_rows)
+    return DurationReport(config=cfg, rows=curve)
 
 
 def run_severity_loocv(

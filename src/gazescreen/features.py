@@ -24,9 +24,10 @@ returns a float array and signals an unusable window by raising.
 ``extract_batch`` is the duration protocol's fast path: every participant
 of a video on one shared window, read from the video's ``TraceStack``.
 F1-F4 are masked row reductions of the (participants x window) slice, with
-the same two-pass population variance as ``extract``; F5 loops over the
-few occurrences, vectorised over participants. The same pass returns which
-rows ``extract`` would reject.
+the same two-pass population variance as ``extract``. The same pass returns
+which rows ``extract`` would reject. F5 has one definition for both
+engines: it loops over the few occurrences, vectorised over rows, and
+``extract`` passes its trace as one row, so the two give the same bits.
 """
 from __future__ import annotations
 
@@ -144,7 +145,10 @@ def _rmse(euclidean, w) -> float:
     return float(np.sqrt(np.mean(euclidean**2)))
 
 
-def _delay(aligned, aoi: AoiIndex, lo, hi, w) -> float:
+def _first_look_delay(video: AlignedTrace | TraceStack, aoi: AoiIndex, lo, hi, w) -> np.ndarray:
+    """F5 on frames [lo, hi) of every row of a stack, or of a trace as one
+    row; a window that no occurrence overlaps is a ``NoAoiInWindow``."""
+    present, x, y = np.atleast_2d(video.present, video.x, video.y)
     delays = []
     for occ in aoi.occurrences:
         enter = max(occ.enter_frame, lo)
@@ -153,21 +157,20 @@ def _delay(aligned, aoi: AoiIndex, lo, hi, w) -> float:
             continue
         k = aoi.row[occ.object_id]
         span = slice(enter, exit_ + 1)
+        xs = x[:, span]
+        ys = y[:, span]
         inside = (
-            aligned.present[span]
-            & (aligned.x[span] >= aoi.x_min[k, span])
-            & (aligned.x[span] <= aoi.x_max[k, span])
-            & (aligned.y[span] >= aoi.y_min[k, span])
-            & (aligned.y[span] <= aoi.y_max[k, span])
+            present[:, span]
+            & (xs >= aoi.x_min[k, span])
+            & (xs <= aoi.x_max[k, span])
+            & (ys >= aoi.y_min[k, span])
+            & (ys <= aoi.y_max[k, span])
         )
-        hits = np.nonzero(inside)[0]
-        if len(hits):
-            delays.append(hits[0] / aligned.fps)
-        else:
-            delays.append((exit_ - enter + 1) / aligned.fps)
+        first = np.where(inside.any(axis=1), inside.argmax(axis=1), exit_ - enter + 1)
+        delays.append(first / video.fps)
     if not delays:
         raise NoAoiInWindow(f"no AOI occurrence overlaps {w}")
-    return float(np.mean(delays))
+    return np.column_stack(delays).mean(axis=1)
 
 
 def feature_std_gaze(aligned: AlignedTrace, w: Window) -> float:
@@ -209,7 +212,7 @@ def feature_delay(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
     right-censored at the clipped span duration.
     """
     require_aoi(aligned, aoi)
-    return _delay(aligned, aoi, *_frames(aligned, w), w)
+    return float(_first_look_delay(aligned, aoi, *_frames(aligned, w), w)[0])
 
 
 def extract(
@@ -228,7 +231,7 @@ def extract(
         manhattan, euclidean = _center_distances(aligned, aoi, lo, hi, w)
         values.append(_std_manhattan(manhattan, w))
         values.append(_rmse(euclidean, w))
-        values.append(_delay(aligned, aoi, lo, hi, w))
+        values.append(float(_first_look_delay(aligned, aoi, lo, hi, w)[0]))
     row = np.array(values)
     if not np.isfinite(row).all():
         raise NonFiniteFeature(
@@ -268,32 +271,6 @@ def _nearest_center_distances(x, y, aoi: AoiIndex, lo, hi):
     return manhattan, euclidean
 
 
-def _batch_delay(stack: TraceStack, aoi: AoiIndex, lo, hi):
-    """F5 of every row, or None when no occurrence overlaps [lo, hi)."""
-    delays = []
-    for occ in aoi.occurrences:
-        enter = max(occ.enter_frame, lo)
-        exit_ = min(occ.exit_frame, hi - 1)
-        if enter > exit_:
-            continue
-        k = aoi.row[occ.object_id]
-        span = slice(enter, exit_ + 1)
-        xs = stack.x[:, span]
-        ys = stack.y[:, span]
-        inside = (
-            stack.present[:, span]
-            & (xs >= aoi.x_min[k, span])
-            & (xs <= aoi.x_max[k, span])
-            & (ys >= aoi.y_min[k, span])
-            & (ys <= aoi.y_max[k, span])
-        )
-        first = np.where(inside.any(axis=1), inside.argmax(axis=1), exit_ - enter + 1)
-        delays.append(first / stack.fps)
-    if not delays:
-        return None
-    return np.column_stack(delays).mean(axis=1)
-
-
 def extract_batch(
     stack: TraceStack, aoi: AoiIndex | None, w: Window, mode: FeatureMode
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -329,8 +306,9 @@ def extract_batch(
         ]
         usable = (n_present >= 2) & (n_pairs >= 2)
         if mode is FeatureMode.WITH_AOI:
-            delay = _batch_delay(stack, aoi, lo, hi)
-            if delay is None:  # no annotated frame in the window either
+            try:
+                delay = _first_look_delay(stack, aoi, lo, hi, w)
+            except NoAoiInWindow:  # no annotated frame in the window either
                 return values, np.zeros(n_rows, dtype=bool)
             both = present & aoi.any_ann[lo:hi]
             n_both = both.sum(axis=1)

@@ -22,15 +22,18 @@ arrays.
 
 An AOI track is read row by row; ``parse_aoi_track`` is the one place that
 checks its rules, and it returns the track as an ``AoiIndex``: per-object,
-per-frame arrays of the normalized boxes, plus their occurrences.
+per-frame arrays of the normalized boxes, plus their occurrences. The AOI
+track and the row-rule gaze reader share one ``csv`` reader, ``_csv_rows``,
+which checks the header, skips blank rows and numbers each row by its
+first file line.
 
-The manifest is a YAML tree; see ``load_manifest`` for the schema.
+The manifest is a YAML tree; see ``load_manifest`` for the schema. A
+cohort spec's videos are read by the same ``parse_video``.
 """
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -329,28 +332,35 @@ def _plain_columns(data: bytes, video_id: str, participant_id: Optional[str]):
     return _GazeColumns(pid, numbers.T.copy(), tracker_valid, rows + 2, {})
 
 
+def _csv_rows(path, data: bytes, header: list[str]) -> tuple[list, list]:
+    """The non-blank rows after the header of a CSV file, and the first
+    file line of each (a quoted field may span lines). A header other than
+    ``header`` is a MalformedRow at line 1, a byte that is not UTF-8 one at
+    its line."""
+    reader = csv.reader(io.StringIO(_decode(path, data), newline=""))
+    first = next(reader, None)
+    if first is None or [h.strip() for h in first] != header:
+        raise MalformedRow(path, 1, f"expected header {','.join(header)}")
+    rows, lines = [], []
+    line_end = reader.line_num
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(line_end + 1)
+        line_end = reader.line_num
+    return rows, lines
+
+
 def _row_rule_columns(path, data: bytes, video_id: str,
                       participant_id: Optional[str]) -> _GazeColumns:
     """The columns of any gaze log, read row by row with ``csv``; raises
     for a bad header or a log without rows, and returns the masks of the
     rows failing each rule up to the flag."""
-    reader = csv.reader(io.StringIO(_decode(path, data), newline=""))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != GAZE_HEADER:
-        raise MalformedRow(path, 1, f"expected header {','.join(GAZE_HEADER)}")
-    rows = []
-    line_ends = [reader.line_num]  # a quoted field may span lines
-    for row in reader:
-        rows.append(row)
-        line_ends.append(reader.line_num)
-    n_fields = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    kept = n_fields > 0
-    line = np.array(line_ends[:-1])[kept] + 1  # the first file line of each row
-    if not kept.all():
-        rows = list(itertools.compress(rows, kept))
-        n_fields = n_fields[kept]
+    rows, lines = _csv_rows(path, data, GAZE_HEADER)
     if not rows:
         raise EmptyLog(path)
+    line = np.array(lines)
+    n_fields = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
 
     width_bad = n_fields != len(GAZE_HEADER)
     if width_bad.any():
@@ -461,16 +471,7 @@ def parse_aoi_track(path, meta: VideoMeta) -> AoiIndex:
     columns = ([], [], [], [], [], [])  # object id, frame, x_min, y_min, x_max, y_max
     seen = set()  # (frame_index, object_id)
     n_frames = meta.n_frames
-    reader = csv.reader(io.StringIO(_decode(path, path.read_bytes()), newline=""))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != AOI_HEADER:
-        raise MalformedRow(path, 1, f"expected header {','.join(AOI_HEADER)}")
-    line_end = reader.line_num
-    for row in reader:
-        # a row is numbered by its first file line; a quoted field may span lines
-        line_no, line_end = line_end + 1, reader.line_num
-        if not row:
-            continue
+    for row, line_no in zip(*_csv_rows(path, path.read_bytes(), AOI_HEADER)):
         if len(row) != len(AOI_HEADER):
             raise MalformedRow(path, line_no, f"expected {len(AOI_HEADER)} fields, got {len(row)}")
         vid, frame_raw, object_id, x0_raw, y0_raw, x1_raw, y1_raw = row
@@ -588,6 +589,39 @@ def load_yaml(path):
         raise ConfigError(f"{path}: invalid YAML: {e}") from e
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int; a number with a fractional part is a
+    ValueError, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def parse_video(entry) -> VideoMeta:
+    """One ``videos`` entry of a manifest or a cohort spec: id,
+    duration_s, fps, width_px and height_px. A missing key or a bad value
+    is a ValueError that names the entry."""
+    try:
+        return VideoMeta(
+            video_id=str(entry["id"]),
+            duration_s=float(entry["duration_s"]),
+            fps=float(entry["fps"]),
+            width_px=_whole(entry["width_px"], "width_px"),
+            height_px=_whole(entry["height_px"], "height_px"),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"bad video entry {entry!r}: {e}") from e
+
+
+def _checked(path, value, kind: type, what: str):
+    """``value``, which must be a ``kind``: list or dict for a manifest
+    section, str for a file path."""
+    if not isinstance(value, kind):
+        name = {list: "a list", dict: "a mapping", str: "a file path"}[kind]
+        raise ConfigError(f"{path}: {what} must be {name}, got {value!r}")
+    return value
+
+
 def load_manifest(path) -> DatasetManifest:
     """Load the dataset manifest.
 
@@ -616,24 +650,16 @@ def load_manifest(path) -> DatasetManifest:
     base = path.parent
 
     videos = []
-    for entry in data.get("videos", []):
+    for entry in _checked(path, data.get("videos", []), list, "videos"):
         try:
-            videos.append(
-                VideoMeta(
-                    video_id=str(entry["id"]),
-                    duration_s=float(entry["duration_s"]),
-                    fps=float(entry["fps"]),
-                    width_px=int(entry["width_px"]),
-                    height_px=int(entry["height_px"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"{path}: bad video entry {entry!r}: {e}") from e
+            videos.append(parse_video(entry))
+        except ValueError as e:
+            raise ConfigError(f"{path}: {e}") from e
     if not videos:
         raise ConfigError(f"{path}: manifest declares no videos")
 
     participants = []
-    for entry in data.get("participants", []):
+    for entry in _checked(path, data.get("participants", []), list, "participants"):
         try:
             group = Group(str(entry["group"]))
             cars = entry.get("cars")
@@ -641,7 +667,7 @@ def load_manifest(path) -> DatasetManifest:
                 Participant(
                     participant_id=str(entry["id"]),
                     group=group,
-                    cars=int(cars) if cars is not None else None,
+                    cars=None if cars is None else _whole(cars, "cars"),
                 )
             )
         except (KeyError, TypeError, ValueError) as e:
@@ -653,19 +679,19 @@ def load_manifest(path) -> DatasetManifest:
     participant_ids = _unique_ids(path, "participant", [p.participant_id for p in participants])
 
     gaze_log_paths = {}
-    for pid, per_video in (data.get("gaze_logs") or {}).items():
+    for pid, per_video in _checked(path, data.get("gaze_logs", {}), dict, "gaze_logs").items():
         if pid not in participant_ids:
             raise ConfigError(f"{path}: gaze_logs references unknown participant {pid!r}")
-        for vid, rel in per_video.items():
+        for vid, rel in _checked(path, per_video, dict, f"gaze_logs of {pid!r}").items():
             if vid not in video_ids:
                 raise ConfigError(f"{path}: gaze_logs references unknown video {vid!r}")
-            gaze_log_paths[(pid, vid)] = base / rel
+            gaze_log_paths[(pid, vid)] = base / _checked(path, rel, str, f"gaze log {pid}/{vid}")
 
     aoi_paths = {}
-    for vid, rel in (data.get("aoi_tracks") or {}).items():
+    for vid, rel in _checked(path, data.get("aoi_tracks", {}), dict, "aoi_tracks").items():
         if vid not in video_ids:
             raise ConfigError(f"{path}: aoi_tracks references unknown video {vid!r}")
-        aoi_paths[vid] = base / rel
+        aoi_paths[vid] = base / _checked(path, rel, str, f"AOI track of {vid}")
 
     return DatasetManifest(
         videos=tuple(videos),

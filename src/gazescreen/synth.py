@@ -23,7 +23,7 @@ import yaml
 from .core import Group, Participant, VideoMeta
 from .errors import ConfigError, IoFailure
 from .experiments import derive_rng
-from .ingest import AoiIndex, load_yaml
+from .ingest import AoiIndex, load_yaml, parse_video
 
 # CARS histogram of the 35-participant reference cohort (scores 30..39).
 CARS_HISTOGRAM = {30: 3, 31: 5, 32: 6, 33: 4, 34: 5, 35: 7, 36: 3, 37: 0, 38: 1, 39: 1}
@@ -60,6 +60,8 @@ class GroupParams:
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if not (0.0 <= self.p_attend <= 1.0):
             raise ValueError("p_attend must be in [0,1]")
+        if not isinstance(self.severity_coupling, dict):
+            raise ValueError(f"severity_coupling must be a mapping, got {self.severity_coupling!r}")
         for name, coeff in self.severity_coupling.items():
             if name not in _NUMERIC_PARAMS:
                 raise ValueError(f"severity_coupling names unknown parameter {name!r}")
@@ -133,6 +135,8 @@ class CohortSpec:
         rate = self.sample_rate_hz
         if not (_is_real(rate) and math.isfinite(rate) and rate > 0):
             raise ValueError(f"sample rate must be finite and positive, got {rate!r}")
+        if not self.videos:
+            raise ValueError("a cohort needs at least one video")
 
 
 def load_cohort_spec(path, seed: int) -> CohortSpec:
@@ -147,13 +151,7 @@ def load_cohort_spec(path, seed: int) -> CohortSpec:
             kwargs[key] = data[key]
     try:
         if "videos" in data:
-            kwargs["videos"] = tuple(
-                VideoMeta(
-                    str(v["id"]), float(v["duration_s"]), float(v["fps"]),
-                    int(v["width_px"]), int(v["height_px"]),
-                )
-                for v in data["videos"]
-            )
+            kwargs["videos"] = tuple(map(parse_video, data["videos"]))
         for key, default in (("asd_params", DEFAULT_ASD_PARAMS), ("control_params", DEFAULT_CONTROL_PARAMS)):
             if key in data:
                 merged = dataclasses.asdict(default)

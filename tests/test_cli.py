@@ -93,6 +93,10 @@ class TestSynth:
         "sample_rate_hz: .inf",
         "n_asd: 1.5",
         "videos: [{id: clip, duration_s: .inf, fps: 30, width_px: 640, height_px: 480}]",
+        "videos: [{id: clip, duration_s: 5, fps: 30, width_px: 1920.9, height_px: 480}]",
+        "videos: []",
+        "asd_params: {severity_coupling: null}",
+        "asd_params: {severity_coupling: [1]}",
         # a finite duration and rate whose product, the frame count, overflows
         "videos: [{id: clip, duration_s: 1.0e+200, fps: 1.0e+200, width_px: 640, height_px: 480}]",
     ])
@@ -272,7 +276,7 @@ class TestFeatures:
     def test_non_finite_feature_exits_pipeline(
         self, runner, small_cohort_manifest, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(features, "_delay", lambda *args: math.inf)
+        monkeypatch.setattr(features, "_first_look_delay", lambda *args: [math.inf])
         r = run(runner, "features", "--manifest", small_cohort_manifest, "--mode", "aoi",
                 "--out", tmp_path)
         assert r.exit_code == EXIT_PIPELINE, r.output
@@ -293,6 +297,36 @@ class TestFeatures:
         assert r.exit_code == EXIT_CONFIG, r.output
         assert f"duplicate {what} id {data[section][0]['id']!r}" in r.output
         assert "Traceback" not in r.output
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(gaze_logs=None), "gaze_logs must be a mapping, got None"),
+        (lambda d: d.update(gaze_logs=["x"]), "gaze_logs must be a mapping, got ['x']"),
+        (lambda d: d.update(aoi_tracks=None), "aoi_tracks must be a mapping, got None"),
+        (lambda d: d.update(aoi_tracks=["x"]), "aoi_tracks must be a mapping, got ['x']"),
+        (lambda d: d.update(videos=None), "videos must be a list, got None"),
+        (lambda d: d.update(participants=None), "participants must be a list, got None"),
+        (lambda d: d["gaze_logs"].update(asd_000=None), "gaze_logs of 'asd_000' must be a mapping"),
+        (lambda d: d["gaze_logs"]["asd_000"].update(dialog=5),
+         "gaze log asd_000/dialog must be a file path, got 5"),
+        (lambda d: d["gaze_logs"]["asd_000"].update(dialog=None),
+         "gaze log asd_000/dialog must be a file path, got None"),
+        (lambda d: d["aoi_tracks"].update(dialog=5), "AOI track of dialog must be a file path"),
+        (lambda d: d["participants"][0].update(cars=33.7), "cars must be a whole number, got 33.7"),
+        (lambda d: d["videos"][0].update(width_px=1920.9),
+         "width_px must be a whole number, got 1920.9"),
+        (lambda d: d["videos"][0].update(duration_s=10**400), "int too large to convert to float"),
+    ])
+    def test_bad_manifest_shape_exits_config(
+        self, runner, small_cohort_manifest, tmp_path, edit, message
+    ):
+        manifest = edit_manifest(small_cohort_manifest, tmp_path, edit)
+        r = run(runner, "features", "--manifest", manifest, "--mode", "aoi",
+                "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert f"error: {manifest}: " in r.output
+        assert message in r.output
+        assert "Traceback" not in r.output
+        assert isinstance(r.exception, SystemExit)
 
     def test_missing_manifest_exits_io(self, runner, tmp_path):
         r = run(runner, "features", "--manifest", tmp_path / "nope.yaml",

@@ -373,7 +373,8 @@ class TestWindowErrors:
 
 def batch_vs_extract(stack, rows, aoi, w, mode):
     """Compare ``extract_batch`` with ``extract`` on every row of one
-    window. Returns the per-row verdicts and the worst relative error."""
+    window: F5, which both compute with one function, bit for bit. Returns
+    the per-row verdicts and the worst relative error."""
     values, usable = extract_batch(stack, aoi, w, mode)
     assert values.shape == (len(rows), mode.n_features)
     worst = 0.0
@@ -386,6 +387,8 @@ def batch_vs_extract(stack, rows, aoi, w, mode):
             assert np.isnan(values[i]).all()
             continue
         assert usable[i], (at.participant_id, w)
+        if mode is FeatureMode.WITH_AOI:
+            assert values[i, 4].tobytes() == expected[4].tobytes(), (at.participant_id, w)
         for got, want in zip(values[i], expected):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     return usable, worst
