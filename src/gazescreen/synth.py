@@ -11,6 +11,7 @@ Generation is deterministic: (spec, seed) -> byte-identical dataset.
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import numbers
@@ -23,7 +24,7 @@ import yaml
 from .core import Group, Participant, VideoMeta
 from .errors import ConfigError, IoFailure
 from .experiments import derive_rng
-from .ingest import AoiIndex, load_yaml, parse_video
+from .ingest import GAZE_HEADER, AoiIndex, _checked, _unique_ids, load_yaml, parse_video
 
 # CARS histogram of the 35-participant reference cohort (scores 30..39).
 CARS_HISTOGRAM = {30: 3, 31: 5, 32: 6, 33: 4, 34: 5, 35: 7, 36: 3, 37: 0, 38: 1, 39: 1}
@@ -149,17 +150,21 @@ def load_cohort_spec(path, seed: int) -> CohortSpec:
     for key in ("n_asd", "n_control", "sample_rate_hz"):
         if key in data:
             kwargs[key] = data[key]
+    where = f"{path}: bad cohort spec"
     try:
         if "videos" in data:
-            kwargs["videos"] = tuple(map(parse_video, data["videos"]))
+            videos = tuple(map(parse_video, _checked(where, data["videos"], list, "videos")))
+            # the files of a video are named by its id
+            _unique_ids(where, "video", [v.video_id for v in videos])
+            kwargs["videos"] = videos
         for key, default in (("asd_params", DEFAULT_ASD_PARAMS), ("control_params", DEFAULT_CONTROL_PARAMS)):
             if key in data:
                 merged = dataclasses.asdict(default)
-                merged.update(data[key])
+                merged.update(_checked(where, data[key], dict, key))
                 kwargs[key] = GroupParams(**merged)
         return CohortSpec(**kwargs)
     except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: bad cohort spec: {e}") from e
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def generate_aoi_path(meta: VideoMeta, rng: np.random.Generator) -> AoiIndex:
@@ -211,6 +216,17 @@ def generate_aoi_path(meta: VideoMeta, rng: np.random.Generator) -> AoiIndex:
 
 FIX_DUR_MIN_S = 0.08  # fixation durations are clamped to this range
 FIX_DUR_MAX_S = 2.0
+LOOK_AWAY_RUN_S = 0.5  # the video keeps running this long into a look-away
+
+# kinds of the segments a session is made of; an attended fixation follows
+# the object while it is shown
+_LOOK_AWAY, _SACCADE, _FIXATION, _ATTENDED = 0, 1, 2, 3
+
+
+def _clock(n: int, dt: float) -> np.ndarray:
+    """``n`` sums of ``dt``: entry j is 0.0 with ``dt`` added j times, in
+    order (``np.cumsum`` adds in order), as repeated ``+= dt`` gives."""
+    return np.cumsum(np.concatenate(([0.0], np.full(n - 1, dt))))
 
 
 def generate_trace_rows(
@@ -229,15 +245,22 @@ def generate_trace_rows(
     (video time freezes until the gaze returns). The simulated viewer
     follows the single object of ``aoi``.
 
-    Each fixation is one array step. Time advances by repeated ``+ dt``
-    (``np.cumsum`` adds in order) and the RNG is drawn in the order of a
-    sample-by-sample loop, so the rows are bit-identical to that loop's
-    (``tests/oracles.py`` keeps it as the reference).
+    Two passes. A scalar pass walks the session one segment (look-away
+    run, saccade or fixation) at a time, draws the RNG in the order of a
+    sample-by-sample loop and records each segment's length, target and
+    noise. One vectorised pass then builds the columns. Every time is an
+    entry of one table of sums of ``dt`` taken in order: after ``i``
+    samples the wall clock is entry ``i``, and the video clock is entry
+    ``i`` less the frozen look-away samples so far (a frozen sample adds
+    0.0, which leaves a sum unchanged, and no recorded video time is ever
+    clamped at the clip's end). So the rows are bit-identical to the
+    sample-by-sample loop's, which ``tests/oracles.py`` keeps as the
+    reference.
     """
     if len(aoi.object_ids) != 1:
         raise ValueError(f"the simulator follows one AOI object, got {len(aoi.object_ids)}")
     dt = 1.0 / sample_rate_hz
-    end = meta.duration_s - 1e-9
+    fps = meta.fps
     last_frame = meta.n_frames - 1
     present, cx, cy = aoi.ann[0], aoi.cx[0], aoi.cy[0]
     # video time from which each frame's occurrence can draw a look: one
@@ -245,41 +268,50 @@ def generate_trace_rows(
     ready = np.full(meta.n_frames, np.inf)
     for occ in aoi.occurrences:
         latency = max(0.0, float(rng.normal(params.latency_mean_s, params.latency_sd_s)))
-        ready[occ.enter_frame : occ.exit_frame + 1] = occ.enter_frame / meta.fps + latency
-    ready_at = ready.tolist()
-    # elapsed[j]: time into a fixation after j samples
-    elapsed = np.concatenate(([0.0], np.cumsum(np.full(int(FIX_DUR_MAX_S * sample_rate_hz) + 3, dt))))
+        ready[occ.enter_frame : occ.exit_frame + 1] = occ.enter_frame / fps + latency
+    ready_at, shown, cx_at, cy_at = ready.tolist(), present.tolist(), cx.tolist(), cy.tolist()
+
+    # clock[j]: j sample steps from 0, long enough for every video time
+    # and fixation; look-aways can carry the wall clock past its end
+    clock_at = _clock(int((meta.duration_s + FIX_DUR_MAX_S) * sample_rate_hz) + 8, dt)
+    clock = clock_at.tolist()
+    n_video = bisect.bisect_left(clock, meta.duration_s - 1e-9)  # video steps in the session
+    n_running = bisect.bisect_right(clock, LOOK_AWAY_RUN_S) - 1  # look-away samples the video runs
     n_sac = max(1, int(round(params.saccade_dur_s / dt)))
 
-    wall_col, video_col, x_col, y_col, valid_col = cols = ([], [], [], [], [])
-    wall = 0.0
-    video = 0.0
+    # eight numbers per segment: kind, length, video steps before it, video
+    # steps it advances, start x and y, x and y step per sample
+    segments = []
+    noise_blocks = [np.empty((0, 2))]
+    i = k = 0  # samples so far; samples that advanced the video
     px, py = 0.5, 0.5
     if params.offscreen_rate_hz > 0:
         next_off = float(rng.exponential(1.0 / params.offscreen_rate_hz))
     else:
         next_off = np.inf
 
-    while video < end:
-        if wall >= next_off:
+    while k < n_video:
+        if clock[i] >= next_off:
             # look-away run: samples invalid; video freezes after 500 ms
-            off_dur = float(rng.uniform(0.6, 1.5))
-            off_s = 0.0
-            while off_s < off_dur and video < end:
-                for col, v in zip(cols, (wall, video, -0.1, -0.1, 0.0)):
-                    col.append(v)
-                wall += dt
-                off_s += dt
-                if off_s <= 0.5:
-                    video = min(video + dt, meta.duration_s)
-            next_off = wall + float(rng.exponential(1.0 / params.offscreen_rate_hz))
+            n = bisect.bisect_left(clock, float(rng.uniform(0.6, 1.5)))
+            if n_video - k <= n_running:
+                n = min(n, n_video - k)
+            runs = min(n, n_running)
+            segments += (_LOOK_AWAY, n, k, runs, -0.1, -0.1, 0.0, 0.0)
+            i += n
+            k += runs
+            if n_video + i - k >= len(clock):  # i never passes n_video + frozen samples
+                clock_at = _clock(2 * (n_video + i - k), dt)
+                clock = clock_at.tolist()
+            next_off = clock[i] + float(rng.exponential(1.0 / params.offscreen_rate_hz))
             continue
 
         # choose the next fixation target
-        f = min(int(video * meta.fps), last_frame)
+        video = clock[k]
+        f = min(int(video * fps), last_frame)
         attend = video >= ready_at[f] and rng.random() < params.p_attend
         if attend:
-            tx, ty = float(cx[f]), float(cy[f])
+            tx, ty = cx_at[f], cy_at[f]
             fix_dur = float(rng.exponential(params.fix_dur_aoi_mean_s))
         else:
             tx, ty = rng.uniform(0.05, 0.95, size=2).tolist()
@@ -287,47 +319,45 @@ def generate_trace_rows(
         fix_dur = min(max(fix_dur, FIX_DUR_MIN_S), FIX_DUR_MAX_S)
 
         # saccade: linear sweep from the previous position
-        for k in range(1, n_sac + 1):
-            if video >= end:
-                break
-            frac = k / n_sac
-            for col, v in zip(cols, (wall, video, px + (tx - px) * frac, py + (ty - py) * frac, 1.0)):
-                col.append(v)
-            wall += dt
-            video = min(video + dt, meta.duration_s)
+        n = min(n_sac, n_video - k)
+        segments += (_SACCADE, n, k, n, px, py, tx - px, ty - py)
+        i += n
+        k += n
         px, py = tx, ty
 
         # fixation: follow the (possibly moving) target with jitter, until
         # its duration has elapsed or the video ends
-        n_fix = int(np.searchsorted(elapsed, fix_dur))
-        times = np.empty((2, n_fix + 1))
-        times[:, 0] = wall, video
-        times[:, 1:] = dt
-        np.cumsum(times, axis=1, out=times)
-        n = min(n_fix, int(np.searchsorted(times[1], end)))
+        n = min(bisect.bisect_left(clock, fix_dur), n_video - k)
         if n:
             noise = rng.normal(0.0, params.jitter_sd, size=(n, 2))
-            if attend:
-                frames = np.minimum((times[1, :n] * meta.fps).astype(int), last_frame)
-                on = present[frames]
-                xs = np.where(on, cx[frames], tx) + noise[:, 0]
-                ys = np.where(on, cy[frames], ty) + noise[:, 1]
-            else:
-                xs = tx + noise[:, 0]
-                ys = ty + noise[:, 1]
-            wall_col += times[0, :n].tolist()
-            video_col += times[1, :n].tolist()
-            x_col += xs.tolist()
-            y_col += ys.tolist()
-            valid_col += [1.0] * n
-            px, py = x_col[-1], y_col[-1]
-        wall = float(times[0, n])
-        video = min(float(times[1, n]), meta.duration_s)
+            noise_blocks.append(noise)
+            segments += (_ATTENDED if attend else _FIXATION, n, k, n, tx, ty, 0.0, 0.0)
+            i += n
+            k += n
+            # the next saccade starts where the last sample landed
+            nx, ny = noise[-1].tolist()
+            f = min(int(clock[k - 1] * fps), last_frame)
+            if attend and shown[f]:
+                tx, ty = cx_at[f], cy_at[f]
+            px, py = tx + nx, ty + ny
 
-    rows = np.array(cols).T
-    valid = rows[:, 4] == 1.0
-    rows[valid, 2:4] = np.clip(rows[valid, 2:4], 0, 1)
-    return rows
+    seg = np.array(segments).reshape(-1, 8)
+    lengths = seg[:, 1].astype(np.int64)
+    kind, _, video_start, runs, x, y, dx, dy = np.repeat(seg, lengths, axis=0).T
+    step = np.arange(i) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # sample within segment
+    video = clock_at[(video_start + np.minimum(step, runs)).astype(np.int64)]
+
+    sac = kind == _SACCADE
+    frac = (step[sac] + 1) / n_sac
+    x[sac] = np.clip(x[sac] + dx[sac] * frac, 0, 1)
+    y[sac] = np.clip(y[sac] + dy[sac] * frac, 0, 1)
+    fix = kind >= _FIXATION
+    frames = np.minimum((video[fix] * fps).astype(int), last_frame)
+    on = (kind[fix] == _ATTENDED) & present[frames]
+    noise = np.concatenate(noise_blocks)
+    x[fix] = np.clip(np.where(on, cx[frames], x[fix]) + noise[:, 0], 0, 1)
+    y[fix] = np.clip(np.where(on, cy[frames], y[fix]) + noise[:, 1], 0, 1)
+    return np.column_stack((clock_at[:i], video, x, y, (kind != _LOOK_AWAY).astype(float)))
 
 
 def _sample_cars(n_asd: int, rng: np.random.Generator) -> list[int]:
@@ -350,6 +380,93 @@ def build_participants(spec: CohortSpec) -> list[Participant]:
     ]
     out += [Participant(f"ctl_{i:03d}", Group.CONTROL) for i in range(spec.n_control)]
     return out
+
+
+# a gaze log line is its two ids, then "%.3f,%.3f,%.2f,%.2f,%d" of the row
+_LOG_DECIMALS = (3, 3, 2, 2)
+_LOG_UNITS = np.array([10**d for d in _LOG_DECIMALS], dtype=np.int64)[:, None]  # ticks per unit
+_LOG_TICKS = _LOG_UNITS.astype(float)
+# _DIGITS[:, i] holds the three digits of i
+_DIGITS = np.frombuffer("".join(f"{i:03d}" for i in range(1000)).encode(), np.uint8)
+_DIGITS = _DIGITS.reshape(1000, 3).T.copy()
+_DROP = 0xFF  # marks a byte to leave out; it is never part of UTF-8 text
+
+
+def _rounded_ticks(values: np.ndarray, ticks: np.ndarray) -> np.ndarray:
+    """``|round(v * 10**d)|`` of each number as int64, rounded half to
+    even on the exact product, as ``%`` rounds; ``values`` and ``ticks``
+    (the float64 products, finite and below 2**53 in magnitude) are (4, n)."""
+    q = np.rint(ticks)
+    # the float product rounds to the integer the exact one rounds to unless
+    # it lies within a few ulps of a half-integer; those few are rounded
+    # exactly, from the value's integer ratio
+    near_half = 0.5 - np.abs(ticks - q) <= 4 * np.spacing(np.abs(ticks))
+    for c, i in np.argwhere(near_half).tolist():
+        num, den = float(values[c, i]).as_integer_ratio()
+        whole, rem = divmod(num * 10 ** _LOG_DECIMALS[c], den)
+        q[c, i] = whole + (2 * rem > den or (2 * rem == den and whole % 2))
+    return np.abs(q).astype(np.int64)
+
+
+def _fixed_point_lines(prefix: bytes, cols: np.ndarray, ticks: np.ndarray) -> bytes:
+    """The log lines of ``cols``, the (5, n) columns of rows whose numbers
+    have fewer than 2**53 ticks and whose flags are 0 or 1."""
+    whole, frac = np.divmod(_rounded_ticks(cols[:4], ticks), _LOG_UNITS)
+    template = bytearray(prefix)  # a line with each number at its widest
+    fields = []
+    for top, decimals in zip(whole.max(axis=1, initial=0).tolist(), _LOG_DECIMALS):
+        n_whole = -(-len(str(top)) // 3) * 3  # whole digits, in groups of three
+        fields.append((len(template), n_whole, decimals))
+        template += b"-" + b"0" * n_whole + b"." + b"0" * decimals + b","
+    template += b"0\n"
+    # line[j] is byte j of every line, so each write below is contiguous
+    line = np.empty((len(template), cols.shape[1]), np.uint8)
+    line[:] = np.frombuffer(bytes(template), np.uint8)[:, None]
+    for c, (col, n_whole, decimals) in enumerate(fields):
+        line[col] = np.where(np.signbit(cols[c]), ord("-"), _DROP)  # as %, -0.0 has a sign
+        rest = whole[c]
+        for at in range(col + n_whole - 2, col, -3):  # three digits at a time, from the right
+            rest, group = np.divmod(rest, 1000)
+            line[at : at + 3] = _DIGITS.take(group, axis=1)
+        # drop the whole part's left padding; its units digit stays
+        places = 10 ** np.arange(n_whole - 1, 0, -1)
+        np.putmask(line[col + 1 : col + n_whole], whole[c] < places[:, None], _DROP)
+        at = col + n_whole + 2
+        line[at : at + decimals] = _DIGITS[3 - decimals :].take(frac[c], axis=1)
+    line[-2] = np.where(cols[4] == 1.0, ord("1"), ord("0"))
+    flat = line.T.ravel()
+    return flat[flat != _DROP].tobytes()
+
+
+def write_gaze_log(path, participant_id: str, video_id: str, rows: np.ndarray) -> None:
+    """Write one gaze log. ``rows`` is (n, 5): wall_ts_ms, video_ts_ms,
+    x_px, y_px and the valid flag.
+
+    Each line is ``f"{participant_id},{video_id},"`` and then
+    ``"%.3f,%.3f,%.2f,%.2f,%d" % row``, byte for byte, made for the whole
+    file at once. Each number is rounded to its ticks (thousandths or
+    hundredths) as ``%`` rounds, half to even on its exact binary value.
+    Its digits come from a table of three-digit groups, written into one
+    byte buffer that holds every line at the widest layout; the left
+    padding is then dropped with one mask. A row with a number that is not
+    finite or has 2**53 ticks or more, or a flag other than 0 or 1, is
+    formatted by ``%`` on its own. ``tests/oracles.py`` keeps the ``%``
+    writer as the reference.
+    """
+    prefix = f"{participant_id},{video_id},"
+    cols = np.ascontiguousarray(rows.T)
+    ticks = cols[:4] * _LOG_TICKS
+    regular = (np.abs(ticks) < 2.0**53).all(axis=0) & ((cols[4] == 0.0) | (cols[4] == 1.0))
+    fmt = prefix.replace("%", "%%") + "%.3f,%.3f,%.2f,%.2f,%d\n"
+    parts = [(",".join(GAZE_HEADER) + "\n").encode()]
+    start = 0
+    for r in np.flatnonzero(~regular).tolist() + [len(rows)]:
+        parts.append(_fixed_point_lines(prefix.encode(), cols[:, start:r], ticks[:, start:r]))
+        if r < len(rows):
+            parts.append((fmt % tuple(rows[r].tolist())).encode())
+        start = r + 1
+    with open(path, "wb") as fh:
+        fh.write(b"".join(parts))
 
 
 def generate_cohort(spec: CohortSpec, out_dir) -> Path:
@@ -414,12 +531,7 @@ def generate_cohort(spec: CohortSpec, out_dir) -> Path:
                 rng = derive_rng(spec.seed, "trace", p.participant_id, meta.video_id)
                 rows = generate_trace_rows(params, meta, indexes[meta.video_id], rng, spec.sample_rate_hz)
                 scaled = rows * (1000.0, 1000.0, meta.width_px, meta.height_px, 1.0)
-                # one %-format for the whole log gives the same strings as
-                # an f-string per row
-                fmt = f"{p.participant_id},{meta.video_id},".replace("%", "%%") + "%.3f,%.3f,%.2f,%.2f,%d\n"
-                with (out / rel).open("w", encoding="utf-8", newline="\n") as fh:
-                    fh.write("participant_id,video_id,wall_ts_ms,video_ts_ms,x_px,y_px,valid\n")
-                    fh.write((fmt * len(rows)) % tuple(scaled.ravel().tolist()))
+                write_gaze_log(out / rel, p.participant_id, meta.video_id, scaled)
 
         manifest_path = out / "manifest.yaml"
         manifest_path.write_text(

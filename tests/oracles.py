@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately naive: plain Python loops over frames, a
-slow projected-gradient ascent for the SVM dual, and the SMO and MLP
-training loops as they were before their rewrites. These must never share code with the
+slow projected-gradient ascent for the SVM dual, the SMO and MLP
+training loops as they were before their rewrites, and the gaze log
+writer as one ``%``-format. These must never share code with the
 implementations they check. The AOI oracles take a sequence of boxes,
 each with the fields of ``conftest.Box``.
 """
@@ -12,6 +13,7 @@ import csv
 import math
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -330,6 +332,15 @@ def oracle_trace_rows(params, meta, boxes, rng, sample_rate_hz):
             elapsed += dt
             pos = p
     return rows
+
+
+def oracle_write_gaze_log(path, participant_id, video_id, rows):
+    """``synth.write_gaze_log`` as one ``%``-format for the whole log,
+    which gives the same strings as an f-string per row."""
+    fmt = f"{participant_id},{video_id},".replace("%", "%%") + "%.3f,%.3f,%.2f,%.2f,%d\n"
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("participant_id,video_id,wall_ts_ms,video_ts_ms,x_px,y_px,valid\n")
+        fh.write((fmt * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def projected_gradient_qp(K, y, C, steps=20000, lr=None):

@@ -99,6 +99,9 @@ class TestSynth:
         "asd_params: {severity_coupling: [1]}",
         # a finite duration and rate whose product, the frame count, overflows
         "videos: [{id: clip, duration_s: 1.0e+200, fps: 1.0e+200, width_px: 640, height_px: 480}]",
+        # two videos of one id would write to the same files
+        "videos: [{id: c, duration_s: 2, fps: 30, width_px: 64, height_px: 48},"
+        " {id: c, duration_s: 3, fps: 30, width_px: 64, height_px: 48}]",
     ])
     def test_bad_spec_value_exits_config(self, runner, tmp_path, params):
         spec = tmp_path / "spec.yaml"
@@ -107,6 +110,25 @@ class TestSynth:
         assert r.exit_code == EXIT_CONFIG, r.output
         assert "bad cohort spec" in r.output
         assert "Traceback" not in r.output
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("params, message", [
+        ("asd_params: null", "asd_params must be a mapping, got None"),
+        ("asd_params: [0.5]", "asd_params must be a mapping, got [0.5]"),
+        ("control_params: null", "control_params must be a mapping, got None"),
+        ("control_params: 3", "control_params must be a mapping, got 3"),
+        ("videos: null", "videos must be a list, got None"),
+        ("videos: {id: c}", "videos must be a list, got {'id': 'c'}"),
+        ("videos: [{id: c, duration_s: 2, fps: 30, width_px: 64, height_px: 48},"
+         " {id: c, duration_s: 3, fps: 30, width_px: 64, height_px: 48}]",
+         "duplicate video id 'c'"),
+    ])
+    def test_bad_spec_section_names_its_key(self, runner, tmp_path, params, message):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(f"n_asd: 2\nn_control: 2\n{params}\n", encoding="utf-8")
+        r = run(runner, "synth", "--spec", spec, "--seed", 1, "--out", tmp_path / "x")
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert f"{spec}: bad cohort spec: {message}" in r.output
         assert not (tmp_path / "x").exists()
 
 

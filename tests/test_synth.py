@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gazescreen import synth
 from gazescreen.core import FeatureMode, Group, VideoMeta
 from gazescreen.experiments import CvConfig, run_classification_cv
 from gazescreen.features import extract, full_window
@@ -20,10 +21,11 @@ from gazescreen.synth import (
     generate_aoi_path,
     generate_cohort,
     generate_trace_rows,
+    write_gaze_log,
 )
 
 from .conftest import aoi_index, gaze_trace, index_boxes
-from .oracles import oracle_trace_rows
+from .oracles import oracle_trace_rows, oracle_write_gaze_log
 
 META = DEFAULT_VIDEOS[0]
 
@@ -127,9 +129,12 @@ class TestTraceRows:
 def _oracle_cases():
     """(params, meta, sample_rate_hz) for the per-sample oracle comparison:
     both default groups, CARS-coupled ASD viewers, look-away rates 0 and
-    0.5 (and 3 Hz on short clips, so a look-away meets the clip's end),
-    zero jitter, p_attend 0 and 1, and clips of 1-3 s that cut the last
-    fixation or look-away short."""
+    0.5 (and 3 Hz on every clip, so a look-away meets the clip's end and
+    the frozen samples carry the wall clock far past the video time), zero
+    jitter, p_attend 0 and 1, saccades of one sample (duration 0) and of
+    0.5 s, fixation means of 0.01 s and 10 s (every duration clamped low or
+    high), and clips of 1-3 s that cut the last fixation or look-away
+    short."""
     variants = [
         DEFAULT_CONTROL_PARAMS,
         DEFAULT_ASD_PARAMS,
@@ -143,6 +148,10 @@ def _oracle_cases():
         dataclasses.replace(
             DEFAULT_CONTROL_PARAMS, p_attend=1.0, latency_mean_s=0.0, latency_sd_s=0.0
         ),
+        dataclasses.replace(DEFAULT_CONTROL_PARAMS, saccade_dur_s=0.0),
+        dataclasses.replace(DEFAULT_ASD_PARAMS, saccade_dur_s=0.5),
+        dataclasses.replace(DEFAULT_CONTROL_PARAMS, fix_dur_aoi_mean_s=0.01, fix_dur_bg_mean_s=0.01),
+        dataclasses.replace(DEFAULT_ASD_PARAMS, fix_dur_aoi_mean_s=10.0, fix_dur_bg_mean_s=10.0),
     ]
     # at 64 Hz the summed sample steps hit the 500 ms video-freeze edge exactly
     rates = (30.0, 60.0, 64.0, 120.0, 250.0)
@@ -160,7 +169,22 @@ def _oracle_cases():
             cases.append((params, short, rate))
             # look away often, so some look-away runs into the clip's end
             cases.append((dataclasses.replace(params, offscreen_rate_hz=3.0), short, rate))
+            cases.append((dataclasses.replace(params, offscreen_rate_hz=3.0), long_clip, rate))
     return cases
+
+
+def _assert_matches_oracle(params, meta, rate, track_seed, seed):
+    track = generate_aoi_path(meta, np.random.default_rng(track_seed))
+    rng_new = np.random.default_rng(seed)
+    rng_old = np.random.default_rng(seed)
+    rows = generate_trace_rows(params, meta, track, rng_new, rate)
+    expected = np.array(oracle_trace_rows(params, meta, index_boxes(track), rng_old, rate),
+                        dtype=float)
+    assert rows.shape == expected.shape, (seed, params, meta, rate)
+    assert rows.tobytes() == expected.tobytes(), (seed, params, meta, rate)
+    # every RNG draw happened, in the same order
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    return rows
 
 
 class TestTraceRowsOracle:
@@ -169,20 +193,20 @@ class TestTraceRowsOracle:
         assert len(cases) >= 60
         ends_invalid = ends_valid = 0
         for seed, (params, meta, rate) in enumerate(cases):
-            track = generate_aoi_path(meta, np.random.default_rng(1000 + seed))
-            rng_new = np.random.default_rng(seed)
-            rng_old = np.random.default_rng(seed)
-            rows = generate_trace_rows(params, meta, track, rng_new, rate)
-            expected = np.array(oracle_trace_rows(params, meta, index_boxes(track), rng_old, rate),
-                                dtype=float)
-            assert rows.shape == expected.shape, (seed, params, meta, rate)
-            assert rows.tobytes() == expected.tobytes(), (seed, params, meta, rate)
-            # every RNG draw happened, in the same order
-            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+            rows = _assert_matches_oracle(params, meta, rate, 1000 + seed, seed)
             ends_invalid += rows[-1, 4] == 0.0
             ends_valid += rows[-1, 4] == 1.0
         # the clip's end cut both a look-away run and a fixation short
         assert ends_invalid > 0 and ends_valid > 0
+
+    @pytest.mark.parametrize("seed", [99, 292, 317])
+    def test_look_away_meets_the_end_as_the_video_freezes(self, seed):
+        # at these seeds a look-away starts exactly as many samples before
+        # the clip's end as the video keeps running into a look-away
+        params = dataclasses.replace(DEFAULT_CONTROL_PARAMS, offscreen_rate_hz=3.0)
+        meta = VideoMeta("short", 1.0, 30.0, 640, 480)
+        rows = _assert_matches_oracle(params, meta, 60.0, seed, seed)
+        assert rows[-1, 4] == 0.0
 
     def test_rejects_multi_object_index(self):
         boxes = index_boxes(generate_aoi_path(META, np.random.default_rng(0)))
@@ -192,6 +216,77 @@ class TestTraceRowsOracle:
                 DEFAULT_CONTROL_PARAMS, META, aoi_index(boxes + second, META.n_frames),
                 np.random.default_rng(0), 60.0,
             )
+
+
+def _tricky_values(decimals, rng):
+    """Numbers a fixed-point formatter at ``decimals`` places can get
+    wrong: exact ties, values within one ulp of a tie, signed zeros and
+    small negatives, and values up to 2**53 ticks."""
+    unit = 10.0**decimals
+    ties = np.concatenate((np.arange(-4000, 4000) / 16, np.arange(-4000, 4000) / 32))
+    halves = (rng.integers(-10**9, 10**9, 3000) + 0.5) / unit
+    near_ties = np.concatenate((halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf)))
+    small = np.array([0.0, -0.0, 5e-324, -5e-324, -1e-300, -0.001, -0.004, -0.005, -0.0049999,
+                      -0.006, -0.5 / unit, 0.5 / unit, -1.5 / unit, 1.5 / unit, -2.5 / unit])
+    edge = [np.nextafter(2.0**53 / unit, 0.0)]
+    for _ in range(8):
+        edge.append(np.nextafter(edge[-1], 0.0))
+    edge += [2.0**52 / unit, np.nextafter(2.0**52 / unit, np.inf), 2.0**51 / unit + 0.5 / unit]
+    edge = np.array(edge)
+    return np.concatenate((ties, near_ties, small, edge, -edge))
+
+
+def _gaze_log_bytes(writer, path, rows, video_id="car_pursuit"):
+    writer(path, "asd_000", video_id, rows)
+    return path.read_bytes()
+
+
+class TestGazeLogWriter:
+    def _rows(self, rng, extra=()):
+        cols = [np.concatenate((_tricky_values(d, rng), extra)) for d in (3, 3, 2, 2)]
+        n = max(map(len, cols))
+        flags = rng.integers(0, 2, n).astype(float)
+        return np.column_stack([rng.permutation(np.resize(c, n)) for c in cols] + [flags])
+
+    def test_matches_percent_format(self, tmp_path):
+        rows = self._rows(np.random.default_rng(5))
+        # every row is regular, so every number goes through the array path
+        assert (np.abs(rows[:, :4] * (1e3, 1e3, 1e2, 1e2)) < 2.0**53).all()
+        new = _gaze_log_bytes(write_gaze_log, tmp_path / "new.csv", rows)
+        old = _gaze_log_bytes(oracle_write_gaze_log, tmp_path / "old.csv", rows)
+        assert new == old
+
+    def test_irregular_rows_match_percent_format(self, tmp_path):
+        # not finite, 2**53 ticks or more, and flags other than 0 or 1 are
+        # formatted one row at a time, between runs of regular rows
+        rng = np.random.default_rng(6)
+        rows = self._rows(rng, extra=[np.nan, np.inf, -np.inf, 1e300, -1e300, 2.0**53 / 100, -9.1e13])
+        rows[rng.choice(len(rows), 5, replace=False), 4] = [2.0, 0.5, -1.0, 7.0, 0.0]
+        rows[0, 0] = np.nan  # the first row and the last are irregular too
+        rows[-1, 3] = np.inf
+        new = _gaze_log_bytes(write_gaze_log, tmp_path / "new.csv", rows)
+        old = _gaze_log_bytes(oracle_write_gaze_log, tmp_path / "old.csv", rows)
+        assert new == old
+        assert b"nan" in new and b"inf" in new
+
+    def test_empty_log_and_odd_ids(self, tmp_path):
+        for rows in (np.empty((0, 5)), np.array([[0.0, -0.0, -0.001, 1920.0, 1.0]])):
+            for video_id in ("50%_s", "caf\u00e9_\u00fcber", "a,b"):
+                new = _gaze_log_bytes(write_gaze_log, tmp_path / "new.csv", rows, video_id)
+                old = _gaze_log_bytes(oracle_write_gaze_log, tmp_path / "old.csv", rows, video_id)
+                assert new == old
+
+    @pytest.mark.parametrize("rate", [30.0, 64.0, 250.0])
+    def test_cohort_tree_matches_percent_writer(self, tmp_path, monkeypatch, rate):
+        videos = (
+            VideoMeta("50%_caf\u00e9", 2.0, 30.0, 1, 1),
+            VideoMeta("wide", 1.5, 24.0, 10**9, 10**9),
+        )
+        spec = CohortSpec(n_asd=2, n_control=1, videos=videos, sample_rate_hz=rate, seed=4)
+        new = generate_cohort(spec, tmp_path / "new")
+        monkeypatch.setattr(synth, "write_gaze_log", oracle_write_gaze_log)
+        old = generate_cohort(spec, tmp_path / "old")
+        assert tree_digest(Path(new).parent) == tree_digest(Path(old).parent)
 
 
 class TestCars:
