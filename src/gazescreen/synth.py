@@ -8,6 +8,11 @@ magnitudes are invented (only the directions are grounded) and fully
 overridable via a spec file.
 
 Generation is deterministic: (spec, seed) -> byte-identical dataset.
+``generate_trace_rows`` walks a session one segment at a time and builds
+its rows in one array pass; ``write_gaze_log`` formats a whole log at once
+with a fixed-point formatter that gives the bytes of a ``%``-format.
+``tests/oracles.py`` keeps the sample-by-sample simulator and the ``%``
+writer as their bit-for-bit references.
 """
 from __future__ import annotations
 
@@ -142,7 +147,8 @@ class CohortSpec:
 
 def load_cohort_spec(path, seed: int) -> CohortSpec:
     """Build a CohortSpec from a YAML override file; any omitted key keeps
-    its default."""
+    its default. A section of the wrong type, a bad value and two videos of
+    one id (their files would share names) are a ConfigError."""
     data = load_yaml(path) or {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: spec must be a mapping")
