@@ -564,12 +564,12 @@ def align(trace: GazeTrace, meta: VideoMeta) -> AlignedTrace:
     )
 
 
-def _unique_ids(path, what: str, ids: list[str]) -> set[str]:
-    """The set of ``ids``; a repeated id is a ConfigError naming it."""
+def _unique_ids(what: str, ids: list[str]) -> set[str]:
+    """The set of ``ids``; a repeated id is a ValueError naming it."""
     seen = set()
     for i in ids:
         if i in seen:
-            raise ConfigError(f"{path}: duplicate {what} id {i!r}")
+            raise ValueError(f"duplicate {what} id {i!r}")
         seen.add(i)
     return seen
 
@@ -675,8 +675,11 @@ def load_manifest(path) -> DatasetManifest:
     if not participants:
         raise ConfigError(f"{path}: manifest declares no participants")
 
-    video_ids = _unique_ids(path, "video", [v.video_id for v in videos])
-    participant_ids = _unique_ids(path, "participant", [p.participant_id for p in participants])
+    try:
+        video_ids = _unique_ids("video", [v.video_id for v in videos])
+        participant_ids = _unique_ids("participant", [p.participant_id for p in participants])
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
     gaze_log_paths = {}
     for pid, per_video in _checked(path, data.get("gaze_logs", {}), dict, "gaze_logs").items():

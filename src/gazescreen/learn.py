@@ -132,12 +132,24 @@ def svm_train(
     ``nonzero`` pass per mask, which gives the gap, the bias midpoint and
     the maximal violating pair together. The pair arithmetic runs on
     Python floats.
+
+    Every label must be ``LABEL_ASD`` or ``LABEL_CONTROL``; any other
+    value, NaN included, is a ValueError, and labels of one class only are
+    ``SingleClass``. The labels are checked with two boolean masks, not
+    ``np.unique``, which on numpy >= 2 imports all of ``numpy.ma`` on its
+    first call.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(X)):
         raise NonFiniteFeature("training matrix contains non-finite values")
-    if len(np.unique(y)) < 2:
+    is_asd = y == LABEL_ASD
+    is_control = y == LABEL_CONTROL
+    if not np.all(is_asd | is_control):
+        raise ValueError(
+            f"labels must be LABEL_ASD ({LABEL_ASD}) or LABEL_CONTROL ({LABEL_CONTROL})"
+        )
+    if is_asd.all() or is_control.all():
         raise SingleClass("need at least one example of each class")
     if gamma is None:
         gamma = gamma_scale(X)

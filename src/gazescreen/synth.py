@@ -143,6 +143,8 @@ class CohortSpec:
             raise ValueError(f"sample rate must be finite and positive, got {rate!r}")
         if not self.videos:
             raise ValueError("a cohort needs at least one video")
+        # the files of a video are named by its id
+        _unique_ids("video", [v.video_id for v in self.videos])
 
 
 def load_cohort_spec(path, seed: int) -> CohortSpec:
@@ -159,10 +161,7 @@ def load_cohort_spec(path, seed: int) -> CohortSpec:
     where = f"{path}: bad cohort spec"
     try:
         if "videos" in data:
-            videos = tuple(map(parse_video, _checked(where, data["videos"], list, "videos")))
-            # the files of a video are named by its id
-            _unique_ids(where, "video", [v.video_id for v in videos])
-            kwargs["videos"] = videos
+            kwargs["videos"] = tuple(map(parse_video, _checked(where, data["videos"], list, "videos")))
         for key, default in (("asd_params", DEFAULT_ASD_PARAMS), ("control_params", DEFAULT_CONTROL_PARAMS)):
             if key in data:
                 merged = dataclasses.asdict(default)

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: plain Python loops over frames, a
 slow projected-gradient ascent for the SVM dual, the SMO and MLP
-training loops as they were before their rewrites, and the gaze log
-writer as one ``%``-format. These must never share code with the
+training loops and the stratified fold deal as they were before their
+rewrites, and the gaze log writer as one ``%``-format. These must never share code with the
 implementations they check. The AOI oracles take a sequence of boxes,
 each with the fields of ``conftest.Box``.
 """
@@ -24,6 +24,7 @@ from gazescreen.errors import (
     NonFiniteFeature,
     NonMonotonicTimestamp,
     SingleClass,
+    TooFewPerClass,
 )
 
 
@@ -341,6 +342,25 @@ def oracle_write_gaze_log(path, participant_id, video_id, rows):
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("participant_id,video_id,wall_ts_ms,video_ts_ms,x_px,y_px,valid\n")
         fh.write((fmt * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+def oracle_stratified_folds(labels, folds, rng):
+    """``experiments.stratified_folds`` as it was before its rewrite: the
+    classes from ``np.unique`` and one Python assignment per member."""
+    labels = np.asarray(labels)
+    assignment = np.full(len(labels), -1, dtype=int)
+    start = 0
+    for cls in np.unique(labels):
+        members = np.nonzero(labels == cls)[0]
+        if len(members) < folds:
+            raise TooFewPerClass(
+                f"class {cls} has {len(members)} members, need >= {folds}"
+            )
+        members = members[rng.permutation(len(members))]
+        for k, idx in enumerate(members):
+            assignment[idx] = (start + k) % folds
+        start = (start + len(members)) % folds
+    return assignment
 
 
 def projected_gradient_qp(K, y, C, steps=20000, lr=None):

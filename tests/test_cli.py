@@ -28,6 +28,15 @@ def run(runner, *args):
     return runner.invoke(main, [str(a) for a in args])
 
 
+def fresh_env():
+    """The environment for a fresh interpreter that imports this checkout's
+    gazescreen."""
+    env = dict(os.environ)
+    src = str(Path(gazescreen.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def copy_cohort(manifest, dst):
     shutil.copytree(Path(manifest).parent, dst)
     return dst / "manifest.yaml"
@@ -602,14 +611,11 @@ class TestSeverity:
 
     def test_divergence_exits_pipeline_quietly(self, small_cohort_manifest, tmp_path):
         # a fresh interpreter, so numpy's warnings reach stderr as a user sees them
-        env = dict(os.environ)
-        src = str(Path(gazescreen.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         r = subprocess.run(
             [sys.executable, "-m", "gazescreen.cli", "severity", "--manifest",
              str(small_cohort_manifest), "--mode", "aoi", "--seed", "4",
              "--mlp-lr", "1e300", "--out", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=fresh_env(), capture_output=True, text=True, timeout=120)
         output = r.stdout + r.stderr
         assert r.returncode == EXIT_PIPELINE, output
         assert "error: loss became" in output
@@ -634,9 +640,46 @@ def test_cli_import_loads_every_module():
         "print(' '.join(m.name for m in pkgutil.iter_modules(gazescreen.__path__)\n"
         "               if 'gazescreen.' + m.name not in sys.modules))\n"
     )
-    env = dict(os.environ)
-    src = str(Path(gazescreen.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    r = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
                        text=True, timeout=60, check=True)
     assert r.stdout.split() == []
+
+
+# runs the command named by its arguments, then prints whether numpy.ma was loaded
+REPORT_MASKED_IMPORT = (
+    "import sys\n"
+    "from gazescreen.cli import main\n"
+    "try:\n"
+    "    main(sys.argv[1:])\n"
+    "except SystemExit as e:\n"
+    "    if e.code:\n"
+    "        raise\n"
+    "print('numpy.ma' in sys.modules)\n"
+)
+
+
+def test_commands_do_not_import_numpy_ma(small_cohort_manifest, tmp_path):
+    # np.unique imports all of numpy.ma on numpy >= 2, a fixed cost of about
+    # 16 ms per process that a short run pays in full
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules, numpy.__version__)"],
+        env=fresh_env(), capture_output=True, text=True, timeout=60, check=True)
+    eager, version = r.stdout.split()
+    if eager == "True":
+        pytest.skip(f"numpy {version} imports numpy.ma with numpy itself")
+    spec = tmp_path / "spec.yaml"
+    spec.write_text("n_asd: 6\nn_control: 6\n", encoding="utf-8")
+    cohort = ["--manifest", small_cohort_manifest, "--mode", "aoi"]
+    commands = {
+        "synth": ["--spec", spec, "--seed", 11],
+        "features": cohort,
+        "evaluate": cohort + ["--reps", 1, "--seed", 1],
+        "duration-curve": cohort + ["--durations", 3, "--reps", 1, "--seed", 1],
+        "severity": cohort + ["--seed", 1],
+    }
+    for command, args in commands.items():
+        argv = [command, *map(str, args), "--out", str(tmp_path / command)]
+        r = subprocess.run([sys.executable, "-c", REPORT_MASKED_IMPORT, *argv],
+                           env=fresh_env(), capture_output=True, text=True, timeout=120)
+        assert r.returncode == 0, (command, r.stderr)
+        assert r.stdout.splitlines()[-1] == "False", command

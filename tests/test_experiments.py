@@ -14,6 +14,8 @@ from gazescreen.experiments import (
 )
 from gazescreen.learn import SvmModel
 
+from . import oracles
+
 
 def fake_cohort(rng, n_asd=10, n_control=10, sep=10.0, noise=1.0):
     """Feature dict + group dict with tunable class separation."""
@@ -82,6 +84,31 @@ class TestStratifiedFolds:
         f1 = stratified_folds(labels, 3, np.random.default_rng(0))
         f2 = stratified_folds(labels, 3, np.random.default_rng(1))
         assert not np.array_equal(f1, f2)
+
+    def test_matches_oracle_bit_for_bit(self):
+        # same assignment bytes, same error and the same draws from the rng
+        rng = np.random.default_rng(43)
+        raised = 0
+        trials = 300
+        for trial in range(trials):
+            values = rng.choice([-3, -1, 0, 1, 2, 7], size=int(rng.integers(2, 4)), replace=False)
+            sizes = rng.integers(1, 41, size=len(values))
+            labels = rng.permutation(np.repeat(values, sizes))
+            folds = int(rng.integers(2, 6))
+            want_rng, got_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            try:
+                want = oracles.oracle_stratified_folds(labels, folds, want_rng)
+            except TooFewPerClass as e:
+                raised += 1
+                with pytest.raises(TooFewPerClass) as got:
+                    stratified_folds(labels, folds, got_rng)
+                assert str(got.value) == str(e), trial
+            else:
+                got = stratified_folds(labels, folds, got_rng)
+                assert got.dtype == want.dtype, trial
+                assert got.tobytes() == want.tobytes(), trial
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, trial
+        assert 0 < raised < trials  # both outcomes were compared
 
 
 class TestClassificationCv:

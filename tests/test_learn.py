@@ -110,6 +110,13 @@ class TestSvm:
         with pytest.raises(SingleClass):
             svm_train(np.random.default_rng(0).normal(size=(6, 2)), np.ones(6))
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_label_outside_the_two_classes_rejected(self, bad):
+        X, y = blobs(np.random.default_rng(0))
+        y[3] = bad
+        with pytest.raises(ValueError, match="labels must be LABEL_ASD"):
+            svm_train(X, y)
+
     def test_overflowing_kernel_rejected(self):
         X, y = blobs(np.random.default_rng(0))
         with pytest.raises(NonFiniteFeature, match="kernel matrix is not finite"):

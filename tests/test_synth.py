@@ -333,6 +333,12 @@ class TestCohortGeneration:
             "bea378c1db671170518d25c76f0a4aeaa164da739ea2ba61c2f2e55475ef5fc1"
         )
 
+    def test_duplicate_video_id_rejected(self):
+        # the files of a video are named by its id, so load_dataset would reject the tree
+        video = DEFAULT_VIDEOS[0]
+        with pytest.raises(ValueError, match=f"duplicate video id '{video.video_id}'"):
+            CohortSpec(n_asd=1, n_control=1, videos=(video, video))
+
     def test_loads_without_errors(self, small_cohort):
         ds = small_cohort
         assert len(ds.aligned) == 12 * len(DEFAULT_VIDEOS)
