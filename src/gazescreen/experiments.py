@@ -172,7 +172,7 @@ def stratified_folds(labels: list[int], folds: int, rng: np.random.Generator) ->
     Classes are dealt in ascending order, each with one ``rng.permutation``
     draw. They come from ``sorted(set(...))`` rather than ``np.unique``,
     which on numpy >= 2 imports all of ``numpy.ma`` on its first call (a
-    fixed cost of about 16 ms per process).
+    fixed cost of about 15 ms per process).
     """
     labels = np.asarray(labels)
     assignment = np.full(len(labels), -1, dtype=int)
