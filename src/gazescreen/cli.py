@@ -276,6 +276,9 @@ def severity(manifest, mode, seed, mlp_max_epochs, mlp_lr, out):
             f"need >= 3 participants with CARS scores, have {len(scored)}"
         )
     feats = extract_features(dataset, config.mode)
+    # the MLP phase reads only feats and cars: release the logs it would
+    # otherwise hold while the folds' training state is allocated
+    del dataset
     cars = {p.participant_id: p.cars for p in scored}
     feats = {pid: fv for pid, fv in feats.items() if pid in cars}
     report = run_severity_loocv(feats, cars, config, mlp_config=mlp_cfg)

@@ -27,12 +27,13 @@ from .errors import (
 )
 from .features import Window, extract_batch, require_aoi
 from .learn import (
+    ALPHA_TOL,
     LABEL_ASD,
     LABEL_CONTROL,
     MlpConfig,
     Standardizer,
     mlp_predict,
-    mlp_train,
+    mlp_train_folds,
     svm_train,
 )
 from .pipeline import Dataset
@@ -82,8 +83,10 @@ class CvConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if not (math.isfinite(self.C) and self.C > 0):
-            raise ConfigError(f"C must be finite and > 0, got {self.C}")
+        if not (math.isfinite(self.C) and self.C > ALPHA_TOL):
+            raise ConfigError(
+                f"C must be finite and > {ALPHA_TOL:g}, the SMO's alpha tolerance, got {self.C}"
+            )
         if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
         if not math.isfinite(self.coef0):
@@ -220,9 +223,10 @@ def _repeat_cv(config: CvConfig, y, tag: tuple, draw_X) -> list:
         for fold in range(FOLDS):
             test = assignment == fold
             train = ~test
-            scaler = Standardizer().fit(X[train])
+            # standardise every row at once: transform works element by element
+            Z = Standardizer().fit(X[train]).transform(X)
             model = svm_train(
-                scaler.transform(X[train]),
+                Z[train],
                 y[train],
                 C=config.C,
                 gamma=config.gamma,
@@ -231,7 +235,7 @@ def _repeat_cv(config: CvConfig, y, tag: tuple, draw_X) -> list:
                 seed=int(rng.integers(2**31)),
             )
             # a decision value of exactly 0 is CONTROL, as in svm_predict
-            flagged = model.decision_value(scaler.transform(X[test])) > 0
+            flagged = model.decision_value(Z[test]) > 0
             asd = y[test] == LABEL_ASD
             tp = int(np.sum(flagged & asd))
             fn = int(np.sum(~flagged & asd))
@@ -361,7 +365,11 @@ def run_duration_simulation(
 def run_severity_loocv(
     features: dict, cars: dict, config: CvConfig, mlp_config: MlpConfig | None = None
 ) -> SeverityReport:
-    """Leave-one-out CARS regression over scored (ASD) participants."""
+    """Leave-one-out CARS regression over scored (ASD) participants.
+
+    Fold i holds out the i-th scored participant and draws its MLP seed
+    from ``derive_rng(config.seed, "loocv", i)``. Every fold has the same
+    shape, so all are trained at once by ``mlp_train_folds``."""
     pids = sorted(p for p in cars if cars[p] is not None)
     if len(pids) < 3:
         raise TooFewParticipants(f"need >= 3 scored participants, have {len(pids)}")
@@ -370,28 +378,31 @@ def run_severity_loocv(
             raise MissingFeatures(f"participant {pid} lacks a feature vector")
     X = np.array([features[p] for p in pids], dtype=float)
     y = np.array([cars[p] for p in pids], dtype=float)
-    rows = []
-    for i, pid in enumerate(pids):
+    train_X, train_y, test_rows, centers, seeds = [], [], [], [], []
+    for i in range(len(pids)):
         train = np.arange(len(pids)) != i
-        scaler = Standardizer().fit(X[train])
+        # standardise every row at once: transform works element by element
+        Z = Standardizer().fit(X[train]).transform(X)
         # center the targets around the training mean; the regressor starts
         # from a near-zero output, so raw CARS magnitudes would dominate the
         # error budget before the optimizer ever sees the features
         y_center = float(y[train].mean())
         rng = derive_rng(config.seed, "loocv", i)
-        model = mlp_train(
-            scaler.transform(X[train]),
-            y[train] - y_center,
-            config=mlp_config,
-            seed=int(rng.integers(2**31)),
-        )
-        pred = y_center + mlp_predict(model, scaler.transform(X[i]))
+        train_X.append(Z[train])
+        train_y.append(y[train] - y_center)
+        test_rows.append(Z[i])
+        centers.append(y_center)
+        seeds.append(int(rng.integers(2**31)))
+    models = mlp_train_folds(np.array(train_X), np.array(train_y), mlp_config, seeds)
+    rows = []
+    for pid, model, z, y_center, true in zip(pids, models, test_rows, centers, y.tolist()):
+        pred = y_center + mlp_predict(model, z)
         rows.append(
             {
                 "participant_id": pid,
-                "true_cars": float(y[i]),
+                "true_cars": true,
                 "predicted_cars": pred,
-                "abs_err": abs(pred - float(y[i])),
+                "abs_err": abs(pred - true),
             }
         )
     errs = np.array([r["abs_err"] for r in rows])

@@ -5,8 +5,10 @@
   by sequential minimal optimization (SMO) on the dual.
 - MlpModel: one-hidden-layer (width 100, ReLU) regressor trained with
   adaptive-moment SGD on mean squared error plus an L2 penalty. A trained
-  model's W1, b1, W2 and b2 are views of one flat parameter vector, and
-  training updates that vector, its gradient and its Adam moments whole.
+  model's W1, b1, W2 and b2 are views of one flat parameter vector.
+  Training runs F same-shape problems (the folds of a cross-validation) in
+  lockstep: their flat vectors, gradients and Adam moments are (F, size)
+  arrays, each updated whole, and one model is the case F = 1.
 
 Everything is deterministic given a seed.
 """
@@ -31,6 +33,10 @@ LABEL_CONTROL = -1
 
 # degree of the SVM's polynomial kernel, defined once in _kernel_matrix
 KERNEL_DEGREE = 3
+
+# an SMO alpha within this of 0 or of C is at that bound; so C must exceed
+# it, or no alpha can ever move off 0
+ALPHA_TOL = 1e-12
 
 
 @dataclass
@@ -131,7 +137,8 @@ def svm_train(
     up to date for the two alphas a step moves, so each iteration makes one
     ``nonzero`` pass per mask, which gives the gap, the bias midpoint and
     the maximal violating pair together. The pair arithmetic runs on
-    Python floats.
+    Python floats. The sweep's generator, ``default_rng(seed)``, is made on
+    the sweep's first use, since most fits never sweep.
 
     Every label must be ``LABEL_ASD`` or ``LABEL_CONTROL``; any other
     value, NaN included, is a ValueError, and labels of one class only are
@@ -154,7 +161,7 @@ def svm_train(
     if gamma is None:
         gamma = gamma_scale(X)
     n = len(y)
-    rng = np.random.default_rng(seed)
+    rng = None  # the fallback sweep's generator, made on its first use
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         K = _kernel_matrix(X, X, gamma, coef0)
     if not np.all(np.isfinite(K)):
@@ -164,14 +171,14 @@ def svm_train(
     labels = y.tolist()
     alpha = [0.0] * n
     G = -y.astype(float)  # bias-free errors: sum_j a_j y_j K_ij - y_i
-    at_most = C - 1e-12
+    at_most = C - ALPHA_TOL
     up = np.zeros(n, dtype=bool)
     low = np.zeros(n, dtype=bool)
 
     def set_masks(k):
         yk, ak = labels[k], alpha[k]
-        up[k] = (yk > 0 and ak < at_most) or (yk < 0 and ak > 1e-12)
-        low[k] = (yk < 0 and ak < at_most) or (yk > 0 and ak > 1e-12)
+        up[k] = (yk > 0 and ak < at_most) or (yk < 0 and ak > ALPHA_TOL)
+        low[k] = (yk < 0 and ak < at_most) or (yk > 0 and ak > ALPHA_TOL)
 
     for k in range(n):
         set_masks(k)
@@ -229,10 +236,13 @@ def svm_train(
 
     def try_violator(i, partners):
         # prefer the largest error difference, then a seeded-random sweep
+        nonlocal rng
         order = partners[np.argsort(-np.abs(G[i] - G[partners]))]
         for j in order[:8].tolist():
             if take_step(i, j):
                 return True
+        if rng is None:
+            rng = np.random.default_rng(seed)
         for j in rng.permutation(n).tolist():
             if take_step(i, j):
                 return True
@@ -273,7 +283,7 @@ def svm_train(
             stacklevel=2,
         )
     alpha = np.array(alpha)
-    sv = alpha > 1e-12
+    sv = alpha > ALPHA_TOL
     return SvmModel(
         support_vectors=X[sv].copy(),
         dual_coef=(alpha * y)[sv].copy(),
@@ -336,61 +346,96 @@ def _mlp_size(d: int, hidden: int) -> int:
 
 def _mlp_views(flat: np.ndarray, d: int, hidden: int):
     """W1 (d, hidden), b1 (hidden,), W2 (hidden, 1) and b2 (1,) as views of
-    one flat vector of ``_mlp_size(d, hidden)`` values, in that order."""
+    one flat vector of ``_mlp_size(d, hidden)`` values, in that order. A
+    stack of flat vectors, (F, size), gives views with the same leading
+    fold axis: W1 (F, d, hidden), b1 (F, hidden), W2 (F, hidden, 1) and b2
+    (F, 1)."""
     i1 = d * hidden
     i2 = i1 + hidden
     i3 = i2 + hidden
-    return flat[:i1].reshape(d, hidden), flat[i1:i2], flat[i2:i3].reshape(hidden, 1), flat[i3:]
+    lead = flat.shape[:-1]
+    return (
+        flat[..., :i1].reshape(*lead, d, hidden),
+        flat[..., i1:i2],
+        flat[..., i2:i3].reshape(*lead, hidden, 1),
+        flat[..., i3:],
+    )
 
 
-def mlp_forward(model: MlpModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    h = np.maximum(X @ model.W1 + model.b1, 0.0)
-    out = h @ model.W2 + model.b2
-    return h, out[:, 0]
+def _one_fold(model: MlpModel):
+    """The model's W1, b1, W2 and b2 as a stack of one fold (views)."""
+    return model.W1[None], model.b1[None], model.W2[None], model.b2[None]
+
+
+# The forward and backward pass below is the only one: it runs F models at
+# once, each on its own inputs. ``params`` is (W1, b1, W2, b2) with a
+# leading fold axis, as ``_mlp_views`` gives them for a stack; X is
+# (F, n, d) and y (F, n). Stacked ``matmul`` makes one BLAS call per fold
+# slice, with that slice's strides, and the reductions run along one
+# fold's axes, so every fold's numbers are those of a pass on it alone.
+
+
+def _mlp_forward(params, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations (F, n, hidden) and outputs (F, n)."""
+    W1, b1, W2, b2 = params
+    h = np.maximum(X @ W1 + b1[:, None], 0.0)
+    out = h @ W2 + b2[:, None]
+    return h, out[..., 0]
+
+
+def _mlp_losses(params, X: np.ndarray, y: np.ndarray, l2: float):
+    """Half-MSE plus L2/(2n) penalty on the weight matrices, one loss per
+    fold (an (F,) array); also returns the hidden activations and the
+    residuals."""
+    W1, _, W2, _ = params
+    n = y.shape[-1]
+    h, pred = _mlp_forward(params, X)
+    resid = pred - y
+    add = np.add.reduce
+    loss = 0.5 * (add(resid**2, axis=-1) / n)
+    loss += l2 / (2.0 * n) * (add(W1**2, axis=(-2, -1)) + add(W2**2, axis=(-2, -1)))
+    return loss, h, resid
+
+
+def _mlp_losses_and_grads(params, X: np.ndarray, y: np.ndarray, l2: float, out: np.ndarray):
+    """The losses of ``_mlp_losses``, with analytic gradients written into
+    ``out``, a (F, size) buffer laid out as ``_mlp_views`` reads it."""
+    W1, _, W2, _ = params
+    n = y.shape[-1]
+    loss, h, resid = _mlp_losses(params, X, y, l2)
+    gW1, gb1, gW2, gb2 = _mlp_views(out, X.shape[-1], h.shape[-1])
+    d_out = (resid / n)[..., None]  # (F, n, 1)
+    np.matmul(h.swapaxes(-1, -2), d_out, out=gW2)
+    gW2 += (l2 / n) * W2
+    np.add.reduce(d_out, axis=-2, out=gb2)
+    d_h = d_out @ W2.swapaxes(-1, -2)
+    d_h[h <= 0.0] = 0.0
+    np.matmul(X.swapaxes(-1, -2), d_h, out=gW1)
+    gW1 += (l2 / n) * W1
+    np.add.reduce(d_h, axis=-2, out=gb1)
+    return loss
 
 
 def mlp_predict(model: MlpModel, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != model.dim:
         raise DimensionMismatch(f"expected dim {model.dim}, got {x.shape[-1]}")
-    _, out = mlp_forward(model, x.reshape(1, -1))
-    return float(out[0])
-
-
-def _mlp_loss(model: MlpModel, X: np.ndarray, y: np.ndarray):
-    """Half-MSE plus L2/(2n) penalty on the weight matrices; returns the
-    loss, the hidden activations and the residuals."""
-    n = len(y)
-    h, pred = mlp_forward(model, X)
-    resid = pred - y
-    add = np.add.reduce
-    loss = 0.5 * float(add(resid**2) / n)
-    loss += model.config.l2 / (2.0 * n) * (
-        float(add(model.W1**2, axis=None)) + float(add(model.W2**2, axis=None)))
-    return loss, h, resid
+    _, out = _mlp_forward(_one_fold(model), x.reshape(1, 1, -1))
+    return float(out[0, 0])
 
 
 def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, y: np.ndarray, out=None):
-    """The loss of ``_mlp_loss`` with analytic gradients for every
-    parameter. The gradients are written into views of ``out``, a flat
-    float64 buffer laid out as ``_mlp_views`` reads it (a new one if None),
-    and returned as (gW1, gb1, gW2, gb2)."""
-    n = len(y)
-    loss, h, resid = _mlp_loss(model, X, y)
+    """The model's loss (half-MSE plus L2/(2n) penalty on the weight
+    matrices) with analytic gradients for every parameter, from the pass
+    that training runs. The gradients are written into views of ``out``, a
+    flat float64 buffer laid out as ``_mlp_views`` reads it (a new one if
+    None), and returned as (gW1, gb1, gW2, gb2)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
     if out is None:
         out = np.empty(_mlp_size(*model.W1.shape))
-    gW1, gb1, gW2, gb2 = _mlp_views(out, *model.W1.shape)
-    l2 = model.config.l2
-    d_out = (resid / n)[:, None]  # (n, 1)
-    np.matmul(h.T, d_out, out=gW2)
-    gW2 += (l2 / n) * model.W2
-    np.add.reduce(d_out, axis=0, out=gb2)
-    d_h = d_out @ model.W2.T
-    d_h[h <= 0.0] = 0.0
-    np.matmul(X.T, d_h, out=gW1)
-    gW1 += (l2 / n) * model.W1
-    np.add.reduce(d_h, axis=0, out=gb1)
-    return loss, (gW1, gb1, gW2, gb2)
+    loss = _mlp_losses_and_grads(_one_fold(model), X[None], y[None], model.config.l2, out[None])
+    return float(loss[0]), _mlp_views(out, *model.W1.shape)
 
 
 def _glorot_uniform(rng, fan_in, fan_out, shape):
@@ -404,48 +449,84 @@ def mlp_train(
     config: MlpConfig | None = None,
     seed: int = 0,
 ) -> MlpModel:
-    """Train the regressor with adaptive-moment SGD and early stopping.
-
-    All parameters live in one flat float64 vector, of which the model's
-    W1, b1, W2 and b2 are views; the gradients and both Adam moments are
-    flat vectors of the same layout, so each step is one Adam update of
-    in-place ufuncs over the whole vector (element for element the same
-    arithmetic as one update per array). The epoch-end early-stop check
-    computes the loss only. Overflow is not warned about: a loss that is
-    not finite raises ``DivergenceDetected``.
-    """
+    """Train the regressor with adaptive-moment SGD and early stopping: the
+    one-fold case of ``mlp_train_folds``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    return mlp_train_folds(X[None], y[None], config, [seed])[0]
+
+
+def mlp_train_folds(
+    Xs: np.ndarray, ys: np.ndarray, config: MlpConfig | None, seeds
+) -> list[MlpModel]:
+    """Train F same-shape regressors in lockstep, fold f on Xs[f] (n, d)
+    and ys[f] (n,) from seeds[f]; returns the F models in fold order.
+
+    Each fold is trained as if alone. Its own generator draws its Glorot
+    W1 and W2, then one minibatch permutation per epoch; it keeps its own
+    best loss and stall count, and it stops by patience on its own. The
+    parameters of all folds still training are one (F, size) array, each
+    row laid out as ``_mlp_views`` reads it, and so are the gradients and
+    both Adam moments. Each step is one forward/backward pass over the
+    stack and one Adam update of in-place ufuncs over it (element for
+    element the same arithmetic as one update per array of one model). The
+    epoch-end early-stop check computes the loss only. A fold that stops
+    is copied out and leaves the stack at the epoch end; the folds still
+    training move up in place, so training holds 5 x F x size floats.
+
+    Overflow is not warned about. A fold whose step or epoch loss is not
+    finite is recorded and leaves the stack at the epoch end, and so does
+    every fold after it (fold order decides which error is raised). After
+    the loop, the lowest-index such fold's ``DivergenceDetected`` is raised,
+    as training the folds one after another would raise it.
+    """
+    Xs = np.asarray(Xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    seeds = list(seeds)
+    if Xs.ndim != 3 or ys.shape != Xs.shape[:2] or len(seeds) != len(Xs):
+        raise ValueError("need Xs of shape (F, n, d), ys of shape (F, n) and F seeds")
+    if not (np.all(np.isfinite(Xs)) and np.all(np.isfinite(ys))):
         raise NonFiniteFeature("training data contains non-finite values")
-    if len(y) < 2:
+    n_folds, n, d = Xs.shape
+    if n < 2:
         raise ValueError("need at least 2 examples")
     cfg = config or MlpConfig()
-    n, d = X.shape
-    rng = np.random.default_rng(seed)
-    theta = np.zeros(_mlp_size(d, cfg.hidden))
-    W1, b1, W2, b2 = _mlp_views(theta, d, cfg.hidden)
-    W1[...] = _glorot_uniform(rng, d, cfg.hidden, (d, cfg.hidden))
-    W2[...] = _glorot_uniform(rng, cfg.hidden, 1, (cfg.hidden, 1))
-    model = MlpModel(W1=W1, b1=b1, W2=W2, b2=b2, config=cfg)
-    grad = np.empty_like(theta)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    tmp = np.empty_like(theta)
-    step = np.empty_like(theta)
+    hidden, l2 = cfg.hidden, cfg.l2
+    rngs = [np.random.default_rng(s) for s in seeds]
+    # theta, m and v of every fold; the folds still training are the first
+    # len(folds) rows, and folds[r] is the fold of row r
+    state = np.zeros((3, n_folds, _mlp_size(d, hidden)))
+    W1, _, W2, _ = _mlp_views(state[0], d, hidden)
+    for f, rng in enumerate(rngs):
+        W1[f] = _glorot_uniform(rng, d, hidden, (d, hidden))
+        W2[f] = _glorot_uniform(rng, hidden, 1, (hidden, 1))
+    buffers = np.empty_like(state[:2])
+    folds = np.arange(n_folds)
+    best_loss = np.full(n_folds, np.inf)
+    stall = np.zeros(n_folds, dtype=int)
+    trained = [None] * n_folds
+    diverged = {}  # fold -> its first loss that was not finite
     beta1, beta2, lr, eps = cfg.beta1, cfg.beta2, cfg.lr, cfg.eps
     t = 0
     batch = min(cfg.batch_size, n)
-    best_loss = np.inf
-    stall = 0
+
+    def record_divergence(loss):
+        if not np.isfinite(loss).all():
+            for f, value in zip(folds.tolist(), loss.tolist()):
+                if not math.isfinite(value):
+                    diverged.setdefault(f, value)
+
     with np.errstate(over="ignore", invalid="ignore"):  # reported as divergence
         for _epoch in range(cfg.max_epochs):
-            order = rng.permutation(n)
+            theta, m, v = state[:, : len(folds)]
+            grad, tmp = buffers[:, : len(folds)]
+            params = _mlp_views(theta, d, hidden)
+            fold_rows = folds[:, None]
+            order = np.stack([rng.permutation(n) for rng in rngs])
             for start in range(0, n, batch):
-                idx = order[start : start + batch]
-                loss, _ = mlp_loss_and_grads(model, X[idx], y[idx], out=grad)
-                if not np.isfinite(loss):
-                    raise DivergenceDetected(f"loss became {loss}")
+                idx = order[:, start : start + batch]
+                loss = _mlp_losses_and_grads(params, Xs[fold_rows, idx], ys[fold_rows, idx], l2, grad)
+                record_divergence(loss)
                 t += 1
                 # m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g*g
                 m *= beta1
@@ -455,22 +536,38 @@ def mlp_train(
                 np.multiply(grad, 1 - beta2, out=tmp)
                 tmp *= grad
                 v += tmp
-                # theta -= lr * m_hat / (sqrt(v_hat) + eps)
+                # theta -= lr * m_hat / (sqrt(v_hat) + eps), the step in grad
                 np.divide(v, 1 - beta2**t, out=tmp)
                 np.sqrt(tmp, out=tmp)
                 tmp += eps
-                np.divide(m, 1 - beta1**t, out=step)
-                step *= lr
-                step /= tmp
-                theta -= step
-            epoch_loss, _, _ = _mlp_loss(model, X, y)
-            if not np.isfinite(epoch_loss):
-                raise DivergenceDetected(f"loss became {epoch_loss}")
-            if best_loss - epoch_loss > cfg.early_stop_tol:
-                best_loss = epoch_loss
-                stall = 0
-            else:
-                stall += 1
-                if stall >= cfg.patience:
+                np.divide(m, 1 - beta1**t, out=grad)
+                grad *= lr
+                grad /= tmp
+                theta -= grad
+            epoch_loss, _, _ = _mlp_losses(params, Xs[folds], ys[folds], l2)
+            record_divergence(epoch_loss)
+            improved = best_loss - epoch_loss > cfg.early_stop_tol
+            best_loss = np.where(improved, epoch_loss, best_loss)
+            stall = np.where(improved, 0, stall + 1)
+            leave = stall >= cfg.patience
+            if diverged:
+                leave |= folds >= min(diverged)
+            if leave.any():
+                for r in np.flatnonzero(leave).tolist():
+                    trained[folds[r]] = theta[r].copy()
+                stay = np.flatnonzero(~leave)
+                for a in state:  # move the rows still training to the front
+                    a[: len(stay)] = a[stay]
+                best_loss, stall, folds = best_loss[stay], stall[stay], folds[stay]
+                rngs = [rngs[r] for r in stay.tolist()]
+                if not len(folds):
                     break
-    return model
+    if diverged:
+        raise DivergenceDetected(f"loss became {diverged[min(diverged)]}")
+    for r, f in enumerate(folds.tolist()):
+        trained[f] = state[0, r].copy()
+    models = []
+    for row in trained:
+        W1, b1, W2, b2 = _mlp_views(row, d, hidden)
+        models.append(MlpModel(W1=W1, b1=b1, W2=W2, b2=b2, config=cfg))
+    return models

@@ -547,7 +547,8 @@ def oracle_mlp_train(X, y, cfg, seed=0, branches=None):
     with several minibatches per epoch ("minibatches") or one
     ("one_batch"), those that stopped by patience ("patience") or at the
     epoch cap ("max_epochs"), and those that diverged on a minibatch
-    ("diverged_step") or at an epoch-end check ("diverged_epoch").
+    ("diverged_step") or at an epoch-end check ("diverged_epoch"), and
+    the epochs begun ("epochs"), the epoch that stops the fit included.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -591,6 +592,7 @@ def oracle_mlp_train(X, y, cfg, seed=0, branches=None):
     best_loss = np.inf
     stall = 0
     for _epoch in range(cfg.max_epochs):
+        branches["epochs"] += 1
         order = rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start : start + batch]

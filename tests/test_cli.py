@@ -536,6 +536,7 @@ BAD_ARGUMENTS = [
     ("evaluate", "--svm-c", "0"),
     ("evaluate", "--svm-c", "nan"),
     ("evaluate", "--svm-c", "inf"),
+    ("evaluate", "--svm-c", "1e-12"),
     ("evaluate", "--gamma", "nan"),
     ("evaluate", "--gamma", "0"),
     ("evaluate", "--gamma", "-0.5"),
@@ -546,6 +547,7 @@ BAD_ARGUMENTS = [
     ("evaluate", "--jobs", "-1"),
     ("duration-curve", "--reps", "0"),
     ("duration-curve", "--svm-c", "nan"),
+    ("duration-curve", "--svm-c", "1e-12"),
     ("duration-curve", "--jobs", "0"),
 ]
 

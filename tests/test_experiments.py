@@ -3,7 +3,12 @@ import pytest
 
 from gazescreen import experiments
 from gazescreen.core import FeatureMode, Group
-from gazescreen.errors import MissingFeatures, TooFewParticipants, TooFewPerClass
+from gazescreen.errors import (
+    ConfigError,
+    MissingFeatures,
+    TooFewParticipants,
+    TooFewPerClass,
+)
 from gazescreen.experiments import (
     CvConfig,
     derive_rng,
@@ -12,7 +17,8 @@ from gazescreen.experiments import (
     run_severity_loocv,
     stratified_folds,
 )
-from gazescreen.learn import SvmModel
+from gazescreen.learn import MlpConfig, Standardizer, SvmModel
+from gazescreen.pipeline import extract_features
 
 from . import oracles
 
@@ -207,6 +213,36 @@ class TestSeverityLoocv:
         features = {p: np.array([0.1, 0.2]) for p in cars}
         with pytest.raises(TooFewParticipants):
             run_severity_loocv(features, cars, CvConfig(seed=0))
+
+    @pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
+    def test_matches_per_fold_oracle_bit_for_bit(self, small_cohort, mode):
+        features = extract_features(small_cohort, mode)
+        cars = {p.participant_id: p.cars for p in small_cohort.manifest.participants
+                if p.cars is not None}
+        report = run_severity_loocv(features, cars, CvConfig(seed=7, mode=mode))
+        # the per-fold loop, one fit after another, with the oracle trainer
+        pids = sorted(cars)
+        X = np.array([features[p] for p in pids])
+        y = np.array([cars[p] for p in pids], dtype=float)
+        assert [r["participant_id"] for r in report.rows] == pids
+        for i, row in enumerate(report.rows):
+            train = np.arange(len(pids)) != i
+            scaler = Standardizer().fit(X[train])
+            y_center = float(y[train].mean())
+            seed = int(derive_rng(7, "loocv", i).integers(2**31))
+            W1, b1, W2, b2 = oracles.oracle_mlp_train(
+                scaler.transform(X[train]), y[train] - y_center, MlpConfig(), seed)
+            z = scaler.transform(X[i]).reshape(1, -1)
+            pred = y_center + float((np.maximum(z @ W1 + b1, 0.0) @ W2 + b2)[0, 0])
+            assert np.float64(row["predicted_cars"]).tobytes() == np.float64(pred).tobytes(), i
+
+
+@pytest.mark.parametrize("C", [1e-12, 5e-13])
+def test_c_at_or_below_the_alpha_tolerance_rejected(C):
+    # no alpha could leave 0, so every fold would be an all-zero model
+    with pytest.raises(ConfigError, match="alpha tolerance"):
+        CvConfig(seed=0, C=C)
+    CvConfig(seed=0, C=1e-11)
 
 
 class TestDurationSimulation:

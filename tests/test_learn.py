@@ -21,6 +21,7 @@ from gazescreen.learn import (
     mlp_loss_and_grads,
     mlp_predict,
     mlp_train,
+    mlp_train_folds,
     svm_dual_objective,
     svm_predict,
     svm_train,
@@ -343,6 +344,11 @@ class TestMlp:
             mlp_train(X, y, MlpConfig(hidden=5, lr=1e100), seed=0)
 
 
+def noisy_linear(rng, n, d):
+    X = rng.normal(size=(n, d))
+    return X, X @ rng.normal(size=d) + rng.normal(0.0, 0.3, n)
+
+
 def mlp_problem(rng, kind):
     """One seeded MLP problem: (X, y, MlpConfig, seed).
 
@@ -354,8 +360,7 @@ def mlp_problem(rng, kind):
     loss already overflows."""
     n = int(rng.integers(2, 41))
     d = int(rng.integers(1, 26))
-    X = rng.normal(size=(n, d))
-    y = X @ rng.normal(size=d) + rng.normal(0.0, 0.3, n)
+    X, y = noisy_linear(rng, n, d)
     kwargs = {
         "hidden": int(rng.choice([1, 5, 100])),
         "l2": float(rng.choice([0.0, 1e-4, 0.1])),
@@ -369,6 +374,54 @@ def mlp_problem(rng, kind):
     elif kind == 2:
         X *= 1e150
     return X, y, MlpConfig(**kwargs), int(rng.integers(2**31))
+
+
+def mlp_stack(rng, kind, n_folds):
+    """``n_folds`` seeded MLP problems of one shape and one config:
+    (Xs, ys, MlpConfig, seeds). The first is ``mlp_problem(rng, kind)``
+    with kind 2 read as kind 0; with kind 2 every fold after it has its
+    inputs scaled to 1e200 with probability 0.5, so most of those folds
+    diverge at their first loss while the others train."""
+    X, y, cfg, seed = mlp_problem(rng, 0 if kind == 2 else kind)
+    Xs, ys, seeds = [X], [y], [seed]
+    for _ in range(n_folds - 1):
+        X, y = noisy_linear(rng, *X.shape)
+        if kind == 2 and rng.random() < 0.5:
+            X *= 1e200
+        Xs.append(X)
+        ys.append(y)
+        seeds.append(int(rng.integers(2**31)))
+    return np.array(Xs), np.array(ys), cfg, seeds
+
+
+def oracle_folds(Xs, ys, cfg, seeds, branches):
+    """The per-fold loop: ``oracles.oracle_mlp_train`` on each fold in
+    turn, up to the first fold that diverges. Returns the (W1, b1, W2, b2)
+    of every fold, or that fold's ``DivergenceDetected`` message, and the
+    epochs each fold run began. Every fit's routes are added to
+    ``branches``."""
+    fits, epochs = [], []
+    for X, y, seed in zip(Xs, ys, seeds):
+        fit = Counter()
+        try:
+            with np.errstate(all="ignore"):
+                fits.append(oracles.oracle_mlp_train(X, y, cfg, seed, branches=fit))
+        except DivergenceDetected as e:
+            fits = str(e)
+        branches.update(fit)
+        epochs.append(fit["epochs"])
+        if isinstance(fits, str):
+            break
+    return fits, epochs
+
+
+def lockstep_or_message(Xs, ys, cfg, seeds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # divergence is raised, not warned
+        try:
+            return mlp_train_folds(Xs, ys, cfg, seeds)
+        except DivergenceDetected as e:
+            return str(e)
 
 
 class TestMlpOracle:
@@ -403,6 +456,57 @@ class TestMlpOracle:
             assert branches[route] > 0, route
         assert any(c.l2 == 0.0 for c in configs)
         assert any(c.hidden == 1 for c in configs)
+
+    def test_lockstep_matches_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        branches = Counter()
+        for trial in range(60):
+            n_folds = (1, 3, 6)[trial % 3]
+            Xs, ys, cfg, seeds = mlp_stack(rng, (0, 0, 1, 2)[trial % 4], n_folds)
+            want, epochs = oracle_folds(Xs, ys, cfg, seeds, branches)
+            got = lockstep_or_message(Xs, ys, cfg, seeds)
+            if isinstance(want, str) or isinstance(got, str):
+                assert got == want, trial
+                # a fold before the one that diverged trained to its end
+                branches["trained_then_diverged"] += len(epochs) > 1
+                continue
+            # the folds of this stack stopped at different epochs
+            branches["staggered"] += len(set(epochs)) > 1
+            assert len(got) == n_folds, trial
+            for model, fit in zip(got, want):
+                for g, w in zip((model.W1, model.b1, model.W2, model.b2), fit):
+                    assert g.shape == w.shape, trial
+                    assert g.tobytes() == w.tobytes(), trial
+        for route in ("minibatches", "one_batch", "patience", "max_epochs",
+                      "diverged_step", "diverged_epoch", "staggered",
+                      "trained_then_diverged"):
+            assert branches[route] > 0, route
+
+    def test_lowest_fold_divergence_is_raised(self):
+        # fold 1 diverges late (inputs near 1e307 push the loss over the
+        # float range at epoch 13); fold 2's inputs overflow at once, so its
+        # first loss is nan
+        cfg = MlpConfig(hidden=2, lr=1e-2, max_epochs=100, patience=100)
+        x = np.linspace(0.5, 2.0, 8)[:, None]
+        Xs = np.array([x, x * 1e307, np.full_like(x, 1.7e308)])
+        ys = np.repeat(-x.T, 3, axis=0)
+        seeds = [0, 20, 82]
+        alone = [oracle_folds(Xs[f:f + 1], ys[f:f + 1], cfg, seeds[f:f + 1], Counter())
+                 for f in range(3)]
+        assert [epochs for _, epochs in alone] == [[100], [13], [1]]
+        assert [fit for fit, _ in alone][1:] == ["loss became inf", "loss became nan"]
+        assert oracle_folds(Xs, ys, cfg, seeds, Counter())[0] == "loss became inf"
+        assert lockstep_or_message(Xs, ys, cfg, seeds) == "loss became inf"
+        assert lockstep_or_message(Xs[[0, 2]], ys[[0, 2]], cfg, seeds[::2]) == "loss became nan"
+
+    @pytest.mark.parametrize("shape_X, shape_y, n_seeds", [
+        ((2, 5, 3), (2, 5), 1),  # one seed for two folds
+        ((2, 5, 3), (2, 4), 2),  # targets of another length
+        ((5, 3), (5,), 1),  # no fold axis
+    ])
+    def test_lockstep_rejects_mismatched_shapes(self, shape_X, shape_y, n_seeds):
+        with pytest.raises(ValueError, match="need Xs of shape"):
+            mlp_train_folds(np.zeros(shape_X), np.zeros(shape_y), None, range(n_seeds))
 
     def test_parameters_are_views_of_one_vector(self):
         rng = np.random.default_rng(42)
