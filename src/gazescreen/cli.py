@@ -16,16 +16,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .core import FeatureMode, Group
-from .errors import (
-    AoiNeverInAnyWindow,
-    ConfigError,
-    DurationTooLong,
-    GazeScreenError,
-    IoFailure,
-    TooFewParticipants,
-    TooFewPerClass,
-)
+from .core import FeatureMode
+from .errors import ConfigError, GazeScreenError, IoFailure
 from .experiments import (
     CvConfig,
     run_classification_cv,
@@ -40,8 +32,6 @@ from .synth import CohortSpec, generate_cohort, load_cohort_spec
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_PIPELINE = 4
-
-_CONFIG_ERRORS = (ConfigError, DurationTooLong, TooFewParticipants, TooFewPerClass)
 
 
 def _fmt(v) -> str:
@@ -71,7 +61,7 @@ def handles_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except _CONFIG_ERRORS as e:
+        except ConfigError as e:
             click.echo(f"error: {e}", err=True)
             sys.exit(EXIT_CONFIG)
         except (IoFailure, OSError) as e:
@@ -114,20 +104,38 @@ manifest_option = click.option(
 mode_option = click.option(
     "--mode", type=click.Choice(["aoi", "noaoi"]), default="aoi", show_default=True
 )
-jobs_option = click.option("--jobs", type=int, default=1, show_default=True)
+
+# the options of the repeated-CV commands, in help order
+CV_OPTIONS = (
+    manifest_option,
+    mode_option,
+    seed_option,
+    click.option("--reps", type=int, default=100, show_default=True),
+    click.option("--svm-c", type=float, default=1.0, show_default=True),
+    click.option("--gamma", type=float, default=None,
+                 help="Kernel scale (default: scale heuristic)."),
+    click.option("--coef0", type=float, default=0.0, show_default=True),
+    click.option("--jobs", type=int, default=1, show_default=True),
+    out_option,
+)
 
 
-def _cv_config(seed, mode, video, reps, svm_c, gamma, coef0, jobs) -> CvConfig:
-    return CvConfig(
-        seed=seed,
-        repetitions=reps,
-        mode=_parse_mode(mode),
-        video_selection=video,
-        C=svm_c,
-        gamma=gamma,
-        coef0=coef0,
-        jobs=jobs,
-    )
+def cv_command(fn):
+    """Declare ``CV_OPTIONS`` on a repeated-CV command and build its
+    ``CvConfig`` inside ``handles_errors``, so a bad value exits 2 before
+    any file is read. ``fn`` is called as ``fn(manifest, config, out,
+    **own_options)``; an own ``video`` option sets ``video_selection``."""
+
+    @functools.wraps(fn)
+    def build(manifest, mode, seed, reps, svm_c, gamma, coef0, jobs, out, video="all", **own):
+        config = CvConfig(seed=seed, repetitions=reps, mode=_parse_mode(mode),
+                          video_selection=video, C=svm_c, gamma=gamma, coef0=coef0, jobs=jobs)
+        return fn(manifest, config, out, **own)
+
+    command = handles_errors(build)
+    for option in reversed(CV_OPTIONS):
+        command = option(command)
+    return command
 
 
 @main.command()
@@ -183,27 +191,15 @@ def features(manifest, mode, out):
 
 
 @main.command()
-@manifest_option
-@mode_option
 @click.option("--video", default="all", show_default=True,
               help="Single video id, or 'all' for concatenation.")
-@seed_option
-@click.option("--reps", type=int, default=100, show_default=True)
-@click.option("--svm-c", type=float, default=1.0, show_default=True)
-@click.option("--gamma", type=float, default=None, help="Kernel scale (default: scale heuristic).")
-@click.option("--coef0", type=float, default=0.0, show_default=True)
-@jobs_option
-@out_option
-@handles_errors
-def evaluate(manifest, mode, video, seed, reps, svm_c, gamma, coef0, jobs, out):
+@cv_command
+def evaluate(manifest, config, out):
     """Repeated stratified 3-fold classification CV."""
     out_path = _ensure_out(out)
-    config = _cv_config(seed, mode, video, reps, svm_c, gamma, coef0, jobs)
     dataset = load_dataset(manifest)
-    video_ids = None if video == "all" else [video]
-    if video != "all" and video not in dataset.video_order:
-        raise ConfigError(f"unknown video {video!r}")
-    feats = extract_features(dataset, config.mode, video_ids=video_ids)
+    video = config.video_selection
+    feats = extract_features(dataset, config.mode, video_ids=None if video == "all" else [video])
     groups = {p.participant_id: p.group for p in dataset.manifest.participants}
     report = run_classification_cv(feats, groups, config)
     _write_csv(
@@ -219,19 +215,10 @@ def evaluate(manifest, mode, video, seed, reps, svm_c, gamma, coef0, jobs, out):
 
 
 @main.command("duration-curve")
-@manifest_option
-@mode_option
 @click.option("--durations", default="3,6,9,12,15,18", show_default=True,
               help="Comma-separated window lengths in seconds.")
-@seed_option
-@click.option("--reps", type=int, default=100, show_default=True)
-@click.option("--svm-c", type=float, default=1.0, show_default=True)
-@click.option("--gamma", type=float, default=None)
-@click.option("--coef0", type=float, default=0.0, show_default=True)
-@jobs_option
-@out_option
-@handles_errors
-def duration_curve(manifest, mode, durations, seed, reps, svm_c, gamma, coef0, jobs, out):
+@cv_command
+def duration_curve(manifest, config, out, durations):
     """Accuracy vs observation time on random shared windows."""
     out_path = _ensure_out(out)
     try:
@@ -240,7 +227,6 @@ def duration_curve(manifest, mode, durations, seed, reps, svm_c, gamma, coef0, j
         raise ConfigError(f"bad --durations value {durations!r}") from None
     if not duration_list:
         raise ConfigError("no durations given")
-    config = _cv_config(seed, mode, "all", reps, svm_c, gamma, coef0, jobs)
     dataset = load_dataset(manifest)
     report = run_duration_simulation(dataset, duration_list, config)
     _write_csv(
@@ -267,20 +253,11 @@ def severity(manifest, mode, seed, mlp_max_epochs, mlp_lr, out):
     config = CvConfig(seed=seed, mode=_parse_mode(mode))
     mlp_cfg = MlpConfig(max_epochs=mlp_max_epochs, lr=mlp_lr)
     dataset = load_dataset(manifest)
-    scored = [
-        p for p in dataset.manifest.participants
-        if p.group is Group.ASD and p.cars is not None
-    ]
-    if len(scored) < 3:
-        raise TooFewParticipants(
-            f"need >= 3 participants with CARS scores, have {len(scored)}"
-        )
     feats = extract_features(dataset, config.mode)
+    cars = {p.participant_id: p.cars for p in dataset.manifest.participants}
     # the MLP phase reads only feats and cars: release the logs it would
     # otherwise hold while the folds' training state is allocated
     del dataset
-    cars = {p.participant_id: p.cars for p in scored}
-    feats = {pid: fv for pid, fv in feats.items() if pid in cars}
     report = run_severity_loocv(feats, cars, config, mlp_config=mlp_cfg)
     _write_csv(
         out_path / "severity_loocv.csv",

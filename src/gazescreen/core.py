@@ -1,5 +1,5 @@
 """Domain types shared by every module: groups, feature modes, video
-metadata and participants.
+metadata and participants, and the seeded RNG streams.
 
 All geometry lives in normalized [0,1]^2 screen coordinates so features are
 resolution independent. AOI tracks live in ``ingest.AoiIndex`` and feature
@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import enum
 import math
+import zlib
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 
 class Group(enum.Enum):
@@ -46,6 +49,10 @@ class VideoMeta:
             raise ValueError("duration_s * fps, the frame count, must be finite")
         if self.width_px <= 0 or self.height_px <= 0:
             raise ValueError("pixel dimensions must be positive")
+        try:  # coordinates are divided by the sizes as floats
+            float(self.width_px), float(self.height_px)
+        except OverflowError:
+            raise ValueError("pixel dimensions must convert to finite floats") from None
 
     @property
     def n_frames(self) -> int:
@@ -75,3 +82,14 @@ def normalize_coordinates(raw_x, raw_y, meta: VideoMeta):
     y = raw_y / meta.height_px
     on_screen = (0.0 <= x) & (x <= 1.0) & (0.0 <= y) & (y <= 1.0)
     return x, y, on_screen
+
+
+def derive_rng(root_seed: int, *tags) -> np.random.Generator:
+    """Deterministic sub-stream keyed by the root seed and tags."""
+    parts = [int(root_seed) & 0xFFFFFFFF]
+    for t in tags:
+        if isinstance(t, str):
+            parts.append(zlib.crc32(t.encode("utf-8")))
+        else:
+            parts.append(int(t) & 0xFFFFFFFF)
+    return np.random.default_rng(parts)

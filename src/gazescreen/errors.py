@@ -1,12 +1,18 @@
 """Error taxonomy shared across the pipeline.
 
 Every failure mode a harness might want to triage has its own class.
-Parsers attach line numbers; evaluation errors attach identifiers.
+Parsers attach line numbers; evaluation errors attach identifiers. The CLI
+maps ``ConfigError`` and its subclasses to exit code 2, ``IoFailure`` to 3
+and every other ``GazeScreenError`` to 4.
 """
 
 
 class GazeScreenError(Exception):
     """Base class for all pipeline errors."""
+
+
+class ConfigError(GazeScreenError):
+    """A bad option, config value or spec: the run cannot start as asked."""
 
 
 # --- ingest ---------------------------------------------------------------
@@ -97,7 +103,7 @@ class DivergenceDetected(GazeScreenError):
 
 # --- eval -----------------------------------------------------------------
 
-class TooFewPerClass(GazeScreenError):
+class TooFewPerClass(ConfigError):
     pass
 
 
@@ -105,11 +111,11 @@ class MissingFeatures(GazeScreenError):
     pass
 
 
-class TooFewParticipants(GazeScreenError):
+class TooFewParticipants(ConfigError):
     pass
 
 
-class DurationTooLong(GazeScreenError):
+class DurationTooLong(ConfigError):
     pass
 
 
@@ -120,8 +126,4 @@ class AoiNeverInAnyWindow(GazeScreenError):
 # --- synth / io -----------------------------------------------------------
 
 class IoFailure(GazeScreenError):
-    pass
-
-
-class ConfigError(GazeScreenError):
     pass

@@ -8,14 +8,12 @@ pool in any order and still assemble into a bit-identical report.
 """
 from __future__ import annotations
 
-import math
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMode, Group
+from .core import FeatureMode, Group, derive_rng
 from .errors import (
     AoiNeverInAnyWindow,
     ConfigError,
@@ -27,11 +25,11 @@ from .errors import (
 )
 from .features import Window, extract_batch, require_aoi
 from .learn import (
-    ALPHA_TOL,
     LABEL_ASD,
     LABEL_CONTROL,
     MlpConfig,
     Standardizer,
+    check_svm_params,
     mlp_predict,
     mlp_train_folds,
     svm_train,
@@ -53,17 +51,6 @@ HUMAN_STUDY_REFERENCE = {
 }
 
 
-def derive_rng(root_seed: int, *tags) -> np.random.Generator:
-    """Deterministic sub-stream keyed by the root seed and tags."""
-    parts = [int(root_seed) & 0xFFFFFFFF]
-    for t in tags:
-        if isinstance(t, str):
-            parts.append(zlib.crc32(t.encode("utf-8")))
-        else:
-            parts.append(int(t) & 0xFFFFFFFF)
-    return np.random.default_rng(parts)
-
-
 # The paper's protocol: 3-fold CV, and the SMO stopping gap of every fit.
 FOLDS = 3
 SVM_TOL = 1e-3
@@ -83,14 +70,7 @@ class CvConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if not (math.isfinite(self.C) and self.C > ALPHA_TOL):
-            raise ConfigError(
-                f"C must be finite and > {ALPHA_TOL:g}, the SMO's alpha tolerance, got {self.C}"
-            )
-        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
-        if not math.isfinite(self.coef0):
-            raise ConfigError(f"coef0 must be finite, got {self.coef0}")
+        check_svm_params(self.C, self.gamma, self.coef0)
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -334,8 +314,7 @@ def run_duration_simulation(
     )
     min_duration = min(dataset.manifest.video_meta(v).duration_s for v in video_ids)
     for d in durations:
-        if not (math.isfinite(d) and d > 0):
-            raise ConfigError(f"durations must be finite and > 0, got {d}")
+        Window(0.0, d)  # a duration must make a valid window
         if d > min_duration:
             raise DurationTooLong(f"{d}s exceeds shortest video ({min_duration}s)")
     _check_structure(dataset, config.mode, video_ids)

@@ -107,6 +107,20 @@ def svm_predict(model: SvmModel, x: np.ndarray) -> tuple[int, float]:
     return (LABEL_ASD if f > 0 else LABEL_CONTROL), f
 
 
+def check_svm_params(C: float, gamma: float | None, coef0: float) -> None:
+    """Raise ``ConfigError`` unless C is finite and above ``ALPHA_TOL``,
+    gamma is None (the scale heuristic) or finite and positive, and coef0
+    is finite."""
+    if not (math.isfinite(C) and C > ALPHA_TOL):
+        raise ConfigError(
+            f"C must be finite and > {ALPHA_TOL:g}, the SMO's alpha tolerance, got {C}"
+        )
+    if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
+        raise ConfigError(f"gamma must be finite and > 0, got {gamma}")
+    if not math.isfinite(coef0):
+        raise ConfigError(f"coef0 must be finite, got {coef0}")
+
+
 def svm_dual_objective(K: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
     ay = alpha * y
     return float(alpha.sum() - 0.5 * ay @ K @ ay)
@@ -140,12 +154,14 @@ def svm_train(
     Python floats. The sweep's generator, ``default_rng(seed)``, is made on
     the sweep's first use, since most fits never sweep.
 
-    Every label must be ``LABEL_ASD`` or ``LABEL_CONTROL``; any other
-    value, NaN included, is a ValueError, and labels of one class only are
+    C, gamma and coef0 are checked by ``check_svm_params``. Every label
+    must be ``LABEL_ASD`` or ``LABEL_CONTROL``; any other value, NaN
+    included, is a ValueError, and labels of one class only are
     ``SingleClass``. The labels are checked with two boolean masks, not
     ``np.unique``, which on numpy >= 2 imports all of ``numpy.ma`` on its
     first call.
     """
+    check_svm_params(C, gamma, coef0)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(X)):

@@ -100,9 +100,12 @@ def collect_extraction_failures(
     Returns ``(failures, rows)``: ``failures`` holds
     (participant_id, video_id, error) triples, with ``MissingVideo`` for a
     pair without a gaze log, and ``rows`` maps each pair that succeeded to
-    its feature row from ``extract``.
+    its feature row from ``extract``. A video id that the manifest does not
+    declare is a ``ConfigError``, raised before any extraction.
     """
     order = list(video_ids) if video_ids is not None else list(dataset.video_order)
+    for vid in order:
+        dataset.manifest.video_meta(vid)  # raises ConfigError for an undeclared id
     failures = []
     rows = {}
     for p in dataset.manifest.participants:

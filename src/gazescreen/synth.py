@@ -26,10 +26,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .core import Group, Participant, VideoMeta
+from .core import Group, Participant, VideoMeta, derive_rng
 from .errors import ConfigError, IoFailure
-from .experiments import derive_rng
-from .ingest import GAZE_HEADER, AoiIndex, _checked, _unique_ids, load_yaml, parse_video
+from .ingest import AOI_HEADER, GAZE_HEADER, AoiIndex, _checked, _unique_ids, load_yaml, parse_video
 
 # CARS histogram of the 35-participant reference cohort (scores 30..39).
 CARS_HISTOGRAM = {30: 3, 31: 5, 32: 6, 33: 4, 34: 5, 35: 7, 36: 3, 37: 0, 38: 1, 39: 1}
@@ -511,7 +510,7 @@ def generate_cohort(spec: CohortSpec, out_dir) -> Path:
             rel = f"aoi/{meta.video_id}.csv"
             manifest["aoi_tracks"][meta.video_id] = rel
             with (out / rel).open("w", encoding="utf-8", newline="\n") as fh:
-                fh.write("video_id,frame_index,object_id,x_min_px,y_min_px,x_max_px,y_max_px\n")
+                fh.write(",".join(AOI_HEADER) + "\n")
                 aoi = indexes[meta.video_id]
                 for f, k in np.argwhere(aoi.ann.T).tolist():  # (frame, object) order
                     fh.write(

@@ -111,6 +111,10 @@ class TestSynth:
         # two videos of one id would write to the same files
         "videos: [{id: c, duration_s: 2, fps: 30, width_px: 64, height_px: 48},"
         " {id: c, duration_s: 3, fps: 30, width_px: 64, height_px: 48}]",
+        pytest.param(
+            f"videos: [{{id: c, duration_s: 2, fps: 30, width_px: 1{'0' * 400}, height_px: 48}}]",
+            id="pixel size too large for a float",
+        ),
     ])
     def test_bad_spec_value_exits_config(self, runner, tmp_path, params):
         spec = tmp_path / "spec.yaml"
@@ -346,6 +350,10 @@ class TestFeatures:
         (lambda d: d["videos"][0].update(width_px=1920.9),
          "width_px must be a whole number, got 1920.9"),
         (lambda d: d["videos"][0].update(duration_s=10**400), "int too large to convert to float"),
+        (lambda d: d["videos"][0].update(width_px=10**400),
+         "pixel dimensions must convert to finite floats"),
+        (lambda d: d["videos"][0].update(height_px=10**400),
+         "pixel dimensions must convert to finite floats"),
     ])
     def test_bad_manifest_shape_exits_config(
         self, runner, small_cohort_manifest, tmp_path, edit, message
@@ -434,6 +442,14 @@ class TestEvaluate:
                 "--mode", "aoi", "--video", "ghost", "--seed", 1,
                 "--reps", 1, "--out", tmp_path)
         assert r.exit_code == EXIT_CONFIG
+        assert "unknown video id 'ghost'" in r.output
+
+    def test_bad_svm_c_exits_config_before_reading_the_manifest(self, runner, tmp_path):
+        r = run(runner, "evaluate", "--manifest", tmp_path / "nope.yaml", "--seed", 1,
+                "--svm-c", 0, "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert "C must be finite" in r.output
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_out_exits_io(self, runner, small_cohort_manifest, tmp_path):
         blocker = tmp_path / "file"
@@ -633,6 +649,20 @@ class TestSeverity:
         r = run(runner, "severity", "--manifest", tmp_path / "c" / "manifest.yaml",
                 "--mode", "aoi", "--seed", 1, "--out", tmp_path / "o")
         assert r.exit_code == EXIT_CONFIG
+        assert "need >= 3 scored participants, have 1" in r.output
+        assert not (tmp_path / "o" / "severity_loocv.csv").exists()
+
+
+def test_cv_commands_share_their_options():
+    def options(command):
+        return {p.name: (p.opts, p.type, p.default, p.help)
+                for p in main.commands[command].params}
+
+    evaluate, curve = options("evaluate"), options("duration-curve")
+    shared = evaluate.keys() & curve.keys()
+    assert shared == {"manifest", "mode", "seed", "reps", "svm_c", "gamma", "coef0", "jobs", "out"}
+    for name in shared:
+        assert evaluate[name] == curve[name], name
 
 
 def test_cli_import_loads_every_module():
@@ -645,6 +675,13 @@ def test_cli_import_loads_every_module():
     r = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
                        text=True, timeout=60, check=True)
     assert r.stdout.split() == []
+
+
+def test_synth_import_leaves_the_learning_stack_unloaded():
+    code = "import sys, gazescreen.synth; print('gazescreen.learn' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
+                       text=True, timeout=60, check=True)
+    assert r.stdout.split() == ["False"]
 
 
 # runs the command named by its arguments, then prints whether numpy.ma was loaded

@@ -5,6 +5,7 @@ from gazescreen import experiments
 from gazescreen.core import FeatureMode, Group
 from gazescreen.errors import (
     ConfigError,
+    DurationTooLong,
     MissingFeatures,
     TooFewParticipants,
     TooFewPerClass,
@@ -83,6 +84,9 @@ class TestStratifiedFolds:
 
     def test_too_few_per_class(self):
         with pytest.raises(TooFewPerClass):
+            stratified_folds([1, 1, -1, -1], 3, np.random.default_rng(0))
+        # the CLI maps every ConfigError to exit code 2
+        with pytest.raises(ConfigError):
             stratified_folds([1, 1, -1, -1], 3, np.random.default_rng(0))
 
     def test_shuffle_depends_on_rng(self):
@@ -213,6 +217,8 @@ class TestSeverityLoocv:
         features = {p: np.array([0.1, 0.2]) for p in cars}
         with pytest.raises(TooFewParticipants):
             run_severity_loocv(features, cars, CvConfig(seed=0))
+        with pytest.raises(ConfigError, match="need >= 3 scored participants, have 2"):
+            run_severity_loocv(features, cars, CvConfig(seed=0))
 
     @pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
     def test_matches_per_fold_oracle_bit_for_bit(self, small_cohort, mode):
@@ -261,6 +267,13 @@ class TestDurationSimulation:
             (12.0, 0.6944444444444444, 0.15713484026367724),
         ],
     }
+
+    def test_duration_longer_than_a_video_is_a_config_error(self, small_cohort):
+        too_long = 1.0 + min(small_cohort.manifest.video_meta(v).duration_s
+                             for v in small_cohort.video_order)
+        with pytest.raises(ConfigError, match="exceeds shortest video") as exc:
+            run_duration_simulation(small_cohort, [too_long], CvConfig(seed=0, repetitions=1))
+        assert isinstance(exc.value, DurationTooLong)
 
     @pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
     def test_same_seed_same_rows(self, small_cohort, mode):

@@ -118,6 +118,17 @@ class TestSvm:
         with pytest.raises(ValueError, match="labels must be LABEL_ASD"):
             svm_train(X, y)
 
+    @pytest.mark.parametrize("params", [
+        {"C": 0.0}, {"C": 1e-12}, {"C": np.nan}, {"C": np.inf},
+        {"gamma": 0.0}, {"gamma": np.nan}, {"coef0": np.inf},
+    ])
+    def test_bad_hyperparameter_rejected(self, params):
+        # C at or below the alpha tolerance would give an all-zero model
+        # marked converged
+        X, y = blobs(np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            svm_train(X, y, **params)
+
     def test_overflowing_kernel_rejected(self):
         X, y = blobs(np.random.default_rng(0))
         with pytest.raises(NonFiniteFeature, match="kernel matrix is not finite"):

@@ -5,7 +5,7 @@ import pytest
 
 from gazescreen import experiments
 from gazescreen.core import FeatureMode
-from gazescreen.errors import InsufficientData, MissingVideo, NonFiniteFeature
+from gazescreen.errors import ConfigError, InsufficientData, MissingVideo, NonFiniteFeature
 from gazescreen.experiments import CvConfig, run_duration_simulation
 from gazescreen.features import Window, extract_batch
 from gazescreen.ingest import AoiIndex
@@ -103,3 +103,9 @@ def test_extract_features_raises_the_first_listed_failure(small_cohort, mode, mi
     with pytest.raises(type(failures[0][2])) as exc:
         extract_features(dataset, mode)
     assert str(exc.value) == str(failures[0][2])
+
+
+@pytest.mark.parametrize("extract", [collect_extraction_failures, extract_features])
+def test_undeclared_video_is_a_config_error(small_cohort, extract):
+    with pytest.raises(ConfigError, match="unknown video id 'ghost'"):
+        extract(small_cohort, FeatureMode.WITH_AOI, ["ghost"])
