@@ -201,6 +201,9 @@ def evaluate(manifest, config, out):
     video = config.video_selection
     feats = extract_features(dataset, config.mode, video_ids=None if video == "all" else [video])
     groups = {p.participant_id: p.group for p in dataset.manifest.participants}
+    # the CV phase reads only feats and groups: release the logs it would
+    # otherwise hold while every fold's training data is allocated
+    del dataset
     report = run_classification_cv(feats, groups, config)
     _write_csv(
         out_path / "cv_folds.csv",
@@ -272,8 +275,7 @@ def severity(manifest, mode, seed, mlp_max_epochs, mlp_lr, out):
 def _run_config_dict(manifest: str, config: CvConfig) -> dict:
     d = config.to_dict()
     d["manifest"] = str(manifest)
-    # --jobs is deliberately not echoed: worker count is an execution
-    # detail and outputs must be byte-identical for any value of it
+    # --jobs is deliberately not echoed: it has no effect
     return d
 
 

@@ -3,13 +3,15 @@ the random-window duration simulation, and leave-one-out severity
 regression.
 
 Every protocol is deterministic given its config seed: per-repetition RNGs
-are derived from (root seed, tags), so repetitions can run on a worker
-pool in any order and still assemble into a bit-identical report.
+are derived from (root seed, tags), so no draw depends on another
+repetition's. A CV protocol draws every repetition's folds first, then
+trains all their SVMs in one lockstep ``svm_train_folds`` call.
+``CvConfig.jobs`` (``--jobs``) is validated and has no effect.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .learn import (
     check_svm_params,
     mlp_predict,
     mlp_train_folds,
-    svm_train,
+    svm_train_folds,
 )
 from .pipeline import Dataset
 
@@ -51,9 +53,11 @@ HUMAN_STUDY_REFERENCE = {
 }
 
 
-# The paper's protocol: 3-fold CV, and the SMO stopping gap of every fit.
+# The paper's protocol: 3-fold CV, and the SMO stopping gap and pass cap of
+# every fit.
 FOLDS = 3
 SVM_TOL = 1e-3
+SVM_MAX_PASSES = 1000
 
 
 @dataclass
@@ -65,7 +69,7 @@ class CvConfig:
     C: float = 1.0
     gamma: float | None = None  # None -> scale heuristic on the training fold
     coef0: float = 0.0
-    jobs: int = 1
+    jobs: int = 1  # checked, no effect: every fold is trained in one call
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -182,51 +186,57 @@ def _feature_matrix(features: dict, groups: dict):
     return pids, X, _labels(pids, groups)
 
 
-def _map_reps(fn, reps: int, jobs: int):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, range(reps)))
-    return [fn(r) for r in range(reps)]
+class _Fold(NamedTuple):
+    """One CV fold to train and score: its test mask and its rows
+    standardised by its training rows."""
+
+    rep: int
+    fold: int
+    test: np.ndarray
+    Z_train: np.ndarray
+    Z_test: np.ndarray
+    seed: int
 
 
-def _repeat_cv(config: CvConfig, y, tag: tuple, draw_X) -> list:
-    """One row per fold (rep, fold, accuracy, n_test, tp, tn, fp, fn) of
-    ``config.repetitions`` repetitions of stratified k-fold CV. Repetition
-    r draws from ``derive_rng(config.seed, *tag, r)``: first its feature
-    matrix, ``draw_X(rng)``, then the folds, then one SVM seed per fold."""
-
-    def one_rep(rep):
+def _draw_folds(config: CvConfig, y, tag: tuple, draw_X) -> list:
+    """The folds of ``config.repetitions`` repetitions of stratified k-fold
+    CV. Repetition r draws from ``derive_rng(config.seed, *tag, r)``: first
+    its feature matrix, ``draw_X(rng)``, then the folds, then one SVM seed
+    per fold."""
+    folds = []
+    for rep in range(config.repetitions):
         rng = derive_rng(config.seed, *tag, rep)
         X = draw_X(rng)
         assignment = stratified_folds(y, FOLDS, rng)
-        rows = []
         for fold in range(FOLDS):
             test = assignment == fold
-            train = ~test
             # standardise every row at once: transform works element by element
-            Z = Standardizer().fit(X[train]).transform(X)
-            model = svm_train(
-                Z[train],
-                y[train],
-                C=config.C,
-                gamma=config.gamma,
-                coef0=config.coef0,
-                tol=SVM_TOL,
-                seed=int(rng.integers(2**31)),
-            )
-            # a decision value of exactly 0 is CONTROL, as in svm_predict
-            flagged = model.decision_value(Z[test]) > 0
-            asd = y[test] == LABEL_ASD
-            tp = int(np.sum(flagged & asd))
-            fn = int(np.sum(~flagged & asd))
-            tn = int(np.sum(~flagged & ~asd))
-            fp = int(np.sum(flagged & ~asd))
-            n_test = int(test.sum())
-            rows.append({"rep": rep, "fold": fold, "accuracy": (tp + tn) / n_test,
-                         "n_test": n_test, "tp": tp, "tn": tn, "fp": fp, "fn": fn})
-        return rows
+            Z = Standardizer().fit(X[~test]).transform(X)
+            folds.append(_Fold(rep, fold, test, Z[~test], Z[test], int(rng.integers(2**31))))
+    return folds
 
-    return [row for rows in _map_reps(one_rep, config.repetitions, config.jobs) for row in rows]
+
+def _score_folds(config: CvConfig, y, folds: list) -> list:
+    """One row per fold (rep, fold, accuracy, n_test, tp, tn, fp, fn): every
+    fold's SVM is trained by one ``svm_train_folds`` call, then scored on
+    its test rows."""
+    models = svm_train_folds(
+        [f.Z_train for f in folds], [y[~f.test] for f in folds],
+        config.C, config.gamma, config.coef0, SVM_TOL, SVM_MAX_PASSES, [f.seed for f in folds],
+    )
+    rows = []
+    for f, model in zip(folds, models):
+        # a decision value of exactly 0 is CONTROL, as in svm_predict
+        flagged = model.decision_value(f.Z_test) > 0
+        asd = y[f.test] == LABEL_ASD
+        tp = int(np.sum(flagged & asd))
+        fn = int(np.sum(~flagged & asd))
+        tn = int(np.sum(~flagged & ~asd))
+        fp = int(np.sum(flagged & ~asd))
+        n_test = int(f.test.sum())
+        rows.append({"rep": f.rep, "fold": f.fold, "accuracy": (tp + tn) / n_test,
+                     "n_test": n_test, "tp": tp, "tn": tn, "fp": fp, "fn": fn})
+    return rows
 
 
 def _summarize(fold_rows):
@@ -254,7 +264,7 @@ def run_classification_cv(features: dict, groups: dict, config: CvConfig) -> Cla
         if pid not in features:
             raise MissingFeatures(f"participant {pid} lacks a feature vector")
     pids, X, y = _feature_matrix(features, groups)
-    fold_rows = _repeat_cv(config, y, ("cv",), lambda rng: X)
+    fold_rows = _score_folds(config, y, _draw_folds(config, y, ("cv",), lambda rng: X))
     s = _summarize(fold_rows)
     return ClassificationReport(
         config=config.to_dict(),
@@ -321,13 +331,20 @@ def run_duration_simulation(
     groups = {p.participant_id: p.group for p in dataset.manifest.participants}
     y = _labels(sorted(groups), groups)
 
-    curve = []
-    for d_idx, d in enumerate(durations):
-        fold_rows = _repeat_cv(
+    # every duration's folds are drawn first, then trained by one call
+    folds = [
+        fold
+        for d_idx, d in enumerate(durations)
+        for fold in _draw_folds(
             config, y, ("duration", d_idx),
             lambda rng, d=d: _draw_windows(dataset, d, config.mode, rng, video_ids),
         )
-        s = _summarize(fold_rows)
+    ]
+    fold_rows = _score_folds(config, y, folds)
+    per_duration = FOLDS * config.repetitions
+    curve = []
+    for d_idx, d in enumerate(durations):
+        s = _summarize(fold_rows[d_idx * per_duration : (d_idx + 1) * per_duration])
         curve.append(
             {
                 "duration_s": d,

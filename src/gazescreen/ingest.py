@@ -590,9 +590,9 @@ def load_yaml(path):
 
 
 def _whole(value, what: str) -> int:
-    """``value`` as an int; a number with a fractional part is a
-    ValueError, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """``value`` as an int; a boolean (YAML ``true`` is not 1) or a number
+    with a fractional part is a ValueError, not converted."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return int(value)
 

@@ -2,7 +2,12 @@
 
 - Standardizer: per-dimension z-scoring fitted on training data only.
 - SvmModel: soft-margin SVM with a third-degree polynomial kernel, trained
-  by sequential minimal optimization (SMO) on the dual.
+  by sequential minimal optimization (SMO) on the dual. Training runs F
+  problems of any sizes (the folds of a cross-validation) in lockstep: their
+  kernels, labels, alphas and error caches are (F, n_max[, n_max]) stacks,
+  zero-padded, and each iteration moves every fold whose working pair takes
+  the plain step by one elementwise pass; a fold that needs another route
+  runs the scalar SMO step on its own rows. One model is the case F = 1.
 - MlpModel: one-hidden-layer (width 100, ReLU) regressor trained with
   adaptive-moment SGD on mean squared error plus an L2 penalty. A trained
   model's W1, b1, W2 and b2 are views of one flat parameter vector.
@@ -37,6 +42,11 @@ KERNEL_DEGREE = 3
 # an SMO alpha within this of 0 or of C is at that bound; so C must exceed
 # it, or no alpha can ever move off 0
 ALPHA_TOL = 1e-12
+
+# the lockstep SMO solves its folds in chunks whose (folds x n_max x n_max)
+# float64 kernel stack fits in this many bytes (a chunk holds one fold at
+# least)
+SMO_STACK_BYTES = 1 << 20
 
 
 @dataclass
@@ -136,32 +146,14 @@ def svm_train(
     max_passes: int = 1000,
     seed: int = 0,
 ) -> SvmModel:
-    """Solve the soft-margin dual by SMO.
+    """Solve the soft-margin dual by SMO: the one-fold case of
+    ``svm_train_folds``."""
+    return svm_train_folds([X], [y], C, gamma, coef0, tol, max_passes, [seed])[0]
 
-    Working pair: the maximal violator of the bias-free optimality gap,
-    paired with the partner maximizing the error difference (the classic
-    maximal-violating-pair rule), with a seeded-random fallback sweep when
-    that partner makes no progress. Terminates when the gap drops below
-    ``tol`` or after ``max_passes`` sweeps (then warns and returns the
-    model anyway).
 
-    The error cache G_i = sum_j alpha_j y_j K_ij - y_i is a numpy vector.
-    The ``up``/``low`` masks (the directions in which each alpha may still
-    move under the box and equality constraints) are boolean arrays kept
-    up to date for the two alphas a step moves, so each iteration makes one
-    ``nonzero`` pass per mask, which gives the gap, the bias midpoint and
-    the maximal violating pair together. The pair arithmetic runs on
-    Python floats. The sweep's generator, ``default_rng(seed)``, is made on
-    the sweep's first use, since most fits never sweep.
-
-    C, gamma and coef0 are checked by ``check_svm_params``. Every label
-    must be ``LABEL_ASD`` or ``LABEL_CONTROL``; any other value, NaN
-    included, is a ValueError, and labels of one class only are
-    ``SingleClass``. The labels are checked with two boolean masks, not
-    ``np.unique``, which on numpy >= 2 imports all of ``numpy.ma`` on its
-    first call.
-    """
-    check_svm_params(C, gamma, coef0)
+def _svm_problem(X, y, gamma: float | None, coef0: float):
+    """One fold's training data as float arrays, its kernel scale and its
+    kernel matrix, with the checks of ``svm_train_folds``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(X)):
@@ -176,32 +168,197 @@ def svm_train(
         raise SingleClass("need at least one example of each class")
     if gamma is None:
         gamma = gamma_scale(X)
-    n = len(y)
-    rng = None  # the fallback sweep's generator, made on its first use
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         K = _kernel_matrix(X, X, gamma, coef0)
     if not np.all(np.isfinite(K)):
         raise NonFiniteFeature(f"kernel matrix is not finite at gamma={gamma!r}, coef0={coef0!r}")
-    K_rows = K.tolist()
-    K_cols = np.ascontiguousarray(K.T)  # K_cols[i] is K[:, i]
-    labels = y.tolist()
-    alpha = [0.0] * n
-    G = -y.astype(float)  # bias-free errors: sum_j a_j y_j K_ij - y_i
+    return X, y, gamma, K
+
+
+def svm_train_folds(Xs, ys, C, gamma, coef0, tol, max_passes, seeds) -> list[SvmModel]:
+    """Solve F soft-margin duals by SMO in lockstep, fold f on Xs[f]
+    (n_f, d) and ys[f] (n_f,) with seeds[f]; returns the F models in fold
+    order.
+
+    Working pair: the maximal violator of the bias-free optimality gap,
+    paired with the partner maximizing the error difference (the classic
+    maximal-violating-pair rule), with a seeded-random fallback sweep when
+    that partner makes no progress. A fold stops when its gap drops below
+    ``tol``, when no pair can move, or after ``max_passes`` sweeps of its
+    own n; the folds that did not converge then warn in fold order, and
+    every model is returned anyway. Each fold's numbers are those of
+    solving it alone.
+
+    C, gamma and coef0 are checked by ``check_svm_params``; gamma None is
+    ``gamma_scale`` of each fold. Every label must be ``LABEL_ASD`` or
+    ``LABEL_CONTROL``; any other value, NaN included, is a ValueError, and
+    labels of one class only are ``SingleClass``. The labels are checked
+    with two boolean masks, not ``np.unique``, which on numpy >= 2 imports
+    all of ``numpy.ma`` on its first call. Folds are checked in fold order,
+    chunk by chunk, so the error raised is the one that training the folds
+    one after another would raise.
+    """
+    check_svm_params(C, gamma, coef0)
+    seeds = list(seeds)
+    if not len(Xs) == len(ys) == len(seeds):
+        raise ValueError("need one label vector and one seed per training matrix")
+    sizes = [len(y) for y in ys]
+    models = []
+    start = 0
+    while start < len(sizes):
+        stop, n_max = start + 1, sizes[start]  # a chunk holds one fold at least
+        while stop < len(sizes):
+            n = max(n_max, sizes[stop])
+            if (stop + 1 - start) * n * n * 8 > SMO_STACK_BYTES:
+                break
+            stop, n_max = stop + 1, n
+        K = np.zeros((stop - start, n_max, n_max))
+        Y = np.zeros((stop - start, n_max))
+        fits = []  # (X, y, gamma) of each fold of the chunk
+        for r, f in enumerate(range(start, stop)):
+            X, y, fold_gamma, fold_K = _svm_problem(Xs[f], ys[f], gamma, coef0)
+            K[r, : sizes[f], : sizes[f]] = fold_K
+            Y[r, : sizes[f]] = y
+            fits.append((X, y, fold_gamma))
+        solved = _smo_lockstep(K, Y, sizes[start:stop], C, tol, max_passes, seeds[start:stop])
+        del K, Y, fold_K  # the models keep their support vectors only
+        for (X, y, fold_gamma), (alpha, m, M, gap) in zip(fits, solved):
+            b = (m + M) / 2.0 if math.isfinite(m) and math.isfinite(M) else 0.0
+            worst = max(0.0, gap)
+            converged = gap <= tol
+            if not converged:
+                warnings.warn(
+                    f"SMO did not reach tol={tol}: max KKT violation {worst:.3e}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            sv = alpha > ALPHA_TOL
+            models.append(SvmModel(
+                support_vectors=X[sv],
+                dual_coef=(alpha * y)[sv],
+                bias=b,
+                gamma=fold_gamma,
+                coef0=coef0,
+                C=C,
+                converged=converged,
+                final_kkt_violation=worst,
+            ))
+        start = stop
+    return models
+
+
+def _smo_masks(y, alpha, at_most: float):
+    """The ``up`` and ``low`` masks of labels ``y`` at ``alpha`` (arrays or
+    scalars): the directions in which each alpha may still move under the
+    box and equality constraints. A padding label, 0, is in neither."""
+    up = ((y > 0) & (alpha < at_most)) | ((y < 0) & (alpha > ALPHA_TOL))
+    low = ((y < 0) & (alpha < at_most)) | ((y > 0) & (alpha > ALPHA_TOL))
+    return up, low
+
+
+def _smo_lockstep(K, Y, sizes, C: float, tol: float, max_passes: int, seeds):
+    """The one SMO loop. Solves the problems of the kernel stack ``K`` (F,
+    n_max, n_max) and the label stack ``Y`` (F, n_max), problem f in the
+    first sizes[f] rows and columns and padded with zeros, and returns
+    (alpha, m, M, gap) per problem: its alphas, the last extremes of the
+    bias-free optimality conditions and their gap m - M.
+
+    The alphas and error caches G_i = sum_j alpha_j y_j K_ij - y_i are
+    stacked the same way. A padding label, 0, is never in ``up`` or
+    ``low``, and a padding kernel entry, 0, leaves G unchanged, so padding
+    never moves. Each iteration finds, for every fold still running, the
+    first-index argmin of G over ``up`` and argmax over ``low``, which give
+    the gap and the maximal violating pair together. A fold whose pair
+    takes the plain step (positive eta, a non-empty [L, H], a move of at
+    least 1e-12) is updated with the other such folds by one elementwise
+    pass, the operations of ``take_step`` in its order. Any other fold runs
+    ``_smo_row`` on its own rows for that iteration."""
+    n_folds = len(sizes)
+    sizes = np.array(sizes)
+    alpha = np.zeros(Y.shape)
+    G = -Y  # bias-free errors; a padding entry stays -0.0 and is never read
     at_most = C - ALPHA_TOL
-    up = np.zeros(n, dtype=bool)
-    low = np.zeros(n, dtype=bool)
+    up, low = _smo_masks(Y, alpha, at_most)
+    max_iter = max_passes * sizes
+    it = np.zeros(n_folds, dtype=int)
+    running = np.ones(n_folds, dtype=bool)
+    by_row = {}  # fold -> its _smo_row iteration, made on first use
+    solved = [None] * n_folds
+    r = np.arange(n_folds)
+    while True:
+        # gap m - M of the bias-free optimality conditions, <= 0 at the
+        # exact optimum: m = max(-G[up]) at i, M = min(-G[low]) at j. A fold
+        # that has stopped is computed with the others and then ignored.
+        G_up = np.where(up, G, np.inf)
+        G_low = np.where(low, G, -np.inf)
+        i = G_up.argmin(axis=1)
+        j = G_low.argmax(axis=1)
+        m = -G_up[r, i]
+        M = -G_low[r, j]
+        gap = m - M
+        stop = running & ((it >= max_iter) | (gap <= tol))
+        if stop.any():
+            for f in stop.nonzero()[0].tolist():
+                solved[f] = (alpha[f, : sizes[f]], m.item(f), M.item(f), gap.item(f))
+            running &= ~stop
+            if not running.any():
+                return solved
+        ai, aj, yi, yj = alpha[r, i], alpha[r, j], Y[r, i], Y[r, j]
+        with np.errstate(all="ignore"):  # a fold that takes another route may divide by 0
+            pair = yi != yj
+            L = np.where(pair, aj - ai, ai + aj - C)
+            L = np.where(L > 0.0, L, 0.0)  # max(0.0, L)
+            H = np.where(pair, C + aj - ai, ai + aj)
+            H = np.where(H < C, H, C)  # min(C, H)
+            eta = K[r, i, i] + K[r, j, j] - 2.0 * K[r, i, j]
+            aj_new = aj + yj * (G[r, i] - G[r, j]) / eta
+            aj_new = np.where(L > aj_new, L, aj_new)  # max(aj_new, L)
+            aj_new = np.where(H < aj_new, H, aj_new)  # min(aj_new, H)
+            d_aj = aj_new - aj
+            plain = (
+                running & (i != j) & ~(H - L < 1e-12) & (eta > 1e-12)
+                & ~(np.abs(d_aj) < 1e-12) & np.isfinite(gap)
+            )
+        p = plain.nonzero()[0]
+        i, j, yi, yj, d_aj = i[p], j[p], yi[p], yj[p], d_aj[p]
+        d_ai = -yi * yj * d_aj
+        G[p] += (yi * d_ai)[:, None] * K[p, :, i] + (yj * d_aj)[:, None] * K[p, :, j]
+        # alpha, up and low at (p, i) and then (p, j); i != j on every row
+        pp, ij = np.concatenate((p, p)), np.concatenate((i, j))
+        new = np.concatenate((ai[p] + d_ai, aj_new[p]))
+        alpha[pp, ij] = new
+        up[pp, ij], low[pp, ij] = _smo_masks(np.concatenate((yi, yj)), new, at_most)
+        it[p] += 1
+        for f in (running & ~plain).nonzero()[0].tolist():
+            if f not in by_row:
+                n = sizes[f]
+                by_row[f] = _smo_row(K[f, :n, :n], Y[f, :n], alpha[f, :n], G[f, :n],
+                                     up[f, :n], low[f, :n], C, seeds[f])
+            if by_row[f]():
+                it[f] += 1
+            else:  # no violating pair can move; stationary point
+                solved[f] = (alpha[f, : sizes[f]], m.item(f), M.item(f), gap.item(f))
+                running[f] = False
+        if not running.any():
+            return solved
 
-    def set_masks(k):
-        yk, ak = labels[k], alpha[k]
-        up[k] = (yk > 0 and ak < at_most) or (yk < 0 and ak > ALPHA_TOL)
-        low[k] = (yk < 0 and ak < at_most) or (yk > 0 and ak > ALPHA_TOL)
 
-    for k in range(n):
-        set_masks(k)
+def _smo_row(K, y, alpha, G, up, low, C: float, seed: int):
+    """One fold's SMO iteration with every route of the solver, on views of
+    its rows of the lockstep stacks: the maximal violating pair, by the
+    flat or concave branch if eta <= 1e-12, then the partner list, then
+    the seeded sweep, whose generator, ``default_rng(seed)``, is made on
+    its first use, since most fits never sweep. The pair arithmetic runs on
+    Python floats. Returns the iteration, which returns False when no
+    violating pair can move."""
+    n = len(y)
+    labels = y.tolist()
+    at_most = C - ALPHA_TOL
+    rng = None  # the fallback sweep's generator, made on its first use
 
     def delta_objective(i, j, aj_new):
         yi, yj = labels[i], labels[j]
-        d_aj = aj_new - alpha[j]
+        d_aj = aj_new - alpha.item(j)
         d_ai = -yi * yj * d_aj
         gi = G.item(i) + yi
         gj = G.item(j) + yj
@@ -209,14 +366,14 @@ def svm_train(
             d_ai + d_aj
             - yi * d_ai * gi
             - yj * d_aj * gj
-            - 0.5 * (d_ai**2 * K_rows[i][i] + d_aj**2 * K_rows[j][j])
-            - d_ai * d_aj * yi * yj * K_rows[i][j]
+            - 0.5 * (d_ai**2 * K.item(i, i) + d_aj**2 * K.item(j, j))
+            - d_ai * d_aj * yi * yj * K.item(i, j)
         )
 
     def take_step(i, j):
         if i == j:
             return False
-        ai, aj, yi, yj = alpha[i], alpha[j], labels[i], labels[j]
+        ai, aj, yi, yj = alpha.item(i), alpha.item(j), labels[i], labels[j]
         if yi != yj:
             L = max(0.0, aj - ai)
             H = min(C, C + aj - ai)
@@ -225,7 +382,7 @@ def svm_train(
             H = min(C, ai + aj)
         if H - L < 1e-12:
             return False
-        eta = K_rows[i][i] + K_rows[j][j] - 2.0 * K_rows[i][j]
+        eta = K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j)
         if eta > 1e-12:
             aj_new = aj + yj * (G.item(i) - G.item(j)) / eta
             aj_new = min(max(aj_new, L), H)
@@ -243,11 +400,11 @@ def svm_train(
         if abs(d_aj) < 1e-12:
             return False
         d_ai = -yi * yj * d_aj
-        G[:] += yi * d_ai * K_cols[i] + yj * d_aj * K_cols[j]
+        G[:] += yi * d_ai * K[:, i] + yj * d_aj * K[:, j]
         alpha[i] = ai + d_ai
         alpha[j] = aj_new
-        set_masks(i)
-        set_masks(j)
+        for k in (i, j):
+            up[k], low[k] = _smo_masks(labels[k], alpha.item(k), at_most)
         return True
 
     def try_violator(i, partners):
@@ -264,52 +421,14 @@ def svm_train(
                 return True
         return False
 
-    max_iter = max_passes * n
-    it = 0
-    while True:
-        # gap m - M of the bias-free optimality conditions, <= 0 at the
-        # exact optimum: m = max(-G[up]) at i_up, M = min(-G[low]) at i_low
+    def iterate():
         up_idx = up.nonzero()[0]
         low_idx = low.nonzero()[0]
-        m, M = -math.inf, math.inf
-        if up_idx.size:
-            i_up = int(up_idx[G[up_idx].argmin()])
-            m = -G.item(i_up)
-        if low_idx.size:
-            i_low = int(low_idx[G[low_idx].argmax()])
-            M = -G.item(i_low)
-        gap = m - M
-        if it >= max_iter or gap <= tol:
-            break
-        if not (
-            take_step(i_up, i_low)
-            or try_violator(i_up, low_idx)
-            or try_violator(i_low, up_idx)
-        ):
-            break  # no violating pair can move; stationary point
-        it += 1
+        i_up = int(up_idx[G[up_idx].argmin()])
+        i_low = int(low_idx[G[low_idx].argmax()])
+        return take_step(i_up, i_low) or try_violator(i_up, low_idx) or try_violator(i_low, up_idx)
 
-    b = (m + M) / 2.0 if math.isfinite(m) and math.isfinite(M) else 0.0
-    worst = max(0.0, gap)
-    converged = gap <= tol
-    if not converged:
-        warnings.warn(
-            f"SMO did not reach tol={tol}: max KKT violation {worst:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    alpha = np.array(alpha)
-    sv = alpha > ALPHA_TOL
-    return SvmModel(
-        support_vectors=X[sv].copy(),
-        dual_coef=(alpha * y)[sv].copy(),
-        bias=b,
-        gamma=gamma,
-        coef0=coef0,
-        C=C,
-        converged=converged,
-        final_kkt_violation=worst,
-    )
+    return iterate
 
 
 @dataclass

@@ -103,6 +103,8 @@ class TestSynth:
         "n_asd: 1.5",
         "videos: [{id: clip, duration_s: .inf, fps: 30, width_px: 640, height_px: 480}]",
         "videos: [{id: clip, duration_s: 5, fps: 30, width_px: 1920.9, height_px: 480}]",
+        # a YAML boolean is not a pixel count
+        "videos: [{id: clip, duration_s: 5, fps: 30, width_px: true, height_px: true}]",
         "videos: []",
         "asd_params: {severity_coupling: null}",
         "asd_params: {severity_coupling: [1]}",
@@ -349,6 +351,8 @@ class TestFeatures:
         (lambda d: d["participants"][0].update(cars=33.7), "cars must be a whole number, got 33.7"),
         (lambda d: d["videos"][0].update(width_px=1920.9),
          "width_px must be a whole number, got 1920.9"),
+        (lambda d: d["videos"][0].update(width_px=True), "width_px must be a whole number, got True"),
+        (lambda d: d["participants"][0].update(cars=True), "cars must be a whole number, got True"),
         (lambda d: d["videos"][0].update(duration_s=10**400), "int too large to convert to float"),
         (lambda d: d["videos"][0].update(width_px=10**400),
          "pixel dimensions must convert to finite floats"),

@@ -18,8 +18,9 @@ from gazescreen.experiments import (
     run_severity_loocv,
     stratified_folds,
 )
-from gazescreen.learn import MlpConfig, Standardizer, SvmModel
-from gazescreen.pipeline import extract_features
+from gazescreen.learn import LABEL_ASD, MlpConfig, Standardizer, SvmModel, svm_train
+from gazescreen.pipeline import extract_features, load_dataset
+from gazescreen.synth import CohortSpec, generate_cohort
 
 from . import oracles
 
@@ -127,7 +128,7 @@ class TestClassificationCv:
         features, groups = fake_cohort(rng, n_asd=6, n_control=4)
         silent = SvmModel(support_vectors=np.zeros((1, 2)), dual_coef=np.zeros(1),
                           bias=0.0, gamma=1.0, coef0=0.0)
-        monkeypatch.setattr(experiments, "svm_train", lambda *a, **k: silent)
+        monkeypatch.setattr(experiments, "svm_train_folds", lambda Xs, *a: [silent] * len(Xs))
         report = run_classification_cv(features, groups, CvConfig(seed=1, repetitions=2))
         for row in report.fold_rows:
             assert row["tp"] == row["fp"] == 0
@@ -282,3 +283,78 @@ class TestDurationSimulation:
         )
         got = [(r["duration_s"], r["mean_acc"], r["std_acc"]) for r in report.rows]
         assert got == self.GOLDEN[mode]
+
+
+@pytest.fixture(scope="module")
+def uneven_cohort(tmp_path_factory):
+    """A 4 + 3 cohort. Its three CV folds hold 3, 2 and 2 viewers, so the
+    training sets of one repetition differ in size and the lockstep SMO
+    pads the shorter ones."""
+    out = tmp_path_factory.mktemp("cohort_uneven")
+    return load_dataset(generate_cohort(CohortSpec(n_asd=4, n_control=3, seed=5), out))
+
+
+def per_fold_rows(config, y, tag, draw_X, train_sizes):
+    """The CV fold rows as one ``svm_train`` call per fold gives them, in
+    the protocol's draw order; adds each training set's size to
+    ``train_sizes``."""
+    rows = []
+    for rep in range(config.repetitions):
+        rng = derive_rng(config.seed, *tag, rep)
+        X = draw_X(rng)
+        assignment = stratified_folds(y, experiments.FOLDS, rng)
+        for fold in range(experiments.FOLDS):
+            test = assignment == fold
+            scaler = Standardizer().fit(X[~test])
+            model = svm_train(scaler.transform(X[~test]), y[~test], C=config.C,
+                              gamma=config.gamma, coef0=config.coef0, tol=experiments.SVM_TOL,
+                              seed=int(rng.integers(2**31)))
+            train_sizes.add(int((~test).sum()))
+            flagged = model.decision_value(scaler.transform(X[test])) > 0
+            asd = y[test] == LABEL_ASD
+            tp, fn = int(np.sum(flagged & asd)), int(np.sum(~flagged & asd))
+            tn, fp = int(np.sum(~flagged & ~asd)), int(np.sum(flagged & ~asd))
+            rows.append({"rep": rep, "fold": fold, "accuracy": (tp + tn) / int(test.sum()),
+                         "n_test": int(test.sum()), "tp": tp, "tn": tn, "fp": fp, "fn": fn})
+    return rows
+
+
+class TestLockstepProtocols:
+    """Both CV protocols train every fold in one lockstep call; their fold
+    rows must be those of training the folds one after another."""
+
+    @pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
+    def test_classification_cv_matches_per_fold_loop(self, uneven_cohort, mode):
+        features = extract_features(uneven_cohort, mode)
+        groups = {p.participant_id: p.group for p in uneven_cohort.manifest.participants}
+        config = CvConfig(seed=21, repetitions=6, mode=mode, C=2.0, coef0=1.0)
+        report = run_classification_cv(features, groups, config)
+        _, X, y = experiments._feature_matrix(features, groups)
+        train_sizes = set()
+        assert report.fold_rows == per_fold_rows(config, y, ("cv",), lambda rng: X, train_sizes)
+        assert train_sizes == {4, 5}  # the folds were padded
+
+    @pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
+    def test_duration_simulation_matches_per_fold_loop(self, uneven_cohort, mode, monkeypatch):
+        # the fold rows of each duration, as the protocol summarises them
+        summarized = []
+        summarize = experiments._summarize
+        monkeypatch.setattr(experiments, "_summarize",
+                            lambda rows: summarized.append(rows) or summarize(rows))
+        durations = [3.0, 6.0, 9.0]
+        config = CvConfig(seed=22, repetitions=4, mode=mode)
+        run_duration_simulation(uneven_cohort, durations, config)
+        groups = {p.participant_id: p.group for p in uneven_cohort.manifest.participants}
+        y = experiments._labels(sorted(groups), groups)
+        video_ids = list(uneven_cohort.video_order)
+        train_sizes = set()
+        want = [
+            per_fold_rows(
+                config, y, ("duration", d_idx),
+                lambda rng, d=d: experiments._draw_windows(uneven_cohort, d, mode, rng, video_ids),
+                train_sizes,
+            )
+            for d_idx, d in enumerate(durations)
+        ]
+        assert summarized == want
+        assert train_sizes == {4, 5}

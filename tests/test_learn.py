@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from gazescreen import learn
 from gazescreen.errors import (
     ConfigError,
     DimensionMismatch,
@@ -25,6 +26,7 @@ from gazescreen.learn import (
     svm_dual_objective,
     svm_predict,
     svm_train,
+    svm_train_folds,
 )
 
 from . import oracles
@@ -294,6 +296,109 @@ class TestSvmOracle:
         for route in ("pair", "partner", "sweep_entered", "sweep", "flat", "stalled",
                       "nonconverged"):
             assert branches[route] > 0, route
+
+
+def svm_stack(rng, first_kind, n_folds):
+    """``n_folds`` seeded SVM problems of mixed kinds and sizes that share
+    one setting: (Xs, ys, settings, seeds). The settings (C, gamma, coef0,
+    tol and max_passes) are those of the first problem, of kind
+    ``first_kind``; the others' kinds are drawn, so a stack mixes kinds
+    0-3 under them. With kind 2 first, gamma = 1 makes every kind-2 fold
+    of the stack stall as it does alone. The passes are capped at 10, as
+    for kinds 1 and 2 alone, to keep the slow oracle's run short."""
+    kinds = [first_kind] + rng.integers(0, 4, size=n_folds - 1).tolist()
+    problems = [oracle_problem(rng, kind) for kind in kinds]
+    settings = {"tol": 1e-3, **problems[0][2]}
+    settings["max_passes"] = min(settings.get("max_passes", 10), 10)
+    del settings["seed"]
+    return ([X for X, _, _ in problems], [y for _, y, _ in problems], settings,
+            [kwargs["seed"] for _, _, kwargs in problems])
+
+
+def train_stack(Xs, ys, settings, seeds):
+    """svm_train_folds on the stack: (models, warnings as (category, text))."""
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        models = svm_train_folds(Xs, ys, settings["C"], settings["gamma"], settings["coef0"],
+                                 settings["tol"], settings["max_passes"], seeds)
+    return models, [(w.category, str(w.message)) for w in got]
+
+
+def model_bytes(model):
+    return (model.support_vectors.tobytes(), model.dual_coef.tobytes(),
+            np.float64(model.bias).tobytes(), model.gamma, model.converged,
+            model.final_kkt_violation)
+
+
+class TestSvmLockstep:
+    def test_matches_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        branches = Counter()  # routes taken by folds of stacks of 3 or 7
+        for trial in range(48):
+            n_folds = (1, 3, 7)[trial % 3]
+            Xs, ys, settings, seeds = svm_stack(rng, trial % 4, n_folds)
+            # the per-fold loop, one oracle fit after another
+            fold_branches = Counter()
+            with warnings.catch_warnings(record=True) as want_warnings:
+                warnings.simplefilter("always")
+                want = [oracles.oracle_svm_train(X, y, seed=seed, branches=fold_branches,
+                                                 **settings)
+                        for X, y, seed in zip(Xs, ys, seeds)]
+            models, got_warnings = train_stack(Xs, ys, settings, seeds)
+            assert len(models) == n_folds, trial
+            for f, (model, (sv, dual_coef, bias, converged, worst)) in enumerate(zip(models, want)):
+                assert model.support_vectors.tobytes() == sv.tobytes(), (trial, f)
+                assert model.dual_coef.tobytes() == dual_coef.tobytes(), (trial, f)
+                assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes(), (trial, f)
+                assert model.converged == converged, (trial, f)
+                assert model.final_kkt_violation == worst, (trial, f)
+            # the folds that did not converge warn in fold order
+            assert got_warnings == [(w.category, str(w.message)) for w in want_warnings], trial
+            if n_folds > 1:
+                branches += fold_branches
+                branches["padded"] += len({len(y) for y in ys}) > 1
+                # converged and non-converged folds stopped in one stack
+                branches["mixed_outcome"] += len({m.converged for m in models}) > 1
+        for route in ("pair", "partner", "sweep_entered", "sweep", "flat", "stalled",
+                      "nonconverged", "padded", "mixed_outcome"):
+            assert branches[route] > 0, route
+
+    def test_chunks_give_the_same_bytes(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        stacks = [svm_stack(rng, trial % 4, 7) for trial in range(8)]
+        whole = [train_stack(*stack) for stack in stacks]
+        # one fold per chunk, then a few folds per chunk
+        for budget in (1, 3 * 30 * 30 * 8):
+            monkeypatch.setattr(learn, "SMO_STACK_BYTES", budget)
+            for stack, (models, messages) in zip(stacks, whole):
+                chunked, chunked_messages = train_stack(*stack)
+                assert [model_bytes(m) for m in chunked] == [model_bytes(m) for m in models]
+                assert chunked_messages == messages
+
+    def test_first_bad_fold_raises(self):
+        rng = np.random.default_rng(34)
+        X, y = blobs(rng)
+        bad_X = X.copy()
+        bad_X[0, 0] = np.nan
+        one_class = np.ones_like(y)
+        with pytest.raises(SingleClass):
+            svm_train_folds([X, X, X], [y, one_class, y], 1.0, None, 0.0, 1e-3, 1000, [0, 1, 2])
+        with pytest.raises(SingleClass):
+            svm_train_folds([X, X, bad_X], [y, one_class, y], 1.0, None, 0.0, 1e-3, 1000,
+                            [0, 1, 2])
+        with pytest.raises(NonFiniteFeature):
+            svm_train_folds([X, bad_X, X], [y, one_class, y], 1.0, None, 0.0, 1e-3, 1000,
+                            [0, 1, 2])
+
+    def test_rejects_mismatched_lengths(self):
+        X, y = blobs(np.random.default_rng(35))
+        with pytest.raises(ValueError, match="one label vector and one seed"):
+            svm_train_folds([X, X], [y], 1.0, None, 0.0, 1e-3, 1000, [0, 1])
+        with pytest.raises(ValueError, match="one label vector and one seed"):
+            svm_train_folds([X, X], [y, y], 1.0, None, 0.0, 1e-3, 1000, [0])
+
+    def test_no_folds(self):
+        assert svm_train_folds([], [], 1.0, None, 0.0, 1e-3, 1000, []) == []
 
 
 class TestMlp:
