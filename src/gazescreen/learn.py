@@ -6,8 +6,9 @@
   problems of any sizes (the folds of a cross-validation) in lockstep: their
   kernels, labels, alphas and error caches are (F, n_max[, n_max]) stacks,
   zero-padded, and each iteration moves every fold whose working pair takes
-  the plain step by one elementwise pass; a fold that needs another route
-  runs the scalar SMO step on its own rows. One model is the case F = 1.
+  the plain step by one elementwise pass; a fold that needs another route,
+  or runs alone, takes the scalar SMO step on its own rows. One model is
+  the case F = 1.
 - MlpModel: one-hidden-layer (width 100, ReLU) regressor trained with
   adaptive-moment SGD on mean squared error plus an L2 penalty. A trained
   model's W1, b1, W2 and b2 are views of one flat parameter vector.
@@ -268,11 +269,12 @@ def _smo_lockstep(K, Y, sizes, C: float, tol: float, max_passes: int, seeds):
     ``low``, and a padding kernel entry, 0, leaves G unchanged, so padding
     never moves. Each iteration finds, for every fold still running, the
     first-index argmin of G over ``up`` and argmax over ``low``, which give
-    the gap and the maximal violating pair together. A fold whose pair
-    takes the plain step (positive eta, a non-empty [L, H], a move of at
-    least 1e-12) is updated with the other such folds by one elementwise
-    pass, the operations of ``take_step`` in its order. Any other fold runs
-    ``_smo_row`` on its own rows for that iteration."""
+    the gap and the maximal violating pair together. While two folds or
+    more run, every fold whose pair takes the plain step is moved by
+    ``_plain_steps``, one elementwise pass over them. Any other fold, and a
+    fold running alone, runs ``_smo_row`` on its own rows for that
+    iteration: alone, the scalar step on Python floats is several times
+    faster than the pass's fixed numpy cost."""
     n_folds = len(sizes)
     sizes = np.array(sizes)
     alpha = np.zeros(Y.shape)
@@ -303,32 +305,10 @@ def _smo_lockstep(K, Y, sizes, C: float, tol: float, max_passes: int, seeds):
             running &= ~stop
             if not running.any():
                 return solved
-        ai, aj, yi, yj = alpha[r, i], alpha[r, j], Y[r, i], Y[r, j]
-        with np.errstate(all="ignore"):  # a fold that takes another route may divide by 0
-            pair = yi != yj
-            L = np.where(pair, aj - ai, ai + aj - C)
-            L = np.where(L > 0.0, L, 0.0)  # max(0.0, L)
-            H = np.where(pair, C + aj - ai, ai + aj)
-            H = np.where(H < C, H, C)  # min(C, H)
-            eta = K[r, i, i] + K[r, j, j] - 2.0 * K[r, i, j]
-            aj_new = aj + yj * (G[r, i] - G[r, j]) / eta
-            aj_new = np.where(L > aj_new, L, aj_new)  # max(aj_new, L)
-            aj_new = np.where(H < aj_new, H, aj_new)  # min(aj_new, H)
-            d_aj = aj_new - aj
-            plain = (
-                running & (i != j) & ~(H - L < 1e-12) & (eta > 1e-12)
-                & ~(np.abs(d_aj) < 1e-12) & np.isfinite(gap)
-            )
-        p = plain.nonzero()[0]
-        i, j, yi, yj, d_aj = i[p], j[p], yi[p], yj[p], d_aj[p]
-        d_ai = -yi * yj * d_aj
-        G[p] += (yi * d_ai)[:, None] * K[p, :, i] + (yj * d_aj)[:, None] * K[p, :, j]
-        # alpha, up and low at (p, i) and then (p, j); i != j on every row
-        pp, ij = np.concatenate((p, p)), np.concatenate((i, j))
-        new = np.concatenate((ai[p] + d_ai, aj_new[p]))
-        alpha[pp, ij] = new
-        up[pp, ij], low[pp, ij] = _smo_masks(np.concatenate((yi, yj)), new, at_most)
-        it[p] += 1
+        if running.sum() > 1:
+            plain = _plain_steps(K, Y, alpha, G, up, low, it, i, j, running & np.isfinite(gap), C)
+        else:
+            plain = np.zeros(n_folds, dtype=bool)
         for f in (running & ~plain).nonzero()[0].tolist():
             if f not in by_row:
                 n = sizes[f]
@@ -341,6 +321,44 @@ def _smo_lockstep(K, Y, sizes, C: float, tol: float, max_passes: int, seeds):
                 running[f] = False
         if not running.any():
             return solved
+
+
+def _plain_steps(K, Y, alpha, G, up, low, it, i, j, candidates, C: float):
+    """Take the plain SMO step on pair (i[f], j[f]) of every candidate fold
+    f whose pair allows it: positive eta, a non-empty [L, H] and a move of
+    at least 1e-12. Updates the stacks ``alpha``, ``G``, ``up`` and ``low``
+    and the step counts ``it`` of those folds in place, by the operations
+    of ``_smo_row``'s ``take_step`` in its order (``np.where`` in place of
+    Python's ``max`` and ``min``, which it matches, signed zeros included),
+    and returns their mask."""
+    r = np.arange(len(Y))
+    ai, aj, yi, yj = alpha[r, i], alpha[r, j], Y[r, i], Y[r, j]
+    with np.errstate(all="ignore"):  # a fold that takes another route may divide by 0
+        pair = yi != yj
+        L = np.where(pair, aj - ai, ai + aj - C)
+        L = np.where(L > 0.0, L, 0.0)  # max(0.0, L)
+        H = np.where(pair, C + aj - ai, ai + aj)
+        H = np.where(H < C, H, C)  # min(C, H)
+        eta = K[r, i, i] + K[r, j, j] - 2.0 * K[r, i, j]
+        aj_new = aj + yj * (G[r, i] - G[r, j]) / eta
+        aj_new = np.where(L > aj_new, L, aj_new)  # max(aj_new, L)
+        aj_new = np.where(H < aj_new, H, aj_new)  # min(aj_new, H)
+        d_aj = aj_new - aj
+        plain = (
+            candidates & (i != j) & ~(H - L < 1e-12) & (eta > 1e-12)
+            & ~(np.abs(d_aj) < 1e-12)
+        )
+    p = plain.nonzero()[0]
+    i, j, yi, yj, d_aj = i[p], j[p], yi[p], yj[p], d_aj[p]
+    d_ai = -yi * yj * d_aj
+    G[p] += (yi * d_ai)[:, None] * K[p, :, i] + (yj * d_aj)[:, None] * K[p, :, j]
+    # alpha, up and low at (p, i) and then (p, j); i != j on every row
+    pp, ij = np.concatenate((p, p)), np.concatenate((i, j))
+    new = np.concatenate((ai[p] + d_ai, aj_new[p]))
+    alpha[pp, ij] = new
+    up[pp, ij], low[pp, ij] = _smo_masks(np.concatenate((yi, yj)), new, C - ALPHA_TOL)
+    it[p] += 1
+    return plain
 
 
 def _smo_row(K, y, alpha, G, up, low, C: float, seed: int):

@@ -331,9 +331,17 @@ def model_bytes(model):
 
 
 class TestSvmLockstep:
-    def test_matches_oracle_bit_for_bit(self):
+    def test_matches_oracle_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(32)
         branches = Counter()  # routes taken by folds of stacks of 3 or 7
+        plain_steps = learn._plain_steps
+
+        def count_plain_steps(*args):
+            plain = plain_steps(*args)
+            branches["lockstep_pass"] += int(plain.sum())
+            return plain
+
+        monkeypatch.setattr(learn, "_plain_steps", count_plain_steps)
         for trial in range(48):
             n_folds = (1, 3, 7)[trial % 3]
             Xs, ys, settings, seeds = svm_stack(rng, trial % 4, n_folds)
@@ -359,8 +367,9 @@ class TestSvmLockstep:
                 branches["padded"] += len({len(y) for y in ys}) > 1
                 # converged and non-converged folds stopped in one stack
                 branches["mixed_outcome"] += len({m.converged for m in models}) > 1
+        # "lockstep_pass": steps taken by the elementwise pass over the stack
         for route in ("pair", "partner", "sweep_entered", "sweep", "flat", "stalled",
-                      "nonconverged", "padded", "mixed_outcome"):
+                      "nonconverged", "padded", "mixed_outcome", "lockstep_pass"):
             assert branches[route] > 0, route
 
     def test_chunks_give_the_same_bytes(self, monkeypatch):
