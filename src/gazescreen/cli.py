@@ -199,12 +199,12 @@ def evaluate(manifest, config, out):
     out_path = _ensure_out(out)
     dataset = load_dataset(manifest)
     video = config.video_selection
-    feats = extract_features(dataset, config.mode, video_ids=None if video == "all" else [video])
-    groups = {p.participant_id: p.group for p in dataset.manifest.participants}
-    # the CV phase reads only feats and groups: release the logs it would
-    # otherwise hold while every fold's training data is allocated
+    X = extract_features(dataset, config.mode, video_ids=None if video == "all" else [video])
+    participants = dataset.participants
+    # the CV phase reads only X and the participants: release the logs it
+    # would otherwise hold while every fold's training data is allocated
     del dataset
-    report = run_classification_cv(feats, groups, config)
+    report = run_classification_cv(participants, X, config)
     _write_csv(
         out_path / "cv_folds.csv",
         ["rep", "fold", "accuracy", "n_test"],
@@ -256,12 +256,12 @@ def severity(manifest, mode, seed, mlp_max_epochs, mlp_lr, out):
     config = CvConfig(seed=seed, mode=_parse_mode(mode))
     mlp_cfg = MlpConfig(max_epochs=mlp_max_epochs, lr=mlp_lr)
     dataset = load_dataset(manifest)
-    feats = extract_features(dataset, config.mode)
-    cars = {p.participant_id: p.cars for p in dataset.manifest.participants}
-    # the MLP phase reads only feats and cars: release the logs it would
-    # otherwise hold while the folds' training state is allocated
+    X = extract_features(dataset, config.mode)
+    participants = dataset.participants
+    # the MLP phase reads only X and the participants: release the logs it
+    # would otherwise hold while the folds' training state is allocated
     del dataset
-    report = run_severity_loocv(feats, cars, config, mlp_config=mlp_cfg)
+    report = run_severity_loocv(participants, X, config, mlp_config=mlp_cfg)
     _write_csv(
         out_path / "severity_loocv.csv",
         ["participant_id", "true_cars", "predicted_cars", "abs_err"],

@@ -107,10 +107,6 @@ class TooFewPerClass(ConfigError):
     pass
 
 
-class MissingFeatures(GazeScreenError):
-    pass
-
-
 class TooFewParticipants(ConfigError):
     pass
 

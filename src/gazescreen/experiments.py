@@ -20,7 +20,6 @@ from .errors import (
     AoiNeverInAnyWindow,
     ConfigError,
     DurationTooLong,
-    MissingFeatures,
     MissingVideo,
     TooFewParticipants,
     TooFewPerClass,
@@ -92,8 +91,21 @@ class CvConfig:
         }
 
 
+class _Report:
+    """A protocol's result. ``to_dict`` is the body of its ``report.json``:
+    its ``KIND`` and every field, not copied (``dataclasses.asdict`` would
+    deep-copy every fold row, about 9 ms for ``evaluate``'s 300)."""
+
+    KIND = ""
+
+    def to_dict(self) -> dict:
+        return {"kind": self.KIND, **vars(self)}
+
+
 @dataclass
-class ClassificationReport:
+class ClassificationReport(_Report):
+    KIND = "classification_cv"
+
     config: dict
     fold_rows: list  # dicts: rep, fold, accuracy, n_test, tp, tn, fp, fn
     mean_accuracy: float
@@ -103,51 +115,27 @@ class ClassificationReport:
     reference: dict = field(default_factory=lambda: dict(HUMAN_STUDY_REFERENCE))
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "classification_cv",
-            "config": self.config,
-            "mean_accuracy": self.mean_accuracy,
-            "std_accuracy": self.std_accuracy,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "n_fold_runs": len(self.fold_rows),
-            "fold_rows": self.fold_rows,
-            "reference": self.reference,
-        }
+        return {**super().to_dict(), "n_fold_runs": len(self.fold_rows)}
 
 
 @dataclass
-class DurationReport:
+class DurationReport(_Report):
+    KIND = "duration_simulation"
+
     config: dict
     rows: list  # dicts: duration_s, mean_acc, std_acc, n_runs
     reference: dict = field(default_factory=lambda: dict(HUMAN_STUDY_REFERENCE))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "duration_simulation",
-            "config": self.config,
-            "rows": self.rows,
-            "reference": self.reference,
-        }
-
 
 @dataclass
-class SeverityReport:
+class SeverityReport(_Report):
+    KIND = "severity_loocv"
+
     config: dict
     rows: list  # dicts: participant_id, true_cars, predicted_cars, abs_err
     mae: float
     std_abs_err: float
     reference: dict = field(default_factory=lambda: dict(HUMAN_STUDY_REFERENCE))
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "severity_loocv",
-            "config": self.config,
-            "mae": self.mae,
-            "std_abs_err": self.std_abs_err,
-            "rows": self.rows,
-            "reference": self.reference,
-        }
 
 
 def stratified_folds(labels: list[int], folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -176,14 +164,16 @@ def stratified_folds(labels: list[int], folds: int, rng: np.random.Generator) ->
     return assignment
 
 
-def _labels(pids, groups: dict) -> np.ndarray:
-    return np.array([LABEL_ASD if groups[p] is Group.ASD else LABEL_CONTROL for p in pids])
+def _labels(groups) -> np.ndarray:
+    """The SVM label of each group, in row order."""
+    return np.array([LABEL_ASD if g is Group.ASD else LABEL_CONTROL for g in groups])
 
 
-def _feature_matrix(features: dict, groups: dict):
-    pids = sorted(features)
-    X = np.array([features[p] for p in pids], dtype=float)
-    return pids, X, _labels(pids, groups)
+def _rows(participants, X) -> np.ndarray:
+    """``X`` as a float matrix, checked to hold one row per participant."""
+    if len(participants) != len(X):
+        raise ValueError(f"{len(participants)} participants but {len(X)} feature rows")
+    return np.asarray(X, dtype=float)
 
 
 class _Fold(NamedTuple):
@@ -239,47 +229,40 @@ def _score_folds(config: CvConfig, y, folds: list) -> list:
     return rows
 
 
-def _summarize(fold_rows):
+def _summarize(fold_rows) -> dict:
+    """The accuracy, its spread, sensitivity and specificity over the folds."""
     accs = np.array([r["accuracy"] for r in fold_rows])
     tp = sum(r["tp"] for r in fold_rows)
     fn = sum(r["fn"] for r in fold_rows)
     tn = sum(r["tn"] for r in fold_rows)
     fp = sum(r["fp"] for r in fold_rows)
     return {
-        "mean": float(accs.mean()),
-        "std": float(accs.std()),
+        "mean_accuracy": float(accs.mean()),
+        "std_accuracy": float(accs.std()),
         "sensitivity": tp / (tp + fn) if tp + fn else float("nan"),
         "specificity": tn / (tn + fp) if tn + fp else float("nan"),
     }
 
 
-def run_classification_cv(features: dict, groups: dict, config: CvConfig) -> ClassificationReport:
+def run_classification_cv(participants, X: np.ndarray, config: CvConfig) -> ClassificationReport:
     """Repeated stratified k-fold CV of the SVM screening classifier.
 
-    ``features`` maps participant_id -> feature row, a float array (already
-    matching config.video_selection); ``groups`` maps participant_id ->
-    Group.
+    Row r of the float matrix ``X`` (already matching
+    config.video_selection) holds the features of ``participants[r]``,
+    whose ``group`` is its label.
     """
-    for pid in groups:
-        if pid not in features:
-            raise MissingFeatures(f"participant {pid} lacks a feature vector")
-    pids, X, y = _feature_matrix(features, groups)
+    X = _rows(participants, X)
+    y = _labels([p.group for p in participants])
     fold_rows = _score_folds(config, y, _draw_folds(config, y, ("cv",), lambda rng: X))
-    s = _summarize(fold_rows)
-    return ClassificationReport(
-        config=config.to_dict(),
-        fold_rows=fold_rows,
-        mean_accuracy=s["mean"],
-        std_accuracy=s["std"],
-        sensitivity=s["sensitivity"],
-        specificity=s["specificity"],
-    )
+    return ClassificationReport(config=config.to_dict(), fold_rows=fold_rows,
+                                **_summarize(fold_rows))
 
 
 def _check_structure(dataset: Dataset, mode: FeatureMode, video_ids) -> None:
     """Fail once, before any window is drawn, on what no window can fix: a
     participant without a gaze log of a video, or (with AOI) a video
-    without an AOI track."""
+    without an AOI track. Once it passes, the rows of every stack are
+    ``dataset.participants``."""
     for p in dataset.manifest.participants:
         for vid in video_ids:
             if (p.participant_id, vid) not in dataset.aligned:
@@ -292,7 +275,7 @@ def _check_structure(dataset: Dataset, mode: FeatureMode, video_ids) -> None:
 def _draw_windows(dataset: Dataset, duration: float, mode: FeatureMode, rng, video_ids):
     """One shared window per video, redrawn (up to 100 times) until every
     participant's features are usable on it. Returns the feature matrix in
-    sorted-participant order, videos concatenated in ``video_ids`` order;
+    ``dataset.participants`` order, videos concatenated in ``video_ids`` order;
     each video's block is one ``extract_batch`` over its stack."""
     for _attempt in range(100):
         windows = []  # every start is drawn before any video is checked
@@ -328,8 +311,7 @@ def run_duration_simulation(
         if d > min_duration:
             raise DurationTooLong(f"{d}s exceeds shortest video ({min_duration}s)")
     _check_structure(dataset, config.mode, video_ids)
-    groups = {p.participant_id: p.group for p in dataset.manifest.participants}
-    y = _labels(sorted(groups), groups)
+    y = _labels([p.group for p in dataset.participants])
 
     # every duration's folds are drawn first, then trained by one call
     folds = [
@@ -345,38 +327,30 @@ def run_duration_simulation(
     curve = []
     for d_idx, d in enumerate(durations):
         s = _summarize(fold_rows[d_idx * per_duration : (d_idx + 1) * per_duration])
-        curve.append(
-            {
-                "duration_s": d,
-                "mean_acc": s["mean"],
-                "std_acc": s["std"],
-                "n_runs": config.repetitions,
-            }
-        )
+        curve.append({"duration_s": d, "mean_acc": s["mean_accuracy"],
+                      "std_acc": s["std_accuracy"], "n_runs": config.repetitions})
     cfg = config.to_dict()
     cfg["durations"] = list(durations)
     return DurationReport(config=cfg, rows=curve)
 
 
 def run_severity_loocv(
-    features: dict, cars: dict, config: CvConfig, mlp_config: MlpConfig | None = None
+    participants, X: np.ndarray, config: CvConfig, mlp_config: MlpConfig | None = None
 ) -> SeverityReport:
-    """Leave-one-out CARS regression over scored (ASD) participants.
+    """Leave-one-out CARS regression over the rows of ``X`` whose
+    participant (``participants[r]`` for row r) has a ``cars`` score.
 
     Fold i holds out the i-th scored participant and draws its MLP seed
     from ``derive_rng(config.seed, "loocv", i)``. Every fold has the same
     shape, so all are trained at once by ``mlp_train_folds``."""
-    pids = sorted(p for p in cars if cars[p] is not None)
-    if len(pids) < 3:
-        raise TooFewParticipants(f"need >= 3 scored participants, have {len(pids)}")
-    for pid in pids:
-        if pid not in features:
-            raise MissingFeatures(f"participant {pid} lacks a feature vector")
-    X = np.array([features[p] for p in pids], dtype=float)
-    y = np.array([cars[p] for p in pids], dtype=float)
+    X = _rows(participants, X)
+    scored = [r for r, p in enumerate(participants) if p.cars is not None]
+    if len(scored) < 3:
+        raise TooFewParticipants(f"need >= 3 scored participants, have {len(scored)}")
+    X, y = X[scored], np.array([participants[r].cars for r in scored], dtype=float)
     train_X, train_y, test_rows, centers, seeds = [], [], [], [], []
-    for i in range(len(pids)):
-        train = np.arange(len(pids)) != i
+    for i in range(len(scored)):
+        train = np.arange(len(scored)) != i
         # standardise every row at once: transform works element by element
         Z = Standardizer().fit(X[train]).transform(X)
         # center the targets around the training mean; the regressor starts
@@ -391,16 +365,10 @@ def run_severity_loocv(
         seeds.append(int(rng.integers(2**31)))
     models = mlp_train_folds(np.array(train_X), np.array(train_y), mlp_config, seeds)
     rows = []
-    for pid, model, z, y_center, true in zip(pids, models, test_rows, centers, y.tolist()):
+    for r, model, z, y_center, true in zip(scored, models, test_rows, centers, y.tolist()):
         pred = y_center + mlp_predict(model, z)
-        rows.append(
-            {
-                "participant_id": pid,
-                "true_cars": true,
-                "predicted_cars": pred,
-                "abs_err": abs(pred - true),
-            }
-        )
+        rows.append({"participant_id": participants[r].participant_id, "true_cars": true,
+                     "predicted_cars": pred, "abs_err": abs(pred - true)})
     errs = np.array([r["abs_err"] for r in rows])
     return SeverityReport(
         config=config.to_dict(),

@@ -129,18 +129,18 @@ class AlignedTrace:
 
 
 class TraceStack:
-    """Every aligned trace of one video, one row per participant in sorted
-    id order: (participants x n_frames) ``present``, ``x``, ``y`` and
-    ``gap`` arrays. ``adopt`` copies a trace into its row and hands back
-    the trace with row views in place of its own columns; ``freeze`` makes
-    the arrays read-only once every row is in."""
+    """Every aligned trace of one video, one row per participant in
+    ``participant_ids`` order: (participants x n_frames) ``present``,
+    ``x``, ``y`` and ``gap`` arrays. ``adopt`` copies a trace into its row
+    and hands back the trace with row views in place of its own columns;
+    ``freeze`` makes the arrays read-only once every row is in."""
 
     _COLUMNS = ("present", "x", "y", "gap")
 
     def __init__(self, video_id: str, fps: float, participant_ids, n_frames: int):
         self.video_id = video_id
         self.fps = fps
-        self.participant_ids = tuple(sorted(participant_ids))
+        self.participant_ids = tuple(participant_ids)
         self.row = {pid: i for i, pid in enumerate(self.participant_ids)}
         shape = (len(self.participant_ids), n_frames)
         self.present = np.zeros(shape, dtype=bool)

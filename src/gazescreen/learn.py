@@ -314,7 +314,7 @@ def _smo_lockstep(K, Y, sizes, C: float, tol: float, max_passes: int, seeds):
                 n = sizes[f]
                 by_row[f] = _smo_row(K[f, :n, :n], Y[f, :n], alpha[f, :n], G[f, :n],
                                      up[f, :n], low[f, :n], C, seeds[f])
-            if by_row[f]():
+            if by_row[f](i.item(f), j.item(f)):
                 it[f] += 1
             else:  # no violating pair can move; stationary point
                 solved[f] = (alpha[f, : sizes[f]], m.item(f), M.item(f), gap.item(f))
@@ -367,8 +367,9 @@ def _smo_row(K, y, alpha, G, up, low, C: float, seed: int):
     flat or concave branch if eta <= 1e-12, then the partner list, then
     the seeded sweep, whose generator, ``default_rng(seed)``, is made on
     its first use, since most fits never sweep. The pair arithmetic runs on
-    Python floats. Returns the iteration, which returns False when no
-    violating pair can move."""
+    Python floats. Returns the iteration, which is called with the maximal
+    violating pair (i, j) that the lockstep loop found and returns False
+    when no violating pair can move."""
     n = len(y)
     labels = y.tolist()
     at_most = C - ALPHA_TOL
@@ -439,12 +440,11 @@ def _smo_row(K, y, alpha, G, up, low, C: float, seed: int):
                 return True
         return False
 
-    def iterate():
-        up_idx = up.nonzero()[0]
-        low_idx = low.nonzero()[0]
-        i_up = int(up_idx[G[up_idx].argmin()])
-        i_low = int(low_idx[G[low_idx].argmax()])
-        return take_step(i_up, i_low) or try_violator(i_up, low_idx) or try_violator(i_low, up_idx)
+    def iterate(i, j):
+        # a step that fails changes nothing, so each partner list is made
+        # only when the routes before it have failed
+        return (take_step(i, j) or try_violator(i, low.nonzero()[0])
+                or try_violator(j, up.nonzero()[0]))
 
     return iterate
 

@@ -22,9 +22,15 @@ from .ingest import (
 
 @dataclass
 class Dataset:
-    """Everything parsed and frame-aligned, ready for feature extraction."""
+    """Everything parsed and frame-aligned, ready for feature extraction.
+
+    ``participants`` (the manifest's, sorted by id) is the row order of
+    every feature matrix, and of every ``TraceStack`` once
+    ``experiments._check_structure`` has passed. ``manifest.participants``
+    keeps manifest order, for ``features.csv`` and the order of failures."""
 
     manifest: DatasetManifest
+    participants: tuple  # Participant, sorted by id
     aligned: dict  # (participant_id, video_id) -> AlignedTrace, columns are stack rows
     aoi: dict  # video_id -> AoiIndex, built once here and shared by every window
     stacks: dict  # video_id -> TraceStack of every participant with a log of it
@@ -43,12 +49,14 @@ def load_dataset(manifest_path) -> Dataset:
     manifest key; low-coverage traces (below the soft threshold) are
     recorded as warnings."""
     manifest = load_manifest(manifest_path)
+    participants = tuple(sorted(manifest.participants, key=lambda p: p.participant_id))
     aoi = {vid: parse_aoi_track(path, manifest.video_meta(vid))
            for vid, path in manifest.aoi_paths.items()}
     stacks = {}
     for vid in manifest.video_order:
         meta = manifest.video_meta(vid)
-        pids = [pid for pid, v in manifest.gaze_log_paths if v == vid]
+        pids = [p.participant_id for p in participants
+                if (p.participant_id, vid) in manifest.gaze_log_paths]
         stacks[vid] = TraceStack(vid, meta.fps, pids, meta.n_frames)
     aligned = {}
     warnings = []
@@ -63,18 +71,15 @@ def load_dataset(manifest_path) -> Dataset:
         aligned[(pid, vid)] = stacks[vid].adopt(at)
     for stack in stacks.values():
         stack.freeze()
-    return Dataset(
-        manifest=manifest, aligned=aligned, aoi=aoi, stacks=stacks, quality_warnings=warnings
-    )
+    return Dataset(manifest=manifest, participants=participants, aligned=aligned, aoi=aoi,
+                   stacks=stacks, quality_warnings=warnings)
 
 
-def extract_features(
-    dataset: Dataset,
-    mode: FeatureMode,
-    video_ids: list | None = None,
-) -> dict:
-    """Each participant's full-video feature rows, concatenated into one
-    float array.
+def extract_features(dataset: Dataset, mode: FeatureMode,
+                     video_ids: list | None = None) -> np.ndarray:
+    """The full-video feature matrix: row r is ``dataset.participants[r]``,
+    and each video contributes ``mode.n_features`` columns, one block per
+    video in ``video_ids`` order.
 
     ``video_ids`` restricts and orders the contributing videos (default:
     manifest order). Raises the first failure that
@@ -84,10 +89,10 @@ def extract_features(
     if failures:
         raise failures[0][2]
     order = list(video_ids) if video_ids is not None else list(dataset.video_order)
-    return {
-        p.participant_id: np.concatenate([rows[(p.participant_id, vid)] for vid in order])
-        for p in dataset.manifest.participants
-    }
+    return np.array([
+        np.concatenate([rows[(p.participant_id, vid)] for vid in order])
+        for p in dataset.participants
+    ])
 
 
 def collect_extraction_failures(

@@ -67,7 +67,7 @@ def stack_traces(traces):
     """A frozen TraceStack of one video's traces, and the traces re-read
     from their stack rows, in row (sorted id) order."""
     first = traces[0]
-    stack = TraceStack(first.video_id, first.fps, [t.participant_id for t in traces],
+    stack = TraceStack(first.video_id, first.fps, sorted(t.participant_id for t in traces),
                        first.n_frames)
     rows = sorted((stack.adopt(t) for t in traces), key=lambda t: t.participant_id)
     stack.freeze()
@@ -141,7 +141,7 @@ def default_cohort(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def default_features(default_cohort):
-    """Full-video feature vectors for the default cohort, both modes."""
+    """Full-video feature matrices for the default cohort, both modes."""
     from gazescreen.core import FeatureMode
     from gazescreen.pipeline import extract_features
 

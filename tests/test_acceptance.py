@@ -14,7 +14,7 @@ import yaml
 from click.testing import CliRunner
 
 from gazescreen.cli import main as cli_main
-from gazescreen.core import FeatureMode, Group, VideoMeta
+from gazescreen.core import FeatureMode, Group, Participant, VideoMeta
 from gazescreen.errors import (
     DegenerateBox,
     InsufficientData,
@@ -255,11 +255,10 @@ def test_criterion_4_mlp_gradient_check():
 
 def test_criterion_5_synthetic_end_to_end(default_cohort, default_features):
     t0 = time.perf_counter()
-    groups = {p.participant_id: p.group for p in default_cohort.manifest.participants}
     means = {}
     for mode in (FeatureMode.WITH_AOI, FeatureMode.NO_AOI):
         report = run_classification_cv(
-            default_features[mode], groups,
+            default_cohort.participants, default_features[mode],
             CvConfig(seed=20240, repetitions=100, mode=mode, jobs=4),
         )
         means[mode] = report.mean_accuracy
@@ -279,12 +278,14 @@ def test_criterion_5_synthetic_end_to_end(default_cohort, default_features):
 
 
 def test_criterion_6_permuted_label_null(default_cohort, default_features):
-    groups = {p.participant_id: p.group for p in default_cohort.manifest.participants}
-    pids = sorted(groups)
+    participants = default_cohort.participants  # sorted by id
     rng = derive_rng(20241, "null-permutation")
-    permuted = dict(zip(pids, rng.permutation([groups[p] for p in pids])))
+    permuted = [
+        Participant(p.participant_id, g)
+        for p, g in zip(participants, rng.permutation([p.group for p in participants]))
+    ]
     report = run_classification_cv(
-        default_features[FeatureMode.WITH_AOI], permuted,
+        permuted, default_features[FeatureMode.WITH_AOI],
         CvConfig(seed=20241, repetitions=100, jobs=4),
     )
     ok = 0.40 <= report.mean_accuracy <= 0.70
@@ -295,12 +296,11 @@ def test_criterion_6_permuted_label_null(default_cohort, default_features):
 
 
 def test_criterion_7_duration_curve_shape(default_cohort, default_features):
-    groups = {p.participant_id: p.group for p in default_cohort.manifest.participants}
     ok = True
     details = []
     for mode in (FeatureMode.WITH_AOI, FeatureMode.NO_AOI):
         full = run_classification_cv(
-            default_features[mode], groups,
+            default_cohort.participants, default_features[mode],
             CvConfig(seed=20242, repetitions=100, mode=mode, jobs=4),
         ).mean_accuracy
         sim = run_duration_simulation(
@@ -322,29 +322,20 @@ def test_criterion_7_duration_curve_shape(default_cohort, default_features):
 
 
 def test_criterion_8_severity_loocv(tmp_path, default_cohort, default_features):
-    cars = {
-        p.participant_id: p.cars
-        for p in default_cohort.manifest.participants
-        if p.group is Group.ASD
-    }
-    feats = {pid: fv for pid, fv in default_features[FeatureMode.WITH_AOI].items()
-             if pid in cars}
-    coupled = run_severity_loocv(feats, cars, CvConfig(seed=20243))
+    coupled = run_severity_loocv(
+        default_cohort.participants, default_features[FeatureMode.WITH_AOI],
+        CvConfig(seed=20243),
+    )
 
     null_params = dataclasses.replace(DEFAULT_ASD_PARAMS, severity_coupling={})
     ds = load_dataset(generate_cohort(
         CohortSpec(seed=2024, asd_params=null_params), tmp_path / "null"
     ))
-    null_cars = {
-        p.participant_id: p.cars
-        for p in ds.manifest.participants if p.group is Group.ASD
-    }
-    null_feats = {
-        pid: fv for pid, fv in extract_features(ds, FeatureMode.WITH_AOI).items()
-        if pid in null_cars
-    }
-    null_rep = run_severity_loocv(null_feats, null_cars, CvConfig(seed=20243))
-    y = np.array(list(null_cars.values()), dtype=float)
+    null_rep = run_severity_loocv(
+        ds.participants, extract_features(ds, FeatureMode.WITH_AOI), CvConfig(seed=20243)
+    )
+    y = np.array([p.cars for p in ds.manifest.participants if p.group is Group.ASD],
+                 dtype=float)
     best_const = min(float(np.abs(y - c).mean()) for c in np.arange(15.0, 60.5, 0.5))
     ok = coupled.mae <= 3.0 and abs(null_rep.mae - best_const) <= 1.0
     record_acceptance(

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from gazescreen import experiments
-from gazescreen.core import FeatureMode, Group
+from gazescreen.core import FeatureMode, Group, Participant
 from gazescreen.errors import (
     ConfigError,
     DurationTooLong,
-    MissingFeatures,
     TooFewParticipants,
     TooFewPerClass,
 )
@@ -26,20 +25,16 @@ from . import oracles
 
 
 def fake_cohort(rng, n_asd=10, n_control=10, sep=10.0, noise=1.0):
-    """Feature dict + group dict with tunable class separation."""
-    features = {}
-    groups = {}
+    """Participants + their feature matrix, with tunable class separation."""
+    participants = []
+    rows = []
     for k in range(n_asd):
-        pid = f"a{k:02d}"
-        v = rng.normal(sep, noise, 2)
-        features[pid] = v
-        groups[pid] = Group.ASD
+        participants.append(Participant(f"a{k:02d}", Group.ASD))
+        rows.append(rng.normal(sep, noise, 2))
     for k in range(n_control):
-        pid = f"c{k:02d}"
-        v = rng.normal(-sep, noise, 2)
-        features[pid] = v
-        groups[pid] = Group.CONTROL
-    return features, groups
+        participants.append(Participant(f"c{k:02d}", Group.CONTROL))
+        rows.append(rng.normal(-sep, noise, 2))
+    return participants, np.array(rows)
 
 
 class TestDeriveRng:
@@ -125,11 +120,11 @@ class TestStratifiedFolds:
 class TestClassificationCv:
     def test_zero_decision_value_counts_as_control(self, monkeypatch):
         rng = np.random.default_rng(5)
-        features, groups = fake_cohort(rng, n_asd=6, n_control=4)
+        participants, X = fake_cohort(rng, n_asd=6, n_control=4)
         silent = SvmModel(support_vectors=np.zeros((1, 2)), dual_coef=np.zeros(1),
                           bias=0.0, gamma=1.0, coef0=0.0)
         monkeypatch.setattr(experiments, "svm_train_folds", lambda Xs, *a: [silent] * len(Xs))
-        report = run_classification_cv(features, groups, CvConfig(seed=1, repetitions=2))
+        report = run_classification_cv(participants, X, CvConfig(seed=1, repetitions=2))
         for row in report.fold_rows:
             assert row["tp"] == row["fp"] == 0
         assert sum(r["fn"] for r in report.fold_rows) == 2 * 6
@@ -137,8 +132,8 @@ class TestClassificationCv:
 
     def test_separable_cohort_is_perfect(self):
         rng = np.random.default_rng(3)
-        features, groups = fake_cohort(rng)
-        report = run_classification_cv(features, groups, CvConfig(seed=1, repetitions=10))
+        participants, X = fake_cohort(rng)
+        report = run_classification_cv(participants, X, CvConfig(seed=1, repetitions=10))
         assert report.mean_accuracy == 1.0
         assert report.sensitivity == 1.0
         assert report.specificity == 1.0
@@ -146,34 +141,33 @@ class TestClassificationCv:
 
     def test_permuted_labels_near_chance(self):
         rng = np.random.default_rng(4)
-        features, groups = fake_cohort(rng, n_asd=12, n_control=12)
-        pids = sorted(groups)
-        perm = rng.permutation([groups[p] for p in pids])
-        shuffled = dict(zip(pids, perm))
-        report = run_classification_cv(features, shuffled, CvConfig(seed=2, repetitions=30))
+        participants, X = fake_cohort(rng, n_asd=12, n_control=12)
+        perm = rng.permutation([p.group for p in participants])
+        shuffled = [Participant(p.participant_id, g) for p, g in zip(participants, perm)]
+        report = run_classification_cv(shuffled, X, CvConfig(seed=2, repetitions=30))
         assert 0.30 <= report.mean_accuracy <= 0.70
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
-        features, groups = fake_cohort(rng, sep=1.0, noise=1.5)
-        r1 = run_classification_cv(features, groups, CvConfig(seed=9, repetitions=5))
-        r2 = run_classification_cv(features, groups, CvConfig(seed=9, repetitions=5))
+        participants, X = fake_cohort(rng, sep=1.0, noise=1.5)
+        r1 = run_classification_cv(participants, X, CvConfig(seed=9, repetitions=5))
+        r2 = run_classification_cv(participants, X, CvConfig(seed=9, repetitions=5))
         assert r1.fold_rows == r2.fold_rows
-        r3 = run_classification_cv(features, groups, CvConfig(seed=10, repetitions=5))
+        r3 = run_classification_cv(participants, X, CvConfig(seed=10, repetitions=5))
         assert r1.fold_rows != r3.fold_rows
 
     def test_jobs_do_not_change_results(self):
         rng = np.random.default_rng(6)
-        features, groups = fake_cohort(rng, sep=1.0, noise=1.5)
-        r1 = run_classification_cv(features, groups, CvConfig(seed=3, repetitions=8, jobs=1))
-        r4 = run_classification_cv(features, groups, CvConfig(seed=3, repetitions=8, jobs=4))
+        participants, X = fake_cohort(rng, sep=1.0, noise=1.5)
+        r1 = run_classification_cv(participants, X, CvConfig(seed=3, repetitions=8, jobs=1))
+        r4 = run_classification_cv(participants, X, CvConfig(seed=3, repetitions=8, jobs=4))
         assert r1.fold_rows == r4.fold_rows
         assert r1.mean_accuracy == r4.mean_accuracy
 
     def test_summary_consistent_with_rows(self):
         rng = np.random.default_rng(7)
-        features, groups = fake_cohort(rng, sep=0.5, noise=1.0)
-        report = run_classification_cv(features, groups, CvConfig(seed=4, repetitions=6))
+        participants, X = fake_cohort(rng, sep=0.5, noise=1.0)
+        report = run_classification_cv(participants, X, CvConfig(seed=4, repetitions=6))
         accs = [r["accuracy"] for r in report.fold_rows]
         assert report.mean_accuracy == pytest.approx(np.mean(accs))
         assert report.std_accuracy == pytest.approx(np.std(accs))
@@ -181,55 +175,58 @@ class TestClassificationCv:
             assert r["tp"] + r["tn"] + r["fp"] + r["fn"] == r["n_test"]
             assert r["accuracy"] == pytest.approx((r["tp"] + r["tn"]) / r["n_test"])
 
-    def test_missing_feature_vector(self):
+    def test_row_count_must_match_participants(self):
         rng = np.random.default_rng(8)
-        features, groups = fake_cohort(rng, n_asd=4, n_control=4)
-        features.pop("a00")
-        with pytest.raises(MissingFeatures):
-            run_classification_cv(features, groups, CvConfig(seed=0, repetitions=1))
+        participants, X = fake_cohort(rng, n_asd=4, n_control=4)
+        for protocol in (run_classification_cv, run_severity_loocv):
+            with pytest.raises(ValueError, match="8 participants but 7 feature rows"):
+                protocol(participants, X[1:], CvConfig(seed=0, repetitions=1))
+            with pytest.raises(ValueError, match="7 participants but 8 feature rows"):
+                protocol(participants[1:], X, CvConfig(seed=0, repetitions=1))
 
 
 class TestSeverityLoocv:
     def test_predictive_features_beat_constant(self):
         rng = np.random.default_rng(9)
-        cars = {}
-        features = {}
+        participants = []
+        rows = []
         for k in range(12):
-            pid = f"a{k:02d}"
             score = float(rng.integers(30, 40))
-            cars[pid] = score
-            v = (score / 10.0 + rng.normal(0, 0.05), rng.normal())
-            features[pid] = np.array(v)
-        report = run_severity_loocv(features, cars, CvConfig(seed=5))
-        y = np.array(list(cars.values()))
+            participants.append(Participant(f"a{k:02d}", Group.ASD, score))
+            rows.append((score / 10.0 + rng.normal(0, 0.05), rng.normal()))
+        report = run_severity_loocv(participants, np.array(rows), CvConfig(seed=5))
+        y = np.array([p.cars for p in participants])
         constant_mae = np.abs(y - np.median(y)).mean()
         assert report.mae < constant_mae
         assert len(report.rows) == 12
 
     def test_unscored_participants_excluded(self):
         rng = np.random.default_rng(10)
-        cars = {"a0": 31.0, "a1": 34.0, "a2": 38.0, "c0": None}
-        features = {p: rng.random(2) for p in cars}
-        report = run_severity_loocv(features, cars, CvConfig(seed=6))
+        participants = [Participant("a0", Group.ASD, 31.0), Participant("a1", Group.ASD, 34.0),
+                        Participant("a2", Group.ASD, 38.0), Participant("c0", Group.CONTROL)]
+        X = np.array([rng.random(2) for _ in participants])
+        report = run_severity_loocv(participants, X, CvConfig(seed=6))
         assert [r["participant_id"] for r in report.rows] == ["a0", "a1", "a2"]
 
     def test_too_few_scored(self):
-        cars = {"a0": 31.0, "a1": 34.0}
-        features = {p: np.array([0.1, 0.2]) for p in cars}
+        participants = [Participant("a0", Group.ASD, 31.0), Participant("a1", Group.ASD, 34.0)]
+        X = np.array([[0.1, 0.2]] * len(participants))
         with pytest.raises(TooFewParticipants):
-            run_severity_loocv(features, cars, CvConfig(seed=0))
+            run_severity_loocv(participants, X, CvConfig(seed=0))
         with pytest.raises(ConfigError, match="need >= 3 scored participants, have 2"):
-            run_severity_loocv(features, cars, CvConfig(seed=0))
+            run_severity_loocv(participants, X, CvConfig(seed=0))
 
     @pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
     def test_matches_per_fold_oracle_bit_for_bit(self, small_cohort, mode):
         features = extract_features(small_cohort, mode)
         cars = {p.participant_id: p.cars for p in small_cohort.manifest.participants
                 if p.cars is not None}
-        report = run_severity_loocv(features, cars, CvConfig(seed=7, mode=mode))
+        report = run_severity_loocv(small_cohort.participants, features,
+                                    CvConfig(seed=7, mode=mode))
         # the per-fold loop, one fit after another, with the oracle trainer
         pids = sorted(cars)
-        X = np.array([features[p] for p in pids])
+        index = {p.participant_id: r for r, p in enumerate(small_cohort.participants)}
+        X = features[[index[p] for p in pids]]
         y = np.array([cars[p] for p in pids], dtype=float)
         assert [r["participant_id"] for r in report.rows] == pids
         for i, row in enumerate(report.rows):
@@ -325,11 +322,10 @@ class TestLockstepProtocols:
 
     @pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
     def test_classification_cv_matches_per_fold_loop(self, uneven_cohort, mode):
-        features = extract_features(uneven_cohort, mode)
-        groups = {p.participant_id: p.group for p in uneven_cohort.manifest.participants}
+        X = extract_features(uneven_cohort, mode)
         config = CvConfig(seed=21, repetitions=6, mode=mode, C=2.0, coef0=1.0)
-        report = run_classification_cv(features, groups, config)
-        _, X, y = experiments._feature_matrix(features, groups)
+        report = run_classification_cv(uneven_cohort.participants, X, config)
+        y = experiments._labels([p.group for p in uneven_cohort.participants])
         train_sizes = set()
         assert report.fold_rows == per_fold_rows(config, y, ("cv",), lambda rng: X, train_sizes)
         assert train_sizes == {4, 5}  # the folds were padded
@@ -344,8 +340,7 @@ class TestLockstepProtocols:
         durations = [3.0, 6.0, 9.0]
         config = CvConfig(seed=22, repetitions=4, mode=mode)
         run_duration_simulation(uneven_cohort, durations, config)
-        groups = {p.participant_id: p.group for p in uneven_cohort.manifest.participants}
-        y = experiments._labels(sorted(groups), groups)
+        y = experiments._labels([p.group for p in uneven_cohort.participants])
         video_ids = list(uneven_cohort.video_order)
         train_sizes = set()
         want = [

@@ -350,9 +350,10 @@ class TestExtractConcat:
 
     def test_concat_order_and_shape(self, small_cohort):
         order = list(reversed(small_cohort.video_order))
-        rows = extract_features(small_cohort, FeatureMode.NO_AOI, video_ids=order)
-        for pid, row in rows.items():
-            assert row.shape == (2 * len(order),)
+        X = extract_features(small_cohort, FeatureMode.NO_AOI, video_ids=order)
+        assert X.shape == (len(small_cohort.participants), 2 * len(order))
+        for row, p in zip(X, small_cohort.participants):
+            pid = p.participant_id
             for k, vid in enumerate(order):
                 at = small_cohort.aligned[(pid, vid)]
                 expected = extract(at, None, full_window(at), FeatureMode.NO_AOI)

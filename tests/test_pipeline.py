@@ -2,12 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+import yaml
 
 from gazescreen import experiments
 from gazescreen.core import FeatureMode
 from gazescreen.errors import ConfigError, InsufficientData, MissingVideo, NonFiniteFeature
 from gazescreen.experiments import CvConfig, run_duration_simulation
-from gazescreen.features import Window, extract_batch
+from gazescreen.features import Window, extract, extract_batch, full_window
 from gazescreen.ingest import AoiIndex
 from gazescreen.pipeline import collect_extraction_failures, extract_features, load_dataset
 
@@ -26,9 +27,8 @@ def test_second_load_gives_equal_features_and_new_indexes(small_cohort_manifest)
         assert first.aoi[vid] is not second.aoi[vid]
     rows = extract_features(first, FeatureMode.WITH_AOI)
     again = extract_features(second, FeatureMode.WITH_AOI)
-    assert rows.keys() == again.keys()
-    for pid, row in rows.items():
-        assert row.tobytes() == again[pid].tobytes()
+    assert rows.shape == again.shape
+    assert rows.tobytes() == again.tobytes()
     w = Window(2.0, 5.0)
     for vid in first.video_order:
         got = extract_batch(first.stacks[vid], first.aoi[vid], w, FeatureMode.WITH_AOI)
@@ -59,6 +59,54 @@ def test_traces_are_read_only_rows_of_their_video_stack(small_cohort):
                     column[0] = column[1]
         with pytest.raises(ValueError):
             stack.x[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
+def test_each_video_is_a_column_block_of_the_matrix(small_cohort, mode):
+    pids = sorted(p.participant_id for p in small_cohort.manifest.participants)
+    assert [p.participant_id for p in small_cohort.participants] == pids
+    X = extract_features(small_cohort, mode)
+    width = mode.n_features
+    assert X.shape == (len(pids), width * len(small_cohort.video_order))
+    for k, vid in enumerate(small_cohort.video_order):
+        assert small_cohort.stacks[vid].participant_ids == tuple(pids)
+        block = extract_features(small_cohort, mode, [vid])
+        assert block.shape == (len(pids), width)
+        assert X[:, k * width:(k + 1) * width].tobytes() == block.tobytes()
+        for r, pid in enumerate(pids):
+            at = small_cohort.aligned[(pid, vid)]
+            want = extract(at, small_cohort.aoi[vid], full_window(at), mode)
+            assert block[r].tobytes() == want.tobytes()
+
+
+def test_rows_follow_sorted_ids_whatever_the_manifest_order(
+    small_cohort, small_cohort_manifest, tmp_path
+):
+    data = yaml.safe_load(small_cohort_manifest.read_text(encoding="utf-8"))
+    data["participants"].reverse()
+    base = small_cohort_manifest.parent
+    for per_video in data["gaze_logs"].values():
+        for vid, rel in per_video.items():
+            per_video[vid] = str(base / rel)
+    for vid, rel in data["aoi_tracks"].items():
+        data["aoi_tracks"][vid] = str(base / rel)
+    path = tmp_path / "manifest.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
+    reversed_ds = load_dataset(path)
+    pids = [p.participant_id for p in reversed_ds.manifest.participants]
+    assert pids == [p.participant_id for p in small_cohort.manifest.participants][::-1]
+    assert reversed_ds.participants == small_cohort.participants
+    for vid, stack in reversed_ds.stacks.items():
+        assert stack.participant_ids == small_cohort.stacks[vid].participant_ids
+    for mode in (FeatureMode.WITH_AOI, FeatureMode.NO_AOI):
+        assert (extract_features(reversed_ds, mode).tobytes()
+                == extract_features(small_cohort, mode).tobytes())
+    # failures are still listed in manifest order
+    first = reversed_ds.video_order[0]
+    broken = broken_cohort(reversed_ds, (pids[0], first), (pids[1], first))
+    failures, _ = collect_extraction_failures(broken, FeatureMode.NO_AOI)
+    assert [(pid, vid, type(e)) for pid, vid, e in failures] == [
+        (pids[0], first, MissingVideo), (pids[1], first, InsufficientData)]
 
 
 def test_non_finite_window_feature_fails_without_redraw(small_cohort, monkeypatch):

@@ -349,25 +349,23 @@ class TestCohortGeneration:
             n_asd=9, n_control=9, seed=9, asd_params=DEFAULT_CONTROL_PARAMS
         )
         ds = load_dataset(generate_cohort(spec, tmp_path / "n"))
-        features = extract_features(ds, FeatureMode.WITH_AOI)
-        groups = {p.participant_id: p.group for p in ds.manifest.participants}
         report = run_classification_cv(
-            features, groups, CvConfig(seed=1, repetitions=20)
+            ds.participants, extract_features(ds, FeatureMode.WITH_AOI),
+            CvConfig(seed=1, repetitions=20),
         )
         assert 0.30 <= report.mean_accuracy <= 0.70
 
 
 class TestGroupSeparation:
     def test_aoi_features_directionally_sound(self, default_cohort, default_features):
-        features = default_features[FeatureMode.WITH_AOI]
-        groups = {p.participant_id: p.group for p in default_cohort.manifest.participants}
+        X = default_features[FeatureMode.WITH_AOI]
         n_videos = len(default_cohort.manifest.video_order)
 
         def mean_feature(group, offset):
             vals = [
-                np.mean([features[p][k * 5 + offset] for k in range(n_videos)])
-                for p in features
-                if groups[p] is group
+                np.mean([row[k * 5 + offset] for k in range(n_videos)])
+                for row, p in zip(X, default_cohort.participants)
+                if p.group is group
             ]
             return float(np.mean(vals))
 
