@@ -4,14 +4,16 @@ regression.
 
 Every protocol is deterministic given its config seed: per-repetition RNGs
 are derived from (root seed, tags), so no draw depends on another
-repetition's. A CV protocol draws every repetition's folds first, then
-trains all their SVMs in one lockstep ``svm_train_folds`` call.
-``CvConfig.jobs`` (``--jobs``) is validated and has no effect.
+repetition's. A CV protocol draws every repetition's folds first, as a
+(folds x participants) stack of test masks; it standardises them as one
+(folds x participants x d) stack, trains all their SVMs in one lockstep
+``svm_train_stack`` call and counts their scores as boolean reductions
+over those masks. ``CvConfig.jobs`` (``--jobs``) is validated and has no
+effect.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,10 +32,11 @@ from .learn import (
     LABEL_CONTROL,
     MlpConfig,
     Standardizer,
+    build_slices,
     check_svm_params,
     mlp_predict,
     mlp_train_folds,
-    svm_train_folds,
+    svm_train_stack,
 )
 from .pipeline import Dataset
 
@@ -176,55 +179,58 @@ def _rows(participants, X) -> np.ndarray:
     return np.asarray(X, dtype=float)
 
 
-class _Fold(NamedTuple):
-    """One CV fold to train and score: its test mask and its rows
-    standardised by its training rows."""
-
-    rep: int
-    fold: int
-    test: np.ndarray
-    Z_train: np.ndarray
-    Z_test: np.ndarray
-    seed: int
-
-
-def _draw_folds(config: CvConfig, y, tag: tuple, draw_X) -> list:
-    """The folds of ``config.repetitions`` repetitions of stratified k-fold
-    CV. Repetition r draws from ``derive_rng(config.seed, *tag, r)``: first
-    its feature matrix, ``draw_X(rng)``, then the folds, then one SVM seed
-    per fold."""
-    folds = []
-    for rep in range(config.repetitions):
-        rng = derive_rng(config.seed, *tag, rep)
-        X = draw_X(rng)
-        assignment = stratified_folds(y, FOLDS, rng)
-        for fold in range(FOLDS):
-            test = assignment == fold
-            # standardise every row at once: transform works element by element
-            Z = Standardizer().fit(X[~test]).transform(X)
-            folds.append(_Fold(rep, fold, test, Z[~test], Z[test], int(rng.integers(2**31))))
-    return folds
+def _draw_folds(config: CvConfig, y, draws) -> tuple:
+    """``config.repetitions`` repetitions of stratified k-fold CV for each
+    (tag, draw_X) of ``draws``. Repetition r of a tag draws from
+    ``derive_rng(config.seed, *tag, r)`` its matrix ``draw_X(rng)``, its
+    folds, then one SVM seed per fold. Returns the matrices, the (folds x
+    participants) test masks (fold k of matrix i in row i * FOLDS + k) and
+    the seeds."""
+    Xs, tests, seeds = [], [], []
+    for tag, draw_X in draws:
+        for rep in range(config.repetitions):
+            rng = derive_rng(config.seed, *tag, rep)
+            Xs.append(draw_X(rng))
+            assignment = stratified_folds(y, FOLDS, rng)
+            for fold in range(FOLDS):
+                tests.append(assignment == fold)
+                seeds.append(int(rng.integers(2**31)))
+    return Xs, np.array(tests, dtype=bool).reshape(len(seeds), len(y)), seeds
 
 
-def _score_folds(config: CvConfig, y, folds: list) -> list:
-    """One row per fold (rep, fold, accuracy, n_test, tp, tn, fp, fn): every
-    fold's SVM is trained by one ``svm_train_folds`` call, then scored on
-    its test rows."""
-    models = svm_train_folds(
-        [f.Z_train for f in folds], [y[~f.test] for f in folds],
-        config.C, config.gamma, config.coef0, SVM_TOL, SVM_MAX_PASSES, [f.seed for f in folds],
-    )
-    rows = []
-    for f, model in zip(folds, models):
+def _score_folds(config: CvConfig, y, Xs, test, seeds) -> list:
+    """One row per fold (rep, fold, accuracy, n_test, tp, tn, fp, fn) of
+    ``_draw_folds``' folds, all trained by one ``svm_train_stack`` call.
+    Each fold's rows, training rows first and then test rows (each in row
+    order), are standardised by one masked fit over its training rows into
+    a (folds x participants x d) stack, built in ``build_slices``; the
+    counts are boolean reductions over (folds x participants) masks."""
+    if not seeds:
+        return []
+    order = np.argsort(test, axis=1, kind="stable")
+    sizes = len(y) - test.sum(axis=1)
+    head = np.arange(len(y)) < sizes[:, None]  # the training rows, now first
+    Z = np.empty((*test.shape, Xs[0].shape[1]))
+    for k in build_slices(len(Z), Z[0].nbytes):
+        X = np.stack([Xs[f // FOLDS] for f in range(len(Z))[k]])
+        X = np.take_along_axis(X, order[k, :, None], axis=1)
+        Z[k] = Standardizer().fit(X, head[k]).transform(X)
+    y = y[order]  # each fold's labels in its row order
+    n_max = int(sizes.max(initial=0))
+    models = svm_train_stack(Z[:, :n_max], y[:, :n_max], sizes, config.C, config.gamma,
+                             config.coef0, SVM_TOL, SVM_MAX_PASSES, seeds)
+    flagged = np.zeros_like(test)
+    for f, (model, n) in enumerate(zip(models, sizes.tolist())):
         # a decision value of exactly 0 is CONTROL, as in svm_predict
-        flagged = model.decision_value(f.Z_test) > 0
-        asd = y[f.test] == LABEL_ASD
-        tp = int(np.sum(flagged & asd))
-        fn = int(np.sum(~flagged & asd))
-        tn = int(np.sum(~flagged & ~asd))
-        fp = int(np.sum(flagged & ~asd))
-        n_test = int(f.test.sum())
-        rows.append({"rep": f.rep, "fold": f.fold, "accuracy": (tp + tn) / n_test,
+        flagged[f, n:] = model.decision_value(Z[f, n:]) > 0
+    asd = y == LABEL_ASD
+    counts = zip(*(m.sum(axis=1).tolist() for m in (
+        flagged & asd, ~head & ~flagged & ~asd, flagged & ~asd, ~head & ~flagged & asd)))
+    rows = []
+    for f, (tp, tn, fp, fn) in enumerate(counts):
+        n_test = tp + tn + fp + fn
+        rows.append({"rep": f // FOLDS % config.repetitions, "fold": f % FOLDS,
+                     "accuracy": (tp + tn) / n_test,
                      "n_test": n_test, "tp": tp, "tn": tn, "fp": fp, "fn": fn})
     return rows
 
@@ -253,7 +259,7 @@ def run_classification_cv(participants, X: np.ndarray, config: CvConfig) -> Clas
     """
     X = _rows(participants, X)
     y = _labels([p.group for p in participants])
-    fold_rows = _score_folds(config, y, _draw_folds(config, y, ("cv",), lambda rng: X))
+    fold_rows = _score_folds(config, y, *_draw_folds(config, y, [(("cv",), lambda rng: X)]))
     return ClassificationReport(config=config.to_dict(), fold_rows=fold_rows,
                                 **_summarize(fold_rows))
 
@@ -313,16 +319,12 @@ def run_duration_simulation(
     _check_structure(dataset, config.mode, video_ids)
     y = _labels([p.group for p in dataset.participants])
 
-    # every duration's folds are drawn first, then trained by one call
-    folds = [
-        fold
+    # every duration's folds are drawn first, then trained together
+    fold_rows = _score_folds(config, y, *_draw_folds(config, y, [
+        (("duration", d_idx),
+         lambda rng, d=d: _draw_windows(dataset, d, config.mode, rng, video_ids))
         for d_idx, d in enumerate(durations)
-        for fold in _draw_folds(
-            config, y, ("duration", d_idx),
-            lambda rng, d=d: _draw_windows(dataset, d, config.mode, rng, video_ids),
-        )
-    ]
-    fold_rows = _score_folds(config, y, folds)
+    ]))
     per_duration = FOLDS * config.repetitions
     curve = []
     for d_idx, d in enumerate(durations):
@@ -348,24 +350,20 @@ def run_severity_loocv(
     if len(scored) < 3:
         raise TooFewParticipants(f"need >= 3 scored participants, have {len(scored)}")
     X, y = X[scored], np.array([participants[r].cars for r in scored], dtype=float)
-    train_X, train_y, test_rows, centers, seeds = [], [], [], [], []
-    for i in range(len(scored)):
-        train = np.arange(len(scored)) != i
-        # standardise every row at once: transform works element by element
-        Z = Standardizer().fit(X[train]).transform(X)
-        # center the targets around the training mean; the regressor starts
-        # from a near-zero output, so raw CARS magnitudes would dominate the
-        # error budget before the optimizer ever sees the features
-        y_center = float(y[train].mean())
-        rng = derive_rng(config.seed, "loocv", i)
-        train_X.append(Z[train])
-        train_y.append(y[train] - y_center)
-        test_rows.append(Z[i])
-        centers.append(y_center)
-        seeds.append(int(rng.integers(2**31)))
-    models = mlp_train_folds(np.array(train_X), np.array(train_y), mlp_config, seeds)
+    n = len(scored)
+    # fold i: its training rows first, in row order, then row i
+    order = np.argsort(np.eye(n, dtype=bool), axis=1, kind="stable")
+    X = X[order]
+    Z = Standardizer().fit(X, np.arange(n) < n - 1).transform(X)
+    # center the targets around the training mean; the regressor starts
+    # from a near-zero output, so raw CARS magnitudes would dominate the
+    # error budget before the optimizer ever sees the features
+    train_y = y[order[:, :-1]]
+    centers = [float(fold_y.mean()) for fold_y in train_y]
+    seeds = [int(derive_rng(config.seed, "loocv", i).integers(2**31)) for i in range(n)]
+    models = mlp_train_folds(Z[:, :-1], train_y - np.array(centers)[:, None], mlp_config, seeds)
     rows = []
-    for r, model, z, y_center, true in zip(scored, models, test_rows, centers, y.tolist()):
+    for r, model, y_center, true, z in zip(scored, models, centers, y.tolist(), Z[:, -1]):
         pred = y_center + mlp_predict(model, z)
         rows.append({"participant_id": participants[r].participant_id, "true_cars": true,
                      "predicted_cars": pred, "abs_err": abs(pred - true)})

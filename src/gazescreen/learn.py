@@ -1,14 +1,16 @@
 """Learners implemented from first principles.
 
-- Standardizer: per-dimension z-scoring fitted on training data only.
+- Standardizer: per-dimension z-scoring fitted on training data only; one
+  masked fit standardises every fold of a (F, n, d) stack.
 - SvmModel: soft-margin SVM with a third-degree polynomial kernel, trained
   by sequential minimal optimization (SMO) on the dual. Training runs F
   problems of any sizes (the folds of a cross-validation) in lockstep: their
-  kernels, labels, alphas and error caches are (F, n_max[, n_max]) stacks,
-  zero-padded, and each iteration moves every fold whose working pair takes
-  the plain step by one elementwise pass; a fold that needs another route,
-  or runs alone, takes the scalar SMO step on its own rows. One model is
-  the case F = 1.
+  rows, kernels, labels, alphas and error caches are (F, n_max[, n_max])
+  stacks, zero-padded; the checks, kernel scales and kernels are computed
+  per stack, and each iteration moves every fold whose working pair takes
+  the plain step by one elementwise pass; a fold that needs another route
+  takes the scalar SMO step on its own rows, and a fold left alone
+  finishes in a scalar loop. One model is the case F = 1.
 - MlpModel: one-hidden-layer (width 100, ReLU) regressor trained with
   adaptive-moment SGD on mean squared error plus an L2 penalty. A trained
   model's W1, b1, W2 and b2 are views of one flat parameter vector.
@@ -20,6 +22,7 @@ Everything is deterministic given a seed.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -46,7 +49,7 @@ ALPHA_TOL = 1e-12
 
 # the lockstep SMO solves its folds in chunks whose (folds x n_max x n_max)
 # float64 kernel stack fits in this many bytes (a chunk holds one fold at
-# least)
+# least), built in build_slices
 SMO_STACK_BYTES = 1 << 20
 
 
@@ -55,34 +58,42 @@ class Standardizer:
     mean: np.ndarray = None
     std: np.ndarray = None
 
-    def fit(self, X: np.ndarray) -> "Standardizer":
+    def fit(self, X: np.ndarray, rows=None) -> "Standardizer":
+        """Fit each column of ``X`` (n, d); or fit fold f of a stack (F, n,
+        d) on the rows that the bool mask rows[f] selects, as (F, 1, d)
+        statistics: bit for bit those of fitting them alone if they come first."""
         X = np.asarray(X, dtype=float)
-        self.mean = X.mean(axis=0)
-        self.std = X.std(axis=0)
+        where = True if rows is None else np.broadcast_to(rows, X.shape[:-1])[..., None]
+        self.mean = X.mean(axis=-2, keepdims=rows is not None, where=where)
+        self.std = X.std(axis=-2, keepdims=rows is not None, where=where)
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        std = np.where(self.std > 1e-12, self.std, 1.0)
-        Z = (X - self.mean) / std
+        flat = self.std <= 1e-12
+        Z = X - self.mean
+        Z /= np.where(flat, 1.0, self.std)
         # zero-variance dimensions carry no information; map them to 0
-        Z[..., self.std <= 1e-12] = 0.0
+        np.copyto(Z, 0.0, where=flat)
         return Z
 
 
-def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float, coef0: float) -> np.ndarray:
+def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma, coef0: float) -> np.ndarray:
     """The cubic kernel between the rows of ``A`` (a matrix, or one row)
-    and the rows of ``B``."""
-    return (gamma * (A @ B.T) + coef0) ** KERNEL_DEGREE
+    and the rows of ``B``; or, for stacks (F, n, d), of each fold, with a
+    gamma per fold as an (F, 1, 1) array."""
+    return (gamma * (A @ B.swapaxes(-1, -2)) + coef0) ** KERNEL_DEGREE
 
 
-def gamma_scale(X: np.ndarray) -> float:
-    """Default kernel scale: 1 / (d * mean per-dimension variance)."""
+def gamma_scale(X: np.ndarray):
+    """Default kernel scale: 1 / (d * mean per-dimension variance) of the
+    rows of ``X`` (n, d), a float; or of each matrix of a stack (F, n, d),
+    an (F,) array."""
     X = np.asarray(X, dtype=float)
-    mean_var = float(X.var(axis=0).mean())
-    if mean_var <= 0:
-        return 1.0
-    return 1.0 / (X.shape[1] * mean_var)
+    mean_var = X.var(axis=-2).mean(axis=-1)
+    with np.errstate(divide="ignore"):
+        gamma = np.where(mean_var <= 0, 1.0, 1.0 / (X.shape[-1] * mean_var))
+    return gamma if gamma.ndim else float(gamma)
 
 
 @dataclass
@@ -152,99 +163,113 @@ def svm_train(
     return svm_train_folds([X], [y], C, gamma, coef0, tol, max_passes, [seed])[0]
 
 
-def _svm_problem(X, y, gamma: float | None, coef0: float):
-    """One fold's training data as float arrays, its kernel scale and its
-    kernel matrix, with the checks of ``svm_train_folds``."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteFeature("training matrix contains non-finite values")
-    is_asd = y == LABEL_ASD
-    is_control = y == LABEL_CONTROL
-    if not np.all(is_asd | is_control):
-        raise ValueError(
-            f"labels must be LABEL_ASD ({LABEL_ASD}) or LABEL_CONTROL ({LABEL_CONTROL})"
-        )
-    if is_asd.all() or is_control.all():
-        raise SingleClass("need at least one example of each class")
-    if gamma is None:
-        gamma = gamma_scale(X)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        K = _kernel_matrix(X, X, gamma, coef0)
-    if not np.all(np.isfinite(K)):
-        raise NonFiniteFeature(f"kernel matrix is not finite at gamma={gamma!r}, coef0={coef0!r}")
-    return X, y, gamma, K
-
-
 def svm_train_folds(Xs, ys, C, gamma, coef0, tol, max_passes, seeds) -> list[SvmModel]:
-    """Solve F soft-margin duals by SMO in lockstep, fold f on Xs[f]
-    (n_f, d) and ys[f] (n_f,) with seeds[f]; returns the F models in fold
-    order.
-
-    Working pair: the maximal violator of the bias-free optimality gap,
-    paired with the partner maximizing the error difference (the classic
-    maximal-violating-pair rule), with a seeded-random fallback sweep when
-    that partner makes no progress. A fold stops when its gap drops below
-    ``tol``, when no pair can move, or after ``max_passes`` sweeps of its
-    own n; the folds that did not converge then warn in fold order, and
-    every model is returned anyway. Each fold's numbers are those of
-    solving it alone.
-
-    C, gamma and coef0 are checked by ``check_svm_params``; gamma None is
-    ``gamma_scale`` of each fold. Every label must be ``LABEL_ASD`` or
-    ``LABEL_CONTROL``; any other value, NaN included, is a ValueError, and
-    labels of one class only are ``SingleClass``. The labels are checked
-    with two boolean masks, not ``np.unique``, which on numpy >= 2 imports
-    all of ``numpy.ma`` on its first call. Folds are checked in fold order,
-    chunk by chunk, so the error raised is the one that training the folds
-    one after another would raise.
-    """
+    """``svm_train_stack`` on a list of F problems, fold f on Xs[f] (n_f,
+    d_f) and ys[f] (n_f,) with seeds[f]: each run of consecutive folds of
+    one width d is one zero-padded stack, trained in fold order."""
     check_svm_params(C, gamma, coef0)
-    seeds = list(seeds)
+    Xs = [np.asarray(X, dtype=float) for X in Xs]
     if not len(Xs) == len(ys) == len(seeds):
         raise ValueError("need one label vector and one seed per training matrix")
-    sizes = [len(y) for y in ys]
     models = []
-    start = 0
-    while start < len(sizes):
-        stop, n_max = start + 1, sizes[start]  # a chunk holds one fold at least
-        while stop < len(sizes):
-            n = max(n_max, sizes[stop])
-            if (stop + 1 - start) * n * n * 8 > SMO_STACK_BYTES:
-                break
-            stop, n_max = stop + 1, n
-        K = np.zeros((stop - start, n_max, n_max))
-        Y = np.zeros((stop - start, n_max))
-        fits = []  # (X, y, gamma) of each fold of the chunk
-        for r, f in enumerate(range(start, stop)):
-            X, y, fold_gamma, fold_K = _svm_problem(Xs[f], ys[f], gamma, coef0)
-            K[r, : sizes[f], : sizes[f]] = fold_K
-            Y[r, : sizes[f]] = y
-            fits.append((X, y, fold_gamma))
-        solved = _smo_lockstep(K, Y, sizes[start:stop], C, tol, max_passes, seeds[start:stop])
-        del K, Y, fold_K  # the models keep their support vectors only
-        for (X, y, fold_gamma), (alpha, m, M, gap) in zip(fits, solved):
+    for _d, run in itertools.groupby(range(len(Xs)), lambda f: Xs[f].shape[-1]):
+        run = list(run)
+        X = np.zeros((len(run), max(len(ys[f]) for f in run), Xs[run[0]].shape[-1]))
+        Y = np.zeros(X.shape[:2])
+        for r, f in enumerate(run):
+            X[r, : len(ys[f])], Y[r, : len(ys[f])] = Xs[f], ys[f]
+        models += svm_train_stack(X, Y, [len(ys[f]) for f in run], C, gamma, coef0, tol,
+                                  max_passes, [seeds[f] for f in run])
+    return models
+
+
+def build_slices(count: int, fold_bytes: int) -> list:
+    """Consecutive slices of ``count`` folds of ``fold_bytes`` each, as many
+    as fit in an eighth of ``SMO_STACK_BYTES`` (one at least): a build's
+    temporaries stay small next to the kernel stack, and are reused."""
+    step = max(1, SMO_STACK_BYTES // 8 // max(1, fold_bytes))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def svm_train_stack(X, Y, sizes, C, gamma, coef0, tol, max_passes, seeds) -> list[SvmModel]:
+    """Solve F soft-margin duals by SMO in lockstep, fold f on the first
+    sizes[f] rows of X[f] (n_max, d) and Y[f] (n_max,) with seeds[f];
+    returns the F models in fold order. Working pair: the maximal violator
+    of the bias-free optimality gap, paired with the partner maximizing
+    the error difference, with a seeded-random fallback sweep when that
+    partner makes no progress. A fold stops at gap ``tol``, when no pair
+    can move, or after ``max_passes`` sweeps of its own n; the folds that
+    did not converge warn in fold order. Each fold's numbers are those of
+    solving it alone. The folds are solved in chunks whose (folds x n_max
+    x n_max) float64 kernel stack fits in ``SMO_STACK_BYTES``; its padding
+    is 0 (with coef0 != 0 the kernel of a zero row is not). The kernel
+    scales (gamma None is ``gamma_scale`` of each fold) and kernels are
+    built in ``build_slices``, one stack per fold size. A fold's rows must
+    be finite, its labels ``LABEL_ASD`` or ``LABEL_CONTROL`` (else
+    ValueError, NaN included; checked by masks, as ``np.unique`` imports
+    ``numpy.ma``) and of both classes (else ``SingleClass``), and its
+    kernel finite. Each chunk is checked before it is solved, and the
+    first failing fold's first failing rule is raised, as a per-fold loop
+    would raise it.
+    """
+    check_svm_params(C, gamma, coef0)
+    X = np.asarray(X, dtype=float)
+    sizes = np.asarray(sizes, dtype=int)
+    seeds = list(seeds)
+    if not (X.ndim == 3 and np.shape(Y) == X.shape[:2] and len(sizes) == len(seeds) == len(X)):
+        raise ValueError("need X (F, n_max, d), Y (F, n_max), F sizes and F seeds")
+    n_max = X.shape[1]
+    rows = np.arange(n_max) < sizes[:, None]
+    Y = np.where(rows, Y, 0.0)  # a padding label, 0, never moves
+    models = []
+    step = max(1, SMO_STACK_BYTES // max(1, 8 * n_max * n_max))
+    for start in range(0, len(X), step):
+        chunk = slice(start, start + step)
+        Xc, Yc, nc, rc = X[chunk], Y[chunk], sizes[chunk], rows[chunk]
+        gammas = np.full(len(Xc), np.nan if gamma is None else float(gamma))
+        K = np.zeros((len(Xc), n_max, n_max))
+        for part in build_slices(len(Xc), Xc[0].nbytes):
+            # one stack per fold size: a product of padded rows need not
+            # give a fold's own bits (an empty fold is SingleClass below)
+            for n in sorted(set(nc[part].tolist()) - {0}):
+                same = part.start + (nc[part] == n).nonzero()[0]
+                Xn = Xc[same, :n]  # one array for both operands: numpy then calls syrk
+                with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                    if gamma is None:
+                        gammas[same] = gamma_scale(Xn)
+                    K[same, :n, :n] = _kernel_matrix(Xn, Xn, gammas[same, None, None], coef0)
+        is_asd, is_control = Yc == LABEL_ASD, Yc == LABEL_CONTROL
+        # each rule's failing folds, in the order a fold's checks run
+        failing = np.stack([
+            ~(np.isfinite(Xc).all(axis=2) | ~rc).all(axis=1),
+            ~(is_asd | is_control | ~rc).all(axis=1),
+            (is_asd | ~rc).all(axis=1) | (is_control | ~rc).all(axis=1),
+            ~np.isfinite(K).all(axis=(1, 2)),
+        ])
+        if failing.any():
+            f = failing.any(axis=0).argmax()
+            raise (NonFiniteFeature("training matrix contains non-finite values"),
+                   ValueError(f"labels must be LABEL_ASD ({LABEL_ASD}) or "
+                              f"LABEL_CONTROL ({LABEL_CONTROL})"),
+                   SingleClass("need at least one example of each class"),
+                   NonFiniteFeature(f"kernel matrix is not finite at gamma={gammas.item(f)!r}, "
+                                    f"coef0={coef0!r}"))[failing[:, f].argmax()]
+        solved = _smo_lockstep(K, Yc, nc.tolist(), C, tol, max_passes, seeds[chunk])
+        del K  # the models keep their support vectors only
+        for f, (alpha, m, M, gap) in enumerate(solved):
             b = (m + M) / 2.0 if math.isfinite(m) and math.isfinite(M) else 0.0
             worst = max(0.0, gap)
             converged = gap <= tol
             if not converged:
-                warnings.warn(
-                    f"SMO did not reach tol={tol}: max KKT violation {worst:.3e}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+                warnings.warn(f"SMO did not reach tol={tol}: max KKT violation {worst:.3e}",
+                              RuntimeWarning, stacklevel=2)
             sv = alpha > ALPHA_TOL
+            n = len(alpha)
             models.append(SvmModel(
-                support_vectors=X[sv],
-                dual_coef=(alpha * y)[sv],
-                bias=b,
-                gamma=fold_gamma,
-                coef0=coef0,
-                C=C,
-                converged=converged,
+                support_vectors=Xc[f, :n][sv], dual_coef=(alpha * Yc[f, :n])[sv], bias=b,
+                gamma=gammas.item(f), coef0=coef0, C=C, converged=converged,
                 final_kkt_violation=worst,
             ))
-        start = stop
     return models
 
 
@@ -271,10 +296,10 @@ def _smo_lockstep(K, Y, sizes, C: float, tol: float, max_passes: int, seeds):
     first-index argmin of G over ``up`` and argmax over ``low``, which give
     the gap and the maximal violating pair together. While two folds or
     more run, every fold whose pair takes the plain step is moved by
-    ``_plain_steps``, one elementwise pass over them. Any other fold, and a
-    fold running alone, runs ``_smo_row`` on its own rows for that
-    iteration: alone, the scalar step on Python floats is several times
-    faster than the pass's fixed numpy cost."""
+    ``_plain_steps``, one elementwise pass over them. Any other fold runs
+    ``_smo_row`` on its own rows, and a fold left running alone finishes in
+    its own scalar loop: alone, Python floats are several times faster
+    than the stack's fixed numpy cost."""
     n_folds = len(sizes)
     sizes = np.array(sizes)
     alpha = np.zeros(Y.shape)
@@ -284,10 +309,17 @@ def _smo_lockstep(K, Y, sizes, C: float, tol: float, max_passes: int, seeds):
     max_iter = max_passes * sizes
     it = np.zeros(n_folds, dtype=int)
     running = np.ones(n_folds, dtype=bool)
-    by_row = {}  # fold -> its _smo_row iteration, made on first use
+    by_row = {}  # fold -> its _smo_row (iterate, finish), made on first use
     solved = [None] * n_folds
     r = np.arange(n_folds)
-    while True:
+
+    def row(f):
+        n = sizes[f]
+        return by_row.get(f) or by_row.setdefault(f, _smo_row(
+            K[f, :n, :n], Y[f, :n], alpha[f, :n], G[f, :n], up[f, :n], low[f, :n], C, tol,
+            seeds[f]))
+
+    while running.sum() > 1:
         # gap m - M of the bias-free optimality conditions, <= 0 at the
         # exact optimum: m = max(-G[up]) at i, M = min(-G[low]) at j. A fold
         # that has stopped is computed with the others and then ignored.
@@ -303,24 +335,20 @@ def _smo_lockstep(K, Y, sizes, C: float, tol: float, max_passes: int, seeds):
             for f in stop.nonzero()[0].tolist():
                 solved[f] = (alpha[f, : sizes[f]], m.item(f), M.item(f), gap.item(f))
             running &= ~stop
-            if not running.any():
-                return solved
-        if running.sum() > 1:
-            plain = _plain_steps(K, Y, alpha, G, up, low, it, i, j, running & np.isfinite(gap), C)
-        else:
-            plain = np.zeros(n_folds, dtype=bool)
+            if running.sum() < 2:
+                break
+        plain = _plain_steps(K, Y, alpha, G, up, low, it, i, j, running & np.isfinite(gap), C)
         for f in (running & ~plain).nonzero()[0].tolist():
-            if f not in by_row:
-                n = sizes[f]
-                by_row[f] = _smo_row(K[f, :n, :n], Y[f, :n], alpha[f, :n], G[f, :n],
-                                     up[f, :n], low[f, :n], C, seeds[f])
-            if by_row[f](i.item(f), j.item(f)):
+            iterate, _finish = row(f)
+            if iterate(i.item(f), j.item(f)):
                 it[f] += 1
             else:  # no violating pair can move; stationary point
                 solved[f] = (alpha[f, : sizes[f]], m.item(f), M.item(f), gap.item(f))
                 running[f] = False
-        if not running.any():
-            return solved
+    for f in running.nonzero()[0].tolist():
+        _iterate, finish = row(f)
+        solved[f] = (alpha[f, : sizes[f]], *finish(it.item(f), max_iter.item(f)))
+    return solved
 
 
 def _plain_steps(K, Y, alpha, G, up, low, it, i, j, candidates, C: float):
@@ -361,15 +389,16 @@ def _plain_steps(K, Y, alpha, G, up, low, it, i, j, candidates, C: float):
     return plain
 
 
-def _smo_row(K, y, alpha, G, up, low, C: float, seed: int):
+def _smo_row(K, y, alpha, G, up, low, C: float, tol: float, seed: int):
     """One fold's SMO iteration with every route of the solver, on views of
     its rows of the lockstep stacks: the maximal violating pair, by the
     flat or concave branch if eta <= 1e-12, then the partner list, then
     the seeded sweep, whose generator, ``default_rng(seed)``, is made on
     its first use, since most fits never sweep. The pair arithmetic runs on
-    Python floats. Returns the iteration, which is called with the maximal
-    violating pair (i, j) that the lockstep loop found and returns False
-    when no violating pair can move."""
+    Python floats. Returns ``iterate(i, j)``, called with the maximal
+    violating pair that the lockstep loop found, False when no violating
+    pair can move, and ``finish(it, max_iter)``, which runs the fold alone
+    from step ``it`` to its stop and returns its (m, M, gap)."""
     n = len(y)
     labels = y.tolist()
     at_most = C - ALPHA_TOL
@@ -446,7 +475,20 @@ def _smo_row(K, y, alpha, G, up, low, C: float, seed: int):
         return (take_step(i, j) or try_violator(i, low.nonzero()[0])
                 or try_violator(j, up.nonzero()[0]))
 
-    return iterate
+    def finish(it, max_iter):
+        # the lockstep loop's gap, pair and stop rules on this fold's rows
+        while True:
+            up_idx, low_idx = up.nonzero()[0], low.nonzero()[0]
+            i = up_idx[G[up_idx].argmin()].item() if up_idx.size else 0
+            j = low_idx[G[low_idx].argmax()].item() if low_idx.size else 0
+            m = -G.item(i) if up_idx.size else -math.inf
+            M = -G.item(j) if low_idx.size else math.inf
+            gap = m - M
+            if it >= max_iter or gap <= tol or not iterate(i, j):
+                return m, M, gap
+            it += 1
+
+    return iterate, finish
 
 
 @dataclass

@@ -363,6 +363,40 @@ def oracle_stratified_folds(labels, folds, rng):
     return assignment
 
 
+def oracle_cv_fold_rows(config, y, tag, draw_X):
+    """The CV protocol of ``experiments`` as the per-fold loop it was
+    before its folds were stacked: for each repetition r, draw
+    ``draw_X(rng)`` and the folds from ``derive_rng(config.seed, *tag, r)``,
+    then for each fold one ``Standardizer`` fitted on its training rows,
+    one ``svm_train`` call with the next seed, and the decision values of
+    its test rows. Returns (rows, models): the fold rows (rep, fold,
+    accuracy, n_test, tp, tn, fp, fn) and the trained models, in fold
+    order."""
+    from gazescreen.core import derive_rng
+    from gazescreen.experiments import FOLDS, SVM_MAX_PASSES, SVM_TOL
+    from gazescreen.learn import LABEL_ASD, Standardizer, svm_train
+
+    rows, models = [], []
+    for rep in range(config.repetitions):
+        rng = derive_rng(config.seed, *tag, rep)
+        X = draw_X(rng)
+        assignment = oracle_stratified_folds(y, FOLDS, rng)
+        for fold in range(FOLDS):
+            test = assignment == fold
+            scaler = Standardizer().fit(X[~test])
+            model = svm_train(scaler.transform(X[~test]), y[~test], C=config.C,
+                              gamma=config.gamma, coef0=config.coef0, tol=SVM_TOL,
+                              max_passes=SVM_MAX_PASSES, seed=int(rng.integers(2**31)))
+            flagged = model.decision_value(scaler.transform(X[test])) > 0
+            asd = y[test] == LABEL_ASD
+            tp, fn = int(np.sum(flagged & asd)), int(np.sum(~flagged & asd))
+            tn, fp = int(np.sum(~flagged & ~asd)), int(np.sum(flagged & ~asd))
+            rows.append({"rep": rep, "fold": fold, "accuracy": (tp + tn) / int(test.sum()),
+                         "n_test": int(test.sum()), "tp": tp, "tn": tn, "fp": fp, "fn": fn})
+            models.append(model)
+    return rows, models
+
+
 def projected_gradient_qp(K, y, C, steps=20000, lr=None):
     """Slow projected-gradient ascent on the SVM dual.
 

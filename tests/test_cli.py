@@ -408,6 +408,26 @@ class TestEvaluate:
         digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == self.GOLDEN_REPORT_SHA256[mode]
 
+    # sha256 of report.json from `evaluate --reps 20 --seed 11 --svm-c 2
+    # --gamma 0.5 --coef0 1` on the 6 + 6 test cohort, recorded while every
+    # fold still built its own kernel. With coef0 != 0 the kernel of a zero
+    # padding row is not 0, so a stacked kernel must zero its padding.
+    GOLDEN_COEF0_REPORT_SHA256 = {
+        "aoi": "423100b1ddd35eba7bc131a4e651303f27df6b3ee40645e0e4314df7f2f0d3ce",
+        "noaoi": "8df3ccd3c193124c651fd35cd470f8f5eeffa305ab4e8d3187d89d024e4e159f",
+    }
+
+    @pytest.mark.parametrize("mode", ["aoi", "noaoi"])
+    def test_golden_report_coef0(self, runner, small_cohort_manifest, tmp_path, monkeypatch,
+                                 mode):
+        monkeypatch.chdir(Path(small_cohort_manifest).parent)
+        r = run(runner, "evaluate", "--manifest", "manifest.yaml", "--mode", mode,
+                "--reps", 20, "--seed", 11, "--svm-c", 2, "--gamma", 0.5, "--coef0", 1,
+                "--out", tmp_path)
+        assert r.exit_code == 0, r.output
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_COEF0_REPORT_SHA256[mode]
+
     def test_jobs_do_not_change_bytes(self, runner, small_cohort_manifest, tmp_path):
         for d, jobs in (("a", 1), ("b", 3)):
             r = run(runner, "evaluate", "--manifest", small_cohort_manifest,

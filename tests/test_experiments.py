@@ -123,7 +123,7 @@ class TestClassificationCv:
         participants, X = fake_cohort(rng, n_asd=6, n_control=4)
         silent = SvmModel(support_vectors=np.zeros((1, 2)), dual_coef=np.zeros(1),
                           bias=0.0, gamma=1.0, coef0=0.0)
-        monkeypatch.setattr(experiments, "svm_train_folds", lambda Xs, *a: [silent] * len(Xs))
+        monkeypatch.setattr(experiments, "svm_train_stack", lambda X, *a: [silent] * len(X))
         report = run_classification_cv(participants, X, CvConfig(seed=1, repetitions=2))
         for row in report.fold_rows:
             assert row["tp"] == row["fp"] == 0
@@ -295,24 +295,8 @@ def per_fold_rows(config, y, tag, draw_X, train_sizes):
     """The CV fold rows as one ``svm_train`` call per fold gives them, in
     the protocol's draw order; adds each training set's size to
     ``train_sizes``."""
-    rows = []
-    for rep in range(config.repetitions):
-        rng = derive_rng(config.seed, *tag, rep)
-        X = draw_X(rng)
-        assignment = stratified_folds(y, experiments.FOLDS, rng)
-        for fold in range(experiments.FOLDS):
-            test = assignment == fold
-            scaler = Standardizer().fit(X[~test])
-            model = svm_train(scaler.transform(X[~test]), y[~test], C=config.C,
-                              gamma=config.gamma, coef0=config.coef0, tol=experiments.SVM_TOL,
-                              seed=int(rng.integers(2**31)))
-            train_sizes.add(int((~test).sum()))
-            flagged = model.decision_value(scaler.transform(X[test])) > 0
-            asd = y[test] == LABEL_ASD
-            tp, fn = int(np.sum(flagged & asd)), int(np.sum(~flagged & asd))
-            tn, fp = int(np.sum(~flagged & ~asd)), int(np.sum(flagged & ~asd))
-            rows.append({"rep": rep, "fold": fold, "accuracy": (tp + tn) / int(test.sum()),
-                         "n_test": int(test.sum()), "tp": tp, "tn": tn, "fp": fp, "fn": fn})
+    rows, _models = oracles.oracle_cv_fold_rows(config, y, tag, draw_X)
+    train_sizes.update(len(y) - row["n_test"] for row in rows)
     return rows
 
 
@@ -353,3 +337,80 @@ class TestLockstepProtocols:
         ]
         assert summarized == want
         assert train_sizes == {4, 5}
+
+
+def model_bytes(model):
+    return (model.support_vectors.tobytes(), model.dual_coef.tobytes(),
+            np.float64(model.bias).tobytes(), np.float64(model.gamma).tobytes(),
+            model.converged, model.final_kkt_violation)
+
+
+class TestCvOracle:
+    """The stacked CV folds against ``oracles.oracle_cv_fold_rows``, one
+    ``Standardizer`` and one ``svm_train`` per fold: every fold row and
+    every trained model, byte for byte."""
+
+    @staticmethod
+    def trained_models(monkeypatch):
+        """The models of every ``svm_train_stack`` call the protocol makes."""
+        models = []
+        train = experiments.svm_train_stack
+
+        def record(*args):
+            got = train(*args)
+            models.extend(got)
+            return got
+
+        monkeypatch.setattr(experiments, "svm_train_stack", record)
+        return models
+
+    # (n_asd, n_control, d, C, gamma, coef0, a zero-variance column)
+    CASES = [
+        (4, 3, 3, 1.0, None, 0.0, True),
+        (4, 3, 1, 2.0, 0.5, 1.0, False),
+        (6, 5, 5, 0.5, None, 1.0, True),
+        (9, 4, 8, 10.0, 0.2, 0.0, False),
+        (7, 7, 20, 1.0, None, 1.0, True),
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_classification_cv(self, monkeypatch, case):
+        n_asd, n_control, d, C, gamma, coef0, flat = case
+        rng = np.random.default_rng(100 * n_asd + d)
+        participants = ([Participant(f"a{k}", Group.ASD) for k in range(n_asd)]
+                        + [Participant(f"c{k}", Group.CONTROL) for k in range(n_control)])
+        X = rng.normal(size=(len(participants), d)) * rng.uniform(0.1, 10.0, d)
+        X += rng.normal(0.0, 5.0, d)
+        if flat:
+            X[:, -1] = 2.5
+        config = CvConfig(seed=d, repetitions=6, C=C, gamma=gamma, coef0=coef0)
+        models = self.trained_models(monkeypatch)
+        report = run_classification_cv(participants, X, config)
+        y = experiments._labels([p.group for p in participants])
+        rows, want = oracles.oracle_cv_fold_rows(config, y, ("cv",), lambda rng: X)
+        assert report.fold_rows == rows
+        assert [model_bytes(m) for m in models] == [model_bytes(m) for m in want]
+        if (n_asd, n_control) == (4, 3):
+            assert {len(y) - row["n_test"] for row in rows} == {4, 5}  # padded folds
+
+    @pytest.mark.parametrize("mode, gamma", [(FeatureMode.WITH_AOI, None),
+                                             (FeatureMode.NO_AOI, 0.5)])
+    def test_duration_simulation(self, uneven_cohort, monkeypatch, mode, gamma):
+        # every repetition draws its own windows, so its own feature matrix
+        durations = [3.0, 9.0]
+        config = CvConfig(seed=24, repetitions=3, mode=mode, C=2.0, gamma=gamma, coef0=1.0)
+        models = self.trained_models(monkeypatch)
+        report = run_duration_simulation(uneven_cohort, durations, config)
+        y = experiments._labels([p.group for p in uneven_cohort.participants])
+        video_ids = list(uneven_cohort.video_order)
+        want = []
+        for d_idx, d in enumerate(durations):
+            rows, fold_models = oracles.oracle_cv_fold_rows(
+                config, y, ("duration", d_idx),
+                lambda rng, d=d: experiments._draw_windows(uneven_cohort, d, mode, rng, video_ids),
+            )
+            summary = experiments._summarize(rows)
+            assert report.rows[d_idx]["mean_acc"] == summary["mean_accuracy"]
+            assert report.rows[d_idx]["std_acc"] == summary["std_accuracy"]
+            want += fold_models
+        assert [model_bytes(m) for m in models] == [model_bytes(m) for m in want]

@@ -410,6 +410,27 @@ class TestSvmLockstep:
         assert svm_train_folds([], [], 1.0, None, 0.0, 1e-3, 1000, []) == []
 
 
+def test_kernel_stack_padding_is_zero(monkeypatch):
+    # with coef0 != 0 the kernel of a zero row is coef0**3, so the padding
+    # of a shorter fold must be zeroed, not computed
+    stacks = []
+    lockstep = learn._smo_lockstep
+
+    def record(K, Y, sizes, *args):
+        stacks.append((K.copy(), list(sizes)))
+        return lockstep(K, Y, sizes, *args)
+
+    monkeypatch.setattr(learn, "_smo_lockstep", record)
+    rng = np.random.default_rng(36)
+    Xs, ys = zip(*(blobs(rng, n_per_class=k) for k in (3, 5, 4)))
+    svm_train_folds(list(Xs), list(ys), 1.0, None, 1.0, 1e-3, 1000, [0, 1, 2])
+    [(K, sizes)] = stacks
+    assert sizes == [6, 10, 8]
+    for f, n in enumerate(sizes):
+        assert not K[f, n:].any() and not K[f, :, n:].any(), f
+        assert np.all(K[f, :n, :n] != 0.0), f
+
+
 class TestMlp:
     cfg = MlpConfig(hidden=20)
 
