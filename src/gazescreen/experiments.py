@@ -5,9 +5,9 @@ regression.
 Every protocol is deterministic given its config seed: per-repetition RNGs
 are derived from (root seed, tags), so no draw depends on another
 repetition's. A CV protocol draws every repetition's folds first, as a
-(folds x participants) stack of test masks; it standardises them as one
-(folds x participants x d) stack, trains all their SVMs in one lockstep
-``svm_train_stack`` call and counts their scores as boolean reductions
+(folds x participants) stack of test masks; it standardises them into
+(folds x participants x d) stacks, trains all their SVMs in one lockstep
+``svm_train_stacks`` call and counts their scores as boolean reductions
 over those masks. ``CvConfig.jobs`` (``--jobs``) is validated and has no
 effect.
 """
@@ -30,13 +30,13 @@ from .features import Window, extract_batch, require_aoi
 from .learn import (
     LABEL_ASD,
     LABEL_CONTROL,
+    SMO_STACK_BYTES,
     MlpConfig,
     Standardizer,
-    build_slices,
     check_svm_params,
     mlp_predict,
     mlp_train_folds,
-    svm_train_stack,
+    svm_train_stacks,
 )
 from .pipeline import Dataset
 
@@ -200,29 +200,36 @@ def _draw_folds(config: CvConfig, y, draws) -> tuple:
 
 def _score_folds(config: CvConfig, y, Xs, test, seeds) -> list:
     """One row per fold (rep, fold, accuracy, n_test, tp, tn, fp, fn) of
-    ``_draw_folds``' folds, all trained by one ``svm_train_stack`` call.
+    ``_draw_folds``' folds, all trained by one ``svm_train_stacks`` call.
     Each fold's rows, training rows first and then test rows (each in row
     order), are standardised by one masked fit over its training rows into
-    a (folds x participants x d) stack, built in ``build_slices``; the
+    (folds x participants x d) stacks of an eighth of ``SMO_STACK_BYTES``
+    each: small blocks reuse freed memory, where one block for all folds
+    would take fresh pages (about 1 MB more peak RSS on ``evaluate``). The
     counts are boolean reductions over (folds x participants) masks."""
     if not seeds:
         return []
     order = np.argsort(test, axis=1, kind="stable")
     sizes = len(y) - test.sum(axis=1)
     head = np.arange(len(y)) < sizes[:, None]  # the training rows, now first
-    Z = np.empty((*test.shape, Xs[0].shape[1]))
-    for k in build_slices(len(Z), Z[0].nbytes):
-        X = np.stack([Xs[f // FOLDS] for f in range(len(Z))[k]])
-        X = np.take_along_axis(X, order[k, :, None], axis=1)
-        Z[k] = Standardizer().fit(X, head[k]).transform(X)
     y = y[order]  # each fold's labels in its row order
-    n_max = int(sizes.max(initial=0))
-    models = svm_train_stack(Z[:, :n_max], y[:, :n_max], sizes, config.C, config.gamma,
-                             config.coef0, SVM_TOL, SVM_MAX_PASSES, seeds)
+    step = max(1, SMO_STACK_BYTES // 8 // (8 * test.shape[1] * Xs[0].shape[1]))
+    slices = [slice(start, start + step) for start in range(0, len(seeds), step)]
+    Zs = []
+    for k in slices:
+        X = np.stack([Xs[f // FOLDS] for f in range(len(seeds))[k]])
+        X = np.take_along_axis(X, order[k, :, None], axis=1)
+        Zs.append(Standardizer().fit(X, head[k]).transform(X))
+    n_max = int(sizes.max())
+    models = iter(svm_train_stacks(
+        [(Z[:, :n_max], y[k, :n_max], sizes[k]) for Z, k in zip(Zs, slices)],
+        config.C, config.gamma, config.coef0, SVM_TOL, SVM_MAX_PASSES, seeds,
+    ))
     flagged = np.zeros_like(test)
-    for f, (model, n) in enumerate(zip(models, sizes.tolist())):
-        # a decision value of exactly 0 is CONTROL, as in svm_predict
-        flagged[f, n:] = model.decision_value(Z[f, n:]) > 0
+    for Z, k in zip(Zs, slices):
+        for z, f in zip(Z, range(len(seeds))[k]):
+            # a decision value of exactly 0 is CONTROL, as in svm_predict
+            flagged[f, sizes[f]:] = next(models).decision_value(z[sizes[f]:]) > 0
     asd = y == LABEL_ASD
     counts = zip(*(m.sum(axis=1).tolist() for m in (
         flagged & asd, ~head & ~flagged & ~asd, flagged & ~asd, ~head & ~flagged & asd)))

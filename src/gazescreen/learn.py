@@ -5,9 +5,9 @@
 - SvmModel: soft-margin SVM with a third-degree polynomial kernel, trained
   by sequential minimal optimization (SMO) on the dual. Training runs F
   problems of any sizes (the folds of a cross-validation) in lockstep: their
-  rows, kernels, labels, alphas and error caches are (F, n_max[, n_max])
-  stacks, zero-padded; the checks, kernel scales and kernels are computed
-  per stack, and each iteration moves every fold whose working pair takes
+  rows come as stacks, checked and turned into kernels per stack; their
+  kernels, labels, alphas and error caches are (F, n_max[, n_max]) stacks,
+  zero-padded, and each iteration moves every fold whose working pair takes
   the plain step by one elementwise pass; a fold that needs another route
   takes the scalar SMO step on its own rows, and a fold left alone
   finishes in a scalar loop. One model is the case F = 1.
@@ -22,7 +22,6 @@ Everything is deterministic given a seed.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -49,7 +48,7 @@ ALPHA_TOL = 1e-12
 
 # the lockstep SMO solves its folds in chunks whose (folds x n_max x n_max)
 # float64 kernel stack fits in this many bytes (a chunk holds one fold at
-# least), built in build_slices
+# least)
 SMO_STACK_BYTES = 1 << 20
 
 
@@ -73,8 +72,7 @@ class Standardizer:
         flat = self.std <= 1e-12
         Z = X - self.mean
         Z /= np.where(flat, 1.0, self.std)
-        # zero-variance dimensions carry no information; map them to 0
-        np.copyto(Z, 0.0, where=flat)
+        np.copyto(Z, 0.0, where=flat)  # zero-variance dimensions carry no information
         return Z
 
 
@@ -164,87 +162,85 @@ def svm_train(
 
 
 def svm_train_folds(Xs, ys, C, gamma, coef0, tol, max_passes, seeds) -> list[SvmModel]:
-    """``svm_train_stack`` on a list of F problems, fold f on Xs[f] (n_f,
-    d_f) and ys[f] (n_f,) with seeds[f]: each run of consecutive folds of
-    one width d is one zero-padded stack, trained in fold order."""
-    check_svm_params(C, gamma, coef0)
-    Xs = [np.asarray(X, dtype=float) for X in Xs]
+    """``svm_train_stacks`` on a list of F problems, fold f on Xs[f] (n_f,
+    d_f) and ys[f] (n_f,) with seeds[f], each its own stack of one fold."""
     if not len(Xs) == len(ys) == len(seeds):
         raise ValueError("need one label vector and one seed per training matrix")
+    stacks = [(np.asarray(X, dtype=float)[None], np.asarray(y, dtype=float)[None], [len(y)])
+              for X, y in zip(Xs, ys)]
+    return svm_train_stacks(stacks, C, gamma, coef0, tol, max_passes, seeds)
+
+
+def svm_train_stacks(stacks, C, gamma, coef0, tol, max_passes, seeds) -> list[SvmModel]:
+    """Solve F soft-margin duals by SMO in lockstep; returns the F models in
+    fold order. ``stacks`` holds the folds, in order, in stacks (X, Y,
+    sizes): fold r of a stack trains on the first sizes[r] rows of X[r]
+    (n, d) and Y[r] (n,) with the next seed. The working pair is the
+    maximal violating pair, then the partner list, then a seeded sweep. A
+    fold stops at gap ``tol``, when no pair can move, or after
+    ``max_passes`` sweeps of its own n; folds that did not converge warn
+    in fold order. Each fold's numbers are those of solving it alone.
+
+    Consecutive stacks are solved together while their (folds x n x n)
+    float64 kernel stack, zero-padded, fits in ``SMO_STACK_BYTES``. Each
+    stack's kernel scales (``gamma_scale`` if gamma is None) and kernels
+    are built once per fold size, and it is checked once: a fold's rows
+    must be finite, its labels ``LABEL_ASD`` or ``LABEL_CONTROL`` (else
+    ValueError, NaN included) and of both classes (else ``SingleClass``),
+    and its kernel finite. The first failing fold's first failing rule is
+    raised, as a per-fold loop would raise it.
+    """
+    check_svm_params(C, gamma, coef0)
+    stacks = [(np.asarray(X, dtype=float), np.asarray(Y, dtype=float), np.asarray(n, dtype=int))
+              for X, Y, n in stacks]
+    seeds = list(seeds)
+    if sum(len(X) for X, _, _ in stacks) != len(seeds) or any(
+            X.ndim != 3 or Y.shape != X.shape[:2] or n.shape != X.shape[:1] for X, Y, n in stacks):
+        raise ValueError("need stacks of X (F, n, d), Y (F, n) and F sizes, and one seed per fold")
     models = []
-    for _d, run in itertools.groupby(range(len(Xs)), lambda f: Xs[f].shape[-1]):
-        run = list(run)
-        X = np.zeros((len(run), max(len(ys[f]) for f in run), Xs[run[0]].shape[-1]))
-        Y = np.zeros(X.shape[:2])
-        for r, f in enumerate(run):
-            X[r, : len(ys[f])], Y[r, : len(ys[f])] = Xs[f], ys[f]
-        models += svm_train_stack(X, Y, [len(ys[f]) for f in run], C, gamma, coef0, tol,
-                                  max_passes, [seeds[f] for f in run])
+    first = 0
+    while first < len(stacks):
+        last, count, n_max = first + 1, len(stacks[first][0]), stacks[first][0].shape[1]
+        while last < len(stacks):
+            n = max(n_max, stacks[last][0].shape[1])
+            if (count + len(stacks[last][0])) * n * n * 8 > SMO_STACK_BYTES:
+                break
+            last, count, n_max = last + 1, count + len(stacks[last][0]), n
+        models += _svm_solve(stacks[first:last], n_max, C, gamma, coef0, tol, max_passes,
+                             seeds[len(models) : len(models) + count])
+        first = last
     return models
 
 
-def build_slices(count: int, fold_bytes: int) -> list:
-    """Consecutive slices of ``count`` folds of ``fold_bytes`` each, as many
-    as fit in an eighth of ``SMO_STACK_BYTES`` (one at least): a build's
-    temporaries stay small next to the kernel stack, and are reused."""
-    step = max(1, SMO_STACK_BYTES // 8 // max(1, fold_bytes))
-    return [slice(start, start + step) for start in range(0, count, step)]
-
-
-def svm_train_stack(X, Y, sizes, C, gamma, coef0, tol, max_passes, seeds) -> list[SvmModel]:
-    """Solve F soft-margin duals by SMO in lockstep, fold f on the first
-    sizes[f] rows of X[f] (n_max, d) and Y[f] (n_max,) with seeds[f];
-    returns the F models in fold order. Working pair: the maximal violator
-    of the bias-free optimality gap, paired with the partner maximizing
-    the error difference, with a seeded-random fallback sweep when that
-    partner makes no progress. A fold stops at gap ``tol``, when no pair
-    can move, or after ``max_passes`` sweeps of its own n; the folds that
-    did not converge warn in fold order. Each fold's numbers are those of
-    solving it alone. The folds are solved in chunks whose (folds x n_max
-    x n_max) float64 kernel stack fits in ``SMO_STACK_BYTES``; its padding
-    is 0 (with coef0 != 0 the kernel of a zero row is not). The kernel
-    scales (gamma None is ``gamma_scale`` of each fold) and kernels are
-    built in ``build_slices``, one stack per fold size. A fold's rows must
-    be finite, its labels ``LABEL_ASD`` or ``LABEL_CONTROL`` (else
-    ValueError, NaN included; checked by masks, as ``np.unique`` imports
-    ``numpy.ma``) and of both classes (else ``SingleClass``), and its
-    kernel finite. Each chunk is checked before it is solved, and the
-    first failing fold's first failing rule is raised, as a per-fold loop
-    would raise it.
-    """
-    check_svm_params(C, gamma, coef0)
-    X = np.asarray(X, dtype=float)
-    sizes = np.asarray(sizes, dtype=int)
-    seeds = list(seeds)
-    if not (X.ndim == 3 and np.shape(Y) == X.shape[:2] and len(sizes) == len(seeds) == len(X)):
-        raise ValueError("need X (F, n_max, d), Y (F, n_max), F sizes and F seeds")
-    n_max = X.shape[1]
-    rows = np.arange(n_max) < sizes[:, None]
-    Y = np.where(rows, Y, 0.0)  # a padding label, 0, never moves
-    models = []
-    step = max(1, SMO_STACK_BYTES // max(1, 8 * n_max * n_max))
-    for start in range(0, len(X), step):
-        chunk = slice(start, start + step)
-        Xc, Yc, nc, rc = X[chunk], Y[chunk], sizes[chunk], rows[chunk]
-        gammas = np.full(len(Xc), np.nan if gamma is None else float(gamma))
-        K = np.zeros((len(Xc), n_max, n_max))
-        for part in build_slices(len(Xc), Xc[0].nbytes):
-            # one stack per fold size: a product of padded rows need not
-            # give a fold's own bits (an empty fold is SingleClass below)
-            for n in sorted(set(nc[part].tolist()) - {0}):
-                same = part.start + (nc[part] == n).nonzero()[0]
-                Xn = Xc[same, :n]  # one array for both operands: numpy then calls syrk
-                with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                    if gamma is None:
-                        gammas[same] = gamma_scale(Xn)
-                    K[same, :n, :n] = _kernel_matrix(Xn, Xn, gammas[same, None, None], coef0)
-        is_asd, is_control = Yc == LABEL_ASD, Yc == LABEL_CONTROL
+def _svm_solve(stacks, n_max, C, gamma, coef0, tol, max_passes, seeds) -> list[SvmModel]:
+    """Build, check and solve the folds of ``stacks`` in one kernel stack
+    (F, n_max, n_max); see ``svm_train_stacks``."""
+    sizes = np.concatenate([n for _, _, n in stacks])
+    K = np.zeros((len(sizes), n_max, n_max))
+    Y = np.zeros((len(sizes), n_max))  # a padding label, 0, never moves
+    gammas = np.full(len(sizes), np.nan if gamma is None else float(gamma))
+    start = 0
+    for X, Ys, ns in stacks:
+        k = slice(start, start + len(X))
+        rows = np.arange(X.shape[1]) < ns[:, None]
+        Y[k, : X.shape[1]] = np.where(rows, Ys, 0.0)
+        # one product per fold size: a product of padded rows need not give
+        # a fold's own bits (an empty fold is SingleClass below)
+        for n in sorted(set(ns.tolist()) - {0}):
+            same = start + (ns == n).nonzero()[0]
+            Xn = X[same - start, :n]  # one array for both operands: numpy then calls syrk
+            with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                if gamma is None:
+                    gammas[same] = gamma_scale(Xn)
+                K[same, :n, :n] = _kernel_matrix(Xn, Xn, gammas[same, None, None], coef0)
+        is_asd, is_control = Y[k] == LABEL_ASD, Y[k] == LABEL_CONTROL
+        pad = np.arange(n_max) >= ns[:, None]
         # each rule's failing folds, in the order a fold's checks run
         failing = np.stack([
-            ~(np.isfinite(Xc).all(axis=2) | ~rc).all(axis=1),
-            ~(is_asd | is_control | ~rc).all(axis=1),
-            (is_asd | ~rc).all(axis=1) | (is_control | ~rc).all(axis=1),
-            ~np.isfinite(K).all(axis=(1, 2)),
+            ~(np.isfinite(X).all(axis=2) | ~rows).all(axis=1),
+            ~(is_asd | is_control | pad).all(axis=1),
+            (is_asd | pad).all(axis=1) | (is_control | pad).all(axis=1),
+            ~np.isfinite(K[k]).all(axis=(1, 2)),
         ])
         if failing.any():
             f = failing.any(axis=0).argmax()
@@ -252,24 +248,27 @@ def svm_train_stack(X, Y, sizes, C, gamma, coef0, tol, max_passes, seeds) -> lis
                    ValueError(f"labels must be LABEL_ASD ({LABEL_ASD}) or "
                               f"LABEL_CONTROL ({LABEL_CONTROL})"),
                    SingleClass("need at least one example of each class"),
-                   NonFiniteFeature(f"kernel matrix is not finite at gamma={gammas.item(f)!r}, "
-                                    f"coef0={coef0!r}"))[failing[:, f].argmax()]
-        solved = _smo_lockstep(K, Yc, nc.tolist(), C, tol, max_passes, seeds[chunk])
-        del K  # the models keep their support vectors only
-        for f, (alpha, m, M, gap) in enumerate(solved):
-            b = (m + M) / 2.0 if math.isfinite(m) and math.isfinite(M) else 0.0
-            worst = max(0.0, gap)
-            converged = gap <= tol
-            if not converged:
-                warnings.warn(f"SMO did not reach tol={tol}: max KKT violation {worst:.3e}",
-                              RuntimeWarning, stacklevel=2)
-            sv = alpha > ALPHA_TOL
-            n = len(alpha)
-            models.append(SvmModel(
-                support_vectors=Xc[f, :n][sv], dual_coef=(alpha * Yc[f, :n])[sv], bias=b,
-                gamma=gammas.item(f), coef0=coef0, C=C, converged=converged,
-                final_kkt_violation=worst,
-            ))
+                   NonFiniteFeature(f"kernel matrix is not finite at "
+                                    f"gamma={gammas.item(start + f)!r}, coef0={coef0!r}"),
+                   )[failing[:, f].argmax()]
+        start = k.stop
+    solved = _smo_lockstep(K, Y, sizes.tolist(), C, tol, max_passes, seeds)
+    del K  # the models keep their support vectors only
+    models = []
+    fold_rows = (X[r] for X, _, _ in stacks for r in range(len(X)))
+    for f, (X, (alpha, m, M, gap)) in enumerate(zip(fold_rows, solved)):
+        b = (m + M) / 2.0 if math.isfinite(m) and math.isfinite(M) else 0.0
+        worst = max(0.0, gap)
+        converged = gap <= tol
+        if not converged:
+            warnings.warn(f"SMO did not reach tol={tol}: max KKT violation {worst:.3e}",
+                          RuntimeWarning, stacklevel=3)
+        sv = alpha > ALPHA_TOL
+        models.append(SvmModel(
+            support_vectors=X[: len(alpha)][sv], dual_coef=(alpha * Y[f, : len(alpha)])[sv],
+            bias=b, gamma=gammas.item(f), coef0=coef0, C=C, converged=converged,
+            final_kkt_violation=worst,
+        ))
     return models
 
 

@@ -123,7 +123,8 @@ class TestClassificationCv:
         participants, X = fake_cohort(rng, n_asd=6, n_control=4)
         silent = SvmModel(support_vectors=np.zeros((1, 2)), dual_coef=np.zeros(1),
                           bias=0.0, gamma=1.0, coef0=0.0)
-        monkeypatch.setattr(experiments, "svm_train_stack", lambda X, *a: [silent] * len(X))
+        monkeypatch.setattr(experiments, "svm_train_stacks",
+                            lambda stacks, *a: [silent] * sum(len(X) for X, _, _ in stacks))
         report = run_classification_cv(participants, X, CvConfig(seed=1, repetitions=2))
         for row in report.fold_rows:
             assert row["tp"] == row["fp"] == 0
@@ -352,16 +353,16 @@ class TestCvOracle:
 
     @staticmethod
     def trained_models(monkeypatch):
-        """The models of every ``svm_train_stack`` call the protocol makes."""
+        """The models of every ``svm_train_stacks`` call the protocol makes."""
         models = []
-        train = experiments.svm_train_stack
+        train = experiments.svm_train_stacks
 
         def record(*args):
             got = train(*args)
             models.extend(got)
             return got
 
-        monkeypatch.setattr(experiments, "svm_train_stack", record)
+        monkeypatch.setattr(experiments, "svm_train_stacks", record)
         return models
 
     # (n_asd, n_control, d, C, gamma, coef0, a zero-variance column)
