@@ -186,9 +186,10 @@ def svm_train_stacks(stacks, C, gamma, coef0, tol, max_passes, seeds) -> list[Sv
     stack's kernel scales (``gamma_scale`` if gamma is None) and kernels
     are built once per fold size, and it is checked once: a fold's rows
     must be finite, its labels ``LABEL_ASD`` or ``LABEL_CONTROL`` (else
-    ValueError, NaN included) and of both classes (else ``SingleClass``),
-    and its kernel finite. The first failing fold's first failing rule is
-    raised, as a per-fold loop would raise it.
+    ValueError, NaN included; checked by masks, as ``np.unique`` imports
+    ``numpy.ma``) and of both classes (else ``SingleClass``), and its
+    kernel finite. The first failing fold's first failing rule is raised,
+    as a per-fold loop would raise it.
     """
     check_svm_params(C, gamma, coef0)
     stacks = [(np.asarray(X, dtype=float), np.asarray(Y, dtype=float), np.asarray(n, dtype=int))
