@@ -213,7 +213,7 @@ def _score_folds(config: CvConfig, y, Xs, test, seeds) -> list:
     sizes = len(y) - test.sum(axis=1)
     head = np.arange(len(y)) < sizes[:, None]  # the training rows, now first
     y = y[order]  # each fold's labels in its row order
-    step = max(1, SMO_STACK_BYTES // 8 // (8 * test.shape[1] * Xs[0].shape[1]))
+    step = max(1, SMO_STACK_BYTES // 8 // max(1, 8 * test.shape[1] * Xs[0].shape[1]))
     slices = [slice(start, start + step) for start in range(0, len(seeds), step)]
     Zs = []
     for k in slices:
