@@ -23,6 +23,7 @@ from .experiments import (
     run_classification_cv,
     run_duration_simulation,
     run_severity_loocv,
+    scored_participants,
 )
 from .features import full_window
 from .learn import MlpConfig
@@ -76,6 +77,15 @@ def handles_errors(fn):
 
 def _parse_mode(mode: str) -> FeatureMode:
     return FeatureMode.WITH_AOI if mode == "aoi" else FeatureMode.NO_AOI
+
+
+def _load(manifest: str, config: CvConfig, select=None):
+    """The files ``config``'s protocol reads: the logs of its video (every
+    video with ``--video all``) and, with AOI features only, the AOI
+    tracks. ``select`` is as for ``load_dataset``."""
+    video = config.video_selection
+    return load_dataset(manifest, select, video_ids=None if video == "all" else [video],
+                        aoi=config.mode is FeatureMode.WITH_AOI)
 
 
 def _ensure_out(out: str) -> Path:
@@ -197,9 +207,8 @@ def features(manifest, mode, out):
 def evaluate(manifest, config, out):
     """Repeated stratified 3-fold classification CV."""
     out_path = _ensure_out(out)
-    dataset = load_dataset(manifest)
-    video = config.video_selection
-    X = extract_features(dataset, config.mode, video_ids=None if video == "all" else [video])
+    dataset = _load(manifest, config)
+    X = extract_features(dataset, config.mode)
     participants = dataset.participants
     # the CV phase reads only X and the participants: release the logs it
     # would otherwise hold while every fold's training data is allocated
@@ -230,7 +239,7 @@ def duration_curve(manifest, config, out, durations):
         raise ConfigError(f"bad --durations value {durations!r}") from None
     if not duration_list:
         raise ConfigError("no durations given")
-    dataset = load_dataset(manifest)
+    dataset = _load(manifest, config)
     report = run_duration_simulation(dataset, duration_list, config)
     _write_csv(
         out_path / "duration_curve.csv",
@@ -255,7 +264,7 @@ def severity(manifest, mode, seed, mlp_max_epochs, mlp_lr, out):
     out_path = _ensure_out(out)
     config = CvConfig(seed=seed, mode=_parse_mode(mode))
     mlp_cfg = MlpConfig(max_epochs=mlp_max_epochs, lr=mlp_lr)
-    dataset = load_dataset(manifest)
+    dataset = _load(manifest, config, select=scored_participants)
     X = extract_features(dataset, config.mode)
     participants = dataset.participants
     # the MLP phase reads only X and the participants: release the logs it

@@ -15,6 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 class Group(enum.Enum):
     ASD = "ASD"
@@ -84,8 +86,17 @@ def normalize_coordinates(raw_x, raw_y, meta: VideoMeta):
     return x, y, on_screen
 
 
+def check_seed(seed: int) -> None:
+    """Raise ``ConfigError`` unless ``seed`` lies in [0, 2**32): ``derive_rng``
+    keys its streams by 32 bits, so any other seed would give the streams
+    of one of these."""
+    if not 0 <= seed < 2**32:
+        raise ConfigError(f"seed must be in [0, 2**32), got {seed}")
+
+
 def derive_rng(root_seed: int, *tags) -> np.random.Generator:
-    """Deterministic sub-stream keyed by the root seed and tags."""
+    """Deterministic sub-stream keyed by the root seed (see ``check_seed``)
+    and tags."""
     parts = [int(root_seed) & 0xFFFFFFFF]
     for t in tags:
         if isinstance(t, str):

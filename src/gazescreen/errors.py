@@ -115,6 +115,10 @@ class DurationTooLong(ConfigError):
     pass
 
 
+class DurationTooShort(ConfigError):
+    pass
+
+
 class AoiNeverInAnyWindow(GazeScreenError):
     pass
 

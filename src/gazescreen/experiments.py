@@ -17,16 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMode, Group, derive_rng
+from .core import FeatureMode, Group, check_seed, derive_rng
 from .errors import (
     AoiNeverInAnyWindow,
     ConfigError,
     DurationTooLong,
+    DurationTooShort,
     MissingVideo,
     TooFewParticipants,
     TooFewPerClass,
 )
-from .features import Window, extract_batch, require_aoi
+from .features import Window, extract_batch, frame_range, require_aoi
 from .learn import (
     LABEL_ASD,
     LABEL_CONTROL,
@@ -74,6 +75,7 @@ class CvConfig:
     jobs: int = 1  # checked, no effect: every fold is trained in one call
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         check_svm_params(self.C, self.gamma, self.coef0)
@@ -274,9 +276,9 @@ def run_classification_cv(participants, X: np.ndarray, config: CvConfig) -> Clas
 def _check_structure(dataset: Dataset, mode: FeatureMode, video_ids) -> None:
     """Fail once, before any window is drawn, on what no window can fix: a
     participant without a gaze log of a video, or (with AOI) a video
-    without an AOI track. Once it passes, the rows of every stack are
-    ``dataset.participants``."""
-    for p in dataset.manifest.participants:
+    without an AOI track. Participants are checked in manifest order. Once
+    it passes, the rows of every stack are ``dataset.participants``."""
+    for p in dataset.manifest_order:
         for vid in video_ids:
             if (p.participant_id, vid) not in dataset.aligned:
                 raise MissingVideo(p.participant_id, vid)
@@ -318,11 +320,20 @@ def run_duration_simulation(
         if config.video_selection == "all"
         else [config.video_selection]
     )
-    min_duration = min(dataset.manifest.video_meta(v).duration_s for v in video_ids)
+    metas = [dataset.manifest.video_meta(v) for v in video_ids]
+    min_duration = min(m.duration_s for m in metas)
     for d in durations:
-        Window(0.0, d)  # a duration must make a valid window
+        w = Window(0.0, d)  # a duration must make a valid window
         if d > min_duration:
             raise DurationTooLong(f"{d}s exceeds shortest video ({min_duration}s)")
+        # a window that starts on a frame holds the most frames one of its
+        # length can; F2 needs 3 (two consecutive pairs)
+        for m in metas:
+            lo, hi = frame_range(w, m.fps, m.n_frames)
+            if hi - lo < 3:
+                raise DurationTooShort(
+                    f"a {d}s window holds at most {hi - lo} frames of {m.video_id!r}; "
+                    f"F2 needs 3")
     _check_structure(dataset, config.mode, video_ids)
     y = _labels([p.group for p in dataset.participants])
 
@@ -343,6 +354,16 @@ def run_duration_simulation(
     return DurationReport(config=cfg, rows=curve)
 
 
+def scored_participants(participants) -> list:
+    """The participants with a CARS score, in the given order: the ones the
+    severity protocol regresses over, and the ones whose logs ``severity``
+    loads. Fewer than 3 is ``TooFewParticipants``."""
+    scored = [p for p in participants if p.cars is not None]
+    if len(scored) < 3:
+        raise TooFewParticipants(f"need >= 3 scored participants, have {len(scored)}")
+    return scored
+
+
 def run_severity_loocv(
     participants, X: np.ndarray, config: CvConfig, mlp_config: MlpConfig | None = None
 ) -> SeverityReport:
@@ -353,10 +374,9 @@ def run_severity_loocv(
     from ``derive_rng(config.seed, "loocv", i)``. Every fold has the same
     shape, so all are trained at once by ``mlp_train_folds``."""
     X = _rows(participants, X)
-    scored = [r for r, p in enumerate(participants) if p.cars is not None]
-    if len(scored) < 3:
-        raise TooFewParticipants(f"need >= 3 scored participants, have {len(scored)}")
-    X, y = X[scored], np.array([participants[r].cars for r in scored], dtype=float)
+    scored = scored_participants(participants)
+    X = X[[p.cars is not None for p in participants]]
+    y = np.array([p.cars for p in scored], dtype=float)
     n = len(scored)
     # fold i: its training rows first, in row order, then row i
     order = np.argsort(np.eye(n, dtype=bool), axis=1, kind="stable")
@@ -370,9 +390,9 @@ def run_severity_loocv(
     seeds = [int(derive_rng(config.seed, "loocv", i).integers(2**31)) for i in range(n)]
     models = mlp_train_folds(Z[:, :-1], train_y - np.array(centers)[:, None], mlp_config, seeds)
     rows = []
-    for r, model, y_center, true, z in zip(scored, models, centers, y.tolist(), Z[:, -1]):
+    for p, model, y_center, true, z in zip(scored, models, centers, y.tolist(), Z[:, -1]):
         pred = y_center + mlp_predict(model, z)
-        rows.append({"participant_id": participants[r].participant_id, "true_cars": true,
+        rows.append({"participant_id": p.participant_id, "true_cars": true,
                      "predicted_cars": pred, "abs_err": abs(pred - true)})
     errs = np.array([r["abs_err"] for r in rows])
     return SeverityReport(

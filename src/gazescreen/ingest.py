@@ -574,8 +574,10 @@ def _unique_ids(what: str, ids: list[str]) -> set[str]:
     return seen
 
 
-# libyaml's parser where PyYAML was built with it; it builds the same objects
+# libyaml's parser and emitter where PyYAML was built with them; they build
+# the same objects and write the same text
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def load_yaml(path):

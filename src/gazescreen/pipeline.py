@@ -22,45 +22,69 @@ from .ingest import (
 
 @dataclass
 class Dataset:
-    """Everything parsed and frame-aligned, ready for feature extraction.
+    """Every file a protocol reads, parsed and frame-aligned, ready for
+    feature extraction.
 
-    ``participants`` (the manifest's, sorted by id) is the row order of
+    ``participants`` (the selected ones, sorted by id) is the row order of
     every feature matrix, and of every ``TraceStack`` once
-    ``experiments._check_structure`` has passed. ``manifest.participants``
-    keeps manifest order, for ``features.csv`` and the order of failures."""
+    ``experiments._check_structure`` has passed. ``manifest_order`` keeps
+    the manifest's order, for ``features.csv`` and the order of failures.
+    ``video_order`` is the selected videos in manifest order; ``aoi`` is
+    empty when no AOI track was read."""
 
     manifest: DatasetManifest
-    participants: tuple  # Participant, sorted by id
+    participants: tuple  # Participant, the selected ones, sorted by id
+    video_order: tuple  # video id, the selected ones, in manifest order
     aligned: dict  # (participant_id, video_id) -> AlignedTrace, columns are stack rows
     aoi: dict  # video_id -> AoiIndex, built once here and shared by every window
     stacks: dict  # video_id -> TraceStack of every participant with a log of it
     quality_warnings: list = field(default_factory=list)
 
     @property
-    def video_order(self):
-        return self.manifest.video_order
+    def manifest_order(self) -> tuple:
+        """``participants`` in the order the manifest lists them."""
+        selected = set(self.participants)
+        return tuple(p for p in self.manifest.participants if p in selected)
 
 
-def load_dataset(manifest_path) -> Dataset:
-    """Parse and align every declared file, stack each video's traces and
-    index its AOI track. Each ``AlignedTrace`` reads its columns from its
-    row of the video's read-only ``TraceStack``. Raises on the first hard
-    failure, including a gaze-log row whose participant id is not the log's
-    manifest key; low-coverage traces (below the soft threshold) are
-    recorded as warnings."""
+def load_dataset(manifest_path, select=None, video_ids=None, aoi: bool = True) -> Dataset:
+    """Load and check the whole manifest, then parse and align the files
+    that the selection names, stack each video's traces and index its AOI
+    track. With no selection every declared file is read.
+
+    ``select`` maps the manifest's participants (in manifest order) to
+    those whose gaze logs are read; it may raise, as
+    ``experiments.scored_participants`` does, before any log is opened.
+    ``video_ids`` limits the videos; an undeclared id is a ConfigError,
+    raised before any log is opened. ``aoi=False`` parses no AOI track. A
+    file outside the selection is never opened. Each file inside it gets
+    every check, and the first failure among those files is the one a full
+    load raises first: AOI tracks in manifest order, then gaze logs in
+    manifest order. That includes a gaze-log row whose participant id is
+    not the log's manifest key. Each ``AlignedTrace`` reads its columns
+    from its row of the video's read-only ``TraceStack``; low-coverage
+    traces (below the soft threshold) are recorded as warnings."""
     manifest = load_manifest(manifest_path)
-    participants = tuple(sorted(manifest.participants, key=lambda p: p.participant_id))
-    aoi = {vid: parse_aoi_track(path, manifest.video_meta(vid))
-           for vid, path in manifest.aoi_paths.items()}
+    if video_ids is not None:
+        for vid in video_ids:
+            manifest.video_meta(vid)  # raises ConfigError for an undeclared id
+    videos = tuple(v for v in manifest.video_order if video_ids is None or v in video_ids)
+    chosen = manifest.participants if select is None else select(manifest.participants)
+    participants = tuple(sorted(chosen, key=lambda p: p.participant_id))
+    pids = {p.participant_id for p in participants}
+    tracks = {vid: parse_aoi_track(path, manifest.video_meta(vid))
+              for vid, path in manifest.aoi_paths.items() if aoi and vid in videos}
     stacks = {}
-    for vid in manifest.video_order:
+    for vid in videos:
         meta = manifest.video_meta(vid)
-        pids = [p.participant_id for p in participants
+        rows = [p.participant_id for p in participants
                 if (p.participant_id, vid) in manifest.gaze_log_paths]
-        stacks[vid] = TraceStack(vid, meta.fps, pids, meta.n_frames)
+        stacks[vid] = TraceStack(vid, meta.fps, rows, meta.n_frames)
     aligned = {}
     warnings = []
     for (pid, vid), path in manifest.gaze_log_paths.items():
+        if pid not in pids or vid not in stacks:
+            continue
         meta = manifest.video_meta(vid)
         trace = parse_gaze_log(path, meta, participant_id=pid)
         at = align(trace, meta)
@@ -71,8 +95,8 @@ def load_dataset(manifest_path) -> Dataset:
         aligned[(pid, vid)] = stacks[vid].adopt(at)
     for stack in stacks.values():
         stack.freeze()
-    return Dataset(manifest=manifest, participants=participants, aligned=aligned, aoi=aoi,
-                   stacks=stacks, quality_warnings=warnings)
+    return Dataset(manifest=manifest, participants=participants, video_order=videos,
+                   aligned=aligned, aoi=tracks, stacks=stacks, quality_warnings=warnings)
 
 
 def extract_features(dataset: Dataset, mode: FeatureMode,
@@ -82,8 +106,8 @@ def extract_features(dataset: Dataset, mode: FeatureMode,
     video in ``video_ids`` order.
 
     ``video_ids`` restricts and orders the contributing videos (default:
-    manifest order). Raises the first failure that
-    ``collect_extraction_failures`` lists.
+    ``dataset.video_order``, the loaded videos). Raises the first failure
+    that ``collect_extraction_failures`` lists.
     """
     failures, rows = collect_extraction_failures(dataset, mode, video_ids)
     if failures:
@@ -99,8 +123,9 @@ def collect_extraction_failures(
     dataset: Dataset, mode: FeatureMode, video_ids: list | None = None
 ) -> tuple[list[tuple[str, str, GazeScreenError]], dict]:
     """Extract every (participant, video) on its full window, in
-    participant then video order, collecting every failure instead of
-    stopping at the first. ``video_ids`` is as for ``extract_features``.
+    participant (``dataset.manifest_order``) then video order, collecting
+    every failure instead of stopping at the first. ``video_ids`` is as
+    for ``extract_features``.
 
     Returns ``(failures, rows)``: ``failures`` holds
     (participant_id, video_id, error) triples, with ``MissingVideo`` for a
@@ -113,7 +138,7 @@ def collect_extraction_failures(
         dataset.manifest.video_meta(vid)  # raises ConfigError for an undeclared id
     failures = []
     rows = {}
-    for p in dataset.manifest.participants:
+    for p in dataset.manifest_order:
         for vid in order:
             key = (p.participant_id, vid)
             if key not in dataset.aligned:

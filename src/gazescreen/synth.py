@@ -26,9 +26,18 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .core import Group, Participant, VideoMeta, derive_rng
+from .core import Group, Participant, VideoMeta, check_seed, derive_rng
 from .errors import ConfigError, IoFailure
-from .ingest import AOI_HEADER, GAZE_HEADER, AoiIndex, _checked, _unique_ids, load_yaml, parse_video
+from .ingest import (
+    AOI_HEADER,
+    GAZE_HEADER,
+    YAML_DUMPER,
+    AoiIndex,
+    _checked,
+    _unique_ids,
+    load_yaml,
+    parse_video,
+)
 
 # CARS histogram of the 35-participant reference cohort (scores 30..39).
 CARS_HISTOGRAM = {30: 3, 31: 5, 32: 6, 33: 4, 34: 5, 35: 7, 36: 3, 37: 0, 38: 1, 39: 1}
@@ -144,6 +153,7 @@ class CohortSpec:
             raise ValueError("a cohort needs at least one video")
         # the files of a video are named by its id
         _unique_ids("video", [v.video_id for v in self.videos])
+        check_seed(self.seed)
 
 
 def load_cohort_spec(path, seed: int) -> CohortSpec:
@@ -539,7 +549,7 @@ def generate_cohort(spec: CohortSpec, out_dir) -> Path:
 
         manifest_path = out / "manifest.yaml"
         manifest_path.write_text(
-            yaml.safe_dump(manifest, sort_keys=False), encoding="utf-8"
+            yaml.dump(manifest, Dumper=YAML_DUMPER, sort_keys=False), encoding="utf-8"
         )
         config = {
             "seed": spec.seed,
@@ -550,7 +560,7 @@ def generate_cohort(spec: CohortSpec, out_dir) -> Path:
             "control_params": dataclasses.asdict(spec.control_params),
         }
         (out / "generator_config.yaml").write_text(
-            yaml.safe_dump(config, sort_keys=False), encoding="utf-8"
+            yaml.dump(config, Dumper=YAML_DUMPER, sort_keys=False), encoding="utf-8"
         )
     except OSError as e:
         raise IoFailure(f"failed writing dataset under {out}: {e}") from e
