@@ -80,9 +80,10 @@ def _parse_mode(mode: str) -> FeatureMode:
 
 
 def _load(manifest: str, config: CvConfig, select=None):
-    """The files ``config``'s protocol reads: the logs of its video (every
-    video with ``--video all``) and, with AOI features only, the AOI
-    tracks. ``select`` is as for ``load_dataset``."""
+    """The files ``config``'s protocol reads: the logs of its
+    ``video_selection`` (every video for "all") and, with AOI features
+    only, those videos' AOI tracks. ``select`` is as for
+    ``load_dataset``."""
     video = config.video_selection
     return load_dataset(manifest, select, video_ids=None if video == "all" else [video],
                         aoi=config.mode is FeatureMode.WITH_AOI)

@@ -27,7 +27,7 @@ from .errors import (
     TooFewParticipants,
     TooFewPerClass,
 )
-from .features import Window, extract_batch, frame_range, require_aoi
+from .features import Window, extract_batch, require_aoi
 from .learn import (
     LABEL_ASD,
     LABEL_CONTROL,
@@ -323,17 +323,18 @@ def run_duration_simulation(
     metas = [dataset.manifest.video_meta(v) for v in video_ids]
     min_duration = min(m.duration_s for m in metas)
     for d in durations:
-        w = Window(0.0, d)  # a duration must make a valid window
+        Window(0.0, d)  # a duration must make a valid window
         if d > min_duration:
             raise DurationTooLong(f"{d}s exceeds shortest video ({min_duration}s)")
-        # a window that starts on a frame holds the most frames one of its
-        # length can; F2 needs 3 (two consecutive pairs)
+        # A window shorter than 2 frame periods (d * fps < 2) holds at most 2
+        # frames wherever it starts, and F2 needs 3. The margin, frame_range's
+        # tolerance, is wider than the rounding of the window's ends, so
+        # frame_range also counts at most 2 frames in a rejected window.
         for m in metas:
-            lo, hi = frame_range(w, m.fps, m.n_frames)
-            if hi - lo < 3:
+            if d * m.fps <= 2 - 1e-9:
                 raise DurationTooShort(
-                    f"a {d}s window holds at most {hi - lo} frames of {m.video_id!r}; "
-                    f"F2 needs 3")
+                    f"a {d}s window holds at most 2 frames of {m.video_id!r} "
+                    f"({m.fps:g} fps); F2 needs 3")
     _check_structure(dataset, config.mode, video_ids)
     y = _labels([p.group for p in dataset.participants])
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import shutil
@@ -59,6 +60,40 @@ def dir_bytes(root):
         for p in root.rglob("*")
         if p.is_file()
     }
+
+
+def record_parsed_files(monkeypatch):
+    """The list of the gaze logs and AOI tracks that the pipeline parses
+    from now on, by file name."""
+    opened = []
+    for name in ("parse_gaze_log", "parse_aoi_track"):
+        def recording(path, *args, _parse=getattr(pipeline, name), **kwargs):
+            opened.append(Path(path).name)
+            return _parse(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, recording)
+    return opened
+
+
+# the files that corrupt_cohort breaks: a control viewer's log of one video,
+# and the AOI track of another
+CORRUPT_LOG = "ctl_000__car_pursuit.csv"
+CORRUPT_AOI = "ball_game.csv"
+
+
+def corrupt_cohort(manifest, dst, log=False, aoi=False):
+    """A copy of the cohort of ``manifest`` at ``dst`` with a bad number on
+    line 3 of ``CORRUPT_LOG`` (if ``log``) and of ``CORRUPT_AOI`` (if
+    ``aoi``); returns the copy's manifest path."""
+    copy = copy_cohort(manifest, dst)
+    victims = [dst / "logs" / CORRUPT_LOG] * log + [dst / "aoi" / CORRUPT_AOI] * aoi
+    for victim in victims:
+        lines = victim.read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split(",")
+        fields[3] = "oops"
+        lines[2] = ",".join(fields)
+        victim.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return copy
 
 
 class TestSynth:
@@ -461,12 +496,15 @@ class TestEvaluate:
         assert "Traceback" not in r.output
         assert not (tmp_path / "report.json").exists()
 
-    def test_unknown_video_exits_config(self, runner, small_cohort_manifest, tmp_path):
+    def test_unknown_video_exits_config(self, runner, small_cohort_manifest, tmp_path,
+                                        monkeypatch):
+        opened = record_parsed_files(monkeypatch)
         r = run(runner, "evaluate", "--manifest", small_cohort_manifest,
                 "--mode", "aoi", "--video", "ghost", "--seed", 1,
                 "--reps", 1, "--out", tmp_path)
         assert r.exit_code == EXIT_CONFIG
         assert "unknown video id 'ghost'" in r.output
+        assert opened == []  # checked before any file is parsed
 
     def test_bad_svm_c_exits_config_before_reading_the_manifest(self, runner, tmp_path):
         r = run(runner, "evaluate", "--manifest", tmp_path / "nope.yaml", "--seed", 1,
@@ -558,6 +596,20 @@ class TestDurationCurve:
                 "--reps", 1, "--out", tmp_path)
         assert r.exit_code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("durations", ["0.01", "1e-300", "3,0.05"])
+    def test_duration_too_short_for_f2_exits_config_before_any_draw(
+        self, runner, small_cohort_manifest, tmp_path, monkeypatch, durations
+    ):
+        draws = []
+        monkeypatch.setattr(experiments, "extract_batch", lambda *a: draws.append(a))
+        r = run(runner, "duration-curve", "--manifest", small_cohort_manifest,
+                "--mode", "noaoi", "--durations", durations, "--seed", 2,
+                "--reps", 1, "--out", tmp_path)
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert "holds at most 2 frames of 'car_pursuit' (30 fps); F2 needs 3" in r.output
+        assert "Traceback" not in r.output
+        assert not draws
+
     @pytest.mark.parametrize("durations", ["0", "-3", "nan", "inf"])
     def test_non_positive_or_non_finite_duration_exits_config(
         self, runner, small_cohort_manifest, tmp_path, durations
@@ -589,17 +641,50 @@ BAD_ARGUMENTS = [
     ("duration-curve", "--svm-c", "nan"),
     ("duration-curve", "--svm-c", "1e-12"),
     ("duration-curve", "--jobs", "0"),
+    # derive_rng keys its streams by 32 bits: any other seed would alias one
+    *((command, "--seed", seed)
+      for command in ("synth", "evaluate", "duration-curve", "severity")
+      for seed in ("-1", "4294967296")),
 ]
+
+
+def command_args(command, manifest, tmp_path):
+    """Arguments, without --out, of a short run of ``command`` that
+    succeeds on the cohort of ``manifest``."""
+    if command == "synth":
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("n_asd: 3\nn_control: 3\n", encoding="utf-8")
+        return ["--spec", spec, "--seed", 1]
+    args = ["--manifest", manifest, "--mode", "noaoi", "--seed", 1]
+    if command in ("evaluate", "duration-curve"):
+        args += ["--reps", 1]
+    if command == "duration-curve":
+        args += ["--durations", 3]
+    return args
 
 
 @pytest.mark.parametrize("command, flag, value", BAD_ARGUMENTS)
 def test_bad_argument_exits_config(runner, small_cohort_manifest, tmp_path, command, flag, value):
-    extra = ["--durations", "3"] if command == "duration-curve" else []
-    r = run(runner, command, "--manifest", small_cohort_manifest, "--mode", "noaoi",
-            "--seed", 1, "--reps", 1, *extra, flag, value, "--out", tmp_path)
+    out = tmp_path / "out"
+    r = run(runner, command, *command_args(command, small_cohort_manifest, tmp_path),
+            flag, value, "--out", out)
     assert r.exit_code == EXIT_CONFIG, r.output
+    assert "Usage:" not in r.output  # the value was rejected, not the option
     assert "Traceback" not in r.output
-    assert not (tmp_path / "report.json").exists()
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["synth", "evaluate", "duration-curve", "severity"])
+def test_largest_seed_is_accepted(runner, small_cohort_manifest, tmp_path, command):
+    out = tmp_path / "out"
+    r = run(runner, command, *command_args(command, small_cohort_manifest, tmp_path),
+            "--seed", 2**32 - 1, "--out", out)
+    assert r.exit_code == 0, r.output
+    if command == "synth":
+        config = yaml.safe_load((out / "generator_config.yaml").read_text(encoding="utf-8"))
+    else:
+        config = json.loads((out / "report.json").read_text(encoding="utf-8"))["run_config"]
+    assert config["seed"] == 2**32 - 1
 
 
 class TestSeverity:
@@ -665,16 +750,83 @@ class TestSeverity:
         assert "Traceback" not in output
         assert not (tmp_path / "severity_loocv.csv").exists()
 
-    def test_too_few_scored_exits_config(self, runner, tmp_path):
+    def test_too_few_scored_exits_config(self, runner, tmp_path, monkeypatch):
         spec = tmp_path / "spec.yaml"
         spec.write_text("n_asd: 1\nn_control: 3\n", encoding="utf-8")
         r = run(runner, "synth", "--spec", spec, "--seed", 1, "--out", tmp_path / "c")
         assert r.exit_code == 0, r.output
+        opened = record_parsed_files(monkeypatch)
         r = run(runner, "severity", "--manifest", tmp_path / "c" / "manifest.yaml",
                 "--mode", "aoi", "--seed", 1, "--out", tmp_path / "o")
         assert r.exit_code == EXIT_CONFIG
         assert "need >= 3 scored participants, have 1" in r.output
         assert not (tmp_path / "o" / "severity_loocv.csv").exists()
+        assert opened == []  # the rule is checked before any log is opened
+
+
+class TestSelection:
+    """A command parses only the files its protocol reads, so a broken file
+    outside them does not fail it; inside them every check still holds."""
+
+    # severity's AOI features read every AOI track, so only its noaoi run
+    # also gets the broken track
+    @pytest.mark.parametrize("mode, broken_aoi", [("aoi", False), ("noaoi", True)])
+    def test_severity_reads_no_control_log(self, runner, small_cohort_manifest, tmp_path,
+                                           monkeypatch, mode, broken_aoi):
+        manifest = corrupt_cohort(small_cohort_manifest, tmp_path / "broken", log=True,
+                                  aoi=broken_aoi)
+        monkeypatch.chdir(manifest.parent)
+        opened = record_parsed_files(monkeypatch)
+        r = run(runner, "severity", "--manifest", "manifest.yaml", "--mode", mode,
+                "--seed", 11, "--out", tmp_path / "out")
+        assert r.exit_code == 0, r.output
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                   for name in TestSeverity.GOLDEN_SHA256[mode]}
+        assert digests == TestSeverity.GOLDEN_SHA256[mode]
+        assert opened and not any(name.startswith("ctl_") for name in opened)
+
+    @pytest.mark.parametrize("command, args", [
+        ("evaluate", ["--reps", 2]),
+        ("duration-curve", ["--durations", "3,6", "--reps", 2]),
+    ])
+    def test_noaoi_run_reads_no_aoi_track(self, runner, small_cohort_manifest, tmp_path,
+                                          monkeypatch, command, args):
+        manifest = corrupt_cohort(small_cohort_manifest, tmp_path / "broken", aoi=True)
+        for cohort, out in ((Path(small_cohort_manifest).parent, "out-intact"),
+                            (manifest.parent, "out-broken")):
+            monkeypatch.chdir(cohort)
+            r = run(runner, command, "--manifest", "manifest.yaml", "--mode", "noaoi",
+                    "--seed", 5, *args, "--out", tmp_path / out)
+            assert r.exit_code == 0, r.output
+        assert dir_bytes(tmp_path / "out-broken") == dir_bytes(tmp_path / "out-intact")
+
+    def test_aoi_run_fails_on_the_broken_aoi_track(self, runner, small_cohort_manifest,
+                                                   tmp_path):
+        manifest = corrupt_cohort(small_cohort_manifest, tmp_path / "broken", aoi=True)
+        r = run(runner, "evaluate", "--manifest", manifest, "--mode", "aoi", "--seed", 5,
+                "--reps", 1, "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        assert f"{CORRUPT_AOI}:3: bad x_min_px: 'oops'" in r.output
+
+    @pytest.mark.parametrize("video, fails", [("all", True), ("car_pursuit", True),
+                                              ("dialog", False)])
+    def test_evaluate_reads_the_logs_of_its_videos(self, runner, small_cohort_manifest,
+                                                   tmp_path, monkeypatch, video, fails):
+        manifest = corrupt_cohort(small_cohort_manifest, tmp_path / "broken", log=True)
+
+        def evaluate(cohort, out):
+            monkeypatch.chdir(cohort)
+            return run(runner, "evaluate", "--manifest", "manifest.yaml", "--video", video,
+                       "--seed", 5, "--reps", 2, "--out", tmp_path / out)
+
+        r = evaluate(manifest.parent, "out-broken")
+        if fails:
+            assert r.exit_code == EXIT_PIPELINE, r.output
+            assert f"{CORRUPT_LOG}:3: bad video_ts_ms: 'oops'" in r.output
+        else:
+            assert r.exit_code == 0, r.output
+            assert evaluate(Path(small_cohort_manifest).parent, "out-intact").exit_code == 0
+            assert dir_bytes(tmp_path / "out-broken") == dir_bytes(tmp_path / "out-intact")
 
 
 def test_cv_commands_share_their_options():

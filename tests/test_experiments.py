@@ -4,8 +4,10 @@ import pytest
 from gazescreen import experiments
 from gazescreen.core import FeatureMode, Group, Participant
 from gazescreen.errors import (
+    AoiNeverInAnyWindow,
     ConfigError,
     DurationTooLong,
+    DurationTooShort,
     TooFewParticipants,
     TooFewPerClass,
 )
@@ -17,6 +19,7 @@ from gazescreen.experiments import (
     run_severity_loocv,
     stratified_folds,
 )
+from gazescreen.features import Window, extract_batch, frame_range
 from gazescreen.learn import LABEL_ASD, MlpConfig, Standardizer, SvmModel, svm_train
 from gazescreen.pipeline import extract_features, load_dataset
 from gazescreen.synth import CohortSpec, generate_cohort
@@ -49,6 +52,20 @@ class TestDeriveRng:
         c = derive_rng(7, "duration", 3).random(5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("make", [lambda seed: CvConfig(seed=seed),
+                                      lambda seed: CohortSpec(seed=seed)],
+                             ids=["CvConfig", "CohortSpec"])
+    def test_seeds_that_would_alias_are_rejected(self, make):
+        # the streams are keyed by 32 bits of the seed
+        for seed in (7, 2**32 - 5):
+            assert np.array_equal(derive_rng(seed, "cv").random(3),
+                                  derive_rng(seed + 2**32, "cv").random(3))
+        for seed in (-1, -5, 2**32, 2**32 + 7, 10**23):
+            with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*32\)"):
+                make(seed)
+        for seed in (0, 2**32 - 1):
+            assert make(seed).seed == seed
 
 
 class TestStratifiedFolds:
@@ -273,6 +290,63 @@ class TestDurationSimulation:
         with pytest.raises(ConfigError, match="exceeds shortest video") as exc:
             run_duration_simulation(small_cohort, [too_long], CvConfig(seed=0, repetitions=1))
         assert isinstance(exc.value, DurationTooLong)
+
+    def test_shortest_duration_is_just_under_two_frame_periods(self, small_cohort, monkeypatch):
+        config = CvConfig(seed=1, repetitions=1, mode=FeatureMode.NO_AOI)
+
+        class Drawn(Exception):
+            pass
+
+        def drawn(*args):
+            raise Drawn
+
+        def rejected(d):
+            try:
+                run_duration_simulation(small_cohort, [d], config)
+            except DurationTooShort:
+                return True
+            except Drawn:  # accepted: the protocol started drawing windows
+                return False
+
+        # the largest rejected and the smallest accepted duration, by
+        # bisection over floats: one frame period is rejected, three accepted
+        fps = {small_cohort.manifest.video_meta(v).fps for v in small_cohort.video_order}
+        assert fps == {30.0}
+        lo, hi = 1 / 30, 3 / 30
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "extract_batch", drawn)
+            assert rejected(lo) and not rejected(hi)
+            while lo < (mid := lo + (hi - lo) / 2) < hi:
+                lo, hi = (mid, hi) if rejected(mid) else (lo, mid)
+        assert hi == np.nextafter(lo, 1.0)
+        assert 2 - 2e-9 < lo * 30 < hi * 30 < 2  # just under 2 frame periods
+
+        # brute force: no start of the largest rejected duration gives a
+        # window of 3 frames, neither at or next to a frame's time (where
+        # frame_range rounds) nor at a start the protocol would draw
+        rng = np.random.default_rng(0)
+        for vid in small_cohort.video_order:
+            stack = small_cohort.stacks[vid]
+            latest = small_cohort.manifest.video_meta(vid).duration_s - lo
+            starts = set(rng.uniform(0.0, latest, 2000).tolist())
+            for k in range(stack.n_frames):
+                for base in (k / 30, (k + 1e-9) / 30):
+                    starts.update(np.nextafter(base, np.array([0.0, 1e9])).tolist())
+                    starts.add(base)
+                starts.update(((k + j * 1e-10) / 30 for j in range(-20, 21)))
+            counts = {}
+            for s in starts:
+                if 0.0 <= s < latest:
+                    first, end = frame_range(Window(s, lo), stack.fps, stack.n_frames)
+                    counts[s] = end - first
+            assert max(counts.values()) == 2
+            for s in sorted(counts)[::50]:
+                assert not extract_batch(stack, None, Window(s, lo), config.mode)[1].any()
+
+        # the smallest accepted duration runs; a window this short is still
+        # never usable, so every draw fails, as it did before the check
+        with pytest.raises(AoiNeverInAnyWindow):
+            run_duration_simulation(small_cohort, [hi], config)
 
     @pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
     def test_same_seed_same_rows(self, small_cohort, mode):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import yaml
 
-from gazescreen import experiments
+from gazescreen import experiments, pipeline
 from gazescreen.core import FeatureMode
 from gazescreen.errors import ConfigError, InsufficientData, MissingVideo, NonFiniteFeature
-from gazescreen.experiments import CvConfig, run_duration_simulation
+from gazescreen.experiments import CvConfig, run_duration_simulation, scored_participants
 from gazescreen.features import Window, extract, extract_batch, full_window
 from gazescreen.ingest import AoiIndex
 from gazescreen.pipeline import collect_extraction_failures, extract_features, load_dataset
@@ -107,6 +107,50 @@ def test_rows_follow_sorted_ids_whatever_the_manifest_order(
     failures, _ = collect_extraction_failures(broken, FeatureMode.NO_AOI)
     assert [(pid, vid, type(e)) for pid, vid, e in failures] == [
         (pids[0], first, MissingVideo), (pids[1], first, InsufficientData)]
+
+
+@pytest.mark.parametrize("select, video_ids, aoi", [
+    (scored_participants, None, True),  # severity
+    (None, ["dialog"], True),  # evaluate --video dialog
+    (None, None, False),  # --mode noaoi
+    (scored_participants, ["case_exchange", "dialog"], False),
+])
+def test_selected_load_parses_only_the_selected_files(
+    small_cohort, small_cohort_manifest, monkeypatch, select, video_ids, aoi
+):
+    parsed = []
+    for name in ("parse_gaze_log", "parse_aoi_track"):
+        def recording(path, *args, _parse=getattr(pipeline, name), **kwargs):
+            parsed.append(path)
+            return _parse(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, recording)
+    dataset = load_dataset(small_cohort_manifest, select, video_ids, aoi)
+
+    manifest = small_cohort.manifest
+    chosen = manifest.participants if select is None else select(manifest.participants)
+    videos = [v for v in manifest.video_order if video_ids is None or v in video_ids]
+    pids = [p.participant_id for p in chosen]
+    expected = [manifest.aoi_paths[vid] for vid in videos if aoi]
+    expected += [path for (pid, vid), path in manifest.gaze_log_paths.items()
+                 if pid in pids and vid in videos]
+    assert parsed == expected  # each once, AOI tracks first, as a full load would
+    assert dataset.participants == tuple(p for p in small_cohort.participants if p in chosen)
+    assert dataset.manifest_order == tuple(chosen)
+    assert dataset.video_order == tuple(videos)
+    assert sorted(dataset.aoi) == (sorted(videos) if aoi else [])
+    assert sorted(dataset.stacks) == sorted(videos)
+
+    # every selected row is the full load's, bit for bit
+    rows = [small_cohort.participants.index(p) for p in dataset.participants]
+    for vid, stack in dataset.stacks.items():
+        full = small_cohort.stacks[vid]
+        assert stack.participant_ids == tuple(full.participant_ids[r] for r in rows)
+        for name in ("present", "x", "y", "gap"):
+            assert getattr(stack, name).tobytes() == getattr(full, name)[rows].tobytes()
+    mode = FeatureMode.WITH_AOI if aoi else FeatureMode.NO_AOI
+    want = extract_features(small_cohort, mode, videos)[rows]
+    assert extract_features(dataset, mode).tobytes() == want.tobytes()
 
 
 def test_non_finite_window_feature_fails_without_redraw(small_cohort, monkeypatch):
