@@ -20,6 +20,7 @@ from .core import FeatureMode
 from .errors import ConfigError, GazeScreenError, IoFailure
 from .experiments import (
     CvConfig,
+    cv_participants,
     run_classification_cv,
     run_duration_simulation,
     run_severity_loocv,
@@ -79,11 +80,12 @@ def _parse_mode(mode: str) -> FeatureMode:
     return FeatureMode.WITH_AOI if mode == "aoi" else FeatureMode.NO_AOI
 
 
-def _load(manifest: str, config: CvConfig, select=None):
+def _load(manifest: str, config: CvConfig, select):
     """The files ``config``'s protocol reads: the logs of its
     ``video_selection`` (every video for "all") and, with AOI features
     only, those videos' AOI tracks. ``select`` is as for
-    ``load_dataset``."""
+    ``load_dataset``: the protocol's participant rule, checked before any
+    log is opened."""
     video = config.video_selection
     return load_dataset(manifest, select, video_ids=None if video == "all" else [video],
                         aoi=config.mode is FeatureMode.WITH_AOI)
@@ -181,7 +183,7 @@ def features(manifest, mode, out):
     """Extract full-video features to features.csv."""
     out_path = _ensure_out(out)
     fmode = _parse_mode(mode)
-    dataset = load_dataset(manifest)
+    dataset = load_dataset(manifest, aoi=fmode is FeatureMode.WITH_AOI)
     failures, values = collect_extraction_failures(dataset, fmode)
     if failures:
         for pid, vid, error in failures:
@@ -208,7 +210,7 @@ def features(manifest, mode, out):
 def evaluate(manifest, config, out):
     """Repeated stratified 3-fold classification CV."""
     out_path = _ensure_out(out)
-    dataset = _load(manifest, config)
+    dataset = _load(manifest, config, cv_participants)
     X = extract_features(dataset, config.mode)
     participants = dataset.participants
     # the CV phase reads only X and the participants: release the logs it
@@ -240,7 +242,7 @@ def duration_curve(manifest, config, out, durations):
         raise ConfigError(f"bad --durations value {durations!r}") from None
     if not duration_list:
         raise ConfigError("no durations given")
-    dataset = _load(manifest, config)
+    dataset = _load(manifest, config, cv_participants)
     report = run_duration_simulation(dataset, duration_list, config)
     _write_csv(
         out_path / "duration_curve.csv",
@@ -265,7 +267,7 @@ def severity(manifest, mode, seed, mlp_max_epochs, mlp_lr, out):
     out_path = _ensure_out(out)
     config = CvConfig(seed=seed, mode=_parse_mode(mode))
     mlp_cfg = MlpConfig(max_epochs=mlp_max_epochs, lr=mlp_lr)
-    dataset = _load(manifest, config, select=scored_participants)
+    dataset = _load(manifest, config, scored_participants)
     X = extract_features(dataset, config.mode)
     participants = dataset.participants
     # the MLP phase reads only X and the participants: release the logs it

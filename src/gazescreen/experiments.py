@@ -143,26 +143,33 @@ class SeverityReport(_Report):
     reference: dict = field(default_factory=lambda: dict(HUMAN_STUDY_REFERENCE))
 
 
-def stratified_folds(labels: list[int], folds: int, rng: np.random.Generator) -> np.ndarray:
-    """Deal each class round-robin into folds after a seeded shuffle.
+def _class_members(labels, folds: int):
+    """Yield the positions of each class in ``labels``, classes in
+    ascending order. Reaching a class with fewer than ``folds`` members
+    raises TooFewPerClass.
 
-    Returns a fold index per position in ``labels``. Fold class counts
-    deviate from exact proportionality by at most one per class.
-
-    Classes are dealt in ascending order, each with one ``rng.permutation``
-    draw. They come from ``sorted(set(...))`` rather than ``np.unique``,
+    Classes come from ``sorted(set(...))`` rather than ``np.unique``,
     which on numpy >= 2 imports all of ``numpy.ma`` on its first call (a
     fixed cost of about 15 ms per process).
     """
     labels = np.asarray(labels)
-    assignment = np.full(len(labels), -1, dtype=int)
-    start = 0  # rotate the deal between classes so leftovers spread out
     for cls in sorted(set(labels.tolist())):
         members = np.nonzero(labels == cls)[0]
         if len(members) < folds:
-            raise TooFewPerClass(
-                f"class {cls} has {len(members)} members, need >= {folds}"
-            )
+            raise TooFewPerClass(f"class {cls} has {len(members)} members, need >= {folds}")
+        yield members
+
+
+def stratified_folds(labels: list[int], folds: int, rng: np.random.Generator) -> np.ndarray:
+    """Deal each class round-robin into folds after a seeded shuffle.
+
+    Returns a fold index per position in ``labels``. Fold class counts
+    deviate from exact proportionality by at most one per class. Classes
+    are dealt in ascending order, each with one ``rng.permutation`` draw.
+    """
+    assignment = np.full(len(labels), -1, dtype=int)
+    start = 0  # rotate the deal between classes so leftovers spread out
+    for members in _class_members(labels, folds):
         members = members[rng.permutation(len(members))]
         assignment[members] = (start + np.arange(len(members))) % folds
         start = (start + len(members)) % folds
@@ -353,6 +360,16 @@ def run_duration_simulation(
     cfg = config.to_dict()
     cfg["durations"] = list(durations)
     return DurationReport(config=cfg, rows=curve)
+
+
+def cv_participants(participants) -> list:
+    """``participants``, in the given order: the ones the CV protocols
+    classify, and the ones whose logs ``evaluate`` and ``duration-curve``
+    load. A group with fewer than ``FOLDS`` members is the
+    ``TooFewPerClass`` of ``stratified_folds``, raised before any log is
+    opened."""
+    list(_class_members(_labels([p.group for p in participants]), FOLDS))
+    return list(participants)
 
 
 def scored_participants(participants) -> list:

@@ -6,26 +6,28 @@ File formats (all UTF-8 CSV with a header row):
   gaze log:  participant_id,video_id,wall_ts_ms,video_ts_ms,x_px,y_px,valid
   AOI track: video_id,frame_index,object_id,x_min_px,y_min_px,x_max_px,y_max_px
 
-A gaze log is parsed straight into numpy columns (``GazeTrace``) by one
-of two readers. A file in the plain subset (the exact header, printable
-ASCII lines ended by LF, no quotes, 7 fields on every non-blank line, one
-participant and one video id, one-byte 0/1 flags) has its numbers read by
-``np.loadtxt``'s C parser. Every other file, and every file ``loadtxt``
-rejects, falls back to the ``csv`` row-rule reader; both readers give the
-same columns bit for bit. Every per-row rule is one vectorized mask, the
-checks on the numbers run once on either reader's columns, and the first
-row that fails any rule is reported with its ``path:line``. A byte that
-is not UTF-8 is a ``MalformedRow`` at its line. ``align`` maps the
-columns onto video frames (``AlignedTrace``), and a ``TraceStack`` holds
-every aligned trace of one video as the rows of (participants x frames)
-arrays.
+A gaze log is parsed straight into numpy columns (``GazeTrace``). Two
+fast readers only accept a file or decline it. A file in the plain subset
+(the exact header, printable ASCII lines ended by LF, no quotes, 7 fields
+on every non-blank line, one participant and one video id, one-byte 0/1
+flags) has its numbers read by ``np.loadtxt``'s C parser; any other file
+is read into columns by ``csv``, and declined if a row fails its field
+count, an id or its flag, or holds a number ``float`` rejects. Both give
+the same columns bit for bit, and one vectorized check accepts or
+declines their numbers. A declined log goes to ``_first_bad_row``, a row
+loop and the one place that raises a gaze-row error: it names the first
+row that fails a rule, with its ``path:line``, and the first rule that row
+fails. A byte that is not UTF-8 is a ``MalformedRow`` at its line.
+``align`` maps the columns onto video frames (``AlignedTrace``), and a
+``TraceStack`` holds every aligned trace of one video as the rows of
+(participants x frames) arrays.
 
 An AOI track is read row by row; ``parse_aoi_track`` is the one place that
 checks its rules, and it returns the track as an ``AoiIndex``: per-object,
 per-frame arrays of the normalized boxes, plus their occurrences. The AOI
-track and the row-rule gaze reader share one ``csv`` reader, ``_csv_rows``,
-which checks the header, skips blank rows and numbers each row by its
-first file line.
+track and the gaze reader share one ``csv`` reader, ``_csv_rows``, which
+checks the header, skips blank rows and numbers each row by its first
+file line.
 
 The manifest is a YAML tree; see ``load_manifest`` for the schema. A
 cohort spec's videos are read by the same ``parse_video``.
@@ -37,7 +39,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 import yaml
@@ -246,43 +248,14 @@ def _decode(path, data: bytes) -> str:
         raise MalformedRow(path, line_no, f"invalid UTF-8 byte 0x{data[e.start]:02x}") from None
 
 
-def _differs(values: tuple, expected: str) -> np.ndarray:
-    """Mask of the entries of ``values`` that are not ``expected``; one
-    C-level count settles the usual case where none differ."""
-    n = len(values)
-    if values.count(expected) == n:
-        return np.zeros(n, dtype=bool)
-    return np.fromiter(map(expected.__ne__, values), dtype=bool, count=n)
-
-
-_NUMBER_COLUMNS = GAZE_HEADER[2:6]
-# Every rule a gaze-log row must pass, in the order it is checked.
-_GAZE_RULES = (
-    "fields", "video id", "participant id",
-    *(f"{kind} {what}" for what in _NUMBER_COLUMNS for kind in ("bad", "non-finite")),
-    "valid", "wall order", "video order", "negative wall", "negative video",
-)
-
-
-@dataclass(frozen=True)
-class _GazeColumns:
-    """A gaze log's data rows as columns, before the checks on their
-    numbers. ``checks`` maps each rule its reader tested to (mask of the
-    rows failing it, error for the row at line ln and index k)."""
-
-    participant_id: str
-    numbers: np.ndarray  # float (4, n_rows): wall, video, x_px, y_px; NaN where unparsable
-    tracker_valid: np.ndarray  # bool (n_rows,)
-    line_no: np.ndarray  # int (n_rows,), the first file line of each row
-    checks: dict
-
-
 _PLAIN_HEADER = (",".join(GAZE_HEADER) + "\n").encode()
 
 
 def _plain_columns(data: bytes, video_id: str, participant_id: Optional[str]):
-    """The columns of a gaze log in the plain subset, read by numpy's C
-    parser; None for any other file.
+    """The (participant id, numbers, flags) of a gaze log in the plain
+    subset, read by numpy's C parser; None for any other file. ``numbers``
+    is (4, n_rows): wall, video, x_px, y_px; ``flags`` is the tracker's
+    valid flag of each row.
 
     Plain: the exact header line; printable ASCII lines ended by LF, with
     no ``"``; at least one data row; every non-blank line has 7 fields (6
@@ -290,7 +263,7 @@ def _plain_columns(data: bytes, video_id: str, participant_id: Optional[str]):
     id, else the first row's); a one-byte 0/1 flag; four numbers that
     ``np.loadtxt`` reads. ``loadtxt`` and ``float`` both convert with
     ``PyOS_string_to_double``, and in this subset ``loadtxt`` accepts no
-    text that ``float`` rejects, so the values are the row-rule path's bit
+    text that ``float`` rejects, so the values are ``_csv_columns``' bit
     for bit. Such a file passes every rule up to the flag.
     """
     if not (data.startswith(_PLAIN_HEADER) and data.isascii()) or b'"' in data:
@@ -329,7 +302,7 @@ def _plain_columns(data: bytes, video_id: str, participant_id: Optional[str]):
         return None
     if numbers.shape != (len(rows), 4):  # a blank line loadtxt kept would misalign the flags
         return None
-    return _GazeColumns(pid, numbers.T.copy(), tracker_valid, rows + 2, {})
+    return pid, numbers.T.copy(), tracker_valid
 
 
 def _csv_rows(path, data: bytes, header: list[str]) -> tuple[list, list]:
@@ -351,52 +324,71 @@ def _csv_rows(path, data: bytes, header: list[str]) -> tuple[list, list]:
     return rows, lines
 
 
-def _row_rule_columns(path, data: bytes, video_id: str,
-                      participant_id: Optional[str]) -> _GazeColumns:
-    """The columns of any gaze log, read row by row with ``csv``; raises
-    for a bad header or a log without rows, and returns the masks of the
-    rows failing each rule up to the flag."""
-    rows, lines = _csv_rows(path, data, GAZE_HEADER)
-    if not rows:
-        raise EmptyLog(path)
-    line = np.array(lines)
-    n_fields = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-
-    width_bad = n_fields != len(GAZE_HEADER)
-    if width_bad.any():
-        # the columns must line up; a filled-in row has failed its first check
-        filler = [""] * len(GAZE_HEADER)
-        rows = [filler if bad else row for row, bad in zip(rows, width_bad)]
-    pids, vids, *numeric_raw, flags_raw = zip(*rows, strict=True)
+def _csv_columns(rows: list, video_id: str, participant_id: Optional[str]):
+    """The (participant id, numbers, flags) of a gaze log's csv rows, as
+    ``_plain_columns`` gives them; None when any row fails the field
+    count, the video id, the participant id (``participant_id``, else the
+    first row's) or the 0/1 flag, or has a number ``float`` rejects."""
+    if set(map(len, rows)) != {len(GAZE_HEADER)}:
+        return None
+    pids, vids, *numbers, flags = zip(*rows)
+    pid = pids[0] if participant_id is None else participant_id
     n = len(rows)
-    expected_pid = pids[0] if participant_id is None else participant_id
-    checks = {
-        "fields": (width_bad, lambda ln, k: MalformedRow(
-            path, ln, f"expected {len(GAZE_HEADER)} fields, got {n_fields[k]}")),
-        "video id": (_differs(vids, video_id), lambda ln, k: MalformedRow(
-            path, ln, f"video id {vids[k]!r} does not match {video_id!r}")),
-        "participant id": (_differs(pids, expected_pid), lambda ln, k: MalformedRow(
-            path, ln, f"participant id {pids[k]!r} does not match {expected_pid!r}")),
-    }
-    numbers = np.full((4, n), math.nan)
-    for what, raw, values in zip(_NUMBER_COLUMNS, numeric_raw, numbers):
-        unparsed = np.zeros(n, dtype=bool)
-        try:
-            values[:] = list(map(float, raw))
-        except ValueError:
-            for i, text in enumerate(raw):
-                try:
-                    values[i] = float(text)
-                except ValueError:
-                    unparsed[i] = True
-        checks[f"bad {what}"] = (unparsed, lambda ln, k, what=what, raw=raw: MalformedRow(
-            path, ln, f"bad {what}: {raw[k]!r}"))
-    flags = list(map(str.strip, flags_raw))
-    tracker_valid = np.fromiter(map("1".__eq__, flags), dtype=bool, count=n)
-    flag_zero = np.fromiter(map("0".__eq__, flags), dtype=bool, count=n)
-    checks["valid"] = (~(tracker_valid | flag_zero), lambda ln, k: MalformedRow(
-        path, ln, f"valid must be 0 or 1, got {flags_raw[k]!r}"))
-    return _GazeColumns(expected_pid, numbers, tracker_valid, line, checks)
+    if pids.count(pid) != n or vids.count(video_id) != n:
+        return None
+    flags = list(map(str.strip, flags))
+    if flags.count("1") + flags.count("0") != n:
+        return None
+    try:
+        numbers = np.array([list(map(float, column)) for column in numbers])
+    except ValueError:
+        return None
+    return pid, numbers, np.fromiter(map("1".__eq__, flags), dtype=bool, count=n)
+
+
+def _numbers_pass(numbers: np.ndarray) -> bool:
+    """Whether a gaze log's (4, n_rows) numbers pass every rule on them:
+    all finite, wall time strictly increasing, video time non-decreasing,
+    both non-negative."""
+    wall, video = numbers[0], numbers[1]
+    return bool(np.isfinite(numbers).all() and (wall[1:] > wall[:-1]).all()
+                and (video[1:] >= video[:-1]).all() and numbers[:2].min() >= 0)
+
+
+def _first_bad_row(path, rows: list, lines: list, video_id: str,
+                   participant_id: Optional[str]) -> NoReturn:
+    """Raise the error of the first of a gaze log's csv ``rows`` that
+    fails a rule, for the first rule it fails, at its first file line
+    (``lines``). The rules, in order: field count, video id, participant
+    id (``participant_id`` if given, else the first row's), the four
+    numbers (each parsable, then finite), a 0/1 valid flag, strictly
+    increasing wall time, non-decreasing video time, non-negative wall and
+    video time. This is the only code that raises a gaze-row error; it
+    runs once a fast check has declined the log."""
+    pid = rows[0][0] if participant_id is None else participant_id
+    prev_wall = prev_video = -math.inf
+    for row, line_no in zip(rows, lines):
+        if len(row) != len(GAZE_HEADER):
+            raise MalformedRow(path, line_no, f"expected {len(GAZE_HEADER)} fields, got {len(row)}")
+        row_pid, vid, *numbers, flag = row
+        if vid != video_id:
+            raise MalformedRow(path, line_no, f"video id {vid!r} does not match {video_id!r}")
+        if row_pid != pid:
+            raise MalformedRow(path, line_no, f"participant id {row_pid!r} does not match {pid!r}")
+        wall, video, _, _ = [_parse_float(text, path, line_no, what)
+                             for text, what in zip(numbers, GAZE_HEADER[2:6])]
+        if flag.strip() not in ("0", "1"):
+            raise MalformedRow(path, line_no, f"valid must be 0 or 1, got {flag!r}")
+        if wall <= prev_wall:
+            raise NonMonotonicTimestamp(path, line_no)
+        if video < prev_video:
+            raise MalformedRow(path, line_no, "video_ts_ms decreases")
+        if wall < 0:
+            raise MalformedRow(path, line_no, "negative wall_ts_ms")
+        if video < 0:
+            raise MalformedRow(path, line_no, "negative video_ts_ms")
+        prev_wall, prev_video = wall, video
+    raise AssertionError(f"{path}: a fast check declined a log whose rows pass every rule")
 
 
 def parse_gaze_log(path, meta: VideoMeta, participant_id: Optional[str] = None) -> GazeTrace:
@@ -406,55 +398,36 @@ def parse_gaze_log(path, meta: VideoMeta, participant_id: Optional[str] = None) 
     Rows flagged invalid by the tracker, or whose coordinates fall off
     screen, are kept with valid=False. Blank rows are skipped but still
     count towards line numbers, and a row whose quoted field spans lines is
-    numbered by its first line. Each row must pass, in this order: field
-    count, video id, participant id (``participant_id`` if given, else the
-    first row's), the four numbers (parsable and finite, column by
-    column), a 0/1 valid flag, strictly increasing wall time,
-    non-decreasing video time, non-negative wall and video time. The error
-    names the first failing row and the first rule it fails.
+    numbered by its first line. Each row must pass the rules that
+    ``_first_bad_row`` lists, in its order; the error names the first
+    failing row and the first rule it fails.
 
-    A file in the plain subset (``_plain_columns``) is read by numpy's C
-    parser, any other file by the ``csv`` row-rule path. The checks on the
-    numbers run once, on the columns either path gives.
+    The fast checks only accept or decline. A file in the plain subset is
+    read by ``_plain_columns`` with numpy's C parser, any other file (and
+    a plain one whose numbers fail) by ``_csv_columns``; ``_numbers_pass``
+    checks the numbers of either. A log that the ``csv`` reader declines
+    goes to ``_first_bad_row``, which raises its error.
     """
     path = Path(path)
     data = path.read_bytes()
     columns = _plain_columns(data, meta.video_id, participant_id)
-    if columns is None:
-        columns = _row_rule_columns(path, data, meta.video_id, participant_id)
-    wall, video, x_px, y_px = columns.numbers
-    line = columns.line_no
-    checks = dict(columns.checks)
-    for what, values in zip(_NUMBER_COLUMNS, columns.numbers):
-        checks[f"non-finite {what}"] = (~np.isfinite(values), lambda ln, k, what=what:
-                                        MalformedRow(path, ln, f"non-finite {what}"))
-    n = len(line)
-    wall_back = np.zeros(n, dtype=bool)
-    video_back = np.zeros(n, dtype=bool)
-    wall_back[1:] = wall[1:] <= wall[:-1]
-    video_back[1:] = video[1:] < video[:-1]
-    checks["wall order"] = (wall_back, lambda ln, k: NonMonotonicTimestamp(path, ln))
-    checks["video order"] = (video_back, lambda ln, k: MalformedRow(
-        path, ln, "video_ts_ms decreases"))
-    checks["negative wall"] = (wall < 0, lambda ln, k: MalformedRow(
-        path, ln, "negative wall_ts_ms"))
-    checks["negative video"] = (video < 0, lambda ln, k: MalformedRow(
-        path, ln, "negative video_ts_ms"))
-    failed = np.logical_or.reduce([mask for mask, _ in checks.values()])
-    if failed.any():
-        k = int(failed.argmax())
-        raise next(checks[rule][1](int(line[k]), k) for rule in _GAZE_RULES
-                   if rule in checks and checks[rule][0][k])
-
+    if columns is None or not _numbers_pass(columns[1]):
+        rows, lines = _csv_rows(path, data, GAZE_HEADER)
+        if not rows:
+            raise EmptyLog(path)
+        columns = _csv_columns(rows, meta.video_id, participant_id)
+        if columns is None or not _numbers_pass(columns[1]):
+            _first_bad_row(path, rows, lines, meta.video_id, participant_id)
+    pid, (wall, video, x_px, y_px), tracker_valid = columns
     x, y, on_screen = normalize_coordinates(x_px, y_px, meta)
     return GazeTrace(
-        participant_id=columns.participant_id,
+        participant_id=pid,
         video_id=meta.video_id,
         wall_ts=wall,
         video_ts=video,
         x=x,
         y=y,
-        valid=columns.tracker_valid & on_screen,
+        valid=tracker_valid & on_screen,
     )
 
 

@@ -800,6 +800,35 @@ class TestSelection:
             assert r.exit_code == 0, r.output
         assert dir_bytes(tmp_path / "out-broken") == dir_bytes(tmp_path / "out-intact")
 
+    def test_noaoi_features_read_no_aoi_track(self, runner, small_cohort_manifest, tmp_path):
+        manifest = corrupt_cohort(small_cohort_manifest, tmp_path / "broken", aoi=True)
+        for cohort, out in ((Path(small_cohort_manifest).parent, "out-intact"),
+                            (manifest.parent, "out-broken")):
+            r = run(runner, "features", "--manifest", cohort / "manifest.yaml",
+                    "--mode", "noaoi", "--out", tmp_path / out)
+            assert r.exit_code == 0, r.output
+        assert dir_bytes(tmp_path / "out-broken") == dir_bytes(tmp_path / "out-intact")
+        r = run(runner, "features", "--manifest", manifest, "--mode", "aoi",
+                "--out", tmp_path / "out-aoi")
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        assert f"{CORRUPT_AOI}:3: bad x_min_px: 'oops'" in r.output
+
+    @pytest.mark.parametrize("command, args", [
+        ("evaluate", ["--reps", 2]),
+        ("duration-curve", ["--durations", "3,6", "--reps", 2]),
+    ])
+    def test_too_few_per_class_opens_no_log(self, runner, tmp_path, monkeypatch, command, args):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("n_asd: 2\nn_control: 3\n", encoding="utf-8")
+        r = run(runner, "synth", "--spec", spec, "--seed", 1, "--out", tmp_path / "c")
+        assert r.exit_code == 0, r.output
+        opened = record_parsed_files(monkeypatch)
+        r = run(runner, command, "--manifest", tmp_path / "c" / "manifest.yaml", "--seed", 1,
+                *args, "--out", tmp_path / "o")
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert "error: class 1 has 2 members, need >= 3" in r.output
+        assert opened == []  # the rule is checked before any log is opened
+
     def test_aoi_run_fails_on_the_broken_aoi_track(self, runner, small_cohort_manifest,
                                                    tmp_path):
         manifest = corrupt_cohort(small_cohort_manifest, tmp_path / "broken", aoi=True)

@@ -365,9 +365,14 @@ class TestParseGazeOracle:
             lines = random_gaze_lines(rng, int(rng.integers(1, 30)))
             for _ in range(int(rng.integers(1, 4))):
                 lines = corrupt(rng, lines)
-            p.write_text("\n".join([",".join(GAZE_HEADER), *lines]) + "\n", encoding="utf-8")
+            text = "\n".join([",".join(GAZE_HEADER), *lines]) + "\n"
+            p.write_text(text, encoding="utf-8")
             # the expected participant: the first row's, the manifest's, or another
             pid = [None, None, None, "p7", "q9"][trial % 5]
+            # with CRLF line ends the same log takes the csv column reader
+            crlf = tmp_path / f"g{trial}-crlf.csv"
+            crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+            assert_parses_as_oracle(crlf, pid)
             _, want = parse_or_error(oracles.oracle_parse_gaze_log, p, pid)
             _, got = parse_or_error(parse_gaze_log, p, pid)
             if want is None:
@@ -401,6 +406,24 @@ class TestParseGazeOracle:
                 slow = parse_gaze_log(p, META)
             assert_same_trace(fast, slow)
         assert plain >= 50
+
+    def test_valid_logs_never_reach_the_locator(self, tmp_path, monkeypatch):
+        def locator(*args):
+            raise AssertionError("a valid log reached _first_bad_row")
+
+        monkeypatch.setattr(ingest, "_first_bad_row", locator)
+        rng = np.random.default_rng(37)
+        plain = 0
+        for trial in range(40):
+            flags = ("1", "1", "1", "0", " 1", "0 ") if trial % 2 else ("1", "0")
+            lines = random_gaze_lines(rng, int(rng.integers(1, 80)), flags)
+            text = "\n".join([",".join(GAZE_HEADER), *lines]) + "\n"
+            for name, ends in (("lf", "\n"), ("crlf", "\r\n")):
+                p = tmp_path / f"g{trial}-{name}.csv"
+                p.write_bytes(text.replace("\n", ends).encode("utf-8"))
+                plain += ingest._plain_columns(p.read_bytes(), META.video_id, None) is not None
+                assert_parses_as_oracle(p)
+        assert plain >= 15
 
     def test_header_and_blank_lines_only_is_empty(self, tmp_path):
         p = tmp_path / "g.csv"
