@@ -20,13 +20,14 @@ from .core import FeatureMode
 from .errors import ConfigError, GazeScreenError, IoFailure
 from .experiments import (
     CvConfig,
-    cv_participants,
+    cv_plan,
     run_classification_cv,
     run_duration_simulation,
     run_severity_loocv,
-    scored_participants,
+    severity_plan,
 )
 from .features import full_window
+from .ingest import load_manifest
 from .learn import MlpConfig
 from .pipeline import collect_extraction_failures, extract_features, load_dataset
 from .synth import CohortSpec, generate_cohort, load_cohort_spec
@@ -78,17 +79,6 @@ def handles_errors(fn):
 
 def _parse_mode(mode: str) -> FeatureMode:
     return FeatureMode.WITH_AOI if mode == "aoi" else FeatureMode.NO_AOI
-
-
-def _load(manifest: str, config: CvConfig, select):
-    """The files ``config``'s protocol reads: the logs of its
-    ``video_selection`` (every video for "all") and, with AOI features
-    only, those videos' AOI tracks. ``select`` is as for
-    ``load_dataset``: the protocol's participant rule, checked before any
-    log is opened."""
-    video = config.video_selection
-    return load_dataset(manifest, select, video_ids=None if video == "all" else [video],
-                        aoi=config.mode is FeatureMode.WITH_AOI)
 
 
 def _ensure_out(out: str) -> Path:
@@ -210,7 +200,7 @@ def features(manifest, mode, out):
 def evaluate(manifest, config, out):
     """Repeated stratified 3-fold classification CV."""
     out_path = _ensure_out(out)
-    dataset = _load(manifest, config, cv_participants)
+    dataset = load_dataset(**cv_plan(load_manifest(manifest), config))
     X = extract_features(dataset, config.mode)
     participants = dataset.participants
     # the CV phase reads only X and the participants: release the logs it
@@ -242,7 +232,7 @@ def duration_curve(manifest, config, out, durations):
         raise ConfigError(f"bad --durations value {durations!r}") from None
     if not duration_list:
         raise ConfigError("no durations given")
-    dataset = _load(manifest, config, cv_participants)
+    dataset = load_dataset(**cv_plan(load_manifest(manifest), config, duration_list))
     report = run_duration_simulation(dataset, duration_list, config)
     _write_csv(
         out_path / "duration_curve.csv",
@@ -267,7 +257,7 @@ def severity(manifest, mode, seed, mlp_max_epochs, mlp_lr, out):
     out_path = _ensure_out(out)
     config = CvConfig(seed=seed, mode=_parse_mode(mode))
     mlp_cfg = MlpConfig(max_epochs=mlp_max_epochs, lr=mlp_lr)
-    dataset = _load(manifest, config, scored_participants)
+    dataset = load_dataset(**severity_plan(load_manifest(manifest), config))
     X = extract_features(dataset, config.mode)
     participants = dataset.participants
     # the MLP phase reads only X and the participants: release the logs it

@@ -1,6 +1,7 @@
 """Experiment protocols: repeated stratified k-fold classification,
 the random-window duration simulation, and leave-one-out severity
-regression.
+regression, and the plans (``cv_plan``, ``severity_plan``) that check
+their manifest-only rules and select their files before any is opened.
 
 Every protocol is deterministic given its config seed: per-repetition RNGs
 are derived from (root seed, tags), so no draw depends on another
@@ -27,7 +28,7 @@ from .errors import (
     TooFewParticipants,
     TooFewPerClass,
 )
-from .features import Window, extract_batch, require_aoi
+from .features import Window, extract_batch
 from .learn import (
     LABEL_ASD,
     LABEL_CONTROL,
@@ -280,20 +281,6 @@ def run_classification_cv(participants, X: np.ndarray, config: CvConfig) -> Clas
                                 **_summarize(fold_rows))
 
 
-def _check_structure(dataset: Dataset, mode: FeatureMode, video_ids) -> None:
-    """Fail once, before any window is drawn, on what no window can fix: a
-    participant without a gaze log of a video, or (with AOI) a video
-    without an AOI track. Participants are checked in manifest order. Once
-    it passes, the rows of every stack are ``dataset.participants``."""
-    for p in dataset.manifest_order:
-        for vid in video_ids:
-            if (p.participant_id, vid) not in dataset.aligned:
-                raise MissingVideo(p.participant_id, vid)
-    if mode is FeatureMode.WITH_AOI:
-        for vid in video_ids:
-            require_aoi(dataset.stacks[vid], dataset.aoi.get(vid))
-
-
 def _draw_windows(dataset: Dataset, duration: float, mode: FeatureMode, rng, video_ids):
     """One shared window per video, redrawn (up to 100 times) until every
     participant's features are usable on it. Returns the feature matrix in
@@ -321,28 +308,10 @@ def run_duration_simulation(
     dataset: Dataset, durations: list[float], config: CvConfig
 ) -> DurationReport:
     """Accuracy as a function of observation time, on random shared
-    windows (one window per video per repetition)."""
-    video_ids = (
-        list(dataset.video_order)
-        if config.video_selection == "all"
-        else [config.video_selection]
-    )
-    metas = [dataset.manifest.video_meta(v) for v in video_ids]
-    min_duration = min(m.duration_s for m in metas)
-    for d in durations:
-        Window(0.0, d)  # a duration must make a valid window
-        if d > min_duration:
-            raise DurationTooLong(f"{d}s exceeds shortest video ({min_duration}s)")
-        # A window shorter than 2 frame periods (d * fps < 2) holds at most 2
-        # frames wherever it starts, and F2 needs 3. The margin, frame_range's
-        # tolerance, is wider than the rounding of the window's ends, so
-        # frame_range also counts at most 2 frames in a rejected window.
-        for m in metas:
-            if d * m.fps <= 2 - 1e-9:
-                raise DurationTooShort(
-                    f"a {d}s window holds at most 2 frames of {m.video_id!r} "
-                    f"({m.fps:g} fps); F2 needs 3")
-    _check_structure(dataset, config.mode, video_ids)
+    windows (one window per video per repetition). ``dataset`` holds at
+    least the load of ``cv_plan(dataset.manifest, config, durations)``,
+    whose rules are checked first."""
+    video_ids = cv_plan(dataset.manifest, config, durations)["video_ids"]
     y = _labels([p.group for p in dataset.participants])
 
     # every duration's folds are drawn first, then trained together
@@ -362,19 +331,58 @@ def run_duration_simulation(
     return DurationReport(config=cfg, rows=curve)
 
 
-def cv_participants(participants) -> list:
-    """``participants``, in the given order: the ones the CV protocols
-    classify, and the ones whose logs ``evaluate`` and ``duration-curve``
-    load. A group with fewer than ``FOLDS`` members is the
-    ``TooFewPerClass`` of ``stratified_folds``, raised before any log is
+def _plan(manifest, config: CvConfig, participants, durations=()) -> dict:
+    """The arguments of ``pipeline.load_dataset``: ``manifest`` and the
+    selection of ``participants``' logs of ``config.video_selection``
+    (every video for "all") and, with AOI features, those videos' AOI
+    tracks. Checked first, from the manifest alone: the video is
+    declared; each duration makes a valid window, no longer than the
+    shortest video and holding 3 frames of each; each participant (in the
+    given order) has a declared log of each video."""
+    video = config.video_selection
+    metas = manifest.videos if video == "all" else (manifest.video_meta(video),)
+    min_duration = min(m.duration_s for m in metas)
+    for d in durations:
+        Window(0.0, d)  # a duration must make a valid window
+        if d > min_duration:
+            raise DurationTooLong(f"{d}s exceeds shortest video ({min_duration}s)")
+        # A window shorter than 2 frame periods (d * fps < 2) holds at most 2
+        # frames wherever it starts, and F2 needs 3. The margin, frame_range's
+        # tolerance, is wider than the rounding of the window's ends, so
+        # frame_range also counts at most 2 frames in a rejected window.
+        for m in metas:
+            if d * m.fps <= 2 - 1e-9:
+                raise DurationTooShort(
+                    f"a {d}s window holds at most 2 frames of {m.video_id!r} "
+                    f"({m.fps:g} fps); F2 needs 3")
+    video_ids = tuple(m.video_id for m in metas)
+    for p in participants:
+        for vid in video_ids:
+            if (p.participant_id, vid) not in manifest.gaze_log_paths:
+                raise MissingVideo(p.participant_id, vid)
+    return {"manifest": manifest, "participants": tuple(participants),
+            "video_ids": video_ids, "aoi": config.mode is FeatureMode.WITH_AOI}
+
+
+def cv_plan(manifest, config: CvConfig, durations=()) -> dict:
+    """The load of ``evaluate`` and, with its ``durations``, of
+    ``duration-curve``: every participant, checked as ``_plan`` checks,
+    after each group is checked to have ``FOLDS`` members (the
+    ``TooFewPerClass`` of ``stratified_folds``), before any file is
     opened."""
-    list(_class_members(_labels([p.group for p in participants]), FOLDS))
-    return list(participants)
+    list(_class_members(_labels([p.group for p in manifest.participants]), FOLDS))
+    return _plan(manifest, config, manifest.participants, durations)
+
+
+def severity_plan(manifest, config: CvConfig) -> dict:
+    """The load of ``severity``: the ``scored_participants``, checked as
+    ``_plan`` checks, before any file is opened."""
+    return _plan(manifest, config, scored_participants(manifest.participants))
 
 
 def scored_participants(participants) -> list:
     """The participants with a CARS score, in the given order: the ones the
-    severity protocol regresses over, and the ones whose logs ``severity``
+    severity protocol regresses over, and the ones ``severity_plan``
     loads. Fewer than 3 is ``TooFewParticipants``."""
     scored = [p for p in participants if p.cars is not None]
     if len(scored) < 3:

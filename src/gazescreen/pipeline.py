@@ -26,15 +26,16 @@ class Dataset:
     feature extraction.
 
     ``participants`` (the selected ones, sorted by id) is the row order of
-    every feature matrix, and of every ``TraceStack`` once
-    ``experiments._check_structure`` has passed. ``manifest_order`` keeps
-    the manifest's order, for ``features.csv`` and the order of failures.
-    ``video_order`` is the selected videos in manifest order; ``aoi`` is
-    empty when no AOI track was read."""
+    every feature matrix, and of every ``TraceStack`` when each of them has
+    a gaze log of each video, as a plan of ``experiments`` checks before
+    the load. ``manifest_order`` keeps the manifest's order, for
+    ``features.csv`` and the order of failures. ``video_order`` is the
+    selected videos, in the selection's order; ``aoi`` is empty when no AOI
+    track was read."""
 
     manifest: DatasetManifest
     participants: tuple  # Participant, the selected ones, sorted by id
-    video_order: tuple  # video id, the selected ones, in manifest order
+    video_order: tuple  # video id, the selected ones, in the selection's order
     aligned: dict  # (participant_id, video_id) -> AlignedTrace, columns are stack rows
     aoi: dict  # video_id -> AoiIndex, built once here and shared by every window
     stacks: dict  # video_id -> TraceStack of every participant with a log of it
@@ -47,36 +48,36 @@ class Dataset:
         return tuple(p for p in self.manifest.participants if p in selected)
 
 
-def load_dataset(manifest_path, select=None, video_ids=None, aoi: bool = True) -> Dataset:
-    """Load and check the whole manifest, then parse and align the files
-    that the selection names, stack each video's traces and index its AOI
-    track. With no selection every declared file is read.
+def load_dataset(manifest, participants=None, video_ids=None, aoi: bool = True) -> Dataset:
+    """Parse and align the files of ``manifest`` (a ``DatasetManifest`` or
+    its path, which is loaded and checked whole) that the selection names,
+    stack each video's traces and index its AOI track. With no selection
+    every declared file is read; a plan of ``experiments`` gives each
+    protocol's arguments.
 
-    ``select`` maps the manifest's participants (in manifest order) to
-    those whose gaze logs are read; it may raise, as
-    ``experiments.scored_participants`` does, before any log is opened.
-    ``video_ids`` limits the videos; an undeclared id is a ConfigError,
-    raised before any log is opened. ``aoi=False`` parses no AOI track. A
-    file outside the selection is never opened. Each file inside it gets
-    every check, and the first failure among those files is the one a full
-    load raises first: AOI tracks in manifest order, then gaze logs in
-    manifest order. That includes a gaze-log row whose participant id is
-    not the log's manifest key. Each ``AlignedTrace`` reads its columns
-    from its row of the video's read-only ``TraceStack``; low-coverage
-    traces (below the soft threshold) are recorded as warnings."""
-    manifest = load_manifest(manifest_path)
-    if video_ids is not None:
-        for vid in video_ids:
-            manifest.video_meta(vid)  # raises ConfigError for an undeclared id
-    videos = tuple(v for v in manifest.video_order if video_ids is None or v in video_ids)
-    chosen = manifest.participants if select is None else select(manifest.participants)
+    ``participants`` (default: every one) are the manifest's participants
+    whose gaze logs are read. ``video_ids`` (default: ``video_order``) are
+    the videos read, in ``Dataset.video_order``; an undeclared id is a
+    ConfigError, raised before any file is opened. ``aoi=False`` parses no
+    AOI track. A file outside the selection is never opened. Each file
+    inside it gets every check, and the first failure among those files is
+    the one a full load raises first: AOI tracks in manifest order, then
+    gaze logs in manifest order. That includes a gaze-log row whose
+    participant id is not the log's manifest key. Each ``AlignedTrace``
+    reads its columns from its row of the video's read-only
+    ``TraceStack``; low-coverage traces (below the soft threshold) are
+    recorded as warnings."""
+    if not isinstance(manifest, DatasetManifest):
+        manifest = load_manifest(manifest)
+    metas = {vid: manifest.video_meta(vid)
+             for vid in (manifest.video_order if video_ids is None else video_ids)}
+    chosen = manifest.participants if participants is None else participants
     participants = tuple(sorted(chosen, key=lambda p: p.participant_id))
     pids = {p.participant_id for p in participants}
-    tracks = {vid: parse_aoi_track(path, manifest.video_meta(vid))
-              for vid, path in manifest.aoi_paths.items() if aoi and vid in videos}
+    tracks = {vid: parse_aoi_track(path, metas[vid])
+              for vid, path in manifest.aoi_paths.items() if aoi and vid in metas}
     stacks = {}
-    for vid in videos:
-        meta = manifest.video_meta(vid)
+    for vid, meta in metas.items():
         rows = [p.participant_id for p in participants
                 if (p.participant_id, vid) in manifest.gaze_log_paths]
         stacks[vid] = TraceStack(vid, meta.fps, rows, meta.n_frames)
@@ -85,7 +86,7 @@ def load_dataset(manifest_path, select=None, video_ids=None, aoi: bool = True) -
     for (pid, vid), path in manifest.gaze_log_paths.items():
         if pid not in pids or vid not in stacks:
             continue
-        meta = manifest.video_meta(vid)
+        meta = metas[vid]
         trace = parse_gaze_log(path, meta, participant_id=pid)
         at = align(trace, meta)
         if at.valid_fraction < WARN_VALID_FRAME_FRACTION:
@@ -95,51 +96,41 @@ def load_dataset(manifest_path, select=None, video_ids=None, aoi: bool = True) -
         aligned[(pid, vid)] = stacks[vid].adopt(at)
     for stack in stacks.values():
         stack.freeze()
-    return Dataset(manifest=manifest, participants=participants, video_order=videos,
+    return Dataset(manifest=manifest, participants=participants, video_order=tuple(metas),
                    aligned=aligned, aoi=tracks, stacks=stacks, quality_warnings=warnings)
 
 
-def extract_features(dataset: Dataset, mode: FeatureMode,
-                     video_ids: list | None = None) -> np.ndarray:
+def extract_features(dataset: Dataset, mode: FeatureMode) -> np.ndarray:
     """The full-video feature matrix: row r is ``dataset.participants[r]``,
     and each video contributes ``mode.n_features`` columns, one block per
-    video in ``video_ids`` order.
-
-    ``video_ids`` restricts and orders the contributing videos (default:
-    ``dataset.video_order``, the loaded videos). Raises the first failure
-    that ``collect_extraction_failures`` lists.
+    video in ``dataset.video_order``. Raises the first failure that
+    ``collect_extraction_failures`` lists.
     """
-    failures, rows = collect_extraction_failures(dataset, mode, video_ids)
+    failures, rows = collect_extraction_failures(dataset, mode)
     if failures:
         raise failures[0][2]
-    order = list(video_ids) if video_ids is not None else list(dataset.video_order)
     return np.array([
-        np.concatenate([rows[(p.participant_id, vid)] for vid in order])
+        np.concatenate([rows[(p.participant_id, vid)] for vid in dataset.video_order])
         for p in dataset.participants
     ])
 
 
 def collect_extraction_failures(
-    dataset: Dataset, mode: FeatureMode, video_ids: list | None = None
+    dataset: Dataset, mode: FeatureMode
 ) -> tuple[list[tuple[str, str, GazeScreenError]], dict]:
     """Extract every (participant, video) on its full window, in
     participant (``dataset.manifest_order``) then video order, collecting
-    every failure instead of stopping at the first. ``video_ids`` is as
-    for ``extract_features``.
+    every failure instead of stopping at the first.
 
     Returns ``(failures, rows)``: ``failures`` holds
     (participant_id, video_id, error) triples, with ``MissingVideo`` for a
     pair without a gaze log, and ``rows`` maps each pair that succeeded to
-    its feature row from ``extract``. A video id that the manifest does not
-    declare is a ``ConfigError``, raised before any extraction.
+    its feature row from ``extract``.
     """
-    order = list(video_ids) if video_ids is not None else list(dataset.video_order)
-    for vid in order:
-        dataset.manifest.video_meta(vid)  # raises ConfigError for an undeclared id
     failures = []
     rows = {}
     for p in dataset.manifest_order:
-        for vid in order:
+        for vid in dataset.video_order:
             key = (p.participant_id, vid)
             if key not in dataset.aligned:
                 failures.append((*key, MissingVideo(*key)))

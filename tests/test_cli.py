@@ -829,6 +829,63 @@ class TestSelection:
         assert "error: class 1 has 2 members, need >= 3" in r.output
         assert opened == []  # the rule is checked before any log is opened
 
+    @pytest.mark.parametrize("missing_log, command, args, code, message", [
+        (False, "duration-curve", ["--durations", 100], EXIT_CONFIG,
+         "100.0s exceeds shortest video"),
+        (False, "duration-curve", ["--durations", 0.01], EXIT_CONFIG,
+         "F2 needs 3"),
+        (True, "evaluate", [], EXIT_PIPELINE, "participant asd_000 lacks video car_pursuit"),
+        (True, "duration-curve", ["--durations", 3], EXIT_PIPELINE,
+         "participant asd_000 lacks video car_pursuit"),
+        (True, "severity", [], EXIT_PIPELINE, "participant asd_000 lacks video car_pursuit"),
+    ], ids=["too-long", "too-short", "missing-log-evaluate",
+            "missing-log-duration-curve", "missing-log-severity"])
+    def test_manifest_rule_opens_no_file(self, runner, small_cohort_manifest, tmp_path,
+                                         monkeypatch, missing_log, command, args, code,
+                                         message):
+        # (an unknown --video is test_unknown_video_exits_config)
+        manifest = small_cohort_manifest
+        if missing_log:
+            manifest = edit_manifest(
+                manifest, tmp_path, lambda data: data["gaze_logs"]["asd_000"].pop("car_pursuit"))
+        reps = [] if command == "severity" else ["--reps", 1]
+        opened = record_parsed_files(monkeypatch)
+        r = run(runner, command, "--manifest", manifest, "--seed", 1, *reps, *args,
+                "--out", tmp_path / "out")
+        assert r.exit_code == code, r.output
+        assert message in r.output
+        assert "Traceback" not in r.output
+        assert opened == []  # the rule is checked before any file is opened
+
+    def test_bad_duration_beats_a_broken_log(self, runner, small_cohort_manifest, tmp_path,
+                                             monkeypatch):
+        # the duration rules read only the manifest, so they fail first: exit 2, not 4
+        manifest = corrupt_cohort(small_cohort_manifest, tmp_path / "broken", log=True)
+        opened = record_parsed_files(monkeypatch)
+        r = run(runner, "duration-curve", "--manifest", manifest, "--durations", 100,
+                "--seed", 1, "--reps", 1, "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert "100.0s exceeds shortest video" in r.output
+        assert opened == []
+
+    @pytest.mark.parametrize("command, args", [
+        ("evaluate", ["--reps", 1]),
+        ("duration-curve", ["--durations", 3, "--reps", 1]),
+    ], ids=["evaluate", "duration-curve"])
+    def test_missing_log_beats_a_broken_log(self, runner, small_cohort_manifest, tmp_path,
+                                            command, args):
+        # a log the manifest does not declare is found from the manifest, before the
+        # broken log of another viewer is parsed
+        manifest = corrupt_cohort(small_cohort_manifest, tmp_path / "broken", log=True)
+        data = yaml.safe_load(manifest.read_text(encoding="utf-8"))
+        data["gaze_logs"]["asd_005"].pop("dialog")
+        manifest.write_text(yaml.safe_dump(data), encoding="utf-8")
+        r = run(runner, command, "--manifest", manifest, "--seed", 1, *args,
+                "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        assert "participant asd_005 lacks video dialog" in r.output
+        assert "oops" not in r.output
+
     def test_aoi_run_fails_on_the_broken_aoi_track(self, runner, small_cohort_manifest,
                                                    tmp_path):
         manifest = corrupt_cohort(small_cohort_manifest, tmp_path / "broken", aoi=True)

@@ -23,7 +23,7 @@ from gazescreen.features import (
     full_window,
 )
 from gazescreen.ingest import AlignedTrace
-from gazescreen.pipeline import extract_features
+from gazescreen.pipeline import extract_features, load_dataset
 
 from .conftest import Box, aoi_index, random_aligned, random_aoi, stack_traces
 from . import oracles
@@ -348,13 +348,15 @@ class TestExtractConcat:
             extract(at, aoi_index([], at.n_frames), full_window(at),
                     FeatureMode.WITH_AOI)
 
-    def test_concat_order_and_shape(self, small_cohort):
+    def test_concat_order_and_shape(self, small_cohort, small_cohort_manifest):
         order = list(reversed(small_cohort.video_order))
-        X = extract_features(small_cohort, FeatureMode.NO_AOI, video_ids=order)
+        dataset = load_dataset(small_cohort_manifest, video_ids=order, aoi=False)
+        assert dataset.video_order == tuple(order)
+        X = extract_features(dataset, FeatureMode.NO_AOI)
         assert X.shape == (len(small_cohort.participants), 2 * len(order))
         for row, p in zip(X, small_cohort.participants):
             pid = p.participant_id
-            for k, vid in enumerate(order):
+            for k, vid in enumerate(dataset.video_order):
                 at = small_cohort.aligned[(pid, vid)]
                 expected = extract(at, None, full_window(at), FeatureMode.NO_AOI)
                 assert row[2 * k: 2 * k + 2].tolist() == expected.tolist()

@@ -7,9 +7,9 @@ import yaml
 from gazescreen import experiments, pipeline
 from gazescreen.core import FeatureMode
 from gazescreen.errors import ConfigError, InsufficientData, MissingVideo, NonFiniteFeature
-from gazescreen.experiments import CvConfig, run_duration_simulation, scored_participants
+from gazescreen.experiments import CvConfig, cv_plan, run_duration_simulation, severity_plan
 from gazescreen.features import Window, extract, extract_batch, full_window
-from gazescreen.ingest import AoiIndex
+from gazescreen.ingest import AoiIndex, load_manifest
 from gazescreen.pipeline import collect_extraction_failures, extract_features, load_dataset
 
 
@@ -62,7 +62,8 @@ def test_traces_are_read_only_rows_of_their_video_stack(small_cohort):
 
 
 @pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
-def test_each_video_is_a_column_block_of_the_matrix(small_cohort, mode):
+def test_each_video_is_a_column_block_of_the_matrix(small_cohort, small_cohort_manifest,
+                                                    mode):
     pids = sorted(p.participant_id for p in small_cohort.manifest.participants)
     assert [p.participant_id for p in small_cohort.participants] == pids
     X = extract_features(small_cohort, mode)
@@ -70,7 +71,7 @@ def test_each_video_is_a_column_block_of_the_matrix(small_cohort, mode):
     assert X.shape == (len(pids), width * len(small_cohort.video_order))
     for k, vid in enumerate(small_cohort.video_order):
         assert small_cohort.stacks[vid].participant_ids == tuple(pids)
-        block = extract_features(small_cohort, mode, [vid])
+        block = extract_features(load_dataset(small_cohort_manifest, video_ids=[vid]), mode)
         assert block.shape == (len(pids), width)
         assert X[:, k * width:(k + 1) * width].tobytes() == block.tobytes()
         for r, pid in enumerate(pids):
@@ -109,15 +110,9 @@ def test_rows_follow_sorted_ids_whatever_the_manifest_order(
         (pids[0], first, MissingVideo), (pids[1], first, InsufficientData)]
 
 
-@pytest.mark.parametrize("select, video_ids, aoi", [
-    (scored_participants, None, True),  # severity
-    (None, ["dialog"], True),  # evaluate --video dialog
-    (None, None, False),  # --mode noaoi
-    (scored_participants, ["case_exchange", "dialog"], False),
-])
-def test_selected_load_parses_only_the_selected_files(
-    small_cohort, small_cohort_manifest, monkeypatch, select, video_ids, aoi
-):
+def record_parsed_paths(monkeypatch):
+    """The list of the gaze logs and AOI tracks that the pipeline parses
+    from now on."""
     parsed = []
     for name in ("parse_gaze_log", "parse_aoi_track"):
         def recording(path, *args, _parse=getattr(pipeline, name), **kwargs):
@@ -125,11 +120,22 @@ def test_selected_load_parses_only_the_selected_files(
             return _parse(path, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, name, recording)
-    dataset = load_dataset(small_cohort_manifest, select, video_ids, aoi)
+    return parsed
 
+
+@pytest.mark.parametrize("plan, options", [
+    (severity_plan, {}),  # severity
+    (cv_plan, {"video_selection": "dialog"}),  # evaluate --video dialog
+    (cv_plan, {"mode": FeatureMode.NO_AOI}),  # evaluate --mode noaoi
+    (severity_plan, {"video_selection": "dialog", "mode": FeatureMode.NO_AOI}),
+], ids=["severity", "evaluate-video-dialog", "evaluate-noaoi", "severity-video-dialog-noaoi"])
+def test_selected_load_parses_only_the_selected_files(small_cohort, monkeypatch, plan, options):
     manifest = small_cohort.manifest
-    chosen = manifest.participants if select is None else select(manifest.participants)
-    videos = [v for v in manifest.video_order if video_ids is None or v in video_ids]
+    selection = plan(manifest, CvConfig(seed=0, **options))
+    parsed = record_parsed_paths(monkeypatch)
+    dataset = load_dataset(**selection)
+
+    chosen, videos, aoi = selection["participants"], selection["video_ids"], selection["aoi"]
     pids = [p.participant_id for p in chosen]
     expected = [manifest.aoi_paths[vid] for vid in videos if aoi]
     expected += [path for (pid, vid), path in manifest.gaze_log_paths.items()
@@ -149,7 +155,10 @@ def test_selected_load_parses_only_the_selected_files(
         for name in ("present", "x", "y", "gap"):
             assert getattr(stack, name).tobytes() == getattr(full, name)[rows].tobytes()
     mode = FeatureMode.WITH_AOI if aoi else FeatureMode.NO_AOI
-    want = extract_features(small_cohort, mode, videos)[rows]
+    width = mode.n_features
+    cols = [k * width + j for k, vid in enumerate(small_cohort.video_order) if vid in videos
+            for j in range(width)]
+    want = extract_features(small_cohort, mode)[np.ix_(rows, cols)]
     assert extract_features(dataset, mode).tobytes() == want.tobytes()
 
 
@@ -197,7 +206,14 @@ def test_extract_features_raises_the_first_listed_failure(small_cohort, mode, mi
     assert str(exc.value) == str(failures[0][2])
 
 
-@pytest.mark.parametrize("extract", [collect_extraction_failures, extract_features])
-def test_undeclared_video_is_a_config_error(small_cohort, extract):
+@pytest.mark.parametrize("load", [
+    cv_plan,
+    severity_plan,
+    lambda manifest, config: load_dataset(manifest, video_ids=[config.video_selection]),
+], ids=["cv_plan", "severity_plan", "load_dataset"])
+def test_undeclared_video_is_a_config_error(small_cohort_manifest, monkeypatch, load):
+    manifest = load_manifest(small_cohort_manifest)
+    parsed = record_parsed_paths(monkeypatch)
     with pytest.raises(ConfigError, match="unknown video id 'ghost'"):
-        extract(small_cohort, FeatureMode.WITH_AOI, ["ghost"])
+        load(manifest, CvConfig(seed=0, video_selection="ghost"))
+    assert parsed == []
