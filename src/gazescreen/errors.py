@@ -76,6 +76,14 @@ class NoAoiInWindow(GazeScreenError):
     pass
 
 
+class NoAoiTrack(NoAoiInWindow):
+    """AOI features asked of a video that has no AOI track."""
+
+    def __init__(self, video_id):
+        self.video_id = video_id
+        super().__init__(f"no AOI track for video {video_id!r}")
+
+
 class MissingVideo(GazeScreenError):
     def __init__(self, participant_id, video_id):
         self.participant_id = participant_id

@@ -25,6 +25,7 @@ from .errors import (
     DurationTooLong,
     DurationTooShort,
     MissingVideo,
+    NoAoiTrack,
     TooFewParticipants,
     TooFewPerClass,
 )
@@ -337,8 +338,9 @@ def _plan(manifest, config: CvConfig, participants, durations=()) -> dict:
     (every video for "all") and, with AOI features, those videos' AOI
     tracks. Checked first, from the manifest alone: the video is
     declared; each duration makes a valid window, no longer than the
-    shortest video and holding 3 frames of each; each participant (in the
-    given order) has a declared log of each video."""
+    shortest video and holding 3 frames of each; with AOI features, each
+    video declares an AOI track; each participant (in the given order) has
+    a declared log of each video."""
     video = config.video_selection
     metas = manifest.videos if video == "all" else (manifest.video_meta(video),)
     min_duration = min(m.duration_s for m in metas)
@@ -356,12 +358,16 @@ def _plan(manifest, config: CvConfig, participants, durations=()) -> dict:
                     f"a {d}s window holds at most 2 frames of {m.video_id!r} "
                     f"({m.fps:g} fps); F2 needs 3")
     video_ids = tuple(m.video_id for m in metas)
+    aoi = config.mode is FeatureMode.WITH_AOI
+    for vid in video_ids:
+        if aoi and vid not in manifest.aoi_paths:
+            raise NoAoiTrack(vid)
     for p in participants:
         for vid in video_ids:
             if (p.participant_id, vid) not in manifest.gaze_log_paths:
                 raise MissingVideo(p.participant_id, vid)
     return {"manifest": manifest, "participants": tuple(participants),
-            "video_ids": video_ids, "aoi": config.mode is FeatureMode.WITH_AOI}
+            "video_ids": video_ids, "aoi": aoi}
 
 
 def cv_plan(manifest, config: CvConfig, durations=()) -> dict:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FeatureMode
-from .errors import ConfigError, InsufficientData, NoAoiInWindow, NonFiniteFeature
+from .errors import ConfigError, InsufficientData, NoAoiInWindow, NoAoiTrack, NonFiniteFeature
 from .ingest import AlignedTrace, AoiIndex, TraceStack
 
 
@@ -83,10 +83,10 @@ def _frames(aligned: AlignedTrace, w: Window) -> tuple[int, int]:
 
 def require_aoi(video: AlignedTrace | TraceStack, aoi: AoiIndex | None) -> None:
     """Check that ``aoi`` indexes the video of a trace or a stack: a
-    missing track is a ``NoAoiInWindow``, a frame count that differs from
+    missing track is a ``NoAoiTrack``, a frame count that differs from
     the video's a ``ValueError``."""
     if aoi is None:
-        raise NoAoiInWindow(f"no AOI track for video {video.video_id!r}")
+        raise NoAoiTrack(video.video_id)
     if aoi.n_frames != video.n_frames:
         raise ValueError(
             f"AOI index has {aoi.n_frames} frames, {type(video).__name__} has {video.n_frames}"

@@ -6,18 +6,17 @@ File formats (all UTF-8 CSV with a header row):
   gaze log:  participant_id,video_id,wall_ts_ms,video_ts_ms,x_px,y_px,valid
   AOI track: video_id,frame_index,object_id,x_min_px,y_min_px,x_max_px,y_max_px
 
-A gaze log is parsed straight into numpy columns (``GazeTrace``). Two
-fast readers only accept a file or decline it. A file in the plain subset
-(the exact header, printable ASCII lines ended by LF, no quotes, 7 fields
-on every non-blank line, one participant and one video id, one-byte 0/1
-flags) has its numbers read by ``np.loadtxt``'s C parser; any other file
-is read into columns by ``csv``, and declined if a row fails its field
-count, an id or its flag, or holds a number ``float`` rejects. Both give
-the same columns bit for bit, and one vectorized check accepts or
-declines their numbers. A declined log goes to ``_first_bad_row``, a row
-loop and the one place that raises a gaze-row error: it names the first
-row that fails a rule, with its ``path:line``, and the first rule that row
-fails. A byte that is not UTF-8 is a ``MalformedRow`` at its line.
+A gaze log is parsed straight into numpy columns (``GazeTrace``) by one
+of two readers. ``_plain_columns`` only accepts or declines: it accepts a
+file in the plain subset (the exact header, printable ASCII lines ended
+by LF or CRLF, no quotes, 7 fields on every non-blank line, one
+participant and one video id, one-byte 0/1 flags) whose numbers, read by
+``np.loadtxt``'s C parser, pass every rule on numbers. Any other file is
+read by ``csv`` and goes to ``_row_columns``, a row loop that gives the
+same columns bit for bit or raises: it is the one place that raises a
+gaze-row error, and it names the first row that fails a rule, with its
+``path:line``, and the first rule that row fails. A byte that is not
+UTF-8 is a ``MalformedRow`` at its line.
 ``align`` maps the columns onto video frames (``AlignedTrace``), and a
 ``TraceStack`` holds every aligned trace of one video as the rows of
 (participants x frames) arrays.
@@ -39,7 +38,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NoReturn, Optional
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -257,15 +256,20 @@ def _plain_columns(data: bytes, video_id: str, participant_id: Optional[str]):
     is (4, n_rows): wall, video, x_px, y_px; ``flags`` is the tracker's
     valid flag of each row.
 
-    Plain: the exact header line; printable ASCII lines ended by LF, with
-    no ``"``; at least one data row; every non-blank line has 7 fields (6
-    commas) and starts with ``<participant id>,<video id>,`` (the given
-    id, else the first row's); a one-byte 0/1 flag; four numbers that
-    ``np.loadtxt`` reads. ``loadtxt`` and ``float`` both convert with
-    ``PyOS_string_to_double``, and in this subset ``loadtxt`` accepts no
-    text that ``float`` rejects, so the values are ``_csv_columns``' bit
-    for bit. Such a file passes every rule up to the flag.
+    Plain: the exact header line; printable ASCII lines ended by LF or
+    CRLF, with no ``"``; at least one data row; every non-blank line has 7
+    fields (6 commas) and starts with ``<participant id>,<video id>,``
+    (the given id, else the first row's); a one-byte 0/1 flag; four
+    numbers that ``np.loadtxt`` reads and that pass the rules on numbers
+    (all finite, wall time strictly increasing, video time non-decreasing,
+    both non-negative). Each CRLF is read as LF, which keeps the line
+    count; any other CR leaves the subset. ``loadtxt`` and ``float`` both
+    convert with ``PyOS_string_to_double``, and in this subset ``loadtxt``
+    accepts no text that ``float`` rejects, so the values are
+    ``_row_columns``' bit for bit. Such a file passes every row rule.
     """
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
     if not (data.startswith(_PLAIN_HEADER) and data.isascii()) or b'"' in data:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -302,7 +306,12 @@ def _plain_columns(data: bytes, video_id: str, participant_id: Optional[str]):
         return None
     if numbers.shape != (len(rows), 4):  # a blank line loadtxt kept would misalign the flags
         return None
-    return pid, numbers.T.copy(), tracker_valid
+    numbers = numbers.T.copy()
+    wall, video = numbers[0], numbers[1]
+    if not (np.isfinite(numbers).all() and (wall[1:] > wall[:-1]).all()
+            and (video[1:] >= video[:-1]).all() and numbers[:2].min() >= 0):
+        return None
+    return pid, numbers, tracker_valid
 
 
 def _csv_rows(path, data: bytes, header: list[str]) -> tuple[list, list]:
@@ -324,61 +333,32 @@ def _csv_rows(path, data: bytes, header: list[str]) -> tuple[list, list]:
     return rows, lines
 
 
-def _csv_columns(rows: list, video_id: str, participant_id: Optional[str]):
-    """The (participant id, numbers, flags) of a gaze log's csv rows, as
-    ``_plain_columns`` gives them; None when any row fails the field
-    count, the video id, the participant id (``participant_id``, else the
-    first row's) or the 0/1 flag, or has a number ``float`` rejects."""
-    if set(map(len, rows)) != {len(GAZE_HEADER)}:
-        return None
-    pids, vids, *numbers, flags = zip(*rows)
-    pid = pids[0] if participant_id is None else participant_id
-    n = len(rows)
-    if pids.count(pid) != n or vids.count(video_id) != n:
-        return None
-    flags = list(map(str.strip, flags))
-    if flags.count("1") + flags.count("0") != n:
-        return None
-    try:
-        numbers = np.array([list(map(float, column)) for column in numbers])
-    except ValueError:
-        return None
-    return pid, numbers, np.fromiter(map("1".__eq__, flags), dtype=bool, count=n)
-
-
-def _numbers_pass(numbers: np.ndarray) -> bool:
-    """Whether a gaze log's (4, n_rows) numbers pass every rule on them:
-    all finite, wall time strictly increasing, video time non-decreasing,
-    both non-negative."""
-    wall, video = numbers[0], numbers[1]
-    return bool(np.isfinite(numbers).all() and (wall[1:] > wall[:-1]).all()
-                and (video[1:] >= video[:-1]).all() and numbers[:2].min() >= 0)
-
-
-def _first_bad_row(path, rows: list, lines: list, video_id: str,
-                   participant_id: Optional[str]) -> NoReturn:
-    """Raise the error of the first of a gaze log's csv ``rows`` that
-    fails a rule, for the first rule it fails, at its first file line
-    (``lines``). The rules, in order: field count, video id, participant
-    id (``participant_id`` if given, else the first row's), the four
-    numbers (each parsable, then finite), a 0/1 valid flag, strictly
-    increasing wall time, non-decreasing video time, non-negative wall and
-    video time. This is the only code that raises a gaze-row error; it
-    runs once a fast check has declined the log."""
+def _row_columns(path, rows: list, lines: list, video_id: str, participant_id: Optional[str]):
+    """The (participant id, numbers, flags) of a gaze log's csv ``rows``,
+    as ``_plain_columns`` gives them, if every row passes every rule. Else
+    the error of the first row that fails a rule, for the first rule it
+    fails, at its first file line (``lines``). The rules, in order: field
+    count, video id, participant id (``participant_id`` if given, else the
+    first row's), the four numbers (each parsable, then finite), a 0/1
+    valid flag, strictly increasing wall time, non-decreasing video time,
+    non-negative wall and video time. This is the only code that raises a
+    gaze-row error."""
     pid = rows[0][0] if participant_id is None else participant_id
+    numbers, flags = [], []
     prev_wall = prev_video = -math.inf
     for row, line_no in zip(rows, lines):
         if len(row) != len(GAZE_HEADER):
             raise MalformedRow(path, line_no, f"expected {len(GAZE_HEADER)} fields, got {len(row)}")
-        row_pid, vid, *numbers, flag = row
+        row_pid, vid, *texts, flag = row
         if vid != video_id:
             raise MalformedRow(path, line_no, f"video id {vid!r} does not match {video_id!r}")
         if row_pid != pid:
             raise MalformedRow(path, line_no, f"participant id {row_pid!r} does not match {pid!r}")
-        wall, video, _, _ = [_parse_float(text, path, line_no, what)
-                             for text, what in zip(numbers, GAZE_HEADER[2:6])]
+        values = [_parse_float(text, path, line_no, what)
+                  for text, what in zip(texts, GAZE_HEADER[2:6])]
         if flag.strip() not in ("0", "1"):
             raise MalformedRow(path, line_no, f"valid must be 0 or 1, got {flag!r}")
+        wall, video = values[:2]
         if wall <= prev_wall:
             raise NonMonotonicTimestamp(path, line_no)
         if video < prev_video:
@@ -388,7 +368,9 @@ def _first_bad_row(path, rows: list, lines: list, video_id: str,
         if video < 0:
             raise MalformedRow(path, line_no, "negative video_ts_ms")
         prev_wall, prev_video = wall, video
-    raise AssertionError(f"{path}: a fast check declined a log whose rows pass every rule")
+        numbers.append(values)
+        flags.append(flag.strip() == "1")
+    return pid, np.array(numbers).T.copy(), np.array(flags)
 
 
 def parse_gaze_log(path, meta: VideoMeta, participant_id: Optional[str] = None) -> GazeTrace:
@@ -399,25 +381,22 @@ def parse_gaze_log(path, meta: VideoMeta, participant_id: Optional[str] = None) 
     screen, are kept with valid=False. Blank rows are skipped but still
     count towards line numbers, and a row whose quoted field spans lines is
     numbered by its first line. Each row must pass the rules that
-    ``_first_bad_row`` lists, in its order; the error names the first
+    ``_row_columns`` lists, in its order; the error names the first
     failing row and the first rule it fails.
 
-    The fast checks only accept or decline. A file in the plain subset is
-    read by ``_plain_columns`` with numpy's C parser, any other file (and
-    a plain one whose numbers fail) by ``_csv_columns``; ``_numbers_pass``
-    checks the numbers of either. A log that the ``csv`` reader declines
-    goes to ``_first_bad_row``, which raises its error.
+    A file in the plain subset whose rows pass every rule is read by
+    ``_plain_columns`` with numpy's C parser, which only accepts or
+    declines. Any other file goes through ``csv`` to ``_row_columns``,
+    which reads its rows or raises the first row's error.
     """
     path = Path(path)
     data = path.read_bytes()
     columns = _plain_columns(data, meta.video_id, participant_id)
-    if columns is None or not _numbers_pass(columns[1]):
+    if columns is None:
         rows, lines = _csv_rows(path, data, GAZE_HEADER)
         if not rows:
             raise EmptyLog(path)
-        columns = _csv_columns(rows, meta.video_id, participant_id)
-        if columns is None or not _numbers_pass(columns[1]):
-            _first_bad_row(path, rows, lines, meta.video_id, participant_id)
+        columns = _row_columns(path, rows, lines, meta.video_id, participant_id)
     pid, (wall, video, x_px, y_px), tracker_valid = columns
     x, y, on_screen = normalize_coordinates(x_px, y_px, meta)
     return GazeTrace(

@@ -157,18 +157,10 @@ def svm_train(
     seed: int = 0,
 ) -> SvmModel:
     """Solve the soft-margin dual by SMO: the one-fold case of
-    ``svm_train_folds``."""
-    return svm_train_folds([X], [y], C, gamma, coef0, tol, max_passes, [seed])[0]
-
-
-def svm_train_folds(Xs, ys, C, gamma, coef0, tol, max_passes, seeds) -> list[SvmModel]:
-    """``svm_train_stacks`` on a list of F problems, fold f on Xs[f] (n_f,
-    d_f) and ys[f] (n_f,) with seeds[f], each its own stack of one fold."""
-    if not len(Xs) == len(ys) == len(seeds):
-        raise ValueError("need one label vector and one seed per training matrix")
-    stacks = [(np.asarray(X, dtype=float)[None], np.asarray(y, dtype=float)[None], [len(y)])
-              for X, y in zip(Xs, ys)]
-    return svm_train_stacks(stacks, C, gamma, coef0, tol, max_passes, seeds)
+    ``svm_train_stacks``."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    return svm_train_stacks([(X[None], y[None], [len(y)])], C, gamma, coef0, tol, max_passes,
+                            [seed])[0]
 
 
 def svm_train_stacks(stacks, C, gamma, coef0, tol, max_passes, seeds) -> list[SvmModel]:

@@ -829,25 +829,33 @@ class TestSelection:
         assert "error: class 1 has 2 members, need >= 3" in r.output
         assert opened == []  # the rule is checked before any log is opened
 
-    @pytest.mark.parametrize("missing_log, command, args, code, message", [
-        (False, "duration-curve", ["--durations", 100], EXIT_CONFIG,
+    @pytest.mark.parametrize("removed, command, args, code, message", [
+        (None, "duration-curve", ["--durations", 100], EXIT_CONFIG,
          "100.0s exceeds shortest video"),
-        (False, "duration-curve", ["--durations", 0.01], EXIT_CONFIG,
+        (None, "duration-curve", ["--durations", 0.01], EXIT_CONFIG,
          "F2 needs 3"),
-        (True, "evaluate", [], EXIT_PIPELINE, "participant asd_000 lacks video car_pursuit"),
-        (True, "duration-curve", ["--durations", 3], EXIT_PIPELINE,
+        ("log", "evaluate", [], EXIT_PIPELINE, "participant asd_000 lacks video car_pursuit"),
+        ("log", "duration-curve", ["--durations", 3], EXIT_PIPELINE,
          "participant asd_000 lacks video car_pursuit"),
-        (True, "severity", [], EXIT_PIPELINE, "participant asd_000 lacks video car_pursuit"),
+        ("log", "severity", [], EXIT_PIPELINE, "participant asd_000 lacks video car_pursuit"),
+        ("aoi", "evaluate", [], EXIT_PIPELINE, "no AOI track for video 'dialog'"),
+        ("aoi", "duration-curve", ["--durations", 3], EXIT_PIPELINE,
+         "no AOI track for video 'dialog'"),
+        ("aoi", "severity", [], EXIT_PIPELINE, "no AOI track for video 'dialog'"),
     ], ids=["too-long", "too-short", "missing-log-evaluate",
-            "missing-log-duration-curve", "missing-log-severity"])
+            "missing-log-duration-curve", "missing-log-severity", "missing-aoi-evaluate",
+            "missing-aoi-duration-curve", "missing-aoi-severity"])
     def test_manifest_rule_opens_no_file(self, runner, small_cohort_manifest, tmp_path,
-                                         monkeypatch, missing_log, command, args, code,
+                                         monkeypatch, removed, command, args, code,
                                          message):
         # (an unknown --video is test_unknown_video_exits_config)
         manifest = small_cohort_manifest
-        if missing_log:
+        if removed == "log":
             manifest = edit_manifest(
                 manifest, tmp_path, lambda data: data["gaze_logs"]["asd_000"].pop("car_pursuit"))
+        elif removed == "aoi":
+            manifest = edit_manifest(
+                manifest, tmp_path, lambda data: data["aoi_tracks"].pop("dialog"))
         reps = [] if command == "severity" else ["--reps", 1]
         opened = record_parsed_files(monkeypatch)
         r = run(runner, command, "--manifest", manifest, "--seed", 1, *reps, *args,

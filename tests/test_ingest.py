@@ -369,7 +369,7 @@ class TestParseGazeOracle:
             p.write_text(text, encoding="utf-8")
             # the expected participant: the first row's, the manifest's, or another
             pid = [None, None, None, "p7", "q9"][trial % 5]
-            # with CRLF line ends the same log takes the csv column reader
+            # with CRLF line ends the same log gives the same columns or error
             crlf = tmp_path / f"g{trial}-crlf.csv"
             crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
             assert_parses_as_oracle(crlf, pid)
@@ -407,23 +407,21 @@ class TestParseGazeOracle:
             assert_same_trace(fast, slow)
         assert plain >= 50
 
-    def test_valid_logs_never_reach_the_locator(self, tmp_path, monkeypatch):
-        def locator(*args):
-            raise AssertionError("a valid log reached _first_bad_row")
+    def test_valid_lf_and_crlf_logs_never_reach_csv(self, tmp_path, monkeypatch):
+        def no_csv(*args, **kwargs):
+            raise AssertionError("a valid plain log reached csv.reader")
 
-        monkeypatch.setattr(ingest, "_first_bad_row", locator)
         rng = np.random.default_rng(37)
-        plain = 0
         for trial in range(40):
-            flags = ("1", "1", "1", "0", " 1", "0 ") if trial % 2 else ("1", "0")
-            lines = random_gaze_lines(rng, int(rng.integers(1, 80)), flags)
+            lines = random_gaze_lines(rng, int(rng.integers(1, 80)), ("1", "0"))
             text = "\n".join([",".join(GAZE_HEADER), *lines]) + "\n"
             for name, ends in (("lf", "\n"), ("crlf", "\r\n")):
                 p = tmp_path / f"g{trial}-{name}.csv"
                 p.write_bytes(text.replace("\n", ends).encode("utf-8"))
-                plain += ingest._plain_columns(p.read_bytes(), META.video_id, None) is not None
+                with monkeypatch.context() as m:
+                    m.setattr(ingest.csv, "reader", no_csv)
+                    parse_gaze_log(p, META)
                 assert_parses_as_oracle(p)
-        assert plain >= 15
 
     def test_header_and_blank_lines_only_is_empty(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -484,12 +482,15 @@ class TestPlainSubset:
         ("no final newline", lambda log: log.rstrip("\n"), True),
         ("quoted participant ids", lambda log: log.replace("p7,", '"p7",'), False),
         ("quoted number", lambda log: log.replace("510.00,505.00", '"510.00",505.00'), False),
-        ("CRLF", lambda log: log.replace("\n", "\r\n"), False),
+        ("CRLF", lambda log: log.replace("\n", "\r\n"), True),
+        ("mixed LF and CRLF", lambda log: log.replace("0\n", "0\r\n"), True),
+        ("lone CR", lambda log: log.replace("1\n", "1\r", 1), False),
+        ("CR CR LF", lambda log: log.replace("0\n", "0\r\r\n"), False),
         ("BOM", lambda log: "\ufeff" + log, False),
         ("header with spaces", lambda log: log.replace(",", ", ", 6), False),
         ("underscore digits", _replace_field(1, 4, "1_000"), False),
         ("Arabic-Indic digits", _replace_field(2, 4, "\u0665\u0661\u0660"), False),
-        ("1e999", _replace_field(2, 5, "1e999"), True),
+        ("1e999", _replace_field(2, 5, "1e999"), False),
         ("empty number field", _replace_field(1, 3, ""), False),
         ("# in a number field", _replace_field(4, 2, "40#"), False),
         ("# in the participant id", lambda log: log.replace("p7,", "p#7,"), True),
@@ -505,19 +506,29 @@ class TestPlainSubset:
         assert (ingest._plain_columns(p.read_bytes(), META.video_id, None) is not None) is plain
         assert_parses_as_oracle(p)
 
-    def test_corrupt_plain_logs_raise_as_oracle(self, tmp_path):
+    def test_corrupt_plain_logs_raise_as_oracle(self, tmp_path, monkeypatch):
         # one-byte flags keep the logs with a bad number, order or sign
-        # in the plain subset, so their errors come from the shared checks
+        # in the plain subset up to loadtxt, so _plain_columns declines
+        # them for their numbers alone, and the row loop raises
+        loadtxt, read = np.loadtxt, []
+
+        def counting_loadtxt(*args, **kwargs):
+            read.append(True)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
         rng = np.random.default_rng(31)
-        plain = 0
+        declined = 0
         for trial in range(200):
             p = tmp_path / f"g{trial}.csv"
             lines = corrupt(rng, random_gaze_lines(rng, int(rng.integers(1, 30)), ("1", "0")))
             p.write_text("\n".join([",".join(GAZE_HEADER), *lines]) + "\n", encoding="utf-8")
             pid = [None, "p7", "q9"][trial % 3]
-            plain += ingest._plain_columns(p.read_bytes(), META.video_id, pid) is not None
+            read.clear()
+            accepted = ingest._plain_columns(p.read_bytes(), META.video_id, pid) is not None
+            declined += bool(read) and not accepted
             assert_parses_as_oracle(p, pid)
-        assert plain >= 50
+        assert declined >= 50
 
     def test_synth_logs_take_the_plain_path(self, small_cohort_manifest, monkeypatch):
         manifest = load_manifest(small_cohort_manifest)

@@ -26,7 +26,7 @@ from gazescreen.learn import (
     svm_dual_objective,
     svm_predict,
     svm_train,
-    svm_train_folds,
+    svm_train_stacks,
 )
 
 from . import oracles
@@ -315,12 +315,20 @@ def svm_stack(rng, first_kind, n_folds):
             [kwargs["seed"] for _, _, kwargs in problems])
 
 
+def one_fold_stacks(Xs, ys):
+    """Each problem of ``Xs`` and ``ys`` as its own stack of one fold."""
+    return [(np.asarray(X, dtype=float)[None], np.asarray(y, dtype=float)[None], [len(y)])
+            for X, y in zip(Xs, ys)]
+
+
 def train_stack(Xs, ys, settings, seeds):
-    """svm_train_folds on the stack: (models, warnings as (category, text))."""
+    """svm_train_stacks on the problems, one fold per stack: (models,
+    warnings as (category, text))."""
     with warnings.catch_warnings(record=True) as got:
         warnings.simplefilter("always")
-        models = svm_train_folds(Xs, ys, settings["C"], settings["gamma"], settings["coef0"],
-                                 settings["tol"], settings["max_passes"], seeds)
+        models = svm_train_stacks(one_fold_stacks(Xs, ys), settings["C"], settings["gamma"],
+                                  settings["coef0"], settings["tol"], settings["max_passes"],
+                                  seeds)
     return models, [(w.category, str(w.message)) for w in got]
 
 
@@ -390,24 +398,28 @@ class TestSvmLockstep:
         bad_X = X.copy()
         bad_X[0, 0] = np.nan
         one_class = np.ones_like(y)
+        settings = {"C": 1.0, "gamma": None, "coef0": 0.0, "tol": 1e-3, "max_passes": 1000}
         with pytest.raises(SingleClass):
-            svm_train_folds([X, X, X], [y, one_class, y], 1.0, None, 0.0, 1e-3, 1000, [0, 1, 2])
+            train_stack([X, X, X], [y, one_class, y], settings, [0, 1, 2])
         with pytest.raises(SingleClass):
-            svm_train_folds([X, X, bad_X], [y, one_class, y], 1.0, None, 0.0, 1e-3, 1000,
-                            [0, 1, 2])
+            train_stack([X, X, bad_X], [y, one_class, y], settings, [0, 1, 2])
         with pytest.raises(NonFiniteFeature):
-            svm_train_folds([X, bad_X, X], [y, one_class, y], 1.0, None, 0.0, 1e-3, 1000,
-                            [0, 1, 2])
+            train_stack([X, bad_X, X], [y, one_class, y], settings, [0, 1, 2])
 
     def test_rejects_mismatched_lengths(self):
         X, y = blobs(np.random.default_rng(35))
-        with pytest.raises(ValueError, match="one label vector and one seed"):
-            svm_train_folds([X, X], [y], 1.0, None, 0.0, 1e-3, 1000, [0, 1])
-        with pytest.raises(ValueError, match="one label vector and one seed"):
-            svm_train_folds([X, X], [y, y], 1.0, None, 0.0, 1e-3, 1000, [0])
+        [(Xs, ys, sizes)] = one_fold_stacks([X], [y])
+        for stacks, seeds in (
+            (one_fold_stacks([X, X], [y, y]), [0]),  # a seed short
+            ([(Xs, ys[:, :-1], sizes)], [0]),  # a label short
+            ([(Xs, ys, [len(y), len(y)])], [0]),  # a size too many
+            ([(X, y, sizes)], [0]),  # not a stack
+        ):
+            with pytest.raises(ValueError, match="need stacks of X"):
+                svm_train_stacks(stacks, 1.0, None, 0.0, 1e-3, 1000, seeds)
 
     def test_no_folds(self):
-        assert svm_train_folds([], [], 1.0, None, 0.0, 1e-3, 1000, []) == []
+        assert svm_train_stacks([], 1.0, None, 0.0, 1e-3, 1000, []) == []
 
 
 def test_kernel_stack_padding_is_zero(monkeypatch):
@@ -423,7 +435,7 @@ def test_kernel_stack_padding_is_zero(monkeypatch):
     monkeypatch.setattr(learn, "_smo_lockstep", record)
     rng = np.random.default_rng(36)
     Xs, ys = zip(*(blobs(rng, n_per_class=k) for k in (3, 5, 4)))
-    svm_train_folds(list(Xs), list(ys), 1.0, None, 1.0, 1e-3, 1000, [0, 1, 2])
+    svm_train_stacks(one_fold_stacks(Xs, ys), 1.0, None, 1.0, 1e-3, 1000, [0, 1, 2])
     [(K, sizes)] = stacks
     assert sizes == [6, 10, 8]
     for f, n in enumerate(sizes):
