@@ -169,9 +169,16 @@ def stratified_folds(labels: list[int], folds: int, rng: np.random.Generator) ->
     deviate from exact proportionality by at most one per class. Classes
     are dealt in ascending order, each with one ``rng.permutation`` draw.
     """
-    assignment = np.full(len(labels), -1, dtype=int)
+    return _deal(_class_members(labels, folds), len(labels), folds, rng)
+
+
+def _deal(classes, n: int, folds: int, rng: np.random.Generator) -> np.ndarray:
+    """The fold of each of ``n`` positions, dealt as ``stratified_folds``
+    deals them, from each class's positions as ``_class_members`` yields
+    them."""
+    assignment = np.full(n, -1, dtype=int)
     start = 0  # rotate the deal between classes so leftovers spread out
-    for members in _class_members(labels, folds):
+    for members in classes:
         members = members[rng.permutation(len(members))]
         assignment[members] = (start + np.arange(len(members))) % folds
         start = (start + len(members)) % folds
@@ -196,13 +203,14 @@ def _draw_folds(config: CvConfig, y, draws) -> tuple:
     ``derive_rng(config.seed, *tag, r)`` its matrix ``draw_X(rng)``, its
     folds, then one SVM seed per fold. Returns the matrices, the (folds x
     participants) test masks (fold k of matrix i in row i * FOLDS + k) and
-    the seeds."""
+    the seeds. The classes' positions are found once, for every draw."""
     Xs, tests, seeds = [], [], []
+    classes = list(_class_members(y, FOLDS))
     for tag, draw_X in draws:
         for rep in range(config.repetitions):
             rng = derive_rng(config.seed, *tag, rep)
             Xs.append(draw_X(rng))
-            assignment = stratified_folds(y, FOLDS, rng)
+            assignment = _deal(classes, len(y), FOLDS, rng)
             for fold in range(FOLDS):
                 tests.append(assignment == fold)
                 seeds.append(int(rng.integers(2**31)))

@@ -15,19 +15,22 @@ F3-F5 read an ``ingest.AoiIndex``: a video's AOI track laid out as
 per-frame, per-object arrays. ``pipeline.load_dataset`` builds one per
 video and keeps it on the ``Dataset``; nothing here caches indexes between
 calls.
-``extract`` maps the window to frames once and shares one gaze-to-centre
-distance pass between F3 and F4; the ``feature_*`` functions compute a
-single feature on their own.
 
 ``extract`` is the definition of the features, one trace at a time: it
-returns a float array and signals an unusable window by raising.
+returns a float array and signals an unusable window by raising. It is the
+one-row case of ``extract_stack``, which featurises every row of a video's
+``TraceStack`` on one window in one pass: the masks, step lengths and
+nearest-centre distances are computed once for all rows, and each row is
+reduced on its own compressed values, so every row has ``extract``'s bits
+and error. The ``feature_*`` functions run the same pass for a single
+feature, with that feature's rules only.
 ``extract_batch`` is the duration protocol's fast path: every participant
 of a video on one shared window, read from the video's ``TraceStack``.
 F1-F4 are masked row reductions of the (participants x window) slice, with
 the same two-pass population variance as ``extract``. The same pass returns
 which rows ``extract`` would reject. F5 has one definition for both
-engines: it loops over the few occurrences, vectorised over rows, and
-``extract`` passes its trace as one row, so the two give the same bits.
+engines: it loops over the few occurrences, vectorised over rows, so the
+two give the same bits.
 """
 from __future__ import annotations
 
@@ -37,7 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FeatureMode
-from .errors import ConfigError, InsufficientData, NoAoiInWindow, NoAoiTrack, NonFiniteFeature
+from .errors import (
+    ConfigError,
+    GazeScreenError,
+    InsufficientData,
+    NoAoiInWindow,
+    NoAoiTrack,
+    NonFiniteFeature,
+)
 from .ingest import AlignedTrace, AoiIndex, TraceStack
 
 
@@ -61,8 +71,8 @@ class Window:
         return self.start_s + self.duration_s
 
 
-def full_window(aligned: AlignedTrace) -> Window:
-    return Window(0.0, aligned.n_frames / aligned.fps)
+def full_window(video: AlignedTrace | TraceStack) -> Window:
+    return Window(0.0, video.n_frames / video.fps)
 
 
 def frame_range(w: Window, fps: float, n_frames: int) -> tuple[int, int]:
@@ -77,10 +87,6 @@ def _std_pop(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean((values - values.mean()) ** 2)))
 
 
-def _frames(aligned: AlignedTrace, w: Window) -> tuple[int, int]:
-    return frame_range(w, aligned.fps, aligned.n_frames)
-
-
 def require_aoi(video: AlignedTrace | TraceStack, aoi: AoiIndex | None) -> None:
     """Check that ``aoi`` indexes the video of a trace or a stack: a
     missing track is a ``NoAoiTrack``, a frame count that differs from
@@ -91,58 +97,6 @@ def require_aoi(video: AlignedTrace | TraceStack, aoi: AoiIndex | None) -> None:
         raise ValueError(
             f"AOI index has {aoi.n_frames} frames, {type(video).__name__} has {video.n_frames}"
         )
-
-
-def _std_gaze(aligned, lo, hi, w) -> float:
-    mask = aligned.present[lo:hi]
-    if int(mask.sum()) < 2:
-        raise InsufficientData(f"F1 needs >= 2 present frames in {w}")
-    xs = aligned.x[lo:hi][mask]
-    ys = aligned.y[lo:hi][mask]
-    return float(np.sqrt(np.var(xs) + np.var(ys)))
-
-
-def _std_diff(aligned, lo, hi, w) -> float:
-    if hi - lo < 2:
-        raise InsufficientData(f"F2 needs >= 2 frames in {w}")
-    p = aligned.present[lo:hi]
-    eligible = p[:-1] & p[1:] & ~aligned.gap[lo + 1 : hi]
-    if int(eligible.sum()) < 2:
-        raise InsufficientData(f"F2 needs >= 2 eligible consecutive pairs in {w}")
-    dx = np.diff(aligned.x[lo:hi])[eligible]
-    dy = np.diff(aligned.y[lo:hi])[eligible]
-    return _std_pop(np.hypot(dx, dy))
-
-
-def _center_distances(aligned, aoi: AoiIndex, lo, hi, w):
-    """Manhattan and Euclidean distance from gaze to the nearest annotated
-    box center (nearest under each metric), over frames in [lo, hi) that
-    are both present and annotated."""
-    if not aoi.any_ann[lo:hi].any():
-        raise NoAoiInWindow(f"no annotated frame in {w}")
-    both = aligned.present[lo:hi] & aoi.any_ann[lo:hi]
-    cols = np.nonzero(both)[0] + lo
-    if len(cols) == 0:
-        return np.empty(0), np.empty(0)
-    dx = aligned.x[cols] - aoi.cx[:, cols]
-    dy = aligned.y[cols] - aoi.cy[:, cols]
-    # min over annotated objects only; NaN rows are unannotated objects
-    ann = aoi.ann[:, cols]
-    manhattan = np.nanmin(np.where(ann, np.abs(dx) + np.abs(dy), np.nan), axis=0)
-    euclidean = np.nanmin(np.where(ann, np.hypot(dx, dy), np.nan), axis=0)
-    return manhattan, euclidean
-
-
-def _std_manhattan(manhattan, w) -> float:
-    if len(manhattan) < 2:
-        raise InsufficientData(f"F3 needs >= 2 present+annotated frames in {w}")
-    return _std_pop(manhattan)
-
-
-def _rmse(euclidean, w) -> float:
-    if len(euclidean) < 1:
-        raise NoAoiInWindow(f"no frame both present and annotated in {w}")
-    return float(np.sqrt(np.mean(euclidean**2)))
 
 
 def _first_look_delay(video: AlignedTrace | TraceStack, aoi: AoiIndex, lo, hi, w) -> np.ndarray:
@@ -173,32 +127,117 @@ def _first_look_delay(video: AlignedTrace | TraceStack, aoi: AoiIndex, lo, hi, w
     return np.column_stack(delays).mean(axis=1)
 
 
+def _stack_pass(video: AlignedTrace | TraceStack, aoi: AoiIndex | None, w: Window,
+                features) -> list:
+    """The values of ``features`` (indices into F1..F5, in order) on window
+    ``w`` for every row of a stack, or of a trace as one row: row i's float
+    array, or the ``GazeScreenError`` that rejects it (rows rejected for
+    one reason share one error).
+
+    The element-wise work runs once over all rows; each row's reductions
+    are the 1-D ones of its own compressed values, so a row's bits do not
+    depend on the other rows. A row is checked in this order, each feature
+    only for its own rules: F1 needs >= 2 present frames; F2 >= 2 frames
+    and >= 2 eligible pairs; F3-F5 an AOI track (``require_aoi``); F3-F4
+    an annotated frame in the window, and >= 2 (F3) or >= 1 (F4) frames
+    both present and annotated; F5 an occurrence overlapping the window.
+    Last, a value that is not finite is a ``NonFiniteFeature``."""
+    pids = video.participant_ids if isinstance(video, TraceStack) else (video.participant_id,)
+    lo, hi = frame_range(w, video.fps, video.n_frames)
+    present, x, y, gap = np.atleast_2d(video.present, video.x, video.y, video.gap)
+    present, x, y = present[:, lo:hi], x[:, lo:hi], y[:, lo:hi]
+    out = [None] * len(pids)
+    columns = []  # per feature, its value as a function of the row
+
+    def reject(ok, error) -> bool:
+        """Give ``error`` to every row not yet rejected where ``ok`` is
+        False; True while some row is left."""
+        for r in np.flatnonzero(~np.broadcast_to(ok, len(out))).tolist():
+            if out[r] is None:
+                out[r] = error
+        return None in out
+
+    if 0 in features:
+        if not reject(present.sum(axis=1) >= 2,
+                      InsufficientData(f"F1 needs >= 2 present frames in {w}")):
+            return out
+        columns.append(lambda r: np.sqrt(np.var(x[r][present[r]]) + np.var(y[r][present[r]])))
+    if 1 in features:
+        eligible = present[:, :-1] & present[:, 1:] & ~gap[:, lo + 1 : hi]
+        if not reject(hi - lo >= 2, InsufficientData(f"F2 needs >= 2 frames in {w}")):
+            return out
+        if not reject(eligible.sum(axis=1) >= 2,
+                      InsufficientData(f"F2 needs >= 2 eligible consecutive pairs in {w}")):
+            return out
+        steps = np.diff(x)
+        np.hypot(steps, np.diff(y), out=steps)
+        columns.append(lambda r: _std_pop(steps[r][eligible[r]]))
+    if max(features) >= 2:
+        try:
+            require_aoi(video, aoi)
+        except NoAoiTrack as e:
+            reject(False, e)
+            return out
+    if 2 in features or 3 in features:
+        annotated = aoi.any_ann[lo:hi]
+        if not reject(annotated.any(), NoAoiInWindow(f"no annotated frame in {w}")):
+            return out
+        both = present & annotated
+        n_both = both.sum(axis=1)
+        if 2 in features and not reject(
+                n_both >= 2, InsufficientData(f"F3 needs >= 2 present+annotated frames in {w}")):
+            return out
+        if not reject(n_both >= 1, NoAoiInWindow(f"no frame both present and annotated in {w}")):
+            return out
+        manhattan, euclidean = _nearest_center_distances(x, y, aoi, lo, hi, np.hypot)
+        if 2 in features:
+            columns.append(lambda r: _std_pop(manhattan[r][both[r]]))
+        if 3 in features:
+            columns.append(lambda r: np.sqrt(np.mean(euclidean[r][both[r]] ** 2)))
+    if 4 in features:
+        try:
+            delay = _first_look_delay(video, aoi, lo, hi, w)
+        except NoAoiInWindow as e:
+            reject(False, e)
+            return out
+        columns.append(delay.__getitem__)
+    for r, pid in enumerate(pids):
+        if out[r] is None:
+            row = np.array([float(value(r)) for value in columns])
+            out[r] = row if np.isfinite(row).all() else NonFiniteFeature(
+                f"non-finite feature for {pid}/{video.video_id} in {w}")
+    return out
+
+
+def _one_row(aligned: AlignedTrace, aoi: AoiIndex | None, w: Window, features) -> np.ndarray:
+    (row,) = _stack_pass(aligned, aoi, w, features)
+    if isinstance(row, GazeScreenError):
+        raise row
+    return row
+
+
 def feature_std_gaze(aligned: AlignedTrace, w: Window) -> float:
     """F1: sqrt of summed per-axis population variances of gaze points."""
-    return _std_gaze(aligned, *_frames(aligned, w), w)
+    return float(_one_row(aligned, None, w, (0,))[0])
 
 
 def feature_std_diff(aligned: AlignedTrace, w: Window) -> float:
     """F2: population std of Euclidean displacement between consecutive
     frames. Pairs spanning a gap flag are excluded."""
-    return _std_diff(aligned, *_frames(aligned, w), w)
+    return float(_one_row(aligned, None, w, (1,))[0])
 
 
 def feature_std_manhattan(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
     """F3: population std of the Manhattan distance from gaze to the
     nearest annotated box center, over frames that are both present and
     annotated."""
-    require_aoi(aligned, aoi)
-    manhattan, _ = _center_distances(aligned, aoi, *_frames(aligned, w), w)
-    return _std_manhattan(manhattan, w)
+    return float(_one_row(aligned, aoi, w, (2,))[0])
 
 
 def feature_rmse_aoi(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
     """F4: RMS Euclidean distance from gaze to the nearest annotated box
     center, paired frame by frame."""
-    require_aoi(aligned, aoi)
-    _, euclidean = _center_distances(aligned, aoi, *_frames(aligned, w), w)
-    return _rmse(euclidean, w)
+    return float(_one_row(aligned, aoi, w, (3,))[0])
 
 
 def feature_delay(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
@@ -211,8 +250,7 @@ def feature_delay(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
     box; if the gaze never enters during the clipped span, the delay is
     right-censored at the clipped span duration.
     """
-    require_aoi(aligned, aoi)
-    return float(_first_look_delay(aligned, aoi, *_frames(aligned, w), w)[0])
+    return float(_one_row(aligned, aoi, w, (4,))[0])
 
 
 def extract(
@@ -222,22 +260,17 @@ def extract(
     mode: FeatureMode,
 ) -> np.ndarray:
     """Single-video feature row, a float array of ``mode.n_features``
-    values: [F1..F5] with AOI, [F1, F2] without. A value that is not
-    finite raises ``NonFiniteFeature``, as in ``extract_batch``."""
-    lo, hi = _frames(aligned, w)
-    values = [_std_gaze(aligned, lo, hi, w), _std_diff(aligned, lo, hi, w)]
-    if mode is FeatureMode.WITH_AOI:
-        require_aoi(aligned, aoi)
-        manhattan, euclidean = _center_distances(aligned, aoi, lo, hi, w)
-        values.append(_std_manhattan(manhattan, w))
-        values.append(_rmse(euclidean, w))
-        values.append(float(_first_look_delay(aligned, aoi, lo, hi, w)[0]))
-    row = np.array(values)
-    if not np.isfinite(row).all():
-        raise NonFiniteFeature(
-            f"non-finite feature for {aligned.participant_id}/{aligned.video_id} in {w}"
-        )
-    return row
+    values: [F1..F5] with AOI, [F1, F2] without. The one-row case of
+    ``extract_stack``; the first rule the trace fails raises."""
+    return _one_row(aligned, aoi, w, range(mode.n_features))
+
+
+def extract_stack(stack: TraceStack, aoi: AoiIndex | None, w: Window,
+                  mode: FeatureMode) -> list:
+    """``extract`` on every row of a video's stack in one pass: row i's
+    feature array, or the ``GazeScreenError`` that ``extract`` raises for
+    ``stack.participant_ids[i]``, bit for bit."""
+    return _stack_pass(stack, aoi, w, range(mode.n_features))
 
 
 def _masked_var(values: np.ndarray, mask: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -258,16 +291,18 @@ def _length(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _nearest_center_distances(x, y, aoi: AoiIndex, lo, hi):
+def _nearest_center_distances(x, y, aoi: AoiIndex, lo, hi, length):
     """(participants x window) Manhattan and Euclidean distances from gaze
-    to the nearest annotated box centre; inf where no object is annotated."""
+    to the nearest annotated box centre, the Euclidean one by ``length``
+    (``_length`` or ``np.hypot``); inf where no object is annotated. The
+    minimum over objects is exact, so it is ``nanmin``'s."""
     manhattan = euclidean = np.inf
     for k in range(len(aoi.object_ids)):
         ann = aoi.ann[k, lo:hi]
         dx = x - aoi.cx[k, lo:hi]
         dy = y - aoi.cy[k, lo:hi]
         manhattan = np.minimum(manhattan, np.where(ann, np.abs(dx) + np.abs(dy), np.inf))
-        euclidean = np.minimum(euclidean, np.where(ann, _length(dx, dy), np.inf))
+        euclidean = np.minimum(euclidean, np.where(ann, length(dx, dy), np.inf))
     return manhattan, euclidean
 
 
@@ -312,7 +347,7 @@ def extract_batch(
                 return values, np.zeros(n_rows, dtype=bool)
             both = present & aoi.any_ann[lo:hi]
             n_both = both.sum(axis=1)
-            manhattan, euclidean = _nearest_center_distances(x, y, aoi, lo, hi)
+            manhattan, euclidean = _nearest_center_distances(x, y, aoi, lo, hi, _length)
             columns.append(np.sqrt(_masked_var(manhattan, both, n_both)))
             columns.append(np.sqrt(np.where(both, euclidean * euclidean, 0.0).sum(axis=1) / n_both))
             columns.append(delay)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -132,9 +132,9 @@ class AlignedTrace:
 class TraceStack:
     """Every aligned trace of one video, one row per participant in
     ``participant_ids`` order: (participants x n_frames) ``present``,
-    ``x``, ``y`` and ``gap`` arrays. ``adopt`` copies a trace into its row
-    and hands back the trace with row views in place of its own columns;
-    ``freeze`` makes the arrays read-only once every row is in."""
+    ``x``, ``y`` and ``gap`` arrays, and the video's ``frame_times`` (s).
+    ``align`` writes a trace into its row; ``freeze`` makes the arrays
+    read-only once every row is in."""
 
     _COLUMNS = ("present", "x", "y", "gap")
 
@@ -148,25 +148,11 @@ class TraceStack:
         self.x = np.full(shape, np.nan)
         self.y = np.full(shape, np.nan)
         self.gap = np.zeros(shape, dtype=bool)
+        self.frame_times = np.arange(n_frames) / fps
 
     @property
     def n_frames(self) -> int:
         return self.present.shape[1]
-
-    def adopt(self, trace: AlignedTrace) -> AlignedTrace:
-        if (trace.video_id, trace.fps, trace.n_frames) != (self.video_id, self.fps, self.n_frames):
-            raise ValueError(
-                f"trace of {trace.video_id!r} at {trace.fps} fps with {trace.n_frames} "
-                f"frames does not fit the stack of {self.video_id!r}"
-            )
-        i = self.row[trace.participant_id]
-        views = {}
-        for name in self._COLUMNS:
-            view = getattr(self, name)[i]
-            view[:] = getattr(trace, name)
-            view.flags.writeable = False
-            views[name] = view
-        return replace(trace, **views)
 
     def freeze(self) -> None:
         for name in self._COLUMNS:
@@ -248,6 +234,7 @@ def _decode(path, data: bytes) -> str:
 
 
 _PLAIN_HEADER = (",".join(GAZE_HEADER) + "\n").encode()
+_ROW_SEPARATORS = np.array([False] * 6 + [True])  # is each of a row's 7 separators its end
 
 
 def _plain_columns(data: bytes, video_id: str, participant_id: Optional[str]):
@@ -272,31 +259,37 @@ def _plain_columns(data: bytes, video_id: str, participant_id: Optional[str]):
         data = data.replace(b"\r\n", b"\n")
     if not (data.startswith(_PLAIN_HEADER) and data.isascii()) or b'"' in data:
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    if np.count_nonzero(buf < ord(" ")) != len(newlines):
+    body = np.frombuffer(data, dtype=np.uint8, offset=len(_PLAIN_HEADER))
+    # one pass finds every byte <= ",": the LFs and commas that shape the
+    # lines, and any control byte, space, "#" or "+" among them
+    seps = np.flatnonzero(body <= ord(","))
+    kinds = body[seps]
+    newline = kinds == ord("\n")
+    if np.count_nonzero(kinds < ord(" ")) != np.count_nonzero(newline):  # a control byte
         return None
-    # line i after the header spans [starts[i], ends[i]); a final newline
-    # leaves an empty one, and a line's commas are those before the next start
-    starts = newlines + 1
-    ends = np.append(newlines[1:], len(data))
-    commas = np.flatnonzero(buf == ord(","))
-    first = np.searchsorted(commas, starts)
-    rows = np.flatnonzero(ends > starts)
-    if not len(rows) or np.any(np.diff(first, append=len(commas))[rows] != 6):
+    # keep the commas and the LFs that end a row; a blank line's LF comes
+    # first in the body or right after another LF
+    blank = newline & np.append(seps[:1] == 0, newline[:-1] & (np.diff(seps) == 1))
+    shaping = (newline & ~blank) | (kinds == ord(","))
+    seps, newline = seps[shaping], newline[shaping]
+    if len(seps) % 7 == 6:  # the last row ends the file, with no LF
+        seps, newline = np.append(seps, len(body)), np.append(newline, True)
+    # every row is 6 commas and its end
+    if not len(seps) or len(seps) % 7 or np.any(newline.reshape(-1, 7) != _ROW_SEPARATORS):
         return None
-    starts, ends, first = starts[rows], ends[rows], first[rows]
+    rows = seps.reshape(-1, 7)
+    ends = rows[:, 6]
     pid = participant_id
     if pid is None:
-        pid = data[starts[0]: commas[first[0]]].decode("ascii")
+        pid = body[: rows[0, 0]].tobytes().rpartition(b"\n")[2].decode("ascii")
     prefix = f"{pid},{video_id},"
     if not prefix.isascii() or prefix.count(",") != 2:
         return None
     if data.count(b"\n" + prefix.encode("ascii")) != len(rows):
         return None
-    flags = buf[ends - 1]
+    flags = body[ends - 1]
     tracker_valid = flags == ord("1")
-    one_byte_flag = np.array_equal(commas[first + 5], ends - 2)
+    one_byte_flag = np.array_equal(rows[:, 5], ends - 2)
     if not (one_byte_flag and (tracker_valid | (flags == ord("0"))).all()):
         return None
     try:
@@ -453,7 +446,7 @@ def parse_aoi_track(path, meta: VideoMeta) -> AoiIndex:
     return AoiIndex(*columns, n_frames)
 
 
-def align(trace: GazeTrace, meta: VideoMeta) -> AlignedTrace:
+def align(trace: GazeTrace, meta: VideoMeta, stack: Optional[TraceStack] = None) -> AlignedTrace:
     """Assign valid samples to video frames.
 
     Frame f (video time f/fps) receives the valid sample whose video_ts is
@@ -462,47 +455,54 @@ def align(trace: GazeTrace, meta: VideoMeta) -> AlignedTrace:
     the wall-clock spread between the two chosen samples exceeds
     2/fps + 0.5 s, which captures pause events (playback halted after the
     gaze left the screen for 500 ms).
+
+    With ``stack`` (a ``TraceStack`` of ``meta``'s video with a row for the
+    trace's participant), the present, x, y and gap columns are written
+    straight into that row, and the trace reads them back as read-only
+    views; without it, the trace gets a one-row stack of its own.
     """
     if trace.video_id != meta.video_id:
         raise ConfigError(f"trace video {trace.video_id!r} does not match meta {meta.video_id!r}")
     fps = meta.fps
     n_frames = meta.n_frames
-    present = np.zeros(n_frames, dtype=bool)
-    x = np.full(n_frames, np.nan)
-    y = np.full(n_frames, np.nan)
+    if stack is None:
+        stack = TraceStack(meta.video_id, fps, [trace.participant_id], n_frames)
+    elif (stack.video_id, stack.fps, stack.n_frames) != (meta.video_id, fps, n_frames):
+        raise ValueError(
+            f"the stack of {stack.video_id!r} at {stack.fps} fps with {stack.n_frames} "
+            f"frames does not fit video {meta.video_id!r}"
+        )
+    i = stack.row[trace.participant_id]
+    present, x, y, gap = (getattr(stack, name)[i] for name in TraceStack._COLUMNS)
     wall_s = np.full(n_frames, np.nan)
 
-    valid = trace.valid
-    n_valid = int(np.count_nonzero(valid))
-    if n_valid:
+    valid = np.flatnonzero(trace.valid)
+    if len(valid):
         video_s = trace.video_ts[valid] / 1000.0
-        wall = trace.wall_ts[valid] / 1000.0
-        xs = trace.x[valid]
-        ys = trace.y[valid]
         half_period = 1.0 / (2.0 * fps)
-        t_f = np.arange(n_frames) / fps
+        t_f = stack.frame_times
         # nearest sample by video time; ties resolve to the earlier sample
-        idx = np.searchsorted(video_s, t_f)
-        idx_lo = np.clip(idx - 1, 0, n_valid - 1)
-        idx_hi = np.clip(idx, 0, n_valid - 1)
+        idx = np.searchsorted(video_s, t_f)  # in [0, len(valid)]
+        idx_lo = np.maximum(idx - 1, 0)
+        idx_hi = np.minimum(idx, len(valid) - 1)
         d_lo = np.abs(video_s[idx_lo] - t_f)
         d_hi = np.abs(video_s[idx_hi] - t_f)
-        best = np.where(d_lo <= d_hi, idx_lo, idx_hi)
-        dist = np.minimum(d_lo, d_hi)
-        hit = dist <= half_period
+        hit = np.minimum(d_lo, d_hi) <= half_period
+        best = valid[np.where(d_lo <= d_hi, idx_lo, idx_hi)[hit]]
         present[hit] = True
-        x[hit] = xs[best[hit]]
-        y[hit] = ys[best[hit]]
-        wall_s[hit] = wall[best[hit]]
+        x[hit] = trace.x[best]
+        y[hit] = trace.y[best]
+        wall_s[hit] = trace.wall_ts[best] / 1000.0
 
     fraction = float(present.mean()) if n_frames else 0.0
     if fraction < MIN_VALID_FRAME_FRACTION:
         raise RateMismatch(trace.participant_id, trace.video_id, fraction)
 
-    gap = np.zeros(n_frames, dtype=bool)
     max_spread = 2.0 / fps + 0.5
     with np.errstate(invalid="ignore"):  # wall_s is NaN on absent frames
         gap[1:] = ~present[:-1] | (present[1:] & (wall_s[1:] - wall_s[:-1] > max_spread))
+    for column in (present, x, y, gap):
+        column.flags.writeable = False
     return AlignedTrace(
         participant_id=trace.participant_id,
         video_id=trace.video_id,

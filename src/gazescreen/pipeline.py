@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import FeatureMode
 from .errors import GazeScreenError, MissingVideo
-from .features import extract, full_window
+from .features import extract_stack, full_window
 from .ingest import (
     WARN_VALID_FRAME_FRACTION,
     DatasetManifest,
@@ -63,10 +63,11 @@ def load_dataset(manifest, participants=None, video_ids=None, aoi: bool = True) 
     inside it gets every check, and the first failure among those files is
     the one a full load raises first: AOI tracks in manifest order, then
     gaze logs in manifest order. That includes a gaze-log row whose
-    participant id is not the log's manifest key. Each ``AlignedTrace``
-    reads its columns from its row of the video's read-only
-    ``TraceStack``; low-coverage traces (below the soft threshold) are
-    recorded as warnings."""
+    participant id is not the log's manifest key. Each log is aligned
+    straight into its row of the video's ``TraceStack`` (read-only once
+    loaded), and its ``AlignedTrace`` reads its columns from that row;
+    low-coverage traces (below the soft threshold) are recorded as
+    warnings."""
     if not isinstance(manifest, DatasetManifest):
         manifest = load_manifest(manifest)
     metas = {vid: manifest.video_meta(vid)
@@ -88,12 +89,12 @@ def load_dataset(manifest, participants=None, video_ids=None, aoi: bool = True) 
             continue
         meta = metas[vid]
         trace = parse_gaze_log(path, meta, participant_id=pid)
-        at = align(trace, meta)
+        at = align(trace, meta, stacks[vid])
         if at.valid_fraction < WARN_VALID_FRAME_FRACTION:
             warnings.append(
                 f"{pid}/{vid}: only {at.valid_fraction:.1%} of frames have gaze"
             )
-        aligned[(pid, vid)] = stacks[vid].adopt(at)
+        aligned[(pid, vid)] = at
     for stack in stacks.values():
         stack.freeze()
     return Dataset(manifest=manifest, participants=participants, video_order=tuple(metas),
@@ -125,8 +126,15 @@ def collect_extraction_failures(
     Returns ``(failures, rows)``: ``failures`` holds
     (participant_id, video_id, error) triples, with ``MissingVideo`` for a
     pair without a gaze log, and ``rows`` maps each pair that succeeded to
-    its feature row from ``extract``.
+    its feature row. Each video's stack is featurised in one
+    ``extract_stack`` pass, which gives ``extract``'s row or error for
+    every pair.
     """
+    results = {}
+    for vid in dataset.video_order:
+        stack = dataset.stacks[vid]
+        rows = extract_stack(stack, dataset.aoi.get(vid), full_window(stack), mode)
+        results.update(((pid, vid), row) for pid, row in zip(stack.participant_ids, rows))
     failures = []
     rows = {}
     for p in dataset.manifest_order:
@@ -134,10 +142,8 @@ def collect_extraction_failures(
             key = (p.participant_id, vid)
             if key not in dataset.aligned:
                 failures.append((*key, MissingVideo(*key)))
-                continue
-            at = dataset.aligned[key]
-            try:
-                rows[key] = extract(at, dataset.aoi.get(vid), full_window(at), mode)
-            except GazeScreenError as e:
-                failures.append((*key, e))
+            elif isinstance(results[key], GazeScreenError):
+                failures.append((*key, results[key]))
+            else:
+                rows[key] = results[key]
     return failures, rows

@@ -1,3 +1,4 @@
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -67,11 +68,56 @@ def stack_traces(traces):
     """A frozen TraceStack of one video's traces, and the traces re-read
     from their stack rows, in row (sorted id) order."""
     first = traces[0]
-    stack = TraceStack(first.video_id, first.fps, sorted(t.participant_id for t in traces),
+    traces = sorted(traces, key=lambda t: t.participant_id)
+    stack = TraceStack(first.video_id, first.fps, [t.participant_id for t in traces],
                        first.n_frames)
-    rows = sorted((stack.adopt(t) for t in traces), key=lambda t: t.participant_id)
+    names = ("present", "x", "y", "gap")
+    for i, t in enumerate(traces):
+        for name in names:
+            getattr(stack, name)[i] = getattr(t, name)
     stack.freeze()
+    rows = [dataclasses.replace(t, **{name: getattr(stack, name)[i] for name in names})
+            for i, t in enumerate(traces)]
     return stack, rows
+
+
+def seeded_trace(rng, pid, vid, n_frames, fps):
+    """A random trace of one of five shapes: as ``random_aligned`` draws
+    it, present on alternate frames only, with at most one present frame,
+    with a run of gap flags, or with coordinates so large that its
+    variances overflow."""
+    at = random_aligned(rng, n_frames=n_frames, fps=fps,
+                        p_present=float(rng.choice([0.3, 0.8, 1.0])), pid=pid, vid=vid)
+    present, gap, scale = at.present.copy(), at.gap.copy(), 1.0
+    kind = int(rng.integers(5))
+    if kind == 1:
+        present &= np.arange(n_frames) % 2 == 0
+    elif kind == 2:
+        present[1:] = False
+    elif kind == 3:
+        start, stop = sorted(rng.integers(0, n_frames + 1, size=2).tolist())
+        gap[start:stop] = True
+    elif kind == 4:
+        scale = 1e300
+    x = np.where(present, at.x * scale, np.nan)
+    y = np.where(present, at.y, np.nan)
+    return dataclasses.replace(at, present=present, x=x, y=y, gap=gap)
+
+
+def seeded_video(rng, pids, vid):
+    """A frozen TraceStack of ``seeded_trace``s of ``pids`` (1-29 frames),
+    the traces re-read from its rows, and an AOI index of the video: none,
+    one with no box, or 1-3 objects annotated on a random share of frames,
+    so that each object's track has holes."""
+    n_frames = int(rng.integers(1, 30))
+    fps = float(rng.choice([4.0, 10.0]))
+    stack, rows = stack_traces([seeded_trace(rng, pid, vid, n_frames, fps) for pid in pids])
+    track = int(rng.integers(4))
+    if track == 0:
+        return stack, rows, None
+    boxes = [] if track == 1 else random_aoi(rng, n_frames, int(rng.integers(1, 4)),
+                                             float(rng.choice([0.1, 0.4, 0.9])))
+    return stack, rows, aoi_index(boxes, n_frames)
 
 
 class Box(NamedTuple):

@@ -10,22 +10,31 @@ each with the fields of ``conftest.Box``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from collections import Counter
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
+from gazescreen.core import FeatureMode
 from gazescreen.errors import (
     DivergenceDetected,
     EmptyLog,
+    GazeScreenError,
+    InsufficientData,
     MalformedRow,
+    MissingVideo,
+    NoAoiInWindow,
+    NoAoiTrack,
     NonFiniteFeature,
     NonMonotonicTimestamp,
     SingleClass,
     TooFewPerClass,
 )
+from gazescreen.features import full_window
 
 
 def frames_in_window(start_s, duration_s, fps, n_frames):
@@ -656,3 +665,281 @@ def oracle_mlp_train(X, y, cfg, seed=0, branches=None):
     else:
         branches["max_epochs"] += 1
     return W1, b1, W2, b2
+
+# ``features.extract`` and its helpers, and the per-pair loop of
+# ``pipeline.collect_extraction_failures``, as they were before the stack
+# pass, which must give the same row bytes and the same errors.
+
+
+def _old_frame_range(w: Window, fps: float, n_frames: int) -> tuple[int, int]:
+    """Half-open frame index range [lo, hi) of frames whose timestamp
+    f/fps falls inside the window."""
+    lo = int(math.ceil(w.start_s * fps - 1e-9))
+    hi = int(math.ceil(w.end_s * fps - 1e-9))
+    return max(lo, 0), min(hi, n_frames)
+
+
+def _old_std_pop(values: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((values - values.mean()) ** 2)))
+
+
+def _old_frames(aligned: AlignedTrace, w: Window) -> tuple[int, int]:
+    return _old_frame_range(w, aligned.fps, aligned.n_frames)
+
+
+def _old_require_aoi(video: AlignedTrace | TraceStack, aoi: AoiIndex | None) -> None:
+    """Check that ``aoi`` indexes the video of a trace or a stack: a
+    missing track is a ``NoAoiTrack``, a frame count that differs from
+    the video's a ``ValueError``."""
+    if aoi is None:
+        raise NoAoiTrack(video.video_id)
+    if aoi.n_frames != video.n_frames:
+        raise ValueError(
+            f"AOI index has {aoi.n_frames} frames, {type(video).__name__} has {video.n_frames}"
+        )
+
+
+def _old_std_gaze(aligned, lo, hi, w) -> float:
+    mask = aligned.present[lo:hi]
+    if int(mask.sum()) < 2:
+        raise InsufficientData(f"F1 needs >= 2 present frames in {w}")
+    xs = aligned.x[lo:hi][mask]
+    ys = aligned.y[lo:hi][mask]
+    return float(np.sqrt(np.var(xs) + np.var(ys)))
+
+
+def _old_std_diff(aligned, lo, hi, w) -> float:
+    if hi - lo < 2:
+        raise InsufficientData(f"F2 needs >= 2 frames in {w}")
+    p = aligned.present[lo:hi]
+    eligible = p[:-1] & p[1:] & ~aligned.gap[lo + 1 : hi]
+    if int(eligible.sum()) < 2:
+        raise InsufficientData(f"F2 needs >= 2 eligible consecutive pairs in {w}")
+    dx = np.diff(aligned.x[lo:hi])[eligible]
+    dy = np.diff(aligned.y[lo:hi])[eligible]
+    return _old_std_pop(np.hypot(dx, dy))
+
+
+def _old_center_distances(aligned, aoi: AoiIndex, lo, hi, w):
+    """Manhattan and Euclidean distance from gaze to the nearest annotated
+    box center (nearest under each metric), over frames in [lo, hi) that
+    are both present and annotated."""
+    if not aoi.any_ann[lo:hi].any():
+        raise NoAoiInWindow(f"no annotated frame in {w}")
+    both = aligned.present[lo:hi] & aoi.any_ann[lo:hi]
+    cols = np.nonzero(both)[0] + lo
+    if len(cols) == 0:
+        return np.empty(0), np.empty(0)
+    dx = aligned.x[cols] - aoi.cx[:, cols]
+    dy = aligned.y[cols] - aoi.cy[:, cols]
+    # min over annotated objects only; NaN rows are unannotated objects
+    ann = aoi.ann[:, cols]
+    manhattan = np.nanmin(np.where(ann, np.abs(dx) + np.abs(dy), np.nan), axis=0)
+    euclidean = np.nanmin(np.where(ann, np.hypot(dx, dy), np.nan), axis=0)
+    return manhattan, euclidean
+
+
+def _old_std_manhattan(manhattan, w) -> float:
+    if len(manhattan) < 2:
+        raise InsufficientData(f"F3 needs >= 2 present+annotated frames in {w}")
+    return _old_std_pop(manhattan)
+
+
+def _old_rmse(euclidean, w) -> float:
+    if len(euclidean) < 1:
+        raise NoAoiInWindow(f"no frame both present and annotated in {w}")
+    return float(np.sqrt(np.mean(euclidean**2)))
+
+
+def _old_first_look_delay(video: AlignedTrace | TraceStack, aoi: AoiIndex, lo, hi, w) -> np.ndarray:
+    """F5 on frames [lo, hi) of every row of a stack, or of a trace as one
+    row; a window that no occurrence overlaps is a ``NoAoiInWindow``."""
+    present, x, y = np.atleast_2d(video.present, video.x, video.y)
+    delays = []
+    for occ in aoi.occurrences:
+        enter = max(occ.enter_frame, lo)
+        exit_ = min(occ.exit_frame, hi - 1)
+        if enter > exit_:
+            continue
+        k = aoi.row[occ.object_id]
+        span = slice(enter, exit_ + 1)
+        xs = x[:, span]
+        ys = y[:, span]
+        inside = (
+            present[:, span]
+            & (xs >= aoi.x_min[k, span])
+            & (xs <= aoi.x_max[k, span])
+            & (ys >= aoi.y_min[k, span])
+            & (ys <= aoi.y_max[k, span])
+        )
+        first = np.where(inside.any(axis=1), inside.argmax(axis=1), exit_ - enter + 1)
+        delays.append(first / video.fps)
+    if not delays:
+        raise NoAoiInWindow(f"no AOI occurrence overlaps {w}")
+    return np.column_stack(delays).mean(axis=1)
+
+
+def oracle_feature_std_gaze(aligned: AlignedTrace, w: Window) -> float:
+    """F1: sqrt of summed per-axis population variances of gaze points."""
+    return _old_std_gaze(aligned, *_old_frames(aligned, w), w)
+
+
+def oracle_feature_std_diff(aligned: AlignedTrace, w: Window) -> float:
+    """F2: population std of Euclidean displacement between consecutive
+    frames. Pairs spanning a gap flag are excluded."""
+    return _old_std_diff(aligned, *_old_frames(aligned, w), w)
+
+
+def oracle_feature_std_manhattan(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
+    """F3: population std of the Manhattan distance from gaze to the
+    nearest annotated box center, over frames that are both present and
+    annotated."""
+    _old_require_aoi(aligned, aoi)
+    manhattan, _ = _old_center_distances(aligned, aoi, *_old_frames(aligned, w), w)
+    return _old_std_manhattan(manhattan, w)
+
+
+def oracle_feature_rmse_aoi(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
+    """F4: RMS Euclidean distance from gaze to the nearest annotated box
+    center, paired frame by frame."""
+    _old_require_aoi(aligned, aoi)
+    _, euclidean = _old_center_distances(aligned, aoi, *_old_frames(aligned, w), w)
+    return _old_rmse(euclidean, w)
+
+
+def oracle_feature_delay(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
+    """F5: mean first-look delay in seconds, averaged over all AOI
+    occurrences overlapping the window.
+
+    Each occurrence is clipped to the window (enter frame clamped to the
+    window start). The delay is the time from the clipped enter frame to
+    the first frame whose present gaze point lies inside that object's
+    box; if the gaze never enters during the clipped span, the delay is
+    right-censored at the clipped span duration.
+    """
+    _old_require_aoi(aligned, aoi)
+    return float(_old_first_look_delay(aligned, aoi, *_old_frames(aligned, w), w)[0])
+
+
+def oracle_extract(
+    aligned: AlignedTrace,
+    aoi: AoiIndex | None,
+    w: Window,
+    mode: FeatureMode,
+) -> np.ndarray:
+    """``features.extract`` as it was before the stack pass: one trace's
+    feature row, [F1..F5] with AOI, [F1, F2] without, from the helpers
+    above, each reducing the trace's compressed values; the first rule
+    that fails raises."""
+    lo, hi = _old_frames(aligned, w)
+    values = [_old_std_gaze(aligned, lo, hi, w), _old_std_diff(aligned, lo, hi, w)]
+    if mode is FeatureMode.WITH_AOI:
+        _old_require_aoi(aligned, aoi)
+        manhattan, euclidean = _old_center_distances(aligned, aoi, lo, hi, w)
+        values.append(_old_std_manhattan(manhattan, w))
+        values.append(_old_rmse(euclidean, w))
+        values.append(float(_old_first_look_delay(aligned, aoi, lo, hi, w)[0]))
+    row = np.array(values)
+    if not np.isfinite(row).all():
+        raise NonFiniteFeature(
+            f"non-finite feature for {aligned.participant_id}/{aligned.video_id} in {w}"
+        )
+    return row
+
+
+def oracle_extraction_failures(
+    dataset: Dataset, mode: FeatureMode
+) -> tuple[list[tuple[str, str, GazeScreenError]], dict]:
+    """``pipeline.collect_extraction_failures`` as it was before the stack
+    pass, with ``oracle_extract`` in place of ``extract``: extract every
+    (participant, video) on its full window, one pair at a time, in
+    participant (``dataset.manifest_order``) then video order, collecting
+    every failure instead of stopping at the first.
+
+    Returns ``(failures, rows)``: ``failures`` holds
+    (participant_id, video_id, error) triples, with ``MissingVideo`` for a
+    pair without a gaze log, and ``rows`` maps each pair that succeeded to
+    its feature row from ``extract``.
+    """
+    failures = []
+    rows = {}
+    for p in dataset.manifest_order:
+        for vid in dataset.video_order:
+            key = (p.participant_id, vid)
+            if key not in dataset.aligned:
+                failures.append((*key, MissingVideo(*key)))
+                continue
+            at = dataset.aligned[key]
+            try:
+                rows[key] = oracle_extract(at, dataset.aoi.get(vid), full_window(at), mode)
+            except GazeScreenError as e:
+                failures.append((*key, e))
+    return failures, rows
+
+_OLD_PLAIN_HEADER = b"participant_id,video_id,wall_ts_ms,video_ts_ms,x_px,y_px,valid\n"
+
+
+def oracle_plain_columns(data: bytes, video_id: str, participant_id: Optional[str]):
+    """``ingest._plain_columns`` as it was before its one separator pass,
+    with separate newline, control-byte and comma passes and a
+    ``searchsorted``: the (participant id, numbers, flags) of a gaze log in the plain
+    subset, read by numpy's C parser; None for any other file. ``numbers``
+    is (4, n_rows): wall, video, x_px, y_px; ``flags`` is the tracker's
+    valid flag of each row.
+
+    Plain: the exact header line; printable ASCII lines ended by LF or
+    CRLF, with no ``"``; at least one data row; every non-blank line has 7
+    fields (6 commas) and starts with ``<participant id>,<video id>,``
+    (the given id, else the first row's); a one-byte 0/1 flag; four
+    numbers that ``np.loadtxt`` reads and that pass the rules on numbers
+    (all finite, wall time strictly increasing, video time non-decreasing,
+    both non-negative). Each CRLF is read as LF, which keeps the line
+    count; any other CR leaves the subset. ``loadtxt`` and ``float`` both
+    convert with ``PyOS_string_to_double``, and in this subset ``loadtxt``
+    accepts no text that ``float`` rejects, so the values are
+    ``_row_columns``' bit for bit. Such a file passes every row rule.
+    """
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    if not (data.startswith(_OLD_PLAIN_HEADER) and data.isascii()) or b'"' in data:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    if np.count_nonzero(buf < ord(" ")) != len(newlines):
+        return None
+    # line i after the header spans [starts[i], ends[i]); a final newline
+    # leaves an empty one, and a line's commas are those before the next start
+    starts = newlines + 1
+    ends = np.append(newlines[1:], len(data))
+    commas = np.flatnonzero(buf == ord(","))
+    first = np.searchsorted(commas, starts)
+    rows = np.flatnonzero(ends > starts)
+    if not len(rows) or np.any(np.diff(first, append=len(commas))[rows] != 6):
+        return None
+    starts, ends, first = starts[rows], ends[rows], first[rows]
+    pid = participant_id
+    if pid is None:
+        pid = data[starts[0]: commas[first[0]]].decode("ascii")
+    prefix = f"{pid},{video_id},"
+    if not prefix.isascii() or prefix.count(",") != 2:
+        return None
+    if data.count(b"\n" + prefix.encode("ascii")) != len(rows):
+        return None
+    flags = buf[ends - 1]
+    tracker_valid = flags == ord("1")
+    one_byte_flag = np.array_equal(commas[first + 5], ends - 2)
+    if not (one_byte_flag and (tracker_valid | (flags == ord("0"))).all()):
+        return None
+    try:
+        numbers = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1, usecols=(2, 3, 4, 5),
+                             dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if numbers.shape != (len(rows), 4):  # a blank line loadtxt kept would misalign the flags
+        return None
+    numbers = numbers.T.copy()
+    wall, video = numbers[0], numbers[1]
+    if not (np.isfinite(numbers).all() and (wall[1:] > wall[:-1]).all()
+            and (video[1:] >= video[:-1]).all() and numbers[:2].min() >= 0):
+        return None
+    return pid, numbers, tracker_valid

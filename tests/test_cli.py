@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -18,6 +19,20 @@ from gazescreen.cli import EXIT_CONFIG, EXIT_IO, EXIT_PIPELINE, main
 
 # the participants of the 6 + 6 test cohort, in manifest order
 SMALL_COHORT_IDS = [f"asd_{i:03d}" for i in range(6)] + [f"ctl_{i:03d}" for i in range(6)]
+
+
+def record_stack_passes(monkeypatch) -> list:
+    """Record (video id, participant ids) of every ``extract_stack`` pass
+    that ``pipeline`` makes."""
+    calls = []
+    real = pipeline.extract_stack
+
+    def counting(stack, *args):
+        calls.append((stack.video_id, stack.participant_ids))
+        return real(stack, *args)
+
+    monkeypatch.setattr(pipeline, "extract_stack", counting)
+    return calls
 
 
 @pytest.fixture
@@ -287,18 +302,14 @@ class TestFeatures:
         assert "Traceback" not in r.output
 
     def test_extracts_each_pair_once(self, runner, small_cohort_manifest, tmp_path, monkeypatch):
-        calls = []
-        real_extract = pipeline.extract
-
-        def counting_extract(*args, **kwargs):
-            calls.append(args[0].participant_id)
-            return real_extract(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "extract", counting_extract)
+        calls = record_stack_passes(monkeypatch)
         r = run(runner, "features", "--manifest", small_cohort_manifest,
                 "--mode", "aoi", "--out", tmp_path)
         assert r.exit_code == 0, r.output
-        assert len(calls) == 12 * 4  # participants x videos, one extraction each
+        videos = [vid for vid, _ in calls]
+        assert len(set(videos)) == len(videos) == 4  # one pass per video
+        pairs = [(pid, vid) for vid, pids in calls for pid in pids]
+        assert sorted(pairs) == sorted((pid, vid) for pid in SMALL_COHORT_IDS for vid in videos)
 
     def test_lists_every_broken_pair(self, runner, small_cohort_manifest, tmp_path):
         def edit(data):
@@ -348,7 +359,9 @@ class TestFeatures:
     def test_non_finite_feature_exits_pipeline(
         self, runner, small_cohort_manifest, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(features, "_first_look_delay", lambda *args: [math.inf])
+        # F5 of every row of a trace or stack is infinite
+        monkeypatch.setattr(features, "_first_look_delay",
+                            lambda video, *args: np.full(len(np.atleast_2d(video.present)), math.inf))
         r = run(runner, "features", "--manifest", small_cohort_manifest, "--mode", "aoi",
                 "--out", tmp_path)
         assert r.exit_code == EXIT_PIPELINE, r.output
@@ -474,18 +487,11 @@ class TestEvaluate:
     def test_one_video_extracts_it_once_per_participant(
         self, runner, small_cohort_manifest, tmp_path, monkeypatch
     ):
-        calls = []
-        real_extract = pipeline.extract
-
-        def counting_extract(*args, **kwargs):
-            calls.append((args[0].participant_id, args[0].video_id))
-            return real_extract(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "extract", counting_extract)
+        calls = record_stack_passes(monkeypatch)
         r = run(runner, "evaluate", "--manifest", small_cohort_manifest, "--mode", "aoi",
                 "--video", "dialog", "--seed", 1, "--reps", 1, "--out", tmp_path)
         assert r.exit_code == 0, r.output
-        assert calls == [(pid, "dialog") for pid in SMALL_COHORT_IDS]
+        assert calls == [("dialog", tuple(SMALL_COHORT_IDS))]
 
     def test_overflowing_kernel_exits_pipeline(self, runner, small_cohort_manifest, tmp_path):
         # a finite gamma whose cubic kernel overflows would train on inf

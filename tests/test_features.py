@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gazescreen.features import (
     Window,
     extract,
     extract_batch,
+    extract_stack,
     feature_delay,
     feature_rmse_aoi,
     feature_std_diff,
@@ -25,7 +27,7 @@ from gazescreen.features import (
 from gazescreen.ingest import AlignedTrace
 from gazescreen.pipeline import extract_features, load_dataset
 
-from .conftest import Box, aoi_index, random_aligned, random_aoi, stack_traces
+from .conftest import Box, aoi_index, random_aligned, random_aoi, seeded_video, stack_traces
 from . import oracles
 
 
@@ -547,3 +549,97 @@ class TestExtractBatch:
             extract(rows[1], None, w, FeatureMode.NO_AOI)
         with pytest.raises(NonFiniteFeature, match="b/v"):
             extract_batch(stack, None, w, FeatureMode.NO_AOI)
+
+
+def value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except GazeScreenError as e:
+        return e
+
+
+def reason(error) -> str:
+    """The message of a feature error without its window, video or pair."""
+    return re.split(r" (?:in |for )?(?:Window\(|video |p\d)", str(error))[0]
+
+
+def assert_same_result(got, want, what):
+    """``got`` is ``want``'s feature row bit for bit, or an error of its
+    type and message."""
+    if isinstance(want, GazeScreenError):
+        assert type(got) is type(want), (what, got, want)
+        assert str(got) == str(want), what
+    else:
+        assert isinstance(got, np.ndarray), (what, got)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), what
+        assert got.tobytes() == want.tobytes(), what
+
+
+# each single-feature function with its pre-stack-pass oracle, and whether
+# it reads the AOI track
+FEATURES = [
+    (feature_std_gaze, oracles.oracle_feature_std_gaze, False),
+    (feature_std_diff, oracles.oracle_feature_std_diff, False),
+    (feature_std_manhattan, oracles.oracle_feature_std_manhattan, True),
+    (feature_rmse_aoi, oracles.oracle_feature_rmse_aoi, True),
+    (feature_delay, oracles.oracle_feature_delay, True),
+]
+
+
+class TestExtractStack:
+    """``extract_stack`` against ``oracles.oracle_extract``, the per-trace
+    engine it replaced, on every row of seeded stacks."""
+
+    MODES = [FeatureMode.WITH_AOI, FeatureMode.NO_AOI]
+
+    def test_rows_match_the_oracle_on_random_windows(self):
+        rng = np.random.default_rng(808)
+        reasons = set()
+        for trial in range(250):
+            pids = [f"p{i}" for i in range(int(rng.integers(1, 6)))]
+            stack, rows, aoi = seeded_video(rng, pids, "v")
+            length = stack.n_frames / stack.fps
+            start = float(rng.uniform(0.0, length))
+            windows = [full_window(stack), Window(start, float(rng.uniform(0.01, length)))]
+            for w in windows:
+                with np.errstate(all="ignore"):
+                    for mode in self.MODES:
+                        got = extract_stack(stack, aoi, w, mode)
+                        assert len(got) == len(rows)
+                        for at, row in zip(rows, got):
+                            want = value_or_error(oracles.oracle_extract, at, aoi, w, mode)
+                            assert_same_result(row, want, (trial, at.participant_id, w, mode))
+                            assert_same_result(value_or_error(extract, at, aoi, w, mode), want,
+                                               (trial, at.participant_id, w, mode))
+                            if isinstance(want, GazeScreenError):
+                                reasons.add(reason(want))
+                    for feature, oracle, reads_aoi in FEATURES:
+                        args = (aoi, w) if reads_aoi else (w,)
+                        for at in rows:
+                            want = value_or_error(oracle, at, *args)
+                            got = value_or_error(feature, at, *args)
+                            if isinstance(want, GazeScreenError):
+                                reasons.add(reason(want))
+                                assert (type(got), str(got)) == (type(want), str(want)), trial
+                            elif math.isfinite(want):
+                                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                            else:  # the one-feature pass rejects a value extract rejects
+                                assert isinstance(got, NonFiniteFeature), trial
+        assert reasons == {
+            "F1 needs >= 2 present frames", "F2 needs >= 2 frames",
+            "F2 needs >= 2 eligible consecutive pairs", "no AOI track", "no annotated frame",
+            "F3 needs >= 2 present+annotated frames",
+            "no frame both present and annotated", "no AOI occurrence overlaps",
+            "non-finite feature",
+        }, reasons
+
+    def test_rows_do_not_depend_on_the_other_rows(self, small_cohort):
+        for vid, stack in small_cohort.stacks.items():
+            aoi = small_cohort.aoi[vid]
+            w = full_window(stack)
+            for mode in self.MODES:
+                whole = extract_stack(stack, aoi, w, mode)
+                for pid, row in zip(stack.participant_ids, whole):
+                    _, (alone,) = stack_traces([small_cohort.aligned[(pid, vid)]])
+                    assert row.tobytes() == extract(alone, aoi, w, mode).tobytes()
+

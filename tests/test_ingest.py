@@ -550,6 +550,75 @@ class TestPlainSubset:
             for (pid, vid), path in manifest.gaze_log_paths.items():
                 parse_gaze_log(path, manifest.video_meta(vid), pid)
 
+    def test_separator_pass_accepts_what_the_oracle_accepts(self):
+        # seeded mutations of plain logs, one to three per log; the reader
+        # must accept exactly the logs the former passes accepted, with the
+        # same id, numbers and flags
+        def before_numbers(rng, line, text):
+            fields = line.split(",")
+            for k in rng.choice([2, 3, 4, 5], size=int(rng.integers(1, 5)), replace=False):
+                fields[k] = text + fields[k]
+            return ",".join(fields)
+
+        def on_random_line(rng, lines, edit):
+            rows = [i for i, line in enumerate(lines) if line]
+            if rows:
+                i = rows[int(rng.integers(len(rows)))]
+                lines[i] = edit(lines[i])
+            return lines
+
+        mutations = {
+            "blank line": lambda rng, lines: lines.insert(int(rng.integers(len(lines) + 1)), "")
+            or lines,
+            "space after a comma": lambda rng, lines: on_random_line(
+                rng, lines, lambda line: before_numbers(rng, line, " ")),
+            "+ sign": lambda rng, lines: on_random_line(
+                rng, lines, lambda line: before_numbers(rng, line, "+")),
+            "# in the ids": lambda rng, lines: [line.replace("p7,", "p#7,") for line in lines],
+            "# in one id": lambda rng, lines: on_random_line(
+                rng, lines, lambda line: line.replace("p7,", "p#7,")),
+            "6 fields": lambda rng, lines: on_random_line(
+                rng, lines, lambda line: line.replace(line.split(",")[int(rng.integers(2, 6))] + ",",
+                                                      "", 1)),
+            "8 fields": lambda rng, lines: on_random_line(rng, lines, lambda line: line + ",1"),
+            "two-byte flag": lambda rng, lines: on_random_line(
+                rng, lines, lambda line: line + str(rng.choice(["0", "1", " "]))),
+            "foreign participant id": lambda rng, lines: on_random_line(
+                rng, lines, lambda line: line.replace("p7,", "q9,")),
+        }
+        endings = {
+            "LF": lambda text: text,
+            "CRLF": lambda text: text.replace("\n", "\r\n"),
+            "mixed CRLF": lambda text: text.replace("0\n", "0\r\n"),
+            "no final newline": lambda text: text.rstrip("\n"),
+        }
+        rng = np.random.default_rng(47)
+        outcomes = set()  # (mutation or line ending, accepted)
+        for trial in range(600):
+            lines = random_gaze_lines(rng, int(rng.integers(1, 40)), ("1", "0"))
+            names = [str(name) for name in
+                     rng.choice(list(mutations), size=int(rng.integers(0, 4)))]
+            for name in names:
+                lines = mutations[name](rng, lines)
+            names.append(str(rng.choice(list(endings))))
+            text = "\n".join([",".join(GAZE_HEADER), *lines]) + "\n"
+            data = endings[names[-1]](text).encode("ascii")
+            for pid in (None, "p7"):
+                want = oracles.oracle_plain_columns(data, META.video_id, pid)
+                got = ingest._plain_columns(data, META.video_id, pid)
+                assert (got is None) is (want is None), (trial, names, pid)
+                outcomes.update((name, want is not None) for name in names)
+                if want is not None:
+                    assert got[0] == want[0], trial
+                    for a, b in zip(got[1:], want[1:]):
+                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        # each mutation and line ending was declined, and each that a
+        # plain log can have was accepted
+        never_plain = {"6 fields", "8 fields", "two-byte flag"}
+        assert outcomes >= {(name, accepted) for name in [*mutations, *endings]
+                            for accepted in (False, True)
+                            if not (accepted and name in never_plain)}
+
     def test_video_id_with_a_comma_is_checked_by_the_row_rules(self, tmp_path):
         # "p7,v,5," starts every line, but the rows' video id is "v"
         meta = dataclasses.replace(META, video_id="v,5")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -5,12 +6,20 @@ import pytest
 import yaml
 
 from gazescreen import experiments, pipeline
-from gazescreen.core import FeatureMode
+from gazescreen.core import FeatureMode, Group, Participant
 from gazescreen.errors import ConfigError, InsufficientData, MissingVideo, NonFiniteFeature
 from gazescreen.experiments import CvConfig, cv_plan, run_duration_simulation, severity_plan
 from gazescreen.features import Window, extract, extract_batch, full_window
-from gazescreen.ingest import AoiIndex, load_manifest
-from gazescreen.pipeline import collect_extraction_failures, extract_features, load_dataset
+from gazescreen.ingest import AoiIndex, DatasetManifest, load_manifest
+from gazescreen.pipeline import (
+    Dataset,
+    collect_extraction_failures,
+    extract_features,
+    load_dataset,
+)
+
+from . import oracles
+from .conftest import seeded_video
 
 
 def test_dataset_holds_one_index_per_video(small_cohort):
@@ -178,13 +187,17 @@ def test_non_finite_window_feature_fails_without_redraw(small_cohort, monkeypatc
 def broken_cohort(dataset, missing, unusable):
     """``dataset`` without the gaze log of the pair ``missing``, and with
     the trace of the pair ``unusable`` present on alternate frames only, so
-    that F2 has no consecutive pair on its full window."""
+    that F2 has no consecutive pair on its full window. The trace's row of
+    its video stack is edited with it, in a copy of that stack."""
     aligned = dict(dataset.aligned)
     del aligned[missing]
-    at = aligned[unusable]
-    present = at.present & (np.arange(at.n_frames) % 2 == 0)
-    aligned[unusable] = dataclasses.replace(at, present=present)
-    return dataclasses.replace(dataset, aligned=aligned)
+    pid, vid = unusable
+    stack = copy.copy(dataset.stacks[vid])
+    stack.present = stack.present.copy()
+    row = stack.present[stack.row[pid]]
+    row &= np.arange(stack.n_frames) % 2 == 0
+    aligned[unusable] = dataclasses.replace(aligned[unusable], present=row)
+    return dataclasses.replace(dataset, aligned=aligned, stacks={**dataset.stacks, vid: stack})
 
 
 @pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
@@ -204,6 +217,50 @@ def test_extract_features_raises_the_first_listed_failure(small_cohort, mode, mi
     with pytest.raises(type(failures[0][2])) as exc:
         extract_features(dataset, mode)
     assert str(exc.value) == str(failures[0][2])
+
+
+def seeded_dataset(rng):
+    """A Dataset of 1-3 ``seeded_video``s of 1-6 participants, listed by
+    the manifest in a shuffled order; half of the time one pair has no
+    gaze log."""
+    pids = [f"p{i}" for i in range(int(rng.integers(1, 7)))]
+    listed = tuple(Participant(pids[i], Group.ASD) for i in rng.permutation(len(pids)).tolist())
+    video_order = tuple(f"v{k}" for k in range(int(rng.integers(1, 4))))
+    aligned, aoi, stacks = {}, {}, {}
+    for vid in video_order:
+        stacks[vid], rows, track = seeded_video(rng, pids, vid)
+        aligned.update(((at.participant_id, vid), at) for at in rows)
+        if track is not None:
+            aoi[vid] = track
+    if rng.random() < 0.5:
+        del aligned[list(aligned)[int(rng.integers(len(aligned)))]]
+    manifest = DatasetManifest(videos=(), participants=listed, gaze_log_paths={}, aoi_paths={})
+    return Dataset(manifest=manifest, participants=tuple(sorted(listed, key=lambda p: p.participant_id)),
+                   video_order=video_order, aligned=aligned, aoi=aoi, stacks=stacks)
+
+
+@pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
+def test_stack_passes_match_the_per_pair_oracle(mode):
+    rng = np.random.default_rng(909 if mode is FeatureMode.WITH_AOI else 910)
+    kinds = set()
+    for trial in range(200):
+        dataset = seeded_dataset(rng)
+        with np.errstate(all="ignore"):
+            want_failures, want_rows = oracles.oracle_extraction_failures(dataset, mode)
+            got_failures, got_rows = collect_extraction_failures(dataset, mode)
+        assert list(got_rows) == list(want_rows), trial  # manifest, then video order
+        for key, want in want_rows.items():
+            got = got_rows[key]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), (trial, key)
+            assert got.tobytes() == want.tobytes(), (trial, key)
+        assert ([(pid, vid, type(e), str(e)) for pid, vid, e in got_failures]
+                == [(pid, vid, type(e), str(e)) for pid, vid, e in want_failures]), trial
+        kinds.update(type(e).__name__ for _, _, e in want_failures)
+        kinds.add("rows" if want_rows else "no rows")
+    expected = {"MissingVideo", "InsufficientData", "NonFiniteFeature", "rows", "no rows"}
+    if mode is FeatureMode.WITH_AOI:
+        expected |= {"NoAoiTrack", "NoAoiInWindow"}
+    assert kinds == expected
 
 
 @pytest.mark.parametrize("load", [
