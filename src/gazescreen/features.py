@@ -40,14 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FeatureMode
-from .errors import (
-    ConfigError,
-    GazeScreenError,
-    InsufficientData,
-    NoAoiInWindow,
-    NoAoiTrack,
-    NonFiniteFeature,
-)
+from .errors import ConfigError, InsufficientData, NoAoiInWindow, NoAoiTrack, NonFiniteFeature
 from .ingest import AlignedTrace, AoiIndex, TraceStack
 
 
@@ -211,7 +204,7 @@ def _stack_pass(video: AlignedTrace | TraceStack, aoi: AoiIndex | None, w: Windo
 
 def _one_row(aligned: AlignedTrace, aoi: AoiIndex | None, w: Window, features) -> np.ndarray:
     (row,) = _stack_pass(aligned, aoi, w, features)
-    if isinstance(row, GazeScreenError):
+    if not isinstance(row, np.ndarray):
         raise row
     return row
 

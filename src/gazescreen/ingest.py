@@ -36,7 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -132,9 +132,9 @@ class AlignedTrace:
 class TraceStack:
     """Every aligned trace of one video, one row per participant in
     ``participant_ids`` order: (participants x n_frames) ``present``,
-    ``x``, ``y`` and ``gap`` arrays. ``adopt`` copies a trace into its row
-    and hands back the trace with row views in place of its own columns;
-    ``freeze`` makes the arrays read-only once every row is in."""
+    ``x``, ``y`` and ``gap`` arrays, and the video's ``frame_times`` (s).
+    ``align`` writes a trace into its row; ``freeze`` makes the arrays
+    read-only once every row is in."""
 
     _COLUMNS = ("present", "x", "y", "gap")
 
@@ -148,25 +148,11 @@ class TraceStack:
         self.x = np.full(shape, np.nan)
         self.y = np.full(shape, np.nan)
         self.gap = np.zeros(shape, dtype=bool)
+        self.frame_times = np.arange(n_frames) / fps
 
     @property
     def n_frames(self) -> int:
         return self.present.shape[1]
-
-    def adopt(self, trace: AlignedTrace) -> AlignedTrace:
-        if (trace.video_id, trace.fps, trace.n_frames) != (self.video_id, self.fps, self.n_frames):
-            raise ValueError(
-                f"trace of {trace.video_id!r} at {trace.fps} fps with {trace.n_frames} "
-                f"frames does not fit the stack of {self.video_id!r}"
-            )
-        i = self.row[trace.participant_id]
-        views = {}
-        for name in self._COLUMNS:
-            view = getattr(self, name)[i]
-            view[:] = getattr(trace, name)
-            view.flags.writeable = False
-            views[name] = view
-        return replace(trace, **views)
 
     def freeze(self) -> None:
         for name in self._COLUMNS:
@@ -460,7 +446,7 @@ def parse_aoi_track(path, meta: VideoMeta) -> AoiIndex:
     return AoiIndex(*columns, n_frames)
 
 
-def align(trace: GazeTrace, meta: VideoMeta) -> AlignedTrace:
+def align(trace: GazeTrace, meta: VideoMeta, stack: Optional[TraceStack] = None) -> AlignedTrace:
     """Assign valid samples to video frames.
 
     Frame f (video time f/fps) receives the valid sample whose video_ts is
@@ -469,21 +455,29 @@ def align(trace: GazeTrace, meta: VideoMeta) -> AlignedTrace:
     the wall-clock spread between the two chosen samples exceeds
     2/fps + 0.5 s, which captures pause events (playback halted after the
     gaze left the screen for 500 ms).
+
+    The present, x, y and gap columns are written straight into the
+    trace's row of ``stack`` (a ``TraceStack`` of ``meta``'s video), or of
+    a one-row stack of its own, and the trace reads them as read-only
+    views.
     """
     if trace.video_id != meta.video_id:
         raise ConfigError(f"trace video {trace.video_id!r} does not match meta {meta.video_id!r}")
     fps = meta.fps
     n_frames = meta.n_frames
-    present = np.zeros(n_frames, dtype=bool)
-    x = np.full(n_frames, np.nan)
-    y = np.full(n_frames, np.nan)
+    if stack is None:
+        stack = TraceStack(meta.video_id, fps, [trace.participant_id], n_frames)
+    elif (stack.video_id, stack.fps, stack.n_frames) != (meta.video_id, fps, n_frames):
+        raise ValueError(f"the stack of {stack.video_id!r} does not fit video {meta.video_id!r}")
+    i = stack.row[trace.participant_id]
+    present, x, y, gap = (getattr(stack, name)[i] for name in TraceStack._COLUMNS)
     wall_s = np.full(n_frames, np.nan)
 
     valid = np.flatnonzero(trace.valid)
     if len(valid):
         video_s = trace.video_ts[valid] / 1000.0
         half_period = 1.0 / (2.0 * fps)
-        t_f = np.arange(n_frames) / fps
+        t_f = stack.frame_times
         # nearest sample by video time; ties resolve to the earlier sample
         idx = np.searchsorted(video_s, t_f)  # in [0, len(valid)]
         idx_lo = np.maximum(idx - 1, 0)
@@ -501,10 +495,11 @@ def align(trace: GazeTrace, meta: VideoMeta) -> AlignedTrace:
     if fraction < MIN_VALID_FRAME_FRACTION:
         raise RateMismatch(trace.participant_id, trace.video_id, fraction)
 
-    gap = np.zeros(n_frames, dtype=bool)
     max_spread = 2.0 / fps + 0.5
     with np.errstate(invalid="ignore"):  # wall_s is NaN on absent frames
         gap[1:] = ~present[:-1] | (present[1:] & (wall_s[1:] - wall_s[:-1] > max_spread))
+    for column in (present, x, y, gap):
+        column.flags.writeable = False
     return AlignedTrace(
         participant_id=trace.participant_id,
         video_id=trace.video_id,

@@ -562,21 +562,24 @@ def _one_fold(model: MlpModel):
 # fold's axes, so every fold's numbers are those of a pass on it alone.
 
 
-def _mlp_forward(params, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations (F, n, hidden) and outputs (F, n)."""
+def _mlp_forward(params, X: np.ndarray, h=None) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations (F, n, hidden) and outputs (F, n). The
+    activations are written into ``h`` if it is given, a new array if not."""
     W1, b1, W2, b2 = params
-    h = np.maximum(X @ W1 + b1[:, None], 0.0)
+    h = np.matmul(X, W1, out=h)
+    h += b1[:, None]
+    np.maximum(h, 0.0, out=h)
     out = h @ W2 + b2[:, None]
     return h, out[..., 0]
 
 
-def _mlp_losses(params, X: np.ndarray, y: np.ndarray, l2: float):
+def _mlp_losses(params, X: np.ndarray, y: np.ndarray, l2: float, h=None):
     """Half-MSE plus L2/(2n) penalty on the weight matrices, one loss per
-    fold (an (F,) array); also returns the hidden activations and the
-    residuals."""
+    fold (an (F,) array); also returns the hidden activations (in ``h``, if
+    given) and the residuals."""
     W1, _, W2, _ = params
     n = y.shape[-1]
-    h, pred = _mlp_forward(params, X)
+    h, pred = _mlp_forward(params, X, h)
     resid = pred - y
     add = np.add.reduce
     loss = 0.5 * (add(resid**2, axis=-1) / n)
@@ -584,18 +587,21 @@ def _mlp_losses(params, X: np.ndarray, y: np.ndarray, l2: float):
     return loss, h, resid
 
 
-def _mlp_losses_and_grads(params, X: np.ndarray, y: np.ndarray, l2: float, out: np.ndarray):
+def _mlp_losses_and_grads(params, X: np.ndarray, y: np.ndarray, l2: float, out: np.ndarray,
+                          h=None, d_h=None):
     """The losses of ``_mlp_losses``, with analytic gradients written into
-    ``out``, a (F, size) buffer laid out as ``_mlp_views`` reads it."""
+    ``out``, a (F, size) buffer laid out as ``_mlp_views`` reads it. ``h``
+    and ``d_h``, if given, are (F, n, hidden) buffers for the hidden
+    activations and their gradient."""
     W1, _, W2, _ = params
     n = y.shape[-1]
-    loss, h, resid = _mlp_losses(params, X, y, l2)
+    loss, h, resid = _mlp_losses(params, X, y, l2, h)
     gW1, gb1, gW2, gb2 = _mlp_views(out, X.shape[-1], h.shape[-1])
     d_out = (resid / n)[..., None]  # (F, n, 1)
     np.matmul(h.swapaxes(-1, -2), d_out, out=gW2)
     gW2 += (l2 / n) * W2
     np.add.reduce(d_out, axis=-2, out=gb2)
-    d_h = d_out @ W2.swapaxes(-1, -2)
+    d_h = np.matmul(d_out, W2.swapaxes(-1, -2), out=d_h)
     d_h[h <= 0.0] = 0.0
     np.matmul(X.swapaxes(-1, -2), d_h, out=gW1)
     gW1 += (l2 / n) * W1
@@ -659,7 +665,9 @@ def mlp_train_folds(
     element the same arithmetic as one update per array of one model). The
     epoch-end early-stop check computes the loss only. A fold that stops
     is copied out and leaves the stack at the epoch end; the folds still
-    training move up in place, so training holds 5 x F x size floats.
+    training move up in place, so training holds 5 x F x size floats. The
+    hidden activations and their gradient have buffers of their own,
+    allocated once per training, and each pass writes its folds' rows.
 
     Overflow is not warned about. A fold whose step or epoch loss is not
     finite is recorded and leaves the stack at the epoch end, and so does
@@ -688,6 +696,11 @@ def mlp_train_folds(
         W1[f] = _glorot_uniform(rng, d, hidden, (d, hidden))
         W2[f] = _glorot_uniform(rng, hidden, 1, (hidden, 1))
     buffers = np.empty_like(state[:2])
+    # the hidden activations of a step or of the epoch-end check, and their
+    # gradient, for every fold; each pass writes the rows it uses
+    batch = min(cfg.batch_size, n)
+    h = np.empty((n_folds, n, hidden))
+    d_h = np.empty((n_folds, batch, hidden))
     folds = np.arange(n_folds)
     best_loss = np.full(n_folds, np.inf)
     stall = np.zeros(n_folds, dtype=int)
@@ -695,7 +708,6 @@ def mlp_train_folds(
     diverged = {}  # fold -> its first loss that was not finite
     beta1, beta2, lr, eps = cfg.beta1, cfg.beta2, cfg.lr, cfg.eps
     t = 0
-    batch = min(cfg.batch_size, n)
 
     def record_divergence(loss):
         if not np.isfinite(loss).all():
@@ -712,7 +724,9 @@ def mlp_train_folds(
             order = np.stack([rng.permutation(n) for rng in rngs])
             for start in range(0, n, batch):
                 idx = order[:, start : start + batch]
-                loss = _mlp_losses_and_grads(params, Xs[fold_rows, idx], ys[fold_rows, idx], l2, grad)
+                rows = (slice(len(folds)), slice(idx.shape[1]))
+                loss = _mlp_losses_and_grads(params, Xs[fold_rows, idx], ys[fold_rows, idx], l2,
+                                             grad, h[rows], d_h[rows])
                 record_divergence(loss)
                 t += 1
                 # m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g*g
@@ -731,7 +745,7 @@ def mlp_train_folds(
                 grad *= lr
                 grad /= tmp
                 theta -= grad
-            epoch_loss, _, _ = _mlp_losses(params, Xs[folds], ys[folds], l2)
+            epoch_loss, _, _ = _mlp_losses(params, Xs[folds], ys[folds], l2, h[: len(folds)])
             record_divergence(epoch_loss)
             improved = best_loss - epoch_loss > cfg.early_stop_tol
             best_loss = np.where(improved, epoch_loss, best_loss)

@@ -63,10 +63,11 @@ def load_dataset(manifest, participants=None, video_ids=None, aoi: bool = True) 
     inside it gets every check, and the first failure among those files is
     the one a full load raises first: AOI tracks in manifest order, then
     gaze logs in manifest order. That includes a gaze-log row whose
-    participant id is not the log's manifest key. Each ``AlignedTrace``
-    reads its columns from its row of the video's read-only
-    ``TraceStack``; low-coverage traces (below the soft threshold) are
-    recorded as warnings."""
+    participant id is not the log's manifest key. Each log is aligned
+    straight into its row of the video's ``TraceStack`` (read-only once
+    loaded), and its ``AlignedTrace`` reads its columns from that row;
+    low-coverage traces (below the soft threshold) are recorded as
+    warnings."""
     if not isinstance(manifest, DatasetManifest):
         manifest = load_manifest(manifest)
     metas = {vid: manifest.video_meta(vid)
@@ -88,12 +89,12 @@ def load_dataset(manifest, participants=None, video_ids=None, aoi: bool = True) 
             continue
         meta = metas[vid]
         trace = parse_gaze_log(path, meta, participant_id=pid)
-        at = align(trace, meta)
+        at = align(trace, meta, stacks[vid])
         if at.valid_fraction < WARN_VALID_FRAME_FRACTION:
             warnings.append(
                 f"{pid}/{vid}: only {at.valid_fraction:.1%} of frames have gaze"
             )
-        aligned[(pid, vid)] = stacks[vid].adopt(at)
+        aligned[(pid, vid)] = at
     for stack in stacks.values():
         stack.freeze()
     return Dataset(manifest=manifest, participants=participants, video_order=tuple(metas),

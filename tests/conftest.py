@@ -68,10 +68,15 @@ def stack_traces(traces):
     """A frozen TraceStack of one video's traces, and the traces re-read
     from their stack rows, in row (sorted id) order."""
     first = traces[0]
-    stack = TraceStack(first.video_id, first.fps, sorted(t.participant_id for t in traces),
+    traces = sorted(traces, key=lambda t: t.participant_id)
+    stack = TraceStack(first.video_id, first.fps, [t.participant_id for t in traces],
                        first.n_frames)
-    rows = sorted((stack.adopt(t) for t in traces), key=lambda t: t.participant_id)
+    for i, t in enumerate(traces):
+        for name in TraceStack._COLUMNS:
+            getattr(stack, name)[i] = getattr(t, name)
     stack.freeze()
+    rows = [dataclasses.replace(t, **{name: getattr(stack, name)[i] for name in TraceStack._COLUMNS})
+            for i, t in enumerate(traces)]
     return stack, rows
 
 

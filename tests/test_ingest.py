@@ -18,6 +18,7 @@ from gazescreen.errors import (
 from gazescreen.ingest import (
     AOI_HEADER,
     GAZE_HEADER,
+    TraceStack,
     align,
     load_manifest,
     parse_aoi_track,
@@ -717,6 +718,25 @@ class TestAlign:
         trace = make_trace(lambda t: True)
         with pytest.raises(ConfigError):
             align(trace, VideoMeta("other", 3.0, 30.0, 1000, 1000))
+
+    def test_aligns_into_its_stack_row(self):
+        # two traces aligned into rows of one stack give the bytes of each
+        # aligned alone, and read their columns from their rows
+        traces = [dataclasses.replace(make_trace(keep), participant_id=pid)
+                  for pid, keep in (("a", lambda t: t % 0.5 < 0.4), ("b", lambda t: True))]
+        stack = TraceStack(META.video_id, META.fps, ["b", "a"], META.n_frames)
+        for trace in traces:
+            at = align(trace, META, stack)
+            alone = align(trace, META)
+            i = stack.row[trace.participant_id]
+            for name in ("present", "x", "y", "gap"):
+                assert getattr(at, name).tobytes() == getattr(alone, name).tobytes()
+                assert np.shares_memory(getattr(at, name), getattr(stack, name)[i])
+                assert not getattr(at, name).flags.writeable
+            assert at.wall_s.tobytes() == alone.wall_s.tobytes()
+        other = TraceStack(META.video_id, META.fps + 1, ["a"], META.n_frames)
+        with pytest.raises(ValueError, match="does not fit"):
+            align(traces[0], META, other)
 
     def test_gap_flags_monotone_under_sample_removal(self):
         rng = np.random.default_rng(5)

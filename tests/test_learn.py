@@ -640,6 +640,44 @@ class TestMlpOracle:
                       "trained_then_diverged"):
             assert branches[route] > 0, route
 
+    @pytest.mark.parametrize("diverging", [False, True])
+    def test_hidden_buffers_are_allocated_once(self, monkeypatch, diverging):
+        # folds that stop at different epochs on 11 rows in minibatches of
+        # 4, the last one short; with ``diverging``, fold 2's inputs
+        # overflow. Every pass of the training writes its activations and
+        # their gradient into slices of the same two buffers, and the
+        # models, or the error, are those of the per-fold oracle.
+        rng = np.random.default_rng(52)
+        cfg = MlpConfig(hidden=7, batch_size=4, max_epochs=200, patience=2, lr=5e-2, early_stop_tol=1e-3)
+        Xs, ys = (np.array(a) for a in zip(*(noisy_linear(rng, 11, 3) for _ in range(5))))
+        if diverging:
+            Xs[2] *= 1e200
+        seeds = [int(s) for s in rng.integers(2**31, size=5)]
+        buffers = {"h": set(), "d_h": set()}
+        real_losses, real_grads = learn._mlp_losses, learn._mlp_losses_and_grads
+
+        def losses(params, X, y, l2, h=None):
+            buffers["h"].add(id(h.base))
+            return real_losses(params, X, y, l2, h)
+
+        def grads(params, X, y, l2, out, h=None, d_h=None):
+            buffers["d_h"].add(id(d_h.base))
+            return real_grads(params, X, y, l2, out, h, d_h)
+
+        monkeypatch.setattr(learn, "_mlp_losses", losses)
+        monkeypatch.setattr(learn, "_mlp_losses_and_grads", grads)
+        got = lockstep_or_message(Xs, ys, cfg, seeds)
+        assert [len(ids) for ids in buffers.values()] == [1, 1]
+        want, epochs = oracle_folds(Xs, ys, cfg, seeds, Counter())
+        if diverging:
+            assert isinstance(want, str) and len(epochs) == 3  # folds 0 and 1 trained
+            assert got == want
+            return
+        assert len(set(epochs)) > 1  # the folds stopped at different epochs
+        for model, fit in zip(got, want):
+            for g, w in zip((model.W1, model.b1, model.W2, model.b2), fit):
+                assert g.tobytes() == w.tobytes()
+
     def test_lowest_fold_divergence_is_raised(self):
         # fold 0 trains; fold 1 diverges late (inputs near 1e307 push the
         # loss over the float range, at epoch 13 on numpy 2.4); fold 2's inputs
