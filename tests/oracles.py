@@ -666,6 +666,7 @@ def oracle_mlp_train(X, y, cfg, seed=0, branches=None):
         branches["max_epochs"] += 1
     return W1, b1, W2, b2
 
+
 # ``features.extract`` and its helpers, and the per-pair loop of
 # ``pipeline.collect_extraction_failures``, as they were before the stack
 # pass, which must give the same row bytes and the same errors.
@@ -876,16 +877,17 @@ def oracle_extraction_failures(
                 failures.append((*key, e))
     return failures, rows
 
+
 _OLD_PLAIN_HEADER = b"participant_id,video_id,wall_ts_ms,video_ts_ms,x_px,y_px,valid\n"
 
 
 def oracle_plain_columns(data: bytes, video_id: str, participant_id: Optional[str]):
     """``ingest._plain_columns`` as it was before its one separator pass,
     with separate newline, control-byte and comma passes and a
-    ``searchsorted``: the (participant id, numbers, flags) of a gaze log in the plain
-    subset, read by numpy's C parser; None for any other file. ``numbers``
-    is (4, n_rows): wall, video, x_px, y_px; ``flags`` is the tracker's
-    valid flag of each row.
+    ``searchsorted``: the (participant id, numbers, flags) of a gaze log
+    in the plain subset, read by numpy's C parser; None for any other
+    file. ``numbers`` is (4, n_rows): wall, video, x_px, y_px; ``flags``
+    is the tracker's valid flag of each row.
 
     Plain: the exact header line; printable ASCII lines ended by LF or
     CRLF, with no ``"``; at least one data row; every non-blank line has 7
