@@ -132,8 +132,9 @@ class AlignedTrace:
 class TraceStack:
     """Every aligned trace of one video, one row per participant in
     ``participant_ids`` order: (participants x n_frames) ``present``,
-    ``x``, ``y`` and ``gap`` arrays. ``align`` writes a trace into its
-    row; ``freeze`` makes the arrays read-only once every row is in."""
+    ``x``, ``y`` and ``gap`` arrays, and the video's ``frame_times`` (s).
+    ``align`` writes a trace into its row; ``freeze`` makes the arrays
+    read-only once every row is in."""
 
     _COLUMNS = ("present", "x", "y", "gap")
 
@@ -147,6 +148,7 @@ class TraceStack:
         self.x = np.full(shape, np.nan)
         self.y = np.full(shape, np.nan)
         self.gap = np.zeros(shape, dtype=bool)
+        self.frame_times = np.arange(n_frames) / fps
 
     @property
     def n_frames(self) -> int:
@@ -466,8 +468,7 @@ def align(trace: GazeTrace, meta: VideoMeta, stack: Optional[TraceStack] = None)
     if stack is None:
         stack = TraceStack(meta.video_id, fps, [trace.participant_id], n_frames)
     elif (stack.video_id, stack.fps, stack.n_frames) != (meta.video_id, fps, n_frames):
-        raise ValueError(f"the stack of {stack.video_id!r} at {stack.fps} fps with "
-                         f"{stack.n_frames} frames does not fit video {meta.video_id!r}")
+        raise ValueError(f"the stack of {stack.video_id!r} does not fit video {meta.video_id!r}")
     i = stack.row[trace.participant_id]
     present, x, y, gap = (getattr(stack, name)[i] for name in TraceStack._COLUMNS)
     wall_s = np.full(n_frames, np.nan)
@@ -476,7 +477,7 @@ def align(trace: GazeTrace, meta: VideoMeta, stack: Optional[TraceStack] = None)
     if len(valid):
         video_s = trace.video_ts[valid] / 1000.0
         half_period = 1.0 / (2.0 * fps)
-        t_f = np.arange(n_frames) / fps
+        t_f = stack.frame_times
         # nearest sample by video time; ties resolve to the earlier sample
         idx = np.searchsorted(video_s, t_f)  # in [0, len(valid)]
         idx_lo = np.maximum(idx - 1, 0)
