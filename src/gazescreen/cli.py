@@ -181,7 +181,7 @@ def features(manifest, mode, out):
         sys.exit(EXIT_PIPELINE)
     rows = []
     for (pid, vid), row in values.items():
-        w = full_window(dataset.aligned[(pid, vid)])
+        w = full_window(dataset.stacks[vid])
         vals = row.tolist() + [""] * (5 - len(row))
         rows.append([pid, vid, fmode.value, w.start_s, w.duration_s, *vals])
     _write_csv(

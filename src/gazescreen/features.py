@@ -16,10 +16,11 @@ per-frame, per-object arrays. ``pipeline.load_dataset`` builds one per
 video and keeps it on the ``Dataset``; nothing here caches indexes between
 calls.
 
-``extract`` is the definition of the features, one trace at a time: it
-returns a float array and signals an unusable window by raising. It is the
-one-row case of ``extract_stack``, which featurises every row of a video's
-``TraceStack`` on one window in one pass: the masks, step lengths and
+Aligned gaze is always a ``TraceStack``, and a single trace is a one-row
+stack. ``extract`` is the definition of the features on a one-row stack:
+it returns a float array and signals an unusable window by raising. It is
+the one-row case of ``extract_stack``, which featurises every row of a
+video's stack on one window in one pass: the masks, step lengths and
 nearest-centre distances are computed once for all rows, and each row is
 reduced on its own compressed values, so every row has ``extract``'s bits
 and error. The ``feature_*`` functions run the same pass for a single
@@ -41,7 +42,7 @@ import numpy as np
 
 from .core import FeatureMode
 from .errors import ConfigError, InsufficientData, NoAoiInWindow, NoAoiTrack, NonFiniteFeature
-from .ingest import AlignedTrace, AoiIndex, TraceStack
+from .ingest import AoiIndex, TraceStack
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,8 @@ class Window:
         return self.start_s + self.duration_s
 
 
-def full_window(video: AlignedTrace | TraceStack) -> Window:
-    return Window(0.0, video.n_frames / video.fps)
+def full_window(stack: TraceStack) -> Window:
+    return Window(0.0, stack.n_frames / stack.fps)
 
 
 def frame_range(w: Window, fps: float, n_frames: int) -> tuple[int, int]:
@@ -80,22 +81,19 @@ def _std_pop(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean((values - values.mean()) ** 2)))
 
 
-def require_aoi(video: AlignedTrace | TraceStack, aoi: AoiIndex | None) -> None:
-    """Check that ``aoi`` indexes the video of a trace or a stack: a
-    missing track is a ``NoAoiTrack``, a frame count that differs from
-    the video's a ``ValueError``."""
+def require_aoi(stack: TraceStack, aoi: AoiIndex | None) -> None:
+    """Check that ``aoi`` indexes the video of a stack: a missing track is
+    a ``NoAoiTrack``, a frame count that differs from the video's a
+    ``ValueError``."""
     if aoi is None:
-        raise NoAoiTrack(video.video_id)
-    if aoi.n_frames != video.n_frames:
-        raise ValueError(
-            f"AOI index has {aoi.n_frames} frames, {type(video).__name__} has {video.n_frames}"
-        )
+        raise NoAoiTrack(stack.video_id)
+    if aoi.n_frames != stack.n_frames:
+        raise ValueError(f"AOI index has {aoi.n_frames} frames, the stack has {stack.n_frames}")
 
 
-def _first_look_delay(video: AlignedTrace | TraceStack, aoi: AoiIndex, lo, hi, w) -> np.ndarray:
-    """F5 on frames [lo, hi) of every row of a stack, or of a trace as one
-    row; a window that no occurrence overlaps is a ``NoAoiInWindow``."""
-    present, x, y = np.atleast_2d(video.present, video.x, video.y)
+def _first_look_delay(stack: TraceStack, aoi: AoiIndex, lo, hi, w) -> np.ndarray:
+    """F5 on frames [lo, hi) of every row of a stack; a window that no
+    occurrence overlaps is a ``NoAoiInWindow``."""
     delays = []
     for occ in aoi.occurrences:
         enter = max(occ.enter_frame, lo)
@@ -104,28 +102,27 @@ def _first_look_delay(video: AlignedTrace | TraceStack, aoi: AoiIndex, lo, hi, w
             continue
         k = aoi.row[occ.object_id]
         span = slice(enter, exit_ + 1)
-        xs = x[:, span]
-        ys = y[:, span]
+        xs = stack.x[:, span]
+        ys = stack.y[:, span]
         inside = (
-            present[:, span]
+            stack.present[:, span]
             & (xs >= aoi.x_min[k, span])
             & (xs <= aoi.x_max[k, span])
             & (ys >= aoi.y_min[k, span])
             & (ys <= aoi.y_max[k, span])
         )
         first = np.where(inside.any(axis=1), inside.argmax(axis=1), exit_ - enter + 1)
-        delays.append(first / video.fps)
+        delays.append(first / stack.fps)
     if not delays:
         raise NoAoiInWindow(f"no AOI occurrence overlaps {w}")
     return np.column_stack(delays).mean(axis=1)
 
 
-def _stack_pass(video: AlignedTrace | TraceStack, aoi: AoiIndex | None, w: Window,
-                features) -> list:
+def _stack_pass(stack: TraceStack, aoi: AoiIndex | None, w: Window, features) -> list:
     """The values of ``features`` (indices into F1..F5, in order) on window
-    ``w`` for every row of a stack, or of a trace as one row: row i's float
-    array, or the ``GazeScreenError`` that rejects it (rows rejected for
-    one reason share one error).
+    ``w`` for every row of a stack: row i's float array, or the
+    ``GazeScreenError`` that rejects it (rows rejected for one reason share
+    one error).
 
     The element-wise work runs once over all rows; each row's reductions
     are the 1-D ones of its own compressed values, so a row's bits do not
@@ -135,11 +132,9 @@ def _stack_pass(video: AlignedTrace | TraceStack, aoi: AoiIndex | None, w: Windo
     an annotated frame in the window, and >= 2 (F3) or >= 1 (F4) frames
     both present and annotated; F5 an occurrence overlapping the window.
     Last, a value that is not finite is a ``NonFiniteFeature``."""
-    pids = video.participant_ids if isinstance(video, TraceStack) else (video.participant_id,)
-    lo, hi = frame_range(w, video.fps, video.n_frames)
-    present, x, y, gap = np.atleast_2d(video.present, video.x, video.y, video.gap)
-    present, x, y = present[:, lo:hi], x[:, lo:hi], y[:, lo:hi]
-    out = [None] * len(pids)
+    lo, hi = frame_range(w, stack.fps, stack.n_frames)
+    present, x, y = stack.present[:, lo:hi], stack.x[:, lo:hi], stack.y[:, lo:hi]
+    out = [None] * len(stack.participant_ids)
     columns = []  # per feature, its value as a function of the row
 
     def reject(ok, error) -> bool:
@@ -156,7 +151,7 @@ def _stack_pass(video: AlignedTrace | TraceStack, aoi: AoiIndex | None, w: Windo
             return out
         columns.append(lambda r: np.sqrt(np.var(x[r][present[r]]) + np.var(y[r][present[r]])))
     if 1 in features:
-        eligible = present[:, :-1] & present[:, 1:] & ~gap[:, lo + 1 : hi]
+        eligible = present[:, :-1] & present[:, 1:] & ~stack.gap[:, lo + 1 : hi]
         if not reject(hi - lo >= 2, InsufficientData(f"F2 needs >= 2 frames in {w}")):
             return out
         if not reject(eligible.sum(axis=1) >= 2,
@@ -167,7 +162,7 @@ def _stack_pass(video: AlignedTrace | TraceStack, aoi: AoiIndex | None, w: Windo
         columns.append(lambda r: _std_pop(steps[r][eligible[r]]))
     if max(features) >= 2:
         try:
-            require_aoi(video, aoi)
+            require_aoi(stack, aoi)
         except NoAoiTrack as e:
             reject(False, e)
             return out
@@ -189,51 +184,55 @@ def _stack_pass(video: AlignedTrace | TraceStack, aoi: AoiIndex | None, w: Windo
             columns.append(lambda r: np.sqrt(np.mean(euclidean[r][both[r]] ** 2)))
     if 4 in features:
         try:
-            delay = _first_look_delay(video, aoi, lo, hi, w)
+            delay = _first_look_delay(stack, aoi, lo, hi, w)
         except NoAoiInWindow as e:
             reject(False, e)
             return out
         columns.append(delay.__getitem__)
-    for r, pid in enumerate(pids):
+    for r, pid in enumerate(stack.participant_ids):
         if out[r] is None:
             row = np.array([float(value(r)) for value in columns])
             out[r] = row if np.isfinite(row).all() else NonFiniteFeature(
-                f"non-finite feature for {pid}/{video.video_id} in {w}")
+                f"non-finite feature for {pid}/{stack.video_id} in {w}")
     return out
 
 
-def _one_row(aligned: AlignedTrace, aoi: AoiIndex | None, w: Window, features) -> np.ndarray:
-    (row,) = _stack_pass(aligned, aoi, w, features)
+def _one_row(stack: TraceStack, aoi: AoiIndex | None, w: Window, features) -> np.ndarray:
+    """``_stack_pass`` on a one-row stack: its float array, or its error
+    raised; a stack of any other row count is a ``ValueError``."""
+    if len(stack.participant_ids) != 1:
+        raise ValueError(f"expected a one-row stack, got {len(stack.participant_ids)} rows")
+    (row,) = _stack_pass(stack, aoi, w, features)
     if not isinstance(row, np.ndarray):
         raise row
     return row
 
 
-def feature_std_gaze(aligned: AlignedTrace, w: Window) -> float:
+def feature_std_gaze(stack: TraceStack, w: Window) -> float:
     """F1: sqrt of summed per-axis population variances of gaze points."""
-    return float(_one_row(aligned, None, w, (0,))[0])
+    return float(_one_row(stack, None, w, (0,))[0])
 
 
-def feature_std_diff(aligned: AlignedTrace, w: Window) -> float:
+def feature_std_diff(stack: TraceStack, w: Window) -> float:
     """F2: population std of Euclidean displacement between consecutive
     frames. Pairs spanning a gap flag are excluded."""
-    return float(_one_row(aligned, None, w, (1,))[0])
+    return float(_one_row(stack, None, w, (1,))[0])
 
 
-def feature_std_manhattan(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
+def feature_std_manhattan(stack: TraceStack, aoi: AoiIndex, w: Window) -> float:
     """F3: population std of the Manhattan distance from gaze to the
     nearest annotated box center, over frames that are both present and
     annotated."""
-    return float(_one_row(aligned, aoi, w, (2,))[0])
+    return float(_one_row(stack, aoi, w, (2,))[0])
 
 
-def feature_rmse_aoi(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
+def feature_rmse_aoi(stack: TraceStack, aoi: AoiIndex, w: Window) -> float:
     """F4: RMS Euclidean distance from gaze to the nearest annotated box
     center, paired frame by frame."""
-    return float(_one_row(aligned, aoi, w, (3,))[0])
+    return float(_one_row(stack, aoi, w, (3,))[0])
 
 
-def feature_delay(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
+def feature_delay(stack: TraceStack, aoi: AoiIndex, w: Window) -> float:
     """F5: mean first-look delay in seconds, averaged over all AOI
     occurrences overlapping the window.
 
@@ -243,19 +242,15 @@ def feature_delay(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
     box; if the gaze never enters during the clipped span, the delay is
     right-censored at the clipped span duration.
     """
-    return float(_one_row(aligned, aoi, w, (4,))[0])
+    return float(_one_row(stack, aoi, w, (4,))[0])
 
 
-def extract(
-    aligned: AlignedTrace,
-    aoi: AoiIndex | None,
-    w: Window,
-    mode: FeatureMode,
-) -> np.ndarray:
-    """Single-video feature row, a float array of ``mode.n_features``
-    values: [F1..F5] with AOI, [F1, F2] without. The one-row case of
-    ``extract_stack``; the first rule the trace fails raises."""
-    return _one_row(aligned, aoi, w, range(mode.n_features))
+def extract(stack: TraceStack, aoi: AoiIndex | None, w: Window, mode: FeatureMode) -> np.ndarray:
+    """The feature row of a one-row stack, a float array of
+    ``mode.n_features`` values: [F1..F5] with AOI, [F1, F2] without. The
+    one-row case of ``extract_stack``; the first rule the row fails
+    raises."""
+    return _one_row(stack, aoi, w, range(mode.n_features))
 
 
 def extract_stack(stack: TraceStack, aoi: AoiIndex | None, w: Window,

@@ -17,9 +17,9 @@ same columns bit for bit or raises: it is the one place that raises a
 gaze-row error, and it names the first row that fails a rule, with its
 ``path:line``, and the first rule that row fails. A byte that is not
 UTF-8 is a ``MalformedRow`` at its line.
-``align`` maps the columns onto video frames (``AlignedTrace``), and a
-``TraceStack`` holds every aligned trace of one video as the rows of
-(participants x frames) arrays.
+A ``TraceStack`` holds every aligned trace of one video as the rows of
+(participants x frames) arrays, and ``align`` maps a log's columns onto
+video frames, straight into its row; a single trace is a one-row stack.
 
 An AOI track is read row by row; ``parse_aoi_track`` is the one place that
 checks its rules, and it returns the track as an ``AoiIndex``: per-object,
@@ -103,30 +103,6 @@ class GazeTrace:
     x: np.ndarray  # float (n_samples,)
     y: np.ndarray  # float (n_samples,)
     valid: np.ndarray  # bool (n_samples,)
-
-
-@dataclass(frozen=True)
-class AlignedTrace:
-    """Frame-indexed gaze for one (participant, video).
-
-    Arrays have one entry per video frame. ``present[f]`` is False when no
-    valid sample maps to frame f; then x/y/wall_s are NaN. ``gap[f]`` marks
-    frames that begin a discontinuity (pause or invalid run).
-    """
-
-    participant_id: str
-    video_id: str
-    fps: float
-    present: np.ndarray  # bool (n_frames,)
-    x: np.ndarray  # float (n_frames,)
-    y: np.ndarray  # float (n_frames,)
-    gap: np.ndarray  # bool (n_frames,)
-    wall_s: np.ndarray  # float (n_frames,), wall time of the chosen sample
-    valid_fraction: float = 1.0
-
-    @property
-    def n_frames(self) -> int:
-        return len(self.present)
 
 
 class TraceStack:
@@ -446,41 +422,38 @@ def parse_aoi_track(path, meta: VideoMeta) -> AoiIndex:
     return AoiIndex(*columns, n_frames)
 
 
-def align(trace: GazeTrace, meta: VideoMeta, stack: Optional[TraceStack] = None) -> AlignedTrace:
-    """Assign valid samples to video frames.
+def align(trace: GazeTrace, meta: VideoMeta, stack: TraceStack) -> float:
+    """Assign valid samples to video frames, writing the trace's row of
+    ``stack`` (a ``TraceStack`` of ``meta``'s video), and return the
+    fraction of frames that received a sample.
 
     Frame f (video time f/fps) receives the valid sample whose video_ts is
-    nearest within half a frame period; frames with no such sample are
+    nearest within half a frame period, the earlier sample on a tie (video
+    time repeats while playback is paused); frames with no such sample are
     absent. A frame is gap-flagged when its predecessor is absent or when
     the wall-clock spread between the two chosen samples exceeds
     2/fps + 0.5 s, which captures pause events (playback halted after the
     gaze left the screen for 500 ms).
-
-    The present, x, y and gap columns are written straight into the
-    trace's row of ``stack`` (a ``TraceStack`` of ``meta``'s video), or of
-    a one-row stack of its own, and the trace reads them as read-only
-    views.
     """
     if trace.video_id != meta.video_id:
         raise ConfigError(f"trace video {trace.video_id!r} does not match meta {meta.video_id!r}")
     fps = meta.fps
     n_frames = meta.n_frames
-    if stack is None:
-        stack = TraceStack(meta.video_id, fps, [trace.participant_id], n_frames)
-    elif (stack.video_id, stack.fps, stack.n_frames) != (meta.video_id, fps, n_frames):
+    if (stack.video_id, stack.fps, stack.n_frames) != (meta.video_id, fps, n_frames):
         raise ValueError(f"the stack of {stack.video_id!r} does not fit video {meta.video_id!r}")
     i = stack.row[trace.participant_id]
     present, x, y, gap = (getattr(stack, name)[i] for name in TraceStack._COLUMNS)
-    wall_s = np.full(n_frames, np.nan)
+    wall_s = np.full(n_frames, np.nan)  # wall time of each frame's chosen sample
 
     valid = np.flatnonzero(trace.valid)
     if len(valid):
         video_s = trace.video_ts[valid] / 1000.0
         half_period = 1.0 / (2.0 * fps)
         t_f = stack.frame_times
-        # nearest sample by video time; ties resolve to the earlier sample
+        # nearest sample by video time; ties resolve to the earlier sample,
+        # so idx_lo is the first of the samples at the time just before t_f
         idx = np.searchsorted(video_s, t_f)  # in [0, len(valid)]
-        idx_lo = np.maximum(idx - 1, 0)
+        idx_lo = np.searchsorted(video_s, video_s[np.maximum(idx - 1, 0)])
         idx_hi = np.minimum(idx, len(valid) - 1)
         d_lo = np.abs(video_s[idx_lo] - t_f)
         d_hi = np.abs(video_s[idx_hi] - t_f)
@@ -498,19 +471,7 @@ def align(trace: GazeTrace, meta: VideoMeta, stack: Optional[TraceStack] = None)
     max_spread = 2.0 / fps + 0.5
     with np.errstate(invalid="ignore"):  # wall_s is NaN on absent frames
         gap[1:] = ~present[:-1] | (present[1:] & (wall_s[1:] - wall_s[:-1] > max_spread))
-    for column in (present, x, y, gap):
-        column.flags.writeable = False
-    return AlignedTrace(
-        participant_id=trace.participant_id,
-        video_id=trace.video_id,
-        fps=fps,
-        present=present,
-        x=x,
-        y=y,
-        gap=gap,
-        wall_s=wall_s,
-        valid_fraction=fraction,
-    )
+    return fraction
 
 
 def _unique_ids(what: str, ids: list[str]) -> set[str]:

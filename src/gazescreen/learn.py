@@ -141,11 +141,6 @@ def check_svm_params(C: float, gamma: float | None, coef0: float) -> None:
         raise ConfigError(f"coef0 must be finite, got {coef0}")
 
 
-def svm_dual_objective(K: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
-    ay = alpha * y
-    return float(alpha.sum() - 0.5 * ay @ K @ ay)
-
-
 def svm_train(
     X: np.ndarray,
     y: np.ndarray,

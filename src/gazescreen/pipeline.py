@@ -1,5 +1,7 @@
 """Manifest-to-features plumbing shared by the CLI and the experiment
-harness."""
+harness: ``load_dataset`` aligns every selected gaze log into its row of
+its video's ``TraceStack``, and ``collect_extraction_failures`` featurises
+each stack in one pass."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -23,7 +25,10 @@ from .ingest import (
 @dataclass
 class Dataset:
     """Every file a protocol reads, parsed and frame-aligned, ready for
-    feature extraction.
+    feature extraction. Aligned gaze lives only in ``stacks``: one
+    read-only ``TraceStack`` per selected video, a row per participant
+    with a log of it. ``aligned`` maps each aligned log's (participant,
+    video) pair to the fraction of frames that received a sample.
 
     ``participants`` (the selected ones, sorted by id) is the row order of
     every feature matrix, and of every ``TraceStack`` when each of them has
@@ -36,7 +41,7 @@ class Dataset:
     manifest: DatasetManifest
     participants: tuple  # Participant, the selected ones, sorted by id
     video_order: tuple  # video id, the selected ones, in the selection's order
-    aligned: dict  # (participant_id, video_id) -> AlignedTrace, columns are stack rows
+    aligned: dict  # (participant_id, video_id) -> valid frame fraction of its stack row
     aoi: dict  # video_id -> AoiIndex, built once here and shared by every window
     stacks: dict  # video_id -> TraceStack of every participant with a log of it
     quality_warnings: list = field(default_factory=list)
@@ -65,9 +70,8 @@ def load_dataset(manifest, participants=None, video_ids=None, aoi: bool = True) 
     gaze logs in manifest order. That includes a gaze-log row whose
     participant id is not the log's manifest key. Each log is aligned
     straight into its row of the video's ``TraceStack`` (read-only once
-    loaded), and its ``AlignedTrace`` reads its columns from that row;
-    low-coverage traces (below the soft threshold) are recorded as
-    warnings."""
+    loaded); low-coverage logs (below the soft threshold) are recorded as
+    warnings, in manifest order."""
     if not isinstance(manifest, DatasetManifest):
         manifest = load_manifest(manifest)
     metas = {vid: manifest.video_meta(vid)
@@ -89,12 +93,10 @@ def load_dataset(manifest, participants=None, video_ids=None, aoi: bool = True) 
             continue
         meta = metas[vid]
         trace = parse_gaze_log(path, meta, participant_id=pid)
-        at = align(trace, meta, stacks[vid])
-        if at.valid_fraction < WARN_VALID_FRAME_FRACTION:
-            warnings.append(
-                f"{pid}/{vid}: only {at.valid_fraction:.1%} of frames have gaze"
-            )
-        aligned[(pid, vid)] = at
+        fraction = align(trace, meta, stacks[vid])
+        if fraction < WARN_VALID_FRAME_FRACTION:
+            warnings.append(f"{pid}/{vid}: only {fraction:.1%} of frames have gaze")
+        aligned[(pid, vid)] = fraction
     for stack in stacks.values():
         stack.freeze()
     return Dataset(manifest=manifest, participants=participants, video_order=tuple(metas),

@@ -1,4 +1,4 @@
-import dataclasses
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +21,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_RESULTS:
             terminalreporter.write_line(line)
 
-from gazescreen.ingest import AlignedTrace, AoiIndex, GazeTrace, TraceStack
+from gazescreen.ingest import AoiIndex, GazeTrace, TraceStack, align
 from gazescreen.pipeline import load_dataset
 from gazescreen.synth import CohortSpec, generate_cohort
 
@@ -40,8 +40,41 @@ def gaze_trace(samples, participant_id="p", video_id="v"):
     )
 
 
+def cut_log(path, share):
+    """Keep the header and the first ``share`` of the data rows of the gaze
+    log at ``path``."""
+    header, *rows = Path(path).read_text(encoding="utf-8").splitlines()
+    rows = rows[:round(share * len(rows))]
+    Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
+def frozen_stack(video_id, fps, participant_ids, present, x, y, gap):
+    """A frozen TraceStack with rows ``participant_ids`` holding the given
+    (rows x frames) columns; 1-D columns make a one-row stack."""
+    stack = TraceStack(video_id, fps, participant_ids, np.shape(present)[-1])
+    for name, column in zip(TraceStack._COLUMNS, (present, x, y, gap)):
+        getattr(stack, name)[:] = column
+    stack.freeze()
+    return stack
+
+
+def row_stack(stack, i):
+    """Row ``i`` of ``stack`` as a frozen one-row stack of its own."""
+    return frozen_stack(stack.video_id, stack.fps, stack.participant_ids[i:i + 1],
+                        *(getattr(stack, name)[i] for name in TraceStack._COLUMNS))
+
+
+def align_alone(trace, meta):
+    """``trace`` aligned into a one-row stack of its own, frozen, and the
+    valid fraction that ``align`` returns."""
+    stack = TraceStack(meta.video_id, meta.fps, [trace.participant_id], meta.n_frames)
+    fraction = align(trace, meta, stack)
+    stack.freeze()
+    return stack, fraction
+
+
 def random_aligned(rng, n_frames=20, fps=10.0, p_present=0.85, pid="p0", vid="v0"):
-    """A random small AlignedTrace for oracle comparisons."""
+    """A random small one-row stack for oracle comparisons."""
     present = rng.random(n_frames) < p_present
     if present.sum() < 3:
         present[:3] = True
@@ -51,43 +84,28 @@ def random_aligned(rng, n_frames=20, fps=10.0, p_present=0.85, pid="p0", vid="v0
     gap[1:] = ~present[:-1]
     extra = rng.random(n_frames) < 0.1
     gap[1:] |= extra[1:]
-    wall = np.where(present, np.arange(n_frames) / fps, np.nan)
-    return AlignedTrace(
-        participant_id=pid,
-        video_id=vid,
-        fps=fps,
-        present=present,
-        x=x,
-        y=y,
-        gap=gap,
-        wall_s=wall,
-    )
+    return frozen_stack(vid, fps, [pid], present, x, y, gap)
 
 
 def stack_traces(traces):
-    """A frozen TraceStack of one video's traces, and the traces re-read
-    from their stack rows, in row (sorted id) order."""
+    """A frozen TraceStack of one video's one-row stacks, in row (sorted
+    id) order, and its rows re-read as one-row stacks."""
+    traces = sorted(traces, key=lambda t: t.participant_ids)
     first = traces[0]
-    traces = sorted(traces, key=lambda t: t.participant_id)
-    stack = TraceStack(first.video_id, first.fps, [t.participant_id for t in traces],
-                       first.n_frames)
-    for i, t in enumerate(traces):
-        for name in TraceStack._COLUMNS:
-            getattr(stack, name)[i] = getattr(t, name)
-    stack.freeze()
-    rows = [dataclasses.replace(t, **{name: getattr(stack, name)[i] for name in TraceStack._COLUMNS})
-            for i, t in enumerate(traces)]
-    return stack, rows
+    columns = (np.concatenate([getattr(t, name) for t in traces]) for name in TraceStack._COLUMNS)
+    stack = frozen_stack(first.video_id, first.fps, [t.participant_ids[0] for t in traces],
+                         *columns)
+    return stack, [row_stack(stack, i) for i in range(len(traces))]
 
 
 def seeded_trace(rng, pid, vid, n_frames, fps):
-    """A random trace of one of five shapes: as ``random_aligned`` draws
-    it, present on alternate frames only, with at most one present frame,
-    with a run of gap flags, or with coordinates so large that its
+    """A random one-row stack of one of five shapes: as ``random_aligned``
+    draws it, present on alternate frames only, with at most one present
+    frame, with a run of gap flags, or with coordinates so large that its
     variances overflow."""
     at = random_aligned(rng, n_frames=n_frames, fps=fps,
                         p_present=float(rng.choice([0.3, 0.8, 1.0])), pid=pid, vid=vid)
-    present, gap, scale = at.present.copy(), at.gap.copy(), 1.0
+    present, gap, scale = at.present[0].copy(), at.gap[0].copy(), 1.0
     kind = int(rng.integers(5))
     if kind == 1:
         present &= np.arange(n_frames) % 2 == 0
@@ -98,16 +116,16 @@ def seeded_trace(rng, pid, vid, n_frames, fps):
         gap[start:stop] = True
     elif kind == 4:
         scale = 1e300
-    x = np.where(present, at.x * scale, np.nan)
-    y = np.where(present, at.y, np.nan)
-    return dataclasses.replace(at, present=present, x=x, y=y, gap=gap)
+    x = np.where(present, at.x[0] * scale, np.nan)
+    y = np.where(present, at.y[0], np.nan)
+    return frozen_stack(vid, fps, [pid], present, x, y, gap)
 
 
 def seeded_video(rng, pids, vid):
     """A frozen TraceStack of ``seeded_trace``s of ``pids`` (1-29 frames),
-    the traces re-read from its rows, and an AOI index of the video: none,
-    one with no box, or 1-3 objects annotated on a random share of frames,
-    so that each object's track has holes."""
+    its rows as one-row stacks, and an AOI index of the video: none, one
+    with no box, or 1-3 objects annotated on a random share of frames, so
+    that each object's track has holes."""
     n_frames = int(rng.integers(1, 30))
     fps = float(rng.choice([4.0, 10.0]))
     stack, rows = stack_traces([seeded_trace(rng, pid, vid, n_frames, fps) for pid in pids])

@@ -5,7 +5,8 @@ slow projected-gradient ascent for the SVM dual, the SMO and MLP
 training loops and the stratified fold deal as they were before their
 rewrites, and the gaze log writer as one ``%``-format. These must never share code with the
 implementations they check. The AOI oracles take a sequence of boxes,
-each with the fields of ``conftest.Box``.
+each with the fields of ``conftest.Box``. The feature oracles take a
+one-row ``TraceStack`` and read its row as 1-D columns (``row_of``).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import math
 import warnings
 from collections import Counter
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,6 +38,26 @@ from gazescreen.errors import (
 from gazescreen.features import full_window
 
 
+class Row(NamedTuple):
+    """One row of a ``TraceStack`` as 1-D columns, as the oracles read a
+    trace."""
+
+    participant_id: str
+    video_id: str
+    fps: float
+    n_frames: int
+    present: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    gap: np.ndarray
+
+
+def row_of(stack, i=0) -> Row:
+    """Row ``i`` of ``stack``."""
+    return Row(stack.participant_ids[i], stack.video_id, stack.fps, stack.n_frames,
+               stack.present[i], stack.x[i], stack.y[i], stack.gap[i])
+
+
 def frames_in_window(start_s, duration_s, fps, n_frames):
     out = []
     for f in range(n_frames):
@@ -51,7 +72,8 @@ def _pop_std(values):
     return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
 
 
-def oracle_f1(aligned, w):
+def oracle_f1(stack, w):
+    aligned = row_of(stack)
     frames = frames_in_window(w.start_s, w.duration_s, aligned.fps, aligned.n_frames)
     pts = [(aligned.x[f], aligned.y[f]) for f in frames if aligned.present[f]]
     if len(pts) < 2:
@@ -63,7 +85,8 @@ def oracle_f1(aligned, w):
     return math.sqrt(var_x + var_y)
 
 
-def oracle_f2(aligned, w):
+def oracle_f2(stack, w):
+    aligned = row_of(stack)
     frames = frames_in_window(w.start_s, w.duration_s, aligned.fps, aligned.n_frames)
     mags = []
     for f in frames:
@@ -85,7 +108,8 @@ def _boxes_by_frame(boxes):
     return by_frame
 
 
-def oracle_f3(aligned, boxes, w):
+def oracle_f3(stack, boxes, w):
+    aligned = row_of(stack)
     frames = frames_in_window(w.start_s, w.duration_s, aligned.fps, aligned.n_frames)
     by_frame = _boxes_by_frame(boxes)
     dists = []
@@ -103,7 +127,8 @@ def oracle_f3(aligned, boxes, w):
     return _pop_std(dists)
 
 
-def oracle_f4(aligned, boxes, w):
+def oracle_f4(stack, boxes, w):
+    aligned = row_of(stack)
     frames = frames_in_window(w.start_s, w.duration_s, aligned.fps, aligned.n_frames)
     by_frame = _boxes_by_frame(boxes)
     sq = []
@@ -138,7 +163,8 @@ def oracle_occurrences(boxes, n_frames):
     return sorted(occs, key=lambda o: (o[1], o[0]))
 
 
-def oracle_f5(aligned, boxes, w):
+def oracle_f5(stack, boxes, w):
+    aligned = row_of(stack)
     frames = frames_in_window(w.start_s, w.duration_s, aligned.fps, aligned.n_frames)
     if not frames:
         return None
@@ -180,6 +206,31 @@ def oracle_gap(present, wall_s, fps):
         elif present[f] and (wall_s[f] - wall_s[f - 1]) > max_spread:
             gap[f] = True
     return gap
+
+
+def oracle_align(trace, meta):
+    """``ingest.align`` of a GazeTrace, frame by frame: (present, x, y,
+    gap, valid fraction). Frame f (video time f/fps) takes the valid sample
+    nearest to it by video time, within half a frame period, the earlier
+    sample on a tie; the gap flags are ``oracle_gap``'s over the chosen
+    samples' wall times."""
+    n = meta.n_frames
+    present, x, y, wall_s = [False] * n, [math.nan] * n, [math.nan] * n, [math.nan] * n
+    for f in range(n):
+        t = f / meta.fps
+        best = None
+        for k in range(len(trace.valid)):
+            if not trace.valid[k]:
+                continue
+            d = abs(trace.video_ts[k] / 1000.0 - t)
+            if d <= 1.0 / (2.0 * meta.fps) and (best is None or d < best[0]):
+                best = (d, k)
+        if best is not None:
+            k = best[1]
+            present[f], x[f], y[f] = True, trace.x[k], trace.y[k]
+            wall_s[f] = trace.wall_ts[k] / 1000.0
+    fraction = sum(present) / n if n else 0.0
+    return present, x, y, oracle_gap(present, wall_s, meta.fps), fraction
 
 
 def oracle_parse_gaze_log(path, meta, participant_id=None):
@@ -684,11 +735,11 @@ def _old_std_pop(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean((values - values.mean()) ** 2)))
 
 
-def _old_frames(aligned: AlignedTrace, w: Window) -> tuple[int, int]:
+def _old_frames(aligned: Row, w: Window) -> tuple[int, int]:
     return _old_frame_range(w, aligned.fps, aligned.n_frames)
 
 
-def _old_require_aoi(video: AlignedTrace | TraceStack, aoi: AoiIndex | None) -> None:
+def _old_require_aoi(video: Row, aoi: AoiIndex | None) -> None:
     """Check that ``aoi`` indexes the video of a trace or a stack: a
     missing track is a ``NoAoiTrack``, a frame count that differs from
     the video's a ``ValueError``."""
@@ -752,7 +803,7 @@ def _old_rmse(euclidean, w) -> float:
     return float(np.sqrt(np.mean(euclidean**2)))
 
 
-def _old_first_look_delay(video: AlignedTrace | TraceStack, aoi: AoiIndex, lo, hi, w) -> np.ndarray:
+def _old_first_look_delay(video: Row, aoi: AoiIndex, lo, hi, w) -> np.ndarray:
     """F5 on frames [lo, hi) of every row of a stack, or of a trace as one
     row; a window that no occurrence overlaps is a ``NoAoiInWindow``."""
     present, x, y = np.atleast_2d(video.present, video.x, video.y)
@@ -780,35 +831,39 @@ def _old_first_look_delay(video: AlignedTrace | TraceStack, aoi: AoiIndex, lo, h
     return np.column_stack(delays).mean(axis=1)
 
 
-def oracle_feature_std_gaze(aligned: AlignedTrace, w: Window) -> float:
+def oracle_feature_std_gaze(stack: TraceStack, w: Window) -> float:
     """F1: sqrt of summed per-axis population variances of gaze points."""
+    aligned = row_of(stack)
     return _old_std_gaze(aligned, *_old_frames(aligned, w), w)
 
 
-def oracle_feature_std_diff(aligned: AlignedTrace, w: Window) -> float:
+def oracle_feature_std_diff(stack: TraceStack, w: Window) -> float:
     """F2: population std of Euclidean displacement between consecutive
     frames. Pairs spanning a gap flag are excluded."""
+    aligned = row_of(stack)
     return _old_std_diff(aligned, *_old_frames(aligned, w), w)
 
 
-def oracle_feature_std_manhattan(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
+def oracle_feature_std_manhattan(stack: TraceStack, aoi: AoiIndex, w: Window) -> float:
     """F3: population std of the Manhattan distance from gaze to the
     nearest annotated box center, over frames that are both present and
     annotated."""
+    aligned = row_of(stack)
     _old_require_aoi(aligned, aoi)
     manhattan, _ = _old_center_distances(aligned, aoi, *_old_frames(aligned, w), w)
     return _old_std_manhattan(manhattan, w)
 
 
-def oracle_feature_rmse_aoi(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
+def oracle_feature_rmse_aoi(stack: TraceStack, aoi: AoiIndex, w: Window) -> float:
     """F4: RMS Euclidean distance from gaze to the nearest annotated box
     center, paired frame by frame."""
+    aligned = row_of(stack)
     _old_require_aoi(aligned, aoi)
     _, euclidean = _old_center_distances(aligned, aoi, *_old_frames(aligned, w), w)
     return _old_rmse(euclidean, w)
 
 
-def oracle_feature_delay(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> float:
+def oracle_feature_delay(stack: TraceStack, aoi: AoiIndex, w: Window) -> float:
     """F5: mean first-look delay in seconds, averaged over all AOI
     occurrences overlapping the window.
 
@@ -818,20 +873,23 @@ def oracle_feature_delay(aligned: AlignedTrace, aoi: AoiIndex, w: Window) -> flo
     box; if the gaze never enters during the clipped span, the delay is
     right-censored at the clipped span duration.
     """
+    aligned = row_of(stack)
     _old_require_aoi(aligned, aoi)
     return float(_old_first_look_delay(aligned, aoi, *_old_frames(aligned, w), w)[0])
 
 
 def oracle_extract(
-    aligned: AlignedTrace,
+    stack: TraceStack,
     aoi: AoiIndex | None,
     w: Window,
     mode: FeatureMode,
+    i: int = 0,
 ) -> np.ndarray:
-    """``features.extract`` as it was before the stack pass: one trace's
-    feature row, [F1..F5] with AOI, [F1, F2] without, from the helpers
-    above, each reducing the trace's compressed values; the first rule
-    that fails raises."""
+    """``features.extract`` as it was before the stack pass: the feature
+    row of row ``i`` of ``stack``, [F1..F5] with AOI, [F1, F2] without,
+    from the helpers above, each reducing the row's compressed values; the
+    first rule that fails raises."""
+    aligned = row_of(stack, i)
     lo, hi = _old_frames(aligned, w)
     values = [_old_std_gaze(aligned, lo, hi, w), _old_std_diff(aligned, lo, hi, w)]
     if mode is FeatureMode.WITH_AOI:
@@ -870,9 +928,10 @@ def oracle_extraction_failures(
             if key not in dataset.aligned:
                 failures.append((*key, MissingVideo(*key)))
                 continue
-            at = dataset.aligned[key]
+            stack = dataset.stacks[vid]
             try:
-                rows[key] = oracle_extract(at, dataset.aoi.get(vid), full_window(at), mode)
+                rows[key] = oracle_extract(stack, dataset.aoi.get(vid), full_window(stack), mode,
+                                           stack.row[p.participant_id])
             except GazeScreenError as e:
                 failures.append((*key, e))
     return failures, rows

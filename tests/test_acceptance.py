@@ -40,14 +40,13 @@ from gazescreen.features import (
     feature_std_manhattan,
     full_window,
 )
-from gazescreen.ingest import AlignedTrace, parse_aoi_track, parse_gaze_log
+from gazescreen.ingest import parse_aoi_track, parse_gaze_log
 from gazescreen.learn import (
     MlpConfig,
     _kernel_matrix,
     gamma_scale,
     mlp_loss_and_grads,
     mlp_train,
-    svm_dual_objective,
     svm_predict,
     svm_train,
 )
@@ -55,7 +54,15 @@ from gazescreen.pipeline import extract_features, load_dataset
 from gazescreen.synth import DEFAULT_ASD_PARAMS, CohortSpec, generate_cohort
 
 from . import oracles
-from .conftest import Box, aoi_index, record_acceptance, random_aligned, random_aoi
+from .conftest import (
+    Box,
+    aoi_index,
+    align_alone,
+    frozen_stack,
+    random_aligned,
+    random_aoi,
+    record_acceptance,
+)
 
 
 def all_features(at, aoi, w):
@@ -123,15 +130,11 @@ def test_criterion_2_feature_symmetry_suite():
             ]
         except (InsufficientData, NoAoiInWindow):
             continue
-        shifted = AlignedTrace(
-            at.participant_id, at.video_id, at.fps, at.present,
-            at.x + 0.37, at.y - 0.21, at.gap, at.wall_s,
-        )
+        shifted = frozen_stack(at.video_id, at.fps, at.participant_ids, at.present,
+                               at.x + 0.37, at.y - 0.21, at.gap)
         worst = max(worst, abs(feature_std_diff(shifted, w) - base[1]))
-        scaled = AlignedTrace(
-            at.participant_id, at.video_id, at.fps, at.present,
-            at.x * s, at.y * s, at.gap, at.wall_s,
-        )
+        scaled = frozen_stack(at.video_id, at.fps, at.participant_ids, at.present,
+                              at.x * s, at.y * s, at.gap)
         scaled_aoi = [
             Box(b.object_id, b.frame_index, b.x_min * s, b.y_min * s,
                 b.x_max * s, b.y_max * s)
@@ -425,10 +428,8 @@ def test_criterion_10_ingest_error_taxonomy(tmp_path, small_cohort_manifest):
     rows = [f"p1,v,{i * 500.0},{i * 500.0},500,500,1" for i in range(4)]
     p.write_text(gaze_header + "\n".join(rows) + "\n", encoding="utf-8")
     trace = parse_gaze_log(p, meta)
-    from gazescreen.ingest import align
-
     with pytest.raises(RateMismatch) as exc:
-        align(trace, meta)
+        align_alone(trace, meta)
     hits["RateMismatch"] = exc.value.fraction < 0.10
 
     manifest = yaml.safe_load(small_cohort_manifest.read_text(encoding="utf-8"))

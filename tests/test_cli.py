@@ -16,6 +16,8 @@ import gazescreen
 from gazescreen import experiments, features, pipeline
 from gazescreen.cli import EXIT_CONFIG, EXIT_IO, EXIT_PIPELINE, main
 
+from .conftest import cut_log
+
 
 # the participants of the 6 + 6 test cohort, in manifest order
 SMALL_COHORT_IDS = [f"asd_{i:03d}" for i in range(6)] + [f"ctl_{i:03d}" for i in range(6)]
@@ -247,6 +249,33 @@ class TestFeatures:
         r = run(runner, "features", "--manifest", dst / "manifest.yaml",
                 "--mode", "aoi", "--out", tmp_path / "out")
         assert r.exit_code == EXIT_PIPELINE
+
+    def test_log_with_too_few_frames_exits_pipeline(self, runner, small_cohort_manifest,
+                                                    tmp_path):
+        manifest = copy_cohort(small_cohort_manifest, tmp_path / "broken")
+        cut_log(tmp_path / "broken" / "logs" / CORRUPT_LOG, 0.05)
+        r = run(runner, "features", "--manifest", manifest, "--mode", "aoi",
+                "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        assert "ctl_000/car_pursuit: only " in r.stderr
+        assert "received a valid sample" in r.stderr
+        assert "Traceback" not in r.output
+
+    def test_low_coverage_log_keeps_every_other_row(self, runner, small_cohort_manifest,
+                                                    tmp_path):
+        r = run(runner, "features", "--manifest", small_cohort_manifest, "--mode", "aoi",
+                "--out", tmp_path / "full")
+        assert r.exit_code == 0, r.output
+        manifest = copy_cohort(small_cohort_manifest, tmp_path / "cut")
+        cut_log(tmp_path / "cut" / "logs" / CORRUPT_LOG, 0.35)
+        r = run(runner, "features", "--manifest", manifest, "--mode", "aoi",
+                "--out", tmp_path / "out")
+        assert r.exit_code == 0, r.output
+        full = (tmp_path / "full" / "features.csv").read_text().splitlines()
+        cut = (tmp_path / "out" / "features.csv").read_text().splitlines()
+        assert len(cut) == len(full)
+        changed = [a for a, b in zip(cut, full) if a != b]
+        assert [line.split(",")[:2] for line in changed] == [["ctl_000", "car_pursuit"]]
 
     def test_negative_timestamp_exits_pipeline(self, runner, small_cohort_manifest, tmp_path):
         manifest = copy_cohort(small_cohort_manifest, tmp_path / "broken")

@@ -24,15 +24,23 @@ from gazescreen.features import (
     feature_std_manhattan,
     full_window,
 )
-from gazescreen.ingest import AlignedTrace
 from gazescreen.pipeline import extract_features, load_dataset
 
-from .conftest import Box, aoi_index, random_aligned, random_aoi, seeded_video, stack_traces
+from .conftest import (
+    Box,
+    aoi_index,
+    frozen_stack,
+    random_aligned,
+    random_aoi,
+    row_stack,
+    seeded_video,
+    stack_traces,
+)
 from . import oracles
 
 
 def trace_from_points(points, fps=10.0, pid="p", vid="v", gaps=()):
-    """AlignedTrace from a list of (x, y) or None (absent frame)."""
+    """A one-row stack from a list of (x, y) or None (absent frame)."""
     n = len(points)
     present = np.array([p is not None for p in points])
     x = np.array([p[0] if p else np.nan for p in points], dtype=float)
@@ -41,8 +49,7 @@ def trace_from_points(points, fps=10.0, pid="p", vid="v", gaps=()):
     gap[1:] = ~present[:-1]
     for g in gaps:
         gap[g] = True
-    wall = np.where(present, np.arange(n) / fps, np.nan)
-    return AlignedTrace(pid, vid, fps, present, x, y, gap, wall)
+    return frozen_stack(vid, fps, [pid], present, x, y, gap)
 
 
 def box_track(centers, half=0.1, oid="o"):
@@ -101,10 +108,8 @@ class TestF2:
                 base = feature_std_diff(at, w)
             except InsufficientData:
                 continue
-            shifted = AlignedTrace(
-                at.participant_id, at.video_id, at.fps, at.present,
-                at.x + 0.123, at.y - 0.05, at.gap, at.wall_s,
-            )
+            shifted = frozen_stack(at.video_id, at.fps, at.participant_ids, at.present,
+                                   at.x + 0.123, at.y - 0.05, at.gap)
             assert feature_std_diff(shifted, w) == pytest.approx(base, abs=1e-12)
 
 
@@ -218,10 +223,8 @@ class TestAoiIndex:
 
 class TestScaleSymmetries:
     def scaled(self, at, aoi, s):
-        at2 = AlignedTrace(
-            at.participant_id, at.video_id, at.fps, at.present,
-            at.x * s, at.y * s, at.gap, at.wall_s,
-        )
+        at2 = frozen_stack(at.video_id, at.fps, at.participant_ids, at.present,
+                           at.x * s, at.y * s, at.gap)
         boxes = [
             Box(b.object_id, b.frame_index, b.x_min * s, b.y_min * s,
                 b.x_max * s, b.y_max * s)
@@ -359,7 +362,8 @@ class TestExtractConcat:
         for row, p in zip(X, small_cohort.participants):
             pid = p.participant_id
             for k, vid in enumerate(dataset.video_order):
-                at = small_cohort.aligned[(pid, vid)]
+                stack = small_cohort.stacks[vid]
+                at = row_stack(stack, stack.row[pid])
                 expected = extract(at, None, full_window(at), FeatureMode.NO_AOI)
                 assert row[2 * k: 2 * k + 2].tolist() == expected.tolist()
 
@@ -384,16 +388,16 @@ def batch_vs_extract(stack, rows, aoi, w, mode):
     assert values.shape == (len(rows), mode.n_features)
     worst = 0.0
     for i, at in enumerate(rows):
-        assert at.participant_id == stack.participant_ids[i]
+        assert at.participant_ids == stack.participant_ids[i:i + 1]
         try:
             expected = extract(at, aoi, w, mode)
         except GazeScreenError:
-            assert not usable[i], (at.participant_id, w)
+            assert not usable[i], (at.participant_ids, w)
             assert np.isnan(values[i]).all()
             continue
-        assert usable[i], (at.participant_id, w)
+        assert usable[i], (at.participant_ids, w)
         if mode is FeatureMode.WITH_AOI:
-            assert values[i, 4].tobytes() == expected[4].tobytes(), (at.participant_id, w)
+            assert values[i, 4].tobytes() == expected[4].tobytes(), (at.participant_ids, w)
         for got, want in zip(values[i], expected):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     return usable, worst
@@ -412,7 +416,7 @@ class TestExtractBatch:
         for _ in range(300):
             vid = small_cohort.video_order[int(rng.integers(len(small_cohort.video_order)))]
             stack = small_cohort.stacks[vid]
-            rows = [small_cohort.aligned[(pid, vid)] for pid in stack.participant_ids]
+            rows = [row_stack(stack, i) for i in range(len(stack.participant_ids))]
             duration = float(rng.choice(durations))
             meta = small_cohort.manifest.video_meta(vid)
             w = Window(float(rng.uniform(0.0, meta.duration_s - duration)), duration)
@@ -453,15 +457,14 @@ class TestExtractBatch:
         traces = [random_aligned(rng, pid=pid) for pid in ("b", "c", "a")]
         stack, rows = stack_traces(traces)
         assert stack.participant_ids == ("a", "b", "c")
-        originals = {t.participant_id: t for t in traces}
+        originals = {t.participant_ids: t for t in traces}
         for i, at in enumerate(rows):
-            original = originals[at.participant_id]
+            original = originals[at.participant_ids]
             for name in ("present", "x", "y", "gap"):
-                view = getattr(at, name)
-                assert np.shares_memory(view, getattr(stack, name)[i])
-                assert not view.flags.writeable
-                np.testing.assert_array_equal(view, getattr(original, name))
-            assert not stack.x.flags.writeable
+                assert not getattr(stack, name).flags.writeable
+                assert not getattr(at, name).flags.writeable
+                np.testing.assert_array_equal(getattr(stack, name)[i], getattr(original, name)[0])
+                np.testing.assert_array_equal(getattr(at, name), getattr(original, name))
 
     # One hand-built trace per validity rule: the rejecting row next to a
     # row that passes, so each verdict is per row and not per window.
@@ -608,9 +611,9 @@ class TestExtractStack:
                         assert len(got) == len(rows)
                         for at, row in zip(rows, got):
                             want = value_or_error(oracles.oracle_extract, at, aoi, w, mode)
-                            assert_same_result(row, want, (trial, at.participant_id, w, mode))
+                            assert_same_result(row, want, (trial, at.participant_ids, w, mode))
                             assert_same_result(value_or_error(extract, at, aoi, w, mode), want,
-                                               (trial, at.participant_id, w, mode))
+                                               (trial, at.participant_ids, w, mode))
                             if isinstance(want, GazeScreenError):
                                 reasons.add(reason(want))
                     for feature, oracle, reads_aoi in FEATURES:
@@ -633,13 +636,26 @@ class TestExtractStack:
             "non-finite feature",
         }, reasons
 
+    def test_one_row_functions_name_the_row_count_of_any_other_stack(self):
+        rng = np.random.default_rng(4)
+        two, _ = stack_traces([random_aligned(rng, pid=pid) for pid in ("a", "b")])
+        empty = frozen_stack("v0", 10.0, [], *(np.empty((0, 20)),) * 4)
+        aoi = aoi_index(random_aoi(rng), 20)
+        w = full_window(two)
+        for stack, n in ((two, 2), (empty, 0)):
+            with pytest.raises(ValueError, match=f"one-row stack, got {n} rows"):
+                extract(stack, aoi, w, FeatureMode.WITH_AOI)
+            for feature, _, reads_aoi in FEATURES:
+                with pytest.raises(ValueError, match=f"one-row stack, got {n} rows"):
+                    feature(stack, *((aoi, w) if reads_aoi else (w,)))
+
     def test_rows_do_not_depend_on_the_other_rows(self, small_cohort):
         for vid, stack in small_cohort.stacks.items():
             aoi = small_cohort.aoi[vid]
             w = full_window(stack)
             for mode in self.MODES:
                 whole = extract_stack(stack, aoi, w, mode)
-                for pid, row in zip(stack.participant_ids, whole):
-                    _, (alone,) = stack_traces([small_cohort.aligned[(pid, vid)]])
+                for i, row in enumerate(whole):
+                    alone = row_stack(stack, i)
                     assert row.tobytes() == extract(alone, aoi, w, mode).tobytes()
 

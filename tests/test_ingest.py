@@ -26,7 +26,7 @@ from gazescreen.ingest import (
 )
 
 from . import oracles
-from .conftest import gaze_trace
+from .conftest import align_alone, gaze_trace
 
 META = VideoMeta("v", 3.0, 30.0, 1000, 1000)
 
@@ -666,17 +666,22 @@ def make_trace(valid_fn, duration_s=3.0, rate=60.0, pause=None):
     return gaze_trace(samples)
 
 
+def aligned(trace, meta=META):
+    """The row of ``trace`` aligned into a one-row stack, as 1-D columns."""
+    return oracles.row_of(align_alone(trace, meta)[0])
+
+
 class TestAlign:
     def test_oversampled_all_valid(self):
         trace = make_trace(lambda t: True)
-        at = align(trace, META)
+        at = aligned(trace)
         assert at.present.all()
         assert not at.gap.any()
 
     def test_one_second_offscreen_run(self):
         # valid samples everywhere except video time [1.0, 2.0)
         trace = make_trace(lambda t: not (1.0 <= t < 2.0))
-        at = align(trace, META)
+        at = aligned(trace)
         # frame 30 (t=1.0) still catches the valid sample at t=59/60,
         # exactly half a frame period away; frames 31..59 are absent
         assert at.present[30]
@@ -689,7 +694,7 @@ class TestAlign:
     def test_empty_valid_set(self):
         trace = make_trace(lambda t: False)
         with pytest.raises(RateMismatch):
-            align(trace, META)
+            align_alone(trace, META)
 
     def test_pause_sets_gap_flag(self):
         # valid throughout, but a 2 s wall-clock stall between two samples
@@ -701,15 +706,15 @@ class TestAlign:
             wall += 1.0 / 60.0
             if k == 89:
                 wall += 2.0  # pause: wall advances, video does not
-        at = align(gaze_trace(samples), META)
+        at = aligned(gaze_trace(samples))
         assert at.present.all()
         assert at.gap.sum() == 1
         assert at.gap[45]  # frame at the sample following the stall
 
     def test_deterministic(self):
         trace = make_trace(lambda t: t % 0.5 < 0.4)
-        a1 = align(trace, META)
-        a2 = align(trace, META)
+        a1 = aligned(trace)
+        a2 = aligned(trace)
         assert np.array_equal(a1.present, a2.present)
         assert np.array_equal(a1.gap, a2.gap)
         assert np.array_equal(a1.x, a2.x, equal_nan=True)
@@ -717,23 +722,22 @@ class TestAlign:
     def test_video_id_mismatch(self):
         trace = make_trace(lambda t: True)
         with pytest.raises(ConfigError):
-            align(trace, VideoMeta("other", 3.0, 30.0, 1000, 1000))
+            align_alone(trace, VideoMeta("other", 3.0, 30.0, 1000, 1000))
 
     def test_aligns_into_its_stack_row(self):
         # two traces aligned into rows of one stack give the bytes of each
-        # aligned alone, and read their columns from their rows
+        # aligned alone, and each returns its row's valid fraction
         traces = [dataclasses.replace(make_trace(keep), participant_id=pid)
                   for pid, keep in (("a", lambda t: t % 0.5 < 0.4), ("b", lambda t: True))]
         stack = TraceStack(META.video_id, META.fps, ["b", "a"], META.n_frames)
         for trace in traces:
-            at = align(trace, META, stack)
-            alone = align(trace, META)
+            fraction = align(trace, META, stack)
+            alone, alone_fraction = align_alone(trace, META)
             i = stack.row[trace.participant_id]
-            for name in ("present", "x", "y", "gap"):
-                assert getattr(at, name).tobytes() == getattr(alone, name).tobytes()
-                assert np.shares_memory(getattr(at, name), getattr(stack, name)[i])
-                assert not getattr(at, name).flags.writeable
-            assert at.wall_s.tobytes() == alone.wall_s.tobytes()
+            for name in TraceStack._COLUMNS:
+                assert getattr(stack, name)[i].tobytes() == getattr(alone, name)[0].tobytes()
+            assert fraction == alone_fraction == stack.present[i].mean()
+        assert 0.5 < stack.present[stack.row["a"]].mean() < 1.0
         other = TraceStack(META.video_id, META.fps + 1, ["a"], META.n_frames)
         with pytest.raises(ValueError, match="does not fit"):
             align(traces[0], META, other)
@@ -741,7 +745,7 @@ class TestAlign:
     def test_gap_flags_monotone_under_sample_removal(self):
         rng = np.random.default_rng(5)
         base = make_trace(lambda t: True)
-        at_full = align(base, META)
+        at_full = aligned(base)
         for _ in range(10):
             keep = rng.random(len(base.wall_ts)) > 0.2
             sub = dataclasses.replace(
@@ -752,35 +756,54 @@ class TestAlign:
                 y=base.y[keep],
                 valid=base.valid[keep],
             )
-            at_sub = align(sub, META)
+            at_sub = aligned(sub)
             assert np.all(at_sub.gap | ~at_full.gap)  # gap set only grows
 
     def test_gap_flags_match_loop_oracle(self):
-        # 60 Hz traces with invalid runs and wall-clock stalls of 0.1-2 s,
-        # on both sides of the 2/fps + 0.5 s spread threshold
+        # 60 Hz traces with invalid runs and wall-clock stalls of 0.1-2 s, on
+        # both sides of the 2/fps + 0.5 s spread threshold; during half of
+        # the stalls video time stands still, so it repeats
         rng = np.random.default_rng(17)
+        max_spread = 2.0 / META.fps + 0.5
         checked = 0
-        for _ in range(40):
+        seen = set()
+        for _ in range(60):
             samples = []
             wall = video = 0.0
             valid = True
             while video < META.duration_s:
                 if rng.random() < 0.05:
                     valid = not valid
-                samples.append((wall * 1000, video * 1000, 0.5, 0.5, valid))
+                samples.append((wall * 1000, video * 1000, rng.random(), rng.random(), valid))
                 wall += 1.0 / 60.0
                 if rng.random() < 0.03:
-                    wall += float(rng.uniform(0.1, 2.0))  # pause: video does not advance
-                else:
-                    video += 1.0 / 60.0
-            try:
-                at = align(gaze_trace(samples), META)
-            except RateMismatch:
+                    stall = float(rng.uniform(0.1, 2.0))
+                    wall += stall
+                    seen.add("long stall" if stall > max_spread else "short stall")
+                    if rng.random() < 0.5:
+                        continue  # paused: video time does not advance
+                video += 1.0 / 60.0
+            trace = gaze_trace(samples)
+            present, x, y, gap, fraction = oracles.oracle_align(trace, META)
+            if fraction < ingest.MIN_VALID_FRAME_FRACTION:
+                with pytest.raises(RateMismatch):
+                    align_alone(trace, META)
                 continue
-            expected = oracles.oracle_gap(at.present, at.wall_s, at.fps)
-            assert at.gap.tolist() == expected
+            stack, got_fraction = align_alone(trace, META)
+            assert stack.present[0].tolist() == present
+            assert stack.x[0].tobytes() == np.array(x).tobytes()
+            assert stack.y[0].tobytes() == np.array(y).tobytes()
+            assert stack.gap[0].tolist() == gap
+            assert got_fraction == fraction
+            video_s = trace.video_ts[trace.valid]
+            if (np.diff(video_s) == 0).any():
+                seen.add("repeated video time")
+            if any(g and p for g, p in zip(gap[1:], present)):
+                seen.add("gap after a present frame")
             checked += 1
-        assert checked >= 20
+        assert checked >= 40
+        assert seen == {"long stall", "short stall", "repeated video time",
+                        "gap after a present frame"}
 
 
 class TestManifest:

@@ -23,7 +23,6 @@ from gazescreen.learn import (
     mlp_predict,
     mlp_train,
     mlp_train_folds,
-    svm_dual_objective,
     svm_predict,
     svm_train,
     svm_train_stacks,
@@ -171,7 +170,7 @@ class TestSvm:
             K = _kernel_matrix(X, X, gamma, 0.0)
             a_oracle = oracles.projected_gradient_qp(K, y, C=1.0)
             w_oracle = oracles.dual_objective(K, y, a_oracle)
-            w_model = svm_dual_objective(K, y, full_alpha(model, X))
+            w_model = oracles.dual_objective(K, y, full_alpha(model, X))
             assert w_model == pytest.approx(model_objective(model), rel=1e-9)
             assert abs(w_model - w_oracle) <= 1e-4 * max(1.0, abs(w_oracle))
             assert w_model >= w_oracle - 1e-6  # SMO should not undershoot
@@ -193,8 +192,8 @@ class TestSvm:
         m1 = svm_train(X, y, gamma=gamma, seed=0, tol=1e-8)
         perm = rng.permutation(len(y))
         m2 = svm_train(X[perm], y[perm], gamma=gamma, seed=1, tol=1e-8)
-        w1 = svm_dual_objective(K, y, full_alpha(m1, X))
-        w2 = svm_dual_objective(K[np.ix_(perm, perm)], y[perm],
+        w1 = oracles.dual_objective(K, y, full_alpha(m1, X))
+        w2 = oracles.dual_objective(K[np.ix_(perm, perm)], y[perm],
                                 full_alpha(m2, X[perm]))
         assert w1 == pytest.approx(w2, abs=1e-6)
 

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from gazescreen.pipeline import (
 )
 
 from . import oracles
-from .conftest import seeded_video
+from .conftest import cut_log, row_stack, seeded_video
 
 
 def test_dataset_holds_one_index_per_video(small_cohort):
@@ -55,19 +57,46 @@ def test_index_is_read_only(small_cohort):
 def test_traces_are_read_only_rows_of_their_video_stack(small_cohort):
     pids = sorted(p.participant_id for p in small_cohort.manifest.participants)
     assert set(small_cohort.stacks) == set(small_cohort.video_order)
+    assert list(small_cohort.aligned) == list(small_cohort.manifest.gaze_log_paths)
     for vid, stack in small_cohort.stacks.items():
         assert stack.participant_ids == tuple(pids)
         assert stack.n_frames == small_cohort.manifest.video_meta(vid).n_frames
         for i, pid in enumerate(pids):
-            at = small_cohort.aligned[(pid, vid)]
-            for name in ("present", "x", "y", "gap"):
-                column = getattr(at, name)
-                assert column.base is getattr(stack, name)
-                assert np.array_equal(column, getattr(stack, name)[i], equal_nan=True)
-                with pytest.raises(ValueError):
-                    column[0] = column[1]
-        with pytest.raises(ValueError):
-            stack.x[0, 0] = 0.5
+            fraction = small_cohort.aligned[(pid, vid)]
+            assert type(fraction) is float and fraction == stack.present[i].mean()
+        for name in ("present", "x", "y", "gap"):
+            column = getattr(stack, name)[0]
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+
+def test_low_coverage_logs_warn_in_manifest_order(small_cohort, small_cohort_manifest, tmp_path):
+    assert small_cohort.quality_warnings == []
+    shutil.copytree(small_cohort_manifest.parent, tmp_path / "cohort")
+    path = tmp_path / "cohort" / "manifest.yaml"
+    # the manifest lists the logs in reverse, so its order is not sorted id order
+    data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    data["gaze_logs"] = dict(reversed(list(data["gaze_logs"].items())))
+    path.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
+    logs = load_manifest(path).gaze_log_paths
+    first, second = list(logs)[3], list(logs)[-2]
+    assert second < first  # sorted id order is the other way round
+
+    def warning(dataset, pid, vid):
+        stack = dataset.stacks[vid]
+        fraction = stack.present[stack.row[pid]].mean()
+        assert dataset.aligned[(pid, vid)] == fraction
+        assert 0.1 <= fraction < 0.5
+        return f"{pid}/{vid}: only {fraction:.1%} of frames have gaze"
+
+    cut_log(logs[second], 0.35)
+    dataset = load_dataset(path)
+    assert dataset.quality_warnings == [warning(dataset, *second)]
+    assert re.fullmatch(r"\w+/\w+: only \d+\.\d% of frames have gaze",
+                        dataset.quality_warnings[0])
+    cut_log(logs[first], 0.35)
+    dataset = load_dataset(path)
+    assert dataset.quality_warnings == [warning(dataset, *first), warning(dataset, *second)]
 
 
 @pytest.mark.parametrize("mode", [FeatureMode.WITH_AOI, FeatureMode.NO_AOI])
@@ -83,8 +112,9 @@ def test_each_video_is_a_column_block_of_the_matrix(small_cohort, small_cohort_m
         block = extract_features(load_dataset(small_cohort_manifest, video_ids=[vid]), mode)
         assert block.shape == (len(pids), width)
         assert X[:, k * width:(k + 1) * width].tobytes() == block.tobytes()
-        for r, pid in enumerate(pids):
-            at = small_cohort.aligned[(pid, vid)]
+        stack = small_cohort.stacks[vid]
+        for r in range(len(pids)):
+            at = row_stack(stack, r)
             want = extract(at, small_cohort.aoi[vid], full_window(at), mode)
             assert block[r].tobytes() == want.tobytes()
 
@@ -188,15 +218,13 @@ def broken_cohort(dataset, missing, unusable):
     """``dataset`` without the gaze log of the pair ``missing``, and with
     the trace of the pair ``unusable`` present on alternate frames only, so
     that F2 has no consecutive pair on its full window. The trace's row of
-    its video stack is edited with it, in a copy of that stack."""
+    its video stack is edited, in a copy of that stack."""
     aligned = dict(dataset.aligned)
     del aligned[missing]
     pid, vid = unusable
     stack = copy.copy(dataset.stacks[vid])
     stack.present = stack.present.copy()
-    row = stack.present[stack.row[pid]]
-    row &= np.arange(stack.n_frames) % 2 == 0
-    aligned[unusable] = dataclasses.replace(aligned[unusable], present=row)
+    stack.present[stack.row[pid]] &= np.arange(stack.n_frames) % 2 == 0
     return dataclasses.replace(dataset, aligned=aligned, stacks={**dataset.stacks, vid: stack})
 
 
@@ -228,8 +256,9 @@ def seeded_dataset(rng):
     video_order = tuple(f"v{k}" for k in range(int(rng.integers(1, 4))))
     aligned, aoi, stacks = {}, {}, {}
     for vid in video_order:
-        stacks[vid], rows, track = seeded_video(rng, pids, vid)
-        aligned.update(((at.participant_id, vid), at) for at in rows)
+        stacks[vid], _, track = seeded_video(rng, pids, vid)
+        aligned.update(((pid, vid), float(stacks[vid].present[i].mean()))
+                       for i, pid in enumerate(stacks[vid].participant_ids))
         if track is not None:
             aoi[vid] = track
     if rng.random() < 0.5:

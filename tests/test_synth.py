@@ -9,7 +9,6 @@ from gazescreen import synth
 from gazescreen.core import FeatureMode, Group, VideoMeta
 from gazescreen.experiments import CvConfig, run_classification_cv
 from gazescreen.features import extract, full_window
-from gazescreen.ingest import align
 from gazescreen.pipeline import extract_features, load_dataset
 from gazescreen.synth import (
     CARS_HISTOGRAM,
@@ -24,7 +23,7 @@ from gazescreen.synth import (
     write_gaze_log,
 )
 
-from .conftest import aoi_index, gaze_trace, index_boxes
+from .conftest import align_alone, aoi_index, gaze_trace, index_boxes
 from .oracles import oracle_trace_rows, oracle_write_gaze_log
 
 META = DEFAULT_VIDEOS[0]
@@ -40,7 +39,7 @@ def simulate(params, rng_seed=1, meta=META, aoi=None):
         [(r[0] * 1000, r[1] * 1000, r[2], r[3], bool(r[4])) for r in rows.tolist()],
         video_id=meta.video_id,
     )
-    return align(trace, meta), aoi, rows
+    return align_alone(trace, meta)[0], aoi, rows
 
 
 def tree_digest(root):
