@@ -14,7 +14,7 @@ effect.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,13 +100,13 @@ class CvConfig:
 
 class _Report:
     """A protocol's result. ``to_dict`` is the body of its ``report.json``:
-    its ``KIND`` and every field, not copied (``dataclasses.asdict`` would
-    deep-copy every fold row, about 9 ms for ``evaluate``'s 300)."""
+    its ``KIND``, every field, not copied (``asdict`` would deep-copy every
+    fold row, about 9 ms for ``evaluate``'s 300), and the ``reference``."""
 
     KIND = ""
 
     def to_dict(self) -> dict:
-        return {"kind": self.KIND, **vars(self)}
+        return {"kind": self.KIND, **vars(self), "reference": dict(HUMAN_STUDY_REFERENCE)}
 
 
 @dataclass
@@ -119,7 +119,6 @@ class ClassificationReport(_Report):
     std_accuracy: float
     sensitivity: float
     specificity: float
-    reference: dict = field(default_factory=lambda: dict(HUMAN_STUDY_REFERENCE))
 
     def to_dict(self) -> dict:
         return {**super().to_dict(), "n_fold_runs": len(self.fold_rows)}
@@ -131,7 +130,6 @@ class DurationReport(_Report):
 
     config: dict
     rows: list  # dicts: duration_s, mean_acc, std_acc, n_runs
-    reference: dict = field(default_factory=lambda: dict(HUMAN_STUDY_REFERENCE))
 
 
 @dataclass
@@ -142,7 +140,6 @@ class SeverityReport(_Report):
     rows: list  # dicts: participant_id, true_cars, predicted_cars, abs_err
     mae: float
     std_abs_err: float
-    reference: dict = field(default_factory=lambda: dict(HUMAN_STUDY_REFERENCE))
 
 
 def _class_members(labels, folds: int):

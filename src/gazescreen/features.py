@@ -77,8 +77,10 @@ def frame_range(w: Window, fps: float, n_frames: int) -> tuple[int, int]:
     return max(lo, 0), min(hi, n_frames)
 
 
-def _std_pop(values: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((values - values.mean()) ** 2)))
+def _pop_var(values: np.ndarray):
+    """``np.var`` of a 1-D array, bit for bit: its two passes without its wrappers."""
+    dev = values - np.add.reduce(values) / len(values)
+    return np.add.reduce(dev * dev) / len(values)
 
 
 def require_aoi(stack: TraceStack, aoi: AoiIndex | None) -> None:
@@ -95,12 +97,10 @@ def _first_look_delay(stack: TraceStack, aoi: AoiIndex, lo, hi, w) -> np.ndarray
     """F5 on frames [lo, hi) of every row of a stack; a window that no
     occurrence overlaps is a ``NoAoiInWindow``."""
     delays = []
-    for occ in aoi.occurrences:
-        enter = max(occ.enter_frame, lo)
-        exit_ = min(occ.exit_frame, hi - 1)
+    for k, enter, exit_ in aoi.occurrences.tolist():
+        enter, exit_ = max(enter, lo), min(exit_, hi - 1)
         if enter > exit_:
             continue
-        k = aoi.row[occ.object_id]
         span = slice(enter, exit_ + 1)
         xs = stack.x[:, span]
         ys = stack.y[:, span]
@@ -149,7 +149,7 @@ def _stack_pass(stack: TraceStack, aoi: AoiIndex | None, w: Window, features) ->
         if not reject(present.sum(axis=1) >= 2,
                       InsufficientData(f"F1 needs >= 2 present frames in {w}")):
             return out
-        columns.append(lambda r: np.sqrt(np.var(x[r][present[r]]) + np.var(y[r][present[r]])))
+        columns.append(lambda r: np.sqrt(_pop_var(x[r][present[r]]) + _pop_var(y[r][present[r]])))
     if 1 in features:
         eligible = present[:, :-1] & present[:, 1:] & ~stack.gap[:, lo + 1 : hi]
         if not reject(hi - lo >= 2, InsufficientData(f"F2 needs >= 2 frames in {w}")):
@@ -159,7 +159,7 @@ def _stack_pass(stack: TraceStack, aoi: AoiIndex | None, w: Window, features) ->
             return out
         steps = np.diff(x)
         np.hypot(steps, np.diff(y), out=steps)
-        columns.append(lambda r: _std_pop(steps[r][eligible[r]]))
+        columns.append(lambda r: np.sqrt(_pop_var(steps[r][eligible[r]])))
     if max(features) >= 2:
         try:
             require_aoi(stack, aoi)
@@ -179,9 +179,9 @@ def _stack_pass(stack: TraceStack, aoi: AoiIndex | None, w: Window, features) ->
             return out
         manhattan, euclidean = _nearest_center_distances(x, y, aoi, lo, hi, np.hypot)
         if 2 in features:
-            columns.append(lambda r: _std_pop(manhattan[r][both[r]]))
+            columns.append(lambda r: np.sqrt(_pop_var(manhattan[r][both[r]])))
         if 3 in features:
-            columns.append(lambda r: np.sqrt(np.mean(euclidean[r][both[r]] ** 2)))
+            columns.append(lambda r: np.sqrt(np.add.reduce(euclidean[r][both[r]] ** 2) / n_both[r]))
     if 4 in features:
         try:
             delay = _first_look_delay(stack, aoi, lo, hi, w)

@@ -23,10 +23,10 @@ video frames, straight into its row; a single trace is a one-row stack.
 
 An AOI track is read row by row; ``parse_aoi_track`` is the one place that
 checks its rules, and it returns the track as an ``AoiIndex``: per-object,
-per-frame arrays of the normalized boxes, plus their occurrences. The AOI
-track and the gaze reader share one ``csv`` reader, ``_csv_rows``, which
-checks the header, skips blank rows and numbers each row by its first
-file line.
+per-frame arrays of the normalized boxes, and its occurrences as the rows
+of one integer array. The AOI track and the gaze reader share one ``csv``
+reader, ``_csv_rows``, which checks the header, skips blank rows and
+numbers each row by its first file line.
 
 The manifest is a YAML tree; see ``load_manifest`` for the schema. A
 cohort spec's videos are read by the same ``parse_video``.
@@ -135,28 +135,20 @@ class TraceStack:
             getattr(self, name).flags.writeable = False
 
 
-@dataclass(frozen=True)
-class AoiOccurrence:
-    """A maximal contiguous span of frames where one object is annotated."""
-
-    object_id: str
-    enter_frame: int
-    exit_frame: int  # inclusive
-
-
 class AoiIndex:
-    """One video's AOI track as per-frame, per-object arrays, plus its
-    occurrences. It is built from columns with one entry per box: object
-    id, frame in [0, n_frames) and the normalized box, at most one box per
-    (frame, object). Row k of every array belongs to ``object_ids[k]``, in
-    sorted id order. Everything is computed here, and the arrays are
-    read-only."""
+    """One video's AOI track as per-frame, per-object arrays, built from
+    columns with one entry per box: object id, frame in [0, n_frames) and
+    the normalized box, at most one per (frame, object). Row k of every
+    per-object array is ``object_ids[k]``, in sorted id order. Row i of the
+    (n, 3) integer ``occurrences`` is a maximal span of frames where one
+    object is annotated: object row, enter frame, exit frame (inclusive),
+    by enter frame, then object id. All is computed here, and read-only."""
 
     def __init__(self, object_id, frame, x_min, y_min, x_max, y_max, n_frames: int):
         self.n_frames = n_frames
         self.object_ids = tuple(sorted(set(object_id)))
-        self.row = {oid: k for k, oid in enumerate(self.object_ids)}
-        k = np.fromiter(map(self.row.__getitem__, object_id), dtype=np.intp, count=len(object_id))
+        row = {oid: k for k, oid in enumerate(self.object_ids)}
+        k = np.fromiter(map(row.__getitem__, object_id), dtype=np.intp, count=len(object_id))
         f = np.asarray(frame, dtype=np.intp)
         shape = (len(self.object_ids), n_frames)
         self.ann = np.zeros(shape, dtype=bool)
@@ -172,21 +164,13 @@ class AoiIndex:
         self.cx = (self.x_min + self.x_max) / 2.0
         self.cy = (self.y_min + self.y_max) / 2.0
         self.any_ann = self.ann.any(axis=0)
+        # an object's edges alternate enter, exit + 1; a stable sort keeps id order
+        obj, edge = np.nonzero(np.diff(self.ann, axis=1, prepend=False, append=False))
+        occ = np.column_stack((obj[0::2], edge[0::2], edge[1::2] - 1))
+        self.occurrences = occ[np.argsort(occ[:, 1], kind="stable")]
         for a in (self.ann, self.cx, self.cy, self.x_min, self.x_max,
-                  self.y_min, self.y_max, self.any_ann):
+                  self.y_min, self.y_max, self.any_ann, self.occurrences):
             a.flags.writeable = False
-        self.occurrences = self._occurrences()
-
-    def _occurrences(self) -> tuple[AoiOccurrence, ...]:
-        """Maximal contiguous annotated spans, per object, in frame order."""
-        occs = []
-        for k, oid in enumerate(self.object_ids):
-            padded = np.concatenate(([False], self.ann[k], [False]))
-            edges = np.flatnonzero(padded[1:] != padded[:-1])
-            for enter, after in zip(edges[0::2], edges[1::2]):
-                occs.append(AoiOccurrence(oid, int(enter), int(after) - 1))
-        occs.sort(key=lambda o: (o.enter_frame, o.object_id))
-        return tuple(occs)
 
 
 def _parse_float(row_val: str, path, line_no, what) -> float:

@@ -43,6 +43,9 @@ from .ingest import (
 CARS_HISTOGRAM = {30: 3, 31: 5, 32: 6, 33: 4, 34: 5, 35: 7, 36: 3, 37: 0, 38: 1, 39: 1}
 
 AOI_BOX_HALF = 0.05  # ~0.1 x 0.1 normalized box
+# generate_aoi_path needs 5 frames: from there its 2-4 spans leave a frame
+# uncovered, which keeps two apart; at 4, four spans fill the video as one
+MIN_VIDEO_FRAMES = 5
 
 DEFAULT_VIDEOS = (
     VideoMeta("car_pursuit", 24.0, 30.0, 1920, 1080),
@@ -151,6 +154,10 @@ class CohortSpec:
             raise ValueError(f"sample rate must be finite and positive, got {rate!r}")
         if not self.videos:
             raise ValueError("a cohort needs at least one video")
+        for v in self.videos:
+            if v.n_frames < MIN_VIDEO_FRAMES:
+                raise ValueError(f"video {v.video_id!r} has {v.n_frames} frames, fewer than the "
+                                 f"{MIN_VIDEO_FRAMES} its AOI path needs")
         # the files of a video are named by its id
         _unique_ids("video", [v.video_id for v in self.videos])
         check_seed(self.seed)
@@ -183,7 +190,8 @@ def load_cohort_spec(path, seed: int) -> CohortSpec:
 
 def generate_aoi_path(meta: VideoMeta, rng: np.random.Generator) -> AoiIndex:
     """One object moving along a piecewise-linear path, present in 2-4
-    contiguous occurrences that together cover >= 60% of frames."""
+    contiguous occurrences that together cover >= 60% of frames, on a video
+    of at least ``MIN_VIDEO_FRAMES`` frames."""
     n = meta.n_frames
     n_occ = int(rng.integers(2, 5))
     coverage = float(rng.uniform(0.65, 0.85))
@@ -214,10 +222,9 @@ def generate_aoi_path(meta: VideoMeta, rng: np.random.Generator) -> AoiIndex:
         way_x = rng.uniform(lo, hi, size=n_way)
         way_y = rng.uniform(lo, hi, size=n_way)
         t = np.linspace(0.0, n_way - 1.0, length)
-        shown = max(0, min(length, n - frame))  # the last span may run past the video
-        cxs.append(np.interp(t, np.arange(n_way), way_x)[:shown])
-        cys.append(np.interp(t, np.arange(n_way), way_y)[:shown])
-        frames.append(np.arange(frame, frame + shown))
+        cxs.append(np.interp(t, np.arange(n_way), way_x))
+        cys.append(np.interp(t, np.arange(n_way), way_y))
+        frames.append(np.arange(frame, frame + length))
         frame += length + int(gap_lens[k + 1])
     frames = np.concatenate(frames)
     cx, cy = np.concatenate(cxs), np.concatenate(cys)
@@ -280,9 +287,9 @@ def generate_trace_rows(
     # video time from which each frame's occurrence can draw a look: one
     # first-look latency per occurrence (inf where no object is shown)
     ready = np.full(meta.n_frames, np.inf)
-    for occ in aoi.occurrences:
+    for _, enter, exit_ in aoi.occurrences.tolist():
         latency = max(0.0, float(rng.normal(params.latency_mean_s, params.latency_sd_s)))
-        ready[occ.enter_frame : occ.exit_frame + 1] = occ.enter_frame / fps + latency
+        ready[enter : exit_ + 1] = enter / fps + latency
     ready_at, shown, cx_at, cy_at = ready.tolist(), present.tolist(), cx.tolist(), cy.tolist()
 
     # clock[j]: j sample steps from 0, long enough for every video time
@@ -463,24 +470,19 @@ def write_gaze_log(path, participant_id: str, video_id: str, rows: np.ndarray) -
     Its digits come from a table of three-digit groups, written into one
     byte buffer that holds every line at the widest layout; the left
     padding is then dropped with one mask. A row with a number that is not
-    finite or has 2**53 ticks or more, or a flag other than 0 or 1, is
-    formatted by ``%`` on its own. ``tests/oracles.py`` keeps the ``%``
-    writer as the reference.
+    finite or has 2**53 ticks or more, or a flag other than 0 or 1, is a
+    ``ValueError`` naming the first such row, raised before the file is
+    opened. ``tests/oracles.py`` keeps the ``%`` writer as the reference.
     """
-    prefix = f"{participant_id},{video_id},"
     cols = np.ascontiguousarray(rows.T)
     ticks = cols[:4] * _LOG_TICKS
     regular = (np.abs(ticks) < 2.0**53).all(axis=0) & ((cols[4] == 0.0) | (cols[4] == 1.0))
-    fmt = prefix.replace("%", "%%") + "%.3f,%.3f,%.2f,%.2f,%d\n"
-    parts = [(",".join(GAZE_HEADER) + "\n").encode()]
-    start = 0
-    for r in np.flatnonzero(~regular).tolist() + [len(rows)]:
-        parts.append(_fixed_point_lines(prefix.encode(), cols[:, start:r], ticks[:, start:r]))
-        if r < len(rows):
-            parts.append((fmt % tuple(rows[r].tolist())).encode())
-        start = r + 1
+    if not regular.all():
+        r = int(np.argmin(regular))
+        raise ValueError(f"{path}: row {r} {rows[r].tolist()}: non-finite, too large or bad flag")
+    lines = _fixed_point_lines(f"{participant_id},{video_id},".encode(), cols, ticks)
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write((",".join(GAZE_HEADER) + "\n").encode() + lines)
 
 
 def generate_cohort(spec: CohortSpec, out_dir) -> Path:

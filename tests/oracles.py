@@ -808,12 +808,11 @@ def _old_first_look_delay(video: Row, aoi: AoiIndex, lo, hi, w) -> np.ndarray:
     row; a window that no occurrence overlaps is a ``NoAoiInWindow``."""
     present, x, y = np.atleast_2d(video.present, video.x, video.y)
     delays = []
-    for occ in aoi.occurrences:
-        enter = max(occ.enter_frame, lo)
-        exit_ = min(occ.exit_frame, hi - 1)
+    for k, enter, exit_ in aoi.occurrences.tolist():
+        enter = max(enter, lo)
+        exit_ = min(exit_, hi - 1)
         if enter > exit_:
             continue
-        k = aoi.row[occ.object_id]
         span = slice(enter, exit_ + 1)
         xs = x[:, span]
         ys = y[:, span]

@@ -189,6 +189,9 @@ class TestSynth:
         ("videos: [{id: c, duration_s: 2, fps: 30, width_px: 64, height_px: 48},"
          " {id: c, duration_s: 3, fps: 30, width_px: 64, height_px: 48}]",
          "duplicate video id 'c'"),
+        # a video too short for the AOI generator to lay out its occurrences
+        ("videos: [{id: v, duration_s: 0.05, fps: 30, width_px: 100, height_px: 100}]",
+         "video 'v' has 1 frames, fewer than the 5 its AOI path needs"),
     ])
     def test_bad_spec_section_names_its_key(self, runner, tmp_path, params, message):
         spec = tmp_path / "spec.yaml"

@@ -191,26 +191,36 @@ class TestF5:
                 f5 = feature_delay(at, aoi, w)
             except NoAoiInWindow:
                 continue
-            occs = [
-                (max(o.enter_frame, 0), min(o.exit_frame, 17))
-                for o in aoi.occurrences
-            ]
+            occs = [(max(enter, 0), min(exit_, 17)) for _, enter, exit_ in aoi.occurrences.tolist()]
             mean_dur = np.mean([(x - e + 1) / at.fps for e, x in occs])
             assert 0.0 <= f5 <= mean_dur + 1e-12
 
 
 class TestAoiIndex:
     def test_occurrences_match_oracle(self):
+        def check(boxes, n_frames):
+            shown = [b for b in boxes if b.frame_index < n_frames]  # the oracle skips the rest
+            aoi = aoi_index(shown, n_frames)
+            occ = aoi.occurrences
+            assert occ.shape == (len(occ), 3) and occ.dtype.kind == "i"
+            assert not occ.flags.writeable
+            got = [(aoi.object_ids[k], enter, exit_) for k, enter, exit_ in occ.tolist()]
+            assert got == oracles.oracle_occurrences(boxes, n_frames)
+
         rng = np.random.default_rng(21)
         for p_ann in (0.0, 0.3, 0.7, 1.0):
             for _ in range(20):
-                boxes = random_aoi(rng, n_frames=24, n_objects=3, p_ann=p_ann)
-                n_frames = int(rng.integers(1, 25))  # the oracle skips boxes past n_frames
-                shown = [b for b in boxes if b.frame_index < n_frames]
-                got = [(o.object_id, o.enter_frame, o.exit_frame)
-                       for o in aoi_index(shown, n_frames).occurrences]
-                assert got == oracles.oracle_occurrences(boxes, n_frames)
-                assert all(type(o[1]) is int and type(o[2]) is int for o in got)
+                check(random_aoi(rng, n_frames=24, n_objects=3, p_ann=p_ann),
+                      int(rng.integers(1, 25)))
+        # ids that sort one way as strings and the other as numbers, entering
+        # on one frame; spans that touch the first and the last frame
+        box = (0.2, 0.2, 0.4, 0.4)
+        spans = {"obj10": [(0, 3), (7, 9)], "obj2": [(0, 1), (5, 9)], "obj1": [(5, 5)]}
+        boxes = [Box(oid, f, *box) for oid, runs in spans.items()
+                 for enter, exit_ in runs for f in range(enter, exit_ + 1)]
+        check(boxes, 10)
+        assert oracles.oracle_occurrences(boxes, 10) == [
+            ("obj10", 0, 3), ("obj2", 0, 1), ("obj1", 5, 5), ("obj2", 5, 9), ("obj10", 7, 9)]
 
     def test_frame_count_must_match_trace(self):
         at = trace_from_points([(0.5, 0.5)] * 4)

@@ -217,7 +217,8 @@ class TestParseAoi:
         p = tmp_path / "a.csv"
         write_aoi(p, [])
         aoi = parse_aoi_track(p, META)
-        assert aoi.object_ids == () and aoi.occurrences == ()
+        assert aoi.object_ids == () and aoi.occurrences.shape == (0, 3)
+        assert not aoi.occurrences.flags.writeable
         assert aoi.ann.shape == (0, META.n_frames)
 
     def test_degenerate_box(self, tmp_path):

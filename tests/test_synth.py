@@ -65,8 +65,20 @@ class TestAoiPath:
             covered = len({b.frame_index for b in boxes})
             assert 0.6 <= covered / META.n_frames <= 0.9
             # occurrences are separated by at least one unannotated frame
-            for a, b in zip(occs, occs[1:]):
-                assert b.enter_frame > a.exit_frame + 1
+            assert (occs[1:, 1] > occs[:-1, 2] + 1).all()
+
+    def test_frame_floor(self):
+        # from 5 frames on every seed lays out 2-4 separate occurrences over
+        # >= 60% of frames; at 4, four spans can fill the video as one
+        five, four = (VideoMeta("v", float(n), 1.0, 100, 100) for n in (5, 4))
+        for seed in range(200):
+            aoi = generate_aoi_path(five, np.random.default_rng(seed))
+            assert 2 <= len(aoi.occurrences) <= 4 and aoi.ann.sum() >= 3
+        assert any(len(generate_aoi_path(four, np.random.default_rng(seed)).occurrences) == 1
+                   for seed in range(200))
+        CohortSpec(videos=(five,))
+        with pytest.raises(ValueError, match="video 'v' has 4 frames, fewer than the 5 its AOI path needs"):
+            CohortSpec(videos=(four,))
 
     def test_deterministic(self):
         a1 = generate_aoi_path(META, np.random.default_rng(3))
@@ -255,18 +267,19 @@ class TestGazeLogWriter:
         old = _gaze_log_bytes(oracle_write_gaze_log, tmp_path / "old.csv", rows)
         assert new == old
 
-    def test_irregular_rows_match_percent_format(self, tmp_path):
-        # not finite, 2**53 ticks or more, and flags other than 0 or 1 are
-        # formatted one row at a time, between runs of regular rows
-        rng = np.random.default_rng(6)
-        rows = self._rows(rng, extra=[np.nan, np.inf, -np.inf, 1e300, -1e300, 2.0**53 / 100, -9.1e13])
-        rows[rng.choice(len(rows), 5, replace=False), 4] = [2.0, 0.5, -1.0, 7.0, 0.0]
-        rows[0, 0] = np.nan  # the first row and the last are irregular too
-        rows[-1, 3] = np.inf
-        new = _gaze_log_bytes(write_gaze_log, tmp_path / "new.csv", rows)
-        old = _gaze_log_bytes(oracle_write_gaze_log, tmp_path / "old.csv", rows)
-        assert new == old
-        assert b"nan" in new and b"inf" in new
+    def test_irregular_row_raises_before_writing(self, tmp_path):
+        # not finite, 2**53 ticks or more, or a flag other than 0 or 1
+        cases = [(0, np.nan), (1, np.inf), (2, -np.inf), (3, 1e300), (3, 2.0**53 / 100),
+                 (0, -9.1e12), (4, 2.0), (4, 0.5), (4, -1.0), (4, np.nan)]
+        path = tmp_path / "log.csv"
+        for column, value in cases:
+            rows = self._rows(np.random.default_rng(6))
+            at = len(rows) // 2
+            rows[at, column] = value
+            rows[at + 1 :, 0] = np.nan  # a later irregular row is not the one named
+            with pytest.raises(ValueError, match=rf"row {at} \["):
+                write_gaze_log(path, "asd_000", "car_pursuit", rows)
+            assert not path.exists()
 
     def test_empty_log_and_odd_ids(self, tmp_path):
         for rows in (np.empty((0, 5)), np.array([[0.0, -0.0, -0.001, 1920.0, 1.0]])):
