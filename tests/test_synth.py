@@ -77,7 +77,7 @@ class TestAoiPath:
         assert any(len(generate_aoi_path(four, np.random.default_rng(seed)).occurrences) == 1
                    for seed in range(200))
         CohortSpec(videos=(five,))
-        with pytest.raises(ValueError, match="video 'v' has 4 frames, fewer than the 5 its AOI path needs"):
+        with pytest.raises(ValueError, match="video 'v' has 4 frames, fewer than the 5 its AOI"):
             CohortSpec(videos=(four,))
 
     def test_deterministic(self):
@@ -253,8 +253,8 @@ def _gaze_log_bytes(writer, path, rows, video_id="car_pursuit"):
 
 
 class TestGazeLogWriter:
-    def _rows(self, rng, extra=()):
-        cols = [np.concatenate((_tricky_values(d, rng), extra)) for d in (3, 3, 2, 2)]
+    def _rows(self, rng):
+        cols = [_tricky_values(d, rng) for d in (3, 3, 2, 2)]
         n = max(map(len, cols))
         flags = rng.integers(0, 2, n).astype(float)
         return np.column_stack([rng.permutation(np.resize(c, n)) for c in cols] + [flags])
