@@ -429,11 +429,30 @@ def _rounded_ticks(values: np.ndarray, ticks: np.ndarray) -> np.ndarray:
     return np.abs(q).astype(np.int64)
 
 
-def _fixed_point_lines(prefix: bytes, cols: np.ndarray, ticks: np.ndarray) -> bytes:
-    """The log lines of ``cols``, the (5, n) columns of rows whose numbers
-    have fewer than 2**53 ticks and whose flags are 0 or 1."""
+def write_gaze_log(path, participant_id: str, video_id: str, rows: np.ndarray) -> None:
+    """Write one gaze log. ``rows`` is (n, 5): wall_ts_ms, video_ts_ms,
+    x_px, y_px and the valid flag.
+
+    Each line is ``f"{participant_id},{video_id},"`` and then
+    ``"%.3f,%.3f,%.2f,%.2f,%d" % row``, byte for byte, made for the whole
+    file at once. Each number is rounded to its ticks (thousandths or
+    hundredths) as ``%`` rounds, half to even on its exact binary value.
+    Its digits come from a table of three-digit groups, written into one
+    byte buffer that holds every line at the widest layout; the left
+    padding is then dropped with one mask. A row with a number that is not
+    finite or has 2**53 ticks or more, or a flag other than 0 or 1, is a
+    ``ValueError`` naming the first such row, raised before the file is
+    opened. ``tests/oracles.py`` keeps the ``%`` writer as the reference.
+    """
+    cols = np.ascontiguousarray(rows.T)
+    ticks = cols[:4] * _LOG_TICKS
+    regular = (np.abs(ticks) < 2.0**53).all(axis=0) & ((cols[4] == 0.0) | (cols[4] == 1.0))
+    if not regular.all():
+        r = int(np.argmin(regular))
+        raise ValueError(f"{path}: row {r} {rows[r].tolist()}: non-finite, too large or bad flag")
     whole, frac = np.divmod(_rounded_ticks(cols[:4], ticks), _LOG_UNITS)
-    template = bytearray(prefix)  # a line with each number at its widest
+    # a line with each number at its widest
+    template = bytearray(f"{participant_id},{video_id},".encode())
     fields = []
     for top, decimals in zip(whole.max(axis=1, initial=0).tolist(), _LOG_DECIMALS):
         n_whole = -(-len(str(top)) // 3) * 3  # whole digits, in groups of three
@@ -456,33 +475,8 @@ def _fixed_point_lines(prefix: bytes, cols: np.ndarray, ticks: np.ndarray) -> by
         line[at : at + decimals] = _DIGITS[3 - decimals :].take(frac[c], axis=1)
     line[-2] = np.where(cols[4] == 1.0, ord("1"), ord("0"))
     flat = line.T.ravel()
-    return flat[flat != _DROP].tobytes()
-
-
-def write_gaze_log(path, participant_id: str, video_id: str, rows: np.ndarray) -> None:
-    """Write one gaze log. ``rows`` is (n, 5): wall_ts_ms, video_ts_ms,
-    x_px, y_px and the valid flag.
-
-    Each line is ``f"{participant_id},{video_id},"`` and then
-    ``"%.3f,%.3f,%.2f,%.2f,%d" % row``, byte for byte, made for the whole
-    file at once. Each number is rounded to its ticks (thousandths or
-    hundredths) as ``%`` rounds, half to even on its exact binary value.
-    Its digits come from a table of three-digit groups, written into one
-    byte buffer that holds every line at the widest layout; the left
-    padding is then dropped with one mask. A row with a number that is not
-    finite or has 2**53 ticks or more, or a flag other than 0 or 1, is a
-    ``ValueError`` naming the first such row, raised before the file is
-    opened. ``tests/oracles.py`` keeps the ``%`` writer as the reference.
-    """
-    cols = np.ascontiguousarray(rows.T)
-    ticks = cols[:4] * _LOG_TICKS
-    regular = (np.abs(ticks) < 2.0**53).all(axis=0) & ((cols[4] == 0.0) | (cols[4] == 1.0))
-    if not regular.all():
-        r = int(np.argmin(regular))
-        raise ValueError(f"{path}: row {r} {rows[r].tolist()}: non-finite, too large or bad flag")
-    lines = _fixed_point_lines(f"{participant_id},{video_id},".encode(), cols, ticks)
     with open(path, "wb") as fh:
-        fh.write((",".join(GAZE_HEADER) + "\n").encode() + lines)
+        fh.write((",".join(GAZE_HEADER) + "\n").encode() + flat[flat != _DROP].tobytes())
 
 
 def generate_cohort(spec: CohortSpec, out_dir) -> Path:
