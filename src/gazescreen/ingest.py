@@ -7,16 +7,16 @@ File formats (all UTF-8 CSV with a header row):
   AOI track: video_id,frame_index,object_id,x_min_px,y_min_px,x_max_px,y_max_px
 
 A gaze log is parsed straight into numpy columns (``GazeTrace``) by one
-of two readers. ``_plain_columns`` only accepts or declines: it accepts a
+of two readers. ``_plain_columns`` only accepts or declines: it reads a
 file in the plain subset (the exact header, printable ASCII lines ended
 by LF or CRLF, no quotes, 7 fields on every non-blank line, one
-participant and one video id, one-byte 0/1 flags) whose numbers, read by
-``np.loadtxt``'s C parser, pass every rule on numbers. Any other file is
-read by ``csv`` and goes to ``_row_columns``, a row loop that gives the
-same columns bit for bit or raises: it is the one place that raises a
-gaze-row error, and it names the first row that fails a rule, with its
-``path:line``, and the first rule that row fails. A byte that is not
-UTF-8 is a ``MalformedRow`` at its line.
+participant and one video id, 0/1 flags) with one structured
+``np.loadtxt`` call, and accepts it if its numbers pass every rule on
+numbers. Any other file is read by ``csv`` and goes to ``_row_columns``,
+a row loop that gives the same columns bit for bit or raises: it is the
+one place that raises a gaze-row error, and it names the first row that
+fails a rule, with its ``path:line``, and the first rule that row fails.
+A byte that is not UTF-8 is a ``MalformedRow`` at its line.
 A ``TraceStack`` holds every aligned trace of one video as the rows of
 (participants x frames) arrays, and ``align`` maps a log's columns onto
 video frames, straight into its row; a single trace is a one-row stack.
@@ -26,7 +26,8 @@ checks its rules, and it returns the track as an ``AoiIndex``: per-object,
 per-frame arrays of the normalized boxes, and its occurrences as the rows
 of one integer array. The AOI track and the gaze reader share one ``csv``
 reader, ``_csv_rows``, which checks the header, skips blank rows and
-numbers each row by its first file line.
+numbers each row by its first file line; text ``csv`` cannot read is a
+``MalformedRow`` at the row it was reading.
 
 The manifest is a YAML tree; see ``load_manifest`` for the schema. A
 cohort spec's videos are read by the same ``parse_video``.
@@ -194,72 +195,54 @@ def _decode(path, data: bytes) -> str:
 
 
 _PLAIN_HEADER = (",".join(GAZE_HEADER) + "\n").encode()
-_ROW_SEPARATORS = np.array([False] * 6 + [True])  # is each of a row's 7 separators its end
 
 
 def _plain_columns(data: bytes, video_id: str, participant_id: Optional[str]):
     """The (participant id, numbers, flags) of a gaze log in the plain
-    subset, read by numpy's C parser; None for any other file. ``numbers``
-    is (4, n_rows): wall, video, x_px, y_px; ``flags`` is the tracker's
-    valid flag of each row.
+    subset, read by one ``np.loadtxt`` call; None for any other file.
+    ``numbers`` is (4, n_rows): wall, video, x_px, y_px; ``flags`` is the
+    tracker's valid flag of each row.
 
     Plain: the exact header line; printable ASCII lines ended by LF or
-    CRLF, with no ``"``; at least one data row; every non-blank line has 7
-    fields (6 commas) and starts with ``<participant id>,<video id>,``
-    (the given id, else the first row's); a one-byte 0/1 flag; four
-    numbers that ``np.loadtxt`` reads and that pass the rules on numbers
-    (all finite, wall time strictly increasing, video time non-decreasing,
-    both non-negative). Each CRLF is read as LF, which keeps the line
-    count; any other CR leaves the subset. ``loadtxt`` and ``float`` both
+    CRLF (read as LF, which keeps the line count), with no ``"``; at least
+    one data row; 7 fields on every non-blank line: the participant id (the
+    given one, else the first row's) and the video id, at most 64 bytes
+    together, four numbers that pass the rules on numbers (all finite, wall
+    time strictly increasing, video time non-decreasing, both non-negative)
+    and a 0/1 flag. ``loadtxt`` checks the field count, skips blank lines
+    and keeps ids and flags verbatim, in bytes fields one byte wider than
+    the text they must equal. Its numbers are ``float``'s bit for bit: both
     convert with ``PyOS_string_to_double``, and in this subset ``loadtxt``
-    accepts no text that ``float`` rejects, so the values are
-    ``_row_columns``' bit for bit. Such a file passes every row rule.
+    accepts no text that ``float`` rejects. Such a file passes every row
+    rule of ``_row_columns``.
     """
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
     if not (data.startswith(_PLAIN_HEADER) and data.isascii()) or b'"' in data:
         return None
-    body = np.frombuffer(data, dtype=np.uint8, offset=len(_PLAIN_HEADER))
-    # one pass finds every byte <= ",": the LFs and commas that shape the
-    # lines, and any control byte, space, "#" or "+" among them
-    seps = np.flatnonzero(body <= ord(","))
-    kinds = body[seps]
-    newline = kinds == ord("\n")
-    if np.count_nonzero(kinds < ord(" ")) != np.count_nonzero(newline):  # a control byte
-        return None
-    # keep the commas and the LFs that end a row; a blank line's LF comes
-    # first in the body or right after another LF
-    blank = newline & np.append(seps[:1] == 0, newline[:-1] & (np.diff(seps) == 1))
-    shaping = (newline & ~blank) | (kinds == ord(","))
-    seps, newline = seps[shaping], newline[shaping]
-    if len(seps) % 7 == 6:  # the last row ends the file, with no LF
-        seps, newline = np.append(seps, len(body)), np.append(newline, True)
-    # every row is 6 commas and its end
-    if not len(seps) or len(seps) % 7 or np.any(newline.reshape(-1, 7) != _ROW_SEPARATORS):
-        return None
-    rows = seps.reshape(-1, 7)
-    ends = rows[:, 6]
+    if np.count_nonzero(np.frombuffer(data, dtype=np.uint8) < ord(" ")) != data.count(b"\n"):
+        return None  # a control byte
+    if len(data.rstrip(b"\n")) < len(_PLAIN_HEADER):
+        return None  # no data row, which loadtxt would warn of
     pid = participant_id
     if pid is None:
-        pid = body[: rows[0, 0]].tobytes().rpartition(b"\n")[2].decode("ascii")
-    prefix = f"{pid},{video_id},"
-    if not prefix.isascii() or prefix.count(",") != 2:
+        end = data.find(b",", len(_PLAIN_HEADER))
+        pid = data[data.rfind(b"\n", 0, end) + 1: end].decode("ascii")
+    ids = pid + video_id  # a NUL would match numpy's padding; each id byte widens every row
+    if "\0" in ids or len(ids) > 64:
         return None
-    if data.count(b"\n" + prefix.encode("ascii")) != len(rows):
-        return None
-    flags = body[ends - 1]
-    tracker_valid = flags == ord("1")
-    one_byte_flag = np.array_equal(rows[:, 5], ends - 2)
-    if not (one_byte_flag and (tracker_valid | (flags == ord("0"))).all()):
-        return None
+    dtype = [("pid", f"S{len(pid) + 1}"), ("video", f"S{len(video_id) + 1}"),
+             ("numbers", float, (4,)), ("flag", "S2")]
     try:
-        numbers = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1, usecols=(2, 3, 4, 5),
-                             dtype=float, comments=None, ndmin=2)
+        rows = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", skiprows=1,
+                          comments=None, ndmin=1)
     except ValueError:
         return None
-    if numbers.shape != (len(rows), 4):  # a blank line loadtxt kept would misalign the flags
+    tracker_valid = rows["flag"] == b"1"
+    if not ((rows["pid"] == pid.encode()).all() and (rows["video"] == video_id.encode()).all()
+            and (tracker_valid | (rows["flag"] == b"0")).all()):
         return None
-    numbers = numbers.T.copy()
+    numbers = rows["numbers"].T.copy()
     wall, video = numbers[0], numbers[1]
     if not (np.isfinite(numbers).all() and (wall[1:] > wall[:-1]).all()
             and (video[1:] >= video[:-1]).all() and numbers[:2].min() >= 0):
@@ -271,18 +254,23 @@ def _csv_rows(path, data: bytes, header: list[str]) -> tuple[list, list]:
     """The non-blank rows after the header of a CSV file, and the first
     file line of each (a quoted field may span lines). A header other than
     ``header`` is a MalformedRow at line 1, a byte that is not UTF-8 one at
-    its line."""
+    its line, and text ``csv`` cannot read (a field over its size limit, or
+    a NUL on Python 3.10) one at the first line of the row it was reading."""
     reader = csv.reader(io.StringIO(_decode(path, data), newline=""))
-    first = next(reader, None)
-    if first is None or [h.strip() for h in first] != header:
-        raise MalformedRow(path, 1, f"expected header {','.join(header)}")
     rows, lines = [], []
-    line_end = reader.line_num
-    for row in reader:
-        if row:
-            rows.append(row)
-            lines.append(line_end + 1)
+    line_end = 0
+    try:
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise MalformedRow(path, 1, f"expected header {','.join(header)}")
         line_end = reader.line_num
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(line_end + 1)
+            line_end = reader.line_num
+    except csv.Error as e:
+        raise MalformedRow(path, line_end + 1, f"unreadable CSV: {e}") from None
     return rows, lines
 
 
@@ -338,9 +326,10 @@ def parse_gaze_log(path, meta: VideoMeta, participant_id: Optional[str] = None) 
     failing row and the first rule it fails.
 
     A file in the plain subset whose rows pass every rule is read by
-    ``_plain_columns`` with numpy's C parser, which only accepts or
+    ``_plain_columns`` with one ``np.loadtxt`` call, which only accepts or
     declines. Any other file goes through ``csv`` to ``_row_columns``,
-    which reads its rows or raises the first row's error.
+    which reads its rows or raises the first row's error; text ``csv``
+    cannot read is a MalformedRow at the first line of its row.
     """
     path = Path(path)
     data = path.read_bytes()

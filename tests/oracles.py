@@ -958,6 +958,7 @@ def oracle_plain_columns(data: bytes, video_id: str, participant_id: Optional[st
     convert with ``PyOS_string_to_double``, and in this subset ``loadtxt``
     accepts no text that ``float`` rejects, so the values are
     ``_row_columns``' bit for bit. Such a file passes every row rule.
+    The reader today also declines ids of more than 64 bytes together.
     """
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")

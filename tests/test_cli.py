@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -226,6 +227,48 @@ class TestFeatures:
             assert f"{victim.name}:4: invalid UTF-8 byte 0xff" in r.output
         assert "Traceback" not in r.output
         assert isinstance(r.exception, SystemExit)
+
+    @pytest.mark.parametrize("kind", ["logs", "aoi"])
+    def test_unreadable_csv_exits_pipeline(self, runner, small_cohort_manifest, tmp_path, kind):
+        # a stray quote on line 3 opens a field that runs past csv's size limit
+        manifest = copy_cohort(small_cohort_manifest, tmp_path / "broken")
+        victim = sorted((tmp_path / "broken" / kind).glob("*.csv"))[0]
+        header, *rows = victim.read_text(encoding="utf-8").splitlines()
+        rows *= csv.field_size_limit() // len("\n".join(rows)) + 1
+        rows[1] = '"' + rows[1]
+        victim.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        r = run(runner, "features", "--manifest", manifest, "--mode", "aoi",
+                "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        assert f"{victim.name}:3: unreadable CSV: field larger than field limit" in r.output
+        assert "Traceback" not in r.output
+        assert isinstance(r.exception, SystemExit)
+
+    @pytest.mark.parametrize("section", ["participants", "videos"])
+    def test_non_ascii_manifest_id_exits_pipeline(
+        self, runner, small_cohort_manifest, tmp_path, section
+    ):
+        # the logs are ASCII; the id the manifest files one under is not
+        renamed = {}
+
+        def rename(data):
+            old = data[section][0]["id"]
+            renamed[old] = data[section][0]["id"] = old + "\u00e9"
+            if section == "participants":
+                data["gaze_logs"][old + "\u00e9"] = data["gaze_logs"].pop(old)
+            else:
+                for per_video in data["gaze_logs"].values():
+                    per_video[old + "\u00e9"] = per_video.pop(old)
+                data["aoi_tracks"][old + "\u00e9"] = data["aoi_tracks"].pop(old)
+
+        manifest = edit_manifest(small_cohort_manifest, tmp_path, rename)
+        r = run(runner, "features", "--manifest", manifest, "--mode", "noaoi",
+                "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_PIPELINE, r.output
+        [(old, new)] = renamed.items()
+        what = "participant" if section == "participants" else "video"
+        assert f":2: {what} id {old!r} does not match {new!r}" in r.output
+        assert "Traceback" not in r.output
 
     def test_with_aoi_row_count(self, runner, small_cohort_manifest, tmp_path):
         r = run(runner, "features", "--manifest", small_cohort_manifest,

@@ -1,4 +1,7 @@
+import csv
 import dataclasses
+import io
+import warnings
 
 import numpy as np
 import pytest
@@ -552,7 +555,7 @@ class TestPlainSubset:
             for (pid, vid), path in manifest.gaze_log_paths.items():
                 parse_gaze_log(path, manifest.video_meta(vid), pid)
 
-    def test_separator_pass_accepts_what_the_oracle_accepts(self):
+    def test_reader_accepts_what_the_oracle_accepts(self):
         # seeded mutations of plain logs, one to three per log; the reader
         # must accept exactly the logs the former passes accepted, with the
         # same id, numbers and flags
@@ -631,6 +634,42 @@ class TestPlainSubset:
             parse_gaze_log(p, meta)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("video_id, participant_id, reason", [
+        ("v\u00e9", "p7", "video id 'v' does not match 'v\u00e9'"),
+        ("v", "p\u00e9", "participant id 'p7' does not match 'p\u00e9'"),
+        # numpy drops a bytes field's trailing NULs, so "p7" would match
+        ("v", "p7\0", "participant id 'p7' does not match 'p7\\x00'"),
+    ])
+    def test_id_no_plain_line_holds_is_checked_by_the_row_rules(
+        self, tmp_path, video_id, participant_id, reason
+    ):
+        # the log is plain; the id the manifest gives is one no plain line can hold
+        p = tmp_path / "g.csv"
+        p.write_bytes(PLAIN_LOG.encode("ascii"))
+        assert ingest._plain_columns(p.read_bytes(), video_id, participant_id) is None
+        with pytest.raises(MalformedRow) as exc:
+            parse_gaze_log(p, dataclasses.replace(META, video_id=video_id), participant_id)
+        assert (exc.value.line_no, exc.value.reason) == (2, reason)
+
+    def test_long_ids_take_the_row_loop(self, tmp_path):
+        # each id byte widens every row of loadtxt's array, so ids of more
+        # than 64 bytes together leave the subset, with the same columns
+        for pid, plain in (("p" * 63, True), ("p" * 64, False)):
+            p = tmp_path / "g.csv"
+            p.write_bytes(PLAIN_LOG.replace("p7,", pid + ",").encode("ascii"))
+            assert (ingest._plain_columns(p.read_bytes(), META.video_id, None) is not None) is plain
+            assert_parses_as_oracle(p)
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n\r\n"])
+    def test_log_without_rows_declines_without_a_warning(self, tmp_path, text):
+        p = tmp_path / "g.csv"
+        p.write_bytes((",".join(GAZE_HEADER) + "\n" + text).encode("ascii"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ingest._plain_columns(p.read_bytes(), META.video_id, None) is None
+            with pytest.raises(EmptyLog):
+                parse_gaze_log(p, META)
+
     @pytest.mark.parametrize("edits, line_no, byte", [
         ([(b"510.00,505.00", b"510.00,5\xff05.00")], 3, "0xff"),  # mid-line
         ([(b"\n\np7", b"\n\xff\np7")], 4, "0xff"),  # alone on a blank line
@@ -646,6 +685,97 @@ class TestPlainSubset:
         with pytest.raises(MalformedRow, match=f"invalid UTF-8 byte {byte}") as exc:
             parse_gaze_log(p, META)
         assert exc.value.line_no == line_no
+
+
+@pytest.fixture
+def plain_loadtxt(monkeypatch):
+    """``np.loadtxt`` as ``_plain_columns`` calls it on PLAIN_LOG (ids "p7"
+    and "v"), as a function of the file's text."""
+    loadtxt, calls = np.loadtxt, []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    assert ingest._plain_columns(PLAIN_LOG.encode("ascii"), "v", "p7") is not None
+    [kwargs] = calls
+    header = ",".join(GAZE_HEADER) + "\n"
+    return lambda text: loadtxt(io.BytesIO((header + text).encode("ascii")), **kwargs)
+
+
+class TestPlainLoadtxt:
+    """The ``np.loadtxt`` behaviours that ``_plain_columns`` relies on,
+    asserted against numpy itself, so a numpy that differs is named."""
+
+    @pytest.mark.parametrize("line", ["p7,v,1,2,3,4", "p7,v,1,2,3,4,1,1"])
+    def test_six_or_eight_fields_raise(self, plain_loadtxt, line):
+        with pytest.raises(ValueError):
+            plain_loadtxt(f"p7,v,0,0,1,1,1\n{line}\n")
+
+    def test_empty_lines_are_skipped(self, plain_loadtxt):
+        rows = plain_loadtxt("\n\np7,v,0,0,1,1,1\n\n\np7,v,5,6,7,8,0\n\n")
+        assert rows["flag"].tolist() == [b"1", b"0"]
+        assert rows["numbers"].tolist() == [[0, 0, 1, 1], [5, 6, 7, 8]]
+
+    @pytest.mark.parametrize("line", [" ", "   "])
+    def test_whitespace_only_line_raises(self, plain_loadtxt, line):
+        with pytest.raises(ValueError):
+            plain_loadtxt(f"p7,v,0,0,1,1,1\n{line}\np7,v,5,6,7,8,0\n")
+
+    def test_ids_and_flags_are_kept_verbatim_and_cut_to_width(self, plain_loadtxt):
+        rows = plain_loadtxt(" p7,v ,0,0,1,1, 1\np#,#,1,1,1,1,1 \np777,vv,2,2,1,1,100\n")
+        assert rows["pid"].tolist() == [b" p7", b"p#", b"p77"]
+        assert rows["video"].tolist() == [b"v ", b"#", b"vv"]
+        assert rows["flag"].tolist() == [b" 1", b"1 ", b"10"]
+
+    def test_numbers_are_float_bit_for_bit(self, plain_loadtxt):
+        rng = np.random.default_rng(53)
+        values = np.concatenate([rng.uniform(-2000, 2000, 400), rng.standard_normal(400) * 1e-5,
+                                 rng.uniform(0, 1e7, 400), 10.0 ** rng.uniform(-300, 300, 400)])
+        texts = [_spell(rng, float(v)) for v in values]
+        texts += [f"+{t.strip()}" for t in texts[::7] if not t.strip().startswith("-")]
+        texts += ["0", "-0", "1e5", "1E-5", ".5", "5.", "0.1", "123456789012345678901234567890"]
+        texts += ["1"] * (-len(texts) % 4)
+        rows = plain_loadtxt("".join(f"p7,v,{','.join(texts[i:i + 4])},1\n"
+                                     for i in range(0, len(texts), 4)))
+        want = np.array([float(t) for t in texts])
+        assert rows["numbers"].ravel().tobytes() == want.tobytes()
+
+
+class TestUnreadableCsv:
+    """Text that ``csv`` cannot read is a MalformedRow at the first line of
+    the row it was reading, in gaze logs and AOI tracks alike."""
+
+    @pytest.mark.parametrize("parse, header, row", [
+        (parse_gaze_log, GAZE_HEADER, "p7,v,{i},{i},500.00,500.00,1"),
+        (parse_aoi_track, AOI_HEADER, "v,{i},obj,100,100,200,200"),
+    ])
+    def test_stray_quote_over_the_field_limit(self, tmp_path, parse, header, row):
+        # the quote on line 4 opens a field that runs past csv's size limit
+        lines = [row.format(i=i) for i in range(6000)]
+        lines[2] = '"' + lines[2]
+        p = tmp_path / "f.csv"
+        p.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
+        assert p.stat().st_size > csv.field_size_limit()
+        with pytest.raises(MalformedRow, match="unreadable CSV: field larger than field limit") \
+                as exc:
+            parse(p, META)
+        assert exc.value.line_no == 4
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_gaze_log, PLAIN_LOG.replace("510.00,505.00", "5\x0010.00,505.00")),
+        (parse_aoi_track, ",".join(AOI_HEADER) + "\nv,0,obj,100,100,200,200\n"
+                                                 "v,1,obj,1\x0000,100,200,200\n"),
+    ])
+    def test_nul_byte_is_a_malformed_row_at_its_line(self, tmp_path, parse, text):
+        # csv rejects a NUL before Python 3.11 and reads it since, when the
+        # number that holds it fails; a MalformedRow at its line either way
+        p = tmp_path / "f.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedRow) as exc:
+            parse(p, META)
+        assert exc.value.line_no == 3
 
 
 def make_trace(valid_fn, duration_s=3.0, rate=60.0, pause=None):

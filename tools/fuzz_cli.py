@@ -2,8 +2,11 @@
 
 Writes a 4 + 4 synthetic cohort, then runs N mutations of it. Each
 mutation changes one file (the manifest, a gaze log or an AOI track) by a
-token swap, a token deletion or a truncation, runs one of six command
-variants on the mutated cohort in-process, and restores the file.
+token swap, a token deletion, a one-byte replacement or a truncation, runs
+one of six command variants on the mutated cohort in-process, and restores
+the file. A replacement writes a byte that token swaps never make: a
+non-ASCII or undecodable byte, a control byte, a space, a quote, a ``#``
+or a comma.
 
 A mutation fails the fuzz on:
 - an exception that escapes the command (a traceback),
@@ -37,6 +40,7 @@ from gazescreen.synth import CohortSpec, generate_cohort
 
 EXIT_CODES = {0, 2, 3, 4}
 TOKEN = re.compile(rb"[^\s,:]+")
+REPLACEMENTS = ["\u00e9".encode(), b"\xff", b"\0", b"\x1c", b"\t", b" ", b"\r", b'"', b"#", b","]
 
 
 def variants(video_id: str) -> list[list[str]]:
@@ -52,11 +56,15 @@ def variants(video_id: str) -> list[list[str]]:
 
 
 def mutate(data: bytes, rng: random.Random) -> tuple[str, bytes]:
-    """One token swap, token deletion or truncation of ``data``."""
+    """One token swap, token deletion, one-byte replacement or truncation
+    of ``data``."""
     tokens = [m.span() for m in TOKEN.finditer(data)]
-    kind = rng.choice(["swap", "delete", "truncate"])
+    kind = rng.choice(["swap", "delete", "replace", "truncate"])
     if kind == "truncate" or len(tokens) < 2:
         return "truncate", data[:rng.randrange(len(data) + 1)]
+    if kind == "replace":
+        i = rng.randrange(len(data))
+        return "replace", data[:i] + rng.choice(REPLACEMENTS) + data[i + 1:]
     if kind == "delete":
         a, b = rng.choice(tokens)
         return "delete", data[:a] + data[b:]
