@@ -29,7 +29,7 @@ from .errors import (
     TooFewParticipants,
     TooFewPerClass,
 )
-from .features import Window, extract_batch
+from .features import VideoTable, Window, extract_batch
 from .learn import (
     LABEL_ASD,
     LABEL_CONTROL,
@@ -287,19 +287,20 @@ def run_classification_cv(participants, X: np.ndarray, config: CvConfig) -> Clas
                                 **_summarize(fold_rows))
 
 
-def _draw_windows(dataset: Dataset, duration: float, mode: FeatureMode, rng, video_ids):
-    """One shared window per video, redrawn (up to 100 times) until every
-    participant's features are usable on it. Returns the feature matrix in
-    ``dataset.participants`` order, videos concatenated in ``video_ids`` order;
-    each video's block is one ``extract_batch`` over its stack."""
+def _draw_windows(dataset: Dataset, duration: float, rng, tables: dict):
+    """One shared window per video of ``tables`` (video id -> its
+    ``VideoTable``), redrawn (up to 100 times) until every participant's
+    features are usable on it. Returns the feature matrix in
+    ``dataset.participants`` order, videos concatenated in ``tables`` order;
+    each video's block is one ``extract_batch`` over its table."""
     for _attempt in range(100):
         windows = []  # every start is drawn before any video is checked
-        for vid in video_ids:
+        for vid in tables:
             meta = dataset.manifest.video_meta(vid)
             windows.append(Window(float(rng.uniform(0.0, meta.duration_s - duration)), duration))
         blocks = []
-        for vid, w in zip(video_ids, windows):
-            values, usable = extract_batch(dataset.stacks[vid], dataset.aoi.get(vid), w, mode)
+        for table, w in zip(tables.values(), windows):
+            values, usable = extract_batch(table, w)
             if not usable.all():
                 break
             blocks.append(values)
@@ -316,14 +317,17 @@ def run_duration_simulation(
     """Accuracy as a function of observation time, on random shared
     windows (one window per video per repetition). ``dataset`` holds at
     least the load of ``cv_plan(dataset.manifest, config, durations)``,
-    whose rules are checked first."""
+    whose rules are checked first. Each selected video's ``VideoTable`` is
+    built once, for every window of the call."""
     video_ids = cv_plan(dataset.manifest, config, durations)["video_ids"]
     y = _labels([p.group for p in dataset.participants])
+    tables = {vid: VideoTable(dataset.stacks[vid], dataset.aoi.get(vid), config.mode)
+              for vid in video_ids}
 
     # every duration's folds are drawn first, then trained together
     fold_rows = _score_folds(config, y, *_draw_folds(config, y, [
         (("duration", d_idx),
-         lambda rng, d=d: _draw_windows(dataset, d, config.mode, rng, video_ids))
+         lambda rng, d=d: _draw_windows(dataset, d, rng, tables))
         for d_idx, d in enumerate(durations)
     ]))
     per_duration = FOLDS * config.repetitions

@@ -13,8 +13,9 @@ Feature summary (per window):
 
 F3-F5 read an ``ingest.AoiIndex``: a video's AOI track laid out as
 per-frame, per-object arrays. ``pipeline.load_dataset`` builds one per
-video and keeps it on the ``Dataset``; nothing here caches indexes between
-calls.
+video and keeps it on the ``Dataset``. A ``VideoTable`` holds the per-frame
+columns of one video that no window changes; the duration protocol builds
+one per selected video in each call, and nothing here caches between calls.
 
 Aligned gaze is always a ``TraceStack``, and a single trace is a one-row
 stack. ``extract`` is the definition of the features on a one-row stack:
@@ -26,12 +27,14 @@ reduced on its own compressed values, so every row has ``extract``'s bits
 and error. The ``feature_*`` functions run the same pass for a single
 feature, with that feature's rules only.
 ``extract_batch`` is the duration protocol's fast path: every participant
-of a video on one shared window, read from the video's ``TraceStack``.
-F1-F4 are masked row reductions of the (participants x window) slice, with
-the same two-pass population variance as ``extract``. The same pass returns
-which rows ``extract`` would reject. F5 has one definition for both
-engines: it loops over the few occurrences, vectorised over rows, so the
-two give the same bits.
+of a video on one shared window, read as slices of the video's
+``VideoTable``. F1-F4 are masked row reductions of the (participants x
+window) slice, with the same two-pass population variance as ``extract``.
+The same pass returns which rows ``extract`` would reject. F5 has one
+definition for both engines: ``_first_look_delay`` reads a next-look index
+(``_look_index``), which the table holds for the whole video and the stack
+pass builds for its own window; a clipped occurrence's first look is an
+integer read from it, so the two give the same bits.
 """
 from __future__ import annotations
 
@@ -93,26 +96,43 @@ def require_aoi(stack: TraceStack, aoi: AoiIndex | None) -> None:
         raise ValueError(f"AOI index has {aoi.n_frames} frames, the stack has {stack.n_frames}")
 
 
-def _first_look_delay(stack: TraceStack, aoi: AoiIndex, lo, hi, w) -> np.ndarray:
-    """F5 on frames [lo, hi) of every row of a stack; a window that no
-    occurrence overlaps is a ``NoAoiInWindow``."""
+def _look_index(present, x, y, aoi: AoiIndex, lo: int, hi: int) -> np.ndarray:
+    """F5's next-look index of frames [lo, hi), given the rows' ``present``,
+    ``x`` and ``y`` on those frames: entry [k, r, j] of the (objects x rows
+    x (hi - lo)) array is the first frame f in [lo + j, hi) where row r's
+    present gaze lies inside object k's box (edges included), else hi. The
+    dtype is the smallest signed integer one that holds hi."""
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= hi)
+    frames = np.arange(lo, hi, dtype=dtype)
+    none = dtype(hi)
+    look = np.empty((len(aoi.object_ids), *present.shape), dtype=dtype)
+    for k in range(len(aoi.object_ids)):
+        inside = (
+            present
+            & (x >= aoi.x_min[k, lo:hi])
+            & (x <= aoi.x_max[k, lo:hi])
+            & (y >= aoi.y_min[k, lo:hi])
+            & (y <= aoi.y_max[k, lo:hi])
+        )
+        np.minimum.accumulate(np.where(inside, frames, none)[:, ::-1], axis=1,
+                              out=look[k, :, ::-1])
+    return look
+
+
+def _first_look_delay(look: np.ndarray, aoi: AoiIndex, lo, hi, fps, w) -> np.ndarray:
+    """F5 on frames [lo, hi) of every row, read from ``look``, a
+    ``_look_index`` whose column j is frame lo + j and whose "no look" entry
+    is at least hi; a window that no occurrence overlaps is a
+    ``NoAoiInWindow``. The first look of an occurrence of object k clipped
+    to [enter, exit] is min(L - enter, exit - enter + 1) frames, where L is
+    ``look``'s entry for object k at frame enter: integer-exact, so every
+    index that covers the window gives the same bits."""
     delays = []
     for k, enter, exit_ in aoi.occurrences.tolist():
         enter, exit_ = max(enter, lo), min(exit_, hi - 1)
         if enter > exit_:
             continue
-        span = slice(enter, exit_ + 1)
-        xs = stack.x[:, span]
-        ys = stack.y[:, span]
-        inside = (
-            stack.present[:, span]
-            & (xs >= aoi.x_min[k, span])
-            & (xs <= aoi.x_max[k, span])
-            & (ys >= aoi.y_min[k, span])
-            & (ys <= aoi.y_max[k, span])
-        )
-        first = np.where(inside.any(axis=1), inside.argmax(axis=1), exit_ - enter + 1)
-        delays.append(first / stack.fps)
+        delays.append(np.minimum(look[k, :, enter - lo] - enter, exit_ - enter + 1) / fps)
     if not delays:
         raise NoAoiInWindow(f"no AOI occurrence overlaps {w}")
     return np.column_stack(delays).mean(axis=1)
@@ -184,7 +204,8 @@ def _stack_pass(stack: TraceStack, aoi: AoiIndex | None, w: Window, features) ->
             columns.append(lambda r: np.sqrt(np.add.reduce(euclidean[r][both[r]] ** 2) / n_both[r]))
     if 4 in features:
         try:
-            delay = _first_look_delay(stack, aoi, lo, hi, w)
+            delay = _first_look_delay(_look_index(present, x, y, aoi, lo, hi), aoi, lo, hi,
+                                      stack.fps, w)
         except NoAoiInWindow as e:
             reject(False, e)
             return out
@@ -294,22 +315,45 @@ def _nearest_center_distances(x, y, aoi: AoiIndex, lo, hi, length):
     return manhattan, euclidean
 
 
-def extract_batch(
-    stack: TraceStack, aoi: AoiIndex | None, w: Window, mode: FeatureMode
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every row of a video's stack on one window: ``(values, usable)``.
+class VideoTable:
+    """The columns of one video's stack that no window changes, built once
+    for many ``extract_batch`` windows: F2's eligible-pair mask and step
+    lengths ((participants x n_frames - 1); pair f joins frames f and
+    f + 1) and, with AOI features, the present-and-annotated mask and F5's
+    ``_look_index`` over the whole video. With AOI features the stack's
+    ``aoi`` must pass ``require_aoi``. All is read-only."""
+
+    def __init__(self, stack: TraceStack, aoi: AoiIndex | None, mode: FeatureMode):
+        if mode is FeatureMode.WITH_AOI:
+            require_aoi(stack, aoi)
+        self.stack, self.aoi, self.mode = stack, aoi, mode
+        present = stack.present
+        self.eligible = present[:, :-1] & present[:, 1:] & ~stack.gap[:, 1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.steps = _length(np.diff(stack.x), np.diff(stack.y))
+        columns = [self.eligible, self.steps]
+        if mode is FeatureMode.WITH_AOI:
+            self.both = present & aoi.any_ann
+            self.look = _look_index(present, stack.x, stack.y, aoi, 0, stack.n_frames)
+            columns += [self.both, self.look]
+        for a in columns:
+            a.flags.writeable = False
+
+
+def extract_batch(table: VideoTable, w: Window) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of a table's stack on one window: ``(values, usable)``,
+    read from slices of the table.
 
     Row i of ``values`` (participants x ``mode.n_features``) is what
-    ``extract`` gives for ``stack.participant_ids[i]``, up to rounding;
-    ``usable[i]`` is False exactly where ``extract`` raises a
-    ``GazeScreenError``, and such rows hold NaN. The rules: F1 needs >= 2
+    ``extract`` gives for ``stack.participant_ids[i]``, up to rounding, and
+    F5 bit for bit; ``usable[i]`` is False exactly where ``extract`` raises
+    a ``GazeScreenError``, and such rows hold NaN. The rules: F1 needs >= 2
     present frames; F2 >= 2 frames and >= 2 eligible pairs; F3-F4 an
     annotated frame and >= 2 frames both present and annotated; F5 an
     occurrence overlapping the window. A usable row that is not finite
     raises ``NonFiniteFeature``: it is an error, not a reason to redraw.
     """
-    if mode is FeatureMode.WITH_AOI:
-        require_aoi(stack, aoi)
+    stack, aoi, mode = table.stack, table.aoi, table.mode
     lo, hi = frame_range(w, stack.fps, stack.n_frames)
     n_rows = len(stack.participant_ids)
     values = np.full((n_rows, mode.n_features), np.nan)
@@ -319,23 +363,28 @@ def extract_batch(
     present = stack.present[:, lo:hi]
     x = stack.x[:, lo:hi]
     y = stack.y[:, lo:hi]
-    eligible = present[:, :-1] & present[:, 1:] & ~stack.gap[:, lo + 1 : hi]
+    eligible = table.eligible[:, lo : hi - 1]
     n_present = present.sum(axis=1)
     n_pairs = eligible.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         columns = [
             np.sqrt(_masked_var(x, present, n_present) + _masked_var(y, present, n_present)),
-            np.sqrt(_masked_var(_length(np.diff(x), np.diff(y)), eligible, n_pairs)),
+            np.sqrt(_masked_var(table.steps[:, lo : hi - 1], eligible, n_pairs)),
         ]
         usable = (n_present >= 2) & (n_pairs >= 2)
         if mode is FeatureMode.WITH_AOI:
             try:
-                delay = _first_look_delay(stack, aoi, lo, hi, w)
+                delay = _first_look_delay(table.look[:, :, lo:hi], aoi, lo, hi, stack.fps, w)
             except NoAoiInWindow:  # no annotated frame in the window either
                 return values, np.zeros(n_rows, dtype=bool)
-            both = present & aoi.any_ann[lo:hi]
+            both = table.both[:, lo:hi]
             n_both = both.sum(axis=1)
-            manhattan, euclidean = _nearest_center_distances(x, y, aoi, lo, hi, _length)
+            if len(aoi.object_ids) == 1:  # read only under ``both``: no mask or minimum
+                dx, dy = x - aoi.cx[0, lo:hi], y - aoi.cy[0, lo:hi]
+                manhattan, euclidean = np.abs(dx) + np.abs(dy), _length(dx, dy)
+                del dx, dy  # not held through the reductions below
+            else:
+                manhattan, euclidean = _nearest_center_distances(x, y, aoi, lo, hi, _length)
             columns.append(np.sqrt(_masked_var(manhattan, both, n_both)))
             columns.append(np.sqrt(np.where(both, euclidean * euclidean, 0.0).sum(axis=1) / n_both))
             columns.append(delay)

@@ -905,6 +905,83 @@ def oracle_extract(
     return row
 
 
+def _old_masked_var(values: np.ndarray, mask: np.ndarray, n: np.ndarray) -> np.ndarray:
+    mean = np.where(mask, values, 0.0).sum(axis=1) / n
+    dev = np.where(mask, values - mean[:, None], 0.0)
+    return (dev * dev).sum(axis=1) / n
+
+
+def _old_length(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    out = dx * dx
+    out += dy * dy
+    return np.sqrt(out, out=out)
+
+
+def _old_nearest_center_distances(x, y, aoi: AoiIndex, lo, hi):
+    """Distances to the nearest annotated centre as one inf-masked pass per
+    object and a running minimum; inf where no object is annotated."""
+    manhattan = euclidean = np.inf
+    for k in range(len(aoi.object_ids)):
+        ann = aoi.ann[k, lo:hi]
+        dx = x - aoi.cx[k, lo:hi]
+        dy = y - aoi.cy[k, lo:hi]
+        manhattan = np.minimum(manhattan, np.where(ann, np.abs(dx) + np.abs(dy), np.inf))
+        euclidean = np.minimum(euclidean, np.where(ann, _old_length(dx, dy), np.inf))
+    return manhattan, euclidean
+
+
+def oracle_extract_batch(stack: TraceStack, aoi: AoiIndex | None, w: Window,
+                         mode: FeatureMode) -> tuple[np.ndarray, np.ndarray]:
+    """``features.extract_batch`` as it was before its per-video table: every
+    row of a stack on one window, ``(values, usable)``, with every
+    per-frame quantity computed on the window's own slice. F5 tests each
+    occurrence's boxes on its clipped span, and the nearest-centre
+    distances are inf-masked per object and reduced by ``np.minimum``,
+    for every track."""
+    if mode is FeatureMode.WITH_AOI:
+        if aoi is None:
+            raise NoAoiTrack(stack.video_id)
+        if aoi.n_frames != stack.n_frames:
+            raise ValueError(f"AOI index has {aoi.n_frames} frames, the stack has {stack.n_frames}")
+    lo, hi = _old_frame_range(w, stack.fps, stack.n_frames)
+    n_rows = len(stack.participant_ids)
+    values = np.full((n_rows, mode.n_features), np.nan)
+    usable = np.zeros(n_rows, dtype=bool)
+    if hi - lo < 2:
+        return values, usable
+    present = stack.present[:, lo:hi]
+    x = stack.x[:, lo:hi]
+    y = stack.y[:, lo:hi]
+    eligible = present[:, :-1] & present[:, 1:] & ~stack.gap[:, lo + 1 : hi]
+    n_present = present.sum(axis=1)
+    n_pairs = eligible.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        columns = [
+            np.sqrt(_old_masked_var(x, present, n_present)
+                    + _old_masked_var(y, present, n_present)),
+            np.sqrt(_old_masked_var(_old_length(np.diff(x), np.diff(y)), eligible, n_pairs)),
+        ]
+        usable = (n_present >= 2) & (n_pairs >= 2)
+        if mode is FeatureMode.WITH_AOI:
+            try:
+                delay = _old_first_look_delay(stack, aoi, lo, hi, w)
+            except NoAoiInWindow:
+                return values, np.zeros(n_rows, dtype=bool)
+            both = present & aoi.any_ann[lo:hi]
+            n_both = both.sum(axis=1)
+            manhattan, euclidean = _old_nearest_center_distances(x, y, aoi, lo, hi)
+            columns.append(np.sqrt(_old_masked_var(manhattan, both, n_both)))
+            columns.append(np.sqrt(np.where(both, euclidean * euclidean, 0.0).sum(axis=1) / n_both))
+            columns.append(delay)
+            usable &= n_both >= 2
+    values[usable] = np.column_stack(columns)[usable]
+    bad = usable & ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        pid = stack.participant_ids[int(np.argmax(bad))]
+        raise NonFiniteFeature(f"non-finite feature for {pid}/{stack.video_id} in {w}")
+    return values, usable
+
+
 def oracle_extraction_failures(
     dataset: Dataset, mode: FeatureMode
 ) -> tuple[list[tuple[str, str, GazeScreenError]], dict]:

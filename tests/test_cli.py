@@ -436,7 +436,7 @@ class TestFeatures:
     ):
         # F5 of every row of a trace or stack is infinite
         monkeypatch.setattr(features, "_first_look_delay",
-                            lambda video, *args: np.full(len(np.atleast_2d(video.present)), math.inf))
+                            lambda look, *args: np.full(look.shape[1], math.inf))
         r = run(runner, "features", "--manifest", small_cohort_manifest, "--mode", "aoi",
                 "--out", tmp_path)
         assert r.exit_code == EXIT_PIPELINE, r.output
@@ -630,14 +630,16 @@ class TestDurationCurve:
             small_cohort_manifest, tmp_path,
             lambda data: data["gaze_logs"]["asd_000"].pop("car_pursuit"),
         )
-        draws = []
+        draws, tables = [], []
         monkeypatch.setattr(experiments, "extract_batch", lambda *a: draws.append(a))
+        monkeypatch.setattr(experiments, "VideoTable", lambda *a: tables.append(a))
         r = run(runner, "duration-curve", "--manifest", manifest, "--mode", mode,
                 "--durations", "3", "--seed", 2, "--reps", 1, "--out", tmp_path / "out")
         assert r.exit_code == EXIT_PIPELINE, r.output
         assert "participant asd_000 lacks video car_pursuit" in r.output
         assert "Traceback" not in r.output
         assert not draws
+        assert not tables
 
     def test_video_without_aoi_track_fails_before_any_draw(
         self, runner, small_cohort_manifest, tmp_path
@@ -681,8 +683,9 @@ class TestDurationCurve:
     def test_duration_too_short_for_f2_exits_config_before_any_draw(
         self, runner, small_cohort_manifest, tmp_path, monkeypatch, durations
     ):
-        draws = []
+        draws, tables = [], []
         monkeypatch.setattr(experiments, "extract_batch", lambda *a: draws.append(a))
+        monkeypatch.setattr(experiments, "VideoTable", lambda *a: tables.append(a))
         r = run(runner, "duration-curve", "--manifest", small_cohort_manifest,
                 "--mode", "noaoi", "--durations", durations, "--seed", 2,
                 "--reps", 1, "--out", tmp_path)
@@ -690,6 +693,7 @@ class TestDurationCurve:
         assert "holds at most 2 frames of 'car_pursuit' (30 fps); F2 needs 3" in r.output
         assert "Traceback" not in r.output
         assert not draws
+        assert not tables
 
     @pytest.mark.parametrize("durations", ["0", "-3", "nan", "inf"])
     def test_non_positive_or_non_finite_duration_exits_config(

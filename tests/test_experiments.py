@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from gazescreen.experiments import (
     run_severity_loocv,
     stratified_folds,
 )
-from gazescreen.features import Window, extract_batch, frame_range
+from gazescreen.features import VideoTable, Window, extract_batch, frame_range
 from gazescreen.learn import LABEL_ASD, MlpConfig, Standardizer, SvmModel, svm_train
 from gazescreen.pipeline import extract_features, load_dataset
 from gazescreen.synth import CohortSpec, generate_cohort
@@ -300,12 +302,21 @@ class TestDurationSimulation:
         def drawn(*args):
             raise Drawn
 
+        tables = []
+
+        def table(*args):
+            tables.append(args)
+            return VideoTable(*args)
+
         def rejected(d):
+            tables.clear()
             try:
                 run_duration_simulation(small_cohort, [d], config)
             except DurationTooShort:
+                assert not tables  # the plan rejects the run before any table is built
                 return True
             except Drawn:  # accepted: the protocol started drawing windows
+                assert len(tables) == len(small_cohort.video_order)
                 return False
 
         # the largest rejected and the smallest accepted duration, by
@@ -315,6 +326,7 @@ class TestDurationSimulation:
         lo, hi = 1 / 30, 3 / 30
         with monkeypatch.context() as m:
             m.setattr(experiments, "extract_batch", drawn)
+            m.setattr(experiments, "VideoTable", table)
             assert rejected(lo) and not rejected(hi)
             while lo < (mid := lo + (hi - lo) / 2) < hi:
                 lo, hi = (mid, hi) if rejected(mid) else (lo, mid)
@@ -327,6 +339,7 @@ class TestDurationSimulation:
         rng = np.random.default_rng(0)
         for vid in small_cohort.video_order:
             stack = small_cohort.stacks[vid]
+            table = VideoTable(stack, None, config.mode)
             latest = small_cohort.manifest.video_meta(vid).duration_s - lo
             starts = set(rng.uniform(0.0, latest, 2000).tolist())
             for k in range(stack.n_frames):
@@ -341,7 +354,7 @@ class TestDurationSimulation:
                     counts[s] = end - first
             assert max(counts.values()) == 2
             for s in sorted(counts)[::50]:
-                assert not extract_batch(stack, None, Window(s, lo), config.mode)[1].any()
+                assert not extract_batch(table, Window(s, lo))[1].any()
 
         # the smallest accepted duration runs; a window this short is still
         # never usable, so every draw fails, as it did before the check
@@ -355,6 +368,46 @@ class TestDurationSimulation:
         )
         got = [(r["duration_s"], r["mean_acc"], r["std_acc"]) for r in report.rows]
         assert got == self.GOLDEN[mode]
+
+    def test_two_object_tracks_give_the_oracle_report(self, two_object_cohort, monkeypatch):
+        assert {len(idx.object_ids) for idx in two_object_cohort.aoi.values()} == {2}
+        config = CvConfig(seed=17, repetitions=3)
+        durations = [1.5, 3.0, 9.0]
+        engines = {
+            "table": extract_batch,
+            "oracle": lambda table, w: oracles.oracle_extract_batch(
+                table.stack, table.aoi, w, table.mode),
+        }
+        reports, draws = {}, {}
+        for name, engine in engines.items():
+            draws[name] = []
+
+            def recorded(table, w, engine=engine, out=draws[name]):
+                values, usable = engine(table, w)
+                out.append((values.tobytes(), usable.tobytes()))
+                return values, usable
+
+            monkeypatch.setattr(experiments, "extract_batch", recorded)
+            reports[name] = run_duration_simulation(two_object_cohort, durations, config).to_dict()
+        assert reports["table"] == reports["oracle"]
+        assert draws["table"] == draws["oracle"]  # every window's values and mask
+
+
+@pytest.fixture(scope="module")
+def two_object_cohort(small_cohort_manifest, tmp_path_factory):
+    """The 6 + 6 cohort with a second AOI object on every video: the left
+    half of each box, annotated in alternate 1.5-s blocks of frames."""
+    root = tmp_path_factory.mktemp("cohort_two_objects")
+    shutil.copytree(small_cohort_manifest.parent, root, dirs_exist_ok=True)
+    for path in (root / "aoi").glob("*.csv"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for line in lines[1:]:
+            vid, frame, _, x_min, y_min, x_max, y_max = line.split(",")
+            if int(frame) // 45 % 2 == 0:
+                half = f"{(float(x_min) + float(x_max)) / 2:.3f}"
+                lines.append(",".join((vid, frame, "object_1", x_min, y_min, half, y_max)))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return load_dataset(root / "manifest.yaml")
 
 
 @pytest.fixture(scope="module")
@@ -400,12 +453,13 @@ class TestLockstepProtocols:
         config = CvConfig(seed=22, repetitions=4, mode=mode)
         run_duration_simulation(uneven_cohort, durations, config)
         y = experiments._labels([p.group for p in uneven_cohort.participants])
-        video_ids = list(uneven_cohort.video_order)
+        tables = {vid: VideoTable(uneven_cohort.stacks[vid], uneven_cohort.aoi[vid], mode)
+                  for vid in uneven_cohort.video_order}
         train_sizes = set()
         want = [
             per_fold_rows(
                 config, y, ("duration", d_idx),
-                lambda rng, d=d: experiments._draw_windows(uneven_cohort, d, mode, rng, video_ids),
+                lambda rng, d=d: experiments._draw_windows(uneven_cohort, d, rng, tables),
                 train_sizes,
             )
             for d_idx, d in enumerate(durations)
@@ -477,12 +531,13 @@ class TestCvOracle:
         models = self.trained_models(monkeypatch)
         report = run_duration_simulation(uneven_cohort, durations, config)
         y = experiments._labels([p.group for p in uneven_cohort.participants])
-        video_ids = list(uneven_cohort.video_order)
+        tables = {vid: VideoTable(uneven_cohort.stacks[vid], uneven_cohort.aoi[vid], mode)
+                  for vid in uneven_cohort.video_order}
         want = []
         for d_idx, d in enumerate(durations):
             rows, fold_models = oracles.oracle_cv_fold_rows(
                 config, y, ("duration", d_idx),
-                lambda rng, d=d: experiments._draw_windows(uneven_cohort, d, mode, rng, video_ids),
+                lambda rng, d=d: experiments._draw_windows(uneven_cohort, d, rng, tables),
             )
             summary = experiments._summarize(rows)
             assert report.rows[d_idx]["mean_acc"] == summary["mean_accuracy"]

@@ -13,6 +13,7 @@ from gazescreen.errors import (
     NonFiniteFeature,
 )
 from gazescreen.features import (
+    VideoTable,
     Window,
     extract,
     extract_batch,
@@ -22,6 +23,7 @@ from gazescreen.features import (
     feature_std_diff,
     feature_std_gaze,
     feature_std_manhattan,
+    frame_range,
     full_window,
 )
 from gazescreen.pipeline import extract_features, load_dataset
@@ -392,9 +394,9 @@ class TestWindowErrors:
 
 def batch_vs_extract(stack, rows, aoi, w, mode):
     """Compare ``extract_batch`` with ``extract`` on every row of one
-    window: F5, which both compute with one function, bit for bit. Returns
-    the per-row verdicts and the worst relative error."""
-    values, usable = extract_batch(stack, aoi, w, mode)
+    window: F5, which both read from one index, bit for bit. Returns the
+    per-row verdicts and the worst relative error."""
+    values, usable = extract_batch(VideoTable(stack, aoi, mode), w)
     assert values.shape == (len(rows), mode.n_features)
     worst = 0.0
     for i, at in enumerate(rows):
@@ -542,7 +544,7 @@ class TestExtractBatch:
         aoi = aoi_index(box_track(self.CENTERS), stack.n_frames)
         w = Window(0.0, 1.0)
         batch_vs_extract(stack, rows, aoi, w, FeatureMode.WITH_AOI)
-        values, _ = extract_batch(stack, aoi, w, FeatureMode.WITH_AOI)
+        values, _ = extract_batch(VideoTable(stack, aoi, FeatureMode.WITH_AOI), w)
         assert values[:, 4].tolist() == pytest.approx([0.1, 0.2, 0.3, 0.4], abs=1e-12)
 
     def test_no_aoi_track_raises_like_extract(self):
@@ -551,7 +553,7 @@ class TestExtractBatch:
         with pytest.raises(NoAoiInWindow):
             extract(rows[0], None, w, FeatureMode.WITH_AOI)
         with pytest.raises(NoAoiInWindow):
-            extract_batch(stack, None, w, FeatureMode.WITH_AOI)
+            VideoTable(stack, None, FeatureMode.WITH_AOI)
 
     def test_non_finite_row_raises(self):
         huge = [(1e200 * k, 0.5) for k in range(10)]  # variance overflows
@@ -561,7 +563,105 @@ class TestExtractBatch:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteFeature, match="b/v"):
             extract(rows[1], None, w, FeatureMode.NO_AOI)
         with pytest.raises(NonFiniteFeature, match="b/v"):
-            extract_batch(stack, None, w, FeatureMode.NO_AOI)
+            extract_batch(VideoTable(stack, None, FeatureMode.NO_AOI), w)
+
+
+def result_or_error(fn, *args):
+    """``fn(*args)``, or the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return e
+
+
+def table_vs_oracle(table, stack, aoi, w, mode):
+    """``extract_batch`` on ``table`` (or the error that building it
+    raised) against ``oracles.oracle_extract_batch`` on one window: the
+    bytes of the values and of the usable mask, or the type and message of
+    the error. Returns the usable mask, or None after an error."""
+    want = result_or_error(oracles.oracle_extract_batch, stack, aoi, w, mode)
+    got = table if isinstance(table, Exception) else result_or_error(extract_batch, table, w)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want)), w
+        return None
+    assert not isinstance(got, Exception), (w, got)
+    assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes(), w
+    assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes(), w
+    return got[1]
+
+
+class TestVideoTable:
+    """``extract_batch`` on a ``VideoTable`` against
+    ``oracles.oracle_extract_batch``, the per-window code it replaced."""
+
+    MODES = [FeatureMode.WITH_AOI, FeatureMode.NO_AOI]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_the_oracle_on_cohort_windows(self, small_cohort, mode):
+        rng = np.random.default_rng(2727)
+        tables = {vid: VideoTable(small_cohort.stacks[vid], small_cohort.aoi[vid], mode)
+                  for vid in small_cohort.video_order}
+        durations = (0.01, 0.04, 0.07, 0.1, 0.25, 0.5, 1.5, 3.0, 6.0, 12.0)
+        counts = dict.fromkeys(("short", "clip end", "no occurrence", "redraw", "usable"), 0)
+        for i in range(320):
+            vid = small_cohort.video_order[i % len(small_cohort.video_order)]
+            stack, aoi = small_cohort.stacks[vid], small_cohort.aoi[vid]
+            meta = small_cohort.manifest.video_meta(vid)
+            duration = float(rng.choice(durations))
+            if i % 8 == 3:  # a window that ends at the clip's end
+                w = Window(meta.duration_s - duration, duration)
+            elif i % 8 == 5:  # a window of >= 4 frames in a gap between occurrences
+                free = ~aoi.any_ann
+                starts = np.flatnonzero(free[:-3] & free[1:-2] & free[2:-1] & free[3:])
+                f = int(rng.choice(starts))
+                w = Window(f / stack.fps, 4 / stack.fps)
+            else:
+                w = Window(float(rng.uniform(0.0, meta.duration_s - duration)), duration)
+            usable = table_vs_oracle(tables[vid], stack, aoi, w, mode)
+            lo, hi = frame_range(w, stack.fps, stack.n_frames)
+            occ = aoi.occurrences
+            counts["short"] += hi - lo < 2
+            counts["clip end"] += hi == stack.n_frames
+            counts["no occurrence"] += not ((occ[:, 1] < hi) & (occ[:, 2] >= lo)).any()
+            counts["redraw"] += not usable.all()
+            counts["usable"] += bool(usable.all())
+        assert min(counts.values()) >= 20, counts
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_the_oracle_on_random_stacks(self, mode):
+        rng = np.random.default_rng(2728)
+        seen = {"objects": set(), "errors": set()}
+        n_windows = 0
+        for trial in range(90):
+            n = int(rng.integers(4, 41))
+            fps = float(rng.choice([5.0, 10.0, 30.0]))
+            p_present = float(rng.uniform(0.2, 1.0))
+            traces = [random_aligned(rng, n_frames=n, fps=fps, p_present=p_present,
+                                     pid=f"p{k:02d}") for k in rng.permutation(5)]
+            if trial % 6 == 1:  # a row whose F1 and F2 overflow
+                traces.append(trace_from_points([(1e200 * k, 0.5) for k in range(n)], fps=fps,
+                                                pid="p99", vid="v0"))
+            stack, _ = stack_traces(traces)
+            track = random_aoi(rng, n_frames=n, n_objects=1 + trial % 3,
+                               p_ann=float(rng.uniform(0.05, 0.8)))
+            aoi = {9: None, 10: aoi_index(track, n + 1)}.get(trial % 11, aoi_index(track, n))
+            seen["objects"].add(aoi and len(aoi.object_ids))
+            table = result_or_error(VideoTable, stack, aoi, mode)
+            for _ in range(6):
+                duration = float(rng.uniform(0.5, n)) / fps
+                w = Window(float(rng.uniform(0.0, n / fps - duration)), duration)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    usable = table_vs_oracle(table, stack, aoi, w, mode)
+                if usable is None:
+                    seen["errors"].add(type(table if isinstance(table, Exception) else
+                                            result_or_error(extract_batch, table, w)).__name__)
+                n_windows += 1
+        assert {1, 2, 3} <= seen["objects"]
+        want_errors = {"NonFiniteFeature"}
+        if mode is FeatureMode.WITH_AOI:
+            want_errors |= {"NoAoiTrack", "ValueError"}
+        assert seen["errors"] == want_errors
+        assert n_windows == 540
 
 
 def value_or_error(fn, *args):

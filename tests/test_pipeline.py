@@ -11,7 +11,7 @@ from gazescreen import experiments, pipeline
 from gazescreen.core import FeatureMode, Group, Participant
 from gazescreen.errors import ConfigError, InsufficientData, MissingVideo, NonFiniteFeature
 from gazescreen.experiments import CvConfig, cv_plan, run_duration_simulation, severity_plan
-from gazescreen.features import Window, extract, extract_batch, full_window
+from gazescreen.features import VideoTable, Window, extract, extract_batch, full_window
 from gazescreen.ingest import AoiIndex, DatasetManifest, load_manifest
 from gazescreen.pipeline import (
     Dataset,
@@ -42,8 +42,9 @@ def test_second_load_gives_equal_features_and_new_indexes(small_cohort_manifest)
     assert rows.tobytes() == again.tobytes()
     w = Window(2.0, 5.0)
     for vid in first.video_order:
-        got = extract_batch(first.stacks[vid], first.aoi[vid], w, FeatureMode.WITH_AOI)
-        want = extract_batch(second.stacks[vid], second.aoi[vid], w, FeatureMode.WITH_AOI)
+        got = extract_batch(VideoTable(first.stacks[vid], first.aoi[vid], FeatureMode.WITH_AOI), w)
+        want = extract_batch(VideoTable(second.stacks[vid], second.aoi[vid], FeatureMode.WITH_AOI),
+                             w)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
