@@ -303,15 +303,18 @@ def _length(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 def _nearest_center_distances(x, y, aoi: AoiIndex, lo, hi, length):
     """(participants x window) Manhattan and Euclidean distances from gaze
     to the nearest annotated box centre, the Euclidean one by ``length``
-    (``_length`` or ``np.hypot``); inf where no object is annotated. The
-    minimum over objects is exact, so it is ``nanmin``'s."""
-    manhattan = euclidean = np.inf
+    (``_length`` or ``np.hypot``). A box's centre is NaN on a frame where
+    it is not annotated and ``np.fmin`` skips NaN, so no mask is needed;
+    a frame with no object annotated is NaN, and both callers read only
+    frames both present and annotated. The minimum over objects is
+    exact, so it is ``nanmin``'s."""
+    manhattan = euclidean = None
     for k in range(len(aoi.object_ids)):
-        ann = aoi.ann[k, lo:hi]
         dx = x - aoi.cx[k, lo:hi]
         dy = y - aoi.cy[k, lo:hi]
-        manhattan = np.minimum(manhattan, np.where(ann, np.abs(dx) + np.abs(dy), np.inf))
-        euclidean = np.minimum(euclidean, np.where(ann, length(dx, dy), np.inf))
+        m, e = np.abs(dx) + np.abs(dy), length(dx, dy)
+        manhattan = m if k == 0 else np.fmin(manhattan, m, out=manhattan)
+        euclidean = e if k == 0 else np.fmin(euclidean, e, out=euclidean)
     return manhattan, euclidean
 
 
@@ -379,12 +382,7 @@ def extract_batch(table: VideoTable, w: Window) -> tuple[np.ndarray, np.ndarray]
                 return values, np.zeros(n_rows, dtype=bool)
             both = table.both[:, lo:hi]
             n_both = both.sum(axis=1)
-            if len(aoi.object_ids) == 1:  # read only under ``both``: no mask or minimum
-                dx, dy = x - aoi.cx[0, lo:hi], y - aoi.cy[0, lo:hi]
-                manhattan, euclidean = np.abs(dx) + np.abs(dy), _length(dx, dy)
-                del dx, dy  # not held through the reductions below
-            else:
-                manhattan, euclidean = _nearest_center_distances(x, y, aoi, lo, hi, _length)
+            manhattan, euclidean = _nearest_center_distances(x, y, aoi, lo, hi, _length)
             columns.append(np.sqrt(_masked_var(manhattan, both, n_both)))
             columns.append(np.sqrt(np.where(both, euclidean * euclidean, 0.0).sum(axis=1) / n_both))
             columns.append(delay)
