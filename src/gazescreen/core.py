@@ -35,6 +35,12 @@ class FeatureMode(enum.Enum):
 CARS_MIN = 15
 CARS_MAX = 60
 
+# Every video holds a float64 value per frame for each viewer and each AOI
+# object; at 2**24 frames (155 hours at 30 fps) one such row is 128 MiB. A
+# larger count is a mistyped duration_s or fps, which numpy would refuse
+# or run out of memory on with a traceback, so it is a config error.
+MAX_VIDEO_FRAMES = 2**24
+
 
 @dataclass(frozen=True)
 class VideoMeta:
@@ -49,6 +55,9 @@ class VideoMeta:
             raise ValueError("duration_s and fps must be finite and positive")
         if not math.isfinite(self.duration_s * self.fps):
             raise ValueError("duration_s * fps, the frame count, must be finite")
+        if self.n_frames > MAX_VIDEO_FRAMES:
+            raise ValueError(f"video {self.video_id!r} has {self.n_frames} frames, more than "
+                             f"the {MAX_VIDEO_FRAMES} a video may have")
         if self.width_px <= 0 or self.height_px <= 0:
             raise ValueError("pixel dimensions must be positive")
         try:  # coordinates are divided by the sizes as floats

@@ -6,28 +6,30 @@ File formats (all UTF-8 CSV with a header row):
   gaze log:  participant_id,video_id,wall_ts_ms,video_ts_ms,x_px,y_px,valid
   AOI track: video_id,frame_index,object_id,x_min_px,y_min_px,x_max_px,y_max_px
 
-A gaze log is parsed straight into numpy columns (``GazeTrace``) by one
-of two readers. ``_plain_columns`` only accepts or declines: it reads a
-file in the plain subset (the exact header, printable ASCII lines ended
-by LF or CRLF, no quotes, 7 fields on every non-blank line, one
-participant and one video id, 0/1 flags) with one structured
-``np.loadtxt`` call, and accepts it if its numbers pass every rule on
-numbers. Any other file is read by ``csv`` and goes to ``_row_columns``,
-a row loop that gives the same columns bit for bit or raises: it is the
-one place that raises a gaze-row error, and it names the first row that
-fails a rule, with its ``path:line``, and the first rule that row fails.
-A byte that is not UTF-8 is a ``MalformedRow`` at its line.
+Both file kinds have a plain subset: the exact header, printable ASCII
+lines ended by LF or CRLF, no quotes, and fields that one structured
+``np.loadtxt`` call reads (``_plain_rows``). Its readers only accept or
+decline, with array checks over the loaded rows: ``_plain_columns``
+accepts a gaze log with one participant and one video id, 0/1 flags and
+numbers that pass every rule on numbers; ``_plain_aoi_index`` accepts an
+AOI track with one video id, digit-only frames in range, object ids of at
+most 32 bytes and boxes that pass every rule. Any other file is read by
+``csv`` and goes to a row loop (``_row_columns`` for gaze logs, the one in
+``parse_aoi_track`` for AOI tracks) that gives the same result bit for bit
+or raises: the row loops are the only code that raises a row error, and
+they name the first row that fails a rule, with its ``path:line``, and
+the first rule that row fails. A byte that is not UTF-8 is a
+``MalformedRow`` at its line.
 A ``TraceStack`` holds every aligned trace of one video as the rows of
 (participants x frames) arrays, and ``align`` maps a log's columns onto
 video frames, straight into its row; a single trace is a one-row stack.
 
-An AOI track is read row by row; ``parse_aoi_track`` is the one place that
-checks its rules, and it returns the track as an ``AoiIndex``: per-object,
-per-frame arrays of the normalized boxes, and its occurrences as the rows
-of one integer array. The AOI track and the gaze reader share one ``csv``
-reader, ``_csv_rows``, which checks the header, skips blank rows and
-numbers each row by its first file line; text ``csv`` cannot read is a
-``MalformedRow`` at the row it was reading.
+An AOI track is returned as an ``AoiIndex``: per-object, per-frame arrays
+of the normalized boxes, and its occurrences as the rows of one integer
+array. The two row loops share one ``csv`` reader, ``_csv_rows``, which
+checks the header, skips blank rows and numbers each row by its first
+file line; text ``csv`` cannot read is a ``MalformedRow`` at the row it
+was reading.
 
 The manifest is a YAML tree; see ``load_manifest`` for the schema. A
 cohort spec's videos are read by the same ``parse_video``.
@@ -194,60 +196,136 @@ def _decode(path, data: bytes) -> str:
         raise MalformedRow(path, line_no, f"invalid UTF-8 byte 0x{data[e.start]:02x}") from None
 
 
-_PLAIN_HEADER = (",".join(GAZE_HEADER) + "\n").encode()
+def _plain_rows(data: bytes, header: list[str], dtype):
+    """The rows of a CSV file in the plain subset, read into ``dtype`` by
+    one structured ``np.loadtxt`` call; None for any other file.
+
+    Plain: the exact ``header`` line; printable ASCII lines ended by LF or
+    CRLF (read as LF, which keeps the line count), with no ``"``; at least
+    one data row; and every non-blank line one that ``loadtxt`` reads into
+    ``dtype``. ``loadtxt`` checks the field count, skips blank lines, keeps
+    bytes fields verbatim (cut to their width, padded with NULs) and
+    converts numbers as ``float`` does, bit for bit: both use
+    ``PyOS_string_to_double``, and in this subset ``loadtxt`` accepts no
+    number that ``float`` rejects.
+    """
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    head = (",".join(header) + "\n").encode()
+    if not (data.startswith(head) and data.isascii()) or b'"' in data:
+        return None
+    # a control byte other than LF: its XOR with LF, less 1, is below 31;
+    # no other ASCII byte's is (LF wraps round to 255)
+    codes = np.frombuffer(data, dtype=np.uint8) ^ np.uint8(10)
+    codes -= np.uint8(1)
+    if (codes < 31).any():
+        return None
+    if len(data.rstrip(b"\n")) < len(head):
+        return None  # no data row, which loadtxt would warn of
+    try:
+        return np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", skiprows=1,
+                          comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _plain_ids(*ids: str) -> bool:
+    """Whether plain rows can hold ``ids``: ASCII, without NUL (numpy's
+    padding would match it), at most 64 bytes together (each id byte widens
+    every row of ``loadtxt``'s array)."""
+    text = "".join(ids)
+    return text.isascii() and "\0" not in text and len(text) <= 64
+
+
+def _raw(rows: np.ndarray) -> np.ndarray:
+    """The bytes of ``loadtxt``'s records, one row per record."""
+    return rows.view(np.uint8).reshape(len(rows), -1)
 
 
 def _plain_columns(data: bytes, video_id: str, participant_id: Optional[str]):
     """The (participant id, numbers, flags) of a gaze log in the plain
-    subset, read by one ``np.loadtxt`` call; None for any other file.
+    subset, as ``_plain_rows`` reads it; None for any other file.
     ``numbers`` is (4, n_rows): wall, video, x_px, y_px; ``flags`` is the
     tracker's valid flag of each row.
 
-    Plain: the exact header line; printable ASCII lines ended by LF or
-    CRLF (read as LF, which keeps the line count), with no ``"``; at least
-    one data row; 7 fields on every non-blank line: the participant id (the
-    given one, else the first row's) and the video id, at most 64 bytes
-    together, four numbers that pass the rules on numbers (all finite, wall
-    time strictly increasing, video time non-decreasing, both non-negative)
-    and a 0/1 flag. ``loadtxt`` checks the field count, skips blank lines
-    and keeps ids and flags verbatim, in bytes fields one byte wider than
-    the text they must equal. Its numbers are ``float``'s bit for bit: both
-    convert with ``PyOS_string_to_double``, and in this subset ``loadtxt``
-    accepts no text that ``float`` rejects. Such a file passes every row
-    rule of ``_row_columns``.
+    The 7 fields of a row are the participant id (the given one, else the
+    first row's) and the video id, in bytes fields one byte wider than the
+    ids they must equal, four numbers that pass the rules on numbers (all
+    finite, wall time strictly increasing, video time non-decreasing, both
+    non-negative) and a 0/1 flag. Ids and flags are checked by one masked
+    comparison over the records' bytes. Such a file passes every row rule
+    of ``_row_columns``.
     """
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-    if not (data.startswith(_PLAIN_HEADER) and data.isascii()) or b'"' in data:
-        return None
-    if np.count_nonzero(np.frombuffer(data, dtype=np.uint8) < ord(" ")) != data.count(b"\n"):
-        return None  # a control byte
-    if len(data.rstrip(b"\n")) < len(_PLAIN_HEADER):
-        return None  # no data row, which loadtxt would warn of
     pid = participant_id
     if pid is None:
-        end = data.find(b",", len(_PLAIN_HEADER))
-        pid = data[data.rfind(b"\n", 0, end) + 1: end].decode("ascii")
-    ids = pid + video_id  # a NUL would match numpy's padding; each id byte widens every row
-    if "\0" in ids or len(ids) > 64:
+        end = data.find(b",", data.find(b"\n") + 1)
+        # the first row's id, as any bytes: _plain_ids declines one not ASCII
+        pid = data[data.rfind(b"\n", 0, end) + 1: end].decode("latin-1")
+    if not _plain_ids(pid, video_id):
         return None
-    dtype = [("pid", f"S{len(pid) + 1}"), ("video", f"S{len(video_id) + 1}"),
-             ("numbers", float, (4,)), ("flag", "S2")]
-    try:
-        rows = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", skiprows=1,
-                          comments=None, ndmin=1)
-    except ValueError:
+    rows = _plain_rows(data, GAZE_HEADER, [("pid", f"S{len(pid) + 1}"),
+                                           ("video", f"S{len(video_id) + 1}"),
+                                           ("numbers", float, (4,)), ("flag", "S2")])
+    if rows is None:
         return None
-    tracker_valid = rows["flag"] == b"1"
-    if not ((rows["pid"] == pid.encode()).all() and (rows["video"] == video_id.encode()).all()
-            and (tracker_valid | (rows["flag"] == b"0")).all()):
+    # each id then a NUL, any numbers, then "0" or "1" and a NUL
+    head = f"{pid}\0{video_id}\0".encode()
+    gap = bytes(rows.dtype.itemsize - len(head) - 2)
+    want = np.frombuffer(head + gap + b"0\0", dtype=np.uint8)
+    mask = np.frombuffer(b"\xff" * len(head) + gap + b"\xfe\xff", dtype=np.uint8)
+    raw = _raw(rows)
+    if not ((raw & mask) == want).all():
         return None
     numbers = rows["numbers"].T.copy()
     wall, video = numbers[0], numbers[1]
     if not (np.isfinite(numbers).all() and (wall[1:] > wall[:-1]).all()
             and (video[1:] >= video[:-1]).all() and numbers[:2].min() >= 0):
         return None
-    return pid, numbers, tracker_valid
+    return pid, numbers, raw[:, -2] == ord("1")
+
+
+def _plain_aoi_index(data: bytes, meta: VideoMeta) -> Optional[AoiIndex]:
+    """The ``AoiIndex`` of an AOI track in the plain subset whose rows pass
+    every rule of ``parse_aoi_track``, as ``_plain_rows`` reads it; None
+    for any other track.
+
+    The 7 fields of a row are the video id, in a bytes field one byte
+    wider than the id; a frame of ASCII digits only, at most as many as
+    the frame count has, in [0, n_frames) (``int`` reads such text as this
+    does); an object id of at most 32 bytes; and four numbers that give a
+    box of positive width and height on the screen, which makes them
+    finite. A repeated (frame, object) sets one cell of ``ann`` twice.
+    """
+    video_id, n_frames = meta.video_id, meta.n_frames
+    digits = len(str(n_frames))
+    if not _plain_ids(video_id):
+        return None
+    rows = _plain_rows(data, AOI_HEADER, [("video", f"S{len(video_id) + 1}"),
+                                          ("frame", f"S{digits + 1}"), ("object", "S33"),
+                                          ("box", float, (4,))])
+    if rows is None:
+        return None
+    raw = _raw(rows)
+    head = np.frombuffer(f"{video_id}\0".encode(), dtype=np.uint8)
+    object_start = len(head) + digits + 1
+    text = raw[:, len(head): object_start]
+    value = text - np.uint8(ord("0"))  # a digit's value, else 10 or more
+    digit = value < 10
+    box = rows["box"] / np.array([float(meta.width_px), float(meta.height_px)] * 2)
+    lo, hi = box[:, :2], box[:, 2:]
+    if not ((raw[:, : len(head)] == head).all() and digit[:, 0].all()
+            and (digit | (text == 0)).all() and not text[:, -1].any()
+            and not raw[:, object_start + 32].any()  # set where a longer id was cut
+            and ((0.0 <= lo) & (lo < hi) & (hi <= 1.0)).all()):
+        return None
+    frame = np.zeros(len(rows), dtype=np.intp)
+    for v, d in zip(value.T, digit.T):
+        frame = np.where(d, frame * 10 + v, frame)
+    if not (frame < n_frames).all():
+        return None
+    index = AoiIndex(rows["object"].astype(str).tolist(), frame, lo[:, 0], lo[:, 1],
+                     hi[:, 0], hi[:, 1], n_frames)
+    return index if np.count_nonzero(index.ann) == len(rows) else None
 
 
 def _csv_rows(path, data: bytes, header: list[str]) -> tuple[list, list]:
@@ -360,12 +438,21 @@ def parse_aoi_track(path, meta: VideoMeta) -> AoiIndex:
     frame in [0, n_frames), four finite coordinates, positive width and
     height, a box on the screen, and no earlier box for its (frame,
     object). The error names the row's first file line; these are the
-    only checks an AOI track gets."""
+    only checks an AOI track gets.
+
+    A track in the plain subset whose rows pass every rule is read by
+    ``_plain_aoi_index``, which only accepts or declines. Any other track
+    goes through ``csv`` to the row loop here, which reads its rows or
+    raises the first row's error."""
     path = Path(path)
+    data = path.read_bytes()
+    index = _plain_aoi_index(data, meta)
+    if index is not None:
+        return index
     columns = ([], [], [], [], [], [])  # object id, frame, x_min, y_min, x_max, y_max
     seen = set()  # (frame_index, object_id)
     n_frames = meta.n_frames
-    for row, line_no in zip(*_csv_rows(path, path.read_bytes(), AOI_HEADER)):
+    for row, line_no in zip(*_csv_rows(path, data, AOI_HEADER)):
         if len(row) != len(AOI_HEADER):
             raise MalformedRow(path, line_no, f"expected {len(AOI_HEADER)} fields, got {len(row)}")
         vid, frame_raw, object_id, x0_raw, y0_raw, x1_raw, y1_raw = row

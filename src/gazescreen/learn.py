@@ -568,38 +568,41 @@ def _mlp_forward(params, X: np.ndarray, h=None) -> tuple[np.ndarray, np.ndarray]
     return h, out[..., 0]
 
 
-def _mlp_losses(params, X: np.ndarray, y: np.ndarray, l2: float, h=None):
+def _mlp_losses(params, X: np.ndarray, y: np.ndarray, l2: float, h=None, w1=None):
     """Half-MSE plus L2/(2n) penalty on the weight matrices, one loss per
     fold (an (F,) array); also returns the hidden activations (in ``h``, if
-    given) and the residuals."""
+    given) and the residuals. ``w1``, if given, is a buffer of W1's shape
+    for the squares of its weights."""
     W1, _, W2, _ = params
     n = y.shape[-1]
     h, pred = _mlp_forward(params, X, h)
     resid = pred - y
     add = np.add.reduce
     loss = 0.5 * (add(resid**2, axis=-1) / n)
-    loss += l2 / (2.0 * n) * (add(W1**2, axis=(-2, -1)) + add(W2**2, axis=(-2, -1)))
+    loss += l2 / (2.0 * n) * (add(np.square(W1, out=w1), axis=(-2, -1))
+                              + add(W2**2, axis=(-2, -1)))
     return loss, h, resid
 
 
 def _mlp_losses_and_grads(params, X: np.ndarray, y: np.ndarray, l2: float, out: np.ndarray,
-                          h=None, d_h=None):
+                          h=None, d_h=None, w1=None, relu=None):
     """The losses of ``_mlp_losses``, with analytic gradients written into
     ``out``, a (F, size) buffer laid out as ``_mlp_views`` reads it. ``h``
     and ``d_h``, if given, are (F, n, hidden) buffers for the hidden
-    activations and their gradient."""
+    activations and their gradient, ``relu`` a boolean one for the units
+    that are off, and ``w1`` one of W1's shape for its L2 terms."""
     W1, _, W2, _ = params
     n = y.shape[-1]
-    loss, h, resid = _mlp_losses(params, X, y, l2, h)
+    loss, h, resid = _mlp_losses(params, X, y, l2, h, w1)
     gW1, gb1, gW2, gb2 = _mlp_views(out, X.shape[-1], h.shape[-1])
     d_out = (resid / n)[..., None]  # (F, n, 1)
     np.matmul(h.swapaxes(-1, -2), d_out, out=gW2)
     gW2 += (l2 / n) * W2
     np.add.reduce(d_out, axis=-2, out=gb2)
     d_h = np.matmul(d_out, W2.swapaxes(-1, -2), out=d_h)
-    d_h[h <= 0.0] = 0.0
+    np.copyto(d_h, 0.0, where=np.less_equal(h, 0.0, out=relu))
     np.matmul(X.swapaxes(-1, -2), d_h, out=gW1)
-    gW1 += (l2 / n) * W1
+    gW1 += np.multiply(W1, l2 / n, out=w1)
     np.add.reduce(d_h, axis=-2, out=gb1)
     return loss
 
@@ -660,9 +663,11 @@ def mlp_train_folds(
     element the same arithmetic as one update per array of one model). The
     epoch-end early-stop check computes the loss only. A fold that stops
     is copied out and leaves the stack at the epoch end; the folds still
-    training move up in place, so training holds 5 x F x size floats. The
-    hidden activations and their gradient have buffers of their own,
-    allocated once per training, and each pass writes its folds' rows.
+    training move up in place, so training holds 5 x F x size floats, and
+    so do the rows of its own copy of Xs and ys. Every other array a step
+    needs of F rows (the minibatch, the hidden activations, their gradient
+    and ReLU mask, W1's L2 terms, the permutations) has a buffer of its
+    own, allocated once per training, and each pass writes its folds' rows.
 
     Overflow is not warned about. A fold whose step or epoch loss is not
     finite is recorded and leaves the stack at the epoch end, and so does
@@ -691,11 +696,19 @@ def mlp_train_folds(
         W1[f] = _glorot_uniform(rng, d, hidden, (d, hidden))
         W2[f] = _glorot_uniform(rng, hidden, 1, (hidden, 1))
     buffers = np.empty_like(state[:2])
-    # the hidden activations of a step or of the epoch-end check, and their
-    # gradient, for every fold; each pass writes the rows it uses
+    X, y = Xs.copy(), ys.copy()  # row r is folds[r]'s, as in state
+    X_rows, y_rows = X.reshape(n_folds * n, d), y.reshape(n_folds * n)
+    # the hidden activations of a step or of the epoch-end check, their
+    # gradient and ReLU mask, and W1's L2 terms, for every fold; each pass
+    # writes the rows it uses. A minibatch of k folds and `size` rows is the
+    # start of xb and yb, so its arrays are contiguous, as a gather's are.
     batch = min(cfg.batch_size, n)
     h = np.empty((n_folds, n, hidden))
     d_h = np.empty((n_folds, batch, hidden))
+    relu = np.empty(d_h.shape, dtype=bool)
+    w1 = np.empty_like(W1)
+    xb, yb = np.empty(n_folds * batch * d), np.empty(n_folds * batch)
+    order = np.empty((n_folds, n), dtype=np.intp)  # row r's minibatch order, as rows of X_rows
     folds = np.arange(n_folds)
     best_loss = np.full(n_folds, np.inf)
     stall = np.zeros(n_folds, dtype=int)
@@ -712,16 +725,21 @@ def mlp_train_folds(
 
     with np.errstate(over="ignore", invalid="ignore"):  # reported as divergence
         for _epoch in range(cfg.max_epochs):
-            theta, m, v = state[:, : len(folds)]
-            grad, tmp = buffers[:, : len(folds)]
+            k = len(folds)
+            theta, m, v = state[:, :k]
+            grad, tmp = buffers[:, :k]
             params = _mlp_views(theta, d, hidden)
-            fold_rows = folds[:, None]
-            order = np.stack([rng.permutation(n) for rng in rngs])
+            for r, rng in enumerate(rngs):
+                np.add(rng.permutation(n), r * n, out=order[r])
             for start in range(0, n, batch):
-                idx = order[:, start : start + batch]
-                rows = (slice(len(folds)), slice(idx.shape[1]))
-                loss = _mlp_losses_and_grads(params, Xs[fold_rows, idx], ys[fold_rows, idx], l2,
-                                             grad, h[rows], d_h[rows])
+                idx = order[:k, start : start + batch]
+                size = idx.shape[1]
+                X_batch = np.take(X_rows, idx, axis=0, mode="clip",
+                                  out=xb[: k * size * d].reshape(k, size, d))
+                y_batch = np.take(y_rows, idx, out=yb[: k * size].reshape(k, size), mode="clip")
+                rows = (slice(k), slice(size))
+                loss = _mlp_losses_and_grads(params, X_batch, y_batch, l2, grad, h[rows],
+                                             d_h[rows], w1[:k], relu[rows])
                 record_divergence(loss)
                 t += 1
                 # m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g*g
@@ -740,7 +758,7 @@ def mlp_train_folds(
                 grad *= lr
                 grad /= tmp
                 theta -= grad
-            epoch_loss, _, _ = _mlp_losses(params, Xs[folds], ys[folds], l2, h[: len(folds)])
+            epoch_loss, _, _ = _mlp_losses(params, X[:k], y[:k], l2, h[:k], w1[:k])
             record_divergence(epoch_loss)
             improved = best_loss - epoch_loss > cfg.early_stop_tol
             best_loss = np.where(improved, epoch_loss, best_loss)
@@ -752,7 +770,7 @@ def mlp_train_folds(
                 for r in np.flatnonzero(leave).tolist():
                     trained[folds[r]] = theta[r].copy()
                 stay = np.flatnonzero(~leave)
-                for a in state:  # move the rows still training to the front
+                for a in (*state, X, y):  # move the rows still training to the front
                     a[: len(stay)] = a[stay]
                 best_loss, stall, folds = best_loss[stay], stall[stay], folds[stay]
                 rngs = [rngs[r] for r in stay.tolist()]

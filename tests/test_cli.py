@@ -114,6 +114,17 @@ def corrupt_cohort(manifest, dst, log=False, aoi=False):
     return copy
 
 
+# frame counts numpy refuses to allocate at once, as changes to a 24-s,
+# 30-fps video
+HUGE_VIDEOS = [{"duration_s": 1e9}, {"duration_s": 1e200}, {"fps": 1e300}]
+HUGE_VIDEO_IDS = ["duration 1e9", "duration 1e200", "fps 1e300"]
+
+
+def huge_frame_count(video):
+    meta = {"duration_s": 24.0, "fps": 30.0, **video}
+    return math.floor(meta["duration_s"] * meta["fps"])
+
+
 class TestSynth:
     def test_deterministic_output(self, runner, tmp_path):
         spec = tmp_path / "spec.yaml"
@@ -200,6 +211,18 @@ class TestSynth:
         r = run(runner, "synth", "--spec", spec, "--seed", 1, "--out", tmp_path / "x")
         assert r.exit_code == EXIT_CONFIG, r.output
         assert f"{spec}: bad cohort spec: {message}" in r.output
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("video", HUGE_VIDEOS, ids=HUGE_VIDEO_IDS)
+    def test_huge_frame_count_exits_config(self, runner, tmp_path, video):
+        spec = tmp_path / "spec.yaml"
+        entry = {"id": "v", "duration_s": 24.0, "fps": 30.0, "width_px": 100, "height_px": 100}
+        spec.write_text(yaml.safe_dump({"n_asd": 3, "n_control": 3,
+                                        "videos": [{**entry, **video}]}), encoding="utf-8")
+        r = run(runner, "synth", "--spec", spec, "--seed", 1, "--out", tmp_path / "x")
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert f"video 'v' has {huge_frame_count(video)} frames, more than" in r.output
+        assert "Traceback" not in r.output
         assert not (tmp_path / "x").exists()
 
 
@@ -429,6 +452,19 @@ class TestFeatures:
                 "--out", tmp_path / "out")
         assert r.exit_code == EXIT_CONFIG, r.output
         assert "duration_s * fps, the frame count, must be finite" in r.output
+        assert "Traceback" not in r.output
+
+    @pytest.mark.parametrize("command", ["features", "evaluate"])
+    @pytest.mark.parametrize("video", HUGE_VIDEOS, ids=HUGE_VIDEO_IDS)
+    def test_huge_frame_count_exits_config(
+        self, runner, small_cohort_manifest, tmp_path, command, video
+    ):
+        manifest = edit_manifest(small_cohort_manifest, tmp_path,
+                                 lambda data: data["videos"][0].update(video))
+        args = ["--mode", "aoi"] if command == "features" else ["--seed", 7, "--reps", 1]
+        r = run(runner, command, "--manifest", manifest, *args, "--out", tmp_path / "out")
+        assert r.exit_code == EXIT_CONFIG, r.output
+        assert f"video 'car_pursuit' has {huge_frame_count(video)} frames, more than" in r.output
         assert "Traceback" not in r.output
 
     def test_non_finite_feature_exits_pipeline(

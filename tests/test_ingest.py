@@ -743,6 +743,194 @@ class TestPlainLoadtxt:
         assert rows["numbers"].ravel().tobytes() == want.tobytes()
 
 
+def _aoi_fields(edit):
+    """A mutation that applies ``edit`` to the fields of one data row of
+    an AOI track's lines, picked by the track's length."""
+    def mutate(lines):
+        i = 1 + len(lines) // 3
+        fields = lines[i].split(",")
+        lines[i] = ",".join(edit(fields))
+        return lines
+    return mutate
+
+
+def _pad_frame(line, width):
+    video, frame, rest = line.split(",", 2)
+    return ",".join([video, frame.zfill(width), rest])
+
+
+def _set(k, text):
+    return _aoi_fields(lambda f: f[:k] + [text(f[k]) if callable(text) else text] + f[k + 1:])
+
+
+def _aoi_index_or_error(parse, path, meta):
+    try:
+        return parse(path, meta)
+    except Exception as e:  # compared by type, line and message below
+        return e
+
+
+def assert_same_index(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want), got
+        assert (got.line_no, str(got)) == (want.line_no, str(want))
+        return
+    assert not isinstance(got, Exception), got
+    assert (got.object_ids, got.n_frames) == (want.object_ids, want.n_frames)
+    for name in ("ann", "cx", "cy", "x_min", "x_max", "y_min", "y_max", "any_ann",
+                 "occurrences"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert not a.flags.writeable, name
+
+
+class TestPlainAoi:
+    """AOI tracks in the plain subset and just outside it: the plain reader
+    gives the row loop's index, or declines and the row loop raises."""
+
+    # (mutation of the track's lines, whether the plain reader accepts the
+    # result: True, False, or None for either)
+    MUTATIONS = {
+        "as written": (lambda lines: lines, True),
+        "CRLF": ("crlf", True),
+        "blank lines": (lambda lines: lines[:2] + [""] + lines[2:] + ["", ""], True),
+        "whitespace-only line": (lambda lines: lines[:3] + ["  "] + lines[3:], False),
+        "quoted object id": (_set(2, lambda t: f'"{t}"'), False),
+        "empty object id": (_set(2, ""), True),
+        "object id of 32 bytes": (lambda lines: [lines[0]] + [
+            line.replace("object_0", "o" * 32) for line in lines[1:]], True),
+        "object id longer than the field": (lambda lines: [lines[0]] + [
+            line.replace("object_0", "o" * 33) for line in lines[1:]], False),
+        "frame +5": (_set(1, lambda t: "+" + t), False),
+        "frame ' 5'": (_set(1, lambda t: " " + t), False),
+        "frame 5.0": (_set(1, lambda t: t + ".0"), False),
+        "frame 1.0, within the field's width": (_set(1, "1.0"), False),
+        # every video has 3-digit frame counts
+        "frames zero-padded to 3 digits": (lambda lines: [lines[0]] + [
+            _pad_frame(line, 3) for line in lines[1:]], True),
+        "frame zero-padded to 4 digits": (_set(1, lambda t: t.zfill(4)), False),
+        "empty frame": (_set(1, ""), False),
+        "frame out of range": ("past the end", False),
+        "NUL byte": (_set(2, lambda t: t[:3] + "\0" + t[3:]), False),
+        "non-ASCII object id": (_set(2, lambda t: t + "é"), False),
+        "other video id": (_set(0, "other"), False),
+        "non-finite coordinate": (_set(4, "nan"), False),
+        "infinite coordinate": (_set(5, "inf"), False),
+        "degenerate box": (_aoi_fields(lambda f: f[:5] + [f[3]] + f[6:]), False),
+        "off-screen box": (_set(6, "5000"), False),
+        "negative coordinate": (_set(3, "-1"), False),
+        "repeated frame and object": (lambda lines: lines + [lines[1]], False),
+        "missing field": (_aoi_fields(lambda f: f[:-1]), False),
+        "extra field": (_aoi_fields(lambda f: f + ["1"]), False),
+        "number with spaces": (_set(3, lambda t: f" {t} "), True),
+        "underscore in a number": (_set(3, lambda t: "1_0"), False),
+    }
+
+    @pytest.mark.parametrize("name", list(MUTATIONS))
+    def test_plain_reader_matches_row_loop(self, small_cohort_manifest, tmp_path, monkeypatch,
+                                           name):
+        mutation, plain = self.MUTATIONS[name]
+        manifest = load_manifest(small_cohort_manifest)
+        for vid, path in manifest.aoi_paths.items():
+            meta = manifest.video_meta(vid)
+            lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+            if mutation == "crlf":
+                text = "\r\n".join(lines) + "\r\n"
+            elif mutation == "past the end":
+                fields = lines[-1].split(",")
+                lines[-1] = ",".join([fields[0], str(meta.n_frames)] + fields[2:])
+                text = "\n".join(lines) + "\n"
+            else:
+                text = "\n".join(mutation(list(lines))) + "\n"
+            p = tmp_path / f"{vid}.csv"
+            p.write_bytes(text.encode("utf-8"))
+            accepted = ingest._plain_aoi_index(p.read_bytes(), meta) is not None
+            if plain is not None:
+                assert accepted is plain, vid
+            got = _aoi_index_or_error(parse_aoi_track, p, meta)
+            with monkeypatch.context() as m:
+                m.setattr(ingest, "_plain_aoi_index", lambda *args: None)
+                want = _aoi_index_or_error(parse_aoi_track, p, meta)
+            assert_same_index(got, want)
+
+    def test_synth_tracks_never_reach_csv(self, small_cohort_manifest, monkeypatch):
+        def no_csv(*args, **kwargs):
+            raise AssertionError("a synth track left the plain path")
+
+        manifest = load_manifest(small_cohort_manifest)
+        monkeypatch.setattr(ingest.csv, "reader", no_csv)
+        for vid, path in manifest.aoi_paths.items():
+            assert parse_aoi_track(path, manifest.video_meta(vid)).object_ids == ("object_0",)
+
+    @pytest.mark.parametrize("video_id", ["vé", "v\0", "v" * 65])
+    def test_video_id_no_plain_row_holds_takes_the_row_loop(self, tmp_path, video_id):
+        p = tmp_path / "a.csv"
+        write_aoi(p, [(video_id, 0, "obj", 100, 100, 200, 200)])
+        meta = dataclasses.replace(META, video_id=video_id)
+        assert ingest._plain_aoi_index(p.read_bytes(), meta) is None
+        assert parse_aoi_track(p, meta).object_ids == ("obj",)
+
+
+PLAIN_AOI = ",".join(AOI_HEADER) + "\nv,0,obj,100,100,200,200\nv,1,obj,110,100,210,200\n"
+
+
+@pytest.fixture
+def aoi_loadtxt(monkeypatch):
+    """``np.loadtxt`` as ``_plain_aoi_index`` calls it on PLAIN_AOI (video
+    "v" of META, 90 frames), as a function of the file's text."""
+    loadtxt, calls = np.loadtxt, []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    assert ingest._plain_aoi_index(PLAIN_AOI.encode("ascii"), META) is not None
+    [kwargs] = calls
+    header = ",".join(AOI_HEADER) + "\n"
+    return lambda text: loadtxt(io.BytesIO((header + text).encode("ascii")), **kwargs)
+
+
+class TestPlainAoiLoadtxt:
+    """The ``np.loadtxt`` behaviours that ``_plain_aoi_index`` relies on,
+    asserted against numpy itself, so a numpy that differs is named."""
+
+    @pytest.mark.parametrize("line", ["v,1,obj,1,2,3", "v,1,obj,1,2,3,4,5"])
+    def test_six_or_eight_fields_raise(self, aoi_loadtxt, line):
+        with pytest.raises(ValueError):
+            aoi_loadtxt(f"v,0,obj,1,2,3,4\n{line}\n")
+
+    def test_empty_lines_are_skipped_and_whitespace_lines_raise(self, aoi_loadtxt):
+        rows = aoi_loadtxt("\n\nv,0,obj,1,2,3,4\n\nv,1,obj,5,6,7,8\n\n")
+        assert rows["frame"].tolist() == [b"0", b"1"]
+        with pytest.raises(ValueError):
+            aoi_loadtxt("v,0,obj,1,2,3,4\n \nv,1,obj,5,6,7,8\n")
+
+    def test_bytes_fields_are_verbatim_empty_or_cut(self, aoi_loadtxt):
+        rows = aoi_loadtxt(f" v,+5,obj ,1,2,3,4\nv,,,1,2,3,4\nvv,0005,{'o' * 40},1,2,3,4\n")
+        assert rows["video"].tolist() == [b" v", b"v", b"vv"]
+        assert rows["frame"].tolist() == [b"+5", b"", b"000"]
+        assert rows["object"].tolist() == [b"obj ", b"", b"o" * 33]
+        # the reader sees a cut field as a last byte that is not NUL
+        raw = ingest._raw(rows)
+        assert raw.shape == (3, rows.dtype.itemsize) and raw[2, 2 + 3] != 0
+
+    def test_empty_number_raises(self, aoi_loadtxt):
+        with pytest.raises(ValueError):
+            aoi_loadtxt("v,0,obj,,2,3,4\n")
+
+    def test_box_is_float_bit_for_bit(self, aoi_loadtxt):
+        rng = np.random.default_rng(59)
+        values = np.concatenate([rng.uniform(0, 2000, 400), 10.0 ** rng.uniform(-300, 300, 400)])
+        texts = [_spell(rng, float(v)) for v in values]
+        texts += ["0", "-0", "1e5", "1E-5", ".5", "5.", "+7", " 8 ", "nan", "inf", "-inf"]
+        texts += ["1"] * (-len(texts) % 4)
+        rows = aoi_loadtxt("".join(f"v,{i},obj,{','.join(texts[4 * i:4 * i + 4])}\n"
+                                   for i in range(len(texts) // 4)))
+        want = np.array([float(t) for t in texts])
+        assert rows["box"].ravel().tobytes() == want.tobytes()
+
+
 class TestUnreadableCsv:
     """Text that ``csv`` cannot read is a MalformedRow at the first line of
     the row it was reading, in gaze logs and AOI tracks alike."""

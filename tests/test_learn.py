@@ -1,5 +1,5 @@
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -643,30 +643,49 @@ class TestMlpOracle:
     def test_hidden_buffers_are_allocated_once(self, monkeypatch, diverging):
         # folds that stop at different epochs on 11 rows in minibatches of
         # 4, the last one short; with ``diverging``, fold 2's inputs
-        # overflow. Every pass of the training writes its activations and
-        # their gradient into slices of the same two buffers, and the
-        # models, or the error, are those of the per-fold oracle.
+        # overflow. Every pass of the training writes its minibatch, its
+        # activations, their gradient and ReLU mask and W1's L2 terms into
+        # slices of buffers allocated once, the epoch-end check reads the
+        # training's own copy of the inputs, and the models, or the error,
+        # are those of the per-fold oracle.
         rng = np.random.default_rng(52)
         cfg = MlpConfig(hidden=7, batch_size=4, max_epochs=200, patience=2, lr=5e-2, early_stop_tol=1e-3)
         Xs, ys = (np.array(a) for a in zip(*(noisy_linear(rng, 11, 3) for _ in range(5))))
         if diverging:
             Xs[2] *= 1e200
         seeds = [int(s) for s in rng.integers(2**31, size=5)]
-        buffers = {"h": set(), "d_h": set()}
+        buffers = defaultdict(set)
         real_losses, real_grads = learn._mlp_losses, learn._mlp_losses_and_grads
 
-        def losses(params, X, y, l2, h=None):
-            buffers["h"].add(id(h.base))
-            return real_losses(params, X, y, l2, h)
+        def record(step, **arrays):
+            for name, a in arrays.items():
+                assert a.base is not None, name
+                buffers[step, name].add(id(a.base))
 
-        def grads(params, X, y, l2, out, h=None, d_h=None):
-            buffers["d_h"].add(id(d_h.base))
-            return real_grads(params, X, y, l2, out, h, d_h)
+        def losses(params, X, y, l2, h=None, w1=None):
+            if not in_step:  # a step's own losses are recorded as the step's
+                record("check", X=X, y=y, h=h, w1=w1)
+            return real_losses(params, X, y, l2, h, w1)
+
+        def grads(params, X, y, l2, out, h=None, d_h=None, w1=None, relu=None):
+            record("step", X=X, y=y, h=h, d_h=d_h, w1=w1, relu=relu)
+            in_step.append(True)
+            try:
+                return real_grads(params, X, y, l2, out, h, d_h, w1, relu)
+            finally:
+                in_step.clear()
+
+        in_step = []
 
         monkeypatch.setattr(learn, "_mlp_losses", losses)
         monkeypatch.setattr(learn, "_mlp_losses_and_grads", grads)
         got = lockstep_or_message(Xs, ys, cfg, seeds)
-        assert [len(ids) for ids in buffers.values()] == [1, 1]
+        assert len(buffers) == 10
+        assert all(len(ids) == 1 for ids in buffers.values()), buffers
+        # a step and the check share the activations and L2 buffers only
+        assert buffers["check", "h"] == buffers["step", "h"]
+        assert buffers["check", "w1"] == buffers["step", "w1"]
+        assert buffers["check", "X"] != buffers["step", "X"]
         want, epochs = oracle_folds(Xs, ys, cfg, seeds, Counter())
         if diverging:
             assert isinstance(want, str) and len(epochs) == 3  # folds 0 and 1 trained
